@@ -4,7 +4,7 @@
 //! matrix and writes a schema-versioned `BENCH_<id>.json`:
 //!
 //! ```text
-//! cargo run --release -p hades-bench --bin bench -- --bench-id 9 --batch 16 --out BENCH_9.json
+//! cargo run --release -p hades-bench --bin bench -- --bench-id 12 --batch 16 --out BENCH_12.json
 //! ```
 //!
 //! Flags: `--smoke` (reduced matrix sizing), `--seed N`, `--profile`
@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! cargo run --release -p hades-bench --bin bench -- \
-//!     --compare BENCH_9.json BENCH_ci.json --threshold 0.10
+//!     --compare BENCH_12.json BENCH_ci.json --threshold 0.10
 //! ```
 
 use hades_bench::harness::{

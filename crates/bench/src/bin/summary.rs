@@ -9,14 +9,16 @@
 //! With `--json`, instead of the Markdown table the full per-app ×
 //! per-protocol metrics (throughput, p50/p99 latency, abort-reason and
 //! NIC-verb breakdowns) are emitted as one machine-readable JSON document
-//! on stdout. In either mode the process exits non-zero if any experiment
-//! fails, listing the failures on stderr.
+//! on stdout, with the gated claims in a `claims` array. In either mode
+//! the process exits non-zero if any experiment fails or any gated paper
+//! claim drifts, listing the failures on stderr (and in the document's
+//! `failures` array). The claim gates apply to fault-free runs only: under
+//! `--loss` the claims are still reported but not enforced.
 
 use hades_bench::{experiment_from_args, has_flag, print_table};
 use hades_bloom::{BloomFilter, DualWriteFilter};
 use hades_core::hwcost::{core_pair_bytes, nic_pair_bytes};
-use hades_core::runner::{compare_protocols, geomean, run_single, ComparisonRow, Protocol};
-use hades_core::stats::RunStats;
+use hades_core::runner::{compare_protocols, geomean, run_single, Protocol};
 use hades_sim::config::BloomParams;
 use hades_sim::time::Cycles;
 use hades_telemetry::json::Json;
@@ -24,6 +26,26 @@ use hades_workloads::catalog::AppId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const APPS: [&str; 5] = ["TPC-C", "TATP", "Smallbank", "HT-wA", "BTree-wB"];
+
+/// Geomean speedup bands over Baseline, `(HADES, HADES-H)`, each
+/// `(low, high)`. They are fitted to this reproduction's measurements,
+/// not to the paper's 2.7x / 2.3x, so a band catches drift in fidelity.
+/// Measured over the five apps:
+///
+/// | mode      | seed            | HADES | HADES-H |
+/// |-----------|-----------------|-------|---------|
+/// | `--quick` | default         | 2.49x | 1.93x   |
+/// | `--quick` | 7, 11           | 2.26x, 2.52x | 1.80x, 2.00x |
+/// | full      | default         | 3.31x | 2.46x   |
+/// | full      | 7, 11           | 2.63x, 3.07x | 1.98x, 2.28x |
+///
+/// Each band spans its mode's seeds with about 10% to spare.
+const QUICK_BANDS: [(f64, f64); 2] = [(2.0, 2.8), (1.6, 2.2)];
+const FULL_BANDS: [(f64, f64); 2] = [(2.4, 3.6), (1.8, 2.7)];
+
+/// Allowed relative error of the §VIII-C Bloom-filter false-positive
+/// rates against the paper's.
+const BLOOM_FP_TOLERANCE: f64 = 0.10;
 
 /// Runs `f`, converting a panic into an error string for the failure list.
 fn try_run<T>(label: &str, f: impl FnOnce() -> T) -> Result<T, String> {
@@ -48,25 +70,145 @@ fn exit_on_failures(failures: &[String]) {
     std::process::exit(1);
 }
 
+/// One gated paper claim and how this run measured it.
+struct Claim {
+    claim: &'static str,
+    paper: String,
+    measured: String,
+    holds: bool,
+}
+
+impl Claim {
+    fn row(&self) -> Vec<String> {
+        vec![
+            self.claim.to_string(),
+            self.paper.clone(),
+            self.measured.clone(),
+        ]
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .field("claim", self.claim)
+            .field("paper", self.paper.as_str())
+            .field("measured", self.measured.as_str())
+            .field("holds", Json::Bool(self.holds))
+            .build()
+    }
+}
+
+/// Checks the gated claims against per-app throughputs (txn/s,
+/// `Protocol::ALL` order; apps whose runs failed are absent).
+fn claims(apps: &[(&str, [f64; 3])]) -> Vec<Claim> {
+    let bands = if has_flag("--quick") {
+        QUICK_BANDS
+    } else {
+        FULL_BANDS
+    };
+    let out_of_order: Vec<&str> = apps
+        .iter()
+        .filter(|(_, t)| !(t[2] >= t[1] && t[1] >= t[0]))
+        .map(|(app, _)| *app)
+        .collect();
+    let mut out = vec![Claim {
+        claim: "throughput order HADES >= HADES-H >= Baseline",
+        paper: "every app".into(),
+        measured: if out_of_order.is_empty() {
+            format!("{}/{} apps", apps.len(), apps.len())
+        } else {
+            format!("broken: {}", out_of_order.join(", "))
+        },
+        holds: out_of_order.is_empty(),
+    }];
+    if !apps.is_empty() {
+        for ((claim, paper, i), (lo, hi)) in [
+            ("throughput vs Baseline (HADES)", "2.7x", 2),
+            ("throughput vs Baseline (HADES-H)", "2.3x", 1),
+        ]
+        .into_iter()
+        .zip(bands)
+        {
+            let ratios: Vec<f64> = apps.iter().map(|(_, t)| t[i] / t[0]).collect();
+            let speedup = geomean(&ratios);
+            out.push(Claim {
+                claim,
+                paper: paper.into(),
+                measured: format!("{speedup:.2}x"),
+                holds: (lo..=hi).contains(&speedup),
+            });
+        }
+    }
+    let bf = BloomFilter::new(1024, 2);
+    let wf = DualWriteFilter::isca_default(20_480);
+    for (claim, paper, measured) in [
+        (
+            "1Kbit BF FP @ 50 lines",
+            0.877,
+            bf.theoretical_fp_rate(50) * 100.0,
+        ),
+        (
+            "dual write BF FP @ 100 lines",
+            0.439,
+            wf.theoretical_fp_rate(100) * 100.0,
+        ),
+    ] {
+        out.push(Claim {
+            claim,
+            paper: format!("{paper:.3}%"),
+            measured: format!("{measured:.3}%"),
+            holds: ((measured - paper) / paper).abs() <= BLOOM_FP_TOLERANCE,
+        });
+    }
+    out
+}
+
+/// Appends a failure for every drifted claim, unless faults are injected
+/// (the claims describe fault-free runs).
+fn gate(claims: &[Claim], faulty: bool, failures: &mut Vec<String>) {
+    if faulty {
+        return;
+    }
+    for c in claims.iter().filter(|c| !c.holds) {
+        failures.push(format!(
+            "paper claim drifted: {}: measured {} (paper {})",
+            c.claim, c.measured, c.paper
+        ));
+    }
+}
+
 fn json_main() {
     let ex = experiment_from_args();
     let mut failures: Vec<String> = Vec::new();
     let mut apps = Vec::new();
+    let mut throughputs = Vec::new();
     for app in APPS {
         let id = AppId::parse(app).unwrap();
         let mut protos = Json::obj();
-        for p in Protocol::ALL {
+        let mut tput = [0.0; 3];
+        let mut complete = true;
+        for (i, p) in Protocol::ALL.into_iter().enumerate() {
             match try_run(&format!("{app}/{p}"), || run_single(p, id, &ex)) {
-                Ok(stats) => protos = protos.field(p.label(), stats.to_json()),
-                Err(e) => failures.push(e),
+                Ok(stats) => {
+                    tput[i] = stats.throughput();
+                    protos = protos.field(p.label(), stats.to_json());
+                }
+                Err(e) => {
+                    failures.push(e);
+                    complete = false;
+                }
             }
             eprintln!("  done: {app}/{p}");
+        }
+        if complete {
+            throughputs.push((app, tput));
         }
         apps.push(Json::Obj(vec![
             ("app".to_string(), Json::from(app)),
             ("protocols".to_string(), protos.build()),
         ]));
     }
+    let claims = claims(&throughputs);
+    gate(&claims, ex.cfg.repl.loss_probability > 0.0, &mut failures);
     let doc = Json::obj()
         .field(
             "experiment",
@@ -78,6 +220,10 @@ fn json_main() {
                 .build(),
         )
         .field("apps", Json::Arr(apps))
+        .field(
+            "claims",
+            Json::Arr(claims.iter().map(Claim::to_json).collect()),
+        )
         .field(
             "failures",
             Json::Arr(failures.iter().map(|f| Json::from(f.as_str())).collect()),
@@ -94,21 +240,15 @@ fn main() {
     }
     let ex = experiment_from_args();
     let mut failures: Vec<String> = Vec::new();
-    let mut rows: Vec<Vec<String>> = Vec::new();
 
     // 1. Throughput & latency headline over a representative app subset.
-    let mut sp_h = Vec::new();
-    let mut sp_hh = Vec::new();
+    let mut throughputs = Vec::new();
     let mut lat_h = Vec::new();
     let mut lat_hh = Vec::new();
     for app in APPS {
-        let row: Result<ComparisonRow, String> =
-            try_run(app, || compare_protocols(AppId::parse(app).unwrap(), &ex));
-        match row {
+        match try_run(app, || compare_protocols(AppId::parse(app).unwrap(), &ex)) {
             Ok(row) => {
-                let s = row.speedups();
-                sp_hh.push(s[1]);
-                sp_h.push(s[2]);
+                throughputs.push((app, row.throughput));
                 let l = row.latency_ratios();
                 lat_hh.push(l[1]);
                 lat_h.push(l[2]);
@@ -117,17 +257,11 @@ fn main() {
         }
         eprintln!("  done: {app}");
     }
-    if !sp_h.is_empty() {
-        rows.push(vec![
-            "throughput vs Baseline (HADES)".into(),
-            "2.7x".into(),
-            format!("{:.2}x", geomean(&sp_h)),
-        ]);
-        rows.push(vec![
-            "throughput vs Baseline (HADES-H)".into(),
-            "2.3x".into(),
-            format!("{:.2}x", geomean(&sp_hh)),
-        ]);
+    let claims = claims(&throughputs);
+    gate(&claims, ex.cfg.repl.loss_probability > 0.0, &mut failures);
+    let (headline, bloom) = claims.split_at(claims.len() - 2);
+    let mut rows: Vec<Vec<String>> = headline.iter().map(Claim::row).collect();
+    if !lat_h.is_empty() {
         rows.push(vec![
             "mean latency reduction (HADES)".into(),
             "60%".into(),
@@ -163,18 +297,7 @@ fn main() {
     }
 
     // 3. Bloom filter math (Table IV spot checks, analytic).
-    let bf = BloomFilter::new(1024, 2);
-    let wf = DualWriteFilter::isca_default(20_480);
-    rows.push(vec![
-        "1Kbit BF FP @ 50 lines".into(),
-        "0.877%".into(),
-        format!("{:.3}%", bf.theoretical_fp_rate(50) * 100.0),
-    ]);
-    rows.push(vec![
-        "dual write BF FP @ 100 lines".into(),
-        "0.439%".into(),
-        format!("{:.3}%", wf.theoretical_fp_rate(100) * 100.0),
-    ]);
+    rows.extend(bloom.iter().map(Claim::row));
 
     // 4. Hardware storage arithmetic (Sec VI).
     let b = BloomParams::default();
@@ -191,7 +314,5 @@ fn main() {
     );
     println!("\nDetails: per-figure drivers (fig3..fig15, table4, sec8c, hwcost,");
     println!("ablation, replication) and EXPERIMENTS.md.");
-    // Referenced for the --json path; keeps the import obvious here too.
-    let _ = RunStats::to_json;
     exit_on_failures(&failures);
 }

@@ -17,7 +17,7 @@
 //! [`SwCosts`]: hades_sim::config::SwCosts
 
 use crate::runtime::{
-    apply_write, owner_token, resolve, Cluster, Measurement, MigrationAction, ResolvedOp,
+    apply_write, owner_token, resolve, Cluster, CoreVerb, Measurement, MigrationAction, ResolvedOp,
     ResolvedTxn, WorkloadSet,
 };
 use crate::stats::{Overhead, Phase, RunStats, SquashReason};
@@ -687,12 +687,22 @@ impl BaselineSim {
                 self.q.push_at(cursor, Ev::OpDone { si, att });
             } else {
                 let target = self.cl.route(op.home);
-                let issue = index_cost + sw.rdma_issue;
-                self.charge(si, Overhead::Other, sw.rdma_issue);
-                cursor = self.cl.run_on_core(node, core, cursor, issue);
-                let arrive =
-                    self.cl
-                        .send_faulty_one(cursor, node, target, wire_size(0, 64), Verb::Read);
+                cursor = self.cl.run_on_core(node, core, cursor, index_cost);
+                let sent = self.cl.issue(
+                    cursor,
+                    CoreVerb {
+                        node,
+                        core,
+                        dst: target,
+                        bytes: wire_size(0, 64),
+                        verb: Verb::Read,
+                        wrs: 1,
+                        reliable: true,
+                    },
+                );
+                self.charge(si, Overhead::Other, sent.cost);
+                cursor = sent.depart;
+                let arrive = sent.arrival;
                 if self.cl.membership.enabled() {
                     // A fetch aimed at a node that dies before responding
                     // would hang the slot forever; the watchdog converts
@@ -891,16 +901,21 @@ impl BaselineSim {
                 .filter(|(_, h)| self.cl.route(*h) == dst)
                 .map(|(r, _)| *r)
                 .collect();
-            let issue = sw.rdma_issue * rids.len() as u64;
-            self.charge(si, Overhead::ConflictDetection, issue);
-            cursor = self.cl.run_on_core(node, core, cursor, issue);
-            let arrive = self.cl.send_verb(
+            let sent = self.cl.issue(
                 cursor,
-                node,
-                dst,
-                wire_size(0, 64) + rids.len() * 16,
-                Verb::Lock,
+                CoreVerb {
+                    node,
+                    core,
+                    dst,
+                    bytes: wire_size(0, 64) + rids.len() * 16,
+                    verb: Verb::Lock,
+                    wrs: rids.len() as u64,
+                    reliable: false,
+                },
             );
+            self.charge(si, Overhead::ConflictDetection, sent.cost);
+            cursor = sent.depart;
+            let arrive = sent.arrival;
             if self.crashed[dst.0 as usize] {
                 // A dead participant takes no locks and sends no reply;
                 // the round's RpcTimeout watchdog aborts the attempt.
@@ -1090,17 +1105,26 @@ impl BaselineSim {
                 .filter(|(rid, _)| self.cl.route(self.cl.db.record(*rid).home()) == dst)
                 .copied()
                 .collect();
-            let issue = sw.rdma_issue;
-            self.charge(si, Overhead::ConflictDetection, issue);
+            let sent = self.cl.issue(
+                cursor,
+                CoreVerb {
+                    node,
+                    core,
+                    dst,
+                    bytes: wire_size(0, 64),
+                    verb: Verb::Validate,
+                    wrs: 1,
+                    reliable: false,
+                },
+            );
+            self.charge(si, Overhead::ConflictDetection, sent.cost);
             self.charge(
                 si,
                 Overhead::ConflictDetection,
                 sw.validate_per_record * entries.len() as u64,
             );
-            cursor = self.cl.run_on_core(node, core, cursor, issue);
-            let arrive = self
-                .cl
-                .send_verb(cursor, node, dst, wire_size(0, 64), Verb::Validate);
+            cursor = sent.depart;
+            let arrive = sent.arrival;
             if self.crashed[dst.0 as usize] {
                 // A dead participant validates nothing and sends no
                 // reply; the RpcTimeout watchdog aborts the attempt.
@@ -1269,17 +1293,28 @@ impl BaselineSim {
         let mut cursor = self.cl.run_on_core(node, core, now, local_cost);
         for (dst, ops) in remote {
             let bytes: usize = ops.iter().map(|op| op.record_lines.len() * 64).sum();
-            let issue = sw.rdma_issue + sw.wset_commit_per_record * ops.len() as u64;
-            self.charge(si, Overhead::ManageSets, issue);
+            let stage = sw.wset_commit_per_record * ops.len() as u64;
+            cursor = self.cl.run_on_core(node, core, cursor, stage);
+            let sent = self.cl.issue(
+                cursor,
+                CoreVerb {
+                    node,
+                    core,
+                    dst,
+                    bytes: wire_size(0, 64) + bytes,
+                    verb: Verb::Write,
+                    wrs: 1,
+                    reliable: true,
+                },
+            );
+            self.charge(si, Overhead::ManageSets, stage + sent.cost);
             self.charge(
                 si,
                 Overhead::UpdateVersion,
                 sw.version_update * ops.len() as u64,
             );
-            cursor = self.cl.run_on_core(node, core, cursor, issue);
-            let arrive =
-                self.cl
-                    .send_faulty_one(cursor, node, dst, wire_size(0, 64) + bytes, Verb::Write);
+            cursor = sent.depart;
+            let arrive = sent.arrival;
             self.q
                 .push_at(arrive, Ev::RemoteApply { ops, owner: token });
         }
@@ -1460,11 +1495,20 @@ impl BaselineSim {
         let mut cursor = now;
         let mut unlocks_done = Cycles::ZERO;
         for (dst, rids) in remote_unlocks {
-            let issue = self.cl.cfg.sw.rdma_issue;
-            cursor = self.cl.run_on_core(node, core, cursor, issue);
-            let arrive = self
-                .cl
-                .send_faulty_one(cursor, node, dst, wire_size(0, 64), Verb::Unlock);
+            let sent = self.cl.issue(
+                cursor,
+                CoreVerb {
+                    node,
+                    core,
+                    dst,
+                    bytes: wire_size(0, 64),
+                    verb: Verb::Unlock,
+                    wrs: 1,
+                    reliable: true,
+                },
+            );
+            cursor = sent.depart;
+            let arrive = sent.arrival;
             unlocks_done = unlocks_done.max(arrive);
             self.q
                 .push_at(arrive, Ev::RemoteUnlock { rids, owner: token });

@@ -18,7 +18,7 @@
 //! themselves").
 
 use crate::runtime::{
-    apply_write, owner_token, resolve, Cluster, Measurement, MigrationAction, ResolvedOp,
+    apply_write, owner_token, resolve, Cluster, CoreVerb, Measurement, MigrationAction, ResolvedOp,
     ResolvedTxn, RunOutcome, WorkloadSet,
 };
 use crate::stats::{Phase, SquashReason};
@@ -685,13 +685,22 @@ impl HadesHSim {
                     self.note_remote_tracking(si, &op);
                     self.q.push_at(cursor, Ev::OpDone { si, att });
                 } else {
-                    let issue = index_cost + sw.rdma_issue;
-                    cursor = self.cl.run_on_core(node, core, cursor, issue);
+                    cursor = self.cl.run_on_core(node, core, cursor, index_cost);
                     self.note_remote_tracking(si, &op);
-                    let target = self.cl.route(op.home);
-                    let arrive =
-                        self.cl
-                            .send_faulty_one(cursor, node, target, wire_size(0, 64), Verb::Read);
+                    let sent = self.cl.issue(
+                        cursor,
+                        CoreVerb {
+                            node,
+                            core,
+                            dst: self.cl.route(op.home),
+                            bytes: wire_size(0, 64),
+                            verb: Verb::Read,
+                            wrs: 1,
+                            reliable: true,
+                        },
+                    );
+                    cursor = sent.depart;
+                    let arrive = sent.arrival;
                     self.q.push_at(arrive, Ev::RemoteReq { si, att, op });
                     // A home that dies forever mid-fetch would hang this
                     // slot; the membership layer bounds the wait.

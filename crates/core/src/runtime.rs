@@ -7,7 +7,7 @@ use crate::stats::{MigrationStats, NemesisStats, RunStats};
 use hades_bloom::LockingBuffers;
 use hades_fault::{FaultInjector, FaultPlan};
 use hades_mem::hierarchy::NodeMemory;
-use hades_net::batch::Batcher;
+use hades_net::batch::{Batcher, Doorbell};
 use hades_net::fabric::{wire_size, Fabric};
 use hades_net::nic::{Nic, RemoteTxKey};
 use hades_sim::backoff::BackoffPolicy;
@@ -65,6 +65,38 @@ pub enum MigrationAction {
     Cutover(Vec<(NodeId, NodeId)>),
     /// Migration finished (or never configured); nothing to schedule.
     Done,
+}
+
+/// A verb a core marshals and posts itself; see [`Cluster::issue`].
+#[derive(Debug, Clone, Copy)]
+pub struct CoreVerb {
+    /// Issuing node.
+    pub node: NodeId,
+    /// Issuing core.
+    pub core: CoreId,
+    /// Destination node.
+    pub dst: NodeId,
+    /// Wire size in bytes.
+    pub bytes: usize,
+    /// Protocol meaning.
+    pub verb: Verb,
+    /// Work requests the verb posts; each pays the issue cost (Baseline's
+    /// Lock posts one CAS per record).
+    pub wrs: u64,
+    /// Send on the fault-injected reliable transport (Retransmit class)
+    /// rather than the fault-free path.
+    pub reliable: bool,
+}
+
+/// What [`Cluster::issue`] did.
+#[derive(Debug, Clone, Copy)]
+pub struct Issued {
+    /// When the core finished issuing: the verb's departure.
+    pub depart: Cycles,
+    /// Arrival at the destination NIC.
+    pub arrival: Cycles,
+    /// Issue cost charged on the core.
+    pub cost: Cycles,
 }
 
 /// The physical cluster: memories, NICs, fabric, directory lock buffers and
@@ -259,7 +291,8 @@ impl Cluster {
     }
 
     /// Sends a message tagged with its protocol verb; returns arrival time
-    /// at `dst`'s NIC.
+    /// at `dst`'s NIC. For verbs a core marshals itself, use
+    /// [`issue`](Self::issue), which also charges the issue cost.
     pub fn send_verb(
         &mut self,
         now: Cycles,
@@ -268,13 +301,57 @@ impl Cluster {
         bytes: usize,
         verb: Verb,
     ) -> Cycles {
-        let arrival = self.fabric.send_verb(now, src, dst, bytes, verb);
+        self.deliver(now, src, dst, bytes, verb, Doorbell::Share)
+    }
+
+    fn deliver(
+        &mut self,
+        now: Cycles,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+        verb: Verb,
+        doorbell: Doorbell,
+    ) -> Cycles {
+        let arrival = self.fabric.send_verb(now, src, dst, bytes, verb, doorbell);
         self.verbs_by_node[src.0 as usize].bump(verb);
         if let Some(p) = self.profile.as_deref_mut() {
             p.record_verb(verb, arrival.saturating_sub(now));
         }
         self.obs_batch(now);
         arrival
+    }
+
+    /// Issues a verb from a core: the one place the RDMA issue cost is
+    /// charged (DESIGN.md §14). The core starts issuing once it is free
+    /// at or after `now`. A verb that will ride its queue pair's open
+    /// batch pays `BatchingParams::per_verb_cycles` per work request;
+    /// every other verb (batching off, or a batch leader) pays
+    /// `SwCosts::rdma_issue` per work request and rings its own doorbell.
+    /// The verb departs when the core finishes.
+    pub fn issue(&mut self, now: Cycles, v: CoreVerb) -> Issued {
+        let ready = now.max(self.core_free[v.node.0 as usize][v.core.0 as usize]);
+        let append = self.cfg.batching.per_verb_cycles * v.wrs;
+        let joins = self
+            .fabric
+            .batcher()
+            .is_some_and(|b| b.joins(ready + append, v.node, v.dst));
+        let (cost, doorbell) = if joins {
+            (append, Doorbell::Share)
+        } else {
+            (self.cfg.sw.rdma_issue * v.wrs, Doorbell::Ring)
+        };
+        let depart = self.run_on_core(v.node, v.core, ready, cost);
+        let arrival = if v.reliable {
+            self.deliver_one(depart, v.node, v.dst, v.bytes, v.verb, doorbell)
+        } else {
+            self.deliver(depart, v.node, v.dst, v.bytes, v.verb, doorbell)
+        };
+        Issued {
+            depart,
+            arrival,
+            cost,
+        }
     }
 
     /// Installs a fault plan on the fabric; subsequent
@@ -300,8 +377,22 @@ impl Cluster {
         bytes: usize,
         verb: Verb,
     ) -> Vec<Cycles> {
+        self.deliver_faulty(now, src, dst, bytes, verb, Doorbell::Share)
+    }
+
+    fn deliver_faulty(
+        &mut self,
+        now: Cycles,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+        verb: Verb,
+        doorbell: Doorbell,
+    ) -> Vec<Cycles> {
         let cuts_before = self.fabric.injector().faults.link_cuts;
-        let arrivals = self.fabric.send_verb_faulty(now, src, dst, bytes, verb);
+        let arrivals = self
+            .fabric
+            .send_verb_faulty(now, src, dst, bytes, verb, doorbell);
         for _ in &arrivals {
             self.verbs_by_node[src.0 as usize].bump(verb);
         }
@@ -326,15 +417,20 @@ impl Cluster {
         bytes: usize,
         verb: Verb,
     ) -> Cycles {
-        let cuts_before = self.fabric.injector().faults.link_cuts;
-        let arrivals = self.fabric.send_verb_faulty(now, src, dst, bytes, verb);
+        self.deliver_one(now, src, dst, bytes, verb, Doorbell::Share)
+    }
+
+    fn deliver_one(
+        &mut self,
+        now: Cycles,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+        verb: Verb,
+        doorbell: Doorbell,
+    ) -> Cycles {
+        let arrivals = self.deliver_faulty(now, src, dst, bytes, verb, doorbell);
         debug_assert_eq!(arrivals.len(), 1, "{verb:?} is not a Retransmit-class verb");
-        self.verbs_by_node[src.0 as usize].bump(verb);
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.record_verb(verb, arrivals[0].saturating_sub(now));
-        }
-        self.obs_link_cuts(now, cuts_before);
-        self.obs_batch(now);
         arrivals[0]
     }
 
@@ -1292,18 +1388,75 @@ impl Measurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hades_sim::config::BatchingParams;
     use hades_storage::index::IndexKind;
     use hades_workloads::spec::OpSpec;
     use hades_workloads::ycsb::{Ycsb, YcsbConfig, YcsbVariant};
 
-    fn small_cluster() -> Cluster {
-        let cfg = SimConfig::isca_default();
+    fn cluster_with(cfg: SimConfig) -> Cluster {
         let mut db = Database::new(cfg.shape.nodes);
         let t = db.create_table("t", IndexKind::HashTable);
         for k in 0..100u64 {
             db.insert(t, k, vec![0u8; 128]);
         }
         Cluster::new(cfg, db)
+    }
+
+    fn small_cluster() -> Cluster {
+        cluster_with(SimConfig::isca_default())
+    }
+
+    fn read_from(core: u16, wrs: u64) -> CoreVerb {
+        CoreVerb {
+            node: NodeId(0),
+            core: CoreId(core),
+            dst: NodeId(1),
+            bytes: 64,
+            verb: Verb::Read,
+            wrs,
+            reliable: true,
+        }
+    }
+
+    #[test]
+    fn unbatched_issue_charges_rdma_issue_per_work_request() {
+        let mut cl = small_cluster();
+        let rdma = cl.cfg.sw.rdma_issue;
+        cl.run_on_core(NodeId(0), CoreId(0), Cycles::ZERO, Cycles::new(100));
+        // The core is busy until 100, so issuing starts there.
+        let sent = cl.issue(Cycles::new(10), read_from(0, 3));
+        assert_eq!(sent.cost, rdma * 3);
+        assert_eq!(sent.depart, Cycles::new(100) + rdma * 3);
+        let mut plain = small_cluster();
+        assert_eq!(
+            sent.arrival,
+            plain.send_faulty_one(sent.depart, NodeId(0), NodeId(1), 64, Verb::Read),
+            "the issue wrapper sends on the ordinary path"
+        );
+    }
+
+    #[test]
+    fn batched_joiners_pay_the_append_cost_and_leaders_rdma_issue() {
+        let cfg = SimConfig::isca_default().with_batching(BatchingParams::fixed(4));
+        let (rdma, append) = (cfg.sw.rdma_issue, cfg.batching.per_verb_cycles);
+        let mut cl = cluster_with(cfg);
+        let lead = cl.issue(Cycles::ZERO, read_from(0, 1));
+        assert_eq!(lead.cost, rdma, "the first verb rings the doorbell");
+        // A second core posts on the same queue pair while the batch is
+        // open: it appends, paying per_verb_cycles per work request.
+        let join = cl.issue(lead.depart, read_from(1, 2));
+        assert_eq!(join.cost, append * 2);
+        assert_eq!(join.depart, lead.depart + append * 2);
+        assert!(
+            join.arrival >= lead.arrival,
+            "a joiner never overtakes its leader"
+        );
+        // A verb issued before the batch's leader was sent cannot join
+        // it: it pays rdma_issue and rings its own doorbell.
+        let early = cl.issue(Cycles::ZERO, read_from(2, 1));
+        assert_eq!(early.cost, rdma);
+        let stats = cl.fabric.take_batch_stats().expect("batching on");
+        assert_eq!((stats.leaders, stats.joined), (2, 1));
     }
 
     #[test]

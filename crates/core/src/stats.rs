@@ -838,15 +838,23 @@ mod tests {
 
     #[test]
     fn batching_block_absent_when_off() {
-        use hades_net::batch::Batcher;
+        use hades_net::batch::{Batcher, Doorbell};
         use hades_sim::config::{BatchingParams, NetParams};
         use hades_sim::ids::NodeId;
         use hades_telemetry::event::Verb;
         let mut s = RunStats::new(1);
         assert!(!s.to_json().render().contains("batching"));
         let mut b = Batcher::new(BatchingParams::fixed(2), NetParams::default(), 2);
-        b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
+        for _ in 0..2 {
+            b.schedule(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Intend,
+                Doorbell::Share,
+            );
+        }
         s.batching = Some(b.finish());
         let rendered = s.to_json().render();
         assert!(rendered.contains("\"batching\":"));

@@ -1,37 +1,43 @@
 //! Verb batching & doorbell coalescing (DESIGN.md §14).
 //!
-//! RDMA NICs amortize per-message software overhead — WQE marshalling,
-//! MMIO doorbell rings, completion polling — by chaining several work
-//! requests behind one doorbell. This module models that subsystem for
-//! the simulated fabric:
+//! RDMA NICs amortize per-message overhead — WQE marshalling, the MMIO
+//! doorbell write, completion polling — by chaining several work
+//! requests behind one doorbell. This module models the fabric side of
+//! that subsystem:
 //!
-//! * [`SendBatch`] — per-source-node doorbell pipeline plus per-(src,dst)
-//!   queue-pair coalescing buffers ([`QpBuffer`]). The first verb of a
-//!   batch (the *leader*) pays the full doorbell cost
-//!   (`BatchingParams::doorbell_cycles`) serialized through its node's
-//!   pipeline; verbs landing on the same queue pair within the coalesce
-//!   window (*joiners*) append to the open WQE chain for
-//!   `per_verb_cycles`. Nothing is ever held back waiting for a batch to
-//!   fill — the leader departs immediately — so an idle fabric sees
-//!   unbatched latency by construction.
-//! * [`RecvBatch`] — receiver-side completion coalescing: the leader pays
-//!   the per-message NIC processing for its batch; joiners skip it (their
-//!   completions are reaped in the same poll).
-//! * The adaptive doorbell policy: each new leader consults its node's
-//!   outstanding-verb backlog (verbs issued to the pipeline whose issue
-//!   slot has not yet drained). At or above `high_watermark` the per-QP
-//!   batch target doubles (up to `max_batch`); at or below
+//! * Per-(src, dst) queue-pair coalescing buffers ([`QpBuffer`]). The
+//!   first verb of a batch (the *leader*) rings the doorbell and opens
+//!   the batch for `coalesce_window` cycles; a verb sent on the same
+//!   queue pair inside that window (a *joiner*) appends to the open WQE
+//!   chain. The issue cost itself is not charged here: the issuing core
+//!   pays it once, in `Cluster::issue` (`SwCosts::rdma_issue` for a
+//!   leader, `per_verb_cycles` for a joiner). A leader therefore departs
+//!   the moment it is sent and arrives when an unbatched verb would, so
+//!   an idle fabric sees unbatched latency by construction.
+//! * Receiver-side completion coalescing ([`RecvBatch`]): the leader
+//!   pays the per-message NIC processing for its batch; joiners skip it
+//!   (their completions are reaped in the leader's poll).
+//! * The adaptive policy: each new leader counts its sender's verbs in
+//!   flight (sent, not yet arrived). At or above `high_watermark` the
+//!   queue pair's batch target doubles (up to `max_batch`); at or below
 //!   `low_watermark` it drains back to 1, so batching switches itself
 //!   off under light load.
 //! * Coalesced squash propagation: a Squash verb whose queue pair's open
-//!   batch already carries a squash piggybacks on that WQE at zero
-//!   pipeline cost — one batched verb carries several notifications.
+//!   batch already carries a squash piggybacks on that WQE — one batched
+//!   verb carries several notifications.
 //!
-//! Ordering: arrivals are clamped monotone per queue pair (the
-//! `last_arrival` fence), so per-(src,dst) FIFO delivery — which the
-//! commit handshake relies on — survives the differing leader/joiner
-//! costs. Fault-injected delay/reorder copies bypass the batcher (they
-//! model verbs that missed their batch) and are exempt from the fence.
+//! Simulated-time order: the engines schedule sends inline, often at
+//! future instants, so calls do not arrive in time order. Every decision
+//! here is taken in simulated time instead. A verb joins only a batch
+//! whose leader was sent at or before it (`opened_at ≤ now ≤
+//! open_until`). Each queue pair keeps its recent verbs in send order
+//! and places a new verb between its neighbours in time, so arrivals are
+//! FIFO in send time: a joiner never overtakes its leader or any other
+//! verb sent before it. In-flight counts compare send and arrival
+//! instants, never call order. A batched verb never arrives later than
+//! the same verb unbatched when the queue pair's verbs share one size.
+//! Fault-injected delay/reorder copies bypass the batcher entirely: they
+//! model verbs that missed their batch.
 //!
 //! Everything here is integer arithmetic over [`Cycles`]; the batcher
 //! draws no randomness, so same-seed runs stay byte-identical.
@@ -41,16 +47,37 @@ use hades_sim::ids::NodeId;
 use hades_sim::time::Cycles;
 use hades_telemetry::event::Verb;
 use hades_telemetry::json::Json;
-use std::collections::VecDeque;
 
 /// Occupancy histogram buckets: batch sizes 1..=`OCC_BUCKETS` (larger
 /// batches clamp into the last bucket).
 pub const OCC_BUCKETS: usize = 64;
 
+/// How long a sender remembers a verb, measured back from its latest
+/// send (2^16 cycles, about 33 µs). A send is scheduled at most a few
+/// round trips before the sender's latest one — at most 13.3k cycles in
+/// the `bench --batch 16` matrix and the `batching` sweep — so forgetting
+/// older verbs loses nothing, and the short log stays in cache.
+const LOG_HORIZON: Cycles = Cycles::new(1 << 16);
+
+/// Forgotten verbs are dropped this many at a time.
+const FORGET_BULK: usize = 64;
+
+/// Whether a send may share a doorbell with its queue pair's open batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Doorbell {
+    /// Join the open batch if it accepts the verb, else lead a new one.
+    Share,
+    /// Lead a new batch: the issuing core paid the full issue cost, so
+    /// the verb rings its own doorbell whatever the queue pair holds.
+    Ring,
+}
+
 /// One queue pair's coalescing buffer: the open batch (if any) from one
 /// source node to one destination node.
 #[derive(Debug, Clone, Copy)]
 pub struct QpBuffer {
+    /// When the open batch's leader was sent.
+    opened_at: Cycles,
     /// The open batch accepts joiners until this instant.
     open_until: Cycles,
     /// Verbs in the open batch (leader included, piggybacks excluded).
@@ -61,25 +88,26 @@ pub struct QpBuffer {
     squashes: u32,
     /// Adaptive batch-size target for this queue pair.
     target: u32,
-    /// FIFO fence: no later verb on this queue pair arrives before this.
-    last_arrival: Cycles,
 }
 
 impl QpBuffer {
     fn new(target: u32) -> Self {
         QpBuffer {
+            opened_at: Cycles::ZERO,
             open_until: Cycles::ZERO,
             count: 0,
             piggybacked: 0,
             squashes: 0,
             target,
-            last_arrival: Cycles::ZERO,
         }
     }
 
-    /// Whether the open batch accepts a joiner at `now`.
+    /// Whether the open batch accepts a joiner sent at `now`.
     fn accepts(&self, now: Cycles) -> bool {
-        self.count > 0 && self.count < self.target && now <= self.open_until
+        self.count > 0
+            && self.count < self.target
+            && self.opened_at <= now
+            && now <= self.open_until
     }
 
     /// The adaptive batch-size target currently in force.
@@ -93,44 +121,86 @@ impl QpBuffer {
     }
 }
 
-/// Send-side state: one doorbell pipeline and outstanding-verb backlog
-/// per source node, one [`QpBuffer`] per (src, dst) queue pair.
-#[derive(Debug, Clone)]
-pub struct SendBatch {
-    /// When each node's doorbell pipeline next frees up.
-    pipe_free: Vec<Cycles>,
-    /// Issue-completion times of verbs still in each node's pipeline,
-    /// popped lazily as simulated time passes them.
-    outstanding: Vec<VecDeque<Cycles>>,
-    /// Queue-pair buffers, indexed `src * nodes + dst`.
-    qps: Vec<QpBuffer>,
+/// One verb in a [`SendLog`].
+#[derive(Debug, Clone, Copy)]
+struct Sent {
+    at: Cycles,
+    arrival: Cycles,
+    dst: u16,
 }
 
-impl SendBatch {
-    fn new(nodes: usize, initial_target: u32) -> Self {
-        SendBatch {
-            pipe_free: vec![Cycles::ZERO; nodes],
-            outstanding: vec![VecDeque::new(); nodes],
-            qps: vec![QpBuffer::new(initial_target); nodes * nodes],
-        }
+/// One sender's recent verbs, kept in simulated send order whatever
+/// order the sends were called in. It places each verb FIFO within its
+/// queue pair and counts the sender's verbs in flight.
+#[derive(Debug, Clone, Default)]
+struct SendLog {
+    verbs: Vec<Sent>,
+    latest: Cycles,
+    /// Longest flight recorded: a verb sent this long before an instant
+    /// has arrived by it.
+    max_flight: Cycles,
+}
+
+impl SendLog {
+    /// How many remembered verbs were sent at or before `t`. Sends are
+    /// scheduled almost in time order, so this searches back from the
+    /// newest: a handful of steps on engine traffic.
+    fn sent_by(&self, t: Cycles) -> usize {
+        self.verbs
+            .iter()
+            .rposition(|v| v.at <= t)
+            .map_or(0, |i| i + 1)
     }
 
-    /// Verbs issued by `src` whose pipeline slot has not drained by `now`.
-    fn backlog(&mut self, src: usize, now: Cycles) -> u32 {
-        let q = &mut self.outstanding[src];
-        while q.front().is_some_and(|&t| t <= now) {
-            q.pop_front();
+    /// Records a verb to `dst` sent at `at` and returns its arrival: its
+    /// own path's `natural` arrival, but no earlier than any verb sent
+    /// before it on the queue pair (the FIFO fence, which covers a
+    /// joiner's leader) and no later than any verb sent after it there
+    /// that was scheduled first. The second clamp only moves a verb whose
+    /// send was scheduled late, and by less than one `nic_proc`: the skew
+    /// between a joiner's and a leader's path. Each queue pair's arrivals
+    /// therefore follow its send order, which bounds both searches: a
+    /// verb sent `max_flight` before `at` has arrived by then, and one
+    /// sent at or after `natural` arrives later still.
+    fn place(&mut self, at: Cycles, dst: u16, natural: Cycles) -> Cycles {
+        let i = self.sent_by(at);
+        let (before, after) = self.verbs.split_at(i);
+        let fence = before
+            .iter()
+            .rev()
+            .take_while(|v| v.at + self.max_flight > at)
+            .find(|v| v.dst == dst)
+            .map_or(Cycles::ZERO, |v| v.arrival);
+        let cap = after
+            .iter()
+            .take_while(|v| v.at < natural)
+            .find(|v| v.dst == dst)
+            .map(|v| v.arrival);
+        let arrival = cap.map_or(natural.max(fence), |c| natural.max(fence).min(c));
+        self.verbs.insert(i, Sent { at, arrival, dst });
+        self.max_flight = self.max_flight.max(arrival - at);
+        if at > self.latest {
+            self.latest = at;
+            // Forget in bulk, so the shift is paid once per many sends.
+            let forget = at.saturating_sub(LOG_HORIZON);
+            if self.verbs.get(FORGET_BULK).is_some_and(|v| v.at <= forget) {
+                let old = self.verbs.partition_point(|v| v.at <= forget);
+                self.verbs.drain(..old);
+            }
         }
-        q.len() as u32
+        arrival
     }
 
-    /// Serializes `cost` through `src`'s doorbell pipeline starting no
-    /// earlier than `now`; returns the issue-completion time.
-    fn issue(&mut self, src: usize, now: Cycles, cost: Cycles) -> Cycles {
-        let done = now.max(self.pipe_free[src]) + cost;
-        self.pipe_free[src] = done;
-        self.outstanding[src].push_back(done);
-        done
+    /// Verbs sent at or before `now` that arrive after it, counted up to
+    /// `cap`. Only verbs sent within `max_flight` of `now` can count.
+    fn in_flight(&self, now: Cycles, cap: usize) -> usize {
+        self.verbs[..self.sent_by(now)]
+            .iter()
+            .rev()
+            .take_while(|v| v.at + self.max_flight > now)
+            .filter(|v| v.arrival > now)
+            .take(cap)
+            .count()
     }
 }
 
@@ -274,27 +344,30 @@ pub struct Scheduled {
     pub arrival: Cycles,
     /// How the verb was placed.
     pub role: BatchRole,
-    /// `Some(size)` when this call closed a batch (full, superseded
-    /// after its window lapsed, or a size-1 batch under a drained
-    /// target); the flush is stamped at the scheduling instant.
+    /// `Some(size)` when this call closed a batch (full, superseded by a
+    /// new leader, or a size-1 batch under a drained target); the flush
+    /// is stamped at the scheduling instant.
     pub flushed: Option<u32>,
 }
 
-/// The batching subsystem: send/recv state plus whole-run counters.
+/// The batching subsystem: per-queue-pair buffers, per-sender send logs,
+/// receive-side counters and whole-run stats.
 ///
 /// # Examples
 ///
 /// ```
-/// use hades_net::batch::{BatchRole, Batcher};
+/// use hades_net::batch::{BatchRole, Batcher, Doorbell};
 /// use hades_sim::config::{BatchingParams, NetParams};
 /// use hades_sim::ids::NodeId;
 /// use hades_sim::time::Cycles;
 /// use hades_telemetry::event::Verb;
 ///
 /// let mut b = Batcher::new(BatchingParams::fixed(4), NetParams::default(), 2);
-/// let s = b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
+/// let (src, dst) = (NodeId(0), NodeId(1));
+/// let s = b.schedule(Cycles::ZERO, src, dst, 64, Verb::Intend, Doorbell::Share);
 /// assert_eq!(s.role, BatchRole::Led);
-/// let s = b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
+/// assert!(b.joins(Cycles::new(10), src, dst));
+/// let s = b.schedule(Cycles::new(10), src, dst, 64, Verb::Intend, Doorbell::Share);
 /// assert_eq!(s.role, BatchRole::Joined);
 /// ```
 #[derive(Debug, Clone)]
@@ -302,7 +375,10 @@ pub struct Batcher {
     params: BatchingParams,
     net: NetParams,
     nodes: usize,
-    send: SendBatch,
+    /// Queue-pair buffers, indexed `src * nodes + dst`.
+    qps: Vec<QpBuffer>,
+    /// Each sender's recent verbs.
+    logs: Vec<SendLog>,
     recv: RecvBatch,
     stats: BatchStats,
     /// Flush sizes not yet drained by the observability layer (filled
@@ -326,7 +402,8 @@ impl Batcher {
             params,
             net,
             nodes,
-            send: SendBatch::new(nodes, initial_target),
+            qps: vec![QpBuffer::new(initial_target); nodes * nodes],
+            logs: vec![SendLog::default(); nodes],
             recv: RecvBatch::new(nodes),
             stats: BatchStats::new(),
             pending_flushes: Vec::new(),
@@ -345,9 +422,20 @@ impl Batcher {
         &self.params
     }
 
+    fn qi(&self, src: NodeId, dst: NodeId) -> usize {
+        src.0 as usize * self.nodes + dst.0 as usize
+    }
+
     /// The queue-pair buffer for `(src, dst)` (inspection/tests).
     pub fn qp(&self, src: NodeId, dst: NodeId) -> &QpBuffer {
-        &self.send.qps[src.0 as usize * self.nodes + dst.0 as usize]
+        &self.qps[self.qi(src, dst)]
+    }
+
+    /// Whether a verb sent from `src` to `dst` at `now` with
+    /// [`Doorbell::Share`] would ride the open batch instead of leading a
+    /// new one. The issuing core asks this to pick its issue cost.
+    pub fn joins(&self, now: Cycles, src: NodeId, dst: NodeId) -> bool {
+        self.qp(src, dst).accepts(now)
     }
 
     /// Receive-side coalescing counters.
@@ -370,7 +458,7 @@ impl Batcher {
     }
 
     fn close_qp(&mut self, qi: usize) -> u32 {
-        let qp = &mut self.send.qps[qi];
+        let qp = &mut self.qps[qi];
         let size = qp.count + qp.piggybacked;
         qp.count = 0;
         qp.piggybacked = 0;
@@ -385,7 +473,7 @@ impl Batcher {
         size
     }
 
-    /// Schedules one verb from `src` to `dst` at `now`; returns its
+    /// Schedules one verb from `src` to `dst` sent at `now`; returns its
     /// arrival time, role, and any batch closed by this call.
     pub fn schedule(
         &mut self,
@@ -394,85 +482,69 @@ impl Batcher {
         dst: NodeId,
         bytes: usize,
         verb: Verb,
+        doorbell: Doorbell,
     ) -> Scheduled {
-        let si = src.0 as usize;
-        let di = dst.0 as usize;
-        let qi = si * self.nodes + di;
+        let qi = self.qi(src, dst);
         let wire = self.net.serialize(bytes) + self.net.one_way();
         let squash = verb == Verb::Squash;
-
-        if self.params.coalesce_squashes
-            && squash
-            && self.send.qps[qi].accepts(now)
-            && self.send.qps[qi].squashes > 0
-        {
-            // Piggyback: the open batch already carries a squash to this
-            // destination; this notification rides the same WQE for free.
-            let qp = &mut self.send.qps[qi];
-            qp.piggybacked += 1;
-            qp.squashes += 1;
-            let arrival = (now + wire).max(qp.last_arrival);
-            qp.last_arrival = arrival;
-            self.stats.coalesced_squashes += 1;
-            self.on_recv_joiner(di);
-            return Scheduled {
-                arrival,
-                role: BatchRole::CoalescedSquash,
-                flushed: None,
-            };
-        }
-
-        if self.send.qps[qi].accepts(now) {
-            // Joiner: append to the open WQE chain; the receiver reaps
-            // its completion in the leader's poll, skipping `nic_proc`.
-            let issue = self.send.issue(si, now, self.params.per_verb_cycles);
-            let qp = &mut self.send.qps[qi];
-            qp.count += 1;
+        let (natural, role, flushed) = if doorbell == Doorbell::Share && self.qps[qi].accepts(now) {
+            // Ride the open WQE chain: the receiver reaps the completion
+            // in the leader's poll, skipping `nic_proc`.
+            let qp = &mut self.qps[qi];
             qp.squashes += squash as u32;
-            let arrival = (issue + wire).max(qp.last_arrival);
-            qp.last_arrival = arrival;
-            let full = qp.count >= qp.target;
-            self.stats.joined += 1;
-            self.on_recv_joiner(di);
-            let flushed = full.then(|| self.close_qp(qi));
-            return Scheduled {
-                arrival,
-                role: BatchRole::Joined,
-                flushed,
+            let role = if self.params.coalesce_squashes && squash && qp.squashes > 1 {
+                // The batch already carries a squash to this destination:
+                // this notification rides the same WQE.
+                qp.piggybacked += 1;
+                self.stats.coalesced_squashes += 1;
+                BatchRole::CoalescedSquash
+            } else {
+                qp.count += 1;
+                self.stats.joined += 1;
+                BatchRole::Joined
             };
+            let full = qp.count >= qp.target;
+            self.on_recv_joiner(dst.0 as usize);
+            (now + wire, role, full.then(|| self.close_qp(qi)))
+        } else {
+            let flushed = self.lead(now, src, qi, squash);
+            (now + wire + self.net.nic_proc, BatchRole::Led, flushed)
+        };
+        Scheduled {
+            arrival: self.logs[src.0 as usize].place(now, dst.0, natural),
+            role,
+            flushed,
         }
+    }
 
-        // Leader: close any lapsed batch, adapt the target to the
-        // sender's backlog, ring the doorbell immediately.
-        let flushed_prev = (self.send.qps[qi].count > 0).then(|| self.close_qp(qi));
-        let backlog = self.send.backlog(si, now);
+    /// Opens a new batch on queue pair `qi` with a leader sent at `now`:
+    /// closes the previous batch and adapts the target to the sender's
+    /// verbs in flight. Returns the size of any batch this closed.
+    fn lead(&mut self, now: Cycles, src: NodeId, qi: usize, squash: bool) -> Option<u32> {
+        let flushed_prev = (self.qps[qi].count > 0).then(|| self.close_qp(qi));
         if self.params.adaptive {
-            let qp = &mut self.send.qps[qi];
-            if backlog >= self.params.high_watermark {
+            // Counted up to the high watermark: all the policy asks.
+            let high = self.params.high_watermark;
+            let in_flight = self.logs[src.0 as usize].in_flight(now, high as usize) as u32;
+            let qp = &mut self.qps[qi];
+            if in_flight >= high {
                 qp.target = qp.target.saturating_mul(2).min(self.params.max_batch);
-            } else if backlog <= self.params.low_watermark {
+            } else if in_flight <= self.params.low_watermark {
                 qp.target = 1;
             }
         }
-        let issue = self.send.issue(si, now, self.params.doorbell_cycles);
-        let qp = &mut self.send.qps[qi];
+        let qp = &mut self.qps[qi];
         qp.count = 1;
         qp.squashes = squash as u32;
+        qp.opened_at = now;
         qp.open_until = now + self.params.coalesce_window;
-        let arrival = (issue + wire + self.net.nic_proc).max(qp.last_arrival);
-        qp.last_arrival = arrival;
         self.stats.leaders += 1;
-        let flushed = if qp.count >= qp.target {
+        if qp.count >= qp.target {
             // A drained target closes the batch immediately: idle
             // traffic flows one doorbell per verb, unbatched.
             Some(self.close_qp(qi))
         } else {
             flushed_prev
-        };
-        Scheduled {
-            arrival,
-            role: BatchRole::Led,
-            flushed,
         }
     }
 
@@ -491,8 +563,8 @@ impl Batcher {
     /// Closes every still-open batch into the occupancy histogram and
     /// returns the final counters (run end).
     pub fn finish(&mut self) -> BatchStats {
-        for qi in 0..self.send.qps.len() {
-            if self.send.qps[qi].count > 0 {
+        for qi in 0..self.qps.len() {
+            if self.qps[qi].count > 0 {
                 self.close_qp(qi);
             }
         }
@@ -503,6 +575,7 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hades_sim::rng::SimRng;
 
     const N: usize = 4;
 
@@ -511,19 +584,34 @@ mod tests {
     }
 
     fn sched(b: &mut Batcher, now: u64, src: u16, dst: u16) -> Scheduled {
-        b.schedule(Cycles::new(now), NodeId(src), NodeId(dst), 64, Verb::Intend)
+        b.schedule(
+            Cycles::new(now),
+            NodeId(src),
+            NodeId(dst),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        )
+    }
+
+    /// The fabric's additive path: what the verb costs with no batcher.
+    fn unbatched(now: u64, bytes: usize) -> Cycles {
+        let p = NetParams::default();
+        Cycles::new(now) + p.serialize(bytes) + p.one_way() + p.nic_proc
     }
 
     #[test]
-    fn lone_verb_pays_one_doorbell_and_flushes_immediately() {
+    fn lone_verb_departs_at_once_and_flushes_immediately() {
         let mut b = batcher(BatchingParams::standard());
-        let p = NetParams::default();
-        let s = sched(&mut b, 0, 0, 1);
+        let s = sched(&mut b, 100, 0, 1);
         assert_eq!(s.role, BatchRole::Led);
         // Adaptive target starts drained (1), so the batch closes at once.
         assert_eq!(s.flushed, Some(1));
-        let db = b.params().doorbell_cycles;
-        assert_eq!(s.arrival, db + p.serialize(64) + p.one_way() + p.nic_proc);
+        assert_eq!(
+            s.arrival,
+            unbatched(100, 64),
+            "no fabric-side doorbell charge"
+        );
     }
 
     #[test]
@@ -543,15 +631,56 @@ mod tests {
     }
 
     #[test]
-    fn joiners_cost_less_than_leaders() {
+    fn joiners_are_fenced_behind_their_leader() {
         let mut b = batcher(BatchingParams::fixed(8));
         let lead = sched(&mut b, 0, 0, 1).arrival;
-        let join = sched(&mut b, 0, 0, 1).arrival;
-        // The joiner departs per_verb_cycles behind the leader's issue
-        // but skips nic_proc; the FIFO fence clamps it to the leader.
-        assert_eq!(join, lead);
-        let join2 = sched(&mut b, 0, 0, 1).arrival;
-        assert!(join2 >= join);
+        // A joiner skips nic_proc but cannot overtake its chain's head.
+        assert_eq!(sched(&mut b, 0, 0, 1).arrival, lead);
+        let p = NetParams::default();
+        let late = 1_000;
+        let join = sched(&mut b, late, 0, 1).arrival;
+        assert_eq!(join, Cycles::new(late) + p.serialize(64) + p.one_way());
+        assert!(
+            join < unbatched(late, 64),
+            "a joiner beats the unbatched path"
+        );
+    }
+
+    #[test]
+    fn a_verb_never_joins_a_batch_led_after_it() {
+        let mut b = batcher(BatchingParams::fixed(8));
+        sched(&mut b, 1_000, 0, 1);
+        assert!(!b.joins(Cycles::new(999), NodeId(0), NodeId(1)));
+        let s = sched(&mut b, 500, 0, 1);
+        assert_eq!(
+            s.role,
+            BatchRole::Led,
+            "a verb sent earlier leads its own batch"
+        );
+        assert_eq!(s.flushed, Some(1), "and supersedes the later-opened batch");
+        assert_eq!(
+            s.arrival,
+            unbatched(500, 64),
+            "nothing queues it behind the future send"
+        );
+    }
+
+    #[test]
+    fn ring_forces_a_new_batch() {
+        let mut b = batcher(BatchingParams::fixed(8));
+        sched(&mut b, 0, 0, 1);
+        assert!(b.joins(Cycles::new(10), NodeId(0), NodeId(1)));
+        let s = b.schedule(
+            Cycles::new(10),
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Read,
+            Doorbell::Ring,
+        );
+        assert_eq!(s.role, BatchRole::Led);
+        assert_eq!(s.flushed, Some(1));
+        assert_eq!(s.arrival, unbatched(10, 64));
     }
 
     #[test]
@@ -566,13 +695,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_target_grows_under_load_and_drains_when_idle() {
+    fn adaptive_target_grows_with_verbs_in_flight_and_drains_when_idle() {
         let p = BatchingParams::standard();
         let mut b = batcher(p);
-        // Hammer one queue pair at t=0: the pipeline backlog climbs past
-        // the high watermark and the target doubles toward max_batch.
-        for _ in 0..64 {
-            sched(&mut b, 0, 0, 1);
+        // Node 0 sends a verb every 10 cycles: several are on the wire at
+        // once, so the target doubles toward max_batch.
+        for i in 0..64 {
+            sched(&mut b, i * 10, 0, 1);
         }
         assert_eq!(
             b.qp(NodeId(0), NodeId(1)).target(),
@@ -581,8 +710,8 @@ mod tests {
         );
         assert!(b.stats().joined > 0, "grown batches must accept joiners");
         assert!(b.stats().max_occupancy > 1);
-        // Far in the future the backlog has drained: the next leader
-        // sees an idle pipeline and the target collapses back to 1.
+        // Once every verb has landed the next leader sees nothing in
+        // flight and the target collapses back to 1.
         let idle = 10_000_000;
         let s = sched(&mut b, idle, 0, 1);
         assert_eq!(s.role, BatchRole::Led);
@@ -591,15 +720,110 @@ mod tests {
     }
 
     #[test]
+    fn send_log_places_verbs_in_send_order_whatever_the_call_order() {
+        let mut log = SendLog::default();
+        let mut place = |at: u64, dst: u16, natural: u64| {
+            log.place(Cycles::new(at), dst, Cycles::new(natural)).get()
+        };
+        // Called latest-first: a verb sent at 9_000 is not in flight at 100.
+        place(9_000, 1, 11_000);
+        place(0, 1, 2_000);
+        place(50, 1, 2_050);
+        // Fenced behind the verb sent before it on its queue pair...
+        assert_eq!(place(60, 1, 2_020), 2_050);
+        // ...but not behind another destination's.
+        assert_eq!(place(70, 2, 2_030), 2_030);
+        // Capped by a verb sent after it and scheduled first.
+        assert_eq!(place(8_990, 1, 11_040), 11_000);
+        let at = |t: u64| log.in_flight(Cycles::new(t), usize::MAX);
+        assert_eq!(at(100), 4);
+        assert_eq!(at(2_040), 2, "the two verbs landing at 2050");
+        assert_eq!(at(5_000), 0);
+        assert_eq!(at(9_000), 2);
+        assert_eq!(
+            log.in_flight(Cycles::new(100), 2),
+            2,
+            "counted up to the cap"
+        );
+        // Long after, old verbs are forgotten in bulk.
+        for i in 0..FORGET_BULK as u64 {
+            log.place(Cycles::new(10_000 + i), 1, Cycles::new(12_000 + i));
+        }
+        log.place(Cycles::new(3_000_000), 1, Cycles::new(3_002_000));
+        assert_eq!(log.verbs.len(), 1, "old verbs forgotten");
+        assert_eq!(log.in_flight(Cycles::new(3_000_000), usize::MAX), 1);
+    }
+
+    #[test]
     fn arrivals_are_fifo_per_queue_pair() {
+        // Sends called out of time order still arrive in send order.
         let mut b = batcher(BatchingParams::standard());
-        let mut last = Cycles::ZERO;
-        for i in 0..200u64 {
-            // Non-monotone send times still deliver in order.
-            let now = (i * 37) % 1_000;
-            let s = sched(&mut b, now, 0, 1);
-            assert!(s.arrival >= last, "FIFO fence violated at verb {i}");
-            last = s.arrival;
+        let mut verbs: Vec<(u64, Cycles)> = (0..500u64)
+            .map(|i| {
+                let now = (i * 37) % 1_000 + i / 10 * 400;
+                (now, sched(&mut b, now, 0, 1).arrival)
+            })
+            .collect();
+        assert!(b.stats().joined > 0, "the burst must coalesce");
+        verbs.sort();
+        for w in verbs.windows(2) {
+            assert!(
+                w[1].1 >= w[0].1,
+                "FIFO violated: {:?} then {:?}",
+                w[0],
+                w[1]
+            );
+        }
+    }
+
+    #[test]
+    fn a_batched_verb_never_arrives_later_than_unbatched() {
+        // Property over random same-size traffic: no batched verb
+        // arrives later than it would unbatched. Called in time order a
+        // leader arrives exactly on the unbatched path; a late-scheduled
+        // leader may land a little early to keep its queue pair FIFO.
+        for seed in 0..20 {
+            let mut rng = SimRng::seed_from(seed);
+            let params = if seed % 2 == 0 {
+                BatchingParams::standard()
+            } else {
+                BatchingParams::fixed(1 + (seed as u32 % 8))
+            };
+            let mut sends: Vec<(u64, u16, u16, Verb)> = (0..400)
+                .map(|_| {
+                    let src = rng.below(N as u64) as u16;
+                    let dst = (src + 1 + rng.below(N as u64 - 1) as u16) % N as u16;
+                    let verb = if rng.chance(0.25) {
+                        Verb::Squash
+                    } else {
+                        Verb::Read
+                    };
+                    (rng.below(50_000), src, dst, verb)
+                })
+                .collect();
+            for in_order in [false, true] {
+                if in_order {
+                    sends.sort_by_key(|s| s.0);
+                }
+                let mut b = batcher(params);
+                for &(now, src, dst, verb) in &sends {
+                    let s = b.schedule(
+                        Cycles::new(now),
+                        NodeId(src),
+                        NodeId(dst),
+                        64,
+                        verb,
+                        Doorbell::Share,
+                    );
+                    let solo = unbatched(now, 64);
+                    assert!(s.arrival <= solo, "seed {seed}: {:?} arrived late", s.role);
+                    if in_order && s.role == BatchRole::Led {
+                        assert_eq!(s.arrival, solo, "seed {seed}: leader off its path");
+                    }
+                }
+                let stats = b.finish();
+                assert_eq!(stats.verbs(), stats.carried, "seed {seed}");
+            }
         }
     }
 
@@ -614,18 +838,28 @@ mod tests {
         assert_eq!(b.stats().leaders, 2, "distinct QPs ring distinct bells");
     }
 
+    fn send(b: &mut Batcher, verb: Verb) -> Scheduled {
+        b.schedule(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            verb,
+            Doorbell::Share,
+        )
+    }
+
     #[test]
     fn squashes_coalesce_onto_an_open_squashing_batch() {
         let mut b = batcher(BatchingParams::fixed(8));
-        let lead = b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Squash);
+        let lead = send(&mut b, Verb::Squash);
         assert_eq!(lead.role, BatchRole::Led);
-        let s = b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Squash);
+        let s = send(&mut b, Verb::Squash);
         assert_eq!(s.role, BatchRole::CoalescedSquash);
         assert!(s.arrival >= lead.arrival, "fence holds for piggybacks");
         assert_eq!(b.stats().coalesced_squashes, 1);
         // A non-squash verb still joins normally.
-        let s = b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        assert_eq!(s.role, BatchRole::Joined);
+        assert_eq!(send(&mut b, Verb::Intend).role, BatchRole::Joined);
         // Flush size counts the piggyback.
         let stats = b.finish();
         assert_eq!(stats.flushes, 1);
@@ -638,9 +872,8 @@ mod tests {
             coalesce_squashes: false,
             ..BatchingParams::fixed(8)
         });
-        b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Squash);
-        let s = b.schedule(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Squash);
-        assert_eq!(s.role, BatchRole::Joined);
+        send(&mut b, Verb::Squash);
+        assert_eq!(send(&mut b, Verb::Squash).role, BatchRole::Joined);
         assert_eq!(b.stats().coalesced_squashes, 0);
     }
 

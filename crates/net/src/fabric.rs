@@ -16,7 +16,7 @@
 //! Total bytes are still accounted so runs can verify the utilization
 //! claim.
 
-use crate::batch::{BatchRole, BatchStats, Batcher};
+use crate::batch::{BatchRole, BatchStats, Batcher, Doorbell};
 use hades_fault::FaultInjector;
 use hades_sim::config::NetParams;
 use hades_sim::ids::NodeId;
@@ -129,11 +129,13 @@ impl Fabric {
     /// Panics if `src == dst` (local operations never touch the fabric) or
     /// if either node is out of range.
     pub fn send(&mut self, now: Cycles, src: NodeId, dst: NodeId, bytes: usize) -> Cycles {
-        self.send_verb(now, src, dst, bytes, Verb::Other)
+        self.send_verb(now, src, dst, bytes, Verb::Other, Doorbell::Share)
     }
 
     /// Like [`send`](Self::send), but tags the message with its protocol
-    /// meaning for the per-verb traffic breakdown and trace events.
+    /// meaning for the per-verb traffic breakdown and trace events, and
+    /// says whether it may share a doorbell when batching is on (ignored
+    /// otherwise).
     ///
     /// # Panics
     ///
@@ -145,6 +147,7 @@ impl Fabric {
         dst: NodeId,
         bytes: usize,
         verb: Verb,
+        doorbell: Doorbell,
     ) -> Cycles {
         assert_ne!(src, dst, "loopback messages are not modeled");
         assert!((dst.0 as usize) < self.nodes, "bad dst {dst}");
@@ -152,7 +155,7 @@ impl Fabric {
         self.messages += 1;
         self.bytes += bytes as u64;
         self.verbs.bump(verb);
-        let arrival = self.route(now, src, dst, bytes, verb);
+        let arrival = self.route(now, src, dst, bytes, verb, doorbell);
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 now,
@@ -181,14 +184,22 @@ impl Fabric {
     /// Computes a verb's arrival time: the classic additive path when no
     /// batcher is installed, or the batcher's leader/joiner schedule
     /// (emitting `BatchFlushed`/`BatchCoalesced` events) when one is.
-    fn route(&mut self, now: Cycles, src: NodeId, dst: NodeId, bytes: usize, verb: Verb) -> Cycles {
+    fn route(
+        &mut self,
+        now: Cycles,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+        verb: Verb,
+        doorbell: Doorbell,
+    ) -> Cycles {
         let Some(b) = self.batch.as_deref_mut() else {
             return now
                 + self.params.serialize(bytes)
                 + self.params.one_way()
                 + self.params.nic_proc;
         };
-        let s = b.schedule(now, src, dst, bytes, verb);
+        let s = b.schedule(now, src, dst, bytes, verb, doorbell);
         if self.tracer.is_enabled() {
             if s.role == BatchRole::CoalescedSquash {
                 self.tracer.emit(
@@ -229,9 +240,10 @@ impl Fabric {
         dst: NodeId,
         bytes: usize,
         verb: Verb,
+        doorbell: Doorbell,
     ) -> Vec<Cycles> {
         if !self.injector.active() {
-            return vec![self.send_verb(now, src, dst, bytes, verb)];
+            return vec![self.send_verb(now, src, dst, bytes, verb, doorbell)];
         }
         assert_ne!(src, dst, "loopback messages are not modeled");
         assert!((dst.0 as usize) < self.nodes, "bad dst {dst}");
@@ -288,7 +300,7 @@ impl Fabric {
             // flies solo on the unbatched path and is exempt from the
             // per-queue-pair FIFO fence (reordering must stay possible).
             let mut arrival = if extra == Cycles::ZERO {
-                self.route(now, src, dst, bytes, verb)
+                self.route(now, src, dst, bytes, verb, doorbell)
             } else {
                 base + extra
             };
@@ -411,7 +423,14 @@ mod tests {
         let mut f = fabric();
         let (tracer, sink) = Tracer::memory();
         f.set_tracer(tracer);
-        let arrive = f.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 96, Verb::Intend);
+        let arrive = f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            96,
+            Verb::Intend,
+            Doorbell::Share,
+        );
         f.send(Cycles::ZERO, NodeId(1), NodeId(2), 64); // untagged -> Other
         assert_eq!(f.verb_counts().get(Verb::Intend), 1);
         assert_eq!(f.verb_counts().get(Verb::Other), 1);
@@ -434,8 +453,22 @@ mod tests {
     fn faulty_send_with_inert_injector_matches_plain_send() {
         let mut a = fabric();
         let mut b = fabric();
-        let t1 = a.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 96, Verb::Intend);
-        let t2 = b.send_verb_faulty(Cycles::ZERO, NodeId(0), NodeId(1), 96, Verb::Intend);
+        let t1 = a.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            96,
+            Verb::Intend,
+            Doorbell::Share,
+        );
+        let t2 = b.send_verb_faulty(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            96,
+            Verb::Intend,
+            Doorbell::Share,
+        );
         assert_eq!(t2, vec![t1]);
         assert_eq!(a.messages_sent(), b.messages_sent());
         assert_eq!(a.bytes_sent(), b.bytes_sent());
@@ -448,7 +481,14 @@ mod tests {
         f.install_injector(FaultInjector::new(
             FaultPlan::none().drop_verb(Verb::Ack, 1.0),
         ));
-        let arrivals = f.send_verb_faulty(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Ack);
+        let arrivals = f.send_verb_faulty(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Ack,
+            Doorbell::Share,
+        );
         assert!(arrivals.is_empty());
         assert_eq!(f.messages_sent(), 0, "dropped copies are not traffic");
         assert_eq!(f.injector().faults.drops, 1);
@@ -464,27 +504,78 @@ mod tests {
             Cycles::ZERO,
             release,
         )));
-        let arrivals = f.send_verb_faulty(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Read);
+        let arrivals = f.send_verb_faulty(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Read,
+            Doorbell::Share,
+        );
         assert_eq!(arrivals, vec![release]);
         assert_eq!(f.injector().faults.nic_stalls, 1);
     }
 
     #[test]
-    fn batched_leader_pays_the_doorbell_pipeline() {
+    fn batched_leader_takes_the_unbatched_path() {
         use hades_sim::config::BatchingParams;
-        let bp = BatchingParams::fixed(1);
         let mut f = fabric();
-        f.install_batcher(Batcher::new(bp, NetParams::default(), 4));
+        f.install_batcher(Batcher::new(
+            BatchingParams::fixed(1),
+            NetParams::default(),
+            4,
+        ));
         let p = NetParams::default();
-        let t = f.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        assert_eq!(
-            t,
-            bp.doorbell_cycles + p.serialize(64) + p.one_way() + p.nic_proc,
-            "a lone verb rings its own doorbell"
+        let plain = p.serialize(64) + p.one_way() + p.nic_proc;
+        let t = f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
         );
-        // A second immediate verb queues behind the first doorbell.
-        let t2 = f.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        assert_eq!(t2, t + bp.doorbell_cycles, "fixed(1) serializes doorbells");
+        assert_eq!(t, plain, "the fabric charges no doorbell of its own");
+        // A second simultaneous verb does not queue behind the first.
+        let t2 = f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
+        assert_eq!(t2, plain);
+    }
+
+    #[test]
+    fn ring_leads_even_when_a_batch_is_open() {
+        use hades_sim::config::BatchingParams;
+        let mut f = fabric();
+        f.install_batcher(Batcher::new(
+            BatchingParams::fixed(4),
+            NetParams::default(),
+            4,
+        ));
+        f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Read,
+            Doorbell::Share,
+        );
+        f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Read,
+            Doorbell::Ring,
+        );
+        let stats = f.take_batch_stats().expect("batcher installed");
+        assert_eq!(stats.leaders, 2, "Ring rang its own doorbell");
+        assert_eq!(stats.joined, 0);
     }
 
     #[test]
@@ -496,8 +587,22 @@ mod tests {
             NetParams::default(),
             4,
         ));
-        let lead = f.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        let join = f.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
+        let lead = f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
+        let join = f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
         assert_eq!(join, lead, "first joiner lands with its leader");
         assert_eq!(f.messages_sent(), 2, "batched verbs still count as traffic");
     }
@@ -513,8 +618,22 @@ mod tests {
         ));
         let (tracer, sink) = Tracer::memory();
         f.set_tracer(tracer);
-        f.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        f.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
+        f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
+        f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
         let events = sink.borrow().events().to_vec();
         assert!(
             events
@@ -541,7 +660,14 @@ mod tests {
             1.0,
             delay,
         )));
-        let arrivals = f.send_verb_faulty(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Ack);
+        let arrivals = f.send_verb_faulty(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Ack,
+            Doorbell::Share,
+        );
         assert_eq!(
             arrivals,
             vec![p.serialize(64) + p.one_way() + p.nic_proc + delay],
@@ -564,7 +690,14 @@ mod tests {
             NetParams::default(),
             4,
         ));
-        f.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
+        f.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
         let stats = f.take_batch_stats().expect("batcher installed");
         assert_eq!(stats.flushes, 1, "finish closes the open batch");
         assert_eq!(stats.leaders, 1);
@@ -582,12 +715,26 @@ mod tests {
         )));
         let (tracer, sink) = Tracer::memory();
         f.set_tracer(tracer);
-        let lost = f.send_verb_faulty(Cycles::new(5), NodeId(0), NodeId(1), 64, Verb::Ack);
+        let lost = f.send_verb_faulty(
+            Cycles::new(5),
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Ack,
+            Doorbell::Share,
+        );
         assert!(lost.is_empty(), "lossy verb into a cut link is gone");
         assert_eq!(f.messages_sent(), 0);
         assert_eq!(f.injector().faults.link_cuts, 1);
         // The reverse direction is untouched.
-        let back = f.send_verb_faulty(Cycles::new(5), NodeId(1), NodeId(0), 64, Verb::Ack);
+        let back = f.send_verb_faulty(
+            Cycles::new(5),
+            NodeId(1),
+            NodeId(0),
+            64,
+            Verb::Ack,
+            Doorbell::Share,
+        );
         assert_eq!(back.len(), 1);
         let events = sink.borrow().events().to_vec();
         assert!(
@@ -610,7 +757,14 @@ mod tests {
             until,
         )));
         let p = NetParams::default();
-        let arrivals = f.send_verb_faulty(Cycles::new(100), NodeId(0), NodeId(1), 64, Verb::Read);
+        let arrivals = f.send_verb_faulty(
+            Cycles::new(100),
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Read,
+            Doorbell::Share,
+        );
         assert_eq!(
             arrivals,
             vec![until + p.serialize(64) + p.one_way() + p.nic_proc],
@@ -630,13 +784,34 @@ mod tests {
             Cycles::new(1_000_000),
             3,
         )));
-        let plain = a.send_verb(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
-        let slowed = b.send_verb_faulty(Cycles::ZERO, NodeId(0), NodeId(1), 64, Verb::Intend);
+        let plain = a.send_verb(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
+        let slowed = b.send_verb_faulty(
+            Cycles::ZERO,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
         assert_eq!(slowed, vec![Cycles::new(plain.get() * 3)]);
         assert_eq!(b.injector().faults.slowdowns, 1);
         // Off-window sends are untouched.
         let later = Cycles::new(2_000_000);
-        let normal = b.send_verb_faulty(later, NodeId(0), NodeId(1), 64, Verb::Intend);
+        let normal = b.send_verb_faulty(
+            later,
+            NodeId(0),
+            NodeId(1),
+            64,
+            Verb::Intend,
+            Doorbell::Share,
+        );
         assert_eq!(normal, vec![later + plain]);
     }
 

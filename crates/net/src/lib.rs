@@ -24,6 +24,6 @@ pub mod batch;
 pub mod fabric;
 pub mod nic;
 
-pub use batch::{BatchRole, BatchStats, Batcher, RecvBatch, SendBatch};
+pub use batch::{BatchRole, BatchStats, Batcher, Doorbell, RecvBatch};
 pub use fabric::{wire_size, Fabric};
 pub use nic::{Nic, NicConflict, RemoteTxKey, TxRemoteTable};

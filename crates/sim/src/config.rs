@@ -416,16 +416,19 @@ impl Default for OverloadParams {
 
 /// Fabric verb batching & doorbell coalescing (DESIGN.md §14).
 ///
-/// When enabled, every fabric verb send is routed through a per-node NIC
-/// doorbell pipeline: the first verb of a per-(src,dst) queue-pair batch
-/// ("the leader") pays the full doorbell/WQE-marshalling cost, while
-/// verbs that land on the same queue pair within the coalesce window
-/// ("joiners") ride the open WQE chain for a small incremental cost and
-/// skip the receiver-side per-message NIC processing. Batches never hold
-/// a verb back — the leader rings its doorbell immediately — so an idle
-/// fabric sees unbatched latency. An adaptive policy grows the per-QP
-/// batch-size target while the sender's doorbell pipeline has a backlog
-/// of outstanding verbs, and drains the target back to one when idle.
+/// When enabled, fabric verbs coalesce per (src, dst) queue pair: the
+/// first verb of a batch ("the leader") rings the doorbell, and verbs
+/// sent on the same queue pair within the coalesce window ("joiners")
+/// append to the open WQE chain and skip the receiver-side per-message
+/// NIC processing. The issue cost is charged once, on the issuing core
+/// (`Cluster::issue` in `hades-core`): a leader pays
+/// [`SwCosts::rdma_issue`], a joiner pays [`Self::per_verb_cycles`].
+/// The fabric adds no doorbell charge of its own, so a leader arrives
+/// exactly when an unbatched verb would and an idle fabric sees
+/// unbatched latency. Coalescing follows simulated-time order, not the
+/// order in which the engines happen to schedule sends. An adaptive
+/// policy grows the per-QP batch-size target while the sender has many
+/// verbs in flight and drains it back to one when idle.
 ///
 /// Everything defaults to **off**, and the fabric consults these knobs
 /// only when [`BatchingParams::enabled`] is set, so a default run is
@@ -438,34 +441,29 @@ pub struct BatchingParams {
     /// Upper bound on verbs per batch (the adaptive target's ceiling).
     pub max_batch: u32,
     /// Adaptive doorbell policy: grow the per-QP target ×2 (up to
-    /// `max_batch`) while the sender's outstanding-verb backlog is at or
-    /// above `high_watermark`; drain it back to 1 when the backlog is at
-    /// or below `low_watermark`. When false the target is pinned at
-    /// `max_batch` (`fixed(1)` models a doorbell per verb — the
-    /// "unbatched" comparison point of the `batching` sweep).
+    /// `max_batch`) while the sender has at least `high_watermark` verbs
+    /// in flight; drain it back to 1 at or below `low_watermark`. When
+    /// false the target is pinned at `max_batch`.
     pub adaptive: bool,
-    /// Sender-side cost of marshalling a WQE and ringing the doorbell for
-    /// a batch leader, serialized through the per-node send pipeline.
-    pub doorbell_cycles: Cycles,
-    /// Incremental sender-side cost of appending one joiner verb to an
-    /// open WQE chain.
+    /// Core cycles a joiner pays to append its work request to an open
+    /// WQE chain, instead of the full [`SwCosts::rdma_issue`].
     pub per_verb_cycles: Cycles,
-    /// A batch accepts joiners for this long after its leader was issued.
+    /// A batch accepts joiners for this long after its leader was sent.
     pub coalesce_window: Cycles,
-    /// Outstanding-verb backlog at or above this grows the batch target.
+    /// Verbs in flight at or above this grows the batch target.
     pub high_watermark: u32,
-    /// Outstanding-verb backlog at or below this drains the target to 1.
+    /// Verbs in flight at or below this drains the target to 1.
     pub low_watermark: u32,
     /// Coalesced squash propagation: a Squash verb targeting a queue pair
-    /// whose open batch already carries a squash piggybacks on it at zero
-    /// pipeline cost (one batched verb carries several notifications).
+    /// whose open batch already carries a squash piggybacks on it (one
+    /// batched verb carries several notifications).
     pub coalesce_squashes: bool,
 }
 
 impl BatchingParams {
     /// The standard adaptive profile used by the `batching` sweep and the
-    /// batched bench cells: up to 16 verbs per doorbell, growth at a
-    /// backlog of 6, a 1 µs coalesce window, squash coalescing on.
+    /// batched bench cells: up to 16 verbs per doorbell, growth at 6
+    /// verbs in flight, a 1 µs coalesce window, squash coalescing on.
     pub fn standard() -> Self {
         BatchingParams {
             enabled: true,
@@ -473,8 +471,8 @@ impl BatchingParams {
         }
     }
 
-    /// A non-adaptive profile with the target pinned at `n`; `fixed(1)`
-    /// is the unbatched baseline (every verb rings its own doorbell).
+    /// A non-adaptive profile with the target pinned at `n` verbs per
+    /// doorbell, for tests that need a predictable batch size.
     ///
     /// # Panics
     ///
@@ -496,8 +494,6 @@ impl Default for BatchingParams {
             enabled: false,
             max_batch: 16,
             adaptive: true,
-            // Mirrors `SwCosts::rdma_issue`: marshalling + MMIO doorbell.
-            doorbell_cycles: Cycles::new(450),
             per_verb_cycles: Cycles::new(40),
             coalesce_window: Cycles::new(2_000),
             high_watermark: 6,

@@ -10,19 +10,27 @@
 //!    (`verbs() == carried` after the final flush).
 //! 3. Ordering: batching must not reorder a queue pair — in a fault-free
 //!    batched run, per-(src, dst) verb arrivals are non-decreasing in
-//!    send order (the commit handshake relies on per-QP FIFO).
-//! 4. The adaptive doorbell policy grows the per-QP batch target under
-//!    backlog and drains it back to 1 when the sender goes idle.
+//!    simulated send order (the commit handshake relies on per-QP FIFO).
+//! 4. The adaptive doorbell policy grows the per-QP batch target while
+//!    the sender has many verbs in flight and drains it back to 1 when
+//!    the sender goes idle.
+//! 5. No stall: HADES under batching at high contention commits its whole
+//!    window and leaks no hardware state.
 
+use hades::core::hades::HadesSim;
 use hades::core::runner::{run_single, run_single_traced, Experiment, Protocol};
-use hades::net::batch::Batcher;
+use hades::core::runtime::{Cluster, WorkloadSet};
+use hades::net::batch::{Batcher, Doorbell};
 use hades::sim::config::{BatchingParams, NetParams, SimConfig};
 use hades::sim::ids::NodeId;
 use hades::sim::time::Cycles;
+use hades::storage::db::Database;
+use hades::storage::index::IndexKind;
 use hades::telemetry::event::{EventKind, TraceEvent, Verb};
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
 use hades::workloads::catalog::AppId;
+use hades::workloads::ycsb::{Ycsb, YcsbConfig, YcsbVariant};
 
 fn quick(cfg: SimConfig) -> Experiment {
     Experiment {
@@ -89,8 +97,8 @@ fn same_seed_batched_runs_are_byte_identical() {
 
 /// Pairs each `VerbSend` with the `VerbRecv` the fabric emits right after
 /// it (fault-free runs emit them back to back) and returns
-/// `(src, dst, arrival)` in send order.
-fn paired_arrivals(events: &[TraceEvent]) -> Vec<(u16, u16, Cycles)> {
+/// `(src, dst, sent, arrival)` in emission order.
+fn paired_verbs(events: &[TraceEvent]) -> Vec<(u16, u16, Cycles, Cycles)> {
     let mut out = Vec::new();
     for pair in events.windows(2) {
         let (EventKind::VerbSend { dst, .. }, EventKind::VerbRecv { src, .. }) =
@@ -100,7 +108,7 @@ fn paired_arrivals(events: &[TraceEvent]) -> Vec<(u16, u16, Cycles)> {
         };
         assert_eq!(pair[0].node, *src, "send/recv pair mismatched");
         assert_eq!(pair[1].node, *dst, "send/recv pair mismatched");
-        out.push((*src, *dst, pair[1].at));
+        out.push((*src, *dst, pair[0].at, pair[1].at));
     }
     out
 }
@@ -113,24 +121,25 @@ fn batched_arrivals_stay_fifo_per_queue_pair() {
         let (tracer, sink) = Tracer::memory();
         let out = run_single_traced(protocol, app, &ex, tracer);
         let events = sink.borrow_mut().take_events();
-        let arrivals = paired_arrivals(&events);
-        assert!(!arrivals.is_empty(), "{protocol}: no verb traffic traced");
+        let mut verbs = paired_verbs(&events);
+        assert!(!verbs.is_empty(), "{protocol}: no verb traffic traced");
         let bt = out.stats.batching.as_ref().expect("batching block");
         assert!(
             bt.joined > 0,
             "{protocol}: fixed(4) batching coalesced nothing"
         );
-        let mut fences: Vec<((u16, u16), Cycles)> = Vec::new();
-        for (src, dst, at) in arrivals {
-            match fences.iter_mut().find(|(k, _)| *k == (src, dst)) {
-                Some((_, fence)) => {
-                    assert!(
-                        at >= *fence,
-                        "{protocol}: queue pair ({src},{dst}) delivered out of order"
-                    );
-                    *fence = at;
-                }
-                None => fences.push(((src, dst), at)),
+        // The engines emit sends out of time order (they schedule future
+        // sends inline), so order each queue pair by its `VerbSend`
+        // timestamps — simulated send order — before checking arrivals.
+        verbs.sort();
+        for w in verbs.windows(2) {
+            let ((s0, d0, t0, a0), (s1, d1, t1, a1)) = (w[0], w[1]);
+            if (s0, d0) == (s1, d1) {
+                assert!(
+                    a1 >= a0,
+                    "{protocol}: queue pair ({s0},{d0}) reordered: sent {t0} arrives {a0}, \
+                     sent {t1} arrives {a1}"
+                );
             }
         }
     }
@@ -141,26 +150,70 @@ fn adaptive_target_tracks_the_senders_backlog() {
     let params = BatchingParams::standard();
     let (high, window) = (params.high_watermark, params.coalesce_window);
     let mut b = Batcher::new(params, NetParams::default(), 3);
-    // Pile enough leaders onto node 0's doorbell pipeline that its
-    // backlog crosses the high watermark, alternating destinations so
-    // every verb leads a fresh batch.
+    // Put enough verbs from node 0 on the wire at once that its in-flight
+    // count crosses the high watermark, alternating destinations so every
+    // verb leads a fresh batch.
     let mut now = Cycles::ZERO;
     for i in 0..(high * 4) {
         let dst = NodeId(1 + (i % 2) as u16);
-        b.schedule(now, NodeId(0), dst, 64, Verb::Intend);
+        b.schedule(now, NodeId(0), dst, 64, Verb::Intend, Doorbell::Share);
         now += Cycles::new(1);
     }
     assert!(
         b.qp(NodeId(0), NodeId(1)).target() > 1,
-        "backlog above the high watermark must grow the batch target"
+        "verbs in flight above the high watermark must grow the batch target"
     );
-    // A leader arriving long after the pipeline drained sees no backlog:
+    // A leader sent long after every verb landed sees nothing in flight:
     // the target collapses back to 1 (batching switches itself off).
     let idle = now + Cycles::new(window.get() * 1_000);
-    b.schedule(idle, NodeId(0), NodeId(1), 64, Verb::Intend);
+    b.schedule(
+        idle,
+        NodeId(0),
+        NodeId(1),
+        64,
+        Verb::Intend,
+        Doorbell::Share,
+    );
     assert_eq!(
         b.qp(NodeId(0), NodeId(1)).target(),
         1,
         "an idle sender must drain the batch target back to 1"
     );
+}
+
+#[test]
+fn hades_does_not_stall_under_batching_at_high_contention() {
+    // YCSB-A over the hash table at theta 0.99 with 40k keys, batches of
+    // up to 4, seed 1. While coalescing followed call order, HADES stopped
+    // committing here after 1,505 transactions, spinning on Locking
+    // Buffer stalls.
+    let cfg = SimConfig::isca_default()
+        .with_seed(1)
+        .with_batching(BatchingParams {
+            max_batch: 4,
+            ..BatchingParams::standard()
+        });
+    let mut db = Database::new(cfg.shape.nodes);
+    let ycsb = YcsbConfig {
+        theta: 0.99,
+        ..YcsbConfig::paper(IndexKind::HashTable, YcsbVariant::A).scaled(0.01)
+    };
+    let ws = WorkloadSet::single(
+        Box::new(Ycsb::setup(&mut db, ycsb)),
+        cfg.shape.cores_per_node,
+    );
+    let measure = 5_000;
+    let out = HadesSim::new(Cluster::new(cfg, db), ws, 1_000, measure).run_full();
+    assert_eq!(
+        out.stats.committed, measure,
+        "the measurement window must fill"
+    );
+    let bt = out.stats.batching.as_ref().expect("batching block");
+    assert!(bt.joined > 0, "the run must actually coalesce");
+    let cl = &out.cluster;
+    let held: usize = cl.lock_bufs.iter().map(|b| b.occupied()).sum();
+    assert_eq!(held, 0, "Locking Buffers leaked");
+    let filters: usize = cl.nics.iter().map(|n| n.active_remote_txs()).sum();
+    assert_eq!(filters, 0, "NIC remote-transaction filters leaked");
+    assert_eq!(out.replica_pending_leaked, 0, "replica prepares leaked");
 }
