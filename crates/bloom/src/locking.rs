@@ -118,6 +118,9 @@ impl fmt::Display for LockFailure {
 pub struct LockingBuffers {
     entries: Vec<LockEntry>,
     capacity: usize,
+    /// Bumped on every change to the held set; see
+    /// [`generation`](Self::generation).
+    generation: u64,
     tracer: Tracer,
     node: u16,
 }
@@ -133,6 +136,7 @@ impl LockingBuffers {
         LockingBuffers {
             entries: Vec::with_capacity(capacity),
             capacity,
+            generation: 0,
             tracer: Tracer::disabled(),
             node: 0,
         }
@@ -159,6 +163,16 @@ impl LockingBuffers {
     /// controller's hardware-saturation signal.
     pub fn occupancy(&self) -> f64 {
         self.entries.len() as f64 / self.capacity as f64
+    }
+
+    /// A counter that changes whenever the held set does: a granted lock,
+    /// an unlock that released a buffer, an import, a clear. Every access
+    /// check is a pure function of the held set, so an access denied at
+    /// one generation is denied by the same holder for as long as the
+    /// generation stays put — which lets a stalled access skip its
+    /// re-probe.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Whether `owner` currently holds a buffer.
@@ -204,6 +218,7 @@ impl LockingBuffers {
             return Err(LockFailure::NoFreeBuffer);
         }
         self.entries.push(LockEntry { owner, read, write });
+        self.generation += 1;
         Ok(())
     }
 
@@ -235,7 +250,11 @@ impl LockingBuffers {
     /// Releases `owner`'s buffer. Releasing a non-held owner is a no-op
     /// (unlock messages can race with squashes).
     pub fn unlock(&mut self, owner: u64) {
+        let before = self.entries.len();
         self.entries.retain(|e| e.owner != owner);
+        if self.entries.len() != before {
+            self.generation += 1;
+        }
     }
 
     /// If a read of `line` would be denied, returns the blocking owner.
@@ -279,6 +298,7 @@ impl LockingBuffers {
     /// Clears every buffer (e.g. on simulator reset).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.generation += 1;
     }
 
     /// Exports `owner`'s buffered signatures for a planned shard
@@ -304,6 +324,7 @@ impl LockingBuffers {
             "owner {owner:#x} already holds a buffer"
         );
         self.entries.push(LockEntry { owner, read, write });
+        self.generation += 1;
     }
 }
 
@@ -495,6 +516,58 @@ mod tests {
         dst.try_lock(1, sig_with(&[1]), sig_with(&[]), &[], &[1])
             .unwrap();
         dst.import_entry(1, sig_with(&[2]), sig_with(&[]));
+    }
+
+    #[test]
+    fn generation_bumps_when_the_held_set_changes() {
+        let mut bufs = LockingBuffers::new(4);
+        let g0 = bufs.generation();
+        bufs.try_lock(1, sig_with(&[1]), sig_with(&[2]), &[2], &[1])
+            .unwrap();
+        let g1 = bufs.generation();
+        assert_ne!(g1, g0, "a grant changes the held set");
+        bufs.try_lock_at(Cycles::new(5), 2, sig_with(&[]), sig_with(&[9]), &[9], &[])
+            .unwrap();
+        let g2 = bufs.generation();
+        assert_ne!(g2, g1, "a traced grant changes the held set");
+        bufs.unlock(1);
+        let g3 = bufs.generation();
+        assert_ne!(g3, g2, "a real unlock changes the held set");
+        bufs.import_entry(7, sig_with(&[10]), sig_with(&[]));
+        let g4 = bufs.generation();
+        assert_ne!(g4, g3, "an import changes the held set");
+        bufs.clear();
+        assert_ne!(bufs.generation(), g4, "a clear changes the held set");
+    }
+
+    #[test]
+    fn generation_holds_when_the_held_set_does_not_change() {
+        let mut bufs = LockingBuffers::new(2);
+        bufs.try_lock(1, sig_with(&[]), sig_with(&[50]), &[50], &[])
+            .unwrap();
+        let g = bufs.generation();
+        // Denied on a conflict.
+        assert_eq!(
+            bufs.try_lock(2, sig_with(&[]), sig_with(&[50]), &[50], &[]),
+            Err(LockFailure::Conflict(1))
+        );
+        assert_eq!(bufs.generation(), g);
+        // Denied because the bank is full.
+        bufs.try_lock(3, sig_with(&[]), sig_with(&[60]), &[60], &[])
+            .unwrap();
+        let g = bufs.generation();
+        assert_eq!(
+            bufs.try_lock(4, sig_with(&[]), sig_with(&[70]), &[70], &[]),
+            Err(LockFailure::NoFreeBuffer)
+        );
+        assert_eq!(bufs.generation(), g);
+        // Unlocking an owner that holds no buffer.
+        bufs.unlock(99);
+        assert_eq!(bufs.generation(), g);
+        // Queries and exports leave it alone too.
+        let _ = bufs.blocks_write(50);
+        let _ = bufs.export_entry(1);
+        assert_eq!(bufs.generation(), g);
     }
 
     #[test]

@@ -177,6 +177,9 @@ enum Ev {
     MigrationTick,
 }
 
+// Every event moves through the queue; keep fat payloads boxed.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 64);
+
 /// The Baseline protocol simulator.
 ///
 /// # Examples

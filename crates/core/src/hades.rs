@@ -17,7 +17,7 @@
 
 use crate::runtime::{
     apply_write, owner_token, resolve, Cluster, CoreVerb, Measurement, MigrationAction, ResolvedOp,
-    ResolvedTxn, RunOutcome, WorkloadSet,
+    ResolvedTxn, RunOutcome, Stall, WorkloadSet,
 };
 use crate::stats::{Phase, SquashReason};
 use hades_bloom::{BloomFilter, DualWriteFilter, LockFailure, Signature};
@@ -91,17 +91,21 @@ enum Ev {
         att: u32,
     },
     /// A local op ready to execute (possibly a retry after a Locking
-    /// Buffer denial).
+    /// Buffer denial, which `stall` then describes). The op is boxed to
+    /// keep every event small.
     LocalOp {
         si: usize,
         att: u32,
-        op: ResolvedOp,
+        op: Box<ResolvedOp>,
+        stall: Option<Stall>,
     },
-    /// A remote request arrives at the home node's NIC.
+    /// A remote request arrives at the home node's NIC (or retries after
+    /// a Locking Buffer denial).
     RemoteReq {
         si: usize,
         att: u32,
-        op: ResolvedOp,
+        op: Box<ResolvedOp>,
+        stall: Option<Stall>,
     },
     RemoteResp {
         si: usize,
@@ -222,6 +226,9 @@ enum Ev {
     MigrationTick,
 }
 
+// Every event moves through the queue; keep fat payloads boxed.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 64);
+
 /// The HADES protocol simulator.
 ///
 /// # Examples
@@ -327,9 +334,12 @@ impl HadesSim {
         let apps = ws.len();
         let locality = cl.cfg.local_fraction;
         let nodes = shape.nodes;
+        // Every Locking-Buffer stall re-arms after the same delay, so the
+        // re-arms ride the queue's FIFO retry lane.
+        let q = EventQueue::with_retry_delay(cl.cfg.retry.lock_retry);
         HadesSim {
             cl,
-            q: EventQueue::new(),
+            q,
             ws,
             meas: Measurement::new(warmup, measure, apps),
             slots,
@@ -585,8 +595,10 @@ impl HadesSim {
         match ev {
             Ev::Start { si } => self.on_start(si),
             Ev::ExecStage { si, att } if self.alive(si, att) => self.on_exec_stage(si, att),
-            Ev::LocalOp { si, att, op } if self.alive(si, att) => self.on_local_op(si, att, op),
-            Ev::RemoteReq { si, att, op } => self.on_remote_req(si, att, op),
+            Ev::LocalOp { si, att, op, stall } if self.alive(si, att) => {
+                self.on_local_op(si, att, op, stall)
+            }
+            Ev::RemoteReq { si, att, op, stall } => self.on_remote_req(si, att, op, stall),
             Ev::RemoteResp { si, att, lines } if self.alive(si, att) => {
                 self.slots[si].fetched.extend(lines);
                 self.on_op_done(si, att);
@@ -865,7 +877,15 @@ impl HadesSim {
             // membership layer is off).
             if self.cl.route(op.home) == node {
                 cursor = self.cl.run_on_core(node, core, cursor, index_cost);
-                self.q.push_at(cursor, Ev::LocalOp { si, att, op });
+                self.q.push_at(
+                    cursor,
+                    Ev::LocalOp {
+                        si,
+                        att,
+                        op: Box::new(op),
+                        stall: None,
+                    },
+                );
             } else {
                 // Remote lines already fetched this transaction are reused
                 // locally at L1 cost.
@@ -897,7 +917,15 @@ impl HadesSim {
                     );
                     cursor = sent.depart;
                     let arrive = sent.arrival;
-                    self.q.push_at(arrive, Ev::RemoteReq { si, att, op });
+                    self.q.push_at(
+                        arrive,
+                        Ev::RemoteReq {
+                            si,
+                            att,
+                            op: Box::new(op),
+                            stall: None,
+                        },
+                    );
                     // A home that dies forever mid-fetch would hang this
                     // slot; the membership layer bounds the wait.
                     if self.cl.membership.enabled() {
@@ -927,7 +955,7 @@ impl HadesSim {
     }
 
     /// Eager L–L detection and local tracking (Table II, Local Read/Write).
-    fn on_local_op(&mut self, si: usize, att: u32, op: ResolvedOp) {
+    fn on_local_op(&mut self, si: usize, att: u32, op: Box<ResolvedOp>, stall: Option<Stall>) {
         let now = self.q.now();
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let me = self.slots[si].slot;
@@ -935,24 +963,17 @@ impl HadesSim {
         let bloom = self.cl.cfg.bloom;
         // Locking Buffers: a committing transaction may block this access;
         // retry until it unlocks (Fig 7).
-        let nb = node.0 as usize;
-        let blocked_by = op
-            .read_lines
-            .iter()
-            .find_map(|&l| self.cl.lock_bufs[nb].blocks_read(l).filter(|&o| o != token))
-            .or_else(|| {
-                op.write_lines
-                    .iter()
-                    .find_map(|&l| self.cl.lock_bufs[nb].blocks_write_excluding(l, token))
-            });
-        if let Some(holder) = blocked_by {
+        let stall = self
+            .cl
+            .lock_stall(node, stall, |bufs| op.lock_blocker(bufs, token));
+        if let Some(Stall { holder, .. }) = stall {
             if self.cl.tracer.is_enabled() {
                 self.trace(now, si, EventKind::LockStall { holder });
             }
-            let retry = self.cl.cfg.retry.lock_retry;
-            self.q.push_at(now + retry, Ev::LocalOp { si, att, op });
+            self.q.push_retry(Ev::LocalOp { si, att, op, stall });
             return;
         }
+        let nb = node.0 as usize;
         // Eager checks against the directory WrTX_ID tags.
         let lines: Vec<u64> = op
             .read_lines
@@ -1038,7 +1059,7 @@ impl HadesSim {
 
     /// A remote access serviced at the home node's NIC (Table II, Remote
     /// Read/Write).
-    fn on_remote_req(&mut self, si: usize, att: u32, op: ResolvedOp) {
+    fn on_remote_req(&mut self, si: usize, att: u32, op: Box<ResolvedOp>, stall: Option<Stall>) {
         let now = self.q.now();
         if !self.alive(si, att) {
             return;
@@ -1052,7 +1073,7 @@ impl HadesSim {
             // restarts and the NIC comes back. A forever-dead home drops
             // the request — the coordinator's fetch timeout cleans up.
             if let Some(r) = self.restart_at[nb] {
-                self.q.push_at(r, Ev::RemoteReq { si, att, op });
+                self.q.push_at(r, Ev::RemoteReq { si, att, op, stall });
             }
             return;
         }
@@ -1063,21 +1084,14 @@ impl HadesSim {
         };
         let token = owner_token(key.origin, key.slot);
         // Committing transactions' Locking Buffers stall this access.
-        let blocked_by = op
-            .read_lines
-            .iter()
-            .find_map(|&l| self.cl.lock_bufs[nb].blocks_read(l).filter(|&o| o != token))
-            .or_else(|| {
-                op.write_lines
-                    .iter()
-                    .find_map(|&l| self.cl.lock_bufs[nb].blocks_write_excluding(l, token))
-            });
-        if let Some(holder) = blocked_by {
+        let stall = self
+            .cl
+            .lock_stall(home, stall, |bufs| op.lock_blocker(bufs, token));
+        if let Some(Stall { holder, .. }) = stall {
             self.cl
                 .tracer
                 .emit(now, home.0, NO_SLOT, EventKind::LockStall { holder });
-            let retry = self.cl.cfg.retry.lock_retry;
-            self.q.push_at(now + retry, Ev::RemoteReq { si, att, op });
+            self.q.push_retry(Ev::RemoteReq { si, att, op, stall });
             return;
         }
         let bloom = self.cl.cfg.bloom;

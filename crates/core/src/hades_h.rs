@@ -19,7 +19,7 @@
 
 use crate::runtime::{
     apply_write, owner_token, resolve, Cluster, CoreVerb, Measurement, MigrationAction, ResolvedOp,
-    ResolvedTxn, RunOutcome, WorkloadSet,
+    ResolvedTxn, RunOutcome, Stall, WorkloadSet,
 };
 use crate::stats::{Phase, SquashReason};
 use hades_bloom::{BloomFilter, LockFailure, Signature};
@@ -83,15 +83,22 @@ enum Ev {
         si: usize,
         att: u32,
     },
+    /// A local op ready to execute (possibly a retry after a Locking
+    /// Buffer denial, which `stall` then describes). The op is boxed to
+    /// keep every event small.
     LocalOp {
         si: usize,
         att: u32,
-        op: ResolvedOp,
+        op: Box<ResolvedOp>,
+        stall: Option<Stall>,
     },
+    /// A remote request arrives at the home node's NIC (or retries after
+    /// a Locking Buffer denial).
     RemoteReq {
         si: usize,
         att: u32,
-        op: ResolvedOp,
+        op: Box<ResolvedOp>,
+        stall: Option<Stall>,
     },
     RemoteResp {
         si: usize,
@@ -186,6 +193,9 @@ enum Ev {
     MigrationTick,
 }
 
+// Every event moves through the queue; keep fat payloads boxed.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 64);
+
 /// The HADES-H protocol simulator.
 ///
 /// # Examples
@@ -270,9 +280,12 @@ impl HadesHSim {
         let apps = ws.len();
         let locality = cl.cfg.local_fraction;
         let nodes = shape.nodes;
+        // Every Locking-Buffer stall re-arms after the same delay, so the
+        // re-arms ride the queue's FIFO retry lane.
+        let q = EventQueue::with_retry_delay(cl.cfg.retry.lock_retry);
         HadesHSim {
             cl,
-            q: EventQueue::new(),
+            q,
             ws,
             meas: Measurement::new(warmup, measure, apps),
             slots,
@@ -412,8 +425,10 @@ impl HadesHSim {
         match ev {
             Ev::Start { si } => self.on_start(si),
             Ev::ExecStage { si, att } if self.alive(si, att) => self.on_exec_stage(si, att),
-            Ev::LocalOp { si, att, op } if self.alive(si, att) => self.on_local_op(si, att, op),
-            Ev::RemoteReq { si, att, op } => self.on_remote_req(si, att, op),
+            Ev::LocalOp { si, att, op, stall } if self.alive(si, att) => {
+                self.on_local_op(si, att, op, stall)
+            }
+            Ev::RemoteReq { si, att, op, stall } => self.on_remote_req(si, att, op, stall),
             Ev::RemoteResp { si, att, lines } if self.alive(si, att) => {
                 self.slots[si].fetched.extend(lines);
                 self.on_op_done(si, att);
@@ -671,7 +686,15 @@ impl HadesHSim {
             // when the membership layer is off).
             if self.cl.route(op.home) == node {
                 cursor = self.cl.run_on_core(node, core, cursor, index_cost);
-                self.q.push_at(cursor, Ev::LocalOp { si, att, op });
+                self.q.push_at(
+                    cursor,
+                    Ev::LocalOp {
+                        si,
+                        att,
+                        op: Box::new(op),
+                        stall: None,
+                    },
+                );
             } else {
                 let all_fetched = op
                     .read_lines
@@ -701,7 +724,15 @@ impl HadesHSim {
                     );
                     cursor = sent.depart;
                     let arrive = sent.arrival;
-                    self.q.push_at(arrive, Ev::RemoteReq { si, att, op });
+                    self.q.push_at(
+                        arrive,
+                        Ev::RemoteReq {
+                            si,
+                            att,
+                            op: Box::new(op),
+                            stall: None,
+                        },
+                    );
                     // A home that dies forever mid-fetch would hang this
                     // slot; the membership layer bounds the wait.
                     if self.cl.membership.enabled() {
@@ -732,26 +763,27 @@ impl HadesHSim {
 
     /// Software local path: fetch the whole record, check atomicity, track
     /// in read/write sets with versions — exactly like the baseline.
-    fn on_local_op(&mut self, si: usize, att: u32, op: ResolvedOp) {
+    fn on_local_op(&mut self, si: usize, att: u32, op: Box<ResolvedOp>, stall: Option<Stall>) {
         let now = self.q.now();
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let token = self.token(si);
         let sw = self.cl.cfg.sw;
-        let nb = node.0 as usize;
-        // The retained hardware primitive still guards the directory.
-        let blocked_by = op.record_lines.iter().find_map(|&l| {
-            if op.is_write() {
-                self.cl.lock_bufs[nb].blocks_write_excluding(l, token)
-            } else {
-                self.cl.lock_bufs[nb].blocks_read(l).filter(|&o| o != token)
-            }
+        // The retained hardware primitive still guards the directory, at
+        // record granularity.
+        let stall = self.cl.lock_stall(node, stall, |bufs| {
+            op.record_lines.iter().find_map(|&l| {
+                if op.is_write() {
+                    bufs.blocks_write_excluding(l, token)
+                } else {
+                    bufs.blocks_read(l).filter(|&o| o != token)
+                }
+            })
         });
-        if let Some(holder) = blocked_by {
+        if let Some(Stall { holder, .. }) = stall {
             if self.cl.tracer.is_enabled() {
                 self.trace(now, si, EventKind::LockStall { holder });
             }
-            let retry = self.cl.cfg.retry.lock_retry;
-            self.q.push_at(now + retry, Ev::LocalOp { si, att, op });
+            self.q.push_retry(Ev::LocalOp { si, att, op, stall });
             return;
         }
         let (mem_lat, _evicted) = self.cl.access_lines(node, core, &op.record_lines);
@@ -778,7 +810,7 @@ impl HadesHSim {
     }
 
     /// Remote path: identical to HADES (NIC hardware).
-    fn on_remote_req(&mut self, si: usize, att: u32, op: ResolvedOp) {
+    fn on_remote_req(&mut self, si: usize, att: u32, op: Box<ResolvedOp>, stall: Option<Stall>) {
         let now = self.q.now();
         if !self.alive(si, att) {
             return;
@@ -792,7 +824,7 @@ impl HadesHSim {
             // restarts and the NIC comes back. A forever-dead home drops
             // the request — the coordinator's fetch timeout cleans up.
             if let Some(r) = self.restart_at[nb] {
-                self.q.push_at(r, Ev::RemoteReq { si, att, op });
+                self.q.push_at(r, Ev::RemoteReq { si, att, op, stall });
             }
             return;
         }
@@ -802,21 +834,14 @@ impl HadesHSim {
             slot: self.slots[si].slot,
         };
         let token = owner_token(key.origin, key.slot);
-        let blocked_by = op
-            .read_lines
-            .iter()
-            .find_map(|&l| self.cl.lock_bufs[nb].blocks_read(l).filter(|&o| o != token))
-            .or_else(|| {
-                op.write_lines
-                    .iter()
-                    .find_map(|&l| self.cl.lock_bufs[nb].blocks_write_excluding(l, token))
-            });
-        if let Some(holder) = blocked_by {
+        let stall = self
+            .cl
+            .lock_stall(home, stall, |bufs| op.lock_blocker(bufs, token));
+        if let Some(Stall { holder, .. }) = stall {
             self.cl
                 .tracer
                 .emit(now, home.0, NO_SLOT, EventKind::LockStall { holder });
-            let retry = self.cl.cfg.retry.lock_retry;
-            self.q.push_at(now + retry, Ev::RemoteReq { si, att, op });
+            self.q.push_retry(Ev::RemoteReq { si, att, op, stall });
             return;
         }
         let bloom = self.cl.cfg.bloom;

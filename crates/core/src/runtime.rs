@@ -99,6 +99,20 @@ pub struct Issued {
     pub cost: Cycles,
 }
 
+/// An access denied by a Locking Buffer, remembered across its retries:
+/// the bank that denied it, that bank's
+/// [`generation`](LockingBuffers::generation) at the probe, and the
+/// blocking holder. See [`Cluster::lock_stall`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stall {
+    /// Node whose directory bank denied the access.
+    pub(crate) node: NodeId,
+    /// The bank's generation when it was probed.
+    pub(crate) generation: u64,
+    /// Owner token of the blocking holder.
+    pub(crate) holder: u64,
+}
+
 /// The physical cluster: memories, NICs, fabric, directory lock buffers and
 /// per-core occupancy.
 #[derive(Debug)]
@@ -660,6 +674,35 @@ impl Cluster {
         (total, evicted)
     }
 
+    /// Checks an access against `node`'s Locking Buffers (Fig 7).
+    /// `probe` is the engine's line × buffer check, returning the blocking
+    /// holder. `last` is the access's previous denial, if it is a retry:
+    /// when it names the same bank at an unchanged generation, the held
+    /// set is the same, so the same holder still blocks the access and
+    /// `probe` is skipped (debug builds run it anyway and compare).
+    pub(crate) fn lock_stall(
+        &self,
+        node: NodeId,
+        last: Option<Stall>,
+        probe: impl FnOnce(&LockingBuffers) -> Option<u64>,
+    ) -> Option<Stall> {
+        let bufs = &self.lock_bufs[node.0 as usize];
+        let generation = bufs.generation();
+        if let Some(last) = last.filter(|s| s.node == node && s.generation == generation) {
+            debug_assert_eq!(
+                probe(bufs),
+                Some(last.holder),
+                "{node}: unchanged Locking Buffers gave a different answer"
+            );
+            return Some(last);
+        }
+        probe(bufs).map(|holder| Stall {
+            node,
+            generation,
+            holder,
+        })
+    }
+
     /// NIC-side access to local lines (one-sided RDMA service at the home
     /// node). Same pipelining model as [`access_lines`](Self::access_lines).
     pub fn access_lines_nic(&mut self, node: NodeId, lines: &[u64]) -> (Cycles, Vec<SlotId>) {
@@ -1138,6 +1181,21 @@ impl ResolvedOp {
     /// Whether the record is homed at `node`.
     pub fn is_local_to(&self, node: NodeId) -> bool {
         self.home == node
+    }
+
+    /// The Locking-Buffer holder, other than `token`, that denies this
+    /// op's line-granularity access: its read lines are checked against
+    /// the buffered write signatures, then its written lines against the
+    /// buffered read and write signatures (Fig 7).
+    pub(crate) fn lock_blocker(&self, bufs: &LockingBuffers, token: u64) -> Option<u64> {
+        self.read_lines
+            .iter()
+            .find_map(|&l| bufs.blocks_read(l).filter(|&o| o != token))
+            .or_else(|| {
+                self.write_lines
+                    .iter()
+                    .find_map(|&l| bufs.blocks_write_excluding(l, token))
+            })
     }
 }
 

@@ -279,7 +279,10 @@ pub struct RetryParams {
     /// Backoff grows linearly with attempt count up to this cap.
     pub backoff_cap: Cycles,
     /// Delay before retrying an access stalled by a directory Locking
-    /// Buffer.
+    /// Buffer. It is one delay for the whole run: that is what lets the
+    /// engines keep stall re-arms on the event queue's FIFO retry lane
+    /// ([`EventQueue::with_retry_delay`](crate::engine::EventQueue::with_retry_delay))
+    /// in exact single-heap order.
     pub lock_retry: Cycles,
 }
 

@@ -5,10 +5,24 @@
 //! broken by insertion order, so a run is a pure function of the
 //! configuration and RNG seed. This stands in for the SST/DRAMSim2
 //! simulation stack the paper used (see DESIGN.md §2).
+//!
+//! # The retry lane
+//!
+//! Most events live in a binary heap keyed by `(time, sequence number)`.
+//! Events re-armed a fixed delay after *now* — the Locking-Buffer stall
+//! retries, the bulk of a contended run's events — skip the heap and go
+//! to a FIFO lane instead ([`EventQueue::push_retry`]). The delay is fixed
+//! when the queue is built, and *now* never decreases, so each lane entry
+//! is due no earlier than the one before it and carries a larger
+//! sequence number: the lane is sorted by `(time, sequence number)` by
+//! construction. [`EventQueue::pop`] takes the smaller of the heap top
+//! and the lane front under that key, and both draw sequence numbers
+//! from one counter, so the pop order is exactly that of a single heap
+//! holding every event.
 
 use crate::time::Cycles;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An event scheduled for a point in simulated time.
 #[derive(Debug)]
@@ -18,9 +32,16 @@ struct Entry<E> {
     payload: E,
 }
 
+impl<E> Entry<E> {
+    /// The total dispatch order: earliest time first, then insertion order.
+    fn key(&self) -> (Cycles, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -34,17 +55,16 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
 /// A time-ordered queue of simulation events with deterministic tie-breaking.
 ///
 /// `E` is the protocol-specific event payload; each protocol simulator
-/// defines its own event enum and drives its own queue.
+/// defines its own event enum and drives its own queue. Events re-armed
+/// a fixed delay after now can bypass the heap through the retry lane
+/// (see the [module docs](self) and [`push_retry`](Self::push_retry)).
 ///
 /// # Examples
 ///
@@ -63,6 +83,9 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Fixed-delay retries, in `(at, seq)` order by construction.
+    retries: VecDeque<Entry<E>>,
+    retry_delay: Cycles,
     seq: u64,
     now: Cycles,
     popped: u64,
@@ -75,10 +98,19 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
+    /// Creates an empty queue at time zero whose retry lane re-arms
+    /// events at now (no delay).
     pub fn new() -> Self {
+        Self::with_retry_delay(Cycles::ZERO)
+    }
+
+    /// Creates an empty queue at time zero whose
+    /// [`push_retry`](Self::push_retry) schedules events `delay` after now.
+    pub fn with_retry_delay(delay: Cycles) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            retries: VecDeque::new(),
+            retry_delay: delay,
             seq: 0,
             now: Cycles::ZERO,
             popped: 0,
@@ -120,10 +152,37 @@ impl<E> EventQueue<E> {
         self.push_at(self.now + delay, payload);
     }
 
+    /// Schedules `payload` at the queue's fixed retry delay after the
+    /// current simulated time, on the FIFO retry lane. Dispatch order is
+    /// the same as `push_after(delay, payload)`; only the host cost
+    /// differs (an O(1) append instead of a heap sift).
+    pub fn push_retry(&mut self, payload: E) {
+        let at = self.now + self.retry_delay;
+        debug_assert!(self.retries.back().map_or(true, |e| e.at <= at));
+        self.retries.push_back(Entry {
+            at,
+            seq: self.seq,
+            payload,
+        });
+        self.seq += 1;
+    }
+
+    /// Whether the next event to dispatch is the retry lane's front.
+    fn lane_first(&self) -> bool {
+        match (self.retries.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => r.key() < h.key(),
+            (r, _) => r.is_some(),
+        }
+    }
+
     /// Removes and returns the earliest event, advancing simulated time to
     /// its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        let e = self.heap.pop()?;
+        let e = if self.lane_first() {
+            self.retries.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
         debug_assert!(e.at >= self.now);
         self.now = e.at;
         self.popped += 1;
@@ -132,17 +191,21 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Cycles> {
-        self.heap.peek().map(|e| e.at)
+        if self.lane_first() {
+            self.retries.front().map(|e| e.at)
+        } else {
+            self.heap.peek().map(|e| e.at)
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events, retry lane included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.retries.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.retries.is_empty()
     }
 }
 
