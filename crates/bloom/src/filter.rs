@@ -1,7 +1,7 @@
 //! Conventional Bloom filters as used for HADES read sets and NIC-resident
 //! remote read/write sets (Modules 3 and 4a of Fig 5).
 
-use crate::hash::filter_indices;
+use crate::hash::{filter_indices, LineHash};
 use std::fmt;
 
 /// A fixed-size Bloom filter over 64-bit keys (cache-line addresses).
@@ -67,8 +67,9 @@ impl BloomFilter {
         self.bits / 8
     }
 
-    /// Inserts a key.
-    pub fn insert(&mut self, key: u64) {
+    /// Inserts a key (a line address, or a line already hashed once for
+    /// several filters).
+    pub fn insert(&mut self, key: impl Into<LineHash>) {
         for i in filter_indices(key, self.hashes, self.bits) {
             self.words[i / 64] |= 1 << (i % 64);
         }
@@ -77,7 +78,7 @@ impl BloomFilter {
 
     /// Tests membership. May return a false positive; never a false
     /// negative.
-    pub fn contains(&self, key: u64) -> bool {
+    pub fn contains(&self, key: impl Into<LineHash>) -> bool {
         filter_indices(key, self.hashes, self.bits)
             .all(|i| self.words[i / 64] & (1 << (i % 64)) != 0)
     }

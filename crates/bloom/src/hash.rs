@@ -6,12 +6,37 @@
 //! polynomial) and CRC-64 (ECMA polynomial) from scratch and combine them
 //! with the standard Kirsch–Mitzenmacher double-hashing scheme to derive any
 //! number of filter indices from one 64-bit key.
+//!
+//! # One hash per line
+//!
+//! HADES hashes an address once, in a pipelined CRC unit, and probes every
+//! Locking Buffer in parallel with the LLC tag check (Table III, Fig 7).
+//! [`LineHash`] is that unit's output: both CRCs of one line, computed
+//! once and then handed to every filter the line is probed against. Every
+//! filter method takes `impl Into<LineHash>`, so a plain `u64` line still
+//! works and is hashed on the spot.
+//!
+//! # Slice-by-8
+//!
+//! A key is always exactly eight bytes, so [`Crc32::hash_u64`] and
+//! [`Crc64::hash_u64`] fold all eight at once with slice-by-8 tables
+//! instead of running the byte-serial loop of [`Crc32::checksum`]. The
+//! result is bit-identical. A reflected CRC is linear over GF(2): the
+//! register after a message is the XOR of each byte's contribution, and a
+//! byte's contribution is its table entry carried through the zero bytes
+//! that follow it. Table `k` holds exactly that: entry `i` is the register
+//! after byte `i` followed by `k` zero bytes (`T_k[i] = T_{k-1}[i] >> 8 ^
+//! T_0[T_{k-1}[i] & 0xFF]`, the byte-serial step with a zero input byte).
+//! Key byte `j` (little-endian, XORed with the initial register where the
+//! register covers it) is followed by `7 - j` bytes, so the CRC is the XOR
+//! of `T_{7-j}[byte_j]` over the eight bytes. The tables are derived at
+//! compile time from the byte-serial tables by `const fn`.
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc32 {
-    table: [u32; 256],
-}
+///
+/// A zero-sized handle over static tables; constructing one is free.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Crc32;
 
 const fn build_crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -33,40 +58,62 @@ const fn build_crc32_table() -> [u32; 256] {
     table
 }
 
-static CRC32_TABLE: [u32; 256] = build_crc32_table();
+const fn build_crc32_slices(base: [u32; 256]) -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    t[0] = base;
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ base[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Slice-by-8 tables; slice 0 is the byte-serial table.
+static CRC32_SLICES: [[u32; 256]; 8] = build_crc32_slices(build_crc32_table());
 
 impl Crc32 {
     /// Creates a CRC-32 hasher.
     pub fn new() -> Self {
-        Crc32 { table: CRC32_TABLE }
+        Crc32
     }
 
-    /// CRC-32 checksum of a byte slice.
+    /// CRC-32 checksum of a byte slice (byte-serial).
     pub fn checksum(&self, data: &[u8]) -> u32 {
         let mut c = 0xFFFF_FFFFu32;
         for &b in data {
-            c = self.table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            c = CRC32_SLICES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         c ^ 0xFFFF_FFFF
     }
 
-    /// CRC-32 of a 64-bit key (little-endian bytes).
+    /// CRC-32 of a 64-bit key (little-endian bytes), slice-by-8. Equal to
+    /// `checksum(&key.to_le_bytes())`.
     pub fn hash_u64(&self, key: u64) -> u32 {
-        self.checksum(&key.to_le_bytes())
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
+        let b = (key ^ 0xFFFF_FFFF).to_le_bytes();
+        let t = &CRC32_SLICES;
+        let c = t[7][b[0] as usize]
+            ^ t[6][b[1] as usize]
+            ^ t[5][b[2] as usize]
+            ^ t[4][b[3] as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+        c ^ 0xFFFF_FFFF
     }
 }
 
 /// CRC-64 (ECMA-182, reflected polynomial `0xC96C5795D7870F42`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc64 {
-    table: [u64; 256],
-}
+///
+/// A zero-sized handle over static tables; constructing one is free.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Crc64;
 
 const fn build_crc64_table() -> [u64; 256] {
     let mut table = [0u64; 256];
@@ -88,37 +135,109 @@ const fn build_crc64_table() -> [u64; 256] {
     table
 }
 
-static CRC64_TABLE: [u64; 256] = build_crc64_table();
+const fn build_crc64_slices(base: [u64; 256]) -> [[u64; 256]; 8] {
+    let mut t = [[0u64; 256]; 8];
+    t[0] = base;
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ base[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Slice-by-8 tables; slice 0 is the byte-serial table.
+static CRC64_SLICES: [[u64; 256]; 8] = build_crc64_slices(build_crc64_table());
 
 impl Crc64 {
     /// Creates a CRC-64 hasher.
     pub fn new() -> Self {
-        Crc64 { table: CRC64_TABLE }
+        Crc64
     }
 
-    /// CRC-64 checksum of a byte slice.
+    /// CRC-64 checksum of a byte slice (byte-serial).
     pub fn checksum(&self, data: &[u8]) -> u64 {
         let mut c = 0xFFFF_FFFF_FFFF_FFFFu64;
         for &b in data {
-            c = self.table[((c ^ b as u64) & 0xFF) as usize] ^ (c >> 8);
+            c = CRC64_SLICES[0][((c ^ b as u64) & 0xFF) as usize] ^ (c >> 8);
         }
         c ^ 0xFFFF_FFFF_FFFF_FFFF
     }
 
-    /// CRC-64 of a 64-bit key (little-endian bytes).
+    /// CRC-64 of a 64-bit key (little-endian bytes), slice-by-8. Equal to
+    /// `checksum(&key.to_le_bytes())`.
     pub fn hash_u64(&self, key: u64) -> u64 {
-        self.checksum(&key.to_le_bytes())
+        let b = (!key).to_le_bytes();
+        let t = &CRC64_SLICES;
+        let c = t[7][b[0] as usize]
+            ^ t[6][b[1] as usize]
+            ^ t[5][b[2] as usize]
+            ^ t[4][b[3] as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+        !c
     }
 }
 
-impl Default for Crc64 {
-    fn default() -> Self {
-        Self::new()
+/// A cache-line address with both of its CRCs: what the hardware's CRC
+/// unit hands to every filter the line is probed against. The fields are
+/// private so the CRCs always belong to the line.
+///
+/// # Examples
+///
+/// ```
+/// use hades_bloom::{BloomFilter, LineHash};
+///
+/// let h = LineHash::new(0x40);
+/// assert_eq!(h.line(), 0x40);
+/// assert_eq!(LineHash::from(0x40), h);
+/// // Hash once, probe many filters; a raw line gives the same answers.
+/// let mut a = BloomFilter::new(1024, 2);
+/// let b = BloomFilter::new(512, 1);
+/// a.insert(h);
+/// assert!(a.contains(h) && a.contains(0x40));
+/// assert_eq!(b.contains(h), b.contains(0x40));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineHash {
+    line: u64,
+    /// CRC-32 of the line's little-endian bytes.
+    h1: u32,
+    /// CRC-64 of the line's little-endian bytes.
+    h2: u64,
+}
+
+impl LineHash {
+    /// Hashes `line`.
+    pub fn new(line: u64) -> Self {
+        LineHash {
+            line,
+            h1: Crc32.hash_u64(line),
+            h2: Crc64.hash_u64(line),
+        }
+    }
+
+    /// The line address.
+    pub fn line(self) -> u64 {
+        self.line
     }
 }
 
-/// Derives `k` Bloom-filter bit indices in `0..m` for a 64-bit key using
-/// CRC-based double hashing (index_i = h1 + i·h2 mod m).
+impl From<u64> for LineHash {
+    fn from(line: u64) -> Self {
+        LineHash::new(line)
+    }
+}
+
+/// Derives `k` Bloom-filter bit indices in `0..m` for a key using
+/// CRC-based double hashing (index_i = h1 + i·h2 mod m, with h2 forced odd).
 ///
 /// # Panics
 ///
@@ -136,11 +255,12 @@ impl Default for Crc64 {
 /// let again: Vec<usize> = filter_indices(0xDEAD_BEEF, 2, 1024).collect();
 /// assert_eq!(idx, again);
 /// ```
-pub fn filter_indices(key: u64, k: u32, m: usize) -> impl Iterator<Item = usize> {
+pub fn filter_indices(key: impl Into<LineHash>, k: u32, m: usize) -> impl Iterator<Item = usize> {
     assert!(m > 0, "filter size must be nonzero");
-    let h1 = Crc32::new().hash_u64(key) as u64;
+    let h = key.into();
+    let h1 = u64::from(h.h1);
     // Force h2 odd so the probe sequence cycles through distinct residues.
-    let h2 = Crc64::new().hash_u64(key) | 1;
+    let h2 = h.h2 | 1;
     (0..k as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m as u64) as usize)
 }
 
@@ -167,6 +287,12 @@ mod tests {
     }
 
     #[test]
+    fn hashers_are_zero_sized() {
+        assert_eq!(std::mem::size_of::<Crc32>(), 0);
+        assert_eq!(std::mem::size_of::<Crc64>(), 0);
+    }
+
+    #[test]
     fn hash_u64_differs_across_keys() {
         let c = Crc32::new();
         let distinct: HashSet<u32> = (0..1000u64).map(|k| c.hash_u64(k)).collect();
@@ -177,7 +303,7 @@ mod tests {
     fn filter_indices_in_range_and_deterministic() {
         for key in [0u64, 1, 42, u64::MAX] {
             let a: Vec<usize> = filter_indices(key, 4, 512).collect();
-            let b: Vec<usize> = filter_indices(key, 4, 512).collect();
+            let b: Vec<usize> = filter_indices(LineHash::new(key), 4, 512).collect();
             assert_eq!(a, b);
             assert!(a.iter().all(|&i| i < 512));
         }

@@ -2,8 +2,10 @@
 //!
 //! The Bloom-filter machinery of the HADES (ISCA 2024) reproduction:
 //!
-//! * [`hash`] — from-scratch CRC-32/CRC-64 and double-hashed filter
-//!   indexing (the paper hashes addresses with CRC hardware, Table III).
+//! * [`hash`] — from-scratch CRC-32/CRC-64 (slice-by-8 for line keys),
+//!   [`LineHash`] (a line hashed once for every filter it is probed
+//!   against, like the hardware's single pipelined CRC unit) and
+//!   double-hashed filter indexing (Table III).
 //! * [`filter::BloomFilter`] — conventional filters used for core-side read
 //!   sets and the NIC-resident remote read/write sets (Modules 3 / 4a of
 //!   Fig 5).
@@ -40,5 +42,6 @@ pub mod locking;
 pub mod write_filter;
 
 pub use filter::BloomFilter;
+pub use hash::LineHash;
 pub use locking::{LockFailure, LockingBuffers, Signature};
 pub use write_filter::DualWriteFilter;

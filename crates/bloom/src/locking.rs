@@ -14,6 +14,7 @@
 //! to those lines for the duration (Table I, row 3).
 
 use crate::filter::BloomFilter;
+use crate::hash::LineHash;
 use crate::write_filter::DualWriteFilter;
 use hades_sim::time::Cycles;
 use hades_telemetry::event::{EventKind, NO_SLOT};
@@ -35,10 +36,11 @@ pub enum Signature {
 
 impl Signature {
     /// Tests line membership in the signature.
-    pub fn contains(&self, line: u64) -> bool {
+    pub fn contains(&self, line: impl Into<LineHash>) -> bool {
+        let h = line.into();
         match self {
-            Signature::Conventional(bf) => bf.contains(line),
-            Signature::Dual(wf) => wf.contains(line),
+            Signature::Conventional(bf) => bf.contains(h),
+            Signature::Dual(wf) => wf.contains(h),
         }
     }
 
@@ -186,7 +188,8 @@ impl LockingBuffers {
     /// line lists (from `WrTX_ID` tags or the Intend-to-commit message);
     /// they are checked for membership against every holder's signatures —
     /// writes against read∪write, reads against write — exactly the check
-    /// of Section V-B.
+    /// of Section V-B. Each line is hashed once for the whole bank, and
+    /// the reported holder is the first conflicting one in bank order.
     ///
     /// # Errors
     ///
@@ -205,13 +208,17 @@ impl LockingBuffers {
             !self.holds(owner),
             "owner {owner:#x} already holds a buffer"
         );
-        for e in &self.entries {
-            let conflict = write_lines
-                .iter()
-                .any(|&l| e.read.contains(l) || e.write.contains(l))
-                || read_lines.iter().any(|&l| e.write.contains(l));
-            if conflict {
-                return Err(LockFailure::Conflict(e.owner));
+        if !self.entries.is_empty() {
+            let writes: Vec<LineHash> = write_lines.iter().map(|&l| l.into()).collect();
+            let reads: Vec<LineHash> = read_lines.iter().map(|&l| l.into()).collect();
+            for e in &self.entries {
+                let conflict = writes
+                    .iter()
+                    .any(|&h| e.read.contains(h) || e.write.contains(h))
+                    || reads.iter().any(|&h| e.write.contains(h));
+                if conflict {
+                    return Err(LockFailure::Conflict(e.owner));
+                }
             }
         }
         if self.entries.len() >= self.capacity {
@@ -257,33 +264,44 @@ impl LockingBuffers {
         }
     }
 
-    /// If a read of `line` would be denied, returns the blocking owner.
-    /// Reads are only blocked by buffered *write* signatures.
-    pub fn blocks_read(&self, line: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| e.write.contains(line))
-            .map(|e| e.owner)
+    /// If a read of `line` would be denied, returns the first blocking
+    /// owner in bank order. Reads are only blocked by buffered *write*
+    /// signatures. The line is hashed once, and not at all when the bank
+    /// is empty.
+    pub fn blocks_read(&self, line: impl Into<LineHash>) -> Option<u64> {
+        Self::first_blocker(self.entries.iter(), line, |e, h| e.write.contains(h))
     }
 
-    /// If a write of `line` would be denied, returns the blocking owner.
-    /// Writes are blocked by buffered *read or write* signatures.
-    pub fn blocks_write(&self, line: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| e.read.contains(line) || e.write.contains(line))
-            .map(|e| e.owner)
+    /// If a write of `line` would be denied, returns the first blocking
+    /// owner in bank order. Writes are blocked by buffered *read or write*
+    /// signatures.
+    pub fn blocks_write(&self, line: impl Into<LineHash>) -> Option<u64> {
+        Self::first_blocker(self.entries.iter(), line, |e, h| {
+            e.read.contains(h) || e.write.contains(h)
+        })
     }
 
     /// Like [`blocks_write`](Self::blocks_write), but ignores the buffer
     /// held by `owner` itself (a committing transaction's own accesses must
     /// not self-block).
-    pub fn blocks_write_excluding(&self, line: u64, owner: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .filter(|e| e.owner != owner)
-            .find(|e| e.read.contains(line) || e.write.contains(line))
-            .map(|e| e.owner)
+    pub fn blocks_write_excluding(&self, line: impl Into<LineHash>, owner: u64) -> Option<u64> {
+        let others = self.entries.iter().filter(|e| e.owner != owner);
+        Self::first_blocker(others, line, |e, h| {
+            e.read.contains(h) || e.write.contains(h)
+        })
+    }
+
+    /// The owner of the first of `entries` that `denies` the line, which
+    /// is hashed only if there is an entry to probe.
+    fn first_blocker<'a>(
+        entries: impl Iterator<Item = &'a LockEntry>,
+        line: impl Into<LineHash>,
+        denies: impl Fn(&LockEntry, LineHash) -> bool,
+    ) -> Option<u64> {
+        let mut entries = entries.peekable();
+        entries.peek()?;
+        let h = line.into();
+        entries.find(|e| denies(e, h)).map(|e| e.owner)
     }
 
     /// Owner tokens of every occupied buffer, sorted. Used by the

@@ -16,6 +16,7 @@
 //! cycles total (Table III, "Find LLC Tags").
 
 use crate::filter::BloomFilter;
+use crate::hash::LineHash;
 use std::fmt;
 
 /// Dual-section write filter (WrBF1 + WrBF2, Fig 8).
@@ -82,17 +83,19 @@ impl DualWriteFilter {
     }
 
     /// Inserts a line address into both sections.
-    pub fn insert(&mut self, line: u64) {
-        self.bf1.insert(line);
-        let i = self.bf2_index(line);
+    pub fn insert(&mut self, line: impl Into<LineHash>) {
+        let h = line.into();
+        self.bf1.insert(h);
+        let i = self.bf2_index(h.line());
         self.bf2[i / 64] |= 1 << (i % 64);
         self.inserted += 1;
     }
 
     /// Tests membership: the line must hit in WrBF1 *and* WrBF2.
-    pub fn contains(&self, line: u64) -> bool {
-        let i = self.bf2_index(line);
-        self.bf2[i / 64] & (1 << (i % 64)) != 0 && self.bf1.contains(line)
+    pub fn contains(&self, line: impl Into<LineHash>) -> bool {
+        let h = line.into();
+        let i = self.bf2_index(h.line());
+        self.bf2[i / 64] & (1 << (i % 64)) != 0 && self.bf1.contains(h)
     }
 
     /// Whether no insert has occurred since the last clear.

@@ -20,7 +20,7 @@ use crate::runtime::{
     ResolvedTxn, RunOutcome, Stall, WorkloadSet,
 };
 use crate::stats::{Phase, SquashReason};
-use hades_bloom::{BloomFilter, DualWriteFilter, LockFailure, Signature};
+use hades_bloom::{BloomFilter, DualWriteFilter, LineHash, LockFailure, Signature};
 use hades_fault::InjectedFault;
 use hades_net::fabric::wire_size;
 use hades_net::nic::RemoteTxKey;
@@ -990,7 +990,9 @@ impl HadesSim {
             }
         }
         // Writes additionally probe the other local transactions' read
-        // filters.
+        // filters. Each written line is hashed once, for those probes and
+        // for our own write filter below.
+        let write_hashes: Vec<LineHash> = op.write_lines.iter().map(|&l| l.into()).collect();
         if op.is_write() {
             let spn = self.cl.cfg.shape.slots_per_node();
             for other in 0..spn {
@@ -999,10 +1001,9 @@ impl HadesSim {
                     continue;
                 }
                 self.local_probes += 1;
-                let hit = op
-                    .write_lines
+                let hit = write_hashes
                     .iter()
-                    .any(|&l| self.slots[osi].read_bf.contains(l));
+                    .any(|&h| self.slots[osi].read_bf.contains(h));
                 if hit {
                     let real = op
                         .write_lines
@@ -1032,7 +1033,7 @@ impl HadesSim {
             self.slots[si].exact_reads.insert(line);
             self.slots[si].recorded.insert(line);
         }
-        for &line in &op.write_lines {
+        for (&line, &h) in op.write_lines.iter().zip(&write_hashes) {
             if self.slots[si].exact_writes.contains(&line) {
                 cost += self.cl.cfg.mem.l1_rt;
                 continue;
@@ -1040,7 +1041,7 @@ impl HadesSim {
             let evs = self.cl.mems[nb].tag_write(line, me);
             victims.extend(evs);
             cost += self.cl.cfg.mem.llc_rt + bloom.bf_op + bloom.crc;
-            self.slots[si].write_bf.insert(line);
+            self.slots[si].write_bf.insert(h);
             self.slots[si].exact_writes.insert(line);
             self.slots[si].recorded.insert(line);
         }
@@ -1562,14 +1563,15 @@ impl HadesSim {
         }
         let spn = self.cl.cfg.shape.slots_per_node();
         let mut local_victims: Vec<usize> = Vec::new();
+        let write_hashes: Vec<LineHash> = write_lines.iter().map(|&l| l.into()).collect();
         for other in 0..spn {
             let osi = nb * spn + other;
             if self.slots[osi].txn.is_none() || self.slots[osi].unsquashable {
                 continue;
             }
             self.local_probes += 1;
-            let hit = write_lines.iter().any(|&l| {
-                self.slots[osi].read_bf.contains(l) || self.slots[osi].write_bf.contains(l)
+            let hit = write_hashes.iter().any(|&h| {
+                self.slots[osi].read_bf.contains(h) || self.slots[osi].write_bf.contains(h)
             });
             if hit {
                 let real = write_lines.iter().any(|&l| {

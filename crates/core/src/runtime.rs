@@ -1186,7 +1186,10 @@ impl ResolvedOp {
     /// The Locking-Buffer holder, other than `token`, that denies this
     /// op's line-granularity access: its read lines are checked against
     /// the buffered write signatures, then its written lines against the
-    /// buffered read and write signatures (Fig 7).
+    /// buffered read and write signatures (Fig 7). Each line is hashed
+    /// once for the whole bank. The first holder found for a read line is
+    /// the answer for that line, so `token`'s own buffer masks the holders
+    /// behind it.
     pub(crate) fn lock_blocker(&self, bufs: &LockingBuffers, token: u64) -> Option<u64> {
         self.read_lines
             .iter()
@@ -1296,8 +1299,7 @@ pub fn resolve(db: &Database, spec: &TxnSpec, app: usize) -> ResolvedTxn {
 pub fn apply_write(db: &mut Database, op: &ResolvedOp) {
     match op.kind {
         OpKind::Update { off, len } => {
-            let pattern = vec![0xABu8; len as usize];
-            db.record_mut(op.rid).write(off as usize, &pattern);
+            db.record_mut(op.rid).fill(off as usize, len as usize, 0xAB);
             db.note_commit(op.rid, 0);
         }
         OpKind::Rmw { off, delta } => {
@@ -1576,6 +1578,21 @@ mod tests {
         apply_write(&mut db, &op);
         apply_write(&mut db, &op);
         assert_eq!(db.record(op.rid).read_u64(0), 84);
+        let spec = TxnSpec::new(
+            "t",
+            vec![vec![OpSpec {
+                table: t,
+                key: 5,
+                kind: OpKind::Update { off: 10, len: 20 },
+            }]],
+        );
+        let op = resolve(&db, &spec, 0).ops().next().unwrap().clone();
+        apply_write(&mut db, &op);
+        let rec = db.record(op.rid);
+        assert_eq!(rec.read_u64(0), 84);
+        assert_eq!(rec.read(8, 2), &[0, 0]);
+        assert!(rec.read(10, 20).iter().all(|&b| b == 0xAB));
+        assert_eq!(rec.read(30, 2), &[0, 0]);
     }
 
     #[test]

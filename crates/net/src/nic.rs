@@ -10,7 +10,7 @@
 //! can *classify* each detected conflict as real or false — the
 //! Section VIII-C false-positive-conflict measurement.
 
-use hades_bloom::BloomFilter;
+use hades_bloom::{BloomFilter, LineHash};
 use hades_sim::config::BloomParams;
 use hades_sim::ids::{NodeId, SlotId};
 use hades_sim::time::Cycles;
@@ -174,6 +174,7 @@ impl Nic {
     /// remote transaction's read *and* write filters (lazy L–R / R–R
     /// detection, Table II commit steps). `exclude` skips the committing
     /// transaction's own filters when it is itself remote to this node.
+    /// Each line is hashed once for all the filters it is probed against.
     pub fn probe_writes_against(
         &mut self,
         now: Cycles,
@@ -182,15 +183,16 @@ impl Nic {
     ) -> Vec<NicConflict> {
         let mut out = Vec::new();
         let mut probed = 0u64;
+        let hashes = self.hash_for_probe(lines, exclude);
         for (&key, f) in &self.remote {
             if Some(key) == exclude {
                 continue;
             }
             self.probes += 1;
             probed += 1;
-            let bf_hit = lines
+            let bf_hit = hashes
                 .iter()
-                .any(|&l| f.read_bf.contains(l) || f.write_bf.contains(l));
+                .any(|&h| f.read_bf.contains(h) || f.write_bf.contains(h));
             if bf_hit {
                 self.bf_hits += 1;
                 let real = lines
@@ -212,7 +214,8 @@ impl Nic {
 
     /// Checks a committing transaction's *read* lines against every remote
     /// transaction's write filters (a read–write conflict with a remote
-    /// writer).
+    /// writer). Each line is hashed once for all the filters it is probed
+    /// against.
     pub fn probe_reads_against(
         &mut self,
         now: Cycles,
@@ -221,13 +224,14 @@ impl Nic {
     ) -> Vec<NicConflict> {
         let mut out = Vec::new();
         let mut probed = 0u64;
+        let hashes = self.hash_for_probe(lines, exclude);
         for (&key, f) in &self.remote {
             if Some(key) == exclude {
                 continue;
             }
             self.probes += 1;
             probed += 1;
-            let bf_hit = lines.iter().any(|&l| f.write_bf.contains(l));
+            let bf_hit = hashes.iter().any(|&h| f.write_bf.contains(h));
             if bf_hit {
                 self.bf_hits += 1;
                 let real = lines.iter().any(|&l| f.write_exact.contains(&l));
@@ -243,6 +247,15 @@ impl Nic {
         out.sort_by_key(|c| c.with);
         self.trace_probes(now, probed, &out);
         out
+    }
+
+    /// `lines` hashed once for a probe, or nothing when no remote
+    /// transaction other than `exclude` has filters to probe.
+    fn hash_for_probe(&self, lines: &[u64], exclude: Option<RemoteTxKey>) -> Vec<LineHash> {
+        if self.remote.keys().all(|&k| Some(k) == exclude) {
+            return Vec::new();
+        }
+        lines.iter().map(|&l| l.into()).collect()
     }
 
     /// Emits one `BloomProbe` event per remote transaction probed (hits

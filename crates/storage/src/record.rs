@@ -191,6 +191,15 @@ impl Record {
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
+    /// Sets `len` bytes at `off` to `byte`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the value.
+    pub fn fill(&mut self, off: usize, len: usize, byte: u8) {
+        self.data[off..off + len].fill(byte);
+    }
+
     /// Reads a little-endian `u64` field at byte offset `off`.
     pub fn read_u64(&self, off: usize) -> u64 {
         let mut b = [0u8; 8];
@@ -289,6 +298,8 @@ mod tests {
         assert_eq!(r.read_u64(8), 0xDEAD);
         assert_eq!(r.add_u64(8, -0xAD), 0xDE00);
         assert_eq!(r.add_u64(8, 1), 0xDE01);
+        r.fill(20, 4, 0xAB);
+        assert_eq!(r.read(19, 6), &[0, 0xAB, 0xAB, 0xAB, 0xAB, 0]);
     }
 
     #[test]
