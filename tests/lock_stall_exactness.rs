@@ -1,22 +1,34 @@
-//! Exactness guard for the Locking-Buffer stall path.
+//! Exactness guard for the engines' simulated behaviour.
 //!
 //! A stalled access re-arms on the event queue's retry lane and skips its
 //! Bloom re-probe while the bank's generation is unchanged. Both are host
 //! shortcuts: they must not move a single simulated event. This test
 //! replays the run the `trace` bin makes for `--app HT-wA` (the quick
 //! experiment on YCSB-A over the hash table, θ 0.99, where stalls dominate)
-//! on the two engines with Locking Buffers, and compares it with digests
-//! recorded from the reference implementation: one heap, every retry
-//! re-probed, stall events carrying the op by value (commit e04b8b0).
+//! and compares it with digests recorded from a reference implementation.
+//!
+//! The first two rows pin the two engines with Locking Buffers on the
+//! fault-free run, recorded from the reference stall path: one heap, every
+//! retry re-probed, stall events carrying the op by value (commit e04b8b0).
+//! The other rows pin every engine under the plumbing the engines share:
+//! message loss, a crash with restart, a permanent crash (both under the
+//! membership layer), a live shard migration and the aggressive overload
+//! profile. Most use a shorter measurement window ([`quick_window`]); all
+//! were recorded at commit dadde3c, before the engines shared one driver.
 //!
 //! If a change to the simulation moves these numbers on purpose, re-record
 //! them and say so; a host-only change must leave them alone.
 
-use hades::core::runner::{run_single_traced, Experiment, Protocol};
+use hades::core::runner::{run_single_planned_traced, run_single_traced, Experiment, Protocol};
+use hades::fault::FaultPlan;
+use hades::sim::config::{MembershipParams, MigrationParams, OverloadParams};
+use hades::sim::time::Cycles;
 use hades::telemetry::event::EventKind;
 use hades::telemetry::jsonl::event_json;
 use hades::telemetry::sink::Tracer;
 use hades::workloads::catalog::AppId;
+use Protocol::{Baseline, Hades, HadesH};
+use Scenario::*;
 
 /// 64-bit FNV-1a, continued from `h`.
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
@@ -27,9 +39,45 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Commits measured by the short rows (after a 50-commit warmup).
+const SHORT_MEASURE: u64 = 150;
+
+/// Whether a row keeps the quick window (100 + 500 commits). The plain
+/// rows replay `trace`; the migration rows need the longer run to reach
+/// the cutover. HADES's migration row does not: at dadde3c a HADES run
+/// that reaches this cutover livelocks (a Locking-Buffer token stays in
+/// the source bank while its release routes to the new primary), so it
+/// pins the announce, copy and dual-routing phases only.
+fn quick_window(protocol: Protocol, scenario: Scenario) -> bool {
+    match scenario {
+        Plain => true,
+        Migration => protocol != Hades,
+        _ => false,
+    }
+}
+
+/// The condition a row runs under.
+#[derive(Debug, Clone, Copy)]
+enum Scenario {
+    /// `Experiment::quick()` with no fault plan: what `trace` runs.
+    Plain,
+    /// 5% loss on the loss-eligible verbs.
+    Loss,
+    /// Node 1 crashes at 20 µs and restarts at 60 µs, before the failure
+    /// detector declares it dead; membership on.
+    CrashRestart,
+    /// Node 1 crashes for good at 20 µs; membership on.
+    CrashForever,
+    /// The standard live move of partition 0 to node 1.
+    Migration,
+    /// The aggressive overload profile.
+    Overload,
+}
+
 /// What one traced run must reproduce.
 struct Expected {
     protocol: Protocol,
+    scenario: Scenario,
     lock_stalls: usize,
     /// FNV-1a of the JSONL event stream (`trace --jsonl` bytes).
     jsonl: u64,
@@ -37,42 +85,103 @@ struct Expected {
     stats: u64,
 }
 
-// Recorded at commit e04b8b0.
-const EXPECTED: [Expected; 2] = [
+const fn row(
+    protocol: Protocol,
+    scenario: Scenario,
+    lock_stalls: usize,
+    jsonl: u64,
+    stats: u64,
+) -> Expected {
     Expected {
-        protocol: Protocol::HadesH,
-        lock_stalls: 116_821,
-        jsonl: 0x11e0_2520_8a8f_8a00,
-        stats: 0x643a_1328_898f_9445,
-    },
-    Expected {
-        protocol: Protocol::Hades,
-        lock_stalls: 55_638,
-        jsonl: 0x6e3a_b9c8_15cf_e900,
-        stats: 0xd461_4b43_f9c7_d025,
-    },
+        protocol,
+        scenario,
+        lock_stalls,
+        jsonl,
+        stats,
+    }
+}
+
+#[rustfmt::skip]
+const EXPECTED: [Expected; 18] = [
+    // Recorded at commit e04b8b0.
+    row(HadesH, Plain, 116_821, 0x11e0_2520_8a8f_8a00, 0x643a_1328_898f_9445),
+    row(Hades, Plain, 55_638, 0x6e3a_b9c8_15cf_e900, 0xd461_4b43_f9c7_d025),
+    // Recorded at commit dadde3c.
+    row(Baseline, Plain, 0, 0x24e5_0b8f_593c_b5dc, 0x71c0_b7da_c41d_23cf),
+    row(Baseline, Loss, 0, 0x24c3_14ba_0455_1d36, 0xe3a3_d806_cc25_6327),
+    row(HadesH, Loss, 104_780, 0xe0aa_8892_0da8_b6be, 0xf733_4995_dfbd_990f),
+    row(Hades, Loss, 133_175, 0x3e60_f0da_e373_613b, 0x35e1_8e8c_e2e3_9d84),
+    row(Baseline, CrashRestart, 0, 0xbd28_76f7_637d_74e8, 0xa75a_4c92_70cb_9269),
+    row(HadesH, CrashRestart, 23_863, 0xb8cb_5bd1_ad47_6e10, 0x35f6_a4ac_ee00_b4a2),
+    row(Hades, CrashRestart, 25_019, 0xb8f1_e6e8_5911_c851, 0x7e3c_bb08_9caa_9132),
+    row(Baseline, CrashForever, 0, 0x093b_3ac6_a138_1735, 0x33f1_0245_41ec_c605),
+    row(HadesH, CrashForever, 26_257, 0x9a13_f2e7_aa84_47d0, 0xa6e6_1a90_4b81_f0b4),
+    row(Hades, CrashForever, 27_314, 0xcbc5_f214_03ec_d2fe, 0xb68a_1d2d_7819_6d89),
+    row(Baseline, Migration, 0, 0xaebe_5f32_24b5_8e21, 0x38cc_dc1e_33b4_9606),
+    row(HadesH, Migration, 79_250, 0x6162_a596_4213_d133, 0xa14d_ab96_4650_844b),
+    row(Hades, Migration, 6_483, 0xa4b9_a4c9_2c2c_d6ab, 0x2fed_efb6_431f_f5c5),
+    row(Baseline, Overload, 0, 0xfa26_1095_1157_a59c, 0x0980_1eb0_3e4e_f644),
+    row(HadesH, Overload, 6_535, 0x58c0_23e9_c97b_2404, 0x6e2a_11d3_b6e3_8c70),
+    row(Hades, Overload, 5_988, 0x5e75_7226_6824_5a84, 0x2f5f_bdd2_4055_2b54),
 ];
+
+/// Runs one row's configuration on HT-wA with a memory trace sink and
+/// returns the `lock_stall` count and the two digests.
+fn digests(protocol: Protocol, scenario: Scenario) -> (usize, u64, u64) {
+    let app = AppId::parse("HT-wA").unwrap();
+    let mut ex = Experiment::quick();
+    let mut plan = FaultPlan::none();
+    if !quick_window(protocol, scenario) {
+        ex.warmup = 50;
+        ex.measure = SHORT_MEASURE;
+    }
+    match scenario {
+        Plain => {}
+        Loss => plan = FaultPlan::from_loss(0.05, 9),
+        CrashRestart => {
+            let (at, back) = (Cycles::from_micros(20), Cycles::from_micros(60));
+            plan = plan.crash(1, at, back);
+            ex.cfg = ex.cfg.with_membership(MembershipParams::standard());
+        }
+        CrashForever => {
+            plan = plan.crash_forever(1, Cycles::from_micros(20));
+            ex.cfg = ex.cfg.with_membership(MembershipParams::standard());
+        }
+        Migration => {
+            ex.cfg = ex
+                .cfg
+                .with_migration(MigrationParams::standard(vec![(0, 1)]))
+        }
+        Overload => ex.cfg = ex.cfg.with_overload(OverloadParams::aggressive()),
+    }
+    let (tracer, sink) = Tracer::memory();
+    let outcome = match scenario {
+        Plain => run_single_traced(protocol, app, &ex, tracer),
+        _ => run_single_planned_traced(protocol, app, &ex, plan, tracer),
+    };
+    let events = sink.borrow_mut().take_events();
+    let lock_stalls = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::LockStall { .. }))
+        .count();
+    // Stream the JSONL rendering rather than materialise it.
+    let jsonl = events.iter().fold(FNV_OFFSET, |h, ev| {
+        fnv1a(fnv1a(h, event_json(ev).render().as_bytes()), b"\n")
+    });
+    let stats = fnv1a(FNV_OFFSET, outcome.stats.to_json().render().as_bytes());
+    (lock_stalls, jsonl, stats)
+}
 
 #[test]
 fn stall_path_reproduces_the_reference_trace_and_stats() {
-    let app = AppId::parse("HT-wA").unwrap();
-    let ex = Experiment::quick();
-    for want in EXPECTED {
-        let (tracer, sink) = Tracer::memory();
-        let outcome = run_single_traced(want.protocol, app, &ex, tracer);
-        let events = sink.borrow_mut().take_events();
-        let lock_stalls = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::LockStall { .. }))
-            .count();
-        // Stream the JSONL rendering rather than materialise it.
-        let jsonl = events.iter().fold(FNV_OFFSET, |h, ev| {
-            fnv1a(fnv1a(h, event_json(ev).render().as_bytes()), b"\n")
-        });
-        let stats = fnv1a(FNV_OFFSET, outcome.stats.to_json().render().as_bytes());
-        let p = want.protocol;
-        assert_eq!(lock_stalls, want.lock_stalls, "{p}: lock_stall count");
-        assert_eq!(jsonl, want.jsonl, "{p}: JSONL digest {jsonl:#018x}");
-        assert_eq!(stats, want.stats, "{p}: RunStats digest {stats:#018x}");
+    for want in &EXPECTED {
+        let (p, s) = (want.protocol, want.scenario);
+        let (lock_stalls, jsonl, stats) = digests(p, s);
+        assert_eq!(lock_stalls, want.lock_stalls, "{p} {s:?}: lock_stall count");
+        assert_eq!(jsonl, want.jsonl, "{p} {s:?}: JSONL digest {jsonl:#018x}");
+        assert_eq!(
+            stats, want.stats,
+            "{p} {s:?}: RunStats digest {stats:#018x}"
+        );
     }
 }
