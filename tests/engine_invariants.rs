@@ -1,0 +1,158 @@
+//! Invariants every engine must keep, checked once per engine.
+//!
+//! Each check loops over `Protocol::ALL`: the run commits and measures,
+//! Smallbank money is conserved under a contended hotspot and under
+//! message loss on the engine's own commit-handshake verbs, and a drained
+//! run leaves no Locking Buffer, NIC filter, speculative line or record
+//! lock behind.
+
+use hades::core::baseline::BaselineSim;
+use hades::core::hades::HadesSim;
+use hades::core::hades_h::HadesHSim;
+use hades::core::runner::Protocol;
+use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::fault::FaultPlan;
+use hades::sim::config::SimConfig;
+use hades::sim::time::Cycles;
+use hades::storage::db::Database;
+use hades::storage::RecordId;
+use hades::telemetry::event::Verb;
+use hades::workloads::catalog::AppId;
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+
+fn run(p: Protocol, cl: Cluster, ws: WorkloadSet, warmup: u64, measure: u64) -> RunOutcome {
+    match p {
+        Protocol::Baseline => BaselineSim::new(cl, ws, warmup, measure).run_full(),
+        Protocol::HadesH => HadesHSim::new(cl, ws, warmup, measure).run_full(),
+        Protocol::Hades => HadesSim::new(cl, ws, warmup, measure).run_full(),
+    }
+}
+
+/// Runs `app` at the quick scale on the default cluster.
+fn run_app(p: Protocol, app: &str, warmup: u64, measure: u64) -> RunOutcome {
+    let cfg = SimConfig::isca_default();
+    let mut db = Database::new(cfg.shape.nodes);
+    let app = AppId::parse(app).unwrap().build(&mut db, 0.005);
+    let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
+    run(p, Cluster::new(cfg, db), ws, warmup, measure)
+}
+
+/// Runs Smallbank over `accounts` accounts with a `hotspot`, under
+/// `plan` if given, and checks that money is conserved: the final total
+/// equals the initial total plus every committed RMW delta.
+fn run_smallbank(
+    p: Protocol,
+    accounts: u64,
+    hotspot: (u64, f64),
+    measure: u64,
+    plan: Option<FaultPlan>,
+) -> RunOutcome {
+    let cfg = SimConfig::isca_default();
+    let mut db = Database::new(cfg.shape.nodes);
+    let sb = Smallbank::setup(
+        &mut db,
+        SmallbankConfig {
+            accounts,
+            hotspot: Some(hotspot),
+        },
+    );
+    let (checking, savings) = (sb.checking(), sb.savings());
+    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
+    let mut cl = Cluster::new(cfg, db);
+    if let Some(plan) = plan {
+        cl.install_fault_plan(plan);
+    }
+    let out = run(p, cl, ws, 0, measure);
+    let db = &out.cluster.db;
+    let mut total = 0u64;
+    for t in [checking, savings] {
+        for a in 0..accounts {
+            let rid = db.lookup(t, a).unwrap().rid;
+            total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
+        }
+    }
+    let initial = 2 * accounts * INITIAL_BALANCE;
+    assert_eq!(
+        total,
+        initial.wrapping_add(out.total_sum_delta as u64),
+        "{p}: money not conserved (commits {}, squashes {})",
+        out.total_commits,
+        out.stats.squashes
+    );
+    out
+}
+
+/// Nothing the commit protocols hold outlives the drain.
+fn assert_no_leaks(p: Protocol, out: &RunOutcome) {
+    let cl = &out.cluster;
+    for n in 0..cl.cfg.shape.nodes {
+        let held = cl.lock_bufs[n].occupied();
+        assert_eq!(held, 0, "{p}: node {n} left Locking Buffers held");
+        let filters = cl.nics[n].active_remote_txs();
+        assert_eq!(filters, 0, "{p}: node {n} NIC left filters");
+        let spec = cl.mems[n].speculative_lines();
+        assert_eq!(spec, 0, "{p}: node {n} left speculative lines");
+    }
+    for i in 0..cl.db.record_count() {
+        let rid = RecordId(i as u32);
+        assert!(!cl.db.record(rid).is_locked(), "{p}: {rid:?} left locked");
+    }
+}
+
+#[test]
+fn every_engine_commits_and_measures() {
+    for p in Protocol::ALL {
+        let out = run_app(p, "HT-wB", 50, 300);
+        assert_eq!(out.stats.committed, 300, "{p}");
+        assert!(out.total_commits >= 350, "{p}: warmup commits missing");
+        assert!(out.stats.throughput() > 0.0, "{p}");
+        assert!(out.stats.mean_latency() > Cycles::ZERO, "{p}");
+        assert!(out.stats.p95_latency() >= out.stats.mean_latency(), "{p}");
+    }
+}
+
+#[test]
+fn every_engine_conserves_money_on_a_hotspot() {
+    for p in Protocol::ALL {
+        let out = run_smallbank(p, 2_000, (20, 0.7), 600, None);
+        assert_eq!(out.stats.committed, 600, "{p}");
+        assert_no_leaks(p, &out);
+    }
+}
+
+#[test]
+fn every_engine_survives_message_loss() {
+    for p in Protocol::ALL {
+        // Drop and duplicate the responses the engine's commit round
+        // waits on: the timeout/abort/retry path must absorb them.
+        let plan = match p {
+            Protocol::Baseline => FaultPlan::none()
+                .with_seed(7)
+                .drop_verb(Verb::LockResp, 0.05)
+                .drop_verb(Verb::ValidateResp, 0.05)
+                .dup_verb(Verb::LockResp, 0.05),
+            Protocol::HadesH | Protocol::Hades => FaultPlan::none()
+                .with_seed(5)
+                .drop_verb(Verb::Intend, 0.05)
+                .drop_verb(Verb::Ack, 0.05)
+                .dup_verb(Verb::Intend, 0.05)
+                .dup_verb(Verb::Ack, 0.05),
+        };
+        let out = run_smallbank(p, 1_000, (16, 0.5), 400, Some(plan));
+        assert_eq!(out.stats.committed, 400, "{p}");
+        assert!(out.stats.faults.drops > 0, "{p}: plan must actually drop");
+        assert!(
+            out.stats.recovery.timeout_retries > 0,
+            "{p}: dropped responses must surface as timeout retries"
+        );
+        assert_no_leaks(p, &out);
+    }
+}
+
+#[test]
+fn no_engine_leaks_state_after_drain() {
+    for p in Protocol::ALL {
+        let out = run_app(p, "B+Tree-wA", 0, 200);
+        assert_no_leaks(p, &out);
+    }
+}
