@@ -12,11 +12,9 @@
 //! a per-cell `tail` block and prints the dominant critical-path
 //! contributor of the top-10 slowest committed transactions per cell),
 //! `--timeseries` (adds a per-cell windowed time-series block),
-//! `--no-wall` (omit host wall-clock fields, making output
-//! byte-deterministic across machines), `--batch N` (append batched
-//! duplicates of every cell, run under adaptive doorbell coalescing
-//! capped at N verbs — cells labeled `<workload>+batchN`), `--out PATH`
-//! (default stdout), `--bench-id ID`.
+//! `--batch N` (append batched duplicates of every cell, run under
+//! adaptive doorbell coalescing capped at N verbs — cells labeled
+//! `<workload>+batchN`), `--out PATH` (default stdout), `--bench-id ID`.
 //!
 //! Compare mode: diffs two bench documents cell-by-cell and exits
 //! non-zero if any cell's throughput dropped, or p99 latency rose, by
@@ -89,7 +87,6 @@ fn main() {
         profile: has_flag("--profile"),
         tail: has_flag("--tail"),
         timeseries: has_flag("--timeseries"),
-        wall_clock: !has_flag("--no-wall"),
         batch: flag_value("--batch").and_then(|s| s.parse().ok()),
         bench_id: flag_value("--bench-id").unwrap_or_else(|| "local".to_string()),
     };
@@ -101,13 +98,12 @@ fn main() {
     );
     let cells = run_matrix(&bc, |cell| {
         eprintln!(
-            "  {:<12} {:<8} {:>10.0} txn/s  p99 {:>8.1} us  abort {:>5.2}%  [{} ms]",
+            "  {:<12} {:<8} {:>10.0} txn/s  p99 {:>8.1} us  abort {:>5.2}%",
             cell.workload,
             cell.protocol.label(),
             cell.stats.throughput(),
             cell.stats.p99_latency().as_micros(),
             cell.stats.abort_rate() * 100.0,
-            cell.wall_ms,
         );
     });
     if bc.tail {

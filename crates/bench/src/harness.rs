@@ -4,11 +4,11 @@
 //! Smallbank, and YCSB-A/B over the hash table at two Zipfian skews,
 //! each under all three protocol engines — and renders a schema-versioned
 //! `BENCH_<id>.json` document. Because the simulator is deterministic,
-//! re-running the same matrix at the same seed reproduces every sim-time
-//! number bit-for-bit; only the `wall_ms` fields (host wall clock, off
-//! with `wall_clock: false`) vary between machines. [`compare`] diffs two
-//! such documents cell-by-cell and reports throughput/p99 regressions
-//! beyond a threshold — the CI perf gate.
+//! re-running the same matrix at the same seed reproduces the document
+//! byte for byte, on any machine: it holds sim-time numbers only (host
+//! time is `benchmark/`'s job). [`compare`] diffs two such documents
+//! cell-by-cell and reports throughput/p99 regressions beyond a
+//! threshold — the CI perf gate.
 
 use hades_core::baseline::BaselineSim;
 use hades_core::hades::HadesSim;
@@ -97,9 +97,6 @@ pub struct BenchConfig {
     /// Enable windowed time-series; each cell gains a `timeseries`
     /// block ([`TS_WINDOW`] sim-time windows).
     pub timeseries: bool,
-    /// Record per-cell host wall-clock time (`wall_ms`). Off for
-    /// byte-identity checks across runs.
-    pub wall_clock: bool,
     /// Add batched duplicates of every matrix cell, running under
     /// adaptive doorbell coalescing capped at this batch size
     /// (DESIGN.md §14). Batched cells get a `+batch<n>` workload-label
@@ -117,7 +114,6 @@ impl Default for BenchConfig {
             profile: false,
             tail: false,
             timeseries: false,
-            wall_clock: true,
             batch: None,
             bench_id: "local".to_string(),
         }
@@ -153,9 +149,6 @@ pub struct CellResult {
     pub protocol: Protocol,
     /// Full run statistics (sim time).
     pub stats: RunStats,
-    /// Host wall-clock milliseconds spent running the cell (0 when
-    /// wall-clock capture is off).
-    pub wall_ms: u64,
 }
 
 /// Runs one cell of the matrix.
@@ -192,16 +185,10 @@ pub fn run_cell_batched(
     let workload = wl.build(&mut db, scale);
     let ws = WorkloadSet::single(workload, cfg.shape.cores_per_node);
     let cl = Cluster::new(cfg, db);
-    let started = std::time::Instant::now();
     let stats = match protocol {
         Protocol::Baseline => BaselineSim::new(cl, ws, warmup, measure).run(),
         Protocol::HadesH => HadesHSim::new(cl, ws, warmup, measure).run(),
         Protocol::Hades => HadesSim::new(cl, ws, warmup, measure).run(),
-    };
-    let wall_ms = if bc.wall_clock {
-        started.elapsed().as_millis() as u64
-    } else {
-        0
     };
     let workload = match batch {
         Some(n) => format!("{}+batch{n}", wl.label()),
@@ -211,7 +198,6 @@ pub fn run_cell_batched(
         workload,
         protocol,
         stats,
-        wall_ms,
     }
 }
 
@@ -240,7 +226,7 @@ pub fn run_matrix(bc: &BenchConfig, mut progress: impl FnMut(&CellResult)) -> Ve
     cells
 }
 
-fn cell_json(cell: &CellResult, bc: &BenchConfig) -> Json {
+fn cell_json(cell: &CellResult) -> Json {
     let s = &cell.stats;
     let aborts = Json::Obj(
         s.abort_reasons()
@@ -277,9 +263,6 @@ fn cell_json(cell: &CellResult, bc: &BenchConfig) -> Json {
     if let Some(bt) = &s.batching {
         b = b.field("batching", bt.to_json());
     }
-    if bc.wall_clock {
-        b = b.field("wall_ms", cell.wall_ms);
-    }
     b.build()
 }
 
@@ -300,10 +283,7 @@ pub fn matrix_json(cells: &[CellResult], bc: &BenchConfig) -> Json {
         .field("seed", bc.seed)
         .field("mode", bc.mode())
         .field("config", config)
-        .field(
-            "cells",
-            Json::Arr(cells.iter().map(|c| cell_json(c, bc)).collect()),
-        )
+        .field("cells", Json::Arr(cells.iter().map(cell_json).collect()))
         .build()
 }
 
@@ -429,7 +409,7 @@ mod tests {
                 "cells":[{{"workload":"TATP","protocol":"HADES",
                 "committed":300,"throughput_txn_s":{throughput},"p50_us":10.0,
                 "p99_us":{p99},"p999_us":40.0,"abort_rate":0.01,
-                "aborts":{{}},"verbs":{{}},"wall_ms":5}}]}}"#
+                "aborts":{{}},"verbs":{{}}}}]}}"#
         ))
         .unwrap()
     }

@@ -1,8 +1,8 @@
 //! Determinism and byte-identity guarantees of the canonical bench
 //! harness (DESIGN.md §12).
 //!
-//! 1. Re-running the identical matrix at the same seed with wall-clock
-//!    capture off renders a byte-identical `BENCH_*.json` document.
+//! 1. Re-running the identical matrix at the same seed renders a
+//!    byte-identical `BENCH_*.json` document.
 //! 2. The phase profiler is pay-for-what-you-use: enabling it changes
 //!    nothing about the run — stats JSON with the `profile` block
 //!    stripped is byte-identical to an unprofiled run.
@@ -17,7 +17,6 @@ fn smoke(profile: bool) -> BenchConfig {
     BenchConfig {
         smoke: true,
         profile,
-        wall_clock: false,
         ..BenchConfig::default()
     }
 }
