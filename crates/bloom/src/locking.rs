@@ -83,6 +83,17 @@ pub enum LockFailure {
     NoFreeBuffer,
 }
 
+impl LockFailure {
+    /// The holder a denial reports in a `LockStall` trace event: the
+    /// conflicting owner, or `u64::MAX` when the bank itself was full.
+    pub fn holder(self) -> u64 {
+        match self {
+            LockFailure::Conflict(owner) => owner,
+            LockFailure::NoFreeBuffer => u64::MAX,
+        }
+    }
+}
+
 impl fmt::Display for LockFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -182,72 +193,106 @@ impl LockingBuffers {
         self.entries.iter().any(|e| e.owner == owner)
     }
 
-    /// Attempts to lock the directory for `owner`.
+    /// Attempts to lock the directory for `owner`: grants a buffer
+    /// unless [`denial`](Self::denial) names a reason not to.
     ///
     /// `write_lines` / `read_lines` are the committing transaction's exact
-    /// line lists (from `WrTX_ID` tags or the Intend-to-commit message);
-    /// they are checked for membership against every holder's signatures —
-    /// writes against read∪write, reads against write — exactly the check
-    /// of Section V-B. Each line is hashed once for the whole bank, and
-    /// the reported holder is the first conflicting one in bank order.
+    /// line lists (from `WrTX_ID` tags or the Intend-to-commit message),
+    /// as raw lines or as their [`LineHash`]es.
     ///
     /// # Errors
     ///
     /// [`LockFailure::Conflict`] if a held buffer's signatures match any of
     /// the lines (possibly a Bloom false positive — the hardware cannot
     /// tell), or [`LockFailure::NoFreeBuffer`] if the bank is full.
-    pub fn try_lock(
+    pub fn try_lock<L: Copy + Into<LineHash>>(
         &mut self,
         owner: u64,
         read: Signature,
         write: Signature,
-        write_lines: &[u64],
-        read_lines: &[u64],
+        write_lines: &[L],
+        read_lines: &[L],
     ) -> Result<(), LockFailure> {
         assert!(
             !self.holds(owner),
             "owner {owner:#x} already holds a buffer"
         );
-        if !self.entries.is_empty() {
-            let writes: Vec<LineHash> = write_lines.iter().map(|&l| l.into()).collect();
-            let reads: Vec<LineHash> = read_lines.iter().map(|&l| l.into()).collect();
-            for e in &self.entries {
-                let conflict = writes
-                    .iter()
-                    .any(|&h| e.read.contains(h) || e.write.contains(h))
-                    || reads.iter().any(|&h| e.write.contains(h));
-                if conflict {
-                    return Err(LockFailure::Conflict(e.owner));
-                }
-            }
-        }
-        if self.entries.len() >= self.capacity {
-            return Err(LockFailure::NoFreeBuffer);
+        if let Some(failure) = self.denial(write_lines, read_lines) {
+            return Err(failure);
         }
         self.entries.push(LockEntry { owner, read, write });
         self.generation += 1;
         Ok(())
     }
 
+    /// Why a lock over these lines would be denied now, if it would.
+    ///
+    /// The lines are checked for membership against every holder's
+    /// signatures — writes against read∪write, reads against write —
+    /// exactly the check of Section V-B; the reported holder is the first
+    /// conflicting one in bank order. Each line is hashed at most once for
+    /// the whole bank, with no allocation, and not at all when the bank is
+    /// empty. Without a conflict, a full bank denies with
+    /// [`LockFailure::NoFreeBuffer`].
+    pub fn denial<L: Copy + Into<LineHash>>(
+        &self,
+        write_lines: &[L],
+        read_lines: &[L],
+    ) -> Option<LockFailure> {
+        // Lines outside, holders inside: each line scans only the holders
+        // before the earliest conflict found so far, so the earliest
+        // conflicting holder over all lines wins, as in bank order.
+        let mut first = self.entries.len();
+        for &line in write_lines {
+            if first == 0 {
+                break;
+            }
+            let h = line.into();
+            if let Some(i) = self.entries[..first]
+                .iter()
+                .position(|e| e.read.contains(h) || e.write.contains(h))
+            {
+                first = i;
+            }
+        }
+        for &line in read_lines {
+            if first == 0 {
+                break;
+            }
+            let h = line.into();
+            if let Some(i) = self.entries[..first]
+                .iter()
+                .position(|e| e.write.contains(h))
+            {
+                first = i;
+            }
+        }
+        if let Some(e) = self.entries.get(first) {
+            return Some(LockFailure::Conflict(e.owner));
+        }
+        (self.entries.len() >= self.capacity).then_some(LockFailure::NoFreeBuffer)
+    }
+
     /// Like [`try_lock`](Self::try_lock), but stamped with the simulated
     /// time so the attempt lands in the trace: a grant emits
     /// `LockAcquire`, a denial emits `LockStall` naming the blocking
-    /// holder (`u64::MAX` when the bank itself was full).
-    pub fn try_lock_at(
+    /// holder ([`LockFailure::holder`]).
+    pub fn try_lock_at<L: Copy + Into<LineHash>>(
         &mut self,
         now: Cycles,
         owner: u64,
         read: Signature,
         write: Signature,
-        write_lines: &[u64],
-        read_lines: &[u64],
+        write_lines: &[L],
+        read_lines: &[L],
     ) -> Result<(), LockFailure> {
         let res = self.try_lock(owner, read, write, write_lines, read_lines);
         if self.tracer.is_enabled() {
             let kind = match res {
                 Ok(()) => EventKind::LockAcquire { owner },
-                Err(LockFailure::Conflict(holder)) => EventKind::LockStall { holder },
-                Err(LockFailure::NoFreeBuffer) => EventKind::LockStall { holder: u64::MAX },
+                Err(failure) => EventKind::LockStall {
+                    holder: failure.holder(),
+                },
             };
             self.tracer.emit(now, self.node, NO_SLOT, kind);
         }

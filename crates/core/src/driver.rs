@@ -47,7 +47,8 @@ pub trait Engine: Sized + Debug {
     const CRASHES_NEED_MEMBERSHIP: bool;
     /// Every Locking-Buffer stall re-arms after the same delay, so the
     /// engines with Locking Buffers run their re-arms on the queue's FIFO
-    /// retry lane.
+    /// retry lane, and the lane's polls that cannot succeed re-arm inside
+    /// the queue ([`Engine::rearm`]).
     const RETRY_LANE: bool;
     /// The verb a migration cutover counts as fenced per straddler: the
     /// round it aborts (Baseline's lock round, the HADES engines' Intend).
@@ -79,6 +80,14 @@ pub trait Engine: Sized + Debug {
     fn fallback_lock(sim: &mut Sim<Self>, si: usize, att: u32);
     /// Handles one of the engine's own events.
     fn handle(sim: &mut Sim<Self>, ev: Self::Ev);
+    /// Whether `ev`, a retry-lane event due at `now`, would only re-arm
+    /// itself: its handler would push the same event back on the lane and
+    /// do nothing else but trace. If so, this emits that trace and the
+    /// queue re-arms the event in place instead of dispatching it
+    /// ([`EventQueue::pop_rearming`]).
+    fn rearm(_sim: RearmView<'_>, _now: Cycles, _ev: &Self::Ev) -> bool {
+        false
+    }
     /// Aborts the slot's attempt, releases what it holds and schedules
     /// the retry.
     fn squash(sim: &mut Sim<Self>, si: usize, reason: SquashReason);
@@ -140,6 +149,23 @@ pub struct SlotCore {
     pub(crate) awaiting_start: bool,
     /// Configuration epoch this attempt started in (straddle detection).
     pub(crate) epoch: u64,
+}
+
+impl SlotCore {
+    /// Whether `att` is still this slot's live attempt.
+    pub(crate) fn alive(&self, att: u32) -> bool {
+        self.attempt == att && self.txn.is_some()
+    }
+}
+
+/// What [`Engine::rearm`] may read: the cluster, the slots and the crash
+/// table. The queue is left out, since the predicate runs in the middle
+/// of its pop.
+#[derive(Debug, Clone, Copy)]
+pub struct RearmView<'a> {
+    pub(crate) cl: &'a Cluster,
+    pub(crate) slots: &'a [SlotCore],
+    pub(crate) crashed: &'a [bool],
 }
 
 /// A simulator event: the lifecycle and control-plane events every engine
@@ -305,7 +331,18 @@ impl<P: Engine> Sim<P> {
             self.q
                 .push_at(self.cl.cfg.migration.start_at, Ev::MigrationTick);
         }
-        while let Some((_, ev)) = self.q.pop() {
+        loop {
+            let view = RearmView {
+                cl: &self.cl,
+                slots: &self.slots,
+                crashed: &self.crashed,
+            };
+            let next = self
+                .q
+                .pop_rearming(|now, ev| matches!(ev, Ev::Engine(ev) if P::rearm(view, now, ev)));
+            let Some((_, ev)) = next else {
+                break;
+            };
             self.handle(ev);
         }
         let mut stats = self.meas.stats;
@@ -362,7 +399,7 @@ impl<P: Engine> Sim<P> {
 
     /// Whether `att` is still `si`'s live attempt.
     pub(crate) fn alive(&self, si: usize, att: u32) -> bool {
-        self.slots[si].attempt == att && self.slots[si].txn.is_some()
+        self.slots[si].alive(att)
     }
 
     /// The slot index of `slot` at `node`.

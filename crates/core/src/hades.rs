@@ -24,13 +24,14 @@
 //! written once over a [`LocalPath`]: [`HwLocal`] here, and
 //! [`SwLocal`](crate::hades_h::SwLocal) for HADES-H.
 
-use crate::driver::{Engine, Ev, Sim, SlotCore};
+use crate::driver::{Engine, Ev, RearmView, Sim, SlotCore};
 use crate::runtime::{apply_write, owner_token, Cluster, CoreVerb, ResolvedOp, ResolvedTxn, Stall};
 use crate::stats::{RunStats, SquashReason};
-use hades_bloom::{BloomFilter, DualWriteFilter, LineHash, LockFailure, Signature};
+use hades_bloom::{BloomFilter, DualWriteFilter, LineHash, LockFailure, LockingBuffers, Signature};
 use hades_fault::InjectedFault;
 use hades_net::fabric::wire_size;
 use hades_net::nic::{RemoteTxKey, TxRemoteTable};
+use hades_sim::config::BloomParams;
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::time::Cycles;
 use hades_telemetry::event::{EventKind, Phase as TracePhase, RecoveryKind, Verb, NO_SLOT};
@@ -65,14 +66,12 @@ pub trait LocalPath: Sized + Debug {
     /// Records how `op` at a fallback target node enters the directory
     /// lock's read and write footprints.
     fn fallback_footprint(op: &ResolvedOp, reads: &mut Vec<u64>, writes: &mut Vec<u64>);
-    /// A local op is ready to execute (possibly a Locking-Buffer retry).
-    fn on_local_op(
-        sim: &mut Sim<Hades<Self>>,
-        si: usize,
-        att: u32,
-        op: Box<ResolvedOp>,
-        stall: Option<Stall>,
-    );
+    /// The holder of `bufs` that denies the local access `op` by the
+    /// slot owning `token`, if any: the Locking-Buffer check (Fig 7) at
+    /// the local path's tracking granularity.
+    fn local_blocker(op: &ResolvedOp, bufs: &LockingBuffers, token: u64) -> Option<u64>;
+    /// A local op passed the Locking Buffers: execute it.
+    fn on_local_op(sim: &mut Sim<Hades<Self>>, si: usize, att: u32, op: &ResolvedOp);
     /// Commit steps 1–2 at the coordinator: partially lock the local
     /// directory. Returns the local write lines (to probe against remote
     /// transactions at our NIC) and the lock's cost, or `None` if the
@@ -146,10 +145,75 @@ pub struct HadesSlot<S> {
     /// Point of no return: all Acks received.
     pub(crate) unsquashable: bool,
     pub(crate) fallback_nodes: Vec<NodeId>,
+    /// The fallback lock batch being acquired, kept across its polls.
+    pub(crate) fallback_lock: Option<FallbackTarget>,
     /// Remote replica nodes this commit shipped prepares to (Section V-A).
     pub(crate) replica_targets: Vec<NodeId>,
     /// The local path's state.
     pub(crate) local: S,
+}
+
+/// Fallback pre-locking's current target, built once per (attempt,
+/// target) and reused by every poll until the lock is granted: the
+/// target's footprint, sorted and hashed, the two signatures built from
+/// it, and the last poll's denial.
+#[derive(Debug)]
+pub(crate) struct FallbackTarget {
+    reads: Vec<LineHash>,
+    writes: Vec<LineHash>,
+    read_sig: BloomFilter,
+    write_sig: BloomFilter,
+    denial: Option<Stall>,
+}
+
+impl FallbackTarget {
+    /// The footprint of `txn`'s ops homed at `target`, as local path `L`
+    /// tracks it, and its NIC-sized signatures.
+    fn build<L: LocalPath>(txn: &ResolvedTxn, target: NodeId, bloom: BloomParams) -> Self {
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        for op in txn.ops().filter(|o| o.home == target) {
+            L::fallback_footprint(op, &mut reads, &mut writes);
+        }
+        let hashed = |mut lines: Vec<u64>| -> Vec<LineHash> {
+            lines.sort_unstable();
+            lines.dedup();
+            lines.into_iter().map(LineHash::new).collect()
+        };
+        let (reads, writes) = (hashed(reads), hashed(writes));
+        let mut read_sig = BloomFilter::new(bloom.nic_read_bits, bloom.hashes);
+        let mut write_sig = BloomFilter::new(bloom.nic_write_bits, bloom.hashes);
+        reads.iter().for_each(|&h| read_sig.insert(h));
+        writes.iter().for_each(|&h| write_sig.insert(h));
+        FallbackTarget {
+            reads,
+            writes,
+            read_sig,
+            write_sig,
+            denial: None,
+        }
+    }
+
+    /// The holder that denies this lock at `bufs`, as `try_lock_at`
+    /// would trace it.
+    fn blocker(&self, bufs: &LockingBuffers) -> Option<u64> {
+        bufs.denial(&self.writes, &self.reads)
+            .map(LockFailure::holder)
+    }
+}
+
+/// Traces a Locking-Buffer denial: a local access's at its slot, any
+/// other (`None`) at the denying bank.
+fn trace_stall(cl: &Cluster, now: Cycles, stall: Stall, slot: Option<&SlotCore>) {
+    if !cl.tracer.is_enabled() {
+        return;
+    }
+    let kind = EventKind::LockStall {
+        holder: stall.holder,
+    };
+    match slot {
+        Some(s) => cl.tracer.emit(now, s.node.0, s.slot.0 as u32, kind),
+        None => cl.tracer.emit(now, stall.node.0, NO_SLOT, kind),
+    }
 }
 
 pub(crate) use ev::HadesEv;
@@ -276,6 +340,7 @@ impl<L: LocalPath> Engine for Hades<L> {
             holds_local_lock: false,
             unsquashable: false,
             fallback_nodes: Vec::new(),
+            fallback_lock: None,
             replica_targets: Vec::new(),
             local: L::new_slot(cl, node),
         }
@@ -295,6 +360,7 @@ impl<L: LocalPath> Engine for Hades<L> {
         x.holds_local_lock = false;
         x.unsquashable = false;
         x.fallback_nodes.clear();
+        x.fallback_lock = None;
         x.replica_targets.clear();
         L::reset(&mut x.local);
     }
@@ -322,10 +388,10 @@ impl<L: LocalPath> Engine for Hades<L> {
 
     fn handle(sim: &mut Sim<Self>, ev: HadesEv) {
         match ev {
-            HadesEv::LocalOp { si, att, op, stall } if sim.alive(si, att) => {
-                L::on_local_op(sim, si, att, op, stall)
+            HadesEv::LocalOp { si, att, op, .. } if sim.alive(si, att) => {
+                sim.on_local_req(si, att, op)
             }
-            HadesEv::RemoteReq { si, att, op, stall } => sim.on_remote_req(si, att, op, stall),
+            HadesEv::RemoteReq { si, att, op, .. } => sim.on_remote_req(si, att, op),
             HadesEv::RemoteResp { si, att, lines } if sim.alive(si, att) => {
                 sim.ext[si].fetched.extend(lines);
                 sim.on_op_done(si, att);
@@ -389,6 +455,46 @@ impl<L: LocalPath> Engine for Hades<L> {
             HadesEv::LeaseExpire { node, key } => sim.on_lease_expire(node, key),
             _ => {} // stale event for a squashed attempt
         }
+    }
+
+    /// A stalled access whose denial still holds re-arms: a local one if
+    /// its attempt is alive, a remote one if, in addition, its home is up
+    /// and still routes to the bank that denied it.
+    fn rearm(sim: RearmView<'_>, now: Cycles, ev: &HadesEv) -> bool {
+        let (si, att, op, stall, remote) = match ev {
+            HadesEv::LocalOp {
+                si,
+                att,
+                op,
+                stall: Some(stall),
+            } => (*si, *att, op, *stall, false),
+            HadesEv::RemoteReq {
+                si,
+                att,
+                op,
+                stall: Some(stall),
+            } => (*si, *att, op, *stall, true),
+            _ => return false,
+        };
+        let s = &sim.slots[si];
+        if !s.alive(att) {
+            return false;
+        }
+        let token = owner_token(s.node, s.slot);
+        let holds = if remote {
+            let home = sim.cl.route(op.home);
+            !sim.crashed[home.0 as usize]
+                && sim
+                    .cl
+                    .stall_holds(stall, home, |bufs| op.lock_blocker(bufs, token))
+        } else {
+            sim.cl
+                .stall_holds(stall, s.node, |bufs| L::local_blocker(op, bufs, token))
+        };
+        if holds {
+            trace_stall(sim.cl, now, stall, (!remote).then_some(s));
+        }
+        holds
     }
 
     fn squash(sim: &mut Sim<Self>, si: usize, reason: SquashReason) {
@@ -566,6 +672,25 @@ impl<L: LocalPath> Sim<Hades<L>> {
         }
     }
 
+    /// A local access checks the directory's Locking Buffers first: a
+    /// committing transaction may block it, and it retries until that
+    /// transaction unlocks (Fig 7).
+    fn on_local_req(&mut self, si: usize, att: u32, op: Box<ResolvedOp>) {
+        let node = self.slots[si].node;
+        let token = self.token(si);
+        let stall = self
+            .cl
+            .lock_stall(node, |bufs| L::local_blocker(&op, bufs, token));
+        if let Some(stall) = stall {
+            trace_stall(&self.cl, self.q.now(), stall, Some(&self.slots[si]));
+            let stall = Some(stall);
+            self.q
+                .push_retry(HadesEv::LocalOp { si, att, op, stall }.into());
+            return;
+        }
+        L::on_local_op(self, si, att, &op)
+    }
+
     fn on_exec_stage(&mut self, si: usize, att: u32) {
         let now = self.q.now();
         let stage_idx = self.slots[si].stage;
@@ -659,7 +784,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
 
     /// A remote access serviced at the home node's NIC (Table II, Remote
     /// Read/Write).
-    fn on_remote_req(&mut self, si: usize, att: u32, op: Box<ResolvedOp>, stall: Option<Stall>) {
+    fn on_remote_req(&mut self, si: usize, att: u32, op: Box<ResolvedOp>) {
         let now = self.q.now();
         if !self.alive(si, att) {
             return;
@@ -673,6 +798,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             // restarts and the NIC comes back. A forever-dead home drops
             // the request — the coordinator's fetch timeout cleans up.
             if let Some(r) = self.restart_at[nb] {
+                let stall = None;
                 self.q
                     .push_at(r, HadesEv::RemoteReq { si, att, op, stall }.into());
             }
@@ -684,11 +810,10 @@ impl<L: LocalPath> Sim<Hades<L>> {
         // Committing transactions' Locking Buffers stall this access.
         let stall = self
             .cl
-            .lock_stall(home, stall, |bufs| op.lock_blocker(bufs, token));
-        if let Some(Stall { holder, .. }) = stall {
-            self.cl
-                .tracer
-                .emit(now, home.0, NO_SLOT, EventKind::LockStall { holder });
+            .lock_stall(home, |bufs| op.lock_blocker(bufs, token));
+        if let Some(stall) = stall {
+            trace_stall(&self.cl, now, stall, None);
+            let stall = Some(stall);
             self.q
                 .push_retry(HadesEv::RemoteReq { si, att, op, stall }.into());
             return;
@@ -1267,27 +1392,6 @@ impl<L: LocalPath> Sim<Hades<L>> {
             return;
         };
         let node = self.slots[si].node;
-        let token = self.token(si);
-        let bloom = self.cl.cfg.bloom;
-        // Build the transaction's footprint filters at `target`.
-        let txn = self.slots[si].txn.as_ref().expect("txn active");
-        let mut reads: Vec<u64> = Vec::new();
-        let mut writes: Vec<u64> = Vec::new();
-        for op in txn.ops().filter(|o| o.home == target) {
-            L::fallback_footprint(op, &mut reads, &mut writes);
-        }
-        reads.sort_unstable();
-        reads.dedup();
-        writes.sort_unstable();
-        writes.dedup();
-        let mut rd = BloomFilter::new(bloom.nic_read_bits, bloom.hashes);
-        let mut wr = BloomFilter::new(bloom.nic_write_bits, bloom.hashes);
-        for &l in &reads {
-            rd.insert(l);
-        }
-        for &l in &writes {
-            wr.insert(l);
-        }
         // Lock attempt happens at the target's current primary (identity
         // when the membership layer is off); remote targets pay a round
         // trip.
@@ -1297,34 +1401,73 @@ impl<L: LocalPath> Sim<Hades<L>> {
         } else {
             self.cl.cfg.net.rt
         };
-        let tb = phys.0 as usize;
-        let already = self.cl.lock_bufs[tb].holds(token);
-        let ok = already
-            || self.cl.lock_bufs[tb]
-                .try_lock_at(
-                    now,
-                    token,
-                    Signature::Conventional(rd),
-                    Signature::Conventional(wr),
-                    &writes,
-                    &reads,
-                )
-                .is_ok();
-        let when = now + rt_overhead + bloom.lock_buffer_load;
-        if ok {
-            if phys == node {
-                self.ext[si].holds_local_lock = true;
-            } else {
-                // Remember the remote lock (by logical home) so a squash
-                // or commit clears it.
-                self.ext[si].remote.note_read(target);
-            }
-            self.slots[si].fallback_cursor += 1;
-            self.q.push_at(when, Ev::FallbackLock { si, att });
-        } else {
+        let when = now + rt_overhead + self.cl.cfg.bloom.lock_buffer_load;
+        if let Some(stall) = self.poll_fallback_lock(si, target, phys, now) {
+            // The bank traces a denial as `try_lock_at` does.
+            trace_stall(&self.cl, now, stall, None);
             let retry = self.cl.cfg.retry.lock_retry;
             self.q.push_at(when + retry, Ev::FallbackLock { si, att });
+            return;
         }
+        if phys == node {
+            self.ext[si].holds_local_lock = true;
+        } else {
+            // Remember the remote lock (by logical home) so a squash
+            // or commit clears it.
+            self.ext[si].remote.note_read(target);
+        }
+        self.slots[si].fallback_cursor += 1;
+        self.q.push_at(when, Ev::FallbackLock { si, att });
+    }
+
+    /// One poll of fallback target `target`, whose lock is taken at bank
+    /// `phys`: returns the denial, or `None` once the slot holds the
+    /// lock there. A denial that still holds is returned as is, without
+    /// building or probing anything; otherwise the target's footprint and
+    /// signatures are built at its first poll and reused until the grant.
+    fn poll_fallback_lock(
+        &mut self,
+        si: usize,
+        target: NodeId,
+        phys: NodeId,
+        now: Cycles,
+    ) -> Option<Stall> {
+        let token = self.token(si);
+        let tb = phys.0 as usize;
+        let x = &mut self.ext[si];
+        if let Some(f) = &x.fallback_lock {
+            if let Some(stall) = f.denial {
+                if self.cl.stall_holds(stall, phys, |bufs| f.blocker(bufs)) {
+                    return Some(stall);
+                }
+            }
+        }
+        if self.cl.lock_bufs[tb].holds(token) {
+            // Another logical target routed to the same node: one buffer
+            // covers both.
+            x.fallback_lock = None;
+            return None;
+        }
+        let f = x.fallback_lock.get_or_insert_with(|| {
+            let txn = self.slots[si].txn.as_ref().expect("txn active");
+            FallbackTarget::build::<L>(txn, target, self.cl.cfg.bloom)
+        });
+        f.denial = self.cl.lock_stall(phys, |bufs| f.blocker(bufs));
+        if f.denial.is_some() {
+            return f.denial;
+        }
+        let f = x.fallback_lock.take().expect("built above");
+        self.cl.lock_bufs[tb]
+            .try_lock_at(
+                now,
+                token,
+                Signature::Conventional(f.read_sig),
+                Signature::Conventional(f.write_sig),
+                &f.writes,
+                &f.reads,
+            )
+            .expect("a bank with no denial grants the lock");
+        None
     }
 
     /// Participant lease expiry: if the coordinator is (still) crashed
@@ -1440,14 +1583,13 @@ impl LocalPath for HwLocal {
         writes.extend(&op.write_lines);
     }
 
-    fn on_local_op(
-        sim: &mut HadesSim,
-        si: usize,
-        att: u32,
-        op: Box<ResolvedOp>,
-        stall: Option<Stall>,
-    ) {
-        sim.on_local_op(si, att, op, stall)
+    /// Line granularity: the op's read and write lines.
+    fn local_blocker(op: &ResolvedOp, bufs: &LockingBuffers, token: u64) -> Option<u64> {
+        op.lock_blocker(bufs, token)
+    }
+
+    fn on_local_op(sim: &mut HadesSim, si: usize, att: u32, op: &ResolvedOp) {
+        sim.on_local_op(si, att, op)
     }
 
     fn lock_local(sim: &mut HadesSim, si: usize, now: Cycles) -> Option<(Vec<u64>, Cycles)> {
@@ -1569,25 +1711,11 @@ impl HadesSim {
     }
 
     /// Eager L–L detection and local tracking (Table II, Local Read/Write).
-    fn on_local_op(&mut self, si: usize, att: u32, op: Box<ResolvedOp>, stall: Option<Stall>) {
+    fn on_local_op(&mut self, si: usize, att: u32, op: &ResolvedOp) {
         let now = self.q.now();
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let me = self.slots[si].slot;
-        let token = self.token(si);
         let bloom = self.cl.cfg.bloom;
-        // Locking Buffers: a committing transaction may block this access;
-        // retry until it unlocks (Fig 7).
-        let stall = self
-            .cl
-            .lock_stall(node, stall, |bufs| op.lock_blocker(bufs, token));
-        if let Some(Stall { holder, .. }) = stall {
-            if self.cl.tracer.is_enabled() {
-                self.trace(now, si, EventKind::LockStall { holder });
-            }
-            self.q
-                .push_retry(HadesEv::LocalOp { si, att, op, stall }.into());
-            return;
-        }
         let nb = node.0 as usize;
         // Eager checks against the directory WrTX_ID tags.
         for &line in op.read_lines.iter().chain(&op.write_lines) {

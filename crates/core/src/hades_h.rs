@@ -21,10 +21,10 @@
 //! software local path, [`SwLocal`].
 
 use crate::driver::{Ev, Sim};
-use crate::hades::{Hades, HadesEv, HadesSlot, LocalPath};
-use crate::runtime::{apply_write, Cluster, ResolvedOp, Stall};
+use crate::hades::{Hades, HadesSlot, LocalPath};
+use crate::runtime::{apply_write, Cluster, ResolvedOp};
 use crate::stats::SquashReason;
-use hades_bloom::{BloomFilter, LockFailure, Signature};
+use hades_bloom::{BloomFilter, LockFailure, LockingBuffers, Signature};
 use hades_sim::ids::NodeId;
 use hades_sim::time::Cycles;
 use hades_storage::record::RecordId;
@@ -93,38 +93,24 @@ impl LocalPath for SwLocal {
         }
     }
 
+    /// The retained hardware primitive still guards the directory, at
+    /// record granularity.
+    fn local_blocker(op: &ResolvedOp, bufs: &LockingBuffers, token: u64) -> Option<u64> {
+        op.record_lines.iter().find_map(|&l| {
+            if op.is_write() {
+                bufs.blocks_write_excluding(l, token)
+            } else {
+                bufs.blocks_read(l).filter(|&o| o != token)
+            }
+        })
+    }
+
     /// Software local path: fetch the whole record, check atomicity, track
     /// in read/write sets with versions — exactly like the baseline.
-    fn on_local_op(
-        sim: &mut HadesHSim,
-        si: usize,
-        att: u32,
-        op: Box<ResolvedOp>,
-        stall: Option<Stall>,
-    ) {
+    fn on_local_op(sim: &mut HadesHSim, si: usize, att: u32, op: &ResolvedOp) {
         let now = sim.q.now();
         let (node, core) = (sim.slots[si].node, sim.slots[si].core);
-        let token = sim.token(si);
         let sw = sim.cl.cfg.sw;
-        // The retained hardware primitive still guards the directory, at
-        // record granularity.
-        let stall = sim.cl.lock_stall(node, stall, |bufs| {
-            op.record_lines.iter().find_map(|&l| {
-                if op.is_write() {
-                    bufs.blocks_write_excluding(l, token)
-                } else {
-                    bufs.blocks_read(l).filter(|&o| o != token)
-                }
-            })
-        });
-        if let Some(Stall { holder, .. }) = stall {
-            if sim.cl.tracer.is_enabled() {
-                sim.trace(now, si, EventKind::LockStall { holder });
-            }
-            sim.q
-                .push_retry(HadesEv::LocalOp { si, att, op, stall }.into());
-            return;
-        }
         let (mem_lat, _evicted) = sim.cl.access_lines(node, core, &op.record_lines);
         let nlines = op.record_lines.len() as u64;
         let atomicity = (sw.atomicity_check_per_line + sw.atomicity_copy_per_line) * nlines;

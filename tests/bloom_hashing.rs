@@ -13,7 +13,8 @@
 //! - every Locking Buffer and NIC bank method against a naive loop that
 //!   calls `Signature::contains` / `BloomFilter::contains` per entry with
 //!   the raw line, on seeded banks that mix conventional and dual
-//!   signatures and hold the caller's own entry.
+//!   signatures and hold the caller's own entry; the bank's lock check
+//!   takes raw lines and their hashes alike.
 //!
 //! If a change to the hashing moves the digests on purpose, re-record them
 //! and say so; a host-only change must leave them alone.
@@ -169,6 +170,10 @@ fn bank_methods_match_a_naive_per_entry_loop() {
                 None => Ok(()),
             };
             let (r, w) = (signature(&mut rng, universe), signature(&mut rng, universe));
+            // Raw lines and their hashes must get the same answer.
+            let hashed = |ls: &[u64]| -> Vec<LineHash> { ls.iter().map(|&l| l.into()).collect() };
+            assert_eq!(bufs.denial(&wl, &rl), expect.err());
+            assert_eq!(bufs.denial(&hashed(&wl), &hashed(&rl)), expect.err());
             let mut probe = bufs.clone();
             assert_eq!(probe.try_lock(u64::MAX, r, w, &wl, &rl), expect);
         }
