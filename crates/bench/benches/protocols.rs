@@ -4,7 +4,7 @@
 //! figure drivers which report *simulated* performance.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hades_core::runner::{run_single, Experiment, Protocol};
+use hades_core::runner::{Experiment, Protocol, Run};
 use hades_sim::config::SimConfig;
 use hades_workloads::catalog::AppId;
 
@@ -20,7 +20,7 @@ fn bench_protocol_sims(c: &mut Criterion) {
     let app = AppId::parse("HT-wA").expect("known app");
     for p in Protocol::ALL {
         group.bench_with_input(BenchmarkId::from_parameter(p.label()), &p, |b, &p| {
-            b.iter(|| black_box(run_single(p, app, &ex).committed))
+            b.iter(|| black_box(Run::apps(p, &ex, &[app]).run().stats.committed))
         });
     }
     group.finish();

@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p hades-bench --bin ablation [--quick]`
 
 use hades_bench::{experiment_from_args, fmt_pct, print_table};
-use hades_core::runner::{run_single, Protocol};
+use hades_core::runner::{Protocol, Run};
 use hades_workloads::catalog::AppId;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         ex.cfg.shape.slots_per_core = m;
         let mut row = vec![format!("m={m}")];
         for p in Protocol::ALL {
-            let s = run_single(p, app, &ex);
+            let s = Run::apps(p, &ex, &[app]).run().stats;
             row.push(format!("{:.0}", s.throughput()));
         }
         rows.push(row);
@@ -45,7 +45,7 @@ fn main() {
         ex.cfg.bloom.core_read_bits = bits;
         ex.cfg.bloom.nic_read_bits = bits;
         ex.cfg.bloom.nic_write_bits = bits;
-        let s = run_single(Protocol::Hades, app, &ex);
+        let s = Run::apps(Protocol::Hades, &ex, &[app]).run().stats;
         rows.push(vec![
             format!("{bits} bits"),
             format!("{:.0}", s.throughput()),

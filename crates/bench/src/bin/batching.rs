@@ -35,11 +35,8 @@
 //! `hades-timeseries/v1` series.
 
 use hades_bench::{flag_value, has_flag, print_table, write_json_report};
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
-use hades_core::runner::Protocol;
-use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades_core::runner::{Protocol, Run};
+use hades_core::runtime::RunOutcome;
 use hades_sim::config::{BatchingParams, ClusterShape, SimConfig};
 use hades_sim::time::Cycles;
 use hades_storage::db::Database;
@@ -143,14 +140,7 @@ fn run_once(protocol: Protocol, cfg: SimConfig, point: &Point, measure: u64) -> 
     );
     let keys = (4_000_000f64 * point.scale) as u64;
     let table = ycsb.table();
-    let ws = WorkloadSet::single(Box::new(ycsb), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    let warmup = measure / 10;
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, warmup, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, warmup, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, warmup, measure).run_full(),
-    };
+    let out = Run::loaded(protocol, cfg, db, Box::new(ycsb), measure / 10, measure).run();
     let records_locked = (0..keys).any(|key| {
         let rid = out.cluster.db.lookup(table, key).expect("key loaded").rid;
         out.cluster.db.record(rid).is_locked()

@@ -28,13 +28,11 @@
 use hades_bench::harness::{
     compare, matrix_json, run_matrix, BenchConfig, Comparison, DEFAULT_SEED, DEFAULT_THRESHOLD,
 };
-use hades_bench::{flag_value, has_flag};
+use hades_bench::{flag_parsed, flag_value, has_flag};
 use hades_telemetry::json::Json;
 
 fn run_compare(old_path: &str, new_path: &str) -> ! {
-    let threshold: f64 = flag_value("--threshold")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_THRESHOLD);
+    let threshold: f64 = flag_parsed("--threshold").unwrap_or(DEFAULT_THRESHOLD);
     let load = |path: &str| -> Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("bench: cannot read {path}: {e}");
@@ -80,14 +78,12 @@ fn main() {
         }
     }
     let bc = BenchConfig {
-        seed: flag_value("--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_SEED),
+        seed: flag_parsed("--seed").unwrap_or(DEFAULT_SEED),
         smoke: has_flag("--smoke"),
         profile: has_flag("--profile"),
         tail: has_flag("--tail"),
         timeseries: has_flag("--timeseries"),
-        batch: flag_value("--batch").and_then(|s| s.parse().ok()),
+        batch: flag_parsed("--batch"),
         bench_id: flag_value("--bench-id").unwrap_or_else(|| "local".to_string()),
     };
     let (scale, warmup, measure) = bc.sizing();

@@ -22,17 +22,14 @@
 //! block in the JSON report.
 
 use hades_bench::{flag_value, has_flag, print_table, report_goodput_dip, write_json_report};
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
-use hades_core::runner::Protocol;
-use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades_core::runner::{Protocol, Run};
+use hades_core::runtime::RunOutcome;
 use hades_fault::FaultPlan;
 use hades_sim::config::{ClusterShape, MembershipParams, SimConfig};
 use hades_sim::time::Cycles;
 use hades_storage::db::Database;
 use hades_telemetry::json::Json;
-use hades_workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+use hades_workloads::smallbank::{Smallbank, SmallbankConfig};
 
 const SHAPE: ClusterShape = ClusterShape {
     nodes: 4,
@@ -73,24 +70,11 @@ fn run_failover(
             hotspot: Some((16, 0.5)),
         },
     );
-    let (checking, savings) = (sb.checking(), sb.savings());
-    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-    let mut cl = Cluster::new(cfg, db);
-    cl.install_fault_plan(FaultPlan::none().crash_forever(DEAD_NODE, crash_at));
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
-    let mut total = 0u64;
-    for t in [checking, savings] {
-        for a in 0..accounts {
-            let rid = out.cluster.db.lookup(t, a).expect("account exists").rid;
-            total = total.wrapping_add(out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize));
-        }
-    }
-    let initial = 2 * accounts * INITIAL_BALANCE;
-    let conserved = total == initial.wrapping_add(out.total_sum_delta as u64);
+    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, measure)
+        .plan(FaultPlan::none().crash_forever(DEAD_NODE, crash_at))
+        .run();
+    let conserved = sb.total_money(&out.cluster.db)
+        == sb.initial_total().wrapping_add(out.total_sum_delta as u64);
     FailoverRun { out, conserved }
 }
 

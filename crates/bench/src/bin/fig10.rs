@@ -8,7 +8,7 @@
 //! Run: `cargo run --release -p hades-bench --bin fig10 [--quick]`
 
 use hades_bench::{experiment_from_args, print_table};
-use hades_core::runner::{run_single, Protocol};
+use hades_core::runner::{Protocol, Run};
 use hades_workloads::catalog::AppId;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     for app in AppId::FIG9 {
         let mut base_mean = 0.0;
         for (i, p) in Protocol::ALL.into_iter().enumerate() {
-            let s = run_single(p, app, &ex);
+            let s = Run::apps(p, &ex, &[app]).run().stats;
             let n = s.committed.max(1);
             let mean = s.mean_latency().get() as f64;
             if i == 0 {

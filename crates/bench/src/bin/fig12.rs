@@ -12,7 +12,7 @@
 //! Run: `cargo run --release -p hades-bench --bin fig12 [--quick]`
 
 use hades_bench::{experiment_from_args, fmt_x, print_table};
-use hades_core::runner::{geomean, run_single, Protocol};
+use hades_core::runner::{geomean, Protocol, Run};
 use hades_sim::time::Cycles;
 use hades_workloads::catalog::AppId;
 
@@ -23,7 +23,12 @@ const APPS: [&str; 5] = ["TPC-C", "TATP", "Smallbank", "HT-wA", "BTree-wB"];
 fn mean_tput(p: Protocol, ex: &hades_core::runner::Experiment) -> f64 {
     let v: Vec<f64> = APPS
         .iter()
-        .map(|a| run_single(p, AppId::parse(a).unwrap(), ex).throughput())
+        .map(|a| {
+            Run::apps(p, ex, &[AppId::parse(a).unwrap()])
+                .run()
+                .stats
+                .throughput()
+        })
         .collect();
     geomean(&v)
 }

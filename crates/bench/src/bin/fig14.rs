@@ -8,7 +8,7 @@
 //! Run: `cargo run --release -p hades-bench --bin fig14 [--quick]`
 
 use hades_bench::{experiment_from_args, fmt_x, print_table};
-use hades_core::runner::{run_mix, Protocol};
+use hades_core::runner::{Protocol, Run};
 use hades_sim::config::ClusterShape;
 use hades_workloads::catalog::{parse_mix, AppId};
 
@@ -27,7 +27,7 @@ fn main() {
         let apps: Vec<AppId> = parse_mix(&pair);
         let mut per_protocol = Vec::new();
         for p in Protocol::ALL {
-            let stats = run_mix(p, &apps, &ex);
+            let stats = Run::apps(p, &ex, &apps).run().stats;
             per_protocol.push(stats.throughput());
         }
         let base = per_protocol[0].max(f64::MIN_POSITIVE);

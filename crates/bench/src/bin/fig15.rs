@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p hades-bench --bin fig15 [--quick]`
 
 use hades_bench::{experiment_from_args, fmt_x, print_table};
-use hades_core::runner::{geomean, run_mix, Protocol};
+use hades_core::runner::{geomean, Protocol, Run};
 use hades_sim::config::ClusterShape;
 use hades_workloads::catalog::{parse_mix, TABLE_V_MIXES};
 
@@ -25,7 +25,7 @@ fn main() {
         let apps = parse_mix(mix);
         let mut tput = Vec::new();
         for p in Protocol::ALL {
-            tput.push(run_mix(p, &apps, &ex).throughput());
+            tput.push(Run::apps(p, &ex, &apps).run().stats.throughput());
         }
         let base = tput[0].max(f64::MIN_POSITIVE);
         sp_hh.push(tput[1] / base);

@@ -10,8 +10,7 @@
 //! Run: `cargo run --release -p hades-bench --bin fig3 [--quick]`
 
 use hades_bench::{experiment_from_args, fmt_pct, print_table};
-use hades_core::baseline::BaselineSim;
-use hades_core::runtime::{Cluster, WorkloadSet};
+use hades_core::runner::{Protocol, Run};
 use hades_core::stats::Overhead;
 use hades_sim::config::ClusterShape;
 use hades_storage::db::Database;
@@ -39,11 +38,16 @@ fn main() {
         }
         .scaled(ex.scale)
         .with_write_fraction(wf);
-        let app = Ycsb::setup(&mut db, cfg);
-        let ws = WorkloadSet::single(Box::new(app), ex.cfg.shape.cores_per_node);
-        let cl = Cluster::new(ex.cfg.clone(), db);
-        let stats = BaselineSim::new(cl, ws, ex.warmup, ex.measure).run();
-        results.push((label, stats));
+        let app = Box::new(Ycsb::setup(&mut db, cfg));
+        let run = Run::loaded(
+            Protocol::Baseline,
+            ex.cfg.clone(),
+            db,
+            app,
+            ex.warmup,
+            ex.measure,
+        );
+        results.push((label, run.run().stats));
     }
 
     // Normalize all bars to the 100%WR total, as in the paper.

@@ -30,18 +30,15 @@
 //! report under `results/`).
 
 use hades_bench::{flag_value, has_flag, print_table, write_json_report};
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
-use hades_core::runner::Protocol;
-use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades_core::runner::{Protocol, Run};
+use hades_core::runtime::RunOutcome;
 use hades_fault::FaultPlan;
 use hades_sim::config::{ClusterShape, MembershipParams, SimConfig};
 use hades_sim::time::Cycles;
 use hades_storage::db::Database;
 use hades_storage::RecordId;
 use hades_telemetry::json::Json;
-use hades_workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+use hades_workloads::smallbank::{Smallbank, SmallbankConfig, OFF_BALANCE};
 use std::collections::HashMap;
 
 const ACCOUNTS: u64 = 800;
@@ -114,6 +111,7 @@ impl Shape {
 /// One finished run plus the Smallbank-side invariant observations.
 struct Observed {
     out: RunOutcome,
+    initial_total: u64,
     final_total: u64,
     records_locked: bool,
 }
@@ -133,31 +131,22 @@ fn run_once(
         },
     );
     db.enable_commit_history();
-    let (checking, savings) = (sb.checking(), sb.savings());
-    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-    let mut cl = Cluster::new(cfg, db);
-    if let Some(plan) = plan {
-        cl.install_fault_plan(plan.clone());
-    }
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
+    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, measure)
+        .plan(plan.cloned())
+        .run();
     let db = &out.cluster.db;
-    let mut final_total = 0u64;
     let mut records_locked = false;
-    for t in [checking, savings] {
+    for t in [sb.checking(), sb.savings()] {
         for a in 0..ACCOUNTS {
             let rid = db.lookup(t, a).expect("account exists").rid;
-            final_total = final_total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
             records_locked |= db.record(rid).is_locked();
         }
     }
     Observed {
-        out,
-        final_total,
+        initial_total: sb.initial_total(),
+        final_total: sb.total_money(db),
         records_locked,
+        out,
     }
 }
 
@@ -201,12 +190,13 @@ fn check_invariants(label: &str, obs: &Observed, measure: u64, failures: &mut Ve
             stats.committed
         ));
     }
-    let initial = 2 * ACCOUNTS * INITIAL_BALANCE;
-    let expected = initial.wrapping_add(obs.out.total_sum_delta as u64);
+    let expected = obs
+        .initial_total
+        .wrapping_add(obs.out.total_sum_delta as u64);
     if obs.final_total != expected {
         failures.push(format!(
             "{label}: money not conserved (final {} != initial {} + committed delta {})",
-            obs.final_total, initial, obs.out.total_sum_delta
+            obs.final_total, obs.initial_total, obs.out.total_sum_delta
         ));
     }
     if obs.records_locked {

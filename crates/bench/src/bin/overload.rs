@@ -28,8 +28,8 @@
 //! and the report cells embed it.
 
 use hades_bench::{flag_value, has_flag, print_table, write_json_report};
-use hades_core::hades::HadesSim;
-use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades_core::runner::{Protocol, Run};
+use hades_core::runtime::RunOutcome;
 use hades_sim::config::{OverloadParams, SimConfig};
 use hades_sim::time::Cycles;
 use hades_storage::db::Database;
@@ -63,9 +63,7 @@ fn run_once(cfg: SimConfig, theta: f64, measure: u64) -> Observed {
     );
     let keys = (4_000_000f64 * SCALE) as u64;
     let table = ycsb.table();
-    let ws = WorkloadSet::single(Box::new(ycsb), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    let out = HadesSim::new(cl, ws, 0, measure).run_full();
+    let out = Run::loaded(Protocol::Hades, cfg, db, Box::new(ycsb), 0, measure).run();
     let mut records_locked = false;
     for key in 0..keys {
         let rid = out.cluster.db.lookup(table, key).expect("key loaded").rid;

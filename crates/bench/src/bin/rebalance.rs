@@ -21,16 +21,13 @@
 //! is printed per cell and embedded in the JSON report.
 
 use hades_bench::{flag_value, has_flag, print_table, report_goodput_dip, write_json_report};
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
-use hades_core::runner::Protocol;
-use hades_core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades_core::runner::{Protocol, Run};
+use hades_core::runtime::RunOutcome;
 use hades_sim::config::{ClusterShape, MigrationParams, SimConfig};
 use hades_sim::time::Cycles;
 use hades_storage::db::Database;
 use hades_telemetry::json::Json;
-use hades_workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+use hades_workloads::smallbank::{Smallbank, SmallbankConfig};
 
 const SHAPE: ClusterShape = ClusterShape {
     nodes: 4,
@@ -65,23 +62,9 @@ fn run_rebalance(
     }
     let mut db = Database::new(cfg.shape.nodes);
     let sb = Smallbank::setup(&mut db, SmallbankConfig { accounts, hotspot });
-    let (checking, savings) = (sb.checking(), sb.savings());
-    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
-    let mut total = 0u64;
-    for t in [checking, savings] {
-        for a in 0..accounts {
-            let rid = out.cluster.db.lookup(t, a).expect("account exists").rid;
-            total = total.wrapping_add(out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize));
-        }
-    }
-    let initial = 2 * accounts * INITIAL_BALANCE;
-    let conserved = total == initial.wrapping_add(out.total_sum_delta as u64);
+    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, measure).run();
+    let conserved = sb.total_money(&out.cluster.db)
+        == sb.initial_total().wrapping_add(out.total_sum_delta as u64);
     RebalanceRun { out, conserved }
 }
 

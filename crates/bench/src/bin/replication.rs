@@ -14,14 +14,13 @@
 //! Run: `cargo run --release -p hades-bench --bin replication [--quick]`
 
 use hades_bench::{experiment_from_args, fmt_pct, print_table};
-use hades_core::hades::HadesSim;
-use hades_core::runtime::{Cluster, WorkloadSet};
+use hades_core::runner::{Experiment, Protocol, Run};
 use hades_core::stats::SquashReason;
 use hades_fault::FaultPlan;
 use hades_sim::config::SimConfig;
 use hades_storage::db::Database;
 use hades_workloads::catalog::AppId;
-use hades_workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+use hades_workloads::smallbank::{Smallbank, SmallbankConfig};
 
 fn main() {
     let ex = experiment_from_args();
@@ -29,11 +28,13 @@ fn main() {
     // Part 1: cost of replication.
     let mut rows = Vec::new();
     for degree in [0usize, 1, 2] {
-        let cfg = SimConfig::isca_default().with_replication(degree);
-        let mut db = Database::new(cfg.shape.nodes);
-        let app = AppId::parse("HT-wA").unwrap().build(&mut db, ex.scale);
-        let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-        let stats = HadesSim::new(Cluster::new(cfg, db), ws, ex.warmup, ex.measure).run();
+        let ex = Experiment {
+            cfg: SimConfig::isca_default().with_replication(degree),
+            ..ex.clone()
+        };
+        let stats = Run::apps(Protocol::Hades, &ex, &[AppId::parse("HT-wA").unwrap()])
+            .run()
+            .stats;
         rows.push(vec![
             format!("f={degree}"),
             format!("{:.0}", stats.throughput()),
@@ -53,7 +54,6 @@ fn main() {
     println!("keeping the one-round-trip commit structure.");
 
     // Part 2: message loss.
-    let accounts = 2_000u64;
     let mut rows = Vec::new();
     for loss in [0.0f64, 0.01, 0.05, 0.10] {
         let cfg = SimConfig::isca_default().with_replication(1);
@@ -62,25 +62,16 @@ fn main() {
         let sb = Smallbank::setup(
             &mut db,
             SmallbankConfig {
-                accounts,
+                accounts: 2_000,
                 hotspot: None,
             },
         );
-        let (checking, savings) = (sb.checking(), sb.savings());
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let mut cl = Cluster::new(cfg, db);
-        cl.install_fault_plan(plan);
-        let out = HadesSim::new(cl, ws, 0, ex.measure).run_full();
-        let db = &out.cluster.db;
-        let mut total = 0u64;
-        for t in [checking, savings] {
-            for a in 0..accounts {
-                let rid = db.lookup(t, a).unwrap().rid;
-                total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
-            }
-        }
-        let initial = 2 * accounts * INITIAL_BALANCE;
-        let conserved = total == initial.wrapping_add(out.total_sum_delta as u64);
+        let bank = Box::new(sb.clone());
+        let out = Run::loaded(Protocol::Hades, cfg, db, bank, 0, ex.measure)
+            .plan(plan)
+            .run();
+        let conserved = sb.total_money(&out.cluster.db)
+            == sb.initial_total().wrapping_add(out.total_sum_delta as u64);
         rows.push(vec![
             fmt_pct(loss),
             format!("{:.0}", out.stats.throughput()),

@@ -14,7 +14,7 @@
 //! Run: `cargo run --release -p hades-bench --bin sec8c [--quick]`
 
 use hades_bench::{experiment_from_args, fmt_pct, print_table};
-use hades_core::runner::{run_single, Protocol};
+use hades_core::runner::{Protocol, Run};
 use hades_workloads::catalog::AppId;
 
 const APPS: [&str; 5] = ["TPC-C", "TATP", "Smallbank", "HT-wA", "BTree-wB"];
@@ -37,7 +37,9 @@ fn main() {
             ex.cfg = ex.cfg.with_local_fraction(1.0);
             ex.cfg.mem.llc_bytes_per_core = llc_per_core;
             ex.cfg.mem.llc_ways = ways;
-            let s = run_single(Protocol::Hades, AppId::parse(app).unwrap(), &ex);
+            let s = Run::apps(Protocol::Hades, &ex, &[AppId::parse(app).unwrap()])
+                .run()
+                .stats;
             let attempts = s.committed + s.squashes;
             let frac = s.llc_eviction_squashes as f64 / attempts.max(1) as f64;
             rows.push(vec![
@@ -64,7 +66,9 @@ fn main() {
         let mut checks = 0u64;
         let mut fps = 0u64;
         for app in APPS {
-            let s = run_single(p, AppId::parse(app).unwrap(), &base_ex);
+            let s = Run::apps(p, &base_ex, &[AppId::parse(app).unwrap()])
+                .run()
+                .stats;
             checks += s.conflict_checks;
             fps += s.false_positive_conflicts;
         }

@@ -18,7 +18,7 @@
 use hades_bench::{experiment_from_args, has_flag, print_table};
 use hades_bloom::{BloomFilter, DualWriteFilter};
 use hades_core::hwcost::{core_pair_bytes, nic_pair_bytes};
-use hades_core::runner::{compare_protocols, geomean, run_single, Protocol};
+use hades_core::runner::{compare_protocols, geomean, Protocol, Run};
 use hades_sim::config::BloomParams;
 use hades_sim::time::Cycles;
 use hades_telemetry::json::Json;
@@ -187,7 +187,9 @@ fn json_main() {
         let mut tput = [0.0; 3];
         let mut complete = true;
         for (i, p) in Protocol::ALL.into_iter().enumerate() {
-            match try_run(&format!("{app}/{p}"), || run_single(p, id, &ex)) {
+            match try_run(&format!("{app}/{p}"), || {
+                Run::apps(p, &ex, &[id]).run().stats
+            }) {
                 Ok(stats) => {
                     tput[i] = stats.throughput();
                     protos = protos.field(p.label(), stats.to_json());
@@ -279,9 +281,9 @@ fn main() {
     let speedup_at = |rt: u64| -> Result<f64, String> {
         let mut e = ex.clone();
         e.cfg = e.cfg.with_net_rt(Cycles::from_micros(rt));
+        let tput = |p| Run::apps(p, &e, &[app]).run().stats.throughput();
         try_run(&format!("HT-wA@{rt}us"), || {
-            run_single(Protocol::Hades, app, &e).throughput()
-                / run_single(Protocol::Baseline, app, &e).throughput()
+            tput(Protocol::Hades) / tput(Protocol::Baseline)
         })
     };
     match (speedup_at(1), speedup_at(3)) {

@@ -16,8 +16,8 @@
 //!
 //! Example: `cargo run --release -p hades-bench --bin trace`
 
-use hades_bench::flag_value;
-use hades_core::runner::{run_single_traced, Experiment, Protocol};
+use hades_bench::{flag_parsed, flag_value};
+use hades_core::runner::{Experiment, Protocol, Run};
 use hades_telemetry::chrome::chrome_trace;
 use hades_telemetry::jsonl::events_to_jsonl;
 use hades_telemetry::registry::MetricsRegistry;
@@ -40,7 +40,7 @@ fn main() {
         std::process::exit(2);
     };
     let mut ex = Experiment::quick();
-    if let Some(seed) = flag_value("--seed").and_then(|s| s.parse().ok()) {
+    if let Some(seed) = flag_parsed("--seed") {
         ex.cfg = ex.cfg.with_seed(seed);
     }
     let out = flag_value("--out").unwrap_or_else(|| {
@@ -52,7 +52,7 @@ fn main() {
     });
 
     let (tracer, sink) = Tracer::memory();
-    let outcome = run_single_traced(protocol, app, &ex, tracer);
+    let outcome = Run::apps(protocol, &ex, &[app]).tracer(tracer).run();
     let events = sink.borrow_mut().take_events();
 
     std::fs::write(&out, chrome_trace(&events)).expect("write chrome trace");

@@ -10,11 +10,7 @@
 //! cell-by-cell and reports throughput/p99 regressions beyond a
 //! threshold — the CI perf gate.
 
-use hades_core::baseline::BaselineSim;
-use hades_core::hades::HadesSim;
-use hades_core::hades_h::HadesHSim;
-use hades_core::runner::Protocol;
-use hades_core::runtime::{Cluster, WorkloadSet};
+use hades_core::runner::{Protocol, Run};
 use hades_core::stats::RunStats;
 use hades_sim::config::{BatchingParams, SimConfig};
 use hades_storage::db::Database;
@@ -183,13 +179,9 @@ pub fn run_cell_batched(
     }
     let mut db = Database::new(cfg.shape.nodes);
     let workload = wl.build(&mut db, scale);
-    let ws = WorkloadSet::single(workload, cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    let stats = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, warmup, measure).run(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, warmup, measure).run(),
-        Protocol::Hades => HadesSim::new(cl, ws, warmup, measure).run(),
-    };
+    let stats = Run::loaded(protocol, cfg, db, workload, warmup, measure)
+        .run()
+        .stats;
     let workload = match batch {
         Some(n) => format!("{}+batch{n}", wl.label()),
         None => wl.label(),

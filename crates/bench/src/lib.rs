@@ -45,18 +45,17 @@ use hades_core::stats::RunStats;
 use hades_sim::config::SimConfig;
 use hades_sim::time::Cycles;
 use hades_telemetry::json::Json;
+use std::str::FromStr;
 
 /// Parses the standard driver flags. `--quick` shrinks dataset scale and
 /// measurement length so every figure runs in seconds; `--seed N` varies
 /// the RNG seed; `--loss P` injects commit-message loss at probability `P`
-/// through the cluster-wide fault plane (a seeded `FaultPlan`).
+/// through the cluster-wide fault plane (a seeded `FaultPlan`). A missing
+/// or malformed value exits with status 2 (see [`flag_parsed`]).
 pub fn experiment_from_args() -> Experiment {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let seed = std::env::args()
-        .skip_while(|a| a != "--seed")
-        .nth(1)
-        .and_then(|s| s.parse().ok());
-    let loss: Option<f64> = flag_value("--loss").and_then(|s| s.parse().ok());
+    let quick = has_flag("--quick");
+    let seed = flag_parsed("--seed");
+    let loss = flag_parsed("--loss");
     let mut ex = if quick {
         Experiment {
             cfg: SimConfig::isca_default(),
@@ -90,6 +89,31 @@ pub fn has_flag(name: &str) -> bool {
 /// (e.g. `--out trace.json`).
 pub fn flag_value(name: &str) -> Option<String> {
     std::env::args().skip_while(|a| a != name).nth(1)
+}
+
+/// Parses the value following `name` in `args`: `Ok(None)` when the
+/// flag is absent, `Err` when its value is missing or does not parse.
+pub fn parse_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(at) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(at + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    match value.parse() {
+        Ok(v) => Ok(Some(v)),
+        Err(_) => Err(format!("{name}: cannot parse {value:?}")),
+    }
+}
+
+/// [`parse_flag`] over the command line. Exits with status 2 when the
+/// flag's value is missing or does not parse, instead of ignoring it.
+pub fn flag_parsed<T: FromStr>(name: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    parse_flag(&args, name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Writes `doc` (plus a trailing newline) to `path`, creating parent

@@ -1226,18 +1226,20 @@ impl Sim<Baseline> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{RunOutcome, WorkloadSet};
+    use crate::runner::{Experiment, Protocol, Run};
+    use crate::runtime::RunOutcome;
     use hades_sim::config::SimConfig;
     use hades_storage::db::Database;
     use hades_workloads::catalog::AppId;
     use hades_workloads::smallbank::{Smallbank, SmallbankConfig};
 
     fn run_app(app_name: &str, warmup: u64, measure: u64) -> RunOutcome {
-        let cfg = SimConfig::isca_default();
-        let mut db = Database::new(cfg.shape.nodes);
-        let app = AppId::parse(app_name).unwrap().build(&mut db, 0.005);
-        let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-        BaselineSim::new(Cluster::new(cfg, db), ws, warmup, measure).run_full()
+        let ex = Experiment {
+            warmup,
+            measure,
+            ..Experiment::quick()
+        };
+        Run::apps(Protocol::Baseline, &ex, &[AppId::parse(app_name).unwrap()]).run()
     }
 
     #[test]
@@ -1269,8 +1271,7 @@ mod tests {
                 hotspot: Some((4, 0.95)),
             },
         );
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let out = BaselineSim::new(Cluster::new(cfg, db), ws, 0, 400).run_full();
+        let out = Run::loaded(Protocol::Baseline, cfg, db, Box::new(sb), 0, 400).run();
         assert!(out.stats.squashes > 0, "hotspot contention must abort");
     }
 

@@ -1853,27 +1853,38 @@ impl HadesSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{RunOutcome, WorkloadSet};
+    use crate::runner::{Experiment, Protocol, Run};
+    use crate::runtime::RunOutcome;
     use hades_sim::config::SimConfig;
     use hades_storage::db::Database;
     use hades_workloads::catalog::AppId;
-    use hades_workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+    use hades_workloads::smallbank::{Smallbank, SmallbankConfig};
+
+    /// Runs HADES over `app_name` at `scale` under `cfg`.
+    fn run_with(
+        cfg: SimConfig,
+        app_name: &str,
+        scale: f64,
+        warmup: u64,
+        measure: u64,
+    ) -> RunOutcome {
+        let ex = Experiment {
+            cfg,
+            scale,
+            warmup,
+            measure,
+        };
+        Run::apps(Protocol::Hades, &ex, &[AppId::parse(app_name).unwrap()]).run()
+    }
 
     fn run_app(app_name: &str, warmup: u64, measure: u64) -> RunOutcome {
-        let cfg = SimConfig::isca_default();
-        let mut db = Database::new(cfg.shape.nodes);
-        let app = AppId::parse(app_name).unwrap().build(&mut db, 0.005);
-        let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-        HadesSim::new(Cluster::new(cfg, db), ws, warmup, measure).run_full()
+        run_with(SimConfig::isca_default(), app_name, 0.005, warmup, measure)
     }
 
     #[test]
     fn profiler_attributes_every_measured_cycle() {
         let cfg = SimConfig::isca_default().with_profiling();
-        let mut db = Database::new(cfg.shape.nodes);
-        let app = AppId::parse("HT-wA").unwrap().build(&mut db, 0.005);
-        let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-        let out = HadesSim::new(Cluster::new(cfg, db), ws, 50, 300).run_full();
+        let out = run_with(cfg, "HT-wA", 0.005, 50, 300);
         let prof = out.stats.profile.as_ref().expect("profiler enabled");
         // Every measured commit is attributed, and the per-phase totals
         // sum exactly to the summed end-to-end latency.
@@ -1905,8 +1916,7 @@ mod tests {
                 hotspot: Some((4, 0.9)),
             },
         );
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let out = HadesSim::new(Cluster::new(cfg, db), ws, 0, 300).run_full();
+        let out = Run::loaded(Protocol::Hades, cfg, db, Box::new(sb), 0, 300).run();
         assert!(
             out.stats.squashes_for(SquashReason::EagerLocal) > 0,
             "expected eager L–L squashes, reasons: {:?}",
@@ -1925,8 +1935,7 @@ mod tests {
                 hotspot: Some((4, 0.9)),
             },
         );
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let out = HadesSim::new(Cluster::new(cfg, db), ws, 0, 300).run_full();
+        let out = Run::loaded(Protocol::Hades, cfg, db, Box::new(sb), 0, 300).run();
         let lazy = out.stats.squashes_for(SquashReason::LazyConflict)
             + out.stats.squashes_for(SquashReason::LockFailed);
         assert!(
@@ -1953,10 +1962,7 @@ mod tests {
             if let Some(us) = interval {
                 cfg = cfg.with_context_switches(Cycles::from_micros(us));
             }
-            let mut db = Database::new(cfg.shape.nodes);
-            let app = AppId::parse("Smallbank").unwrap().build(&mut db, 0.002);
-            let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-            HadesSim::new(Cluster::new(cfg, db), ws, 0, 300).run_full()
+            run_with(cfg, "Smallbank", 0.002, 0, 300)
         };
         let plain = run(None);
         let switched = run(Some(5)); // a switch every 5 us: very aggressive
@@ -1980,11 +1986,7 @@ mod tests {
     #[test]
     fn replication_persists_and_finalizes() {
         let cfg = SimConfig::isca_default().with_replication(2);
-        let mut db = Database::new(cfg.shape.nodes);
-        let app = AppId::parse("HT-wA").unwrap().build(&mut db, 0.005);
-        let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-        let sim = HadesSim::new(Cluster::new(cfg, db), ws, 0, 300);
-        let out = sim.run_full();
+        let out = run_with(cfg, "HT-wA", 0.005, 0, 300);
         assert_eq!(out.stats.committed, 300);
         assert!(
             out.stats.replica_persists > 0,
@@ -2008,11 +2010,8 @@ mod tests {
     fn replication_costs_throughput() {
         let run = |degree: usize| {
             let cfg = SimConfig::isca_default().with_replication(degree);
-            let mut db = Database::new(cfg.shape.nodes);
-            let app = AppId::parse("Smallbank").unwrap().build(&mut db, 0.002);
-            let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-            HadesSim::new(Cluster::new(cfg, db), ws, 50, 300)
-                .run()
+            run_with(cfg, "Smallbank", 0.002, 50, 300)
+                .stats
                 .throughput()
         };
         let plain = run(0);
@@ -2032,39 +2031,26 @@ mod tests {
         use hades_fault::FaultPlan;
         let cfg = SimConfig::isca_default().with_replication(1);
         let mut db = Database::new(cfg.shape.nodes);
-        let accounts = 1_000u64;
         let sb = Smallbank::setup(
             &mut db,
             SmallbankConfig {
-                accounts,
+                accounts: 1_000,
                 hotspot: Some((16, 0.5)),
             },
         );
-        let (checking, savings) = (sb.checking(), sb.savings());
-        let initial = 2 * accounts * INITIAL_BALANCE;
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let mut cl = Cluster::new(cfg, db);
-        cl.install_fault_plan(
-            FaultPlan::none()
-                .with_seed(11)
-                .with_lease(Cycles::new(30_000))
-                .crash(1, Cycles::new(60_000), Cycles::new(200_000)),
-        );
-        let out = HadesSim::new(cl, ws, 0, 400).run_full();
+        let plan = FaultPlan::none()
+            .with_seed(11)
+            .with_lease(Cycles::new(30_000))
+            .crash(1, Cycles::new(60_000), Cycles::new(200_000));
+        let out = Run::loaded(Protocol::Hades, cfg, db, Box::new(sb.clone()), 0, 400)
+            .plan(plan)
+            .run();
         assert_eq!(out.stats.committed, 400, "run must survive the crash");
         assert_eq!(out.stats.faults.crashes, 1);
         assert_eq!(out.stats.faults.restarts, 1);
-        let db = &out.cluster.db;
-        let mut total = 0u64;
-        for t in [checking, savings] {
-            for a in 0..accounts {
-                let rid = db.lookup(t, a).unwrap().rid;
-                total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
-            }
-        }
         assert_eq!(
-            total,
-            initial.wrapping_add(out.total_sum_delta as u64),
+            sb.total_money(&out.cluster.db),
+            sb.initial_total().wrapping_add(out.total_sum_delta as u64),
             "money not conserved across the crash"
         );
         for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
@@ -2075,17 +2061,15 @@ mod tests {
     #[test]
     fn faster_than_baseline_on_tpcc() {
         // The headline claim, in miniature: HADES beats Baseline on TPC-C.
-        let mk = || {
-            let cfg = SimConfig::isca_default();
-            let mut db = Database::new(cfg.shape.nodes);
-            let app = AppId::parse("TPC-C").unwrap().build(&mut db, 0.01);
-            let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-            (Cluster::new(cfg, db), ws)
+        let ex = Experiment {
+            scale: 0.01,
+            warmup: 50,
+            measure: 400,
+            ..Experiment::quick()
         };
-        let (cl, ws) = mk();
-        let hades = HadesSim::new(cl, ws, 50, 400).run();
-        let (cl, ws) = mk();
-        let base = crate::baseline::BaselineSim::new(cl, ws, 50, 400).run();
+        let app = AppId::parse("TPC-C").unwrap();
+        let hades = Run::apps(Protocol::Hades, &ex, &[app]).run().stats;
+        let base = Run::apps(Protocol::Baseline, &ex, &[app]).run().stats;
         let speedup = hades.throughput() / base.throughput();
         assert!(
             speedup > 1.3,

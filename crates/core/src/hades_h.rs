@@ -273,7 +273,7 @@ impl LocalPath for SwLocal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::WorkloadSet;
+    use crate::runner::{Experiment, Protocol, Run};
     use hades_sim::config::SimConfig;
     use hades_storage::db::Database;
     use hades_workloads::catalog::AppId;
@@ -290,8 +290,7 @@ mod tests {
                 hotspot: Some((4, 0.9)),
             },
         );
-        let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-        let out = HadesHSim::new(Cluster::new(cfg, db), ws, 0, 300).run_full();
+        let out = Run::loaded(Protocol::HadesH, cfg, db, Box::new(sb), 0, 300).run();
         assert!(
             out.stats.squashes_for(SquashReason::ValidationFailed) > 0
                 || out.stats.squashes_for(SquashReason::LockFailed) > 0,
@@ -303,22 +302,14 @@ mod tests {
     #[test]
     fn performance_between_baseline_and_hades() {
         // Fig 9's ordering: Baseline <= HADES-H <= HADES (roughly).
-        let mk = || {
-            let cfg = SimConfig::isca_default();
-            let mut db = Database::new(cfg.shape.nodes);
-            let app = AppId::parse("HT-wA").unwrap().build(&mut db, 0.005);
-            let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-            (Cluster::new(cfg, db), ws)
+        let ex = Experiment {
+            warmup: 50,
+            measure: 300,
+            ..Experiment::quick()
         };
-        let (cl, ws) = mk();
-        let base = crate::baseline::BaselineSim::new(cl, ws, 50, 300).run();
-        let (cl, ws) = mk();
-        let hybrid = HadesHSim::new(cl, ws, 50, 300).run();
-        let (cl, ws) = mk();
-        let hades = crate::hades::HadesSim::new(cl, ws, 50, 300).run();
-        let b = base.throughput();
-        let h = hybrid.throughput();
-        let full = hades.throughput();
+        let app = AppId::parse("HT-wA").unwrap();
+        let [b, h, full] =
+            Protocol::ALL.map(|p| Run::apps(p, &ex, &[app]).run().stats.throughput());
         assert!(
             h > b * 0.95,
             "HADES-H ({h:.0}) should beat Baseline ({b:.0})"

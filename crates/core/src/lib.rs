@@ -17,8 +17,8 @@
 //!   local path, hardware remote path.
 //!
 //! [`runner`] drives any of the three over the paper's workloads and
-//! cluster shapes; [`hwcost`] reproduces the Section VI hardware-storage
-//! arithmetic.
+//! cluster shapes through one builder, [`runner::Run`]; [`hwcost`]
+//! reproduces the Section VI hardware-storage arithmetic.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -36,6 +36,6 @@ pub mod stats;
 
 pub use membership::Membership;
 pub use overload::AdmissionController;
-pub use runner::{compare_protocols, run_mix, run_single, Experiment, Protocol};
+pub use runner::{compare_protocols, Experiment, Protocol, Run};
 pub use runtime::{Cluster, RunOutcome, WorkloadSet};
 pub use stats::{MembershipStats, Overhead, OverloadStats, Phase, RunStats, SquashReason};

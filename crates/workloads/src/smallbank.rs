@@ -49,7 +49,7 @@ impl SmallbankConfig {
 }
 
 /// The Smallbank workload generator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Smallbank {
     cfg: SmallbankConfig,
     checking: TableId,

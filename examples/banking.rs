@@ -10,18 +10,15 @@
 //!
 //! Run: `cargo run --release --example banking`
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::sim::config::SimConfig;
 use hades::storage::db::Database;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE};
 
 const ACCOUNTS: u64 = 5_000;
 
-fn run(protocol: Protocol) -> (RunOutcome, [hades::storage::TableId; 2]) {
+fn run(protocol: Protocol) -> (RunOutcome, Smallbank) {
     let cfg = SimConfig::isca_default();
     let mut db = Database::new(cfg.shape.nodes);
     // A hot set of 30 accounts takes 60% of the traffic: plenty of
@@ -33,30 +30,16 @@ fn run(protocol: Protocol) -> (RunOutcome, [hades::storage::TableId; 2]) {
             hotspot: Some((30, 0.6)),
         },
     );
-    let tables = [bank.checking(), bank.savings()];
-    let ws = WorkloadSet::single(Box::new(bank), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, 3_000).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, 3_000).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, 3_000).run_full(),
-    };
-    (out, tables)
+    let out = Run::loaded(protocol, cfg, db, Box::new(bank.clone()), 0, 3_000).run();
+    (out, bank)
 }
 
 fn main() {
     let initial = 2 * ACCOUNTS * INITIAL_BALANCE;
     println!("Initial bank total: {initial}");
     for protocol in Protocol::ALL {
-        let (out, tables) = run(protocol);
-        let mut total: u64 = 0;
-        for table in tables {
-            for account in 0..ACCOUNTS {
-                let rid = out.cluster.db.lookup(table, account).expect("account").rid;
-                total =
-                    total.wrapping_add(out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize));
-            }
-        }
+        let (out, bank) = run(protocol);
+        let total = bank.total_money(&out.cluster.db);
         let expected = initial.wrapping_add(out.total_sum_delta as u64);
         let ok = total == expected;
         println!(

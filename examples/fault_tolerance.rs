@@ -6,16 +6,13 @@
 //!
 //! Run: `cargo run --release --example fault_tolerance`
 
-use hades::core::hades::HadesSim;
-use hades::core::runtime::{Cluster, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
 use hades::core::stats::SquashReason;
 use hades::fault::FaultPlan;
 use hades::sim::config::SimConfig;
 use hades::sim::time::Cycles;
 use hades::storage::db::Database;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
-
-const ACCOUNTS: u64 = 2_000;
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
 
 fn run(replicas: usize, label: &str, plan: FaultPlan) {
     let cfg = SimConfig::isca_default().with_replication(replicas);
@@ -23,24 +20,16 @@ fn run(replicas: usize, label: &str, plan: FaultPlan) {
     let bank = Smallbank::setup(
         &mut db,
         SmallbankConfig {
-            accounts: ACCOUNTS,
+            accounts: 2_000,
             hotspot: None,
         },
     );
-    let tables = [bank.checking(), bank.savings()];
-    let ws = WorkloadSet::single(Box::new(bank), cfg.shape.cores_per_node);
-    let mut cl = Cluster::new(cfg, db);
-    cl.install_fault_plan(plan);
-    let out = HadesSim::new(cl, ws, 0, 2_000).run_full();
+    let out = Run::loaded(Protocol::Hades, cfg, db, Box::new(bank.clone()), 0, 2_000)
+        .plan(plan)
+        .run();
 
-    let mut total = 0u64;
-    for table in tables {
-        for a in 0..ACCOUNTS {
-            let rid = out.cluster.db.lookup(table, a).expect("account").rid;
-            total = total.wrapping_add(out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize));
-        }
-    }
-    let expected = (2 * ACCOUNTS * INITIAL_BALANCE).wrapping_add(out.total_sum_delta as u64);
+    let (initial, total) = (bank.initial_total(), bank.total_money(&out.cluster.db));
+    let expected = initial.wrapping_add(out.total_sum_delta as u64);
     assert_eq!(total, expected, "conservation violated");
     println!(
         "replicas={replicas} {label:<12} | {:>9.0} txn/s  persists={:>5}  dropped={:>4}  timeouts={:>4}  retries={:>4}  crash+rst={}  ledger: CONSERVED",

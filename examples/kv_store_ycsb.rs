@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example kv_store_ycsb`
 
-use hades::core::runner::{run_single, Experiment, Protocol};
+use hades::core::runner::{Experiment, Protocol, Run};
 use hades::sim::config::SimConfig;
 use hades::storage::IndexKind;
 use hades::workloads::catalog::AppId;
@@ -28,8 +28,8 @@ fn main() {
         IndexKind::BPlusTree,
     ] {
         let app = AppId::Ycsb(store, YcsbVariant::A);
-        let base = run_single(Protocol::Baseline, app, &ex);
-        let hades = run_single(Protocol::Hades, app, &ex);
+        let base = Run::apps(Protocol::Baseline, &ex, &[app]).run().stats;
+        let hades = Run::apps(Protocol::Hades, &ex, &[app]).run().stats;
         println!(
             "{:<10} {:>14.0} {:>14.0} {:>8.2}x",
             store.label(),

@@ -3,8 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use hades::core::hades::HadesSim;
-use hades::core::runtime::{Cluster, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
 use hades::sim::config::SimConfig;
 use hades::storage::db::Database;
 use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
@@ -20,12 +19,11 @@ fn main() {
     let mut db = Database::new(cfg.shape.nodes);
     let bank = Smallbank::setup(&mut db, SmallbankConfig::paper().scaled(0.01));
 
-    // 3. Bind the workload to every core and build the cluster.
-    let ws = WorkloadSet::single(Box::new(bank), cfg.shape.cores_per_node);
-    let cluster = Cluster::new(cfg, db);
-
-    // 4. Run: 500 warmup commits, then measure 5_000.
-    let stats = HadesSim::new(cluster, ws, 500, 5_000).run();
+    // 3. Run the workload on every core: 500 warmup commits, then
+    //    measure 5_000.
+    let stats = Run::loaded(Protocol::Hades, cfg, db, Box::new(bank), 500, 5_000)
+        .run()
+        .stats;
 
     println!(
         "HADES on Smallbank ({} committed transactions)",

@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release --example tpcc_cluster`
 
-use hades::core::runner::{run_single, Experiment, Protocol};
+use hades::core::runner::{Experiment, Protocol, Run};
 use hades::sim::config::{ClusterShape, SimConfig};
 use hades::workloads::catalog::AppId;
 
@@ -29,7 +29,7 @@ fn main() {
         let app = AppId::parse("TPC-C").expect("known app");
         let mut base_tput = 0.0;
         for p in Protocol::ALL {
-            let s = run_single(p, app, &ex);
+            let s = Run::apps(p, &ex, &[app]).run().stats;
             if p == Protocol::Baseline {
                 base_tput = s.throughput();
             }

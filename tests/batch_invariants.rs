@@ -17,9 +17,7 @@
 //! 5. No stall: HADES under batching at high contention commits its whole
 //!    window and leaks no hardware state.
 
-use hades::core::hades::HadesSim;
-use hades::core::runner::{run_single, run_single_traced, Experiment, Protocol};
-use hades::core::runtime::{Cluster, WorkloadSet};
+use hades::core::runner::{Experiment, Protocol, Run};
 use hades::net::batch::{Batcher, Doorbell};
 use hades::sim::config::{BatchingParams, NetParams, SimConfig};
 use hades::sim::ids::NodeId;
@@ -48,10 +46,10 @@ fn batching_off_is_byte_identical_to_an_untouched_config() {
         let plain_ex = quick(SimConfig::isca_default());
         let off_ex = quick(SimConfig::isca_default().with_batching(BatchingParams::default()));
         let (tracer, sink) = Tracer::memory();
-        let plain = run_single_traced(protocol, app, &plain_ex, tracer);
+        let plain = Run::apps(protocol, &plain_ex, &[app]).tracer(tracer).run();
         let plain_events = sink.borrow_mut().take_events();
         let (tracer, sink) = Tracer::memory();
-        let off = run_single_traced(protocol, app, &off_ex, tracer);
+        let off = Run::apps(protocol, &off_ex, &[app]).tracer(tracer).run();
         let off_events = sink.borrow_mut().take_events();
         assert_eq!(
             events_to_jsonl(&plain_events),
@@ -75,8 +73,8 @@ fn same_seed_batched_runs_are_byte_identical() {
     let app = AppId::parse("HT-wA").unwrap();
     for protocol in Protocol::ALL {
         let cfg = || SimConfig::isca_default().with_batching(BatchingParams::standard());
-        let a = run_single(protocol, app, &quick(cfg()));
-        let b = run_single(protocol, app, &quick(cfg()));
+        let a = Run::apps(protocol, &quick(cfg()), &[app]).run().stats;
+        let b = Run::apps(protocol, &quick(cfg()), &[app]).run().stats;
         let bt = a
             .batching
             .as_ref()
@@ -119,7 +117,7 @@ fn batched_arrivals_stay_fifo_per_queue_pair() {
     for protocol in Protocol::ALL {
         let ex = quick(SimConfig::isca_default().with_batching(BatchingParams::fixed(4)));
         let (tracer, sink) = Tracer::memory();
-        let out = run_single_traced(protocol, app, &ex, tracer);
+        let out = Run::apps(protocol, &ex, &[app]).tracer(tracer).run();
         let events = sink.borrow_mut().take_events();
         let mut verbs = paired_verbs(&events);
         assert!(!verbs.is_empty(), "{protocol}: no verb traffic traced");
@@ -198,12 +196,9 @@ fn hades_does_not_stall_under_batching_at_high_contention() {
         theta: 0.99,
         ..YcsbConfig::paper(IndexKind::HashTable, YcsbVariant::A).scaled(0.01)
     };
-    let ws = WorkloadSet::single(
-        Box::new(Ycsb::setup(&mut db, ycsb)),
-        cfg.shape.cores_per_node,
-    );
+    let ycsb = Box::new(Ycsb::setup(&mut db, ycsb));
     let measure = 5_000;
-    let out = HadesSim::new(Cluster::new(cfg, db), ws, 1_000, measure).run_full();
+    let out = Run::loaded(Protocol::Hades, cfg, db, ycsb, 1_000, measure).run();
     assert_eq!(
         out.stats.committed, measure,
         "the measurement window must fill"

@@ -10,11 +10,8 @@
 //! byte-identical JSONL traces and stats JSON, and a zero-fault plan must
 //! be byte-identical to a run with no injector installed at all.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::fault::FaultPlan;
 use hades::sim::config::SimConfig;
 use hades::sim::time::Cycles;
@@ -22,7 +19,7 @@ use hades::storage::db::Database;
 use hades::telemetry::event::Verb;
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE};
 use proptest::prelude::*;
 
 const ACCOUNTS: u64 = 400;
@@ -41,29 +38,21 @@ fn run_traced(protocol: Protocol, plan: Option<&FaultPlan>) -> (RunOutcome, Stri
             hotspot: Some((16, 0.5)),
         },
     );
-    let (checking, savings) = (sb.checking(), sb.savings());
-    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-    let mut cl = Cluster::new(cfg, db);
     let (tracer, sink) = Tracer::memory();
-    cl.install_tracer(tracer);
-    if let Some(plan) = plan {
-        cl.install_fault_plan(plan.clone());
-    }
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, MEASURE).run_full(),
-    };
+    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, MEASURE)
+        .plan(plan.cloned())
+        .tracer(tracer)
+        .run();
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
-    let mut total = 0u64;
-    for t in [checking, savings] {
+    let db = &out.cluster.db;
+    for t in [sb.checking(), sb.savings()] {
         for a in 0..ACCOUNTS {
-            let rid = out.cluster.db.lookup(t, a).expect("account exists").rid;
-            let rec = out.cluster.db.record(rid);
+            let rid = db.lookup(t, a).expect("account exists").rid;
+            let rec = db.record(rid);
             assert!(!rec.is_locked(), "{protocol}: record lock leaked");
-            total = total.wrapping_add(rec.read_u64(OFF_BALANCE as usize));
         }
     }
+    let total = sb.total_money(db);
     (out, jsonl, total)
 }
 

@@ -4,9 +4,8 @@
 //! (the first committer squashes the other). Verified with scripted
 //! workloads whose conflict structure is fully controlled.
 
-use hades::core::hades::HadesSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::core::stats::SquashReason;
 use hades::sim::config::{ClusterShape, SimConfig};
 use hades::sim::ids::NodeId;
@@ -70,9 +69,7 @@ fn contention_run(nodes: usize, cores: usize, shared_home: NodeId) -> RunOutcome
         db.insert(table, k, vec![0u8; 64]);
     }
     let w = Contender { table, shared_key };
-    let ws = WorkloadSet::single(Box::new(w), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    HadesSim::new(cl, ws, 0, 400).run_full()
+    Run::loaded(Protocol::Hades, cfg, db, Box::new(w), 0, 400).run()
 }
 
 #[test]
@@ -159,8 +156,7 @@ fn baseline_detects_the_same_conflicts_via_versions() {
         table,
         shared_key: 7,
     };
-    let ws = WorkloadSet::single(Box::new(w), cfg.shape.cores_per_node);
-    let out = hades::core::baseline::BaselineSim::new(Cluster::new(cfg, db), ws, 0, 400).run_full();
+    let out = Run::loaded(Protocol::Baseline, cfg, db, Box::new(w), 0, 400).run();
     let software = out.stats.squashes_for(SquashReason::ValidationFailed)
         + out.stats.squashes_for(SquashReason::RecordLockBusy);
     assert!(
@@ -173,5 +169,4 @@ fn baseline_detects_the_same_conflicts_via_versions() {
         out.cluster.db.record(rid).read_u64(0),
         out.total_sum_delta as u64
     );
-    let _ = Protocol::Baseline;
 }

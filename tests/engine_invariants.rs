@@ -6,11 +6,8 @@
 //! run leaves no Locking Buffer, NIC filter, speculative line or record
 //! lock behind.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Experiment, Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::fault::FaultPlan;
 use hades::sim::config::SimConfig;
 use hades::sim::time::Cycles;
@@ -18,23 +15,16 @@ use hades::storage::db::Database;
 use hades::storage::RecordId;
 use hades::telemetry::event::Verb;
 use hades::workloads::catalog::AppId;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
-
-fn run(p: Protocol, cl: Cluster, ws: WorkloadSet, warmup: u64, measure: u64) -> RunOutcome {
-    match p {
-        Protocol::Baseline => BaselineSim::new(cl, ws, warmup, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, warmup, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, warmup, measure).run_full(),
-    }
-}
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
 
 /// Runs `app` at the quick scale on the default cluster.
 fn run_app(p: Protocol, app: &str, warmup: u64, measure: u64) -> RunOutcome {
-    let cfg = SimConfig::isca_default();
-    let mut db = Database::new(cfg.shape.nodes);
-    let app = AppId::parse(app).unwrap().build(&mut db, 0.005);
-    let ws = WorkloadSet::single(app, cfg.shape.cores_per_node);
-    run(p, Cluster::new(cfg, db), ws, warmup, measure)
+    let ex = Experiment {
+        warmup,
+        measure,
+        ..Experiment::quick()
+    };
+    Run::apps(p, &ex, &[AppId::parse(app).unwrap()]).run()
 }
 
 /// Runs Smallbank over `accounts` accounts with a `hotspot`, under
@@ -56,25 +46,12 @@ fn run_smallbank(
             hotspot: Some(hotspot),
         },
     );
-    let (checking, savings) = (sb.checking(), sb.savings());
-    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-    let mut cl = Cluster::new(cfg, db);
-    if let Some(plan) = plan {
-        cl.install_fault_plan(plan);
-    }
-    let out = run(p, cl, ws, 0, measure);
-    let db = &out.cluster.db;
-    let mut total = 0u64;
-    for t in [checking, savings] {
-        for a in 0..accounts {
-            let rid = db.lookup(t, a).unwrap().rid;
-            total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
-        }
-    }
-    let initial = 2 * accounts * INITIAL_BALANCE;
+    let out = Run::loaded(p, cfg, db, Box::new(sb.clone()), 0, measure)
+        .plan(plan)
+        .run();
     assert_eq!(
-        total,
-        initial.wrapping_add(out.total_sum_delta as u64),
+        sb.total_money(&out.cluster.db),
+        sb.initial_total().wrapping_add(out.total_sum_delta as u64),
         "{p}: money not conserved (commits {}, squashes {})",
         out.total_commits,
         out.stats.squashes

@@ -11,11 +11,8 @@
 //! With membership left off, the layer must be invisible: identical
 //! traces, stats, and ledgers to a run that never mentions it.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::core::stats::MembershipStats;
 use hades::fault::FaultPlan;
 use hades::sim::config::{ClusterShape, MembershipParams, SimConfig};
@@ -23,7 +20,7 @@ use hades::sim::time::Cycles;
 use hades::storage::db::Database;
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE};
 
 const ACCOUNTS: u64 = 400;
 const MEASURE: u64 = 400;
@@ -53,27 +50,13 @@ fn run_traced(
             hotspot: Some((16, 0.5)),
         },
     );
-    let (checking, savings) = (sb.checking(), sb.savings());
-    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-    let mut cl = Cluster::new(cfg, db);
     let (tracer, sink) = Tracer::memory();
-    cl.install_tracer(tracer);
-    if let Some(plan) = plan {
-        cl.install_fault_plan(plan.clone());
-    }
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, MEASURE).run_full(),
-    };
+    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, MEASURE)
+        .plan(plan.cloned())
+        .tracer(tracer)
+        .run();
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
-    let mut total = 0u64;
-    for t in [checking, savings] {
-        for a in 0..ACCOUNTS {
-            let rid = out.cluster.db.lookup(t, a).expect("account exists").rid;
-            total = total.wrapping_add(out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize));
-        }
-    }
+    let total = sb.total_money(&out.cluster.db);
     (out, jsonl, total)
 }
 

@@ -28,7 +28,7 @@
 //! If a change to the simulation moves these numbers on purpose, re-record
 //! them and say so; a host-only change must leave them alone.
 
-use hades::core::runner::{run_single_planned_traced, run_single_traced, Experiment, Protocol};
+use hades::core::runner::{Experiment, Protocol, Run};
 use hades::fault::FaultPlan;
 use hades::sim::config::{MembershipParams, MigrationParams, OverloadParams};
 use hades::sim::time::Cycles;
@@ -67,7 +67,7 @@ fn quick_window(protocol: Protocol, scenario: Scenario) -> bool {
 }
 
 /// The condition a row runs under.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scenario {
     /// `Experiment::quick()` with no fault plan: what `trace` runs.
     Plain,
@@ -177,10 +177,10 @@ fn digests(protocol: Protocol, scenario: Scenario) -> (usize, u64, u64) {
         Fallback => ex.cfg.retry.fallback_after_squashes = 1,
     }
     let (tracer, sink) = Tracer::memory();
-    let outcome = match scenario {
-        Plain => run_single_traced(protocol, app, &ex, tracer),
-        _ => run_single_planned_traced(protocol, app, &ex, plan, tracer),
-    };
+    let outcome = Run::apps(protocol, &ex, &[app])
+        .plan((scenario != Plain).then_some(plan))
+        .tracer(tracer)
+        .run();
     let events = sink.borrow_mut().take_events();
     let lock_stalls = events
         .iter()

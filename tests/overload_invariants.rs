@@ -16,8 +16,8 @@
 //!   transaction commits), never leak, and keep every transaction's
 //!   consecutive-retry count within the retry budget's fallback bound.
 
-use hades::core::hades::HadesSim;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::core::stats::SquashReason;
 use hades::sim::config::{OverloadParams, SimConfig};
 use hades::storage::db::Database;
@@ -41,9 +41,7 @@ fn run_hades(cfg: SimConfig, theta: f64, measure: u64) -> (RunOutcome, bool) {
     );
     let keys = (4_000_000f64 * KEYS_SCALE) as u64;
     let table = ycsb.table();
-    let ws = WorkloadSet::single(Box::new(ycsb), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    let out = HadesSim::new(cl, ws, 0, measure).run_full();
+    let out = Run::loaded(Protocol::Hades, cfg, db, Box::new(ycsb), 0, measure).run();
     let mut leaked = false;
     for key in 0..keys {
         let rid = out.cluster.db.lookup(table, key).expect("key loaded").rid;

@@ -16,11 +16,8 @@
 //! the standard membership profile must be byte-identical to a run with
 //! no injector installed at all.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::fault::FaultPlan;
 use hades::sim::config::{ClusterShape, MembershipParams, SimConfig};
 use hades::sim::time::Cycles;
@@ -80,27 +77,13 @@ fn run_traced(
     if history {
         db.enable_commit_history();
     }
-    let (checking, savings) = (sb.checking(), sb.savings());
-    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-    let mut cl = Cluster::new(cfg, db);
-    if let Some(plan) = plan {
-        cl.install_fault_plan(plan.clone());
-    }
     let (tracer, sink) = Tracer::memory();
-    cl.install_tracer(tracer);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, measure).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, measure).run_full(),
-    };
+    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, measure)
+        .plan(plan.cloned())
+        .tracer(tracer)
+        .run();
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
-    let mut total = 0u64;
-    for t in [checking, savings] {
-        for a in 0..ACCOUNTS {
-            let rid = out.cluster.db.lookup(t, a).expect("account exists").rid;
-            total = total.wrapping_add(out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize));
-        }
-    }
+    let total = sb.total_money(&out.cluster.db);
     (out, jsonl, total)
 }
 

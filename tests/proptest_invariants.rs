@@ -2,11 +2,8 @@
 //! must conserve RMW sums and leave no hardware state behind, under all
 //! three protocols.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::sim::config::{ClusterShape, SimConfig};
 use hades::sim::ids::NodeId;
 use hades::sim::rng::SimRng;
@@ -106,13 +103,7 @@ fn run_fuzz(
         max_ops: 6,
         two_stage_bias,
     };
-    let ws = WorkloadSet::single(Box::new(w), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, 200).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, 200).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, 200).run_full(),
-    };
+    let out = Run::loaded(protocol, cfg, db, Box::new(w), 0, 200).run();
     (out, table, keys)
 }
 
@@ -231,13 +222,7 @@ proptest! {
                 db.insert(table, k, vec![0u8; 64]);
             }
             let w = RmwOnlyWorkload { table, keys };
-            let ws = WorkloadSet::single(Box::new(w), cfg.shape.cores_per_node);
-            let cl = Cluster::new(cfg, db);
-            let out = match protocol {
-                Protocol::Baseline => BaselineSim::new(cl, ws, 0, 150).run_full(),
-                Protocol::HadesH => HadesHSim::new(cl, ws, 0, 150).run_full(),
-                Protocol::Hades => HadesSim::new(cl, ws, 0, 150).run_full(),
-            };
+            let out = Run::loaded(protocol, cfg, db, Box::new(w), 0, 150).run();
             let db = &out.cluster.db;
             let total: u64 = (0..keys)
                 .map(|k| {

@@ -1,10 +1,14 @@
 //! Cross-protocol shape tests: the qualitative results the paper's
 //! evaluation rests on must hold in the reproduction at small scale.
 
-use hades::core::runner::{run_mix, run_single, Experiment, Protocol};
+use hades::core::runner::{Experiment, Protocol, Run};
 use hades::sim::config::{ClusterShape, SimConfig};
 use hades::sim::time::Cycles;
 use hades::workloads::catalog::{parse_mix, AppId};
+
+fn throughput(p: Protocol, app: AppId, ex: &Experiment) -> f64 {
+    Run::apps(p, ex, &[app]).run().stats.throughput()
+}
 
 fn quick() -> Experiment {
     Experiment {
@@ -22,8 +26,8 @@ fn hades_beats_baseline_on_every_app_class() {
     let ex = quick();
     for app in ["TPC-C", "Smallbank", "HT-wA", "HT-wB"] {
         let a = AppId::parse(app).unwrap();
-        let base = run_single(Protocol::Baseline, a, &ex).throughput();
-        let hades = run_single(Protocol::Hades, a, &ex).throughput();
+        let base = throughput(Protocol::Baseline, a, &ex);
+        let hades = throughput(Protocol::Hades, a, &ex);
         assert!(
             hades > base * 1.2,
             "{app}: HADES {hades:.0} should clearly beat Baseline {base:.0}"
@@ -35,9 +39,9 @@ fn hades_beats_baseline_on_every_app_class() {
 fn hades_h_sits_between_baseline_and_hades_on_write_heavy() {
     let ex = quick();
     let a = AppId::parse("BTree-wA").unwrap();
-    let base = run_single(Protocol::Baseline, a, &ex).throughput();
-    let hybrid = run_single(Protocol::HadesH, a, &ex).throughput();
-    let hades = run_single(Protocol::Hades, a, &ex).throughput();
+    let base = throughput(Protocol::Baseline, a, &ex);
+    let hybrid = throughput(Protocol::HadesH, a, &ex);
+    let hades = throughput(Protocol::Hades, a, &ex);
     assert!(hybrid > base, "HADES-H {hybrid:.0} <= Baseline {base:.0}");
     assert!(
         hades > hybrid * 0.9,
@@ -52,8 +56,8 @@ fn faster_network_grows_hades_relative_speedup() {
     let speedup_at = |rt_us: u64| {
         let mut ex = quick();
         ex.cfg = ex.cfg.with_net_rt(Cycles::from_micros(rt_us));
-        let base = run_single(Protocol::Baseline, app, &ex).throughput();
-        let hades = run_single(Protocol::Hades, app, &ex).throughput();
+        let base = throughput(Protocol::Baseline, app, &ex);
+        let hades = throughput(Protocol::Hades, app, &ex);
         hades / base
     };
     let fast = speedup_at(1);
@@ -72,9 +76,9 @@ fn locality_helps_hades_more_than_hades_h() {
     let ratios_at = |local: f64| {
         let mut ex = quick();
         ex.cfg = ex.cfg.with_local_fraction(local);
-        let base = run_single(Protocol::Baseline, app, &ex).throughput();
-        let hh = run_single(Protocol::HadesH, app, &ex).throughput();
-        let h = run_single(Protocol::Hades, app, &ex).throughput();
+        let base = throughput(Protocol::Baseline, app, &ex);
+        let hh = throughput(Protocol::HadesH, app, &ex);
+        let h = throughput(Protocol::Hades, app, &ex);
         (hh / base, h / base)
     };
     let (hh_low, h_low) = ratios_at(0.2);
@@ -95,8 +99,8 @@ fn speedups_persist_on_larger_cluster() {
     let mut ex = quick();
     ex.cfg = ex.cfg.with_shape(ClusterShape::N10_C5);
     let a = AppId::parse("Map-wA").unwrap();
-    let base = run_single(Protocol::Baseline, a, &ex).throughput();
-    let hades = run_single(Protocol::Hades, a, &ex).throughput();
+    let base = throughput(Protocol::Baseline, a, &ex);
+    let hades = throughput(Protocol::Hades, a, &ex);
     assert!(hades > base * 1.2, "N=10: {hades:.0} vs {base:.0}");
 }
 
@@ -107,21 +111,22 @@ fn table_v_mix_runs_on_200_cores() {
     ex.cfg = ex.cfg.with_shape(ClusterShape::N8_C25);
     ex.measure = 800;
     let apps = parse_mix(&["HT-wA", "BTree-wA", "Map-wA", "TATP"]);
-    let stats = run_mix(Protocol::Hades, &apps, &ex);
+    let stats = Run::apps(Protocol::Hades, &ex, &apps).run().stats;
     assert_eq!(stats.committed, 800);
     assert_eq!(stats.committed_per_app.len(), 4);
     for (i, &c) in stats.committed_per_app.iter().enumerate() {
         assert!(c > 0, "app {i} starved in the mix");
     }
+    assert_eq!(stats.committed_per_app.iter().sum::<u64>(), stats.committed);
 }
 
 #[test]
 fn hades_has_no_commit_phase_and_baseline_does() {
     let ex = quick();
     let a = AppId::parse("HT-wA").unwrap();
-    let base = run_single(Protocol::Baseline, a, &ex);
-    let hades = run_single(Protocol::Hades, a, &ex);
-    let hybrid = run_single(Protocol::HadesH, a, &ex);
+    let base = Run::apps(Protocol::Baseline, &ex, &[a]).run().stats;
+    let hades = Run::apps(Protocol::Hades, &ex, &[a]).run().stats;
+    let hybrid = Run::apps(Protocol::HadesH, &ex, &[a]).run().stats;
     assert!(base.phases.commit > 0, "Baseline has a commit phase");
     assert_eq!(hades.phases.commit, 0, "HADES folds commit into validation");
     assert_eq!(
@@ -134,8 +139,8 @@ fn hades_has_no_commit_phase_and_baseline_does() {
 fn determinism_same_seed_same_results() {
     let ex = quick();
     let a = AppId::parse("TATP").unwrap();
-    let s1 = run_single(Protocol::Hades, a, &ex);
-    let s2 = run_single(Protocol::Hades, a, &ex);
+    let s1 = Run::apps(Protocol::Hades, &ex, &[a]).run().stats;
+    let s2 = Run::apps(Protocol::Hades, &ex, &[a]).run().stats;
     assert_eq!(s1.committed, s2.committed);
     assert_eq!(s1.squashes, s2.squashes);
     assert_eq!(s1.elapsed, s2.elapsed);
@@ -146,9 +151,9 @@ fn determinism_same_seed_same_results() {
 fn different_seeds_differ() {
     let mut ex = quick();
     let a = AppId::parse("TATP").unwrap();
-    let s1 = run_single(Protocol::Hades, a, &ex);
+    let s1 = Run::apps(Protocol::Hades, &ex, &[a]).run().stats;
     ex.cfg = ex.cfg.with_seed(0xDEADBEEF);
-    let s2 = run_single(Protocol::Hades, a, &ex);
+    let s2 = Run::apps(Protocol::Hades, &ex, &[a]).run().stats;
     assert_ne!(
         (s1.elapsed, s1.messages),
         (s2.elapsed, s2.messages),

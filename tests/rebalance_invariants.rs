@@ -11,11 +11,8 @@
 //! installed, the layer must be byte-identical to a config that never
 //! mentions migration at all.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::core::stats::MigrationStats;
 use hades::sim::config::{ClusterShape, MigrationParams, SimConfig};
 use hades::sim::ids::NodeId;
@@ -59,24 +56,12 @@ fn run_traced(
     if history {
         db.enable_commit_history();
     }
-    let (checking, savings) = (sb.checking(), sb.savings());
-    let ws = WorkloadSet::single(Box::new(sb), cfg.shape.cores_per_node);
-    let mut cl = Cluster::new(cfg, db);
     let (tracer, sink) = Tracer::memory();
-    cl.install_tracer(tracer);
-    let out = match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, MEASURE).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, MEASURE).run_full(),
-    };
+    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, MEASURE)
+        .tracer(tracer)
+        .run();
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
-    let mut total = 0u64;
-    for t in [checking, savings] {
-        for a in 0..ACCOUNTS {
-            let rid = out.cluster.db.lookup(t, a).expect("account exists").rid;
-            total = total.wrapping_add(out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize));
-        }
-    }
+    let total = sb.total_money(&out.cluster.db);
     (out, jsonl, total)
 }
 

@@ -3,15 +3,12 @@
 //! recorded per-record version-order history, plus clean hardware-state
 //! teardown.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::hades_h::HadesHSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::sim::config::SimConfig;
 use hades::storage::db::Database;
 use hades::storage::RecordId;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig, OFF_BALANCE};
 use std::collections::HashMap;
 
 const ACCOUNTS: u64 = 1_500;
@@ -21,7 +18,7 @@ fn run_with(
     seed: u64,
     hotspot: Option<(u64, f64)>,
     history: bool,
-) -> RunOutcome {
+) -> (RunOutcome, Smallbank) {
     let cfg = SimConfig::isca_default().with_seed(seed);
     let mut db = Database::new(cfg.shape.nodes);
     let bank = Smallbank::setup(
@@ -34,38 +31,20 @@ fn run_with(
     if history {
         db.enable_commit_history();
     }
-    let ws = WorkloadSet::single(Box::new(bank), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, 400).run_full(),
-        Protocol::HadesH => HadesHSim::new(cl, ws, 0, 400).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, 400).run_full(),
-    }
+    let out = Run::loaded(protocol, cfg, db, Box::new(bank.clone()), 0, 400).run();
+    (out, bank)
 }
 
-fn run(protocol: Protocol, seed: u64, hotspot: Option<(u64, f64)>) -> RunOutcome {
+fn run(protocol: Protocol, seed: u64, hotspot: Option<(u64, f64)>) -> (RunOutcome, Smallbank) {
     run_with(protocol, seed, hotspot, false)
 }
 
-fn total_money(out: &RunOutcome) -> u64 {
-    let db = &out.cluster.db;
-    let mut total = 0u64;
-    // Smallbank created the first two tables: checking then savings.
-    for table in [hades::storage::TableId(0), hades::storage::TableId(1)] {
-        for a in 0..ACCOUNTS {
-            let rid = db.lookup(table, a).expect("account loaded").rid;
-            total = total.wrapping_add(db.record(rid).read_u64(OFF_BALANCE as usize));
-        }
-    }
-    total
-}
-
 fn assert_conserved(protocol: Protocol, seed: u64, hotspot: Option<(u64, f64)>) {
-    let out = run(protocol, seed, hotspot);
-    let initial = 2 * ACCOUNTS * INITIAL_BALANCE;
+    let (out, bank) = run(protocol, seed, hotspot);
     assert_eq!(
-        total_money(&out),
-        initial.wrapping_add(out.total_sum_delta as u64),
+        bank.total_money(&out.cluster.db),
+        bank.initial_total()
+            .wrapping_add(out.total_sum_delta as u64),
         "{protocol:?} seed={seed} hotspot={hotspot:?}: commits={} squashes={}",
         out.total_commits,
         out.stats.squashes,
@@ -112,7 +91,7 @@ fn uncontended_runs_conserve_money_too() {
 #[test]
 fn hardware_state_fully_drains() {
     for p in Protocol::ALL {
-        let out = run(p, 3, Some((16, 0.7)));
+        let (out, bank) = run(p, 3, Some((16, 0.7)));
         for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
             assert_eq!(bufs.occupied(), 0, "{p:?}: node {n} lock buffers held");
         }
@@ -132,7 +111,7 @@ fn hardware_state_fully_drains() {
         }
         // And no record is left locked.
         let db = &out.cluster.db;
-        for table in [hades::storage::TableId(0), hades::storage::TableId(1)] {
+        for table in [bank.checking(), bank.savings()] {
             for a in 0..ACCOUNTS {
                 let rid = db.lookup(table, a).expect("account").rid;
                 assert!(!db.record(rid).is_locked(), "{p:?}: account {a} locked");
@@ -151,7 +130,7 @@ fn hardware_state_fully_drains() {
 #[test]
 fn commit_history_witnesses_per_record_version_order() {
     for p in Protocol::ALL {
-        let out = run_with(p, 13, Some((16, 0.7)), true);
+        let (out, _) = run_with(p, 13, Some((16, 0.7)), true);
         let db = &out.cluster.db;
         let hist = db.commit_history();
         assert!(!hist.is_empty(), "{p:?}: no committed writes recorded");

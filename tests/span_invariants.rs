@@ -13,7 +13,7 @@
 //! 4. The Chrome span exporter emits valid JSON whose timestamps are
 //!    monotonically non-decreasing within each (pid, tid) track.
 
-use hades::core::runner::{run_single, run_single_traced, Experiment, Protocol};
+use hades::core::runner::{Experiment, Protocol, Run};
 use hades::sim::config::SimConfig;
 use hades::sim::time::Cycles;
 use hades::telemetry::chrome::span_chrome_trace;
@@ -47,7 +47,7 @@ fn span_segments_telescope_to_latency() {
         let app = AppId::parse(app).unwrap();
         for protocol in Protocol::ALL {
             let ex = quick(SimConfig::isca_default().with_spans());
-            let stats = run_single(protocol, app, &ex);
+            let stats = Run::apps(protocol, &ex, &[app]).run().stats;
             let spans = stats
                 .spans
                 .as_ref()
@@ -122,10 +122,10 @@ fn observability_off_and_on_agree_byte_for_byte() {
         let plain_ex = quick(SimConfig::isca_default());
         let obs_ex = quick(observed_cfg());
         let (tracer, sink) = Tracer::memory();
-        let plain = run_single_traced(protocol, app, &plain_ex, tracer);
+        let plain = Run::apps(protocol, &plain_ex, &[app]).tracer(tracer).run();
         let plain_events = sink.borrow_mut().take_events();
         let (tracer, sink) = Tracer::memory();
-        let observed = run_single_traced(protocol, app, &obs_ex, tracer);
+        let observed = Run::apps(protocol, &obs_ex, &[app]).tracer(tracer).run();
         let observed_events = sink.borrow_mut().take_events();
         assert_eq!(
             events_to_jsonl(&plain_events),
@@ -148,7 +148,8 @@ fn observability_off_and_on_agree_byte_for_byte() {
 fn same_seed_tail_and_timeseries_are_byte_identical() {
     let app = AppId::parse("TATP").unwrap();
     for protocol in Protocol::ALL {
-        let run = |_: u32| run_single(protocol, app, &quick(observed_cfg()));
+        let ex = quick(observed_cfg());
+        let run = |_: u32| Run::apps(protocol, &ex, &[app]).run().stats;
         let (a, b) = (run(0), run(1));
         let tail =
             |s: &hades::core::stats::RunStats| s.spans.as_ref().unwrap().tail_json(10).render();
@@ -162,11 +163,8 @@ fn same_seed_tail_and_timeseries_are_byte_identical() {
 #[test]
 fn chrome_span_export_is_valid_and_tracks_are_monotonic() {
     let app = AppId::parse("HT-wA").unwrap();
-    let stats = run_single(
-        Protocol::Hades,
-        app,
-        &quick(SimConfig::isca_default().with_spans()),
-    );
+    let ex = quick(SimConfig::isca_default().with_spans());
+    let stats = Run::apps(Protocol::Hades, &ex, &[app]).run().stats;
     let spans = stats.spans.as_ref().expect("span log");
     let trace = span_chrome_trace(spans, 10);
     let doc = Json::parse(&trace).expect("exporter must emit valid JSON");

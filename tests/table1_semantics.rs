@@ -2,10 +2,8 @@
 //! exist in the Baseline and be absent (replaced by hardware) in HADES.
 //! These are directed scenario tests over tiny, fully controlled clusters.
 
-use hades::core::baseline::BaselineSim;
-use hades::core::hades::HadesSim;
-use hades::core::runner::Protocol;
-use hades::core::runtime::{Cluster, RunOutcome, WorkloadSet};
+use hades::core::runner::{Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::core::stats::Overhead;
 use hades::sim::config::{ClusterShape, SimConfig};
 use hades::sim::ids::NodeId;
@@ -72,13 +70,7 @@ fn tiny_cluster(ops_per_txn: &[(u64, OpKind)]) -> (SimConfig, Database, TableId,
 }
 
 fn run(protocol: Protocol, cfg: SimConfig, db: Database, txns: Vec<TxnSpec>) -> RunOutcome {
-    let ws = WorkloadSet::single(Box::new(Scripted::new(txns)), cfg.shape.cores_per_node);
-    let cl = Cluster::new(cfg, db);
-    match protocol {
-        Protocol::Baseline => BaselineSim::new(cl, ws, 0, 64).run_full(),
-        Protocol::Hades => HadesSim::new(cl, ws, 0, 64).run_full(),
-        Protocol::HadesH => unreachable!("not used here"),
-    }
+    Run::loaded(protocol, cfg, db, Box::new(Scripted::new(txns)), 0, 64).run()
 }
 
 #[test]

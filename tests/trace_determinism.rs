@@ -7,7 +7,7 @@
 //! event stream and on the rendered metrics registry, and a traced run must
 //! report exactly the same `RunStats` as an untraced one.
 
-use hades::core::runner::{run_single, run_single_traced, Experiment, Protocol};
+use hades::core::runner::{Experiment, Protocol, Run};
 use hades::sim::config::SimConfig;
 use hades::telemetry::event::TraceEvent;
 use hades::telemetry::jsonl::events_to_jsonl;
@@ -26,7 +26,7 @@ fn quick() -> Experiment {
 
 fn traced_run(protocol: Protocol, app: AppId, ex: &Experiment) -> (Vec<TraceEvent>, String) {
     let (tracer, sink) = Tracer::memory();
-    let outcome = run_single_traced(protocol, app, ex, tracer);
+    let outcome = Run::apps(protocol, ex, &[app]).tracer(tracer).run();
     let events = sink.borrow_mut().take_events();
     assert!(!events.is_empty(), "{protocol}: traced run emitted nothing");
     (events, outcome.stats.to_json().render())
@@ -73,10 +73,11 @@ fn tracing_does_not_perturb_the_simulation() {
     let ex = quick();
     for protocol in Protocol::ALL {
         let app = AppId::parse("HT-wA").unwrap();
-        let untraced = run_single(protocol, app, &ex).to_json().render();
+        let untraced = Run::apps(protocol, &ex, &[app]).run().stats;
         let (_, traced) = traced_run(protocol, app, &ex);
         assert_eq!(
-            untraced, traced,
+            untraced.to_json().render(),
+            traced,
             "{protocol}: tracing changed the simulation outcome"
         );
     }
@@ -89,7 +90,9 @@ fn registry_agrees_with_run_stats() {
     // least warmup + measured commits, and every commit needs a begin.
     let ex = quick();
     let (tracer, sink) = Tracer::memory();
-    let outcome = run_single_traced(Protocol::Hades, AppId::parse("TATP").unwrap(), &ex, tracer);
+    let outcome = Run::apps(Protocol::Hades, &ex, &[AppId::parse("TATP").unwrap()])
+        .tracer(tracer)
+        .run();
     let events = sink.borrow_mut().take_events();
     let reg = MetricsRegistry::from_events(&events);
     let commits = reg.counter("txn.commit");
