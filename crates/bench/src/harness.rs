@@ -232,7 +232,7 @@ fn cell_json(cell: &CellResult) -> Json {
             .map(|(v, n)| (v.label().to_string(), Json::UInt(n)))
             .collect(),
     );
-    let mut b = Json::obj()
+    let b = Json::obj()
         .field("workload", cell.workload.as_str())
         .field("protocol", cell.protocol.label())
         .field("committed", s.committed)
@@ -243,19 +243,7 @@ fn cell_json(cell: &CellResult) -> Json {
         .field("abort_rate", s.abort_rate())
         .field("aborts", aborts)
         .field("verbs", verbs);
-    if let Some(profile) = &s.profile {
-        b = b.field("profile", profile.to_json());
-    }
-    if let Some(spans) = &s.spans {
-        b = b.field("tail", spans.tail_json(10));
-    }
-    if let Some(ts) = &s.timeseries {
-        b = b.field("timeseries", ts.to_json());
-    }
-    if let Some(bt) = &s.batching {
-        b = b.field("batching", bt.to_json());
-    }
-    b.build()
+    s.optional_blocks(b).build()
 }
 
 /// Renders a finished matrix as the schema-versioned bench document.

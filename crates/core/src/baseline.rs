@@ -1065,17 +1065,7 @@ impl Sim<Baseline> {
 
     fn abort(&mut self, si: usize, reason: SquashReason) {
         let now = self.q.now();
-        self.cl
-            .obs_abort(si, self.slots[si].node.0, reason.label(), now);
-        if self.cl.tracer.is_enabled() {
-            self.trace(
-                now,
-                si,
-                EventKind::TxnAbort {
-                    reason: reason.label(),
-                },
-            );
-        }
+        self.cl.obs_abort(si, reason.label(), now);
         let token = self.token(si);
         if self.slots[si].fallback {
             // Fallback aborts only happen on membership-epoch straddles

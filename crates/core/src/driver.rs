@@ -26,7 +26,7 @@ use hades_sim::engine::EventQueue;
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
-use hades_telemetry::event::{EventKind, Phase as TracePhase, RecoveryKind, Verb, NO_SLOT};
+use hades_telemetry::event::{EventKind, RecoveryKind, Verb, NO_SLOT};
 use std::fmt::Debug;
 
 /// The protocol half of a simulator: what Baseline, HADES-H and HADES do
@@ -346,10 +346,7 @@ impl<P: Engine> Sim<P> {
             self.handle(ev);
         }
         let mut stats = self.meas.stats;
-        stats.profile = self.cl.profile.take().map(|b| *b);
-        let (spans, timeseries) = self.cl.finish_observability();
-        stats.spans = spans;
-        stats.timeseries = timeseries;
+        (stats.profile, stats.spans, stats.timeseries) = self.cl.finish_observability();
         stats.node_verbs = self.cl.verbs_by_node.clone();
         stats.messages = self.cl.fabric.messages_sent();
         stats.verbs = *self.cl.fabric.verb_counts();
@@ -447,6 +444,20 @@ impl<P: Engine> Sim<P> {
     pub(crate) fn trace(&self, at: Cycles, si: usize, kind: EventKind) {
         let s = &self.slots[si];
         self.cl.tracer.emit(at, s.node.0, s.slot.0 as u32, kind);
+    }
+
+    /// A commit at `node` proceeds on the degraded (software-validated)
+    /// path at `now`: traced on `slot` (node-scoped when `None`), counted
+    /// while recording, and fed to the time-series.
+    pub(crate) fn degraded_commit(&mut self, now: Cycles, node: NodeId, slot: Option<SlotId>) {
+        let slot = slot.map_or(NO_SLOT, |s| u32::from(s.0));
+        self.cl
+            .tracer
+            .emit(now, node.0, slot, EventKind::DegradedCommit);
+        if self.recording() {
+            self.meas.stats.overload.degraded_commits += 1;
+        }
+        self.cl.obs_degrade(now);
     }
 
     /// Whether stats are being recorded (warmup over, not yet draining).
@@ -576,14 +587,8 @@ impl<P: Engine> Sim<P> {
         s.awaiting_start = false;
         s.epoch = self.cl.membership.epoch();
         P::reset_attempt(&mut self.ext[si]);
-        let spn = self.cl.cfg.shape.slots_per_node();
-        self.cl
-            .obs_start(si, self.slots[si].node.0, (si % spn) as u32, now, fresh);
         let att = self.slots[si].attempt;
-        if self.cl.tracer.is_enabled() {
-            self.trace(now, si, EventKind::TxnBegin { attempt: att });
-            self.trace(now, si, EventKind::PhaseBegin(TracePhase::Exec));
-        }
+        self.cl.obs_start(si, att, now, fresh);
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let app_cost = self.cl.cfg.sw.app_per_txn;
         P::begin_attempt(&mut self.ext[si], now, app_cost);
@@ -629,12 +634,7 @@ impl<P: Engine> Sim<P> {
         let now = self.q.now();
         let latency = now.saturating_sub(self.slots[si].first_start);
         let record = self.recording();
-        self.cl
-            .obs_commit(si, self.slots[si].node.0, now, latency, record);
-        if self.cl.tracer.is_enabled() {
-            self.trace(now, si, EventKind::PhaseEnd(TracePhase::Commit));
-            self.trace(now, si, EventKind::TxnCommit);
-        }
+        self.cl.obs_commit(si, now, latency, record);
         let s = &mut self.slots[si];
         let txn = s.txn.take().expect("txn active");
         let txn_attempts = s.consec_squashes as u64 + 1;

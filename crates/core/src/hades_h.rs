@@ -180,13 +180,7 @@ impl LocalPath for SwLocal {
                 // already software-validates its local footprint (Local
                 // Validation, Section V-D), so the degraded commit keeps
                 // correctness and only loses the hardware commit window.
-                if sim.cl.tracer.is_enabled() {
-                    sim.trace(now, si, EventKind::DegradedCommit);
-                }
-                if sim.recording() {
-                    sim.meas.stats.overload.degraded_commits += 1;
-                }
-                sim.cl.obs_degrade(now);
+                sim.degraded_commit(now, node, Some(sim.slots[si].slot));
             }
             Err(_) => {
                 sim.squash(si, SquashReason::LockFailed);

@@ -17,7 +17,8 @@ use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
 use hades_storage::db::Database;
 use hades_storage::record::RecordId;
-use hades_telemetry::event::{EventKind, Verb, VerbCounts, NO_SLOT};
+use hades_telemetry::event::{EventKind, Phase as TracePhase, Verb, VerbCounts, NO_SLOT};
+use hades_telemetry::observer::TxnObserver;
 use hades_telemetry::profile::{PhaseProfile, ProfPhase};
 use hades_telemetry::sink::Tracer;
 use hades_telemetry::span::SpanLog;
@@ -139,15 +140,12 @@ pub struct Cluster {
     /// Cluster membership view: configuration epoch, liveness, primary
     /// map, epoch-fence stats (inert unless enabled in the config).
     pub membership: Membership,
-    /// The phase profiler (`Some` only when `cfg.profile` is set). The
-    /// engines drive the slot state machine; the cluster itself records
-    /// per-verb fabric time at the send wrappers. Boxed so the disabled
-    /// path carries one pointer.
-    pub profile: Option<Box<PhaseProfile>>,
-    /// Causal transaction spans (`Some` only when `cfg.spans` is set).
-    /// Driven from the same engine hook sites as the profiler via the
-    /// `obs_*` wrappers, so the two always agree (DESIGN.md §13).
-    pub spans: Option<Box<SpanLog>>,
+    /// The per-slot transaction observer behind the phase profile and
+    /// the span log (`Some` only when `cfg.profile` or `cfg.spans` is
+    /// set). The engines drive it through the `obs_*` wrappers; the
+    /// cluster itself records per-verb fabric time at the send wrappers.
+    /// Boxed so the disabled path carries one pointer.
+    observer: Option<Box<TxnObserver>>,
     /// Windowed time-series metrics (`Some` only when
     /// `cfg.timeseries_window` is set). Rolled lazily from the `obs_*`
     /// wrappers with hardware-occupancy snapshots.
@@ -241,12 +239,13 @@ impl Cluster {
         } else {
             None
         };
-        let profile = cfg
-            .profile
-            .then(|| Box::new(PhaseProfile::new(cfg.shape.total_slots())));
-        let spans = cfg
-            .spans
-            .then(|| Box::new(SpanLog::new(cfg.shape.total_slots())));
+        let observer = (cfg.profile || cfg.spans).then(|| {
+            Box::new(TxnObserver::new(
+                cfg.shape.total_slots(),
+                cfg.profile,
+                cfg.spans,
+            ))
+        });
         let timeseries = cfg
             .timeseries_window
             .map(|w| Box::new(TimeSeries::new(w, n)));
@@ -261,8 +260,7 @@ impl Cluster {
             tracer: Tracer::disabled(),
             admission,
             membership,
-            profile,
-            spans,
+            observer,
             timeseries,
             verbs_by_node: vec![VerbCounts::new(); n],
             migration,
@@ -329,8 +327,8 @@ impl Cluster {
     ) -> Cycles {
         let arrival = self.fabric.send_verb(now, src, dst, bytes, verb, doorbell);
         self.verbs_by_node[src.0 as usize].bump(verb);
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.record_verb(verb, arrival.saturating_sub(now));
+        if let Some(o) = self.observer.as_deref_mut() {
+            o.record_verb(verb, arrival.saturating_sub(now));
         }
         self.obs_batch(now);
         arrival
@@ -410,9 +408,9 @@ impl Cluster {
         for _ in &arrivals {
             self.verbs_by_node[src.0 as usize].bump(verb);
         }
-        if let Some(p) = self.profile.as_deref_mut() {
+        if let Some(o) = self.observer.as_deref_mut() {
             for &arrival in &arrivals {
-                p.record_verb(verb, arrival.saturating_sub(now));
+                o.record_verb(verb, arrival.saturating_sub(now));
             }
         }
         self.obs_link_cuts(now, cuts_before);
@@ -468,10 +466,12 @@ impl Cluster {
     // ---- Observability wrappers (DESIGN.md §13) --------------------------
     //
     // The engines call exactly one `obs_*` method per lifecycle hook site;
-    // each wrapper fans the event out to whichever of the three optional
-    // observers (phase profiler, span log, time-series) is enabled. When
-    // all are `None` every wrapper is a handful of branch-not-taken tests —
-    // zero RNG draws, zero events, zero stats bytes.
+    // each wrapper fans the event out to whichever of the two optional
+    // observers (the transaction observer behind the phase profile and
+    // span log, and the time-series) is enabled. Start, commit and abort
+    // also emit their lifecycle trace events. When everything is off
+    // every wrapper is a handful of branch-not-taken tests — zero RNG
+    // draws, zero events, zero stats bytes.
 
     /// Hardware-occupancy snapshot for a closing time-series window:
     /// Locking-Buffer fill and read-Bloom-filter popcount, both as
@@ -533,21 +533,22 @@ impl Cluster {
         }
     }
 
-    /// A slot begins executing: `fresh` on the first attempt of a new
-    /// transaction, false on a retry re-entering Exec after backoff.
-    pub fn obs_start(&mut self, si: usize, node: u16, slot: u32, now: Cycles, fresh: bool) {
-        if let Some(p) = self.profile.as_deref_mut() {
+    /// The node and slot numbers of cluster-global slot index `si`.
+    fn slot_ids(&self, si: usize) -> (u16, u32) {
+        let spn = self.cfg.shape.slots_per_node();
+        ((si / spn) as u16, (si % spn) as u32)
+    }
+
+    /// Slot `si` begins executing attempt `attempt`: `fresh` on the first
+    /// attempt of a new transaction, false on a retry re-entering Exec
+    /// after backoff.
+    pub fn obs_start(&mut self, si: usize, attempt: u32, now: Cycles, fresh: bool) {
+        let (node, slot) = self.slot_ids(si);
+        if let Some(o) = self.observer.as_deref_mut() {
             if fresh {
-                p.slot_start(si, now);
+                o.slot_start(si, node, slot, now);
             } else {
-                p.slot_enter(si, ProfPhase::Exec, now);
-            }
-        }
-        if let Some(s) = self.spans.as_deref_mut() {
-            if fresh {
-                s.slot_start(si, node, slot, now);
-            } else {
-                s.slot_enter(si, ProfPhase::Exec, now);
+                o.slot_enter(si, ProfPhase::Exec, now);
             }
         }
         self.obs_tick(now);
@@ -556,69 +557,71 @@ impl Cluster {
                 ts.on_fresh_start();
             }
         }
+        self.tracer
+            .emit(now, node, slot, EventKind::TxnBegin { attempt });
+        let exec = EventKind::PhaseBegin(TracePhase::Exec);
+        self.tracer.emit(now, node, slot, exec);
     }
 
     /// The slot's transaction moves to `phase` at `now`.
     pub fn obs_enter(&mut self, si: usize, phase: ProfPhase, now: Cycles) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.slot_enter(si, phase, now);
-        }
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.slot_enter(si, phase, now);
+        if let Some(o) = self.observer.as_deref_mut() {
+            o.slot_enter(si, phase, now);
         }
     }
 
     /// The slot's transaction commits. `latency` is the first-start →
     /// commit cycle count the engine also feeds its latency histogram;
     /// `record` mirrors the engine's measurement gate.
-    pub fn obs_commit(&mut self, si: usize, node: u16, now: Cycles, latency: Cycles, record: bool) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.slot_commit(si, now, record);
-        }
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.slot_commit(si, now, record);
+    pub fn obs_commit(&mut self, si: usize, now: Cycles, latency: Cycles, record: bool) {
+        if let Some(o) = self.observer.as_deref_mut() {
+            o.slot_commit(si, now, record);
         }
         self.obs_tick(now);
+        let (node, slot) = self.slot_ids(si);
         if let Some(ts) = self.timeseries.as_deref_mut() {
             ts.on_commit(node, latency);
         }
+        let commit = EventKind::PhaseEnd(TracePhase::Commit);
+        self.tracer.emit(now, node, slot, commit);
+        self.tracer.emit(now, node, slot, EventKind::TxnCommit);
     }
 
     /// The slot's current attempt aborts for `reason` and backs off.
-    pub fn obs_abort(&mut self, si: usize, node: u16, reason: &'static str, now: Cycles) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.slot_enter(si, ProfPhase::Backoff, now);
-        }
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.slot_abort(si, reason, now);
+    pub fn obs_abort(&mut self, si: usize, reason: &'static str, now: Cycles) {
+        if let Some(o) = self.observer.as_deref_mut() {
+            o.slot_abort(si, reason, now);
         }
         self.obs_tick(now);
+        let (node, slot) = self.slot_ids(si);
         if let Some(ts) = self.timeseries.as_deref_mut() {
             ts.on_abort(node);
         }
+        self.tracer
+            .emit(now, node, slot, EventKind::TxnAbort { reason });
     }
 
     /// A request/response handshake round opens: `peers` messages of
     /// `verb` go out at `now` and the span closes the round when the last
-    /// response lands (spans only; no-op when `peers == 0`).
+    /// response lands (no-op when `peers == 0`).
     pub fn obs_round_begin(&mut self, si: usize, verb: Verb, peers: u32, now: Cycles) {
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.round_begin(si, verb, peers, now);
+        if let Some(o) = self.observer.as_deref_mut() {
+            o.round_begin(si, verb, peers, now);
         }
     }
 
     /// All outstanding handshake rounds for `si` complete at `now`.
     pub fn obs_round_end(&mut self, si: usize, now: Cycles) {
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.round_end(si, now);
+        if let Some(o) = self.observer.as_deref_mut() {
+            o.round_end(si, now);
         }
     }
 
     /// Names the peer node that squashed `si`'s current attempt; consumed
-    /// by the next `obs_abort` on that slot (spans only).
+    /// by the next `obs_abort` on that slot.
     pub fn obs_abort_source(&mut self, si: usize, by: u16) {
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.abort_source(si, by);
+        if let Some(o) = self.observer.as_deref_mut() {
+            o.abort_source(si, by);
         }
     }
 
@@ -639,15 +642,19 @@ impl Cluster {
     }
 
     /// Finalizes and detaches the optional observers at end of run: the
-    /// time-series closes its last partial window with a final occupancy
-    /// snapshot. Engines move the results into `RunStats`.
-    pub fn finish_observability(&mut self) -> (Option<SpanLog>, Option<TimeSeries>) {
+    /// phase profile, the span log and the time-series, which closes its
+    /// last partial window with a final occupancy snapshot. The driver
+    /// moves the results into `RunStats`.
+    pub fn finish_observability(
+        &mut self,
+    ) -> (Option<PhaseProfile>, Option<SpanLog>, Option<TimeSeries>) {
         let occ = self.occupancy_snapshot();
         let mut ts = self.timeseries.take().map(|b| *b);
         if let Some(ts) = ts.as_mut() {
             ts.finish(occ);
         }
-        (self.spans.take().map(|b| *b), ts)
+        let (profile, spans) = self.observer.take().map_or((None, None), |o| o.finish());
+        (profile, spans, ts)
     }
 
     /// Core-side serial access to a set of local lines: the first line pays

@@ -6,7 +6,7 @@ use hades_net::batch::BatchStats;
 use hades_sim::stats::Histogram;
 use hades_sim::time::Cycles;
 use hades_telemetry::event::VerbCounts;
-use hades_telemetry::json::Json;
+use hades_telemetry::json::{Json, ObjBuilder};
 use hades_telemetry::profile::PhaseProfile;
 use hades_telemetry::registry::histogram_json;
 use hades_telemetry::span::SpanLog;
@@ -705,24 +705,30 @@ impl RunStats {
         if !self.nemesis.is_zero() {
             b = b.field("nemesis", self.nemesis.to_json());
         }
-        // The profile block exists only for runs configured with
-        // `with_profiling()`, keeping profiler-off JSON byte-identical.
+        self.optional_blocks(b)
+            .field("elapsed_us", self.elapsed.as_micros())
+            .build()
+    }
+
+    /// Appends the `profile`, `tail`, `timeseries` and `batching` blocks,
+    /// in that order. Each exists only when its layer was enabled
+    /// (`with_profiling()`, `with_spans()`, `with_timeseries()`, an
+    /// installed batcher), so runs with it off keep their JSON
+    /// byte-identical (DESIGN.md §12–§14).
+    pub fn optional_blocks(&self, mut b: ObjBuilder) -> ObjBuilder {
         if let Some(profile) = &self.profile {
             b = b.field("profile", profile.to_json());
         }
-        // Same for the tail-attribution and time-series blocks: present
-        // only when their observability layer was enabled (DESIGN.md §13).
         if let Some(spans) = &self.spans {
             b = b.field("tail", spans.tail_json(10));
         }
         if let Some(ts) = &self.timeseries {
             b = b.field("timeseries", ts.to_json());
         }
-        // And the batching block only when the subsystem was installed.
         if let Some(batching) = &self.batching {
             b = b.field("batching", batching.to_json());
         }
-        b.field("elapsed_us", self.elapsed.as_micros()).build()
+        b
     }
 }
 

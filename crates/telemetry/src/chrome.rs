@@ -628,16 +628,17 @@ mod tests {
 
     #[test]
     fn span_trace_renders_tail_tracks() {
+        use crate::observer::TxnObserver;
         use crate::profile::ProfPhase;
-        use crate::span::SpanLog;
-        let mut log = SpanLog::new(1);
-        log.slot_start(0, 2, 5, Cycles::new(100));
-        log.round_begin(0, Verb::Intend, 2, Cycles::new(150));
-        log.round_end(0, Cycles::new(190));
-        log.slot_abort(0, "wrtx-conflict", Cycles::new(200));
-        log.slot_enter(0, ProfPhase::Exec, Cycles::new(260));
-        log.slot_enter(0, ProfPhase::Commit, Cycles::new(320));
-        log.slot_commit(0, Cycles::new(400), true);
+        let mut obs = TxnObserver::new(1, false, true);
+        obs.slot_start(0, 2, 5, Cycles::new(100));
+        obs.round_begin(0, Verb::Intend, 2, Cycles::new(150));
+        obs.round_end(0, Cycles::new(190));
+        obs.slot_abort(0, "wrtx-conflict", Cycles::new(200));
+        obs.slot_enter(0, ProfPhase::Exec, Cycles::new(260));
+        obs.slot_enter(0, ProfPhase::Commit, Cycles::new(320));
+        obs.slot_commit(0, Cycles::new(400), true);
+        let log = obs.finish().1.expect("spans enabled");
         let s = span_chrome_trace(&log, 10);
         let doc = Json::parse(&s).expect("valid JSON");
         let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();

@@ -16,14 +16,16 @@
 //!   acquire/stall.
 //! * [`registry::MetricsRegistry`] — named counters and cycle
 //!   histograms, derivable wholesale from a recorded stream.
-//! * [`profile::PhaseProfile`] — the config-gated phase profiler:
-//!   per-transaction sim-time attribution across execution / lock /
-//!   validate / commit / replication / backoff, plus per-verb fabric
-//!   time (DESIGN.md §12).
-//! * [`span::SpanLog`] — config-gated causal transaction spans: every
-//!   attempt's phase segments, verb rounds, and abort causes, with a
-//!   critical-path analyzer over the top-K slowest / most-retried
-//!   committed transactions (DESIGN.md §13).
+//! * [`observer::TxnObserver`] — the one per-slot transaction state
+//!   machine (config-gated): it follows every attempt's phase
+//!   transitions, verb rounds and aborts, and at each measured commit
+//!   feeds both of its outputs from the same intervals:
+//!   * [`profile::PhaseProfile`] — per-phase sim-time totals across
+//!     execution / lock / validate / commit / replication / backoff,
+//!     plus per-verb fabric time (DESIGN.md §12);
+//!   * [`span::SpanLog`] — the committed transactions themselves, with
+//!     a critical-path analyzer over the top-K slowest / most-retried
+//!     (DESIGN.md §13).
 //! * [`timeseries::TimeSeries`] — config-gated windowed time-series:
 //!   per-node throughput, windowed p99, hardware occupancy, and
 //!   overload/failover event counts per fixed sim-time window.
@@ -44,6 +46,7 @@ pub mod chrome;
 pub mod event;
 pub mod json;
 pub mod jsonl;
+pub mod observer;
 pub mod profile;
 pub mod registry;
 pub mod sink;
@@ -51,6 +54,7 @@ pub mod span;
 pub mod timeseries;
 
 pub use event::{EventKind, FilterSite, Phase, TraceEvent, Verb, VerbCounts, NO_SLOT};
+pub use observer::TxnObserver;
 pub use profile::{PhaseProfile, ProfPhase};
 pub use registry::MetricsRegistry;
 pub use sink::{MemorySink, NullSink, TraceSink, Tracer};

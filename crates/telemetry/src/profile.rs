@@ -1,13 +1,14 @@
 //! The phase profiler: per-transaction sim-time attribution.
 //!
-//! [`PhaseProfile`] is a config-gated accumulator (enabled with
-//! `SimConfig::with_profiling()`) the three protocol engines drive from
-//! their state machines. Every committed transaction's wall time — from
-//! the first attempt's start to the final commit, including all squashed
-//! attempts — is split across the six [`ProfPhase`] buckets, and every
-//! fabric verb's NIC-to-NIC flight time is charged to its verb kind.
+//! [`PhaseProfile`] is the config-gated (`SimConfig::with_profiling()`)
+//! aggregate output of [`crate::observer::TxnObserver`]. Every committed
+//! transaction's wall time — from the first attempt's start to the final
+//! commit, including all squashed attempts — is split across the six
+//! [`ProfPhase`] buckets, and every fabric verb's NIC-to-NIC flight time
+//! is charged to its verb kind.
 //!
-//! Two invariants (tested in `tests/bench_determinism.rs`):
+//! Two invariants (tested in `tests/bench_determinism.rs` and
+//! `tests/observer_invariants.rs`):
 //!
 //! * **Byte identity off.** A disabled profiler records nothing, draws
 //!   no RNG, and leaves every export byte-identical to a build without
@@ -29,14 +30,14 @@ use crate::event::Verb;
 use crate::json::Json;
 use crate::registry::histogram_json;
 use hades_sim::stats::Histogram;
-use hades_sim::time::Cycles;
 
 /// Where a committed transaction's time went. A superset of the
 /// four-phase trace taxonomy ([`crate::event::Phase`]): replication and
 /// backoff are invisible to the per-attempt trace but first-class here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProfPhase {
     /// Application logic plus data fetches (all attempts).
+    #[default]
     Exec,
     /// Baseline write-lock acquisition (and pessimistic-fallback
     /// pre-locking time beyond the first grab).
@@ -85,51 +86,26 @@ impl ProfPhase {
     }
 }
 
-/// Per-slot attribution state: the open phase and the per-phase cycles
-/// accumulated by the slot's current transaction (across attempts).
-#[derive(Debug, Clone, Copy)]
-struct SlotProf {
-    /// Sim time at which the open phase began.
-    mark: Cycles,
-    /// The currently open phase.
-    phase: ProfPhase,
-    /// Cycles accumulated per phase since the transaction's first start.
-    acc: [u64; ProfPhase::COUNT],
-    /// Whether a transaction is being attributed in this slot.
-    active: bool,
-}
-
-impl SlotProf {
-    const IDLE: SlotProf = SlotProf {
-        mark: Cycles::ZERO,
-        phase: ProfPhase::Exec,
-        acc: [0; ProfPhase::COUNT],
-        active: false,
-    };
-}
-
-/// The profiler: per-phase totals and per-transaction distributions,
-/// plus per-verb fabric-time accounting.
+/// The profiler's results: per-phase totals and per-transaction
+/// distributions, plus per-verb fabric-time accounting. Filled by
+/// [`crate::observer::TxnObserver`], the one per-slot state machine.
 #[derive(Debug, Clone)]
 pub struct PhaseProfile {
-    slots: Vec<SlotProf>,
     /// Total cycles per phase, over measured committed transactions.
-    phase_total: [u64; ProfPhase::COUNT],
+    pub(crate) phase_total: [u64; ProfPhase::COUNT],
     /// Per-transaction cycles-in-phase distributions.
-    phase_hist: [Histogram; ProfPhase::COUNT],
+    pub(crate) phase_hist: [Histogram; ProfPhase::COUNT],
     /// Measured committed transactions flushed into the totals.
-    txns: u64,
+    pub(crate) txns: u64,
     /// Fabric flight cycles per verb (all messages, whole run).
-    verb_cycles: [u64; Verb::COUNT],
+    pub(crate) verb_cycles: [u64; Verb::COUNT],
     /// Messages sent per verb (all messages, whole run).
-    verb_msgs: [u64; Verb::COUNT],
+    pub(crate) verb_msgs: [u64; Verb::COUNT],
 }
 
-impl PhaseProfile {
-    /// Creates a profiler for a cluster with `total_slots` slots.
-    pub fn new(total_slots: usize) -> Self {
+impl Default for PhaseProfile {
+    fn default() -> Self {
         PhaseProfile {
-            slots: vec![SlotProf::IDLE; total_slots],
             phase_total: [0; ProfPhase::COUNT],
             phase_hist: std::array::from_fn(|_| Histogram::new()),
             txns: 0,
@@ -137,64 +113,9 @@ impl PhaseProfile {
             verb_msgs: [0; Verb::COUNT],
         }
     }
+}
 
-    /// A fresh transaction starts in slot `si`: attribution begins at
-    /// `now` in [`ProfPhase::Exec`].
-    pub fn slot_start(&mut self, si: usize, now: Cycles) {
-        self.slots[si] = SlotProf {
-            mark: now,
-            phase: ProfPhase::Exec,
-            acc: [0; ProfPhase::COUNT],
-            active: true,
-        };
-    }
-
-    /// The slot's transaction moves to `phase` at `now`; the interval
-    /// since the last transition is charged to the previous phase.
-    /// Re-entering the open phase just accumulates. Ignored while no
-    /// transaction is active (e.g. warmup carry-over).
-    ///
-    /// The mark never moves backward: engines sometimes open a phase at
-    /// a core-time cursor ahead of the event clock (commit distribution),
-    /// and a squash delivered in between must not re-charge the interval
-    /// already attributed to the open phase.
-    pub fn slot_enter(&mut self, si: usize, phase: ProfPhase, now: Cycles) {
-        let s = &mut self.slots[si];
-        if !s.active {
-            return;
-        }
-        s.acc[s.phase.index()] += now.saturating_sub(s.mark).get();
-        s.mark = s.mark.max(now);
-        s.phase = phase;
-    }
-
-    /// The slot's transaction committed at `now`. When `record` is true
-    /// (the run is in its measurement window) the accumulated phases are
-    /// flushed into the totals and histograms; either way the slot
-    /// returns to idle.
-    pub fn slot_commit(&mut self, si: usize, now: Cycles, record: bool) {
-        let s = &mut self.slots[si];
-        if !s.active {
-            return;
-        }
-        s.acc[s.phase.index()] += now.saturating_sub(s.mark).get();
-        let acc = s.acc;
-        if record {
-            self.txns += 1;
-            for (i, &cycles) in acc.iter().enumerate() {
-                self.phase_total[i] += cycles;
-                self.phase_hist[i].record(Cycles::new(cycles));
-            }
-        }
-        self.slots[si] = SlotProf::IDLE;
-    }
-
-    /// Charges one fabric message's flight time to its verb.
-    pub fn record_verb(&mut self, verb: Verb, flight: Cycles) {
-        self.verb_msgs[verb.index()] += 1;
-        self.verb_cycles[verb.index()] += flight.get();
-    }
-
+impl PhaseProfile {
     /// Measured committed transactions flushed into the totals.
     pub fn txns(&self) -> u64 {
         self.txns
@@ -284,89 +205,5 @@ mod tests {
         }
         assert_eq!(ProfPhase::COUNT, 6);
         assert_eq!(ProfPhase::Replication.label(), "replication");
-    }
-
-    #[test]
-    fn attribution_splits_the_full_interval() {
-        let mut p = PhaseProfile::new(2);
-        p.slot_start(0, Cycles::new(100));
-        p.slot_enter(0, ProfPhase::Commit, Cycles::new(160));
-        p.slot_enter(0, ProfPhase::Backoff, Cycles::new(200));
-        p.slot_enter(0, ProfPhase::Exec, Cycles::new(230));
-        p.slot_enter(0, ProfPhase::Commit, Cycles::new(280));
-        p.slot_commit(0, Cycles::new(300), true);
-        assert_eq!(p.txns(), 1);
-        assert_eq!(p.phase_cycles(ProfPhase::Exec), 60 + 50);
-        assert_eq!(p.phase_cycles(ProfPhase::Commit), 40 + 20);
-        assert_eq!(p.phase_cycles(ProfPhase::Backoff), 30);
-        // Sum exactness: everything between start (100) and commit (300).
-        assert_eq!(p.total_cycles(), 200);
-    }
-
-    #[test]
-    fn reentering_open_phase_accumulates() {
-        let mut p = PhaseProfile::new(1);
-        p.slot_start(0, Cycles::new(0));
-        p.slot_enter(0, ProfPhase::Commit, Cycles::new(10));
-        p.slot_enter(0, ProfPhase::Commit, Cycles::new(25));
-        p.slot_commit(0, Cycles::new(40), true);
-        assert_eq!(p.phase_cycles(ProfPhase::Exec), 10);
-        assert_eq!(p.phase_cycles(ProfPhase::Commit), 30);
-        assert_eq!(p.total_cycles(), 40);
-    }
-
-    #[test]
-    fn unrecorded_commits_and_idle_slots_leave_no_trace() {
-        let mut p = PhaseProfile::new(1);
-        // Warmup transaction: flushed but not recorded.
-        p.slot_start(0, Cycles::new(0));
-        p.slot_commit(0, Cycles::new(50), false);
-        // Transitions on an idle slot are ignored.
-        p.slot_enter(0, ProfPhase::Commit, Cycles::new(60));
-        p.slot_commit(0, Cycles::new(70), true);
-        assert_eq!(p.txns(), 0);
-        assert_eq!(p.total_cycles(), 0);
-    }
-
-    #[test]
-    fn backward_transition_never_double_charges() {
-        // A phase opened at a future core-time cursor followed by a
-        // squash at an earlier event time: the overlap stays charged to
-        // the open phase once, and the total still telescopes exactly.
-        let mut p = PhaseProfile::new(1);
-        p.slot_start(0, Cycles::new(0));
-        p.slot_enter(0, ProfPhase::Commit, Cycles::new(100)); // cursor ahead
-        p.slot_enter(0, ProfPhase::Backoff, Cycles::new(70)); // squash behind
-        p.slot_enter(0, ProfPhase::Exec, Cycles::new(130)); // retry
-        p.slot_commit(0, Cycles::new(150), true);
-        assert_eq!(p.phase_cycles(ProfPhase::Exec), 100 + 20);
-        assert_eq!(p.phase_cycles(ProfPhase::Backoff), 30);
-        assert_eq!(p.total_cycles(), 150);
-    }
-
-    #[test]
-    fn verb_accounting_and_json_shape() {
-        let mut p = PhaseProfile::new(1);
-        p.record_verb(Verb::Intend, Cycles::new(2_000));
-        p.record_verb(Verb::Intend, Cycles::new(2_200));
-        p.record_verb(Verb::Ack, Cycles::new(1_900));
-        assert_eq!(p.verb_msgs(Verb::Intend), 2);
-        assert_eq!(p.verb_cycles(Verb::Intend), 4_200);
-        p.slot_start(0, Cycles::new(0));
-        p.slot_commit(0, Cycles::new(100), true);
-        let doc = p.to_json();
-        let phases = doc.get("phases").unwrap();
-        assert_eq!(
-            phases.get("exec").unwrap().get("cycles").unwrap().as_u64(),
-            Some(100)
-        );
-        // All six phases render even when zero; unseen verbs are omitted.
-        for ph in ProfPhase::ALL {
-            assert!(phases.get(ph.label()).is_some(), "{}", ph.label());
-        }
-        let verbs = doc.get("verbs").unwrap();
-        assert!(verbs.get("intend").is_some());
-        assert!(verbs.get("read").is_none());
-        assert_eq!(doc.get("total_cycles").unwrap().as_u64(), Some(100));
     }
 }

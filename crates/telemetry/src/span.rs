@@ -1,18 +1,18 @@
 //! Causal transaction spans: per-transaction time-resolved attribution.
 //!
 //! [`SpanLog`] is the record-keeping half of the tail-attribution layer
-//! (enabled with `SimConfig::with_spans()`). Where the phase profiler
+//! (enabled with `SimConfig::with_spans()`). Where the phase profile
 //! ([`crate::profile::PhaseProfile`]) folds every committed transaction
 //! into six aggregate buckets, the span log keeps the *individual*
 //! transactions: an ordered segment list per phase transition, each
 //! handshake verb round's send→last-response interval, and every abort
 //! with its reason and (when known) the squashing peer.
 //!
-//! The slot state machine mirrors the profiler exactly — same
-//! mark-monotonic transitions, same `record` gating at commit — so the
-//! profiler's sum-exactness invariant carries over per transaction:
-//! a [`TxnSpan`]'s segments telescope exactly (to the cycle) to its
-//! `first_start → commit` latency (tested in `tests/span_invariants.rs`).
+//! Both are outputs of the one per-slot state machine in
+//! [`crate::observer::TxnObserver`], so the profile's sum-exactness
+//! invariant holds per transaction: a [`TxnSpan`]'s segments telescope
+//! exactly (to the cycle) to its `first_start → commit` latency (tested
+//! in `tests/span_invariants.rs`).
 //!
 //! The critical-path analyzer on top reconstructs the top-K slowest
 //! committed and most-retried transactions, names the dominant
@@ -88,7 +88,7 @@ pub struct AbortSpan {
 /// The full causal record of one committed transaction: every attempt's
 /// phase segments, verb rounds, and aborts, from the first start to the
 /// final commit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TxnSpan {
     /// Coordinator node.
     pub node: u16,
@@ -116,34 +116,16 @@ impl TxnSpan {
 
     /// Total cycles per phase over all segments.
     pub fn phase_cycles(&self) -> [u64; ProfPhase::COUNT] {
-        let mut acc = [0u64; ProfPhase::COUNT];
-        for seg in &self.segments {
-            acc[seg.phase.index()] += seg.cycles();
-        }
-        acc
+        phase_cycles(&self.segments)
     }
 
     /// The phase this transaction spent the most time in (ties resolve
     /// to the earlier lifecycle phase).
     pub fn dominant(&self) -> ProfPhase {
-        let acc = self.phase_cycles();
-        let mut best = ProfPhase::Exec;
-        for p in ProfPhase::ALL {
-            if acc[p.index()] > acc[best.index()] {
-                best = p;
-            }
-        }
-        best
+        dominant(&self.phase_cycles())
     }
 
     fn to_json(&self) -> Json {
-        let acc = self.phase_cycles();
-        let phases = Json::Obj(
-            ProfPhase::ALL
-                .iter()
-                .map(|&p| (p.label().to_string(), Json::UInt(acc[p.index()])))
-                .collect(),
-        );
         let rounds = Json::Arr(
             self.rounds
                 .iter()
@@ -178,206 +160,54 @@ impl TxnSpan {
             .field("latency", self.latency().get())
             .field("attempts", u64::from(self.attempts))
             .field("dominant", Json::str(self.dominant().label()))
-            .field("phases", phases)
+            .field("phases", phases_json(&self.phase_cycles()))
             .field("rounds", rounds)
             .field("aborts", aborts)
             .build()
     }
 }
 
-/// Per-slot recording state for the transaction currently attributed in
-/// that slot (mirrors the profiler's `SlotProf`, but keeps the pieces).
-#[derive(Debug, Clone)]
-struct SlotSpan {
-    active: bool,
-    node: u16,
-    slot: u32,
-    start: Cycles,
-    mark: Cycles,
-    phase: ProfPhase,
-    attempt: u32,
-    segments: Vec<Segment>,
-    rounds: Vec<VerbRound>,
-    open_rounds: Vec<(Verb, u32, Cycles)>,
-    aborts: Vec<AbortSpan>,
-    pending_by: Option<u16>,
+/// Total cycles per phase over `segments`.
+pub(crate) fn phase_cycles(segments: &[Segment]) -> [u64; ProfPhase::COUNT] {
+    let mut acc = [0u64; ProfPhase::COUNT];
+    for seg in segments {
+        acc[seg.phase.index()] += seg.cycles();
+    }
+    acc
 }
 
-impl SlotSpan {
-    fn idle() -> Self {
-        SlotSpan {
-            active: false,
-            node: 0,
-            slot: 0,
-            start: Cycles::ZERO,
-            mark: Cycles::ZERO,
-            phase: ProfPhase::Exec,
-            attempt: 1,
-            segments: Vec::new(),
-            rounds: Vec::new(),
-            open_rounds: Vec::new(),
-            aborts: Vec::new(),
-            pending_by: None,
+/// The phase with the most cycles in `acc`; ties resolve to the earlier
+/// lifecycle phase.
+fn dominant(acc: &[u64; ProfPhase::COUNT]) -> ProfPhase {
+    let mut best = ProfPhase::Exec;
+    for p in ProfPhase::ALL {
+        if acc[p.index()] > acc[best.index()] {
+            best = p;
         }
     }
-
-    /// Closes the open phase at `max(mark, now)`, appending (and
-    /// coalescing) the segment. Mark-monotonic like the profiler.
-    fn close_segment(&mut self, now: Cycles) {
-        let end = self.mark.max(now);
-        if end > self.mark {
-            match self.segments.last_mut() {
-                Some(last) if last.phase == self.phase && last.end == self.mark => {
-                    last.end = end;
-                }
-                _ => self.segments.push(Segment {
-                    phase: self.phase,
-                    start: self.mark,
-                    end,
-                }),
-            }
-        }
-        self.mark = end;
-    }
-
-    fn close_rounds(&mut self, now: Cycles) {
-        for (verb, peers, begin) in self.open_rounds.drain(..) {
-            self.rounds.push(VerbRound {
-                verb,
-                peers,
-                attempt: self.attempt,
-                start: begin,
-                end: begin.max(now),
-            });
-        }
-    }
+    best
 }
 
-/// The span log: slot state machines feeding a capped list of committed
-/// [`TxnSpan`]s, plus the critical-path analyzer over them.
-#[derive(Debug, Clone)]
+/// The six-phase `{name: cycles}` object, in lifecycle order.
+fn phases_json(acc: &[u64; ProfPhase::COUNT]) -> Json {
+    Json::Obj(
+        ProfPhase::ALL
+            .iter()
+            .map(|&p| (p.label().to_string(), Json::UInt(acc[p.index()])))
+            .collect(),
+    )
+}
+
+/// The span log's results: a capped list of committed [`TxnSpan`]s
+/// (retained by [`crate::observer::TxnObserver`]), plus the
+/// critical-path analyzer over them.
+#[derive(Debug, Clone, Default)]
 pub struct SpanLog {
-    slots: Vec<SlotSpan>,
-    txns: Vec<TxnSpan>,
-    dropped: u64,
+    pub(crate) txns: Vec<TxnSpan>,
+    pub(crate) dropped: u64,
 }
 
 impl SpanLog {
-    /// Creates a span log for a cluster with `total_slots` slots.
-    pub fn new(total_slots: usize) -> Self {
-        SpanLog {
-            slots: (0..total_slots).map(|_| SlotSpan::idle()).collect(),
-            txns: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// A fresh transaction starts in slot `si` on `node` at `now`.
-    pub fn slot_start(&mut self, si: usize, node: u16, slot: u32, now: Cycles) {
-        let mut s = SlotSpan::idle();
-        s.active = true;
-        s.node = node;
-        s.slot = slot;
-        s.start = now;
-        s.mark = now;
-        self.slots[si] = s;
-    }
-
-    /// The slot's transaction moves to `phase` at `now`; same semantics
-    /// as [`crate::profile::PhaseProfile::slot_enter`] (mark-monotonic,
-    /// ignored while idle), but the closed interval is kept as a
-    /// [`Segment`] instead of folded into an accumulator.
-    pub fn slot_enter(&mut self, si: usize, phase: ProfPhase, now: Cycles) {
-        let s = &mut self.slots[si];
-        if !s.active {
-            return;
-        }
-        s.close_segment(now);
-        s.phase = phase;
-    }
-
-    /// A request-verb fan-out to `peers` participants left at `now`; the
-    /// round stays open until [`Self::round_end`] or a cutting
-    /// abort/commit.
-    pub fn round_begin(&mut self, si: usize, verb: Verb, peers: u32, now: Cycles) {
-        let s = &mut self.slots[si];
-        if !s.active || peers == 0 {
-            return;
-        }
-        s.open_rounds.push((verb, peers, now));
-    }
-
-    /// The last outstanding response of the slot's open round(s) arrived
-    /// at `now`.
-    pub fn round_end(&mut self, si: usize, now: Cycles) {
-        let s = &mut self.slots[si];
-        if !s.active {
-            return;
-        }
-        s.close_rounds(now);
-    }
-
-    /// Names the peer whose conflict check is about to squash the slot's
-    /// transaction; consumed by the next [`Self::slot_abort`].
-    pub fn abort_source(&mut self, si: usize, by: u16) {
-        let s = &mut self.slots[si];
-        if s.active {
-            s.pending_by = Some(by);
-        }
-    }
-
-    /// The slot's attempt was squashed at `now` for `reason`: open rounds
-    /// are cut, the phase moves to backoff, and the abort is recorded
-    /// (with the pending squash source, if one was named).
-    pub fn slot_abort(&mut self, si: usize, reason: &'static str, now: Cycles) {
-        let s = &mut self.slots[si];
-        if !s.active {
-            return;
-        }
-        s.close_rounds(now);
-        s.close_segment(now);
-        s.phase = ProfPhase::Backoff;
-        let by = s.pending_by.take();
-        let attempt = s.attempt;
-        s.aborts.push(AbortSpan {
-            reason,
-            at: now,
-            attempt,
-            by,
-        });
-        s.attempt += 1;
-    }
-
-    /// The slot's transaction committed at `now`. When `record` is true
-    /// the finished [`TxnSpan`] is retained (up to [`SPAN_RETAIN_CAP`]);
-    /// either way the slot returns to idle.
-    pub fn slot_commit(&mut self, si: usize, now: Cycles, record: bool) {
-        let s = &mut self.slots[si];
-        if !s.active {
-            return;
-        }
-        s.close_rounds(now);
-        s.close_segment(now);
-        if record {
-            if self.txns.len() < SPAN_RETAIN_CAP {
-                let txn = TxnSpan {
-                    node: s.node,
-                    slot: s.slot,
-                    start: s.start,
-                    end: s.mark,
-                    attempts: s.attempt,
-                    segments: std::mem::take(&mut s.segments),
-                    rounds: std::mem::take(&mut s.rounds),
-                    aborts: std::mem::take(&mut s.aborts),
-                };
-                self.txns.push(txn);
-            } else {
-                self.dropped += 1;
-            }
-        }
-        self.slots[si] = SlotSpan::idle();
-    }
-
     /// Committed transactions retained.
     pub fn recorded(&self) -> u64 {
         self.txns.len() as u64
@@ -436,27 +266,13 @@ impl SpanLog {
         if self.txns.is_empty() {
             return None;
         }
-        let acc = self.tail_phase_cycles(k);
-        let mut best = ProfPhase::Exec;
-        for p in ProfPhase::ALL {
-            if acc[p.index()] > acc[best.index()] {
-                best = p;
-            }
-        }
-        Some(best)
+        Some(dominant(&self.tail_phase_cycles(k)))
     }
 
     /// Exports the `tail` block: schema tag, counts, the dominant
     /// contributor, phase totals over the top-`k` slowest, and the
     /// top-`k` slowest / most-retried transactions in full.
     pub fn tail_json(&self, k: usize) -> Json {
-        let acc = self.tail_phase_cycles(k);
-        let phases = Json::Obj(
-            ProfPhase::ALL
-                .iter()
-                .map(|&p| (p.label().to_string(), Json::UInt(acc[p.index()])))
-                .collect(),
-        );
         Json::obj()
             .field("schema", Json::str(SPAN_SCHEMA))
             .field("txns", self.recorded())
@@ -467,7 +283,7 @@ impl SpanLog {
                 self.dominant(k)
                     .map_or(Json::Null, |p| Json::str(p.label())),
             )
-            .field("phases", phases)
+            .field("phases", phases_json(&self.tail_phase_cycles(k)))
             .field(
                 "slowest",
                 Json::Arr(self.top_slowest(k).iter().map(|t| t.to_json()).collect()),
@@ -477,111 +293,5 @@ impl SpanLog {
                 Json::Arr(self.top_retried(k).iter().map(|t| t.to_json()).collect()),
             )
             .build()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cy(n: u64) -> Cycles {
-        Cycles::new(n)
-    }
-
-    #[test]
-    fn segments_telescope_to_latency() {
-        let mut log = SpanLog::new(1);
-        log.slot_start(0, 3, 7, cy(100));
-        log.slot_enter(0, ProfPhase::Lock, cy(160));
-        log.slot_enter(0, ProfPhase::Commit, cy(200));
-        log.slot_abort(0, "record-lock-busy", cy(230));
-        log.slot_enter(0, ProfPhase::Exec, cy(260));
-        log.slot_enter(0, ProfPhase::Commit, cy(300));
-        log.slot_commit(0, cy(340), true);
-        let t = &log.txns()[0];
-        assert_eq!(t.latency().get(), 240);
-        assert_eq!(t.attempts, 2);
-        let covered: u64 = t.segments.iter().map(|s| s.cycles()).sum();
-        assert_eq!(covered, 240);
-        // Contiguity: each segment starts where the previous ended.
-        for w in t.segments.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-        assert_eq!(t.segments.first().unwrap().start, cy(100));
-        assert_eq!(t.segments.last().unwrap().end, cy(340));
-        assert_eq!(t.aborts.len(), 1);
-        assert_eq!(t.aborts[0].attempt, 1);
-        assert_eq!(t.aborts[0].by, None);
-    }
-
-    #[test]
-    fn backward_transition_never_double_counts() {
-        let mut log = SpanLog::new(1);
-        log.slot_start(0, 0, 0, cy(0));
-        log.slot_enter(0, ProfPhase::Commit, cy(100)); // cursor ahead
-        log.slot_abort(0, "wrtx-conflict", cy(70)); // squash behind
-        log.slot_enter(0, ProfPhase::Exec, cy(130));
-        log.slot_commit(0, cy(150), true);
-        let t = &log.txns()[0];
-        let covered: u64 = t.segments.iter().map(|s| s.cycles()).sum();
-        assert_eq!(covered, 150);
-        let acc = t.phase_cycles();
-        assert_eq!(acc[ProfPhase::Exec.index()], 100 + 20);
-        assert_eq!(acc[ProfPhase::Backoff.index()], 30);
-    }
-
-    #[test]
-    fn rounds_and_sources_are_recorded() {
-        let mut log = SpanLog::new(1);
-        log.slot_start(0, 1, 0, cy(0));
-        log.round_begin(0, Verb::Intend, 2, cy(50));
-        log.round_end(0, cy(90));
-        log.abort_source(0, 9);
-        log.slot_abort(0, "lazy-conflict", cy(95));
-        log.slot_enter(0, ProfPhase::Exec, cy(120));
-        log.round_begin(0, Verb::Intend, 2, cy(150));
-        // Commit cuts the still-open round.
-        log.slot_commit(0, cy(180), true);
-        let t = &log.txns()[0];
-        assert_eq!(t.rounds.len(), 2);
-        assert_eq!(t.rounds[0].verb, Verb::Intend);
-        assert_eq!(t.rounds[0].end, cy(90));
-        assert_eq!(t.rounds[0].attempt, 1);
-        assert_eq!(t.rounds[1].attempt, 2);
-        assert_eq!(t.rounds[1].end, cy(180));
-        assert_eq!(t.aborts[0].by, Some(9));
-    }
-
-    #[test]
-    fn idle_and_unrecorded_slots_leave_no_trace() {
-        let mut log = SpanLog::new(1);
-        log.slot_enter(0, ProfPhase::Commit, cy(10));
-        log.slot_abort(0, "x", cy(20));
-        log.slot_commit(0, cy(30), true);
-        assert_eq!(log.recorded(), 0);
-        // Warmup commit: flushed but not retained.
-        log.slot_start(0, 0, 0, cy(0));
-        log.slot_commit(0, cy(50), false);
-        assert_eq!(log.recorded(), 0);
-        assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
-    fn analyzer_ranks_deterministically() {
-        let mut log = SpanLog::new(3);
-        for (si, (start, end)) in [(0u64, 100u64), (10, 400), (20, 150)].iter().enumerate() {
-            log.slot_start(si, si as u16, 0, cy(*start));
-            log.slot_enter(si, ProfPhase::Commit, cy(*start + 10));
-            log.slot_commit(si, cy(*end), true);
-        }
-        let slow = log.top_slowest(2);
-        assert_eq!(slow[0].node, 1); // 390 cycles
-        assert_eq!(slow[1].node, 2); // 130 cycles
-                                     // Commit dominates every transaction here.
-        assert_eq!(log.dominant(10), Some(ProfPhase::Commit));
-        let doc = log.tail_json(10);
-        assert_eq!(doc.get("txns").unwrap().as_u64(), Some(3));
-        assert_eq!(doc.get("dominant").unwrap().as_str(), Some("commit"));
-        assert_eq!(doc.get("slowest").unwrap().as_arr().unwrap().len(), 3);
     }
 }
