@@ -17,13 +17,18 @@
 //! membership layer), a live shard migration and the aggressive overload
 //! profile. Most use a shorter measurement window ([`quick_window`]); all
 //! were recorded at commit dadde3c, before the engines shared one driver.
-//! The last three rows were recorded at commit 3210fa2, where every poll
+//! Three more rows were recorded at commit 3210fa2, where every poll
 //! was dispatched, rebuilt what it needed and re-probed the bank. Two pin
 //! the HADES engines' fallback pre-locking: with a single squash enough
 //! to fall back, nearly every retry pre-locks its directories and polls
 //! the Locking Buffers until granted. The third crashes a home node
 //! briefly, so remote accesses stalled at its bank must wait for the
-//! restart rather than keep polling.
+//! restart rather than keep polling. The last two rows were recorded at
+//! commit 149b3e3, where each Baseline fallback poll cloned its lock list
+//! and rebuilt its per-home batches. They pin the Baseline's fallback
+//! path, which re-sends a denied lock batch every `lock_retry`: once on
+//! the fault-free run and once under a live migration, which reroutes
+//! the batches between polls.
 //!
 //! If a change to the simulation moves these numbers on purpose, re-record
 //! them and say so; a host-only change must leave them alone.
@@ -60,7 +65,7 @@ const SHORT_MEASURE: u64 = 150;
 /// announce, copy and dual-routing phases only.
 fn quick_window(protocol: Protocol, scenario: Scenario) -> bool {
     match scenario {
-        Plain | Fallback => true,
+        Plain | Fallback | FallbackMigration => true,
         Migration => protocol != Hades,
         _ => false,
     }
@@ -88,6 +93,9 @@ enum Scenario {
     Overload,
     /// One squash sends a transaction to the pessimistic fallback path.
     Fallback,
+    /// [`Fallback`] under the standard live move of partition 0 to node
+    /// 1: fallback lock batches re-read the routing on every poll.
+    FallbackMigration,
 }
 
 /// What one traced run must reproduce.
@@ -118,7 +126,7 @@ const fn row(
 }
 
 #[rustfmt::skip]
-const EXPECTED: [Expected; 21] = [
+const EXPECTED: [Expected; 23] = [
     // Recorded at commit e04b8b0.
     row(HadesH, Plain, 116_821, 0x11e0_2520_8a8f_8a00, 0x643a_1328_898f_9445),
     row(Hades, Plain, 55_638, 0x6e3a_b9c8_15cf_e900, 0xd461_4b43_f9c7_d025),
@@ -143,6 +151,10 @@ const EXPECTED: [Expected; 21] = [
     row(HadesH, Fallback, 76_776, 0x1885_9917_8fdd_0cd9, 0xd67d_be74_e286_d731),
     row(Hades, Fallback, 125_041, 0x30a7_6f23_c3ba_8639, 0xdb70_1b9c_a3f3_86b4),
     row(Hades, BriefCrash, 8_009, 0x4bd5_c3e9_b9a3_640c, 0x0f77_3ca7_4927_5f40),
+    // Recorded at commit 149b3e3, where every Baseline fallback poll
+    // cloned its lock list and rebuilt its per-home batches.
+    row(Baseline, Fallback, 0, 0x269e_d49a_4dc3_26e8, 0xdb74_1623_0053_1102),
+    row(Baseline, FallbackMigration, 0, 0x66e4_8e82_a0e8_9260, 0x2c88_876d_c617_c9a5),
 ];
 
 /// Runs one row's configuration on HT-wA with a memory trace sink and
@@ -175,6 +187,12 @@ fn digests(protocol: Protocol, scenario: Scenario) -> (usize, u64, u64) {
         }
         Overload => ex.cfg = ex.cfg.with_overload(OverloadParams::aggressive()),
         Fallback => ex.cfg.retry.fallback_after_squashes = 1,
+        FallbackMigration => {
+            ex.cfg.retry.fallback_after_squashes = 1;
+            ex.cfg = ex
+                .cfg
+                .with_migration(MigrationParams::standard(vec![(0, 1)]))
+        }
     }
     let (tracer, sink) = Tracer::memory();
     let outcome = Run::apps(protocol, &ex, &[app])
