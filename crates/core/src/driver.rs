@@ -28,6 +28,7 @@ use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
 use hades_telemetry::event::{EventKind, RecoveryKind, Verb, NO_SLOT};
 use std::fmt::Debug;
+use std::rc::Rc;
 
 /// The protocol half of a simulator: what Baseline, HADES-H and HADES do
 /// differently. Each method runs inside the shared [`Sim`] driver.
@@ -133,7 +134,8 @@ pub struct SlotCore {
     pub(crate) consec_squashes: u32,
     /// This attempt runs on the pessimistic fallback path.
     pub(crate) fallback: bool,
-    pub(crate) txn: Option<ResolvedTxn>,
+    /// The running transaction, shared with the events that name its ops.
+    pub(crate) txn: Option<Rc<ResolvedTxn>>,
     pub(crate) first_start: Cycles,
     pub(crate) exec_end: Cycles,
     pub(crate) stage: usize,
@@ -576,7 +578,7 @@ impl<P: Engine> Sim<P> {
                 hades_workloads::spec::apply_locality(&mut spec, node, f, &self.cl.db, rng);
             }
             let s = &mut self.slots[si];
-            s.txn = Some(resolve(&self.cl.db, &spec, app));
+            s.txn = Some(Rc::new(resolve(&self.cl.db, &spec, app)));
             s.first_start = now;
             s.consec_squashes = 0;
         }

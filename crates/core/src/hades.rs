@@ -25,7 +25,9 @@
 //! [`SwLocal`](crate::hades_h::SwLocal) for HADES-H.
 
 use crate::driver::{Engine, Ev, RearmView, Sim, SlotCore};
-use crate::runtime::{apply_write, owner_token, Cluster, CoreVerb, ResolvedOp, ResolvedTxn, Stall};
+use crate::runtime::{
+    apply_write, next_node, owner_token, Cluster, CoreVerb, OpRef, ResolvedOp, ResolvedTxn, Stall,
+};
 use crate::stats::{RunStats, SquashReason};
 use hades_bloom::{BloomFilter, DualWriteFilter, LineHash, LockFailure, LockingBuffers, Signature};
 use hades_fault::InjectedFault;
@@ -39,6 +41,7 @@ use hades_telemetry::profile::ProfPhase;
 use std::collections::HashSet;
 use std::fmt::Debug;
 use std::marker::PhantomData;
+use std::rc::Rc;
 
 /// The local path of a HADES-family engine: what HADES-H and HADES do
 /// differently around the shared NIC remote path.
@@ -84,7 +87,7 @@ pub trait LocalPath: Sized + Debug {
     fn apply_local(
         sim: &mut Sim<Hades<Self>>,
         si: usize,
-        ops: &[ResolvedOp],
+        ops: &[&ResolvedOp],
         now: Cycles,
     ) -> Cycles;
     /// A degraded participant commit (no free Locking Buffer) is also
@@ -121,6 +124,8 @@ pub struct Hades<L> {
     /// coordinator crashed (their effects are ledger-final); failover
     /// resolves straddling replica prepares against this set.
     durable_at_crash: HashSet<RemoteTxKey>,
+    /// The lines a remote access fetches, rebuilt in place per access.
+    fetch_lines: Vec<u64>,
     local: PhantomData<L>,
 }
 
@@ -137,6 +142,9 @@ pub struct HadesSlot<S> {
     /// Ack sequence ids already counted for this commit (duplicate
     /// deliveries under fault injection are ignored).
     pub(crate) acks_seen: Vec<u32>,
+    /// The write lines of each Intend-to-commit this commit sent, by Ack
+    /// id: the participant reads its Intend's lines from here.
+    pub(crate) intends: LineGroups,
     /// When this commit's handshake started (lease-margin check under a
     /// crash plan).
     pub(crate) commit_start: Cycles,
@@ -201,6 +209,47 @@ impl FallbackTarget {
     }
 }
 
+/// Line lists grouped by destination node, in the order the
+/// destinations were opened. Clearing keeps the lists' storage, so
+/// refilling the groups for the next commit reuses it.
+#[derive(Debug, Default)]
+pub(crate) struct LineGroups {
+    groups: Vec<(NodeId, Vec<u64>)>,
+    len: usize,
+}
+
+impl LineGroups {
+    /// Drops every group, keeping their storage.
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The lines of `node`'s group, opened empty after the others if
+    /// `node` has none yet.
+    fn group(&mut self, node: NodeId) -> &mut Vec<u64> {
+        let i = match self.groups[..self.len].iter().position(|g| g.0 == node) {
+            Some(i) => i,
+            None => {
+                if self.len == self.groups.len() {
+                    self.groups.push((node, Vec::new()));
+                } else {
+                    let g = &mut self.groups[self.len];
+                    g.0 = node;
+                    g.1.clear();
+                }
+                self.len += 1;
+                self.len - 1
+            }
+        };
+        &mut self.groups[i].1
+    }
+
+    /// The groups, in opening order.
+    fn as_slice(&self) -> &[(NodeId, Vec<u64>)] {
+        &self.groups[..self.len]
+    }
+}
+
 /// Traces a Locking-Buffer denial: a local access's at its slot, any
 /// other (`None`) at the denying bank.
 fn trace_stall(cl: &Cluster, now: Cycles, stall: Stall, slot: Option<&SlotCore>) {
@@ -227,12 +276,11 @@ mod ev {
     #[derive(Debug)]
     pub enum HadesEv {
         /// A local op ready to execute (possibly a retry after a Locking
-        /// Buffer denial, which `stall` then describes). The op is boxed to
-        /// keep every event small.
+        /// Buffer denial, which `stall` then describes).
         LocalOp {
             si: usize,
             att: u32,
-            op: Box<ResolvedOp>,
+            op: OpRef,
             stall: Option<Stall>,
         },
         /// A remote request arrives at the home node's NIC (or retries after
@@ -240,24 +288,21 @@ mod ev {
         RemoteReq {
             si: usize,
             att: u32,
-            op: Box<ResolvedOp>,
+            op: OpRef,
             stall: Option<Stall>,
         },
-        /// A remote fetch's lines arrive back at the origin.
-        RemoteResp {
-            si: usize,
-            att: u32,
-            lines: Vec<u64>,
-        },
+        /// A remote fetch's lines (the op's read and partially written
+        /// lines) arrive back at the origin.
+        RemoteResp { si: usize, att: u32, op: OpRef },
         /// Execution finished: start the commit.
         BeginCommit { si: usize, att: u32 },
         /// Intend-to-commit arrives at a remote node. Carries the sender's
         /// configuration epoch so stale verbs from dead nodes are fenced.
+        /// Its write lines are the coordinator's `intends` group `ack_id`.
         IntendArrive {
             si: usize,
             att: u32,
             node: NodeId,
-            write_lines: Vec<u64>,
             ack_id: u32,
             ep: u64,
         },
@@ -275,11 +320,12 @@ mod ev {
         /// Acks are still outstanding when it fires, the commit handshake lost
         /// a message and the transaction squashes and retries.
         CommitTimeout { si: usize, att: u32 },
-        /// Validation + updates arrive at a remote node (one-way).
+        /// Validation + updates arrive at a remote node (one-way), naming
+        /// the written ops to apply there.
         ValidationArrive {
             node: NodeId,
             key: RemoteTxKey,
-            ops: Vec<ResolvedOp>,
+            ops: Vec<OpRef>,
         },
         /// A squash request reaches the target's origin node.
         SquashArrive { si: usize, att: u32 },
@@ -324,6 +370,7 @@ impl<L: LocalPath> Engine for Hades<L> {
             replica_pending: vec![HashSet::new(); nodes],
             replica_persists: 0,
             durable_at_crash: HashSet::new(),
+            fetch_lines: Vec::new(),
             local: PhantomData,
         }
     }
@@ -335,6 +382,7 @@ impl<L: LocalPath> Engine for Hades<L> {
             committing: false,
             acks_outstanding: 0,
             acks_seen: Vec::new(),
+            intends: LineGroups::default(),
             commit_start: Cycles::ZERO,
             commit_failed: false,
             holds_local_lock: false,
@@ -356,6 +404,7 @@ impl<L: LocalPath> Engine for Hades<L> {
         x.committing = false;
         x.acks_outstanding = 0;
         x.acks_seen.clear();
+        x.intends.clear();
         x.commit_failed = false;
         x.holds_local_lock = false;
         x.unsquashable = false;
@@ -367,10 +416,11 @@ impl<L: LocalPath> Engine for Hades<L> {
 
     /// Pessimistic mode partially locks every involved directory.
     fn plan_fallback(txn: &ResolvedTxn, x: &mut Self::Slot) {
-        let mut nodes: Vec<NodeId> = txn.ops().map(|op| op.home).collect();
+        let nodes = &mut x.fallback_nodes;
+        nodes.clear();
+        nodes.extend(txn.ops().map(|op| op.home));
         nodes.sort_unstable();
         nodes.dedup();
-        x.fallback_nodes = nodes;
     }
 
     fn exec_stage(sim: &mut Sim<Self>, si: usize, att: u32) {
@@ -392,8 +442,12 @@ impl<L: LocalPath> Engine for Hades<L> {
                 sim.on_local_req(si, att, op)
             }
             HadesEv::RemoteReq { si, att, op, .. } => sim.on_remote_req(si, att, op),
-            HadesEv::RemoteResp { si, att, lines } if sim.alive(si, att) => {
-                sim.ext[si].fetched.extend(lines);
+            HadesEv::RemoteResp { si, att, op } if sim.alive(si, att) => {
+                let fetched = &mut sim.ext[si].fetched;
+                fetched.extend(&op.read_lines);
+                if op.is_write() {
+                    fetched.extend(&op.write_partial);
+                }
                 sim.on_op_done(si, att);
             }
             HadesEv::BeginCommit { si, att } if sim.alive(si, att) => sim.on_begin_commit(si, att),
@@ -401,7 +455,6 @@ impl<L: LocalPath> Engine for Hades<L> {
                 si,
                 att,
                 node,
-                write_lines,
                 ack_id,
                 ep,
             } => {
@@ -410,7 +463,7 @@ impl<L: LocalPath> Engine for Hades<L> {
                 if sim.cl.membership.should_fence(ep, sim.slots[si].node) {
                     sim.fence_verb(node, Verb::Intend);
                 } else {
-                    sim.on_intend_arrive(si, att, node, write_lines, ack_id);
+                    sim.on_intend_arrive(si, att, node, ack_id);
                 }
             }
             HadesEv::AckArrive {
@@ -675,7 +728,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
     /// A local access checks the directory's Locking Buffers first: a
     /// committing transaction may block it, and it retries until that
     /// transaction unlocks (Fig 7).
-    fn on_local_req(&mut self, si: usize, att: u32, op: Box<ResolvedOp>) {
+    fn on_local_req(&mut self, si: usize, att: u32, op: OpRef) {
         let node = self.slots[si].node;
         let token = self.token(si);
         let stall = self
@@ -696,8 +749,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
         let stage_idx = self.slots[si].stage;
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let sw = self.cl.cfg.sw;
-        let ops: Vec<ResolvedOp> =
-            self.slots[si].txn.as_ref().expect("txn active").stages[stage_idx].clone();
+        let txn = Rc::clone(self.slots[si].txn.as_ref().expect("txn active"));
+        let ops = &txn.stages[stage_idx];
         if ops.is_empty() {
             self.slots[si].outstanding = 1;
             self.q.push_at(now, Ev::OpDone { si, att });
@@ -705,7 +758,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
         }
         self.slots[si].outstanding = ops.len() as u32;
         let mut cursor = now;
-        for op in ops {
+        for (i, op) in ops.iter().enumerate() {
             // Index walk + application compute: fundamental, same as
             // Baseline.
             let index_cost = sw.index_per_level * op.depth as u64 + sw.app_per_request;
@@ -714,7 +767,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             // membership layer is off).
             if self.cl.route(op.home) == node {
                 cursor = self.cl.run_on_core(node, core, cursor, index_cost);
-                let op = Box::new(op);
+                let op = OpRef::new(&txn, stage_idx, i);
                 let ev = HadesEv::LocalOp {
                     si,
                     att,
@@ -734,12 +787,12 @@ impl<L: LocalPath> Sim<Hades<L>> {
             if all_fetched {
                 let reuse = index_cost + self.cl.cfg.mem.l1_rt * op.read_lines.len().max(1) as u64;
                 cursor = self.cl.run_on_core(node, core, cursor, reuse);
-                self.note_remote_tracking(si, &op);
+                self.note_remote_tracking(si, op);
                 self.q.push_at(cursor, Ev::OpDone { si, att });
                 continue;
             }
             cursor = self.cl.run_on_core(node, core, cursor, index_cost);
-            self.note_remote_tracking(si, &op);
+            self.note_remote_tracking(si, op);
             let sent = self.cl.issue(
                 cursor,
                 CoreVerb {
@@ -753,7 +806,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 },
             );
             cursor = sent.depart;
-            let op = Box::new(op);
+            let op = OpRef::new(&txn, stage_idx, i);
             let ev = HadesEv::RemoteReq {
                 si,
                 att,
@@ -784,7 +837,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
 
     /// A remote access serviced at the home node's NIC (Table II, Remote
     /// Read/Write).
-    fn on_remote_req(&mut self, si: usize, att: u32, op: Box<ResolvedOp>) {
+    fn on_remote_req(&mut self, si: usize, att: u32, op: OpRef) {
         let now = self.q.now();
         if !self.alive(si, att) {
             return;
@@ -820,7 +873,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
         }
         let bloom = self.cl.cfg.bloom;
         let mut svc = Cycles::ZERO;
-        let mut fetch_lines: Vec<u64> = Vec::new();
+        let mut fetch_lines = std::mem::take(&mut self.p.fetch_lines);
+        fetch_lines.clear();
         if !op.read_lines.is_empty() {
             self.cl.nics[nb].record_remote_read(now, key, &op.read_lines);
             svc += bloom.bf_op * op.read_lines.len() as u64;
@@ -852,12 +906,9 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 Verb::ReadResp,
             )
         };
-        let ev = HadesEv::RemoteResp {
-            si,
-            att,
-            lines: fetch_lines,
-        };
-        self.q.push_at(back, ev.into());
+        self.p.fetch_lines = fetch_lines;
+        self.q
+            .push_at(back, HadesEv::RemoteResp { si, att, op }.into());
     }
 
     /// Squashes the transactions of `node` whose speculatively written
@@ -919,8 +970,9 @@ impl<L: LocalPath> Sim<Hades<L>> {
         // homes are routed to their current primaries; two partitions
         // promoted onto one physical node share a single Intend (their
         // NIC filter state already lives merged at that node).
-        let mut intend_targets: Vec<(NodeId, Vec<u64>)> = Vec::new();
-        for dst in self.ext[si].remote.nodes() {
+        let x = &mut self.ext[si];
+        x.intends.clear();
+        for &dst in x.remote.involved() {
             let phys = self.cl.route(dst);
             if phys == node {
                 // Promoted onto us mid-epoch: unreachable past the
@@ -928,16 +980,12 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 // validated by the local directory lock.
                 continue;
             }
-            let writes = self.ext[si].remote.writes_at(dst);
-            match intend_targets.iter_mut().find(|(p, _)| *p == phys) {
-                Some(e) => {
-                    e.1.extend(writes);
-                    e.1.sort_unstable();
-                    e.1.dedup();
-                }
-                None => intend_targets.push((phys, writes)),
-            }
+            let writes = x.intends.group(phys);
+            writes.extend(x.remote.raw_writes_at(dst));
+            writes.sort_unstable();
+            writes.dedup();
         }
+        let intend_count = x.intends.as_slice().len();
         // Replica targets: the ring successors of every written record's
         // home. The origin node persists its replicas locally.
         let mut repl_remote: Vec<NodeId> = Vec::new();
@@ -965,30 +1013,32 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 .cl
                 .run_on_core(node, core, cursor, self.cl.cfg.repl.persist_latency);
         }
-        self.ext[si].replica_targets = repl_remote.clone();
-        if intend_targets.is_empty() && repl_remote.is_empty() {
+        let repl_count = repl_remote.len();
+        self.ext[si].replica_targets = repl_remote;
+        if intend_count == 0 && repl_count == 0 {
             L::after_acks(self, si, att, cursor);
             return;
         }
         let x = &mut self.ext[si];
-        x.acks_outstanding = (intend_targets.len() + repl_remote.len()) as u32;
+        x.acks_outstanding = (intend_count + repl_count) as u32;
         x.acks_seen.clear();
         x.commit_start = cursor;
         // Attribute the ack-wait window to Replication when replica
         // prepares are in flight (they dominate the fan-out), else Commit.
-        let ph = if repl_remote.is_empty() {
+        let ph = if repl_count == 0 {
             ProfPhase::Commit
         } else {
             ProfPhase::Replication
         };
         self.cl.obs_enter(si, ph, cursor);
         self.cl
-            .obs_round_begin(si, Verb::Intend, intend_targets.len() as u32, cursor);
+            .obs_round_begin(si, Verb::Intend, intend_count as u32, cursor);
         self.cl
-            .obs_round_begin(si, Verb::ReplicaPrepare, repl_remote.len() as u32, cursor);
+            .obs_round_begin(si, Verb::ReplicaPrepare, repl_count as u32, cursor);
         let ep = self.cl.membership.epoch();
         let mut ack_id: u32 = 0;
-        for (dst, writes) in intend_targets {
+        for k in 0..intend_count {
+            let (dst, ref writes) = self.ext[si].intends.as_slice()[k];
             let bytes = wire_size(0, 64) + writes.len() * 8;
             cursor = self.cl.run_on_core(node, core, cursor, Cycles::new(20));
             for arrive in self.cl.send_faulty(cursor, node, dst, bytes, Verb::Intend) {
@@ -996,7 +1046,6 @@ impl<L: LocalPath> Sim<Hades<L>> {
                     si,
                     att,
                     node: dst,
-                    write_lines: writes.clone(),
                     ack_id,
                     ep,
                 };
@@ -1004,7 +1053,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
             }
             ack_id += 1;
         }
-        for dst in repl_remote {
+        for k in 0..repl_count {
+            let dst = self.ext[si].replica_targets[k];
             let txn = self.slots[si].txn.as_ref().expect("txn active");
             let lines: usize = txn
                 .ops()
@@ -1088,25 +1138,36 @@ impl<L: LocalPath> Sim<Hades<L>> {
 
     /// Intend-to-commit processing at remote node `y` (Table II, steps
     /// 1–3 at the remote node).
-    fn on_intend_arrive(
-        &mut self,
-        si: usize,
-        att: u32,
-        node: NodeId,
-        write_lines: Vec<u64>,
-        ack_id: u32,
-    ) {
+    fn on_intend_arrive(&mut self, si: usize, att: u32, node: NodeId, ack_id: u32) {
         let now = self.q.now();
         if !self.alive(si, att) || self.crashed[node.0 as usize] {
             // A crashed participant stays silent; the coordinator's
             // commit timeout turns the missing Ack into a clean abort.
             return;
         }
+        // The Intend's write lines, lent by the coordinator's slot for
+        // the duration of the step.
+        let group = &mut self.ext[si].intends.groups[ack_id as usize].1;
+        let write_lines = std::mem::take(group);
+        self.intend_step((si, att), node, ack_id, &write_lines, now);
+        self.ext[si].intends.groups[ack_id as usize].1 = write_lines;
+    }
+
+    /// Steps 1–3 at participant `node` of the live attempt `ack`, for an
+    /// Intend carrying `write_lines`.
+    fn intend_step(
+        &mut self,
+        ack: (usize, u32),
+        node: NodeId,
+        ack_id: u32,
+        write_lines: &[u64],
+        now: Cycles,
+    ) {
+        let si = ack.0;
         let nb = node.0 as usize;
         let key = self.key_of(si);
         let origin = key.origin;
         let bloom = self.cl.cfg.bloom;
-        let ack = (si, att);
         // A committer already poisoned us here: NACK.
         if self.p.poisoned[nb].contains(&key) {
             self.send_ack(now, node, origin, ack, false, ack_id, Verb::Ack);
@@ -1128,7 +1189,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             token,
             Signature::Conventional(rd),
             Signature::Conventional(wr),
-            &write_lines,
+            write_lines,
             &read_lines,
         );
         if let Err(fail) = lock {
@@ -1137,8 +1198,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
             // exact sets; a clean check Acks without holding a buffer.
             let degraded_ok = self.cl.cfg.overload.degrade_on_saturation
                 && fail == LockFailure::NoFreeBuffer
-                && self.cl.nics[nb].exact_validate(&write_lines, &read_lines, Some(key))
-                && L::local_exact_ok(self, nb, &write_lines, &read_lines);
+                && self.cl.nics[nb].exact_validate(write_lines, &read_lines, Some(key))
+                && L::local_exact_ok(self, nb, write_lines, &read_lines);
             if !degraded_ok {
                 self.send_ack(now, node, origin, ack, false, ack_id, Verb::Ack);
                 return;
@@ -1155,11 +1216,11 @@ impl<L: LocalPath> Sim<Hades<L>> {
         // Step 2: conflicts between our writes and (i) other remote
         // transactions at y, (ii) local transactions of y.
         let mut svc = bloom.lock_buffer_load + bloom.bf_op * write_lines.len().max(1) as u64;
-        let conflicts = self.cl.nics[nb].probe_writes_against(now, &write_lines, Some(key));
+        let conflicts = self.cl.nics[nb].probe_writes_against(now, write_lines, Some(key));
         for c in conflicts {
             self.poison_and_squash_remote(node, c.with, now);
         }
-        svc += L::squash_local_conflicts(self, nb, origin, &write_lines);
+        svc += L::squash_local_conflicts(self, nb, origin, write_lines);
         // Step 3: Ack (loss-eligible: a dropped Ack aborts via timeout).
         self.send_ack(now + svc, node, origin, ack, true, ack_id, Verb::Ack);
     }
@@ -1219,40 +1280,37 @@ impl<L: LocalPath> Sim<Hades<L>> {
         // cutover has since repointed its partition: the Validation
         // fan-out below covers only the exec-time remote footprint, so
         // it must be applied here.
-        let txn = self.slots[si].txn.as_ref().expect("txn active").clone();
-        let remote_homes = self.ext[si].remote.nodes();
-        let local_ops: Vec<ResolvedOp> = txn
+        let txn = Rc::clone(self.slots[si].txn.as_ref().expect("txn active"));
+        let remote = &self.ext[si].remote;
+        let local_ops: Vec<&ResolvedOp> = txn
             .ops()
-            .filter(|o| {
-                o.is_write() && (self.cl.route(o.home) == node || !remote_homes.contains(&o.home))
-            })
-            .cloned()
+            .filter(|o| o.is_write() && (self.cl.route(o.home) == node || !remote.involves(o.home)))
             .collect();
         let cost = L::apply_local(self, si, &local_ops, now);
-        // Step 5: Validation + updates to every involved node (one-way,
-        // reliable transport: injected drops surface as retransmission
-        // latency, never as loss). Logical homes sharing a promoted
-        // primary share one Validation.
-        let mut val_targets: Vec<(NodeId, Vec<ResolvedOp>)> = Vec::new();
-        for dst in remote_homes {
-            let phys = self.cl.route(dst);
-            if phys == node {
-                continue; // applied above
-            }
-            let ops: Vec<ResolvedOp> = txn
-                .ops()
-                .filter(|o| o.is_write() && o.home == dst)
-                .cloned()
-                .collect();
-            match val_targets.iter_mut().find(|(p, _)| *p == phys) {
-                Some(e) => e.1.extend(ops),
-                None => val_targets.push((phys, ops)),
-            }
-        }
         let mut cursor = self.cl.run_on_core(node, core, now, cost);
         let mut last_arrival = cursor;
         let key = self.key_of(si);
-        for (dst, ops) in val_targets {
+        // Step 5: Validation + updates to every involved node (one-way,
+        // reliable transport: injected drops surface as retransmission
+        // latency, never as loss). Logical homes sharing a promoted
+        // primary share one Validation, sent where the first of them
+        // appears in node order; it names the written ops of each.
+        let homes = self.ext[si].remote.involved().len();
+        for k in 0..homes {
+            let involved = self.ext[si].remote.involved();
+            let dst = self.cl.route(involved[k]);
+            if dst == node || involved[..k].iter().any(|&h| self.cl.route(h) == dst) {
+                continue; // applied above, or already sent
+            }
+            let ops: Vec<OpRef> = involved[k..]
+                .iter()
+                .filter(|&&h| self.cl.route(h) == dst)
+                .flat_map(|&h| {
+                    txn.positioned_ops()
+                        .filter(move |&(_, _, o)| o.is_write() && o.home == h)
+                })
+                .map(|(stage, i, _)| OpRef::new(&txn, stage, i))
+                .collect();
             let lines: usize = ops.iter().map(|o| o.write_lines.len()).sum();
             let arrive =
                 self.cl
@@ -1267,7 +1325,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
         }
         // Replica finalize: move prepared updates to permanent storage
         // (reliable transport, like Validation).
-        for dst in self.ext[si].replica_targets.clone() {
+        for k in 0..self.ext[si].replica_targets.len() {
+            let dst = self.ext[si].replica_targets[k];
             let arrive = self
                 .cl
                 .send_faulty_one(cursor, node, dst, wire_size(0, 64), Verb::Clear);
@@ -1297,17 +1356,15 @@ impl<L: LocalPath> Sim<Hades<L>> {
     /// (Table II, remote steps 4–5). A versioned local path bumps the
     /// record versions so the home node's local transactions detect the
     /// conflict at their own Local Validation.
-    fn on_validation_arrive(&mut self, node: NodeId, key: RemoteTxKey, ops: Vec<ResolvedOp>) {
+    fn on_validation_arrive(&mut self, node: NodeId, key: RemoteTxKey, ops: Vec<OpRef>) {
         let nb = node.0 as usize;
         let now = self.q.now();
-        let mut bumped: Vec<_> = Vec::new();
-        for op in &ops {
+        for (k, op) in ops.iter().enumerate() {
             let (_lat, victims) = self.cl.access_lines_nic(node, &op.write_lines);
             apply_write(&mut self.cl.db, op);
             self.cl.migration_note_write(now, op.home);
-            if L::VERSIONED && !bumped.contains(&op.rid) {
+            if L::VERSIONED && !ops[..k].iter().any(|o| o.rid == op.rid) {
                 self.cl.db.record_mut(op.rid).bump_version();
-                bumped.push(op.rid);
             }
             self.squash_evicted(node, victims, None);
         }
@@ -1334,18 +1391,16 @@ impl<L: LocalPath> Sim<Hades<L>> {
             self.cl.lock_bufs[nb].unlock(token);
         }
         let key = self.key_of(si);
-        let x = &self.ext[si];
-        let mut clear_nodes: Vec<NodeId> = x
-            .remote
-            .nodes()
-            .into_iter()
-            .map(|d| self.cl.route(d))
-            .chain(x.replica_targets.iter().copied())
-            .collect();
-        clear_nodes.sort_unstable();
-        clear_nodes.dedup();
+        // One Clear per node the attempt touched, in node order.
+        let next_clear = |sim: &Self, after| {
+            let x = &sim.ext[si];
+            let homes = x.remote.involved().iter().map(|&d| sim.cl.route(d));
+            next_node(homes.chain(x.replica_targets.iter().copied()), after, None)
+        };
         let mut clears_done = now;
-        for dst in clear_nodes {
+        let mut next = next_clear(self, None);
+        while let Some(dst) = next {
+            next = next_clear(self, Some(dst));
             if dst == node {
                 // A partition promoted onto us: clear its state in place.
                 self.clear_remote(nb, key);
@@ -1591,7 +1646,7 @@ impl LocalPath for HwLocal {
     /// Clears the slot's local `WrTX_ID` tags (the data becomes
     /// architectural) and applies the writes to the database, with no
     /// extra latency: the data already lives in the LLC.
-    fn apply_local(sim: &mut HadesSim, si: usize, ops: &[ResolvedOp], now: Cycles) -> Cycles {
+    fn apply_local(sim: &mut HadesSim, si: usize, ops: &[&ResolvedOp], now: Cycles) -> Cycles {
         let nb = sim.slots[si].node.0 as usize;
         let _cleared = sim.cl.mems[nb].commit_slot(sim.slots[si].slot);
         for op in ops {

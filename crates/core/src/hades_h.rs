@@ -229,19 +229,18 @@ impl LocalPath for SwLocal {
     }
 
     /// Merges local updates into the records, bumping their versions.
-    fn apply_local(sim: &mut HadesHSim, si: usize, ops: &[ResolvedOp], now: Cycles) -> Cycles {
+    fn apply_local(sim: &mut HadesHSim, si: usize, ops: &[&ResolvedOp], now: Cycles) -> Cycles {
         let (node, core) = (sim.slots[si].node, sim.slots[si].core);
         let sw = sim.cl.cfg.sw;
         let mut local_cost = Cycles::ZERO;
-        let mut bumped: Vec<RecordId> = Vec::new();
-        for op in ops {
+        for (k, op) in ops.iter().enumerate() {
             let (lat, _) = sim.cl.access_lines(node, core, &op.write_lines);
             local_cost += sw.wset_commit_per_record + sw.version_update + lat;
             apply_write(&mut sim.cl.db, op);
             sim.cl.migration_note_write(now, op.home);
-            if !bumped.contains(&op.rid) {
+            // Each record's version moves once per commit.
+            if !ops[..k].iter().any(|o| o.rid == op.rid) {
                 sim.cl.db.record_mut(op.rid).bump_version();
-                bumped.push(op.rid);
             }
         }
         local_cost

@@ -8,7 +8,7 @@ use hades_bloom::LockingBuffers;
 use hades_fault::{FaultInjector, FaultPlan};
 use hades_mem::hierarchy::NodeMemory;
 use hades_net::batch::{Batcher, Doorbell};
-use hades_net::fabric::{wire_size, Fabric};
+use hades_net::fabric::{wire_size, Arrivals, Fabric};
 use hades_net::nic::{Nic, RemoteTxKey};
 use hades_sim::backoff::BackoffPolicy;
 use hades_sim::config::{RetryParams, SimConfig};
@@ -24,6 +24,7 @@ use hades_telemetry::sink::Tracer;
 use hades_telemetry::span::SpanLog;
 use hades_telemetry::timeseries::{Occupancy, TimeSeries};
 use hades_workloads::spec::{OpKind, TxnSpec, Workload};
+use std::rc::Rc;
 
 /// Encodes a slot's identity as the opaque owner token used for record
 /// locks and directory Locking Buffers.
@@ -388,7 +389,7 @@ impl Cluster {
         dst: NodeId,
         bytes: usize,
         verb: Verb,
-    ) -> Vec<Cycles> {
+    ) -> Arrivals {
         self.deliver_faulty(now, src, dst, bytes, verb, Doorbell::Share)
     }
 
@@ -400,16 +401,16 @@ impl Cluster {
         bytes: usize,
         verb: Verb,
         doorbell: Doorbell,
-    ) -> Vec<Cycles> {
+    ) -> Arrivals {
         let cuts_before = self.fabric.injector().faults.link_cuts;
         let arrivals = self
             .fabric
             .send_verb_faulty(now, src, dst, bytes, verb, doorbell);
-        for _ in &arrivals {
+        for _ in arrivals {
             self.verbs_by_node[src.0 as usize].bump(verb);
         }
         if let Some(o) = self.observer.as_deref_mut() {
-            for &arrival in &arrivals {
+            for arrival in arrivals {
                 o.record_verb(verb, arrival.saturating_sub(now));
             }
         }
@@ -1165,6 +1166,17 @@ pub fn backoff_for(retry: &RetryParams, attempt: u32, rng: &mut SimRng) -> Cycle
     BackoffPolicy::linear(retry.backoff_base, retry.backoff_cap).step_jittered(attempt, rng)
 }
 
+/// The smallest of `nodes` above `after` (any, when `None`) other than
+/// `skip`. Feeding each answer back as `after` walks the distinct nodes
+/// in ascending order without collecting them.
+pub(crate) fn next_node(
+    nodes: impl Iterator<Item = NodeId>,
+    after: Option<NodeId>,
+    skip: Option<NodeId>,
+) -> Option<NodeId> {
+    nodes.filter(|&n| Some(n) > after && Some(n) != skip).min()
+}
+
 /// One operation with its placement and cache-line footprint resolved
 /// against the database.
 #[derive(Debug, Clone)]
@@ -1238,16 +1250,50 @@ impl ResolvedTxn {
         self.stages.iter().flatten()
     }
 
-    /// All distinct remote nodes this transaction touches from `origin`.
-    pub fn remote_nodes(&self, origin: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .ops()
-            .filter(|op| op.home != origin)
-            .map(|op| op.home)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// Iterates all ops in stage order, each with its stage and its
+    /// index in the stage.
+    pub fn positioned_ops(&self) -> impl Iterator<Item = (usize, usize, &ResolvedOp)> {
+        self.stages
+            .iter()
+            .enumerate()
+            .flat_map(|(s, ops)| ops.iter().enumerate().map(move |(i, op)| (s, i, op)))
+    }
+}
+
+/// A handle to one op of a shared transaction: the transaction and the
+/// op's stage and index. Events name an op this way instead of owning a
+/// copy of it; cloning a handle only bumps a reference count.
+#[derive(Debug, Clone)]
+pub struct OpRef {
+    txn: Rc<ResolvedTxn>,
+    stage: u16,
+    idx: u16,
+}
+
+impl OpRef {
+    /// Op `idx` of stage `stage` of `txn`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `txn` has no such op.
+    pub fn new(txn: &Rc<ResolvedTxn>, stage: usize, idx: usize) -> Self {
+        assert!(
+            idx < txn.stages[stage].len(),
+            "no op {idx} in stage {stage}"
+        );
+        OpRef {
+            txn: Rc::clone(txn),
+            stage: u16::try_from(stage).expect("stage index fits u16"),
+            idx: u16::try_from(idx).expect("op index fits u16"),
+        }
+    }
+}
+
+impl std::ops::Deref for OpRef {
+    type Target = ResolvedOp;
+
+    fn deref(&self) -> &ResolvedOp {
+        &self.txn.stages[self.stage as usize][self.idx as usize]
     }
 }
 
@@ -1610,27 +1656,6 @@ mod tests {
         assert_eq!(rec.read(8, 2), &[0, 0]);
         assert!(rec.read(10, 20).iter().all(|&b| b == 0xAB));
         assert_eq!(rec.read(30, 2), &[0, 0]);
-    }
-
-    #[test]
-    fn remote_nodes_excludes_origin() {
-        let mut db = Database::new(3);
-        let t = db.create_table("t", IndexKind::HashTable);
-        for k in 0..50u64 {
-            db.insert(t, k, vec![0u8; 64]);
-        }
-        let ops: Vec<OpSpec> = (0..50)
-            .map(|k| OpSpec {
-                table: t,
-                key: k,
-                kind: OpKind::Read,
-            })
-            .collect();
-        let r = resolve(&db, &TxnSpec::new("t", vec![ops]), 0);
-        let origin = NodeId(1);
-        let remotes = r.remote_nodes(origin);
-        assert!(!remotes.contains(&origin));
-        assert!(!remotes.is_empty());
     }
 
     #[test]

@@ -1,0 +1,106 @@
+//! Heap-allocation budget for the engines' hot path.
+//!
+//! The simulator's host speed is dominated by per-event work, and heap
+//! allocation was the largest part of it (DESIGN.md §12, "Allocation").
+//! This test counts the allocations each engine makes per commit and
+//! holds them under a budget, so a change that puts a per-event clone or
+//! a per-message `Vec` back on the hot path fails here rather than as a
+//! slower benchmark.
+//!
+//! The count is *marginal*: two runs of YCSB-A over the hash table (θ
+//! 0.99, quick scale) differ only in their measurement window, so their
+//! allocation counts differ only by the extra commits. Loading the
+//! database, building the cluster and the run's other set-up cancel out.
+//! Each engine is measured plain and with one squash enough to fall back
+//! to pessimistic locking.
+//!
+//! The counter is thread-local, so allocations made by the test harness
+//! on other threads are not counted.
+
+use hades::core::runner::{Experiment, Protocol, Run};
+use hades::workloads::catalog::AppId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting allocations made on each thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a const-initialised thread-local with no destructor, so
+// touching it never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Measurement windows of the two runs compared: the same warmup, then
+/// these many measured commits.
+const WINDOWS: (u64, u64) = (200, 600);
+
+/// Runs `protocol` on HT-wA for `measure` commits; returns the run's
+/// allocations and its commits (warmup and drain included).
+fn allocations(protocol: Protocol, fallback: bool, measure: u64) -> (u64, u64) {
+    let app = AppId::parse("HT-wA").unwrap();
+    let mut ex = Experiment::quick();
+    ex.measure = measure;
+    if fallback {
+        ex.cfg.retry.fallback_after_squashes = 1;
+    }
+    let before = ALLOCS.with(Cell::get);
+    let commits = Run::apps(protocol, &ex, &[app]).run().total_commits;
+    (ALLOCS.with(Cell::get) - before, commits)
+}
+
+/// Allocations per commit between the two measurement windows.
+fn marginal(protocol: Protocol, fallback: bool) -> f64 {
+    let (a1, c1) = allocations(protocol, fallback, WINDOWS.0);
+    let (a2, c2) = allocations(protocol, fallback, WINDOWS.1);
+    assert!(c2 > c1, "{protocol}: the longer window committed no more");
+    (a2.saturating_sub(a1)) as f64 / (c2 - c1) as f64
+}
+
+#[test]
+fn engines_stay_within_their_allocation_budget() {
+    let budgets = [
+        (Protocol::Baseline, 50.0),
+        (Protocol::HadesH, 60.0),
+        (Protocol::Hades, 60.0),
+    ];
+    let mut over = Vec::new();
+    for (protocol, budget) in budgets {
+        for fallback in [false, true] {
+            let per_commit = marginal(protocol, fallback);
+            let label = if fallback { "fallback" } else { "plain" };
+            println!("{protocol} {label}: {per_commit:.1} allocations per commit");
+            if per_commit > budget {
+                over.push(format!(
+                    "{protocol} {label}: {per_commit:.1} allocations per commit > {budget}"
+                ));
+            }
+        }
+    }
+    assert!(over.is_empty(), "over budget: {over:?}");
+}
