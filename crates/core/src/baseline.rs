@@ -641,7 +641,7 @@ impl Sim<Baseline> {
             any_local = true;
             cost += sw.lock_local;
             let expected = self.expected_write_version(si, rid);
-            let rec = self.cl.db.record_mut(rid);
+            let mut rec = self.cl.db.record_mut(rid);
             if rec.version() == expected && rec.try_lock(token) {
                 self.ext[si].locked.push(rid);
             } else {
@@ -705,7 +705,7 @@ impl Sim<Baseline> {
                 let (lat, _) = self.cl.access_lines_nic(dst, &first_line);
                 svc += lat;
                 let expected = self.expected_write_version(si, rid);
-                let rec = self.cl.db.record_mut(rid);
+                let mut rec = self.cl.db.record_mut(rid);
                 if rec.version() == expected && rec.try_lock(token) {
                     acquired.push(rid);
                 } else {
@@ -1036,7 +1036,7 @@ impl Sim<Baseline> {
                     + sw.set_copy_per_line * nlines;
                 apply_write(&mut self.cl.db, op);
                 self.cl.migration_note_write(now, op.home);
-                let rec = self.cl.db.record_mut(op.rid);
+                let mut rec = self.cl.db.record_mut(op.rid);
                 rec.bump_version();
                 rec.unlock(token);
             }
@@ -1101,7 +1101,7 @@ impl Sim<Baseline> {
             let (_lat, _) = self.cl.access_lines_nic(op.home, &op.write_lines);
             apply_write(&mut self.cl.db, op);
             self.cl.migration_note_write(now, op.home);
-            let rec = self.cl.db.record_mut(op.rid);
+            let mut rec = self.cl.db.record_mut(op.rid);
             rec.bump_version();
             rec.unlock(owner);
         }

@@ -1520,7 +1520,7 @@ mod tests {
         let mut db = Database::new(cfg.shape.nodes);
         let t = db.create_table("t", IndexKind::HashTable);
         for k in 0..100u64 {
-            db.insert(t, k, vec![0u8; 128]);
+            db.insert(t, k, &[0u8; 128]);
         }
         Cluster::new(cfg, db)
     }
@@ -1598,7 +1598,7 @@ mod tests {
     fn resolve_classifies_lines() {
         let mut db = Database::new(2);
         let t = db.create_table("t", IndexKind::HashTable);
-        db.insert(t, 1, vec![0u8; 128]); // 2 lines
+        db.insert(t, 1, &[0u8; 128]); // 2 lines
         let spec = TxnSpec::new(
             "t",
             vec![vec![
@@ -1627,7 +1627,7 @@ mod tests {
     fn apply_write_mutates_records() {
         let mut db = Database::new(1);
         let t = db.create_table("t", IndexKind::HashTable);
-        db.insert(t, 5, vec![0u8; 64]);
+        db.insert(t, 5, &[0u8; 64]);
         let spec = TxnSpec::new(
             "t",
             vec![vec![OpSpec {
@@ -1736,7 +1736,7 @@ mod tests {
         });
         let mut db = Database::new(cfg.shape.nodes);
         let t = db.create_table("t", IndexKind::HashTable);
-        db.insert(t, 0, vec![0u8; 64]);
+        db.insert(t, 0, &[0u8; 64]);
         let mut cl = Cluster::new(cfg, db);
         let (young, boosted) = cl.contended_backoff(2);
         assert!(!boosted);
@@ -1768,7 +1768,7 @@ mod tests {
         let cfg = SimConfig::isca_default().with_lock_buffer_slots(1);
         let mut db = Database::new(cfg.shape.nodes);
         let t = db.create_table("t", IndexKind::HashTable);
-        db.insert(t, 0, vec![0u8; 64]);
+        db.insert(t, 0, &[0u8; 64]);
         let cl = Cluster::new(cfg, db);
         for bufs in &cl.lock_bufs {
             assert_eq!(bufs.capacity(), 1);
@@ -1781,7 +1781,7 @@ mod tests {
         let mut db = Database::new(cfg.shape.nodes);
         let t = db.create_table("t", IndexKind::HashTable);
         for k in 0..100u64 {
-            db.insert(t, k, vec![0u8; 128]);
+            db.insert(t, k, &[0u8; 128]);
         }
         Cluster::new(cfg, db)
     }

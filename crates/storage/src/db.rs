@@ -2,11 +2,14 @@
 //!
 //! Records are statically distributed across the nodes in a uniform manner
 //! (Section VII) via a hash partition; each node owns a disjoint slab of
-//! the global cache-line address space. All simulated protocols share one
-//! `Database` — it *is* the cluster's storage.
+//! the global cache-line address space. A node's record values live in one
+//! line arena that mirrors its slab: a record's bytes start at its slab
+//! offset times [`LINE_BYTES`], so a record's simulated address is also
+//! where its bytes are. All simulated protocols share one `Database` — it
+//! *is* the cluster's storage.
 
 use crate::index::{new_index, IndexKind, KvIndex, Lookup};
-use crate::record::{Record, RecordId};
+use crate::record::{lines_for_len, Record, RecordId, RecordMut, RecordRef, LINE_BYTES};
 use hades_sim::ids::NodeId;
 use hades_sim::rng::SimRng;
 
@@ -17,6 +20,13 @@ pub struct TableId(pub u16);
 /// Bits reserved for the per-node line-address slab; node `n`'s lines start
 /// at `n << NODE_SLAB_SHIFT`.
 const NODE_SLAB_SHIFT: u32 = 40;
+
+/// The byte range of `rec`'s value within its home node's line arena.
+fn value_range(rec: &Record) -> std::ops::Range<usize> {
+    let slab_line = rec.base_line() & ((1 << NODE_SLAB_SHIFT) - 1);
+    let start = slab_line as usize * LINE_BYTES;
+    start..start + rec.value_len()
+}
 
 /// Uniform static partition: the home node of `key` among `nodes` nodes.
 pub fn uniform_home(key: u64, nodes: usize) -> NodeId {
@@ -51,7 +61,7 @@ struct Table {
 ///
 /// let mut db = Database::new(5);
 /// let t = db.create_table("accounts", IndexKind::HashTable);
-/// let rid = db.insert(t, 42, vec![0u8; 128]);
+/// let rid = db.insert(t, 42, &[0u8; 128]);
 /// let hit = db.lookup(t, 42).unwrap();
 /// assert_eq!(hit.rid, rid);
 /// assert_eq!(db.record(rid).num_lines(), 2);
@@ -61,8 +71,11 @@ pub struct Database {
     nodes: usize,
     tables: Vec<Table>,
     records: Vec<Record>,
-    /// Next free line offset within each node's slab.
-    next_line: Vec<u64>,
+    /// Each node's value bytes, indexed like its line slab: a record's
+    /// value starts at its slab offset times `LINE_BYTES` and is followed
+    /// by zero padding to the next line boundary. The arena's length is
+    /// the node's next free slab offset.
+    arenas: Vec<Vec<u8>>,
     /// Freed records available for reuse, keyed by (home, line count).
     free_records: std::collections::HashMap<(NodeId, u32), Vec<RecordId>>,
     /// Whether committed writes are appended to the history log.
@@ -99,7 +112,7 @@ impl Database {
             nodes,
             tables: Vec::new(),
             records: Vec::new(),
-            next_line: vec![0; nodes],
+            arenas: vec![Vec::new(); nodes],
             free_records: std::collections::HashMap::new(),
             history_enabled: false,
             commit_seq: std::collections::HashMap::new(),
@@ -180,7 +193,7 @@ impl Database {
     }
 
     /// Inserts a record with the default (uniform hash) placement.
-    pub fn insert(&mut self, table: TableId, key: u64, value: Vec<u8>) -> RecordId {
+    pub fn insert(&mut self, table: TableId, key: u64, value: &[u8]) -> RecordId {
         let home = uniform_home(key, self.nodes);
         self.insert_at(table, key, value, home)
     }
@@ -193,31 +206,39 @@ impl Database {
     ///
     /// Panics if the key already exists in the table, if `home` is out of
     /// range, or if `value` is empty.
-    pub fn insert_at(
-        &mut self,
-        table: TableId,
-        key: u64,
-        value: Vec<u8>,
-        home: NodeId,
-    ) -> RecordId {
+    pub fn insert_at(&mut self, table: TableId, key: u64, value: &[u8], home: NodeId) -> RecordId {
         assert!((home.0 as usize) < self.nodes, "home {home} out of range");
-        let num_lines = value.len().div_ceil(crate::record::LINE_BYTES) as u32;
+        let num_lines = lines_for_len(value.len());
         // Reuse a freed record of the same geometry if one exists: the
         // record keeps its (bumped) incarnation, which is how Fig 1's
         // incarnation field lets readers detect freed-and-reused records.
-        let rid = if let Some(rid) = self
-            .free_records
-            .get_mut(&(home, num_lines))
-            .and_then(|v| v.pop())
-        {
-            self.records[rid.0 as usize].reset_value(value);
+        // Until a record is freed there is nothing to look up, so loading
+        // skips the hash.
+        let reused = if self.free_records.is_empty() {
+            None
+        } else {
+            self.free_records
+                .get_mut(&(home, num_lines))
+                .and_then(Vec::pop)
+        };
+        let arena = &mut self.arenas[home.0 as usize];
+        let rid = if let Some(rid) = reused {
+            let rec = &mut self.records[rid.0 as usize];
+            rec.reset_value(value.len());
+            let start = value_range(rec).start;
+            let span = &mut arena[start..start + num_lines as usize * LINE_BYTES];
+            let (bytes, padding) = span.split_at_mut(value.len());
+            bytes.copy_from_slice(value);
+            padding.fill(0);
             rid
         } else {
-            let slab = &mut self.next_line[home.0 as usize];
-            let base_line = ((home.0 as u64) << NODE_SLAB_SHIFT) + *slab;
-            *slab += num_lines as u64;
+            let slab_line = (arena.len() / LINE_BYTES) as u64;
+            let base_line = ((home.0 as u64) << NODE_SLAB_SHIFT) + slab_line;
+            let rec = Record::new(home, base_line, value.len());
+            arena.extend_from_slice(value);
+            arena.resize(arena.len().next_multiple_of(LINE_BYTES), 0);
             let rid = RecordId(self.records.len() as u32);
-            self.records.push(Record::new(home, base_line, value));
+            self.records.push(rec);
             rid
         };
         let t = &mut self.tables[table.0 as usize];
@@ -255,14 +276,18 @@ impl Database {
         self.tables[table.0 as usize].index.get(key)
     }
 
-    /// Immutable access to a record.
-    pub fn record(&self, rid: RecordId) -> &Record {
-        &self.records[rid.0 as usize]
+    /// Immutable access to a record: its metadata and value bytes.
+    pub fn record(&self, rid: RecordId) -> RecordRef<'_> {
+        let rec = &self.records[rid.0 as usize];
+        let value = &self.arenas[rec.home().0 as usize][value_range(rec)];
+        RecordRef::new(rec, value)
     }
 
-    /// Mutable access to a record.
-    pub fn record_mut(&mut self, rid: RecordId) -> &mut Record {
-        &mut self.records[rid.0 as usize]
+    /// Mutable access to a record: its metadata and value bytes.
+    pub fn record_mut(&mut self, rid: RecordId) -> RecordMut<'_> {
+        let rec = &mut self.records[rid.0 as usize];
+        let value = &mut self.arenas[rec.home().0 as usize][value_range(rec)];
+        RecordMut::new(rec, value)
     }
 
     /// A uniformly random key from `table` homed at `node`, or `None` if
@@ -329,7 +354,7 @@ mod tests {
         let mut db = Database::new(3);
         let t = db.create_table("t", IndexKind::HashTable);
         for key in 0..300u64 {
-            db.insert(t, key, vec![0u8; 128]);
+            db.insert(t, key, &[0u8; 128]);
         }
         for key in 0..300u64 {
             let rid = db.lookup(t, key).unwrap().rid;
@@ -344,7 +369,7 @@ mod tests {
     fn explicit_placement_respected() {
         let mut db = Database::new(4);
         let t = db.create_table("w", IndexKind::BTree);
-        let rid = db.insert_at(t, 7, vec![1u8; 64], NodeId(3));
+        let rid = db.insert_at(t, 7, &[1u8; 64], NodeId(3));
         assert_eq!(db.record(rid).home(), NodeId(3));
         assert_eq!(db.keys_at(t, NodeId(3)), &[7]);
         assert!(db.keys_at(t, NodeId(0)).is_empty());
@@ -354,9 +379,9 @@ mod tests {
     fn locality_sampling() {
         let mut db = Database::new(2);
         let t = db.create_table("t", IndexKind::Map);
-        db.insert_at(t, 1, vec![0u8; 64], NodeId(0));
-        db.insert_at(t, 2, vec![0u8; 64], NodeId(1));
-        db.insert_at(t, 3, vec![0u8; 64], NodeId(1));
+        db.insert_at(t, 1, &[0u8; 64], NodeId(0));
+        db.insert_at(t, 2, &[0u8; 64], NodeId(1));
+        db.insert_at(t, 3, &[0u8; 64], NodeId(1));
         let mut rng = SimRng::seed_from(1);
         for _ in 0..20 {
             assert_eq!(db.random_key_at(t, NodeId(0), &mut rng), Some(1));
@@ -381,8 +406,8 @@ mod tests {
         let mut db = Database::new(2);
         let a = db.create_table("a", IndexKind::HashTable);
         let b = db.create_table("b", IndexKind::BPlusTree);
-        db.insert(a, 1, vec![0u8; 64]);
-        db.insert(b, 1, vec![0u8; 192]);
+        db.insert(a, 1, &[0u8; 64]);
+        db.insert(b, 1, &[0u8; 192]);
         assert_eq!(db.table_len(a), 1);
         assert_eq!(db.table_len(b), 1);
         assert_eq!(db.record_count(), 2);
@@ -397,7 +422,7 @@ mod tests {
     fn remove_frees_and_reuse_bumps_incarnation() {
         let mut db = Database::new(2);
         let t = db.create_table("t", IndexKind::HashTable);
-        let rid = db.insert(t, 7, vec![1u8; 128]);
+        let rid = db.insert(t, 7, &[1u8; 128]);
         let base_lines: Vec<u64> = db.record(rid).lines().collect();
         assert_eq!(db.record(rid).incarnation(), 0);
         assert_eq!(db.remove(t, 7), Some(rid));
@@ -405,7 +430,7 @@ mod tests {
         assert_eq!(db.record(rid).incarnation(), 1, "free bumps incarnation");
         // Same-geometry insert reuses the record (and its lines).
         let home = db.record(rid).home();
-        let rid2 = db.insert_at(t, 8, vec![2u8; 128], home);
+        let rid2 = db.insert_at(t, 8, &[2u8; 128], home);
         assert_eq!(rid2, rid, "freed record reused");
         assert_eq!(db.record(rid2).lines().collect::<Vec<u64>>(), base_lines);
         assert_eq!(
@@ -432,25 +457,115 @@ mod tests {
     fn duplicate_keys_rejected() {
         let mut db = Database::new(1);
         let t = db.create_table("t", IndexKind::HashTable);
-        db.insert(t, 1, vec![0u8; 64]);
-        db.insert(t, 1, vec![0u8; 64]);
+        db.insert(t, 1, &[0u8; 64]);
+        db.insert(t, 1, &[0u8; 64]);
     }
 
     #[test]
     fn record_mutation_via_db() {
         let mut db = Database::new(1);
         let t = db.create_table("t", IndexKind::HashTable);
-        let rid = db.insert(t, 9, vec![0u8; 64]);
+        let rid = db.insert(t, 9, &[0u8; 64]);
         db.record_mut(rid).write_u64(0, 777);
         assert_eq!(db.record(rid).read_u64(0), 777);
+    }
+
+    #[test]
+    fn record_bytes_round_trip_through_the_arena() {
+        let mut db = Database::new(2);
+        let t = db.create_table("t", IndexKind::HashTable);
+        let value: Vec<u8> = (0..130u8).collect();
+        let rid = db.insert_at(t, 1, &value, NodeId(1));
+        assert_eq!(
+            db.record(rid).read(0, 130),
+            &value[..],
+            "insert stores the value"
+        );
+        let mut rec = db.record_mut(rid);
+        rec.write(64, &[9, 9, 9]);
+        rec.write_u64(120, 0x0102_0304_0506_0708);
+        assert_eq!(rec.add_u64(120, 1), 0x0102_0304_0506_0709);
+        rec.fill(0, 4, 0xEE);
+        let rec = db.record(rid);
+        assert_eq!(rec.read(0, 6), &[0xEE, 0xEE, 0xEE, 0xEE, 4, 5]);
+        assert_eq!(rec.read(63, 5), &[63, 9, 9, 9, 67]);
+        assert_eq!(rec.read_u64(120), 0x0102_0304_0506_0709);
+        assert_eq!(rec.value_len(), 130);
+        assert_eq!(rec.num_lines(), 3);
+    }
+
+    #[test]
+    fn writing_a_records_last_byte_leaves_its_neighbours_alone() {
+        let mut db = Database::new(2);
+        let t = db.create_table("t", IndexKind::HashTable);
+        let a = db.insert_at(t, 1, &[1u8; 100], NodeId(0));
+        let b = db.insert_at(t, 2, &[2u8; 64], NodeId(0));
+        let other = db.insert_at(t, 3, &[3u8; 100], NodeId(1));
+        // `b` is `a`'s neighbour in node 0's slab, after `a`'s padding.
+        let a_end = db.record(a).lines().last().unwrap();
+        assert_eq!(db.record(b).lines().next(), Some(a_end + 1));
+        db.record_mut(a).write(99, &[0xFF]);
+        db.record_mut(b).write(63, &[0xFE]);
+        assert_eq!(db.record(a).read(98, 2), &[1, 0xFF]);
+        assert_eq!(db.record(b).read(0, 63), &[2u8; 63]);
+        assert_eq!(db.record(b).read(63, 1), &[0xFE]);
+        assert_eq!(db.record(other).read(0, 100), &[3u8; 100]);
+    }
+
+    #[test]
+    fn a_100_byte_value_keeps_its_line_geometry() {
+        let mut db = Database::new(1);
+        let t = db.create_table("t", IndexKind::HashTable);
+        let first = db.insert(t, 1, &[0u8; 64]);
+        let rid = db.insert(t, 2, &[0u8; 100]);
+        let base = db.record(first).lines().next().unwrap() + 1;
+        let r = db.record(rid);
+        assert_eq!(r.lines().collect::<Vec<_>>(), vec![base, base + 1]);
+        assert_eq!(r.lines_for_range(0, 100), vec![base, base + 1]);
+        assert_eq!(r.lines_for_range(60, 8), vec![base, base + 1]);
+        assert_eq!(r.lines_for_range(64, 36), vec![base + 1]);
+        // The short tail line counts as fully written by a write to the end.
+        assert_eq!(r.split_write_lines(0, 100), (vec![], vec![base, base + 1]));
+        assert_eq!(r.split_write_lines(64, 36), (vec![], vec![base + 1]));
+        assert_eq!(r.split_write_lines(8, 8), (vec![base], vec![]));
+        assert_eq!(r.split_write_lines(32, 40), (vec![base, base + 1], vec![]));
+        // The next record starts after the padding, at the next line.
+        let next = db.insert(t, 3, &[0u8; 64]);
+        assert_eq!(db.record(next).lines().next(), Some(base + 2));
+    }
+
+    #[test]
+    fn a_reused_record_reads_back_its_new_value() {
+        let mut db = Database::new(1);
+        let t = db.create_table("t", IndexKind::HashTable);
+        let rid = db.insert(t, 1, &[7u8; 128]);
+        let neighbour = db.insert(t, 2, &[8u8; 64]);
+        db.record_mut(rid).bump_version();
+        db.record_mut(rid).bump_version();
+        assert_eq!(db.remove(t, 1), Some(rid));
+        // A shorter value with the same line count reuses the record.
+        let value: Vec<u8> = (1..=100u8).collect();
+        assert_eq!(db.insert(t, 3, &value), rid);
+        let r = db.record(rid);
+        assert_eq!(r.read(0, 100), &value[..]);
+        assert_eq!(r.value_len(), 100);
+        assert_eq!(r.incarnation(), 1, "incarnation kept");
+        assert_eq!(r.version(), 0, "version reset");
+        assert!(!r.is_locked());
+        assert_eq!(db.record(neighbour).read(0, 64), &[8u8; 64]);
+        // Freed again and reused at full length.
+        db.remove(t, 3);
+        assert_eq!(db.insert(t, 4, &[5u8; 128]), rid);
+        assert_eq!(db.record(rid).read(0, 128), &[5u8; 128]);
+        assert_eq!(db.record(rid).incarnation(), 2);
     }
 
     #[test]
     fn commit_history_off_by_default_and_versions_when_on() {
         let mut db = Database::new(1);
         let t = db.create_table("t", IndexKind::HashTable);
-        let a = db.insert(t, 1, vec![0u8; 64]);
-        let b = db.insert(t, 2, vec![0u8; 64]);
+        let a = db.insert(t, 1, &[0u8; 64]);
+        let b = db.insert(t, 2, &[0u8; 64]);
         // Disabled: recording is a no-op.
         assert_eq!(db.note_commit(a, 10), 0);
         assert!(db.commit_history().is_empty());

@@ -2,18 +2,22 @@
 //!
 //! The storage substrate of the HADES (ISCA 2024) reproduction:
 //!
-//! * [`record::Record`] — the Fig 1 augmented record: value bytes plus the
-//!   software metadata (version, lock, incarnation) that the FaRM-style
-//!   baseline and the HADES-H local path rely on, with helpers for mapping
-//!   byte ranges to cache lines (HADES operates at line granularity).
+//! * [`record::Record`] — the Fig 1 augmented record's metadata: placement
+//!   plus the software metadata (version, lock, incarnation) that the
+//!   FaRM-style baseline and the HADES-H local path rely on, with helpers
+//!   for mapping byte ranges to cache lines (HADES operates at line
+//!   granularity). The value bytes live in per-node line arenas and are
+//!   reached through the [`record::RecordRef`] and [`record::RecordMut`]
+//!   views.
 //! * [`index`] — the four store shapes of the paper's evaluation, built
 //!   from scratch: open-addressing [`index::HashTable`] (HT), a
 //!   [`index::SkipList`] (Map), an in-memory [`index::BTree`], and a
 //!   [`index::BPlusTree`] with linked leaves. Lookups report traversal
 //!   depth for index-walk timing.
 //! * [`db::Database`] — tables over a uniform static hash partition
-//!   (Section VII), per-node cache-line slabs, and locality-aware key
-//!   sampling for the Fig 12b experiment.
+//!   (Section VII), per-node cache-line slabs with one line arena per node
+//!   holding every record's value at its own line address, and
+//!   locality-aware key sampling for the Fig 12b experiment.
 //!
 //! # Examples
 //!
@@ -22,7 +26,7 @@
 //!
 //! let mut db = Database::new(5);
 //! let accounts = db.create_table("accounts", IndexKind::BPlusTree);
-//! let rid = db.insert(accounts, 1001, vec![0u8; 128]);
+//! let rid = db.insert(accounts, 1001, &[0u8; 128]);
 //! db.record_mut(rid).write_u64(0, 5_000); // initial balance
 //! assert_eq!(db.record(rid).read_u64(0), 5_000);
 //! ```
@@ -36,4 +40,4 @@ pub mod record;
 
 pub use db::{uniform_home, Database, TableId};
 pub use index::{IndexKind, KvIndex, Lookup};
-pub use record::{Record, RecordId, LINE_BYTES};
+pub use record::{Record, RecordId, RecordMut, RecordRef, LINE_BYTES};

@@ -2,7 +2,9 @@
 //!
 //! A record is the unit the *software* protocols operate on: the baseline
 //! (and the HADES-H local path) keeps a version, a lock word and an
-//! incarnation next to the data, and reads/writes whole records. HADES
+//! incarnation next to the data, and reads/writes whole records. A
+//! [`Record`] holds that metadata; its value bytes sit in the home node's
+//! line arena and are reached through [`RecordRef`] and [`RecordMut`]. HADES
 //! itself ignores all of this metadata — it tracks raw cache lines — which
 //! is exactly the point of the paper (Table I, row 2: "No record
 //! versions").
@@ -18,46 +20,63 @@ pub const LINE_BYTES: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId(pub u32);
 
-/// One database record: home placement, cache-line footprint, Fig 1
-/// software metadata, and the actual value bytes.
+/// One database record's placement and Fig 1 software metadata.
+///
+/// The value bytes are not stored here: they live in the home node's line
+/// arena inside [`Database`], at the record's own simulated address, and
+/// are reached through the [`RecordRef`] and [`RecordMut`] views that
+/// [`Database::record`] and [`Database::record_mut`] return.
+///
+/// [`Database`]: crate::db::Database
+/// [`Database::record`]: crate::db::Database::record
+/// [`Database::record_mut`]: crate::db::Database::record_mut
 #[derive(Debug, Clone)]
 pub struct Record {
     home: NodeId,
     base_line: u64,
     num_lines: u32,
+    value_len: u32,
     /// Fig 1 `Version` — bumped by software protocols on every write.
     version: u64,
     /// Fig 1 `Lock` — holds an opaque owner token while locked.
     lock: Option<u64>,
     /// Fig 1 `Incarnation` — bumped when the record is freed/reused.
     incarnation: u32,
-    data: Vec<u8>,
+}
+
+/// Cache lines needed to hold a `value_len`-byte value.
+pub(crate) fn lines_for_len(value_len: usize) -> u32 {
+    value_len.div_ceil(LINE_BYTES) as u32
 }
 
 impl Record {
-    /// Creates a record homed at `home`, occupying `num_lines` cache lines
-    /// starting at `base_line`, holding `data`.
+    /// Creates the metadata of a record homed at `home` whose
+    /// `value_len`-byte value occupies the cache lines from `base_line`.
     ///
     /// # Panics
     ///
-    /// Panics if `data` does not fit in `num_lines` lines or is empty.
-    pub fn new(home: NodeId, base_line: u64, data: Vec<u8>) -> Self {
-        assert!(!data.is_empty(), "record value must be nonempty");
-        let num_lines = data.len().div_ceil(LINE_BYTES) as u32;
+    /// Panics if `value_len` is zero or does not fit in a `u32`.
+    pub(crate) fn new(home: NodeId, base_line: u64, value_len: usize) -> Self {
+        assert!(value_len > 0, "record value must be nonempty");
         Record {
             home,
             base_line,
-            num_lines,
+            num_lines: lines_for_len(value_len),
+            value_len: u32::try_from(value_len).expect("record value under 4 GiB"),
             version: 0,
             lock: None,
             incarnation: 0,
-            data,
         }
     }
 
     /// The node this record is homed at.
     pub fn home(&self) -> NodeId {
         self.home
+    }
+
+    /// The first cache line of the record.
+    pub(crate) fn base_line(&self) -> u64 {
+        self.base_line
     }
 
     /// Number of cache lines the record spans.
@@ -67,7 +86,7 @@ impl Record {
 
     /// Value size in bytes.
     pub fn value_len(&self) -> usize {
-        self.data.len()
+        self.value_len as usize
     }
 
     /// All cache-line addresses of the record, in order.
@@ -82,7 +101,7 @@ impl Record {
     /// Panics if the range exceeds the value.
     pub fn lines_for_range(&self, off: usize, len: usize) -> Vec<u64> {
         assert!(len > 0, "empty range");
-        assert!(off + len <= self.data.len(), "range beyond record");
+        assert!(off + len <= self.value_len(), "range beyond record");
         let first = off / LINE_BYTES;
         let last = (off + len - 1) / LINE_BYTES;
         (first..=last).map(|i| self.base_line + i as u64).collect()
@@ -99,7 +118,7 @@ impl Record {
         for &line in &covered {
             let idx = (line - self.base_line) as usize;
             let line_start = idx * LINE_BYTES;
-            let line_end = (line_start + LINE_BYTES).min(self.data.len());
+            let line_end = (line_start + LINE_BYTES).min(self.value_len());
             if off <= line_start && off + len >= line_end {
                 full.push(line);
             } else {
@@ -129,17 +148,22 @@ impl Record {
         self.incarnation += 1;
     }
 
-    /// Replaces the value on record reuse: the version resets (a fresh
-    /// logical record) but the incarnation persists so stale readers can
-    /// detect the reuse.
+    /// Resets the metadata on record reuse for a `value_len`-byte value:
+    /// the version resets (a fresh logical record) but the incarnation
+    /// persists so stale readers can detect the reuse. The caller rewrites
+    /// the value bytes.
     ///
     /// # Panics
     ///
     /// Panics if the new value needs a different number of cache lines.
-    pub fn reset_value(&mut self, value: Vec<u8>) {
-        let lines = value.len().div_ceil(LINE_BYTES) as u32;
-        assert_eq!(lines, self.num_lines, "reuse requires matching geometry");
-        self.data = value;
+    pub(crate) fn reset_value(&mut self, value_len: usize) {
+        assert!(value_len > 0, "record value must be nonempty");
+        assert_eq!(
+            lines_for_len(value_len),
+            self.num_lines,
+            "reuse requires matching geometry"
+        );
+        self.value_len = value_len as u32;
         self.version = 0;
         self.lock = None;
     }
@@ -172,6 +196,66 @@ impl Record {
             self.lock = None;
         }
     }
+}
+
+fn read_u64_at(value: &[u8], off: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&value[off..off + 8]);
+    u64::from_le_bytes(b)
+}
+
+/// A read-only view of one record: its metadata (through `Deref`) and its
+/// value bytes in the home node's line arena.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    meta: &'a Record,
+    value: &'a [u8],
+}
+
+impl<'a> RecordRef<'a> {
+    /// Pairs `meta` with its value bytes (exactly `meta.value_len()` long).
+    pub(crate) fn new(meta: &'a Record, value: &'a [u8]) -> Self {
+        debug_assert_eq!(value.len(), meta.value_len());
+        RecordRef { meta, value }
+    }
+
+    /// Reads `len` bytes at `off`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the value.
+    pub fn read(&self, off: usize, len: usize) -> &'a [u8] {
+        &self.value[off..off + len]
+    }
+
+    /// Reads a little-endian `u64` field at byte offset `off`.
+    pub fn read_u64(&self, off: usize) -> u64 {
+        read_u64_at(self.value, off)
+    }
+}
+
+impl std::ops::Deref for RecordRef<'_> {
+    type Target = Record;
+
+    fn deref(&self) -> &Record {
+        self.meta
+    }
+}
+
+/// A mutable view of one record: its metadata (through `Deref` and
+/// `DerefMut`) and its value bytes in the home node's line arena.
+#[derive(Debug)]
+pub struct RecordMut<'a> {
+    meta: &'a mut Record,
+    value: &'a mut [u8],
+}
+
+impl<'a> RecordMut<'a> {
+    /// Pairs `meta` with its value bytes (exactly `meta.value_len()` long).
+    pub(crate) fn new(meta: &'a mut Record, value: &'a mut [u8]) -> Self {
+        debug_assert_eq!(value.len(), meta.value_len());
+        RecordMut { meta, value }
+    }
 
     /// Reads `len` bytes at `off`.
     ///
@@ -179,7 +263,12 @@ impl Record {
     ///
     /// Panics if the range exceeds the value.
     pub fn read(&self, off: usize, len: usize) -> &[u8] {
-        &self.data[off..off + len]
+        &self.value[off..off + len]
+    }
+
+    /// Reads a little-endian `u64` field at byte offset `off`.
+    pub fn read_u64(&self, off: usize) -> u64 {
+        read_u64_at(self.value, off)
     }
 
     /// Overwrites bytes at `off`.
@@ -188,7 +277,7 @@ impl Record {
     ///
     /// Panics if the range exceeds the value.
     pub fn write(&mut self, off: usize, bytes: &[u8]) {
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        self.value[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
     /// Sets `len` bytes at `off` to `byte`, in place.
@@ -197,19 +286,12 @@ impl Record {
     ///
     /// Panics if the range exceeds the value.
     pub fn fill(&mut self, off: usize, len: usize, byte: u8) {
-        self.data[off..off + len].fill(byte);
-    }
-
-    /// Reads a little-endian `u64` field at byte offset `off`.
-    pub fn read_u64(&self, off: usize) -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.data[off..off + 8]);
-        u64::from_le_bytes(b)
+        self.value[off..off + len].fill(byte);
     }
 
     /// Writes a little-endian `u64` field at byte offset `off`.
     pub fn write_u64(&mut self, off: usize, v: u64) {
-        self.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        self.value[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Adds `delta` (wrapping) to the `u64` field at `off` and returns the
@@ -221,12 +303,26 @@ impl Record {
     }
 }
 
+impl std::ops::Deref for RecordMut<'_> {
+    type Target = Record;
+
+    fn deref(&self) -> &Record {
+        self.meta
+    }
+}
+
+impl std::ops::DerefMut for RecordMut<'_> {
+    fn deref_mut(&mut self) -> &mut Record {
+        self.meta
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn record(bytes: usize) -> Record {
-        Record::new(NodeId(1), 1000, vec![0u8; bytes])
+        Record::new(NodeId(1), 1000, bytes)
     }
 
     #[test]
@@ -291,7 +387,9 @@ mod tests {
 
     #[test]
     fn value_read_write() {
-        let mut r = record(64);
+        let mut meta = record(64);
+        let mut value = [0u8; 64];
+        let mut r = RecordMut::new(&mut meta, &mut value);
         r.write(3, &[1, 2, 3]);
         assert_eq!(r.read(3, 3), &[1, 2, 3]);
         r.write_u64(8, 0xDEAD);
@@ -300,6 +398,14 @@ mod tests {
         assert_eq!(r.add_u64(8, 1), 0xDE01);
         r.fill(20, 4, 0xAB);
         assert_eq!(r.read(19, 6), &[0, 0xAB, 0xAB, 0xAB, 0xAB, 0]);
+        let r = RecordRef::new(&meta, &value);
+        assert_eq!(r.read_u64(8), 0xDE01);
+        assert_eq!(r.read(3, 3), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn metadata_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 48);
     }
 
     #[test]

@@ -62,12 +62,12 @@ impl Smallbank {
     pub fn setup(db: &mut Database, cfg: SmallbankConfig) -> Self {
         let checking = db.create_table("smallbank-checking", IndexKind::HashTable);
         let savings = db.create_table("smallbank-savings", IndexKind::HashTable);
+        let mut v = [0u8; 64];
+        v[..8].copy_from_slice(&INITIAL_BALANCE.to_le_bytes());
         for a in 0..cfg.accounts {
-            let mut v = vec![0u8; 64];
-            v[..8].copy_from_slice(&INITIAL_BALANCE.to_le_bytes());
-            let rid = db.insert(checking, a, v.clone());
+            let rid = db.insert(checking, a, &v);
             debug_assert_eq!(db.record(rid).read_u64(0), INITIAL_BALANCE);
-            db.insert(savings, a, v);
+            db.insert(savings, a, &v);
         }
         Smallbank {
             cfg,

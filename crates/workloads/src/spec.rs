@@ -232,7 +232,7 @@ mod tests {
         let mut db = Database::new(4);
         let table = db.create_table("t", IndexKind::HashTable);
         for key in 0..4000u64 {
-            db.insert(table, key, vec![0u8; 64]);
+            db.insert(table, key, &[0u8; 64]);
         }
         let mut rng = SimRng::seed_from(9);
         let origin = NodeId(2);
@@ -260,7 +260,7 @@ mod tests {
         let mut db = Database::new(2);
         let table = db.create_table("t", IndexKind::HashTable);
         for key in 0..100u64 {
-            db.insert(table, key, vec![0u8; 64]);
+            db.insert(table, key, &[0u8; 64]);
         }
         let mut rng = SimRng::seed_from(4);
         let mut t = TxnSpec::new(

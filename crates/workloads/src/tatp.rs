@@ -53,10 +53,10 @@ impl Tatp {
         let special_facility = db.create_table("tatp-special-facility", IndexKind::HashTable);
         let call_forwarding = db.create_table("tatp-call-forwarding", IndexKind::BTree);
         for s in 0..cfg.subscribers {
-            db.insert(subscriber, s, vec![0u8; 128]);
-            db.insert(access_info, s, vec![0u8; 64]);
-            db.insert(special_facility, s, vec![0u8; 64]);
-            db.insert(call_forwarding, s, vec![0u8; 64]);
+            db.insert(subscriber, s, &[0u8; 128]);
+            db.insert(access_info, s, &[0u8; 64]);
+            db.insert(special_facility, s, &[0u8; 64]);
+            db.insert(call_forwarding, s, &[0u8; 64]);
         }
         Tatp {
             cfg,

@@ -89,18 +89,18 @@ impl Tpcc {
         let orders = db.create_table("tpcc-orders", IndexKind::BPlusTree);
 
         for w in 0..cfg.warehouses {
-            db.insert(warehouse, w, vec![0u8; 96]);
+            db.insert(warehouse, w, &[0u8; 96]);
         }
         for d in 0..cfg.districts() {
-            db.insert(district, d, vec![0u8; 96]);
+            db.insert(district, d, &[0u8; 96]);
         }
         for d in 0..cfg.districts() {
             for c in 0..cfg.customers_per_district {
-                db.insert(customer, d * cfg.customers_per_district + c, vec![0u8; 192]);
+                db.insert(customer, d * cfg.customers_per_district + c, &[0u8; 192]);
             }
         }
         for i in 0..cfg.items {
-            db.insert(item, i, vec![0u8; 64]);
+            db.insert(item, i, &[0u8; 64]);
         }
         // Stock is per (warehouse, item-bucket): the standard layout is one
         // stock row per item per warehouse, which at 10 M items would
@@ -109,12 +109,12 @@ impl Tpcc {
         let stock_per_w = cfg.items.min(100_000);
         for w in 0..cfg.warehouses {
             for s in 0..stock_per_w {
-                db.insert(stock, w * stock_per_w + s, vec![0u8; 192]);
+                db.insert(stock, w * stock_per_w + s, &[0u8; 192]);
             }
         }
         for d in 0..cfg.districts() {
             for o in 0..cfg.order_slots_per_district {
-                db.insert(orders, d * cfg.order_slots_per_district + o, vec![0u8; 256]);
+                db.insert(orders, d * cfg.order_slots_per_district + o, &[0u8; 256]);
             }
         }
         let districts = cfg.districts() as usize;

@@ -114,8 +114,9 @@ impl Ycsb {
     pub fn setup(db: &mut Database, cfg: YcsbConfig) -> Self {
         assert!(cfg.requests_per_txn > 0, "need at least one request");
         let table = db.create_table(&format!("ycsb-{}", cfg.store.label()), cfg.store);
+        let value = vec![0u8; cfg.value_bytes];
         for key in 0..cfg.keys {
-            db.insert(table, key, vec![0u8; cfg.value_bytes]);
+            db.insert(table, key, &value);
         }
         let zipf = ScrambledZipf::new(cfg.keys, cfg.theta);
         Ycsb { cfg, table, zipf }

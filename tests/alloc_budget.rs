@@ -14,10 +14,18 @@
 //! Each engine is measured plain and with one squash enough to fall back
 //! to pessimistic locking.
 //!
+//! A second budget holds set-up: loading a database stores record values
+//! in per-node line arenas, and building a cluster lays each cache's tags
+//! out in flat arrays (DESIGN.md §12, "Memory layout"), so neither makes
+//! an allocation per record or per cache set.
+//!
 //! The counter is thread-local, so allocations made by the test harness
 //! on other threads are not counted.
 
 use hades::core::runner::{Experiment, Protocol, Run};
+use hades::core::runtime::Cluster;
+use hades::sim::config::SimConfig;
+use hades::storage::db::Database;
 use hades::workloads::catalog::AppId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -103,4 +111,33 @@ fn engines_stay_within_their_allocation_budget() {
         }
     }
     assert!(over.is_empty(), "over budget: {over:?}");
+}
+
+/// Allocations made by `f`, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn set_up_stays_within_its_allocation_budget() {
+    let cfg = SimConfig::isca_default();
+    let mut db = Database::new(cfg.shape.nodes);
+    let (load, _workload) = counted(|| AppId::Tatp.build(&mut db, 0.01));
+    let per_record = load as f64 / db.record_count() as f64;
+    println!(
+        "TATP load: {load} allocations for {} records ({per_record:.2} per record)",
+        db.record_count()
+    );
+    let (build, _cluster) = counted(|| Cluster::new(cfg, db));
+    println!("Cluster::new: {build} allocations");
+    assert!(
+        per_record <= 0.3,
+        "loading TATP made {per_record:.2} allocations per record > 0.3"
+    );
+    assert!(
+        build <= 1_000,
+        "Cluster::new made {build} allocations > 1000"
+    );
 }

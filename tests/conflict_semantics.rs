@@ -64,9 +64,9 @@ fn contention_run(nodes: usize, cores: usize, shared_home: NodeId) -> RunOutcome
     let mut db = Database::new(nodes);
     let table = db.create_table("t", IndexKind::HashTable);
     let shared_key = 7u64;
-    db.insert_at(table, shared_key, vec![0u8; 64], shared_home);
+    db.insert_at(table, shared_key, &[0u8; 64], shared_home);
     for k in 100..200u64 {
-        db.insert(table, k, vec![0u8; 64]);
+        db.insert(table, k, &[0u8; 64]);
     }
     let w = Contender { table, shared_key };
     Run::loaded(Protocol::Hades, cfg, db, Box::new(w), 0, 400).run()
@@ -148,9 +148,9 @@ fn baseline_detects_the_same_conflicts_via_versions() {
     });
     let mut db = Database::new(4);
     let table = db.create_table("t", IndexKind::HashTable);
-    db.insert_at(table, 7, vec![0u8; 64], NodeId(0));
+    db.insert_at(table, 7, &[0u8; 64], NodeId(0));
     for k in 100..200u64 {
-        db.insert(table, k, vec![0u8; 64]);
+        db.insert(table, k, &[0u8; 64]);
     }
     let w = Contender {
         table,

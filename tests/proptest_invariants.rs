@@ -92,8 +92,9 @@ fn run_fuzz(
     let mut db = Database::new(cfg.shape.nodes);
     let table = db.create_table("fuzz", IndexKind::HashTable);
     let value_bytes = 128u32;
+    let value = vec![0u8; value_bytes as usize];
     for k in 0..keys {
-        db.insert(table, k, vec![0u8; value_bytes as usize]);
+        db.insert(table, k, &value);
     }
     let w = FuzzWorkload {
         table,
@@ -219,7 +220,7 @@ proptest! {
             let mut db = Database::new(cfg.shape.nodes);
             let table = db.create_table("rmw", IndexKind::BTree);
             for k in 0..keys {
-                db.insert(table, k, vec![0u8; 64]);
+                db.insert(table, k, &[0u8; 64]);
             }
             let w = RmwOnlyWorkload { table, keys };
             let out = Run::loaded(protocol, cfg, db, Box::new(w), 0, 150).run();

@@ -59,7 +59,7 @@ fn tiny_cluster(ops_per_txn: &[(u64, OpKind)]) -> (SimConfig, Database, TableId,
     let mut db = Database::new(2);
     let table = db.create_table("t", IndexKind::HashTable);
     for k in 0..64u64 {
-        db.insert(table, k, vec![0u8; 128]); // two-line records
+        db.insert(table, k, &[0u8; 128]); // two-line records
     }
     let ops: Vec<OpSpec> = ops_per_txn
         .iter()
