@@ -1,15 +1,11 @@
 //! Chaos harness: sweeps deterministic fault plans across all three
 //! protocol engines and asserts the recovery invariants.
 //!
-//! For every protocol × scenario the run must:
-//!
-//! * finish (no hang: lost messages are recovered by timeout/retry),
-//! * commit exactly the requested number of measured transactions,
-//! * conserve Smallbank money (committed RMW deltas applied exactly once),
-//! * leak no record locks, Locking Buffers, or NIC remote-transaction
-//!   filters past the drain, and
-//! * be **deterministic**: rerunning the identical config + seed + plan
-//!   must reproduce byte-identical stats JSON.
+//! Every protocol × scenario run must finish (lost messages are
+//! recovered by timeout/retry) and pass the shared sweep checks
+//! (`hades_bench::sweep`): exactly the requested measured commits, money
+//! conserved, a gapless commit history, nothing leaked past the drain,
+//! and a byte-identical rerun of the identical config + seed + plan.
 //!
 //! A zero-fault plan must additionally be byte-identical to a run with no
 //! injector installed at all (the fault plane is pay-for-what-you-use).
@@ -39,162 +35,58 @@
 //! names the window), the rerun-determinism check then also covers the
 //! `timeseries` JSON block, and the report cells embed it.
 
-use hades_bench::{flag_value, has_flag, print_table, write_json_report};
-use hades_core::runner::{Protocol, Run};
-use hades_core::runtime::RunOutcome;
+use hades_bench::has_flag;
+use hades_bench::sweep::{Load, Scenario, Sweep};
+use hades_core::runner::Protocol;
+use hades_core::stats::RunStats;
 use hades_fault::FaultPlan;
 use hades_sim::config::{BatchingParams, MembershipParams, MigrationParams, SimConfig};
 use hades_sim::time::Cycles;
-use hades_storage::db::Database;
 use hades_telemetry::event::Verb;
-use hades_telemetry::json::Json;
-use hades_workloads::smallbank::{Smallbank, SmallbankConfig};
 
-const ACCOUNTS: u64 = 1_000;
+const BANK: Load = Load::bank(1_000, Some((16, 0.5)));
 
 /// Time-series window for `--timeseries` runs: chaos runs span a few
 /// hundred microseconds of sim time, so 20 us yields 10+ windows.
 const TS_WINDOW_US: u64 = 20;
 
-/// One finished run plus the Smallbank-side invariant observations.
-struct Observed {
-    out: RunOutcome,
-    initial_total: u64,
-    final_total: u64,
-    records_locked: bool,
-}
-
-fn run_once(
-    protocol: Protocol,
-    cfg: SimConfig,
-    plan: Option<&FaultPlan>,
-    measure: u64,
-) -> Observed {
-    let mut db = Database::new(cfg.shape.nodes);
-    let sb = Smallbank::setup(
-        &mut db,
-        SmallbankConfig {
-            accounts: ACCOUNTS,
-            hotspot: Some((16, 0.5)),
-        },
-    );
-    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, measure)
-        .plan(plan.cloned())
-        .run();
-    let db = &out.cluster.db;
-    let mut records_locked = false;
-    for t in [sb.checking(), sb.savings()] {
-        for a in 0..ACCOUNTS {
-            let rid = db.lookup(t, a).expect("account exists").rid;
-            records_locked |= db.record(rid).is_locked();
+/// Runs `sc` under each of `protocols` through the shared checks plus
+/// `expect`, prints the worst abort window of a time-series run, and
+/// records the run's table row and report cell.
+fn run_cells(
+    sweep: &mut Sweep,
+    protocols: &[Protocol],
+    sc: &Scenario,
+    expect: impl Fn(&RunStats, &mut Vec<String>),
+) {
+    for &p in protocols {
+        let label = format!("{p}/{}", sc.name);
+        let trial = sweep.check(&label, p, sc, &expect);
+        let s = &trial.out.stats;
+        if let Some(ts) = &s.timeseries {
+            if let Some(w) = ts.windows().iter().max_by_key(|w| w.aborted_total()) {
+                eprintln!(
+                    "  {label}: {} windows; worst abort window #{} ({} aborts, {} commits)",
+                    ts.windows().len(),
+                    w.idx,
+                    w.aborted_total(),
+                    w.committed_total(),
+                );
+            }
         }
+        sweep.scenario_cell(p, &sc.name, s);
+        sweep.rows.push(vec![
+            p.label().to_string(),
+            sc.name.clone(),
+            s.committed.to_string(),
+            s.squashes.to_string(),
+            s.faults.drops.to_string(),
+            s.faults.dups.to_string(),
+            (s.faults.crashes + s.faults.restarts).to_string(),
+            s.recovery.timeout_retries.to_string(),
+            (s.recovery.lease_expiries + s.recovery.replica_replays).to_string(),
+        ]);
     }
-    Observed {
-        initial_total: sb.initial_total(),
-        final_total: sb.total_money(db),
-        records_locked,
-        out,
-    }
-}
-
-/// Checks every post-run invariant, appending violations to `failures`.
-fn check_invariants(label: &str, obs: &Observed, measure: u64, failures: &mut Vec<String>) {
-    let stats = &obs.out.stats;
-    if stats.committed != measure {
-        failures.push(format!(
-            "{label}: committed {} of {measure} measured transactions",
-            stats.committed
-        ));
-    }
-    let expected = obs
-        .initial_total
-        .wrapping_add(obs.out.total_sum_delta as u64);
-    if obs.final_total != expected {
-        failures.push(format!(
-            "{label}: money not conserved (final {} != initial {} + committed delta {})",
-            obs.final_total, obs.initial_total, obs.out.total_sum_delta
-        ));
-    }
-    if obs.records_locked {
-        failures.push(format!("{label}: record locks leaked past drain"));
-    }
-    for (n, bufs) in obs.out.cluster.lock_bufs.iter().enumerate() {
-        if bufs.occupied() != 0 {
-            failures.push(format!(
-                "{label}: node {n} left {} Locking Buffers held",
-                bufs.occupied()
-            ));
-        }
-    }
-    for (n, nic) in obs.out.cluster.nics.iter().enumerate() {
-        if nic.active_remote_txs() != 0 {
-            failures.push(format!(
-                "{label}: node {n} NIC left {} remote-tx filters",
-                nic.active_remote_txs()
-            ));
-        }
-    }
-    if obs.out.replica_pending_leaked != 0 {
-        failures.push(format!(
-            "{label}: {} replica-prepare entries leaked past drain",
-            obs.out.replica_pending_leaked
-        ));
-    }
-}
-
-/// Runs `protocol` under `plan` twice, checks invariants and rerun
-/// determinism, and returns a report row plus the first run's
-/// observations for scenario-specific checks.
-fn scenario(
-    protocol: Protocol,
-    scenario_name: &str,
-    cfg: SimConfig,
-    plan: &FaultPlan,
-    measure: u64,
-    failures: &mut Vec<String>,
-    cells: &mut Vec<Json>,
-) -> (Vec<String>, Observed) {
-    let label = format!("{protocol}/{scenario_name}");
-    let obs = run_once(protocol, cfg.clone(), Some(plan), measure);
-    check_invariants(&label, &obs, measure, failures);
-    let rerun = run_once(protocol, cfg, Some(plan), measure);
-    let a = obs.out.stats.to_json().render();
-    let b = rerun.out.stats.to_json().render();
-    if a != b {
-        failures.push(format!("{label}: rerun with identical plan diverged"));
-    }
-    if let Some(ts) = &obs.out.stats.timeseries {
-        let worst = ts.windows().iter().max_by_key(|w| w.aborted_total());
-        if let Some(w) = worst {
-            eprintln!(
-                "  {label}: {} windows; worst abort window #{} ({} aborts, {} commits)",
-                ts.windows().len(),
-                w.idx,
-                w.aborted_total(),
-                w.committed_total(),
-            );
-        }
-    }
-    cells.push(
-        Json::obj()
-            .field("protocol", Json::str(protocol.label()))
-            .field("scenario", Json::str(scenario_name))
-            .field("stats", obs.out.stats.to_json())
-            .build(),
-    );
-    let s = &obs.out.stats;
-    let row = vec![
-        protocol.label().to_string(),
-        scenario_name.to_string(),
-        s.committed.to_string(),
-        s.squashes.to_string(),
-        s.faults.drops.to_string(),
-        s.faults.dups.to_string(),
-        (s.faults.crashes + s.faults.restarts).to_string(),
-        s.recovery.timeout_retries.to_string(),
-        (s.recovery.lease_expiries + s.recovery.replica_replays).to_string(),
-    ];
-    (row, obs)
 }
 
 /// Dup/delay/reorder pressure on the commit verbs plus a NIC stall window:
@@ -213,96 +105,45 @@ fn mixed_chaos_plan(seed: u64) -> FaultPlan {
 }
 
 fn main() {
-    let quick = has_flag("--quick");
-    let timeseries = has_flag("--timeseries");
+    let mut sweep = Sweep::new(Some("chaos"));
+    let quick = sweep.quick;
     let measure: u64 = if quick { 300 } else { 500 };
     let loss_rates: &[f64] = if quick { &[0.05] } else { &[0.01, 0.05, 0.10] };
     let mut cfg = SimConfig::isca_default();
-    if timeseries {
+    if has_flag("--timeseries") {
         cfg = cfg.with_timeseries(Cycles::from_micros(TS_WINDOW_US));
     }
-    let mut failures: Vec<String> = Vec::new();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut cells: Vec<Json> = Vec::new();
+    let all = &Protocol::ALL;
+    let no_checks = |_: &RunStats, _: &mut Vec<String>| {};
+    let bank =
+        |name: &str, cfg: &SimConfig, measure| Scenario::new(name, cfg.clone(), BANK, measure);
 
     // 1. Zero-fault plan must be byte-identical to no injector at all.
+    let bare = bank("no injector", &cfg, measure);
+    let zeroed = bank("zero plan", &cfg, measure).plan(FaultPlan::none());
     for p in Protocol::ALL {
-        let bare = run_once(p, cfg.clone(), None, measure);
-        let zeroed = run_once(p, cfg.clone(), Some(&FaultPlan::none()), measure);
-        if bare.out.stats.to_json().render() != zeroed.out.stats.to_json().render() {
-            failures.push(format!("{p}/zero-plan: differs from an uninjected run"));
-        }
-        eprintln!("  done: {p}/zero-plan");
+        sweep.same_bytes(&format!("{p}/zero-plan"), p, &bare, &zeroed);
     }
 
     // 2. Message-loss sweep over the commit-handshake verbs.
     for &loss in loss_rates {
-        let plan = FaultPlan::from_loss(loss, 42);
         let name = format!("loss {:.0}%", loss * 100.0);
-        for p in Protocol::ALL {
-            let (row, _) = scenario(
-                p,
-                &name,
-                cfg.clone(),
-                &plan,
-                measure,
-                &mut failures,
-                &mut cells,
-            );
-            rows.push(row);
-            eprintln!("  done: {p}/{name}");
-        }
+        let sc = bank(&name, &cfg, measure).plan(FaultPlan::from_loss(loss, 42));
+        run_cells(&mut sweep, all, &sc, no_checks);
     }
 
     // 2b. Fault × batching composition: faults hit individual verbs even
     // when those verbs ride coalesced doorbells (DESIGN.md §14), so
     // every conservation/leak/determinism invariant must still hold.
     let batched_cfg = cfg.clone().with_batching(BatchingParams::standard());
-    {
-        let plan = FaultPlan::from_loss(0.05, 42);
-        for p in Protocol::ALL {
-            let (row, _) = scenario(
-                p,
-                "loss 5%+batch",
-                batched_cfg.clone(),
-                &plan,
-                measure,
-                &mut failures,
-                &mut cells,
-            );
-            rows.push(row);
-            eprintln!("  done: {p}/loss 5%+batch");
-        }
-    }
+    let sc = bank("loss 5%+batch", &batched_cfg, measure).plan(FaultPlan::from_loss(0.05, 42));
+    run_cells(&mut sweep, all, &sc, no_checks);
 
     // 3. Duplication / delay / reorder / NIC-stall pressure.
     if !quick {
-        let plan = mixed_chaos_plan(7);
-        for p in Protocol::ALL {
-            let (row, _) = scenario(
-                p,
-                "mixed chaos",
-                cfg.clone(),
-                &plan,
-                measure,
-                &mut failures,
-                &mut cells,
-            );
-            rows.push(row);
-            eprintln!("  done: {p}/mixed chaos");
-        }
-        for p in Protocol::ALL {
-            let (row, _) = scenario(
-                p,
-                "mixed chaos+batch",
-                batched_cfg.clone(),
-                &plan,
-                measure,
-                &mut failures,
-                &mut cells,
-            );
-            rows.push(row);
-            eprintln!("  done: {p}/mixed chaos+batch");
+        for (name, cfg) in [("mixed chaos", &cfg), ("mixed chaos+batch", &batched_cfg)] {
+            let sc = bank(name, cfg, measure).plan(mixed_chaos_plan(7));
+            run_cells(&mut sweep, all, &sc, no_checks);
         }
     }
 
@@ -310,144 +151,87 @@ fn main() {
     // retransmit-class verbs until the heal and drops the lossy ones, so
     // recovery is pure timeout/retry — every run must drain clean once
     // the links heal, with no membership machinery to lean on.
-    {
-        let nodes = cfg.shape.nodes as u16;
-        let cut_from = Cycles::from_micros(60);
-        let asym = {
-            // Only node 1's outbound links: it hears the cluster but
-            // cannot answer — the half-open gray link.
-            let mut p = FaultPlan::none().with_seed(17);
-            for peer in (0..nodes).filter(|&n| n != 1) {
-                p = p.cut_link(1, peer, cut_from, Cycles::from_micros(90));
+    let nodes = cfg.shape.nodes as u16;
+    let cut_from = Cycles::from_micros(60);
+    // Only node 1's outbound links: it hears the cluster but cannot
+    // answer — the half-open gray link.
+    let asym = (0..nodes)
+        .filter(|&n| n != 1)
+        .fold(FaultPlan::none().with_seed(17), |plan, peer| {
+            plan.cut_link(1, peer, cut_from, Cycles::from_micros(90))
+        });
+    let isolate =
+        FaultPlan::none()
+            .with_seed(17)
+            .isolate_node(1, nodes, cut_from, Cycles::from_micros(70));
+    let flap = FaultPlan::none().with_seed(17).flap_node(
+        1,
+        nodes,
+        cut_from,
+        Cycles::from_micros(160),
+        Cycles::from_micros(20),
+        Cycles::from_micros(10),
+    );
+    // The flap cell needs a longer run: its window stretches to 160 us,
+    // and the healed-window count only closes once the run outlives the
+    // window (the fastest engines drain ~300 measured transactions well
+    // before that).
+    for sc in [
+        bank("partition 10us", &cfg, measure).plan(isolate),
+        bank("asym partition", &cfg, measure).plan(asym),
+        bank("flapping node", &cfg, measure * 3).plan(flap),
+    ] {
+        run_cells(&mut sweep, all, &sc, |s, bad| {
+            if s.nemesis.links_cut == 0 {
+                bad.push("plan injected no link windows".to_string());
             }
-            p
-        };
-        // The flap cell needs a longer run: its window stretches to
-        // 160 us, and the healed-window count only closes once the run
-        // outlives the window (the fastest engines drain ~300 measured
-        // transactions well before that).
-        let link_plans: Vec<(&str, FaultPlan, u64)> = vec![
-            (
-                "partition 10us",
-                FaultPlan::none().with_seed(17).isolate_node(
-                    1,
-                    nodes,
-                    cut_from,
-                    Cycles::from_micros(70),
-                ),
-                measure,
-            ),
-            ("asym partition", asym, measure),
-            (
-                "flapping node",
-                FaultPlan::none().with_seed(17).flap_node(
-                    1,
-                    nodes,
-                    cut_from,
-                    Cycles::from_micros(160),
-                    Cycles::from_micros(20),
-                    Cycles::from_micros(10),
-                ),
-                measure * 3,
-            ),
-        ];
-        for (name, plan, cell_measure) in &link_plans {
-            for p in Protocol::ALL {
-                let (row, obs) = scenario(
-                    p,
-                    name,
-                    cfg.clone(),
-                    plan,
-                    *cell_measure,
-                    &mut failures,
-                    &mut cells,
-                );
-                let nem = &obs.out.stats.nemesis;
-                if nem.links_cut == 0 {
-                    failures.push(format!("{p}/{name}: plan injected no link windows"));
-                }
-                if nem.links_cut != nem.links_healed {
-                    failures.push(format!(
-                        "{p}/{name}: {} link windows cut but {} healed",
-                        nem.links_cut, nem.links_healed
-                    ));
-                }
-                rows.push(row);
-                eprintln!("  done: {p}/{name}");
-            }
-        }
+        });
     }
 
     // 4. Node crash + restart with §V-A replication (HADES engine; the
     // software engines have no crash model).
-    let mut crash_cfg = SimConfig::isca_default().with_replication(1);
-    if timeseries {
-        crash_cfg = crash_cfg.with_timeseries(Cycles::from_micros(TS_WINDOW_US));
-    }
     let crash_plan = FaultPlan::none()
         .with_seed(11)
         .with_lease(Cycles::new(30_000))
         .crash(1, Cycles::new(60_000), Cycles::new(200_000));
-    let (row, _) = scenario(
-        Protocol::Hades,
-        "crash node 1",
-        crash_cfg,
-        &crash_plan,
-        measure,
-        &mut failures,
-        &mut cells,
-    );
-    let restarts: u64 = row[6].parse().unwrap_or(0);
-    if restarts < 2 {
-        failures.push("HADES/crash node 1: crash+restart did not both happen".to_string());
-    }
-    rows.push(row);
-    eprintln!("  done: HADES/crash node 1");
+    let crash_cfg = cfg.clone().with_replication(1);
+    let sc = bank("crash node 1", &crash_cfg, measure).plan(crash_plan);
+    run_cells(&mut sweep, &[Protocol::Hades], &sc, |s, bad| {
+        if s.faults.crashes == 0 || s.faults.restarts == 0 {
+            bad.push("crash+restart did not both happen".to_string());
+        }
+    });
 
     // 5. Crash one end of a planned live migration mid-copy (detector
     // on). The copy stream dies with the node: the plan is abandoned at
     // the declare and the run degrades into the plain crash-failover
     // path — promotion if the source died, routing untouched if the
     // destination died — instead of wedging or cutting over to a corpse.
-    {
-        // Stretch the copy phase (announce 40 us, 8 chunks every 20 us,
-        // cutover ~210 us) so the ~80 us declare delay of the standard
-        // detector lands mid-copy, before the cutover would fire.
-        let mut mig = MigrationParams::standard(vec![(2, 0)]);
-        mig.chunk_interval = Cycles::from_micros(20);
-        // Longer than the base scenarios: the run must still be measuring
-        // at the ~120 us declare even on the fastest engine, or the plan
-        // (which freezes with the detector at drain) never sees the death.
-        let mig_measure = measure * 4;
-        for (name, victim) in [("mig src dies", 2u16), ("mig dst dies", 0u16)] {
-            let mut mig_cfg = SimConfig::isca_default()
-                .with_membership(MembershipParams::standard())
-                .with_migration(mig.clone());
-            if timeseries {
-                mig_cfg = mig_cfg.with_timeseries(Cycles::from_micros(TS_WINDOW_US));
+    //
+    // Stretch the copy phase (announce 40 us, 8 chunks every 20 us,
+    // cutover ~210 us) so the ~80 us declare delay of the standard
+    // detector lands mid-copy, before the cutover would fire.
+    let mut mig = MigrationParams::standard(vec![(2, 0)]);
+    mig.chunk_interval = Cycles::from_micros(20);
+    // Longer than the base scenarios: the run must still be measuring at
+    // the ~120 us declare even on the fastest engine, or the plan (which
+    // freezes with the detector at drain) never sees the death.
+    let mig_measure = measure * 4;
+    let mig_cfg = cfg
+        .clone()
+        .with_membership(MembershipParams::standard())
+        .with_migration(mig.clone());
+    for (name, victim) in [("mig src dies", 2u16), ("mig dst dies", 0u16)] {
+        let plan = FaultPlan::none().crash_forever(victim, Cycles::from_micros(60));
+        let sc = bank(name, &mig_cfg, mig_measure).plan(plan);
+        run_cells(&mut sweep, all, &sc, |s, bad| {
+            if s.migration.partitions_moved != 0 {
+                bad.push("cutover fired despite a dead endpoint".to_string());
             }
-            let plan = FaultPlan::none().crash_forever(victim, Cycles::from_micros(60));
-            for p in Protocol::ALL {
-                let (row, obs) = scenario(
-                    p,
-                    name,
-                    mig_cfg.clone(),
-                    &plan,
-                    mig_measure,
-                    &mut failures,
-                    &mut cells,
-                );
-                let s = &obs.out.stats;
-                if s.migration.partitions_moved != 0 {
-                    failures.push(format!("{p}/{name}: cutover fired despite a dead endpoint"));
-                }
-                if victim == 2 && s.membership.promotions == 0 {
-                    failures.push(format!("{p}/{name}: source death did not promote a backup"));
-                }
-                rows.push(row);
-                eprintln!("  done: {p}/{name}");
+            if victim == 2 && s.membership.promotions == 0 {
+                bad.push("source death did not promote a backup".to_string());
             }
-        }
+        });
     }
 
     // 5b. Partition (don't crash) the source of a planned live migration
@@ -456,49 +240,27 @@ fn main() {
     // ~210 us cutover), the plan must be abandoned at the declare with a
     // backup promotion, and the stranded primary self-fences rather than
     // keep serving a partition the cluster has moved on from.
-    {
-        let mut mig = MigrationParams::standard(vec![(2, 0)]);
-        mig.chunk_interval = Cycles::from_micros(20);
-        let mig_measure = measure * 4;
-        let mut pm_cfg = SimConfig::isca_default()
-            .with_membership(MembershipParams::partition_safe())
-            .with_migration(mig);
-        if timeseries {
-            pm_cfg = pm_cfg.with_timeseries(Cycles::from_micros(TS_WINDOW_US));
+    let pm_cfg = cfg
+        .clone()
+        .with_membership(MembershipParams::partition_safe())
+        .with_migration(mig);
+    let plan = FaultPlan::none().with_seed(17).isolate_node(
+        2,
+        nodes,
+        Cycles::from_micros(60),
+        Cycles::from_micros(300),
+    );
+    let sc = bank("partition+mig", &pm_cfg, mig_measure).plan(plan);
+    run_cells(&mut sweep, all, &sc, |s, bad| {
+        if s.migration.partitions_moved != 0 {
+            bad.push("cutover fired at a partitioned source".to_string());
         }
-        let plan = FaultPlan::none().with_seed(17).isolate_node(
-            2,
-            pm_cfg.shape.nodes as u16,
-            Cycles::from_micros(60),
-            Cycles::from_micros(300),
-        );
-        for p in Protocol::ALL {
-            let (row, obs) = scenario(
-                p,
-                "partition+mig",
-                pm_cfg.clone(),
-                &plan,
-                mig_measure,
-                &mut failures,
-                &mut cells,
-            );
-            let s = &obs.out.stats;
-            if s.migration.partitions_moved != 0 {
-                failures.push(format!(
-                    "{p}/partition+mig: cutover fired at a partitioned source"
-                ));
-            }
-            if s.membership.promotions == 0 {
-                failures.push(format!(
-                    "{p}/partition+mig: partitioned source was never declared dead"
-                ));
-            }
-            rows.push(row);
-            eprintln!("  done: {p}/partition+mig");
+        if s.membership.promotions == 0 {
+            bad.push("partitioned source was never declared dead".to_string());
         }
-    }
+    });
 
-    print_table(
+    sweep.table(
         "chaos sweep (Smallbank, deterministic fault plans)",
         &[
             "protocol",
@@ -511,30 +273,7 @@ fn main() {
             "timeout retries",
             "lease+replay",
         ],
-        &rows,
     );
-
-    if let Some(path) = flag_value("--json") {
-        let doc = Json::obj()
-            .field("schema", Json::str("hades-report/v1"))
-            .field("report", Json::str("chaos"))
-            .field("quick", Json::Bool(quick))
-            .field(
-                "failures",
-                Json::Arr(failures.iter().map(Json::str).collect()),
-            )
-            .field("cells", Json::Arr(cells))
-            .build();
-        write_json_report(&path, &doc);
-    }
-
-    if failures.is_empty() {
-        println!("\nall invariants held: conservation, no leaks, deterministic reruns.");
-    } else {
-        eprintln!("\n{} invariant violation(s):", failures.len());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    sweep.finish();
+    println!("\nall invariants held: conservation, no leaks, deterministic reruns.");
 }

@@ -3,14 +3,14 @@
 //! Sweeps a permanent single-node crash across crash times, protocols,
 //! and (for HADES, which carries the replica machinery) replication
 //! degrees, with the membership layer's failure detector on. Every run
-//! must satisfy the failover invariants:
-//!
-//! 1. the survivors fill the entire measurement window (no stall),
-//! 2. the Smallbank ledger conserves money — commits finalized at the
-//!    crash included exactly once,
-//! 3. the epoch advances and a backup is promoted for each partition
-//!    homed at the dead node, and
-//! 4. no replica-prepare state leaks past the end of the run.
+//! must pass the shared sweep checks (`hades_bench::sweep`): the
+//! survivors fill the entire measurement window (no stall), the
+//! Smallbank ledger conserves money — commits finalized at the crash
+//! included exactly once — with a gapless commit history, nothing
+//! (replica prepares included) leaks past the drain, and a rerun is
+//! byte-identical. The epoch must also advance and a backup be promoted
+//! for each partition homed at the dead node. A violation is listed in
+//! the report and exits 1.
 //!
 //! Run: `cargo run --release -p hades-bench --bin failover [--quick]`
 //! `--json <path>` additionally writes a machine-readable report
@@ -21,15 +21,13 @@
 //! pre-crash baseline) — per run, and embeds each run's `timeseries`
 //! block in the JSON report.
 
-use hades_bench::{flag_value, has_flag, print_table, report_goodput_dip, write_json_report};
-use hades_core::runner::{Protocol, Run};
-use hades_core::runtime::RunOutcome;
+use hades_bench::sweep::{Load, Scenario, Sweep, Trial};
+use hades_bench::{has_flag, report_goodput_dip};
+use hades_core::runner::Protocol;
 use hades_fault::FaultPlan;
 use hades_sim::config::{ClusterShape, MembershipParams, SimConfig};
 use hades_sim::time::Cycles;
-use hades_storage::db::Database;
 use hades_telemetry::json::Json;
-use hades_workloads::smallbank::{Smallbank, SmallbankConfig};
 
 const SHAPE: ClusterShape = ClusterShape {
     nodes: 4,
@@ -38,110 +36,78 @@ const SHAPE: ClusterShape = ClusterShape {
 };
 const DEAD_NODE: u16 = 2;
 
-struct FailoverRun {
-    out: RunOutcome,
-    conserved: bool,
-}
-
 /// Time-series window for `--timeseries` runs: fine enough to resolve
 /// the detector's ~80 us declare delay into several windows.
 const TS_WINDOW_US: u64 = 10;
 
-fn run_failover(
+/// Runs `protocol` with node [`DEAD_NODE`] crashing for good at
+/// `crash_us` under `replicas` replicas, checks it, prints its goodput
+/// dip, records its report cell, and returns the run.
+fn crash_cell(
+    sweep: &mut Sweep,
+    label: &str,
     protocol: Protocol,
-    crash_at: Cycles,
+    crash_us: u64,
     replicas: usize,
-    accounts: u64,
     measure: u64,
-    timeseries: bool,
-) -> FailoverRun {
+) -> Trial {
     let mut cfg = SimConfig::isca_default()
         .with_shape(SHAPE)
         .with_replication(replicas)
         .with_membership(MembershipParams::standard());
-    if timeseries {
+    if has_flag("--timeseries") {
         cfg = cfg.with_timeseries(Cycles::from_micros(TS_WINDOW_US));
     }
-    let mut db = Database::new(cfg.shape.nodes);
-    let sb = Smallbank::setup(
-        &mut db,
-        SmallbankConfig {
-            accounts,
-            hotspot: Some((16, 0.5)),
-        },
-    );
-    let out = Run::loaded(protocol, cfg, db, Box::new(sb.clone()), 0, measure)
-        .plan(FaultPlan::none().crash_forever(DEAD_NODE, crash_at))
-        .run();
-    let conserved = sb.total_money(&out.cluster.db)
-        == sb.initial_total().wrapping_add(out.total_sum_delta as u64);
-    FailoverRun { out, conserved }
-}
-
-fn check(label: &str, run: &FailoverRun, measure: u64) {
-    assert_eq!(
-        run.out.stats.committed, measure,
-        "{label}: survivors did not fill the measurement window"
-    );
-    assert!(
-        run.conserved,
-        "{label}: money not conserved across failover"
-    );
-    assert!(
-        run.out.stats.membership.epoch_changes >= 1,
-        "{label}: dead node never declared"
-    );
-    assert!(
-        run.out.stats.membership.promotions >= 1,
-        "{label}: no backup promoted"
-    );
-    assert_eq!(
-        run.out.replica_pending_leaked, 0,
-        "{label}: replica-prepare state leaked"
-    );
+    let crash_at = Cycles::from_micros(crash_us);
+    let sc = Scenario::new(label, cfg, Load::bank(400, Some((16, 0.5))), measure)
+        .plan(FaultPlan::none().crash_forever(DEAD_NODE, crash_at));
+    let trial = sweep.check(label, protocol, &sc, |s, bad| {
+        if s.membership.epoch_changes == 0 {
+            bad.push("dead node never declared".to_string());
+        }
+        if s.membership.promotions == 0 {
+            bad.push("no backup promoted".to_string());
+        }
+    });
+    let stats = &trial.out.stats;
+    let mut cell = Json::obj()
+        .field("protocol", Json::str(protocol.label()))
+        .field("crash_us", crash_us)
+        .field("replicas", replicas as u64)
+        .field("stats", stats.to_json());
+    if let Some(dip) = report_goodput_dip(label, stats, crash_at, "crash") {
+        cell = cell.field("goodput_dip", dip);
+    }
+    sweep.cells.push(cell.build());
+    trial
 }
 
 fn main() {
-    let quick = has_flag("--quick");
-    let timeseries = has_flag("--timeseries");
-    let accounts = 400u64;
+    let mut sweep = Sweep::new(Some("failover"));
     // Sized so even HADES (the fastest engine) is still mid-run when the
     // detector declares the latest-crashing node (~crash + 80 us).
+    let quick = sweep.quick;
     let measure: u64 = if quick { 600 } else { 1_200 };
     let crash_times: &[u64] = if quick { &[20, 60] } else { &[20, 60, 100] };
 
     // Part 1: crash time x protocol.
-    let mut rows = Vec::new();
-    let mut cells: Vec<Json> = Vec::new();
     for p in Protocol::ALL {
         for &us in crash_times {
-            let crash_at = Cycles::from_micros(us);
-            let run = run_failover(p, crash_at, 0, accounts, measure, timeseries);
             let label = format!("{p:?} crash@{us}us");
-            check(&label, &run, measure);
-            let mut cell = Json::obj()
-                .field("protocol", Json::str(p.label()))
-                .field("crash_us", us)
-                .field("replicas", 0u64)
-                .field("stats", run.out.stats.to_json());
-            if let Some(dip) = report_goodput_dip(&label, &run.out.stats, crash_at, "crash") {
-                cell = cell.field("goodput_dip", dip);
-            }
-            cells.push(cell.build());
-            let m = &run.out.stats.membership;
-            rows.push(vec![
+            let trial = crash_cell(&mut sweep, &label, p, us, 0, measure);
+            let (s, m) = (&trial.out.stats, &trial.out.stats.membership);
+            sweep.rows.push(vec![
                 format!("{p:?}"),
                 format!("{us}"),
-                format!("{:.0}", run.out.stats.throughput()),
+                format!("{:.0}", s.throughput()),
                 m.epoch_changes.to_string(),
                 m.promotions.to_string(),
                 m.verbs_fenced.to_string(),
-                if run.conserved { "yes" } else { "NO" }.to_string(),
+                trial.conserved_cell(),
             ]);
-            eprintln!("  done: {label}");
         }
     }
-    print_table(
+    sweep.table(
         "Permanent crash vs protocol (Smallbank, 4 nodes, detector on)",
         &[
             "protocol",
@@ -152,7 +118,6 @@ fn main() {
             "fenced",
             "conserved",
         ],
-        &rows,
     );
     println!("\nExpected: every protocol survives the crash — the detector");
     println!("declares the node after three missed 20 us renewals, backups");
@@ -162,33 +127,20 @@ fn main() {
     // replica-prepare machinery; straddling prepares resolve at the
     // epoch change — durable ones commit, the rest abort).
     let degrees: &[usize] = if quick { &[0, 1] } else { &[0, 1, 2] };
-    let mut rows = Vec::new();
     for &f in degrees {
-        let crash_at = Cycles::from_micros(40);
-        let run = run_failover(Protocol::Hades, crash_at, f, accounts, measure, timeseries);
         let label = format!("Hades f={f}");
-        check(&label, &run, measure);
-        let mut cell = Json::obj()
-            .field("protocol", Json::str(Protocol::Hades.label()))
-            .field("crash_us", 40u64)
-            .field("replicas", f as u64)
-            .field("stats", run.out.stats.to_json());
-        if let Some(dip) = report_goodput_dip(&label, &run.out.stats, crash_at, "crash") {
-            cell = cell.field("goodput_dip", dip);
-        }
-        cells.push(cell.build());
-        let m = &run.out.stats.membership;
-        rows.push(vec![
+        let trial = crash_cell(&mut sweep, &label, Protocol::Hades, 40, f, measure);
+        let (s, m) = (&trial.out.stats, &trial.out.stats.membership);
+        sweep.rows.push(vec![
             format!("f={f}"),
-            format!("{:.0}", run.out.stats.throughput()),
+            format!("{:.0}", s.throughput()),
             m.failover_commits.to_string(),
             m.failover_aborts.to_string(),
             m.replica_drained.to_string(),
-            if run.conserved { "yes" } else { "NO" }.to_string(),
+            trial.conserved_cell(),
         ]);
-        eprintln!("  done: {label}");
     }
-    print_table(
+    sweep.table(
         "Replication degree vs HADES failover (crash at 40 us)",
         &[
             "replicas",
@@ -198,22 +150,11 @@ fn main() {
             "drained",
             "conserved",
         ],
-        &rows,
     );
     println!("\nExpected: with replicas, in-flight prepares that straddle the");
     println!("epoch are resolved deterministically — provably durable commits");
     println!("survive, everything else aborts; nothing leaks.");
 
-    if let Some(path) = flag_value("--json") {
-        let doc = Json::obj()
-            .field("schema", Json::str("hades-report/v1"))
-            .field("report", Json::str("failover"))
-            .field("quick", Json::Bool(quick))
-            .field("failures", Json::Arr(Vec::new()))
-            .field("cells", Json::Arr(cells))
-            .build();
-        write_json_report(&path, &doc);
-    }
-
+    sweep.finish();
     println!("\nAll failover invariants held.");
 }

@@ -11,86 +11,67 @@
 //!    [`FaultPlan`]): abort rates rise, but every run's Smallbank ledger
 //!    still conserves money.
 //!
+//! Every run passes the shared sweep checks (`hades_bench::sweep`):
+//! exactly the measured commits, no leaks (replica prepares included), a
+//! byte-identical rerun, and for Smallbank money conservation and a
+//! gapless commit history. A violation is listed and exits 1.
+//!
 //! Run: `cargo run --release -p hades-bench --bin replication [--quick]`
 
-use hades_bench::{experiment_from_args, fmt_pct, print_table};
-use hades_core::runner::{Experiment, Protocol, Run};
+use hades_bench::sweep::{Load, Scenario, Sweep};
+use hades_bench::{experiment_from_args, fmt_pct};
+use hades_core::runner::Protocol;
 use hades_core::stats::SquashReason;
 use hades_fault::FaultPlan;
 use hades_sim::config::SimConfig;
-use hades_storage::db::Database;
-use hades_workloads::catalog::AppId;
-use hades_workloads::smallbank::{Smallbank, SmallbankConfig};
 
 fn main() {
     let ex = experiment_from_args();
+    let mut sweep = Sweep::new(None);
 
-    // Part 1: cost of replication.
-    let mut rows = Vec::new();
+    // Part 1: cost of replication, on the catalog's HT-wA.
     for degree in [0usize, 1, 2] {
-        let ex = Experiment {
-            cfg: SimConfig::isca_default().with_replication(degree),
-            ..ex.clone()
+        let cfg = SimConfig::isca_default().with_replication(degree);
+        let sc = Scenario {
+            warmup: ex.warmup,
+            ..Scenario::new("HT-wA", cfg, Load::ht_wa(0.99, ex.scale), ex.measure)
         };
-        let stats = Run::apps(Protocol::Hades, &ex, &[AppId::parse("HT-wA").unwrap()])
-            .run()
-            .stats;
-        rows.push(vec![
+        let trial = sweep.check(&format!("degree={degree}"), Protocol::Hades, &sc, |_, _| {});
+        let stats = &trial.out.stats;
+        sweep.rows.push(vec![
             format!("f={degree}"),
             format!("{:.0}", stats.throughput()),
             format!("{:.2}", stats.mean_latency().as_micros()),
             stats.replica_persists.to_string(),
             stats.messages.to_string(),
         ]);
-        eprintln!("  done: degree={degree}");
     }
-    print_table(
+    sweep.table(
         "Replication degree vs HADES performance (HT-wA)",
         &["replicas", "txn/s", "mean us", "persists", "messages"],
-        &rows,
     );
     println!("\nExpected: each replica adds a prepare+persist to the commit's");
     println!("critical path (NVM-class 1 us persist), costing throughput but");
     println!("keeping the one-round-trip commit structure.");
 
     // Part 2: message loss.
-    let mut rows = Vec::new();
     for loss in [0.0f64, 0.01, 0.05, 0.10] {
         let cfg = SimConfig::isca_default().with_replication(1);
         let plan = FaultPlan::from_loss(loss, cfg.seed);
-        let mut db = Database::new(cfg.shape.nodes);
-        let sb = Smallbank::setup(
-            &mut db,
-            SmallbankConfig {
-                accounts: 2_000,
-                hotspot: None,
-            },
-        );
-        let bank = Box::new(sb.clone());
-        let out = Run::loaded(Protocol::Hades, cfg, db, bank, 0, ex.measure)
-            .plan(plan)
-            .run();
-        let conserved = sb.total_money(&out.cluster.db)
-            == sb.initial_total().wrapping_add(out.total_sum_delta as u64);
-        rows.push(vec![
+        let sc = Scenario::new("loss", cfg, Load::bank(2_000, None), ex.measure).plan(plan);
+        let trial = sweep.check(&format!("loss={loss}"), Protocol::Hades, &sc, |_, _| {});
+        let stats = &trial.out.stats;
+        sweep.rows.push(vec![
             fmt_pct(loss),
-            format!("{:.0}", out.stats.throughput()),
-            out.stats.faults.drops.to_string(),
-            out.stats
-                .squashes_for(SquashReason::CommitTimeout)
-                .to_string(),
-            out.stats.recovery.timeout_retries.to_string(),
-            fmt_pct(out.stats.abort_rate()),
-            if conserved { "yes" } else { "NO" }.to_string(),
+            format!("{:.0}", stats.throughput()),
+            stats.faults.drops.to_string(),
+            stats.squashes_for(SquashReason::CommitTimeout).to_string(),
+            stats.recovery.timeout_retries.to_string(),
+            fmt_pct(stats.abort_rate()),
+            trial.conserved_cell(),
         ]);
-        assert!(conserved, "conservation violated at loss={loss}");
-        assert_eq!(
-            out.replica_pending_leaked, 0,
-            "replica-prepare entries leaked at loss={loss}"
-        );
-        eprintln!("  done: loss={loss}");
     }
-    print_table(
+    sweep.table(
         "Commit-message loss vs HADES (Smallbank, 1 replica)",
         &[
             "loss",
@@ -101,8 +82,8 @@ fn main() {
             "abort rate",
             "conserved",
         ],
-        &rows,
     );
     println!("\nExpected: losses surface as commit timeouts and aborts; the");
     println!("two-phase commit never half-applies a transaction (Section V-A).");
+    sweep.finish();
 }

@@ -17,21 +17,28 @@
 //! | `hwcost` | §VI — hardware storage arithmetic |
 //! | `summary` | one-shot paper-vs-measured report (`--json` for metrics) |
 //! | `trace` | Chrome `trace_event` capture of a quick run (Perfetto) |
+//! | `ablation` | §6 design-choice ablations: slot multiplexing, Bloom sizing |
 //! | `chaos` | fault-injection sweep: invariants under loss/dup/delay/crash |
+//! | `nemesis` | partition and gray-failure sweep: quorum, self-fence, heal |
+//! | `batching` | doorbell batching vs off per engine over YCSB-A points |
 //! | `overload` | admission × skew × Locking-Buffer-capacity overload sweep |
 //! | `failover` | permanent-crash sweep: epochs, promotion, fencing |
 //! | `rebalance` | planned live shard migration under traffic |
+//! | `replication` | §V-A replication degree and commit-message loss |
 //! | `bench` | canonical perf-trajectory matrix → `BENCH_*.json` + compare gate |
 //!
 //! Every binary accepts `--quick` for a fast smoke run and prints both a
 //! Markdown table and the paper's expected shape for comparison. A
 //! `--loss <p>` flag injects commit-message loss at probability `p` via a
 //! seeded [`hades_fault::FaultPlan`], so e.g. `summary --json --loss 0.05`
-//! reports the fault/recovery breakdown alongside every metric. The sweep
-//! binaries (`chaos`, `overload`, `failover`, `rebalance`) take
-//! `--json <path>` to
-//! additionally write a machine-readable report, conventionally under
-//! `results/`.
+//! reports the fault/recovery breakdown alongside every metric.
+//!
+//! The seven stress bins (`chaos`, `nemesis`, `batching`, `overload`,
+//! `failover`, `rebalance`, `replication`) run through one sweep driver,
+//! [`sweep`]: each cell is a [`sweep::Scenario`], run twice and checked
+//! against every shared invariant, and a violation exits 1. All but
+//! `replication` take `--json <path>` to additionally write a
+//! `hades-report/v1` document, conventionally under `results/`.
 //!
 //! The Criterion benches under `benches/` time representative kernels
 //! (Bloom filters, index structures, protocol end-to-end runs).
@@ -39,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod sweep;
 
 use hades_core::runner::Experiment;
 use hades_core::stats::RunStats;

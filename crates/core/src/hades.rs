@@ -2072,13 +2072,11 @@ mod tests {
         assert_eq!(out.stats.faults.crashes, 1);
         assert_eq!(out.stats.faults.restarts, 1);
         assert_eq!(
-            sb.total_money(&out.cluster.db),
-            sb.initial_total().wrapping_add(out.total_sum_delta as u64),
-            "money not conserved across the crash"
+            sb.check_conservation(&out.cluster.db, out.total_sum_delta),
+            Ok(()),
+            "across the crash"
         );
-        for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
-            assert_eq!(bufs.occupied(), 0, "node {n} leaked locks across crash");
-        }
+        assert_eq!(out.leaks(), Vec::<String>::new(), "across the crash");
     }
 
     #[test]

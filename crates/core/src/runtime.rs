@@ -1460,6 +1460,43 @@ pub struct RunOutcome {
     pub replica_pending_leaked: u64,
 }
 
+impl RunOutcome {
+    /// Everything the commit protocols hold that outlived the drain, one
+    /// line per leak: record locks over the whole database, Locking
+    /// Buffers, NIC remote-transaction filters, speculative LLC lines
+    /// and replica prepares. Empty for a clean run.
+    pub fn leaks(&self) -> Vec<String> {
+        let cl = &self.cluster;
+        let mut leaks = Vec::new();
+        let mut locked = (0..cl.db.record_count() as u32)
+            .map(RecordId)
+            .filter(|&rid| cl.db.record(rid).is_locked());
+        if let Some(first) = locked.next() {
+            let n = 1 + locked.count();
+            leaks.push(format!(
+                "{n} record lock(s) leaked past drain, first {first:?}"
+            ));
+        }
+        for n in 0..cl.cfg.shape.nodes {
+            let held = [
+                (cl.lock_bufs[n].occupied(), "Locking Buffers held"),
+                (cl.nics[n].active_remote_txs(), "NIC remote-tx filters"),
+                (cl.mems[n].speculative_lines(), "speculative LLC lines"),
+            ];
+            for (count, what) in held.into_iter().filter(|&(count, _)| count != 0) {
+                leaks.push(format!("node {n} left {count} {what}"));
+            }
+        }
+        if self.replica_pending_leaked != 0 {
+            leaks.push(format!(
+                "{} replica-prepare entries leaked past drain",
+                self.replica_pending_leaked
+            ));
+        }
+        leaks
+    }
+}
+
 /// Measurement window controller: warm up, then measure a fixed number of
 /// commits.
 #[derive(Debug)]

@@ -91,7 +91,21 @@ impl Smallbank {
         2 * self.cfg.accounts * INITIAL_BALANCE
     }
 
-    /// Sums every balance in both tables (the conservation check).
+    /// The conservation check: the bank must hold its initial total plus
+    /// `sum_delta`, the net of every committed RMW delta (a run's
+    /// `total_sum_delta`). Names both totals when it does not.
+    pub fn check_conservation(&self, db: &Database, sum_delta: i64) -> Result<(), String> {
+        let (initial, total) = (self.initial_total(), self.total_money(db));
+        if total == initial.wrapping_add(sum_delta as u64) {
+            Ok(())
+        } else {
+            Err(format!(
+                "money not conserved (final {total} != initial {initial} + committed delta {sum_delta})"
+            ))
+        }
+    }
+
+    /// Sums every balance in both tables.
     pub fn total_money(&self, db: &Database) -> u64 {
         let mut sum = 0u64;
         for table in [self.checking, self.savings] {
@@ -279,8 +293,11 @@ mod tests {
             }
             expected += t.sum_delta;
         }
-        let total = w.total_money(&db);
-        assert_eq!(total, w.initial_total().wrapping_add(expected as u64));
+        assert_eq!(w.check_conservation(&db, expected), Ok(()));
+        let rid = db.lookup(w.checking(), 0).unwrap().rid;
+        db.record_mut(rid).add_u64(OFF_BALANCE as usize, 1);
+        let moved = w.check_conservation(&db, expected).unwrap_err();
+        assert!(moved.contains("money not conserved"), "{moved}");
     }
 
     #[test]

@@ -39,20 +39,18 @@ fn main() {
     println!("Initial bank total: {initial}");
     for protocol in Protocol::ALL {
         let (out, bank) = run(protocol);
-        let total = bank.total_money(&out.cluster.db);
-        let expected = initial.wrapping_add(out.total_sum_delta as u64);
-        let ok = total == expected;
+        let conserved = bank.check_conservation(&out.cluster.db, out.total_sum_delta);
+        let ok = conserved.is_ok();
         println!(
-            "{:<9} commits={:>6} squashes={:>5} fallbacks={:>3} | final={} expected={} -> {}",
+            "{:<9} commits={:>6} squashes={:>5} fallbacks={:>3} | final={} -> {}",
             protocol.label(),
             out.total_commits,
             out.stats.squashes,
             out.stats.fallbacks,
-            total,
-            expected,
+            bank.total_money(&out.cluster.db),
             if ok { "CONSERVED" } else { "VIOLATED" }
         );
-        assert!(ok, "{protocol:?} violated conservation");
+        assert_eq!(conserved, Ok(()), "{protocol:?}");
     }
     println!("All three protocols conserved money under contention.");
 }

@@ -28,9 +28,8 @@ fn run(replicas: usize, label: &str, plan: FaultPlan) {
         .plan(plan)
         .run();
 
-    let (initial, total) = (bank.initial_total(), bank.total_money(&out.cluster.db));
-    let expected = initial.wrapping_add(out.total_sum_delta as u64);
-    assert_eq!(total, expected, "conservation violated");
+    let conserved = bank.check_conservation(&out.cluster.db, out.total_sum_delta);
+    assert_eq!(conserved, Ok(()), "replicas={replicas} {label}");
     println!(
         "replicas={replicas} {label:<12} | {:>9.0} txn/s  persists={:>5}  dropped={:>4}  timeouts={:>4}  retries={:>4}  crash+rst={}  ledger: CONSERVED",
         out.stats.throughput(),

@@ -205,10 +205,5 @@ fn hades_does_not_stall_under_batching_at_high_contention() {
     );
     let bt = out.stats.batching.as_ref().expect("batching block");
     assert!(bt.joined > 0, "the run must actually coalesce");
-    let cl = &out.cluster;
-    let held: usize = cl.lock_bufs.iter().map(|b| b.occupied()).sum();
-    assert_eq!(held, 0, "Locking Buffers leaked");
-    let filters: usize = cl.nics.iter().map(|n| n.active_remote_txs()).sum();
-    assert_eq!(filters, 0, "NIC remote-transaction filters leaked");
-    assert_eq!(out.replica_pending_leaked, 0, "replica prepares leaked");
+    assert_eq!(out.leaks(), Vec::<String>::new());
 }

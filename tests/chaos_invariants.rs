@@ -19,16 +19,17 @@ use hades::storage::db::Database;
 use hades::telemetry::event::Verb;
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE};
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
 use proptest::prelude::*;
 
 const ACCOUNTS: u64 = 400;
 const MEASURE: u64 = 200;
 
 /// Runs `protocol` over a contended Smallbank with `plan` installed (if
-/// any) and a memory tracer attached. Returns the outcome, the JSONL
-/// rendering of the full event stream, and the final ledger total.
-fn run_traced(protocol: Protocol, plan: Option<&FaultPlan>) -> (RunOutcome, String, u64) {
+/// any) and a memory tracer attached, and checks that money is
+/// conserved. Returns the outcome and the JSONL rendering of the full
+/// event stream.
+fn run_traced(protocol: Protocol, plan: Option<&FaultPlan>) -> (RunOutcome, String) {
     let cfg = SimConfig::isca_default();
     let mut db = Database::new(cfg.shape.nodes);
     let sb = Smallbank::setup(
@@ -44,39 +45,21 @@ fn run_traced(protocol: Protocol, plan: Option<&FaultPlan>) -> (RunOutcome, Stri
         .tracer(tracer)
         .run();
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
-    let db = &out.cluster.db;
-    for t in [sb.checking(), sb.savings()] {
-        for a in 0..ACCOUNTS {
-            let rid = db.lookup(t, a).expect("account exists").rid;
-            let rec = db.record(rid);
-            assert!(!rec.is_locked(), "{protocol}: record lock leaked");
-        }
-    }
-    let total = sb.total_money(db);
-    (out, jsonl, total)
+    assert_eq!(
+        sb.check_conservation(&out.cluster.db, out.total_sum_delta),
+        Ok(()),
+        "{protocol}: committed delta lost or double-applied"
+    );
+    (out, jsonl)
 }
 
 /// The correctness bar every chaos run must clear, loss or no loss.
-fn check_invariants(protocol: Protocol, out: &RunOutcome, final_total: u64) {
+fn check_invariants(protocol: Protocol, out: &RunOutcome) {
     assert_eq!(
         out.stats.committed, MEASURE,
         "{protocol}: wrong number of measured commits"
     );
-    let expected = (2 * ACCOUNTS * INITIAL_BALANCE).wrapping_add(out.total_sum_delta as u64);
-    assert_eq!(
-        final_total, expected,
-        "{protocol}: money not conserved (committed delta lost or double-applied)"
-    );
-    for bufs in &out.cluster.lock_bufs {
-        assert_eq!(bufs.occupied(), 0, "{protocol}: Locking Buffers leaked");
-    }
-    for nic in &out.cluster.nics {
-        assert_eq!(
-            nic.active_remote_txs(),
-            0,
-            "{protocol}: NIC remote-tx filters leaked"
-        );
-    }
+    assert_eq!(out.leaks(), Vec::<String>::new(), "{protocol}");
 }
 
 proptest! {
@@ -103,9 +86,9 @@ proptest! {
             .dup_verb(Verb::LockResp, dup_p)
             .delay_verb(Verb::Validation, delay_p, Cycles::new(1_500));
         for protocol in Protocol::ALL {
-            let (out, jsonl, total) = run_traced(protocol, Some(&plan));
-            check_invariants(protocol, &out, total);
-            let (rerun, jsonl2, _) = run_traced(protocol, Some(&plan));
+            let (out, jsonl) = run_traced(protocol, Some(&plan));
+            check_invariants(protocol, &out);
+            let (rerun, jsonl2) = run_traced(protocol, Some(&plan));
             prop_assert_eq!(
                 &jsonl, &jsonl2,
                 "{}: JSONL traces diverged across identical plan reruns", protocol
@@ -124,9 +107,9 @@ proptest! {
 #[test]
 fn zero_fault_plan_is_byte_identical_to_no_injector() {
     for protocol in Protocol::ALL {
-        let (bare, jsonl_bare, _) = run_traced(protocol, None);
-        let (zeroed, jsonl_zero, total) = run_traced(protocol, Some(&FaultPlan::none()));
-        check_invariants(protocol, &zeroed, total);
+        let (bare, jsonl_bare) = run_traced(protocol, None);
+        let (zeroed, jsonl_zero) = run_traced(protocol, Some(&FaultPlan::none()));
+        check_invariants(protocol, &zeroed);
         assert_eq!(
             jsonl_bare, jsonl_zero,
             "{protocol}: zero-fault plan perturbed the event stream"
@@ -144,8 +127,8 @@ fn zero_fault_plan_is_byte_identical_to_no_injector() {
 #[test]
 fn fault_and_recovery_counts_surface_in_stats() {
     for protocol in Protocol::ALL {
-        let (out, _, total) = run_traced(protocol, Some(&FaultPlan::from_loss(0.05, 9)));
-        check_invariants(protocol, &out, total);
+        let (out, _) = run_traced(protocol, Some(&FaultPlan::from_loss(0.05, 9)));
+        check_invariants(protocol, &out);
         assert!(out.stats.faults.drops > 0, "{protocol}: no drops injected");
         assert!(
             out.stats.recovery.timeout_retries > 0,

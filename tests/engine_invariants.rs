@@ -12,7 +12,6 @@ use hades::fault::FaultPlan;
 use hades::sim::config::SimConfig;
 use hades::sim::time::Cycles;
 use hades::storage::db::Database;
-use hades::storage::RecordId;
 use hades::telemetry::event::Verb;
 use hades::workloads::catalog::AppId;
 use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
@@ -50,9 +49,9 @@ fn run_smallbank(
         .plan(plan)
         .run();
     assert_eq!(
-        sb.total_money(&out.cluster.db),
-        sb.initial_total().wrapping_add(out.total_sum_delta as u64),
-        "{p}: money not conserved (commits {}, squashes {})",
+        sb.check_conservation(&out.cluster.db, out.total_sum_delta),
+        Ok(()),
+        "{p}: commits {}, squashes {}",
         out.total_commits,
         out.stats.squashes
     );
@@ -61,19 +60,7 @@ fn run_smallbank(
 
 /// Nothing the commit protocols hold outlives the drain.
 fn assert_no_leaks(p: Protocol, out: &RunOutcome) {
-    let cl = &out.cluster;
-    for n in 0..cl.cfg.shape.nodes {
-        let held = cl.lock_bufs[n].occupied();
-        assert_eq!(held, 0, "{p}: node {n} left Locking Buffers held");
-        let filters = cl.nics[n].active_remote_txs();
-        assert_eq!(filters, 0, "{p}: node {n} NIC left filters");
-        let spec = cl.mems[n].speculative_lines();
-        assert_eq!(spec, 0, "{p}: node {n} left speculative lines");
-    }
-    for i in 0..cl.db.record_count() {
-        let rid = RecordId(i as u32);
-        assert!(!cl.db.record(rid).is_locked(), "{p}: {rid:?} left locked");
-    }
+    assert_eq!(out.leaks(), Vec::<String>::new(), "{p}");
 }
 
 #[test]

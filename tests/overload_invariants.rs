@@ -28,9 +28,8 @@ use proptest::prelude::*;
 const KEYS_SCALE: f64 = 0.0005; // 4 M paper keys -> 2 000
 const MEASURE: u64 = 200;
 
-/// Runs the HADES engine over a skewed YCSB HT-wA table and returns the
-/// outcome plus whether any record lock leaked past the drain.
-fn run_hades(cfg: SimConfig, theta: f64, measure: u64) -> (RunOutcome, bool) {
+/// Runs the HADES engine over a skewed YCSB HT-wA table.
+fn run_hades(cfg: SimConfig, theta: f64, measure: u64) -> RunOutcome {
     let mut db = Database::new(cfg.shape.nodes);
     let ycsb = Ycsb::setup(
         &mut db,
@@ -39,32 +38,13 @@ fn run_hades(cfg: SimConfig, theta: f64, measure: u64) -> (RunOutcome, bool) {
             ..YcsbConfig::paper(IndexKind::HashTable, YcsbVariant::A).scaled(KEYS_SCALE)
         },
     );
-    let keys = (4_000_000f64 * KEYS_SCALE) as u64;
-    let table = ycsb.table();
-    let out = Run::loaded(Protocol::Hades, cfg, db, Box::new(ycsb), 0, measure).run();
-    let mut leaked = false;
-    for key in 0..keys {
-        let rid = out.cluster.db.lookup(table, key).expect("key loaded").rid;
-        leaked |= out.cluster.db.record(rid).is_locked();
-    }
-    (out, leaked)
-}
-
-/// Asserts the no-leak postconditions shared by every scenario.
-fn assert_no_leaks(out: &RunOutcome, leaked_records: bool) {
-    assert!(!leaked_records, "record locks leaked past drain");
-    for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
-        assert_eq!(bufs.occupied(), 0, "node {n} leaked Locking Buffers");
-    }
-    for (n, nic) in out.cluster.nics.iter().enumerate() {
-        assert_eq!(nic.active_remote_txs(), 0, "node {n} leaked NIC filters");
-    }
+    Run::loaded(Protocol::Hades, cfg, db, Box::new(ycsb), 0, measure).run()
 }
 
 #[test]
 fn one_slot_lock_buffer_aborts_but_commits_everything() {
     let cfg = SimConfig::isca_default().with_lock_buffer_slots(1);
-    let (out, leaked) = run_hades(cfg, 0.99, MEASURE);
+    let out = run_hades(cfg, 0.99, MEASURE);
     let s = &out.stats;
     assert_eq!(
         s.committed, MEASURE,
@@ -78,7 +58,7 @@ fn one_slot_lock_buffer_aborts_but_commits_everything() {
         s.overload.is_zero(),
         "no overload stats without the overload layer"
     );
-    assert_no_leaks(&out, leaked);
+    assert_eq!(out.leaks(), Vec::<String>::new());
 }
 
 #[test]
@@ -89,7 +69,7 @@ fn saturation_degrades_commits_instead_of_aborting() {
             degrade_on_saturation: true,
             ..OverloadParams::default()
         });
-    let (out, leaked) = run_hades(cfg.clone(), 0.99, MEASURE);
+    let out = run_hades(cfg.clone(), 0.99, MEASURE);
     let s = &out.stats;
     assert_eq!(s.committed, MEASURE);
     assert!(
@@ -99,13 +79,13 @@ fn saturation_degrades_commits_instead_of_aborting() {
     assert!(
         s.squashes < {
             let bare = SimConfig::isca_default().with_lock_buffer_slots(1);
-            run_hades(bare, 0.99, MEASURE).0.stats.squashes
+            run_hades(bare, 0.99, MEASURE).stats.squashes
         },
         "degrading saturated commits must reduce squashes"
     );
-    assert_no_leaks(&out, leaked);
+    assert_eq!(out.leaks(), Vec::<String>::new());
     // Determinism: identical config reruns byte-identically.
-    let (rerun, _) = run_hades(cfg, 0.99, MEASURE);
+    let rerun = run_hades(cfg, 0.99, MEASURE);
     assert_eq!(
         out.stats.to_json().render(),
         rerun.stats.to_json().render(),
@@ -118,8 +98,8 @@ fn zero_overload_config_is_byte_identical_and_silent() {
     let bare = SimConfig::isca_default();
     let explicit = SimConfig::isca_default().with_overload(OverloadParams::default());
     assert!(!explicit.overload.enabled());
-    let (a, _) = run_hades(bare, 0.99, MEASURE);
-    let (b, _) = run_hades(explicit, 0.99, MEASURE);
+    let a = run_hades(bare, 0.99, MEASURE);
+    let b = run_hades(explicit, 0.99, MEASURE);
     let ja = a.stats.to_json().render();
     let jb = b.stats.to_json().render();
     assert_eq!(ja, jb, "all-off OverloadParams must change nothing");
@@ -155,7 +135,7 @@ proptest! {
             cfg = cfg.with_lock_buffer_slots(slots);
         }
         let measure = 120;
-        let (out, leaked) = run_hades(cfg, theta, measure);
+        let out = run_hades(cfg, theta, measure);
         let s = &out.stats;
         prop_assert_eq!(s.committed, measure, "livelock: not all transactions committed");
         prop_assert!(s.overload.max_attempts >= 1);
@@ -164,12 +144,6 @@ proptest! {
             "retry budget failed to bound per-transaction attempts: {}",
             s.overload.max_attempts
         );
-        prop_assert!(!leaked, "record locks leaked");
-        for bufs in out.cluster.lock_bufs.iter() {
-            prop_assert_eq!(bufs.occupied(), 0);
-        }
-        for nic in out.cluster.nics.iter() {
-            prop_assert_eq!(nic.active_remote_txs(), 0);
-        }
+        prop_assert_eq!(out.leaks(), Vec::<String>::new());
     }
 }

@@ -82,7 +82,7 @@ fn run_fuzz(
     keys: u64,
     write_bias: f64,
     two_stage_bias: f64,
-) -> (RunOutcome, TableId, u64) {
+) -> RunOutcome {
     let shape = ClusterShape {
         nodes: 3,
         cores_per_node: 2,
@@ -104,8 +104,7 @@ fn run_fuzz(
         max_ops: 6,
         two_stage_bias,
     };
-    let out = Run::loaded(protocol, cfg, db, Box::new(w), 0, 200).run();
-    (out, table, keys)
+    Run::loaded(protocol, cfg, db, Box::new(w), 0, 200).run()
 }
 
 /// Mixed Update/Rmw workloads cannot be conservation-checked at the byte
@@ -113,25 +112,9 @@ fn run_fuzz(
 /// checks the structural invariants: nothing locked, nothing leaked, and
 /// the run made progress. Byte-level conservation is covered by the
 /// RMW-only property below and the Smallbank tests.
-fn check_invariants(protocol: Protocol, out: &RunOutcome, table: TableId, keys: u64) {
-    let db = &out.cluster.db;
-    for k in 0..keys {
-        let rid = db.lookup(table, k).expect("key loaded").rid;
-        assert!(
-            !db.record(rid).is_locked(),
-            "{protocol:?}: key {k} left locked"
-        );
-    }
+fn check_invariants(protocol: Protocol, out: &RunOutcome) {
+    assert_eq!(out.leaks(), Vec::<String>::new(), "{protocol:?}");
     assert!(out.total_commits >= 200, "{protocol:?}: not enough commits");
-    for bufs in &out.cluster.lock_bufs {
-        assert_eq!(bufs.occupied(), 0, "{protocol:?}: locking buffer leak");
-    }
-    for nic in &out.cluster.nics {
-        assert_eq!(nic.active_remote_txs(), 0, "{protocol:?}: NIC filter leak");
-    }
-    for mem in &out.cluster.mems {
-        assert_eq!(mem.speculative_lines(), 0, "{protocol:?}: spec line leak");
-    }
 }
 
 proptest! {
@@ -144,8 +127,8 @@ proptest! {
         write_bias in 0.0f64..1.0,
         two_stage in 0.0f64..1.0,
     ) {
-        let (out, table, keys) = run_fuzz(Protocol::Hades, seed, keys, write_bias, two_stage);
-        check_invariants(Protocol::Hades, &out, table, keys);
+        let out = run_fuzz(Protocol::Hades, seed, keys, write_bias, two_stage);
+        check_invariants(Protocol::Hades, &out);
     }
 
     #[test]
@@ -155,8 +138,8 @@ proptest! {
         write_bias in 0.0f64..1.0,
         two_stage in 0.0f64..1.0,
     ) {
-        let (out, table, keys) = run_fuzz(Protocol::Baseline, seed, keys, write_bias, two_stage);
-        check_invariants(Protocol::Baseline, &out, table, keys);
+        let out = run_fuzz(Protocol::Baseline, seed, keys, write_bias, two_stage);
+        check_invariants(Protocol::Baseline, &out);
     }
 
     #[test]
@@ -166,8 +149,8 @@ proptest! {
         write_bias in 0.0f64..1.0,
         two_stage in 0.0f64..1.0,
     ) {
-        let (out, table, keys) = run_fuzz(Protocol::HadesH, seed, keys, write_bias, two_stage);
-        check_invariants(Protocol::HadesH, &out, table, keys);
+        let out = run_fuzz(Protocol::HadesH, seed, keys, write_bias, two_stage);
+        check_invariants(Protocol::HadesH, &out);
     }
 }
 

@@ -42,9 +42,8 @@ fn run(protocol: Protocol, seed: u64, hotspot: Option<(u64, f64)>) -> (RunOutcom
 fn assert_conserved(protocol: Protocol, seed: u64, hotspot: Option<(u64, f64)>) {
     let (out, bank) = run(protocol, seed, hotspot);
     assert_eq!(
-        bank.total_money(&out.cluster.db),
-        bank.initial_total()
-            .wrapping_add(out.total_sum_delta as u64),
+        bank.check_conservation(&out.cluster.db, out.total_sum_delta),
+        Ok(()),
         "{protocol:?} seed={seed} hotspot={hotspot:?}: commits={} squashes={}",
         out.total_commits,
         out.stats.squashes,
@@ -91,32 +90,8 @@ fn uncontended_runs_conserve_money_too() {
 #[test]
 fn hardware_state_fully_drains() {
     for p in Protocol::ALL {
-        let (out, bank) = run(p, 3, Some((16, 0.7)));
-        for (n, bufs) in out.cluster.lock_bufs.iter().enumerate() {
-            assert_eq!(bufs.occupied(), 0, "{p:?}: node {n} lock buffers held");
-        }
-        for (n, nic) in out.cluster.nics.iter().enumerate() {
-            assert_eq!(
-                nic.active_remote_txs(),
-                0,
-                "{p:?}: node {n} NIC filters live"
-            );
-        }
-        for (n, mem) in out.cluster.mems.iter().enumerate() {
-            assert_eq!(
-                mem.speculative_lines(),
-                0,
-                "{p:?}: node {n} spec lines left"
-            );
-        }
-        // And no record is left locked.
-        let db = &out.cluster.db;
-        for table in [bank.checking(), bank.savings()] {
-            for a in 0..ACCOUNTS {
-                let rid = db.lookup(table, a).expect("account").rid;
-                assert!(!db.record(rid).is_locked(), "{p:?}: account {a} locked");
-            }
-        }
+        let (out, _) = run(p, 3, Some((16, 0.7)));
+        assert_eq!(out.leaks(), Vec::<String>::new(), "{p:?}");
     }
 }
 
