@@ -517,20 +517,6 @@ impl KvIndex for BPlusTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::conformance;
-
-    #[test]
-    fn conforms() {
-        conformance::insert_get_roundtrip(&mut BPlusTree::new());
-        conformance::overwrite_returns_old(&mut BPlusTree::new());
-        conformance::handles_adversarial_keys(&mut BPlusTree::new());
-        conformance::remove_roundtrip(&mut BPlusTree::new());
-    }
-
-    #[test]
-    fn differential_fuzz_vs_std() {
-        conformance::differential_fuzz(&mut BPlusTree::new(), 0xB9);
-    }
 
     #[test]
     fn leaf_chain_survives_merges() {

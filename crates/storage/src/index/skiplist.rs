@@ -218,20 +218,6 @@ impl KvIndex for SkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::conformance;
-
-    #[test]
-    fn conforms() {
-        conformance::insert_get_roundtrip(&mut SkipList::new());
-        conformance::overwrite_returns_old(&mut SkipList::new());
-        conformance::handles_adversarial_keys(&mut SkipList::new());
-        conformance::remove_roundtrip(&mut SkipList::new());
-    }
-
-    #[test]
-    fn differential_fuzz_vs_std() {
-        conformance::differential_fuzz(&mut SkipList::new(), 0xBEEF);
-    }
 
     #[test]
     fn churn_does_not_grow_arena() {
