@@ -234,7 +234,7 @@ impl Database {
         } else {
             let slab_line = (arena.len() / LINE_BYTES) as u64;
             let base_line = ((home.0 as u64) << NODE_SLAB_SHIFT) + slab_line;
-            let rec = Record::new(home, base_line, value.len());
+            let rec = Record::new(base_line, value.len());
             arena.extend_from_slice(value);
             arena.resize(arena.len().next_multiple_of(LINE_BYTES), 0);
             let rid = RecordId(self.records.len() as u32);

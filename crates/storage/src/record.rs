@@ -9,6 +9,7 @@
 //! is exactly the point of the paper (Table I, row 2: "No record
 //! versions").
 
+use crate::db::home_of_line;
 use hades_sim::ids::NodeId;
 
 /// Number of bytes per cache line; fixed across the reproduction.
@@ -32,14 +33,14 @@ pub struct RecordId(pub u32);
 /// [`Database::record_mut`]: crate::db::Database::record_mut
 #[derive(Debug, Clone)]
 pub struct Record {
-    home: NodeId,
+    /// The first cache line; its slab bits name the home node.
     base_line: u64,
-    num_lines: u32,
-    value_len: u32,
     /// Fig 1 `Version` — bumped by software protocols on every write.
     version: u64,
-    /// Fig 1 `Lock` — holds an opaque owner token while locked.
-    lock: Option<u64>,
+    /// Fig 1 `Lock` — the owner token while locked, else
+    /// [`Record::UNLOCKED`].
+    lock: u64,
+    value_len: u32,
     /// Fig 1 `Incarnation` — bumped when the record is freed/reused.
     incarnation: u32,
 }
@@ -50,28 +51,32 @@ pub(crate) fn lines_for_len(value_len: usize) -> u32 {
 }
 
 impl Record {
-    /// Creates the metadata of a record homed at `home` whose
-    /// `value_len`-byte value occupies the cache lines from `base_line`.
+    /// The lock word while no one holds the lock. Owner tokens are
+    /// `(node << 32) | slot` over 16-bit node and slot ids, so they stay
+    /// below 2^48 and none of them can equal it; [`Record::try_lock`]
+    /// rejects it.
+    pub const UNLOCKED: u64 = 1 << 63;
+
+    /// Creates the metadata of a record whose `value_len`-byte value
+    /// occupies the cache lines from `base_line`, in its home node's slab.
     ///
     /// # Panics
     ///
     /// Panics if `value_len` is zero or does not fit in a `u32`.
-    pub(crate) fn new(home: NodeId, base_line: u64, value_len: usize) -> Self {
+    pub(crate) fn new(base_line: u64, value_len: usize) -> Self {
         assert!(value_len > 0, "record value must be nonempty");
         Record {
-            home,
             base_line,
-            num_lines: lines_for_len(value_len),
-            value_len: u32::try_from(value_len).expect("record value under 4 GiB"),
             version: 0,
-            lock: None,
+            lock: Self::UNLOCKED,
+            value_len: u32::try_from(value_len).expect("record value under 4 GiB"),
             incarnation: 0,
         }
     }
 
-    /// The node this record is homed at.
+    /// The node this record is homed at: the owner of its line slab.
     pub fn home(&self) -> NodeId {
-        self.home
+        home_of_line(self.base_line)
     }
 
     /// The first cache line of the record.
@@ -81,7 +86,7 @@ impl Record {
 
     /// Number of cache lines the record spans.
     pub fn num_lines(&self) -> u32 {
-        self.num_lines
+        lines_for_len(self.value_len())
     }
 
     /// Value size in bytes.
@@ -91,7 +96,7 @@ impl Record {
 
     /// All cache-line addresses of the record, in order.
     pub fn lines(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.num_lines as u64).map(move |i| self.base_line + i)
+        (0..self.num_lines() as u64).map(move |i| self.base_line + i)
     }
 
     /// The cache lines covered by the byte range `off..off+len`.
@@ -160,40 +165,43 @@ impl Record {
         assert!(value_len > 0, "record value must be nonempty");
         assert_eq!(
             lines_for_len(value_len),
-            self.num_lines,
+            self.num_lines(),
             "reuse requires matching geometry"
         );
         self.value_len = value_len as u32;
         self.version = 0;
-        self.lock = None;
+        self.lock = Self::UNLOCKED;
     }
 
     /// Attempts to take the record lock for `owner` (the CAS of the
     /// validation phase). Re-locking by the current owner succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owner` is [`Record::UNLOCKED`], which no slot's token
+    /// can be.
     pub fn try_lock(&mut self, owner: u64) -> bool {
-        match self.lock {
-            None => {
-                self.lock = Some(owner);
-                true
-            }
-            Some(o) => o == owner,
+        assert_ne!(owner, Self::UNLOCKED, "the unlocked word is no owner");
+        if self.lock == Self::UNLOCKED {
+            self.lock = owner;
         }
+        self.lock == owner
     }
 
     /// Whether the record is locked (by anyone).
     pub fn is_locked(&self) -> bool {
-        self.lock.is_some()
+        self.lock != Self::UNLOCKED
     }
 
     /// Whether the record is locked by `owner`.
     pub fn locked_by(&self, owner: u64) -> bool {
-        self.lock == Some(owner)
+        owner != Self::UNLOCKED && self.lock == owner
     }
 
     /// Releases the lock if held by `owner`; no-op otherwise.
     pub fn unlock(&mut self, owner: u64) {
-        if self.lock == Some(owner) {
-            self.lock = None;
+        if self.lock == owner {
+            self.lock = Self::UNLOCKED;
         }
     }
 }
@@ -322,7 +330,7 @@ mod tests {
     use super::*;
 
     fn record(bytes: usize) -> Record {
-        Record::new(NodeId(1), 1000, bytes)
+        Record::new(1000, bytes)
     }
 
     #[test]
@@ -404,8 +412,8 @@ mod tests {
     }
 
     #[test]
-    fn metadata_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<Record>(), 48);
+    fn metadata_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 32);
     }
 
     #[test]
