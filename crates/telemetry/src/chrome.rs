@@ -19,7 +19,7 @@
 //! cluster-wide have that phase open over time — the Perfetto view of
 //! the phase profiler's attribution (DESIGN.md §12).
 
-use crate::event::{EventKind, Phase, TraceEvent, NO_SLOT};
+use crate::event::{EventKind, FieldValue, Phase, TraceEvent, NO_SLOT};
 use crate::json::Json;
 use hades_sim::time::Cycles;
 use std::collections::BTreeMap;
@@ -60,6 +60,32 @@ fn instant(ev: &TraceEvent, name: &str, args: Vec<(String, Json)>) -> Json {
         m.push(("args".into(), Json::Obj(args)));
     }
     Json::Obj(m)
+}
+
+/// The instant event of a non-phase event, rendered from its
+/// [description](EventKind::describe). Five kinds embed a label in the
+/// instant name: the verb of a send, a receive or a fence, the fault and
+/// the recovery action. All but the fence drop that label from `args`.
+fn described_instant(ev: &TraceEvent) -> Json {
+    let d = ev.kind.describe();
+    let fields = d.fields();
+    let (prefix, keep_label) = match ev.kind {
+        EventKind::VerbSend { .. } => ("send", false),
+        EventKind::VerbRecv { .. } => ("recv", false),
+        EventKind::FaultInjected { .. } => ("fault", false),
+        EventKind::Recovery { .. } => ("recovery", false),
+        EventKind::VerbFenced { .. } => ("fenced", true),
+        _ => return instant(ev, d.name, args(fields)),
+    };
+    let FieldValue::Str(label) = fields[0].1 else {
+        unreachable!("a labelled kind leads with its label");
+    };
+    let kept = if keep_label { fields } else { &fields[1..] };
+    instant(ev, &format!("{prefix}:{label}"), args(kept))
+}
+
+fn args(fields: &[(&'static str, FieldValue)]) -> Vec<(String, Json)> {
+    fields.iter().map(|&(k, v)| (k.into(), v.into())).collect()
 }
 
 fn duration(ev: &TraceEvent, ph: &str, name: &str) -> Json {
@@ -121,13 +147,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
     // Cluster-wide open-phase counts feeding the counter tracks.
     let mut counts = [0u64; 4];
 
-    let close_open =
-        |out: &mut Vec<Json>, ev: &TraceEvent, stack: &mut Vec<Phase>, counts: &mut [u64; 4]| {
-            while let Some(p) = stack.pop() {
-                pop_phase(out, ev, p, counts);
-            }
-        };
-
     for ev in events {
         let tid = if ev.slot == NO_SLOT {
             NODE_TID
@@ -137,21 +156,12 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
         seen.entry((ev.node, tid)).or_insert(());
         let key = (ev.node, ev.slot);
         match ev.kind {
-            EventKind::TxnBegin { attempt } => {
-                if let Some(stack) = open.get_mut(&key) {
-                    close_open(&mut out, ev, stack, &mut counts);
-                }
-                out.push(instant(
-                    ev,
-                    "txn_begin",
-                    vec![("attempt".into(), Json::UInt(attempt as u64))],
-                ));
-            }
             EventKind::PhaseBegin(p) => {
                 open.entry(key).or_default().push(p);
                 out.push(duration(ev, "B", p.label()));
                 counts[p as usize] += 1;
                 out.push(phase_counter(ev.at, p, counts[p as usize]));
+                continue;
             }
             EventKind::PhaseEnd(p) => {
                 // Close up to and including the matching open phase.
@@ -163,203 +173,19 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                         }
                     }
                 }
+                continue;
             }
-            EventKind::TxnCommit => {
+            EventKind::TxnBegin { .. } | EventKind::TxnCommit | EventKind::TxnAbort { .. } => {
+                // A transaction boundary closes whatever its slot left open.
                 if let Some(stack) = open.get_mut(&key) {
-                    close_open(&mut out, ev, stack, &mut counts);
+                    while let Some(p) = stack.pop() {
+                        pop_phase(&mut out, ev, p, &mut counts);
+                    }
                 }
-                out.push(instant(ev, "txn_commit", vec![]));
             }
-            EventKind::TxnAbort { reason } => {
-                if let Some(stack) = open.get_mut(&key) {
-                    close_open(&mut out, ev, stack, &mut counts);
-                }
-                out.push(instant(
-                    ev,
-                    "txn_abort",
-                    vec![("reason".into(), Json::str(reason))],
-                ));
-            }
-            EventKind::VerbSend { verb, dst, bytes } => {
-                out.push(instant(
-                    ev,
-                    &format!("send:{}", verb.label()),
-                    vec![
-                        ("dst".into(), Json::UInt(dst as u64)),
-                        ("bytes".into(), Json::UInt(bytes as u64)),
-                    ],
-                ));
-            }
-            EventKind::VerbRecv { verb, src, bytes } => {
-                out.push(instant(
-                    ev,
-                    &format!("recv:{}", verb.label()),
-                    vec![
-                        ("src".into(), Json::UInt(src as u64)),
-                        ("bytes".into(), Json::UInt(bytes as u64)),
-                    ],
-                ));
-            }
-            EventKind::BloomInsert { site } => {
-                out.push(instant(
-                    ev,
-                    "bloom_insert",
-                    vec![("site".into(), Json::str(site.label()))],
-                ));
-            }
-            EventKind::BloomProbe { hit } => {
-                out.push(instant(
-                    ev,
-                    "bloom_probe",
-                    vec![("hit".into(), Json::Bool(hit))],
-                ));
-            }
-            EventKind::BloomFalsePositive => {
-                out.push(instant(ev, "bloom_false_positive", vec![]));
-            }
-            EventKind::LockAcquire { owner } => {
-                out.push(instant(
-                    ev,
-                    "lock_acquire",
-                    vec![("owner".into(), Json::UInt(owner))],
-                ));
-            }
-            EventKind::LockStall { holder } => {
-                out.push(instant(
-                    ev,
-                    "lock_stall",
-                    vec![("holder".into(), Json::UInt(holder))],
-                ));
-            }
-            EventKind::FaultInjected { fault } => {
-                let mut args = Vec::new();
-                if let Some(verb) = fault.verb() {
-                    args.push(("verb".into(), Json::str(verb.label())));
-                }
-                out.push(instant(ev, &format!("fault:{}", fault.label()), args));
-            }
-            EventKind::Recovery { action } => {
-                out.push(instant(ev, &format!("recovery:{}", action.label()), vec![]));
-            }
-            EventKind::AdmissionThrottled => {
-                out.push(instant(ev, "admission_throttled", vec![]));
-            }
-            EventKind::DegradedCommit => {
-                out.push(instant(ev, "degraded_commit", vec![]));
-            }
-            EventKind::StarvationBoost { attempt } => {
-                out.push(instant(
-                    ev,
-                    "starvation_boost",
-                    vec![("attempt".into(), Json::UInt(attempt as u64))],
-                ));
-            }
-            EventKind::EpochChange { epoch } => {
-                out.push(instant(
-                    ev,
-                    "epoch_change",
-                    vec![("epoch".into(), Json::UInt(epoch))],
-                ));
-            }
-            EventKind::Promotion {
-                partition,
-                new_primary,
-            } => {
-                out.push(instant(
-                    ev,
-                    "promotion",
-                    vec![
-                        ("partition".into(), Json::UInt(partition as u64)),
-                        ("new_primary".into(), Json::UInt(new_primary as u64)),
-                    ],
-                ));
-            }
-            EventKind::VerbFenced { verb } => {
-                out.push(instant(
-                    ev,
-                    &format!("fenced:{}", verb.label()),
-                    vec![("verb".into(), Json::str(verb.label()))],
-                ));
-            }
-            EventKind::BatchFlushed { dst, size } => {
-                out.push(instant(
-                    ev,
-                    "batch_flushed",
-                    vec![
-                        ("dst".into(), Json::UInt(dst as u64)),
-                        ("size".into(), Json::UInt(size as u64)),
-                    ],
-                ));
-            }
-            EventKind::BatchCoalesced { dst } => {
-                out.push(instant(
-                    ev,
-                    "batch_coalesced",
-                    vec![("dst".into(), Json::UInt(dst as u64))],
-                ));
-            }
-            EventKind::MigrationStart { partition, dst } => {
-                out.push(instant(
-                    ev,
-                    "migration_start",
-                    vec![
-                        ("partition".into(), Json::UInt(partition as u64)),
-                        ("dst".into(), Json::UInt(dst as u64)),
-                    ],
-                ));
-            }
-            EventKind::ChunkMigrated { partition, chunk } => {
-                out.push(instant(
-                    ev,
-                    "chunk_migrated",
-                    vec![
-                        ("partition".into(), Json::UInt(partition as u64)),
-                        ("chunk".into(), Json::UInt(chunk as u64)),
-                    ],
-                ));
-            }
-            EventKind::MigrationCutover { epoch } => {
-                out.push(instant(
-                    ev,
-                    "migration_cutover",
-                    vec![("epoch".into(), Json::UInt(epoch))],
-                ));
-            }
-            EventKind::LinkCut { src, dst } => {
-                out.push(instant(
-                    ev,
-                    "link_cut",
-                    vec![
-                        ("src".into(), Json::UInt(src as u64)),
-                        ("dst".into(), Json::UInt(dst as u64)),
-                    ],
-                ));
-            }
-            EventKind::LinkHealed { src, dst } => {
-                out.push(instant(
-                    ev,
-                    "link_healed",
-                    vec![
-                        ("src".into(), Json::UInt(src as u64)),
-                        ("dst".into(), Json::UInt(dst as u64)),
-                    ],
-                ));
-            }
-            EventKind::SelfFenced { node } => {
-                out.push(instant(
-                    ev,
-                    "self_fenced",
-                    vec![("node".into(), Json::UInt(node as u64))],
-                ));
-            }
-            EventKind::QuorumLost { node } => {
-                out.push(instant(
-                    ev,
-                    "quorum_lost",
-                    vec![("node".into(), Json::UInt(node as u64))],
-                ));
-            }
+            _ => {}
         }
+        out.push(described_instant(ev));
     }
 
     // Close anything still open at the final timestamp.
@@ -527,130 +353,4 @@ pub fn span_chrome_trace(log: &crate::span::SpanLog, k: usize) -> String {
         .field("displayTimeUnit", "ns")
         .build()
         .render()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::Verb;
-
-    fn ev(at: u64, node: u16, slot: u32, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            at: Cycles::new(at),
-            node,
-            slot,
-            kind,
-        }
-    }
-
-    #[test]
-    fn phases_emit_balanced_b_e_pairs() {
-        let events = [
-            ev(0, 0, 0, EventKind::TxnBegin { attempt: 1 }),
-            ev(0, 0, 0, EventKind::PhaseBegin(Phase::Exec)),
-            ev(100, 0, 0, EventKind::PhaseEnd(Phase::Exec)),
-            ev(100, 0, 0, EventKind::PhaseBegin(Phase::Commit)),
-            ev(300, 0, 0, EventKind::TxnCommit),
-        ];
-        let s = chrome_trace(&events);
-        assert_eq!(s.matches("\"ph\":\"B\"").count(), 2);
-        assert_eq!(s.matches("\"ph\":\"E\"").count(), 2);
-        assert!(s.contains("\"ts\":0.05")); // 100 cycles = 0.05 us
-    }
-
-    #[test]
-    fn abort_closes_open_phases() {
-        let events = [
-            ev(0, 0, 3, EventKind::PhaseBegin(Phase::Exec)),
-            ev(50, 0, 3, EventKind::TxnAbort { reason: "conflict" }),
-        ];
-        let s = chrome_trace(&events);
-        assert_eq!(s.matches("\"ph\":\"B\"").count(), 1);
-        assert_eq!(s.matches("\"ph\":\"E\"").count(), 1);
-        assert!(s.contains("conflict"));
-    }
-
-    #[test]
-    fn has_four_plus_categories_and_metadata() {
-        let events = [
-            ev(0, 0, 0, EventKind::TxnBegin { attempt: 1 }),
-            ev(1, 0, 0, EventKind::PhaseBegin(Phase::Exec)),
-            ev(
-                2,
-                0,
-                NO_SLOT,
-                EventKind::VerbSend {
-                    verb: Verb::Read,
-                    dst: 1,
-                    bytes: 64,
-                },
-            ),
-            ev(3, 1, NO_SLOT, EventKind::BloomProbe { hit: true }),
-            ev(4, 1, NO_SLOT, EventKind::LockStall { holder: 9 }),
-            ev(5, 0, 0, EventKind::TxnCommit),
-        ];
-        let s = chrome_trace(&events);
-        for cat in ["txn", "phase", "net", "bloom", "lock"] {
-            assert!(s.contains(&format!("\"cat\":\"{cat}\"")), "missing {cat}");
-        }
-        assert!(s.contains("process_name"));
-        assert!(s.contains("thread_name"));
-        assert!(s.contains("nic/directory"));
-    }
-
-    #[test]
-    fn phase_counter_track_follows_open_phases() {
-        let events = [
-            ev(0, 0, 0, EventKind::PhaseBegin(Phase::Exec)),
-            ev(5, 1, 4, EventKind::PhaseBegin(Phase::Exec)),
-            ev(100, 0, 0, EventKind::PhaseEnd(Phase::Exec)),
-            ev(150, 1, 4, EventKind::PhaseEnd(Phase::Exec)),
-        ];
-        let s = chrome_trace(&events);
-        // Two slots open and close exec: counter goes 1, 2, 1, 0.
-        assert_eq!(s.matches("\"ph\":\"C\"").count(), 4);
-        assert_eq!(s.matches("\"name\":\"open.exec\"").count(), 4);
-        assert!(s.contains("{\"open\":2}"));
-        assert!(s.contains("{\"open\":0}"));
-        assert!(s.contains("cluster phases"));
-    }
-
-    #[test]
-    fn counter_track_absent_without_phase_events() {
-        let events = [
-            ev(0, 0, 0, EventKind::TxnBegin { attempt: 1 }),
-            ev(5, 0, 0, EventKind::TxnCommit),
-        ];
-        let s = chrome_trace(&events);
-        assert_eq!(s.matches("\"ph\":\"C\"").count(), 0);
-        assert!(!s.contains("cluster phases"));
-    }
-
-    #[test]
-    fn span_trace_renders_tail_tracks() {
-        use crate::observer::TxnObserver;
-        use crate::profile::ProfPhase;
-        let mut obs = TxnObserver::new(1, false, true);
-        obs.slot_start(0, 2, 5, Cycles::new(100));
-        obs.round_begin(0, Verb::Intend, 2, Cycles::new(150));
-        obs.round_end(0, Cycles::new(190));
-        obs.slot_abort(0, "wrtx-conflict", Cycles::new(200));
-        obs.slot_enter(0, ProfPhase::Exec, Cycles::new(260));
-        obs.slot_enter(0, ProfPhase::Commit, Cycles::new(320));
-        obs.slot_commit(0, Cycles::new(400), true);
-        let log = obs.finish().1.expect("spans enabled");
-        let s = span_chrome_trace(&log, 10);
-        let doc = Json::parse(&s).expect("valid JSON");
-        let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(evs.iter().any(|e| {
-            e.get("ph").and_then(|p| p.as_str()) == Some("X")
-                && e.get("cat").and_then(|c| c.as_str()) == Some("span")
-        }));
-        assert!(s.contains("abort:wrtx-conflict"));
-        assert!(s.contains("intendx2"));
-        assert!(s.contains("tail txns"));
-        // Flow arrow from the abort to the retry.
-        assert!(s.contains("\"ph\":\"s\""));
-        assert!(s.contains("\"ph\":\"f\""));
-    }
 }

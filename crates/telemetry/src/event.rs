@@ -6,6 +6,7 @@
 //! exporters in [`crate::chrome`] and [`crate::jsonl`] turn a recorded
 //! stream into Perfetto-loadable Chrome traces or line-delimited JSON.
 
+use crate::json::Json;
 use hades_sim::time::Cycles;
 
 /// Sentinel slot index for node-scoped events (NIC, fabric, directory)
@@ -479,70 +480,169 @@ pub enum EventKind {
     },
 }
 
+/// One payload field value of an exported event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldValue {
+    /// A count, id, size or token.
+    U64(u64),
+    /// A stable label (a verb, phase, site, fault or abort reason).
+    Str(&'static str),
+    /// A flag.
+    Bool(bool),
+}
+
+impl From<FieldValue> for Json {
+    fn from(v: FieldValue) -> Json {
+        match v {
+            FieldValue::U64(n) => Json::UInt(n),
+            FieldValue::Str(s) => Json::str(s),
+            FieldValue::Bool(b) => Json::Bool(b),
+        }
+    }
+}
+
+/// How an event kind is exported: its category, its name and up to
+/// three `(key, value)` payload fields, in export order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Description {
+    /// Coarse category (see [`EventKind::category`]).
+    pub cat: &'static str,
+    /// Short stable name (see [`EventKind::name`]).
+    pub name: &'static str,
+    fields: [(&'static str, FieldValue); 3],
+    len: usize,
+}
+
+impl Description {
+    const fn new(cat: &'static str, name: &'static str) -> Self {
+        Description {
+            cat,
+            name,
+            fields: [("", FieldValue::U64(0)); 3],
+            len: 0,
+        }
+    }
+
+    const fn with(mut self, key: &'static str, value: FieldValue) -> Self {
+        self.fields[self.len] = (key, value);
+        self.len += 1;
+        self
+    }
+
+    const fn num(self, key: &'static str, value: u64) -> Self {
+        self.with(key, FieldValue::U64(value))
+    }
+
+    const fn label(self, key: &'static str, value: &'static str) -> Self {
+        self.with(key, FieldValue::Str(value))
+    }
+
+    /// The payload fields, in export order.
+    pub fn fields(&self) -> &[(&'static str, FieldValue)] {
+        &self.fields[..self.len]
+    }
+}
+
 impl EventKind {
+    /// The one description of every event kind: its category, its name
+    /// and its payload fields. [`Self::category`], [`Self::name`], the
+    /// JSONL exporter and the Chrome exporter's instant events all read
+    /// from it; the metrics registry keeps its own counter names.
+    pub const fn describe(&self) -> Description {
+        use Description as D;
+        match *self {
+            EventKind::TxnBegin { attempt } => {
+                D::new("txn", "txn_begin").num("attempt", attempt as u64)
+            }
+            EventKind::PhaseBegin(p) => D::new("phase", "phase_begin").label("phase", p.label()),
+            EventKind::PhaseEnd(p) => D::new("phase", "phase_end").label("phase", p.label()),
+            EventKind::TxnCommit => D::new("txn", "txn_commit"),
+            EventKind::TxnAbort { reason } => D::new("txn", "txn_abort").label("reason", reason),
+            EventKind::VerbSend { verb, dst, bytes } => D::new("net", "verb_send")
+                .label("verb", verb.label())
+                .num("dst", dst as u64)
+                .num("bytes", bytes as u64),
+            EventKind::VerbRecv { verb, src, bytes } => D::new("net", "verb_recv")
+                .label("verb", verb.label())
+                .num("src", src as u64)
+                .num("bytes", bytes as u64),
+            EventKind::BloomInsert { site } => {
+                D::new("bloom", "bloom_insert").label("site", site.label())
+            }
+            EventKind::BloomProbe { hit } => {
+                D::new("bloom", "bloom_probe").with("hit", FieldValue::Bool(hit))
+            }
+            EventKind::BloomFalsePositive => D::new("bloom", "bloom_false_positive"),
+            EventKind::LockAcquire { owner } => D::new("lock", "lock_acquire").num("owner", owner),
+            EventKind::LockStall { holder } => D::new("lock", "lock_stall").num("holder", holder),
+            EventKind::FaultInjected { fault } => {
+                let d = D::new("fault", "fault_injected").label("fault", fault.label());
+                match fault.verb() {
+                    Some(verb) => d.label("verb", verb.label()),
+                    None => d,
+                }
+            }
+            EventKind::Recovery { action } => {
+                D::new("recovery", "recovery").label("action", action.label())
+            }
+            EventKind::AdmissionThrottled => D::new("overload", "admission_throttled"),
+            EventKind::DegradedCommit => D::new("overload", "degraded_commit"),
+            EventKind::StarvationBoost { attempt } => {
+                D::new("overload", "starvation_boost").num("attempt", attempt as u64)
+            }
+            EventKind::EpochChange { epoch } => {
+                D::new("membership", "epoch_change").num("epoch", epoch)
+            }
+            EventKind::Promotion {
+                partition,
+                new_primary,
+            } => D::new("membership", "promotion")
+                .num("partition", partition as u64)
+                .num("new_primary", new_primary as u64),
+            EventKind::VerbFenced { verb } => {
+                D::new("membership", "verb_fenced").label("verb", verb.label())
+            }
+            EventKind::BatchFlushed { dst, size } => D::new("batch", "batch_flushed")
+                .num("dst", dst as u64)
+                .num("size", size as u64),
+            EventKind::BatchCoalesced { dst } => {
+                D::new("batch", "batch_coalesced").num("dst", dst as u64)
+            }
+            EventKind::MigrationStart { partition, dst } => D::new("migration", "migration_start")
+                .num("partition", partition as u64)
+                .num("dst", dst as u64),
+            EventKind::ChunkMigrated { partition, chunk } => D::new("migration", "chunk_migrated")
+                .num("partition", partition as u64)
+                .num("chunk", chunk as u64),
+            EventKind::MigrationCutover { epoch } => {
+                D::new("migration", "migration_cutover").num("epoch", epoch)
+            }
+            EventKind::LinkCut { src, dst } => D::new("fault", "link_cut")
+                .num("src", src as u64)
+                .num("dst", dst as u64),
+            EventKind::LinkHealed { src, dst } => D::new("fault", "link_healed")
+                .num("src", src as u64)
+                .num("dst", dst as u64),
+            EventKind::SelfFenced { node } => {
+                D::new("membership", "self_fenced").num("node", node as u64)
+            }
+            EventKind::QuorumLost { node } => {
+                D::new("membership", "quorum_lost").num("node", node as u64)
+            }
+        }
+    }
+
     /// Coarse category used by the Chrome exporter and metric names:
     /// `"txn"`, `"phase"`, `"net"`, `"bloom"`, `"lock"`, `"fault"`,
     /// `"recovery"`, `"overload"`, `"membership"`, `"batch"`, or
     /// `"migration"`.
     pub const fn category(&self) -> &'static str {
-        match self {
-            EventKind::TxnBegin { .. } | EventKind::TxnCommit | EventKind::TxnAbort { .. } => "txn",
-            EventKind::PhaseBegin(_) | EventKind::PhaseEnd(_) => "phase",
-            EventKind::VerbSend { .. } | EventKind::VerbRecv { .. } => "net",
-            EventKind::BloomInsert { .. }
-            | EventKind::BloomProbe { .. }
-            | EventKind::BloomFalsePositive => "bloom",
-            EventKind::LockAcquire { .. } | EventKind::LockStall { .. } => "lock",
-            EventKind::FaultInjected { .. } => "fault",
-            EventKind::Recovery { .. } => "recovery",
-            EventKind::AdmissionThrottled
-            | EventKind::DegradedCommit
-            | EventKind::StarvationBoost { .. } => "overload",
-            EventKind::EpochChange { .. }
-            | EventKind::Promotion { .. }
-            | EventKind::VerbFenced { .. } => "membership",
-            EventKind::BatchFlushed { .. } | EventKind::BatchCoalesced { .. } => "batch",
-            EventKind::MigrationStart { .. }
-            | EventKind::ChunkMigrated { .. }
-            | EventKind::MigrationCutover { .. } => "migration",
-            EventKind::LinkCut { .. } | EventKind::LinkHealed { .. } => "fault",
-            EventKind::SelfFenced { .. } | EventKind::QuorumLost { .. } => "membership",
-        }
+        self.describe().cat
     }
 
     /// Short stable name for the event kind.
     pub const fn name(&self) -> &'static str {
-        match self {
-            EventKind::TxnBegin { .. } => "txn_begin",
-            EventKind::PhaseBegin(_) => "phase_begin",
-            EventKind::PhaseEnd(_) => "phase_end",
-            EventKind::TxnCommit => "txn_commit",
-            EventKind::TxnAbort { .. } => "txn_abort",
-            EventKind::VerbSend { .. } => "verb_send",
-            EventKind::VerbRecv { .. } => "verb_recv",
-            EventKind::BloomInsert { .. } => "bloom_insert",
-            EventKind::BloomProbe { .. } => "bloom_probe",
-            EventKind::BloomFalsePositive => "bloom_false_positive",
-            EventKind::LockAcquire { .. } => "lock_acquire",
-            EventKind::LockStall { .. } => "lock_stall",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::Recovery { .. } => "recovery",
-            EventKind::AdmissionThrottled => "admission_throttled",
-            EventKind::DegradedCommit => "degraded_commit",
-            EventKind::StarvationBoost { .. } => "starvation_boost",
-            EventKind::EpochChange { .. } => "epoch_change",
-            EventKind::Promotion { .. } => "promotion",
-            EventKind::VerbFenced { .. } => "verb_fenced",
-            EventKind::BatchFlushed { .. } => "batch_flushed",
-            EventKind::BatchCoalesced { .. } => "batch_coalesced",
-            EventKind::MigrationStart { .. } => "migration_start",
-            EventKind::ChunkMigrated { .. } => "chunk_migrated",
-            EventKind::MigrationCutover { .. } => "migration_cutover",
-            EventKind::LinkCut { .. } => "link_cut",
-            EventKind::LinkHealed { .. } => "link_healed",
-            EventKind::SelfFenced { .. } => "self_fenced",
-            EventKind::QuorumLost { .. } => "quorum_lost",
-        }
+        self.describe().name
     }
 }
 
@@ -557,106 +657,4 @@ pub struct TraceEvent {
     pub slot: u32,
     /// What happened.
     pub kind: EventKind,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn verb_indexes_are_dense_and_stable() {
-        for (i, v) in Verb::ALL.iter().enumerate() {
-            assert_eq!(v.index(), i);
-        }
-        assert_eq!(Verb::COUNT, 16);
-    }
-
-    #[test]
-    fn verb_counts_accumulate_and_merge() {
-        let mut a = VerbCounts::new();
-        let mut b = VerbCounts::new();
-        a.bump(Verb::Read);
-        b.bump(Verb::Read);
-        b.bump(Verb::Ack);
-        a.merge(&b);
-        assert_eq!(a.get(Verb::Read), 2);
-        assert_eq!(a.get(Verb::Ack), 1);
-        assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    fn categories_cover_all_kinds() {
-        let cases = [
-            (EventKind::TxnBegin { attempt: 1 }, "txn"),
-            (EventKind::PhaseBegin(Phase::Exec), "phase"),
-            (
-                EventKind::VerbSend {
-                    verb: Verb::Intend,
-                    dst: 1,
-                    bytes: 64,
-                },
-                "net",
-            ),
-            (EventKind::BloomProbe { hit: false }, "bloom"),
-            (EventKind::LockStall { holder: 7 }, "lock"),
-            (
-                EventKind::FaultInjected {
-                    fault: InjectedFault::Drop { verb: Verb::Intend },
-                },
-                "fault",
-            ),
-            (
-                EventKind::Recovery {
-                    action: RecoveryKind::LeaseExpire,
-                },
-                "recovery",
-            ),
-            (EventKind::AdmissionThrottled, "overload"),
-            (EventKind::DegradedCommit, "overload"),
-            (EventKind::StarvationBoost { attempt: 9 }, "overload"),
-            (EventKind::EpochChange { epoch: 1 }, "membership"),
-            (
-                EventKind::Promotion {
-                    partition: 1,
-                    new_primary: 2,
-                },
-                "membership",
-            ),
-            (EventKind::VerbFenced { verb: Verb::Ack }, "membership"),
-            (EventKind::BatchFlushed { dst: 1, size: 4 }, "batch"),
-            (EventKind::BatchCoalesced { dst: 1 }, "batch"),
-            (
-                EventKind::MigrationStart {
-                    partition: 2,
-                    dst: 0,
-                },
-                "migration",
-            ),
-            (
-                EventKind::ChunkMigrated {
-                    partition: 2,
-                    chunk: 3,
-                },
-                "migration",
-            ),
-            (EventKind::MigrationCutover { epoch: 2 }, "migration"),
-            (EventKind::LinkCut { src: 0, dst: 1 }, "fault"),
-            (EventKind::LinkHealed { src: 0, dst: 1 }, "fault"),
-            (EventKind::SelfFenced { node: 3 }, "membership"),
-            (EventKind::QuorumLost { node: 3 }, "membership"),
-        ];
-        for (kind, cat) in cases {
-            assert_eq!(kind.category(), cat);
-        }
-    }
-
-    #[test]
-    fn fault_labels_and_verbs_are_stable() {
-        assert_eq!(InjectedFault::NodeCrash.label(), "node_crash");
-        assert_eq!(InjectedFault::NodeCrash.verb(), None);
-        let drop = InjectedFault::Drop { verb: Verb::Ack };
-        assert_eq!(drop.label(), "drop");
-        assert_eq!(drop.verb(), Some(Verb::Ack));
-        assert_eq!(RecoveryKind::ReplicaReplay.label(), "replica_replay");
-    }
 }

@@ -12,8 +12,11 @@
 //!   share one deterministic event stream.
 //! * [`event::TraceEvent`] — the event taxonomy: transaction lifecycle
 //!   (begin / phases / commit / abort-with-reason), NIC verb send/recv,
-//!   Bloom-filter insert/probe/false-positive, and Locking-Buffer
-//!   acquire/stall.
+//!   Bloom-filter insert/probe/false-positive, Locking-Buffer
+//!   acquire/stall, and the fault, overload, membership, batching and
+//!   migration events. [`event::EventKind::describe`] is the one place
+//!   each kind's category, name and payload fields are stated; the JSONL
+//!   and Chrome exporters render from it.
 //! * [`registry::MetricsRegistry`] — named counters and cycle
 //!   histograms, derivable wholesale from a recorded stream.
 //! * [`observer::TxnObserver`] — the one per-slot transaction state
@@ -28,7 +31,9 @@
 //!     (DESIGN.md §13).
 //! * [`timeseries::TimeSeries`] — config-gated windowed time-series:
 //!   per-node throughput, windowed p99, hardware occupancy, and
-//!   overload/failover event counts per fixed sim-time window.
+//!   overload/failover event counts per fixed sim-time window. It counts
+//!   events through [`timeseries::TimeSeries::observe`], which reads the
+//!   same [`event::EventKind`]s the tracer emits.
 //! * [`chrome::chrome_trace`] — Chrome `trace_event` exporter; open the
 //!   output in [ui.perfetto.dev](https://ui.perfetto.dev) to inspect a
 //!   whole distributed commit on a real time axis.

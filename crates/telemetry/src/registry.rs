@@ -187,95 +187,3 @@ pub fn histogram_json(h: &Histogram) -> Json {
         .field("max_us", h.max().as_micros())
         .build()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::{Phase, Verb, NO_SLOT};
-
-    fn ev(at: u64, node: u16, slot: u32, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            at: Cycles::new(at),
-            node,
-            slot,
-            kind,
-        }
-    }
-
-    #[test]
-    fn counters_and_histograms_round_trip() {
-        let mut reg = MetricsRegistry::new();
-        reg.inc("a");
-        reg.add("a", 2);
-        reg.observe("h", Cycles::new(10));
-        assert_eq!(reg.counter("a"), 3);
-        assert_eq!(reg.histogram("h").unwrap().count(), 1);
-        assert_eq!(reg.counter("missing"), 0);
-    }
-
-    #[test]
-    fn from_events_reconstructs_lifecycle() {
-        let events = [
-            ev(0, 0, 0, EventKind::TxnBegin { attempt: 1 }),
-            ev(0, 0, 0, EventKind::PhaseBegin(Phase::Exec)),
-            ev(100, 0, 0, EventKind::PhaseEnd(Phase::Exec)),
-            ev(
-                100,
-                0,
-                0,
-                EventKind::VerbSend {
-                    verb: Verb::Intend,
-                    dst: 1,
-                    bytes: 96,
-                },
-            ),
-            ev(
-                150,
-                1,
-                NO_SLOT,
-                EventKind::VerbRecv {
-                    verb: Verb::Intend,
-                    src: 0,
-                    bytes: 96,
-                },
-            ),
-            ev(200, 0, 0, EventKind::TxnCommit),
-            ev(210, 0, 1, EventKind::TxnBegin { attempt: 1 }),
-            ev(250, 0, 1, EventKind::TxnAbort { reason: "conflict" }),
-        ];
-        let reg = MetricsRegistry::from_events(&events);
-        assert_eq!(reg.counter("txn.begin"), 2);
-        assert_eq!(reg.counter("txn.commit"), 1);
-        assert_eq!(reg.counter("abort.conflict"), 1);
-        assert_eq!(reg.counter("verb.sent.intend"), 1);
-        assert_eq!(reg.counter("verb.recv.intend"), 1);
-        assert_eq!(reg.counter("net.bytes_sent"), 96);
-        assert_eq!(reg.histogram("phase.exec").unwrap().count(), 1);
-        assert_eq!(
-            reg.histogram("txn.latency").unwrap().max(),
-            Cycles::new(200)
-        );
-    }
-
-    #[test]
-    fn merge_sums_counters_and_histograms() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.inc("x");
-        b.add("x", 4);
-        b.observe("h", Cycles::new(7));
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 5);
-        assert_eq!(a.histogram("h").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn json_export_is_sorted_and_deterministic() {
-        let mut reg = MetricsRegistry::new();
-        reg.inc("zeta");
-        reg.inc("alpha");
-        let s = reg.to_json().render();
-        assert!(s.find("alpha").unwrap() < s.find("zeta").unwrap());
-        assert_eq!(s, reg.to_json().render());
-    }
-}
