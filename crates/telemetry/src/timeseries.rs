@@ -245,15 +245,20 @@ impl TimeSeries {
         }
     }
 
-    /// A transaction committed on `node` with end-to-end `latency`.
-    pub fn on_commit(&mut self, node: u16, latency: Cycles) {
+    /// A transaction of `node` leaves flight: it committed with
+    /// end-to-end latency `committed`, or, with `None`, it was dropped
+    /// uncommitted (a retry whose start lands after the run began to
+    /// drain).
+    pub fn on_exit(&mut self, node: u16, committed: Option<Cycles>) {
         if self.finished {
             return;
         }
-        if let Some(c) = self.cur.committed.get_mut(node as usize) {
-            *c += 1;
+        if let Some(latency) = committed {
+            if let Some(c) = self.cur.committed.get_mut(node as usize) {
+                *c += 1;
+            }
+            self.cur_hist.record(latency);
         }
-        self.cur_hist.record(latency);
         if let Some(n) = self.inflight.get_mut(node as usize) {
             *n = n.saturating_sub(1);
         }

@@ -372,12 +372,12 @@ fn events_land_in_their_windows() {
     let mut ts = TimeSeries::new(cy(100), 2);
     ts.on_fresh_start(0);
     ts.on_fresh_start(1);
-    ts.on_commit(0, cy(40));
+    ts.on_exit(0, Some(cy(40)));
     ts.observe(1, &ABORT);
     assert!(ts.needs_roll(cy(150)));
     ts.roll(Occupancy::default());
     assert!(!ts.needs_roll(cy(150)));
-    ts.on_commit(1, cy(90));
+    ts.on_exit(1, Some(cy(90)));
     ts.finish(Occupancy {
         lb_occupied: 3,
         lb_slots: 8,
@@ -394,7 +394,7 @@ fn events_land_in_their_windows() {
     assert_eq!(w[1].p99, cy(90));
     assert_eq!(w[1].occupancy.lb_occupied, 3);
     // Finished: further recording is ignored.
-    ts.on_commit(0, cy(10));
+    ts.on_exit(0, Some(cy(10)));
     assert_eq!(ts.windows().len(), 2);
 }
 
@@ -417,7 +417,7 @@ fn goodput_dip_is_measured() {
     for &c in &[10u64, 10, 10, 10, 2, 4, 10] {
         for _ in 0..c {
             ts.on_fresh_start(0);
-            ts.on_commit(0, cy(5));
+            ts.on_exit(0, Some(cy(5)));
         }
         ts.roll(Occupancy::default());
     }
@@ -436,7 +436,7 @@ fn batch_series_is_windowed_and_gated() {
     // Without a single flush the batching fields are absent, so a
     // batching-off run renders identically to the pre-batching build.
     let mut ts = TimeSeries::new(cy(100), 1);
-    ts.on_commit(0, cy(5));
+    ts.on_exit(0, Some(cy(5)));
     ts.finish(Occupancy::default());
     let doc = ts.to_json();
     let w = &doc.get("windows").unwrap().as_arr().unwrap()[0];
@@ -463,7 +463,7 @@ fn migration_series_is_windowed_and_gated() {
     // No chunk ever recorded: the field is absent, so migration-off
     // runs render identically to the pre-migration build.
     let mut ts = TimeSeries::new(cy(100), 1);
-    ts.on_commit(0, cy(5));
+    ts.on_exit(0, Some(cy(5)));
     ts.finish(Occupancy::default());
     let doc = ts.to_json();
     let w = &doc.get("windows").unwrap().as_arr().unwrap()[0];
@@ -490,7 +490,7 @@ fn migration_series_is_windowed_and_gated() {
 fn json_shape_is_stable() {
     let mut ts = TimeSeries::new(cy(2_000), 2);
     ts.on_fresh_start(0);
-    ts.on_commit(0, cy(123));
+    ts.on_exit(0, Some(cy(123)));
     ts.observe(0, &EventKind::AdmissionThrottled);
     ts.observe(1, &EventKind::EpochChange { epoch: 1 });
     ts.finish(Occupancy {
