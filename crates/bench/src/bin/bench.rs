@@ -26,9 +26,10 @@
 //! ```
 
 use hades_bench::harness::{
-    compare, matrix_json, run_matrix, BenchConfig, Comparison, DEFAULT_SEED, DEFAULT_THRESHOLD,
+    compare, matrix_json, run_matrix, BenchConfig, Comparison, DEFAULT_THRESHOLD,
 };
 use hades_bench::{flag_parsed, flag_value, has_flag};
+use hades_sim::config::DEFAULT_SEED;
 use hades_telemetry::json::Json;
 
 fn run_compare(old_path: &str, new_path: &str) -> ! {

@@ -12,7 +12,7 @@
 
 use hades_core::runner::{Protocol, Run};
 use hades_core::stats::RunStats;
-use hades_sim::config::{BatchingParams, SimConfig};
+use hades_sim::config::{BatchingParams, SimConfig, DEFAULT_SEED};
 use hades_storage::db::Database;
 use hades_storage::index::IndexKind;
 use hades_telemetry::json::Json;
@@ -22,10 +22,6 @@ use hades_workloads::ycsb::{Ycsb, YcsbConfig, YcsbVariant};
 
 /// Schema tag stamped into every document this harness emits.
 pub const SCHEMA: &str = "hades-bench/v1";
-
-/// The canonical bench seed. Every committed `BENCH_*.json` uses it, so
-/// any two baselines are directly comparable.
-pub const DEFAULT_SEED: u64 = 0x4841_4445_5321_0001;
 
 /// Time-series window used by `--timeseries` cells (sim time).
 pub const TS_WINDOW_US: u64 = 100;

@@ -72,11 +72,6 @@ impl DualWriteFilter {
         (line as usize % self.llc_sets) % self.bf2_bits
     }
 
-    /// The LLC set index a line address maps to.
-    pub fn llc_set(&self, line: u64) -> usize {
-        line as usize % self.llc_sets
-    }
-
     /// Number of keys inserted since the last clear.
     pub fn inserted(&self) -> u64 {
         self.inserted

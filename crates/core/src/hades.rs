@@ -30,7 +30,6 @@ use crate::runtime::{
 };
 use crate::stats::{RunStats, SquashReason};
 use hades_bloom::{BloomFilter, DualWriteFilter, LineHash, LockFailure, LockingBuffers, Signature};
-use hades_fault::InjectedFault;
 use hades_net::fabric::wire_size;
 use hades_net::nic::{RemoteTxKey, TxRemoteTable};
 use hades_sim::config::BloomParams;
@@ -1087,31 +1086,18 @@ impl<L: LocalPath> Sim<Hades<L>> {
     }
 
     /// Replica prepare at a replica node: persist to temporary durable
-    /// storage, then Ack (Section V-A). Under fault injection the persist
-    /// itself may fail, in which case the replica NACKs and the
-    /// coordinator aborts and retries.
+    /// storage, then Ack (Section V-A).
     fn on_replica_prepare(&mut self, si: usize, att: u32, node: NodeId, ack_id: u32) {
         let now = self.q.now();
         if !self.alive(si, att) || self.crashed[node.0 as usize] {
             return;
         }
         let key = self.key_of(si);
-        let ok = !self.cl.fabric.injector_mut().persist_fails(now);
-        let ready = if ok {
-            self.p.replica_pending[node.0 as usize].insert(key);
-            self.p.replica_persists += 1;
-            now + self.cl.cfg.repl.persist_latency
-        } else {
-            if self.cl.tracer.is_enabled() {
-                let fault = InjectedFault::PersistFail;
-                self.cl
-                    .tracer
-                    .emit(now, node.0, NO_SLOT, EventKind::FaultInjected { fault });
-            }
-            now
-        };
+        self.p.replica_pending[node.0 as usize].insert(key);
+        self.p.replica_persists += 1;
+        let ready = now + self.cl.cfg.repl.persist_latency;
         let (origin, verb) = (key.origin, Verb::ReplicaAck);
-        self.send_ack(ready, node, origin, (si, att), ok, ack_id, verb);
+        self.send_ack(ready, node, origin, (si, att), true, ack_id, verb);
     }
 
     /// Poison a remote transaction's state at `node` and notify its origin.

@@ -526,16 +526,6 @@ impl RunStats {
         }
     }
 
-    /// Throughput of one workload in a mix.
-    pub fn throughput_of(&self, app: usize) -> f64 {
-        let secs = self.elapsed.as_secs();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.committed_per_app[app] as f64 / secs
-        }
-    }
-
     /// Abort rate: squashed attempts / (squashed + committed).
     pub fn abort_rate(&self) -> f64 {
         let attempts = self.squashes + self.committed;

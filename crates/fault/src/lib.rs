@@ -6,7 +6,7 @@
 //! machinery to *create* those failure scenarios reproducibly: a
 //! [`FaultPlan`] describes which faults to inject (per-verb message
 //! drop/duplication/delay/reorder, node crash/restart windows, NIC stall
-//! windows, replica-persist failures, exact-cycle scheduled drops), and a
+//! windows, and link cuts, flaps and partitions), and a
 //! [`FaultInjector`] samples the plan from its own seeded RNG stream so
 //! the surrounding simulation's randomness is never perturbed.
 //!
@@ -227,38 +227,6 @@ impl LinkFlap {
     }
 }
 
-/// A gray node: every message to or from `node` inside `[from, until)`
-/// takes `factor`× the fabric latency, without any loss. Models a
-/// slow-but-alive NIC/host that must degrade service, not split the
-/// cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlowNode {
-    /// The gray node.
-    pub node: u16,
-    /// Window start (inclusive).
-    pub from: Cycles,
-    /// Window end (exclusive).
-    pub until: Cycles,
-    /// Latency multiplier (>= 2; 1 would be inert and is rejected).
-    pub factor: u64,
-}
-
-/// A gray directed link: messages from `src` to `dst` inside
-/// `[from, until)` take `factor`× the fabric latency, without loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlowLink {
-    /// Sending side.
-    pub src: u16,
-    /// Receiving side.
-    pub dst: u16,
-    /// Window start (inclusive).
-    pub from: Cycles,
-    /// Window end (exclusive).
-    pub until: Cycles,
-    /// Latency multiplier (>= 2; 1 would be inert and is rejected).
-    pub factor: u64,
-}
-
 /// Panics unless `[from, until)` between distinct nodes is a valid link
 /// fault window.
 fn check_link_window(src: u16, dst: u16, from: Cycles, until: Cycles) {
@@ -267,19 +235,6 @@ fn check_link_window(src: u16, dst: u16, from: Cycles, until: Cycles) {
         until > from,
         "empty or inverted link window [{from:?}, {until:?}) on {src}->{dst}"
     );
-}
-
-/// A one-shot scheduled drop: the first `verb` message sent at or after
-/// `after` is dropped (Lossy class) or charged a retransmit (Retransmit
-/// class), deterministically and without consuming randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledDrop {
-    /// The targeted verb.
-    pub verb: Verb,
-    /// Earliest send time the drop applies to.
-    pub after: Cycles,
-    /// Whether the drop already fired.
-    pub fired: bool,
 }
 
 /// Exponential backoff schedule for timeout-driven retries: attempt `k`
@@ -350,15 +305,6 @@ pub struct FaultPlan {
     pub link_cuts: Vec<LinkCut>,
     /// Flapping-link windows.
     pub link_flaps: Vec<LinkFlap>,
-    /// Gray (slow-but-alive) node windows.
-    pub slow_nodes: Vec<SlowNode>,
-    /// Gray (slow-but-lossless) directed link windows.
-    pub slow_links: Vec<SlowLink>,
-    /// Probability a replica persist fails (the replica NACKs and the
-    /// coordinator aborts).
-    pub persist_fail_p: f64,
-    /// One-shot exact-time drops.
-    pub scheduled_drops: Vec<ScheduledDrop>,
     /// Lease duration for crash suspicion (see [`DEFAULT_LEASE`]).
     pub lease: Cycles,
     /// Backoff schedule for timeout-driven retries.
@@ -375,10 +321,6 @@ impl FaultPlan {
             nic_stalls: Vec::new(),
             link_cuts: Vec::new(),
             link_flaps: Vec::new(),
-            slow_nodes: Vec::new(),
-            slow_links: Vec::new(),
-            persist_fail_p: 0.0,
-            scheduled_drops: Vec::new(),
             lease: DEFAULT_LEASE,
             retry: RetryPolicy::default(),
         }
@@ -596,69 +538,6 @@ impl FaultPlan {
         self
     }
 
-    /// Makes `node` gray inside `[from, until)`: all its fabric traffic
-    /// (both directions) takes `factor`× the normal latency, with no
-    /// loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty/inverted window or `factor < 2` (a 1× slowdown
-    /// would be inert but still disturb the fast path).
-    pub fn slow_node(mut self, node: u16, from: Cycles, until: Cycles, factor: u64) -> Self {
-        assert!(until > from, "empty or inverted slow window");
-        assert!(factor >= 2, "slow factor {factor} must be >= 2");
-        self.slow_nodes.push(SlowNode {
-            node,
-            from,
-            until,
-            factor,
-        });
-        self
-    }
-
-    /// Makes the directed link `src -> dst` gray inside `[from, until)`:
-    /// `factor`× latency, no loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a self-link, an empty/inverted window, or `factor < 2`.
-    pub fn slow_link(
-        mut self,
-        src: u16,
-        dst: u16,
-        from: Cycles,
-        until: Cycles,
-        factor: u64,
-    ) -> Self {
-        check_link_window(src, dst, from, until);
-        assert!(factor >= 2, "slow factor {factor} must be >= 2");
-        self.slow_links.push(SlowLink {
-            src,
-            dst,
-            from,
-            until,
-            factor,
-        });
-        self
-    }
-
-    /// Fails replica persists with probability `p`.
-    pub fn persist_failures(mut self, p: f64) -> Self {
-        self.persist_fail_p = p;
-        self
-    }
-
-    /// Schedules a one-shot drop of the first `verb` sent at or after
-    /// `after`.
-    pub fn drop_at(mut self, verb: Verb, after: Cycles) -> Self {
-        self.scheduled_drops.push(ScheduledDrop {
-            verb,
-            after,
-            fired: false,
-        });
-        self
-    }
-
     /// Replaces the lease duration.
     pub fn with_lease(mut self, lease: Cycles) -> Self {
         self.lease = lease;
@@ -671,8 +550,6 @@ impl FaultPlan {
         self.verbs.iter().all(VerbFaults::is_inert)
             && self.crashes.is_empty()
             && self.nic_stalls.is_empty()
-            && self.persist_fail_p == 0.0
-            && self.scheduled_drops.is_empty()
             && !self.has_link_faults()
     }
 
@@ -681,13 +558,9 @@ impl FaultPlan {
         !self.crashes.is_empty()
     }
 
-    /// Whether any link-level fault (cut, flap, or gray slowdown) is
-    /// scheduled.
+    /// Whether any link-level fault (cut or flap) is scheduled.
     pub fn has_link_faults(&self) -> bool {
-        !self.link_cuts.is_empty()
-            || !self.link_flaps.is_empty()
-            || !self.slow_nodes.is_empty()
-            || !self.slow_links.is_empty()
+        !self.link_cuts.is_empty() || !self.link_flaps.is_empty()
     }
 
     /// Re-validates every scheduled fault, catching malformed windows in
@@ -698,8 +571,8 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics on a restart scheduled at or before its crash, an
-    /// empty/inverted stall, link, or slow window, a self-link, a
-    /// zero-period or always-up flap, or a slow factor below 2.
+    /// empty/inverted stall or link window, a self-link, or a
+    /// zero-period or always-up flap.
     pub fn validate(&self) {
         for c in &self.crashes {
             if let Some(r) = c.restart_at {
@@ -731,14 +604,6 @@ impl FaultPlan {
                 f.period
             );
         }
-        for s in &self.slow_nodes {
-            assert!(s.until > s.from, "empty or inverted slow window");
-            assert!(s.factor >= 2, "slow factor {} must be >= 2", s.factor);
-        }
-        for s in &self.slow_links {
-            check_link_window(s.src, s.dst, s.from, s.until);
-            assert!(s.factor >= 2, "slow factor {} must be >= 2", s.factor);
-        }
     }
 }
 
@@ -766,13 +631,9 @@ pub struct FaultCounts {
     pub restarts: u64,
     /// Messages held by a NIC stall window.
     pub nic_stalls: u64,
-    /// Replica persists that failed.
-    pub persist_fails: u64,
     /// Messages blocked by a cut or flapped-down link (Lossy class lost;
     /// Retransmit class held until the link healed).
     pub link_cuts: u64,
-    /// Messages slowed by a gray node or link.
-    pub slowdowns: u64,
 }
 
 impl FaultCounts {
@@ -791,9 +652,7 @@ impl FaultCounts {
             .field("crashes", Json::UInt(self.crashes))
             .field("restarts", Json::UInt(self.restarts))
             .field("nic_stalls", Json::UInt(self.nic_stalls))
-            .field("persist_fails", Json::UInt(self.persist_fails))
             .field("link_cuts", Json::UInt(self.link_cuts))
-            .field("slowdowns", Json::UInt(self.slowdowns))
             .build()
     }
 }
@@ -946,35 +805,6 @@ impl FaultInjector {
         release
     }
 
-    /// Latency multiplier for a message from `src` to `dst` at `now`:
-    /// the largest active gray-node or gray-link factor, or 1 when none
-    /// applies. Consumes no randomness.
-    pub fn link_slow_factor(&self, now: Cycles, src: u16, dst: u16) -> u64 {
-        let mut f = 1u64;
-        for s in &self.plan.slow_nodes {
-            if (s.node == src || s.node == dst) && now >= s.from && now < s.until {
-                f = f.max(s.factor);
-            }
-        }
-        for s in &self.plan.slow_links {
-            if s.src == src && s.dst == dst && now >= s.from && now < s.until {
-                f = f.max(s.factor);
-            }
-        }
-        f
-    }
-
-    /// The gray-node factor alone for `node` at `now` (1 when not gray).
-    /// Used by the membership layer to pace a slow node's lease renewals.
-    pub fn node_slow_factor(&self, now: Cycles, node: u16) -> u64 {
-        self.plan
-            .slow_nodes
-            .iter()
-            .filter(|s| s.node == node && now >= s.from && now < s.until)
-            .map(|s| s.factor)
-            .fold(1, u64::max)
-    }
-
     /// Whether `node` can currently reach an outbound majority of a
     /// cluster of `nodes` (itself included). The membership layer treats
     /// a minority-side node's lease renewals as lost.
@@ -1072,17 +902,9 @@ impl FaultInjector {
             }
         }
         let vf = self.plan.verbs[verb.index()];
-        let mut scheduled = false;
-        for sd in &mut self.plan.scheduled_drops {
-            if !sd.fired && sd.verb == verb && now >= sd.after {
-                sd.fired = true;
-                scheduled = true;
-                break;
-            }
-        }
         match class_of(verb) {
             FaultClass::Lossy => {
-                if scheduled || (vf.drop_p > 0.0 && self.rng.chance(vf.drop_p)) {
+                if vf.drop_p > 0.0 && self.rng.chance(vf.drop_p) {
                     self.faults.drops += 1;
                     out.injected.push(InjectedFault::Drop { verb });
                     return out;
@@ -1112,14 +934,6 @@ impl FaultInjector {
             FaultClass::Retransmit => {
                 let mut extra = link_hold;
                 let mut attempt = 0u32;
-                if scheduled {
-                    extra += self.plan.retry.step(attempt);
-                    attempt += 1;
-                    self.faults.drops += 1;
-                    self.recovery.timeout_retries += 1;
-                    out.injected.push(InjectedFault::Drop { verb });
-                    out.recovered.push(RecoveryKind::TimeoutRetry);
-                }
                 while vf.drop_p > 0.0 && attempt < MAX_RETRANSMIT && self.rng.chance(vf.drop_p) {
                     extra += self.plan.retry.step(attempt);
                     attempt += 1;
@@ -1154,458 +968,5 @@ impl FaultInjector {
             self.faults.nic_stalls += 1;
         }
         held
-    }
-
-    /// Samples whether a replica persist at `_now` fails. Consumes
-    /// randomness only when persist failures are configured.
-    pub fn persist_fails(&mut self, _now: Cycles) -> bool {
-        let p = self.plan.persist_fail_p;
-        if p > 0.0 && self.rng.chance(p) {
-            self.faults.persist_fails += 1;
-            return true;
-        }
-        false
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_plan_is_inert_and_from_loss_zero_matches() {
-        assert!(FaultPlan::none().is_inert());
-        assert!(FaultPlan::from_loss(0.0, 9).is_inert());
-        assert!(!FaultPlan::from_loss(0.01, 9).is_inert());
-        assert!(!FaultInjector::inert().active());
-    }
-
-    #[test]
-    fn from_loss_targets_only_lossy_verbs() {
-        let plan = FaultPlan::from_loss(0.2, 1);
-        for verb in Verb::ALL {
-            let expect = if class_of(verb) == FaultClass::Lossy {
-                0.2
-            } else {
-                0.0
-            };
-            assert_eq!(plan.verbs[verb.index()].drop_p, expect, "{verb:?}");
-        }
-    }
-
-    #[test]
-    fn lossy_drop_loses_the_message() {
-        let mut inj = FaultInjector::new(FaultPlan::none().drop_verb(Verb::Ack, 1.0));
-        for _ in 0..10 {
-            assert!(inj.on_send(Cycles::ZERO, Verb::Ack, 0, 1).copies.is_empty());
-        }
-        assert_eq!(inj.faults.drops, 10);
-    }
-
-    #[test]
-    fn duplication_yields_two_ordered_copies() {
-        let mut inj = FaultInjector::new(FaultPlan::none().dup_verb(Verb::Intend, 1.0));
-        let out = inj.on_send(Cycles::ZERO, Verb::Intend, 0, 1);
-        assert_eq!(out.copies.len(), 2);
-        assert!(out.copies[1] > out.copies[0], "duplicate trails original");
-        assert_eq!(inj.faults.dups, 1);
-    }
-
-    #[test]
-    fn retransmit_class_always_delivers_exactly_once() {
-        let plan = FaultPlan::none()
-            .drop_verb(Verb::Validation, 0.9)
-            .dup_verb(Verb::Validation, 1.0); // ignored for this class
-        let mut inj = FaultInjector::new(plan);
-        let mut delayed = 0;
-        for _ in 0..50 {
-            let out = inj.on_send(Cycles::ZERO, Verb::Validation, 0, 1);
-            assert_eq!(out.copies.len(), 1, "exactly-once delivery");
-            if out.copies[0] > Cycles::ZERO {
-                delayed += 1;
-            }
-        }
-        assert!(delayed > 25, "drop_p=0.9 should delay most sends");
-        assert_eq!(
-            inj.faults.drops as usize,
-            inj.recovery.timeout_retries as usize
-        );
-        assert!(inj.faults.drops > 0);
-    }
-
-    #[test]
-    fn retry_policy_grows_exponentially_and_caps() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.step(0), Cycles::new(500));
-        assert_eq!(r.step(1), Cycles::new(1_000));
-        assert_eq!(r.step(3), Cycles::new(4_000));
-        assert_eq!(r.step(10), Cycles::new(16_000), "capped");
-        assert_eq!(r.step(100), Cycles::new(16_000), "no shift overflow");
-    }
-
-    #[test]
-    fn retry_policy_monotone_for_huge_bases() {
-        // base = 1<<40 shifted by 32 used to truncate high bits and come
-        // back *smaller* than earlier attempts; it must saturate instead.
-        let r = RetryPolicy {
-            base: Cycles::new(1 << 40),
-            cap: Cycles::new(u64::MAX),
-        };
-        let mut last = Cycles::ZERO;
-        for attempt in 0..64 {
-            let b = r.step(attempt);
-            assert!(b >= last, "attempt {attempt}: {b:?} < {last:?}");
-            last = b;
-        }
-    }
-
-    #[test]
-    fn scheduled_drop_fires_exactly_once_without_randomness() {
-        let plan = FaultPlan::none().drop_at(Verb::Intend, Cycles::new(100));
-        let mut inj = FaultInjector::new(plan);
-        assert_eq!(
-            inj.on_send(Cycles::new(50), Verb::Intend, 0, 1)
-                .copies
-                .len(),
-            1,
-            "before the trigger time"
-        );
-        assert!(
-            inj.on_send(Cycles::new(100), Verb::Intend, 0, 1)
-                .copies
-                .is_empty(),
-            "first send at/after the trigger is dropped"
-        );
-        assert_eq!(
-            inj.on_send(Cycles::new(101), Verb::Intend, 0, 1)
-                .copies
-                .len(),
-            1,
-            "one-shot"
-        );
-        assert_eq!(inj.faults.drops, 1);
-    }
-
-    #[test]
-    fn crash_forever_has_no_restart() {
-        let plan = FaultPlan::none().crash_forever(2, Cycles::new(1_000));
-        assert!(plan.has_crashes());
-        assert!(!plan.is_inert());
-        assert!(plan.crashes[0].is_forever());
-        let timed = FaultPlan::none().crash(1, Cycles::new(10), Cycles::new(20));
-        assert_eq!(timed.crashes[0].restart_at, Some(Cycles::new(20)));
-        assert!(!timed.crashes[0].is_forever());
-    }
-
-    #[test]
-    fn stall_windows_hold_arrivals() {
-        let plan = FaultPlan::none().nic_stall(2, Cycles::new(100), Cycles::new(300));
-        let mut inj = FaultInjector::new(plan);
-        assert_eq!(
-            inj.stall_release(2, Cycles::new(150)),
-            Some(Cycles::new(300))
-        );
-        assert_eq!(inj.stall_release(2, Cycles::new(99)), None);
-        assert_eq!(
-            inj.stall_release(2, Cycles::new(300)),
-            None,
-            "end exclusive"
-        );
-        assert_eq!(inj.stall_release(1, Cycles::new(150)), None, "other node");
-        assert_eq!(inj.faults.nic_stalls, 1);
-    }
-
-    #[test]
-    fn persist_failures_sample_only_when_configured() {
-        let mut off = FaultInjector::new(FaultPlan::none());
-        let before = off.rng.clone();
-        assert!(!off.persist_fails(Cycles::ZERO));
-        assert_eq!(off.rng, before, "p=0 must not consume randomness");
-
-        let mut on = FaultInjector::new(FaultPlan::none().persist_failures(1.0));
-        assert!(on.persist_fails(Cycles::ZERO));
-        assert_eq!(on.faults.persist_fails, 1);
-    }
-
-    #[test]
-    fn identical_plans_replay_identical_schedules() {
-        let plan = FaultPlan::none()
-            .with_seed(0xC0FFEE)
-            .drop_verb(Verb::Intend, 0.3)
-            .dup_verb(Verb::Ack, 0.2)
-            .delay_verb(Verb::Read, 0.5, Cycles::new(2_000))
-            .reorder_verb(Verb::Intend, 0.25, Cycles::new(800));
-        let mut a = FaultInjector::new(plan.clone());
-        let mut b = FaultInjector::new(plan);
-        for i in 0..200u64 {
-            let verb = Verb::ALL[(i % 16) as usize];
-            let (x, y) = (
-                a.on_send(Cycles::new(i), verb, 0, 1),
-                b.on_send(Cycles::new(i), verb, 0, 1),
-            );
-            assert_eq!(x.copies, y.copies);
-        }
-        assert_eq!(a.faults, b.faults);
-        assert_eq!(a.recovery, b.recovery);
-    }
-
-    #[test]
-    fn counts_serialize_to_json() {
-        let mut c = FaultCounts::default();
-        assert!(c.is_zero());
-        c.drops = 3;
-        let rendered = c.to_json().render();
-        assert!(rendered.contains("\"drops\":3"), "{rendered}");
-        let mut r = RecoveryCounts::default();
-        assert!(r.is_zero());
-        r.lease_expiries = 2;
-        assert!(r.to_json().render().contains("\"lease_expiries\":2"));
-    }
-
-    #[test]
-    fn link_faults_make_the_plan_non_inert() {
-        let cut = FaultPlan::none().cut_link(0, 1, Cycles::new(10), Cycles::new(20));
-        assert!(!cut.is_inert());
-        assert!(cut.has_link_faults());
-        let slow = FaultPlan::none().slow_node(2, Cycles::new(10), Cycles::new(20), 4);
-        assert!(!slow.is_inert());
-        let flap = FaultPlan::none().flap_link(
-            0,
-            1,
-            Cycles::new(0),
-            Cycles::new(1_000),
-            Cycles::new(100),
-            Cycles::new(50),
-        );
-        assert!(!flap.is_inert());
-    }
-
-    #[test]
-    #[should_panic(expected = "self-link")]
-    fn self_link_cut_panics() {
-        let _ = FaultPlan::none().cut_link(3, 3, Cycles::new(0), Cycles::new(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty or inverted link window")]
-    fn inverted_link_window_panics() {
-        let _ = FaultPlan::none().cut_link(0, 1, Cycles::new(20), Cycles::new(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "no down phase")]
-    fn always_up_flap_panics() {
-        let _ = FaultPlan::none().flap_link(
-            0,
-            1,
-            Cycles::new(0),
-            Cycles::new(100),
-            Cycles::new(10),
-            Cycles::new(10),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "must be >= 2")]
-    fn unit_slow_factor_panics() {
-        let _ = FaultPlan::none().slow_node(0, Cycles::new(0), Cycles::new(10), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "restart")]
-    fn hand_built_restart_before_crash_fails_at_install() {
-        let mut plan = FaultPlan::none();
-        plan.crashes.push(CrashEvent {
-            node: 1,
-            at: Cycles::new(100),
-            restart_at: Some(Cycles::new(50)),
-        });
-        let _ = FaultInjector::new(plan);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty or inverted stall window")]
-    fn hand_built_inverted_stall_fails_at_install() {
-        let mut plan = FaultPlan::none();
-        plan.nic_stalls.push(NicStall {
-            node: 0,
-            from: Cycles::new(100),
-            until: Cycles::new(100),
-        });
-        let _ = FaultInjector::new(plan);
-    }
-
-    #[test]
-    fn cut_link_is_directed_and_windowed() {
-        let plan = FaultPlan::none().cut_link(0, 1, Cycles::new(100), Cycles::new(200));
-        let mut inj = FaultInjector::new(plan);
-        // In-window, cut direction: Lossy messages are really lost.
-        let out = inj.on_send(Cycles::new(150), Verb::Intend, 0, 1);
-        assert!(out.copies.is_empty(), "lossy verb lost on the cut link");
-        assert_eq!(inj.faults.link_cuts, 1);
-        // Reverse direction flows.
-        assert_eq!(
-            inj.on_send(Cycles::new(150), Verb::Intend, 1, 0)
-                .copies
-                .len(),
-            1
-        );
-        // Outside the window flows (end exclusive).
-        assert_eq!(
-            inj.on_send(Cycles::new(200), Verb::Intend, 0, 1)
-                .copies
-                .len(),
-            1
-        );
-        assert_eq!(
-            inj.on_send(Cycles::new(99), Verb::Intend, 0, 1)
-                .copies
-                .len(),
-            1
-        );
-        assert_eq!(inj.faults.link_cuts, 1);
-    }
-
-    #[test]
-    fn cut_link_holds_reliable_verbs_until_the_heal() {
-        let plan = FaultPlan::none().cut_link(0, 1, Cycles::new(100), Cycles::new(500));
-        let mut inj = FaultInjector::new(plan);
-        let out = inj.on_send(Cycles::new(150), Verb::Validation, 0, 1);
-        assert_eq!(out.copies.len(), 1, "reliable transport still delivers");
-        assert_eq!(
-            out.copies[0],
-            Cycles::new(350),
-            "held until the link heals at 500"
-        );
-        assert_eq!(inj.faults.link_cuts, 1);
-    }
-
-    #[test]
-    fn partition_cuts_every_cross_group_pair_both_ways() {
-        let plan = FaultPlan::none().partition(&[0, 1], &[2, 3], Cycles::new(0), Cycles::new(100));
-        assert_eq!(plan.link_cuts.len(), 8, "2x2 pairs, both directions");
-        let inj = FaultInjector::new(plan);
-        for (src, dst) in [(0u16, 2u16), (2, 0), (1, 3), (3, 1)] {
-            assert!(
-                inj.link_release(Cycles::new(50), src, dst).is_some(),
-                "{src}->{dst} must be cut"
-            );
-        }
-        for (src, dst) in [(0u16, 1u16), (1, 0), (2, 3), (3, 2)] {
-            assert!(
-                inj.link_release(Cycles::new(50), src, dst).is_none(),
-                "{src}->{dst} is intra-group and must flow"
-            );
-        }
-    }
-
-    #[test]
-    fn flap_blocks_deterministically_with_both_phases() {
-        let plan = FaultPlan::none().with_seed(11).flap_link(
-            0,
-            1,
-            Cycles::new(0),
-            Cycles::new(10_000),
-            Cycles::new(100),
-            Cycles::new(60),
-        );
-        let a = FaultInjector::new(plan.clone());
-        let b = FaultInjector::new(plan);
-        let (mut up, mut down) = (0u32, 0u32);
-        for t in 0..10_000u64 {
-            let ra = a.link_release(Cycles::new(t), 0, 1);
-            assert_eq!(ra, b.link_release(Cycles::new(t), 0, 1), "t={t}");
-            match ra {
-                None => up += 1,
-                Some(r) => {
-                    assert!(r > Cycles::new(t), "release must be in the future");
-                    assert!(r <= Cycles::new(10_000), "release capped at window end");
-                    down += 1;
-                }
-            }
-        }
-        assert_eq!(up, 6_000, "60/100 duty cycle up time");
-        assert_eq!(down, 4_000, "40/100 duty cycle down time");
-    }
-
-    #[test]
-    fn slow_factors_pick_the_largest_active_window() {
-        let plan = FaultPlan::none()
-            .slow_node(1, Cycles::new(0), Cycles::new(100), 4)
-            .slow_link(0, 1, Cycles::new(0), Cycles::new(100), 8);
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.link_slow_factor(Cycles::new(50), 0, 1), 8);
-        assert_eq!(inj.link_slow_factor(Cycles::new(50), 1, 2), 4, "gray node");
-        assert_eq!(inj.link_slow_factor(Cycles::new(50), 2, 3), 1);
-        assert_eq!(inj.link_slow_factor(Cycles::new(150), 0, 1), 1, "expired");
-        assert_eq!(inj.node_slow_factor(Cycles::new(50), 1), 4);
-        assert_eq!(inj.node_slow_factor(Cycles::new(50), 0), 1);
-    }
-
-    #[test]
-    fn isolated_node_loses_its_outbound_majority() {
-        let plan = FaultPlan::none().isolate_node(2, 4, Cycles::new(100), Cycles::new(200));
-        let inj = FaultInjector::new(plan);
-        assert!(!inj.node_reaches_majority(Cycles::new(150), 2, 4));
-        assert!(
-            inj.node_reaches_majority(Cycles::new(150), 0, 4),
-            "majority side"
-        );
-        assert!(
-            inj.node_reaches_majority(Cycles::new(250), 2, 4),
-            "after heal"
-        );
-    }
-
-    #[test]
-    fn even_split_strands_both_sides() {
-        let plan = FaultPlan::none().partition(&[0, 1], &[2, 3], Cycles::new(0), Cycles::new(100));
-        let inj = FaultInjector::new(plan);
-        for n in 0..4 {
-            assert!(
-                !inj.node_reaches_majority(Cycles::new(50), n, 4),
-                "node {n}: a 2/2 split leaves nobody with a majority"
-            );
-        }
-    }
-
-    #[test]
-    fn link_windows_announce_and_heal_exactly_once() {
-        let plan = FaultPlan::none().cut_link(0, 1, Cycles::new(100), Cycles::new(200));
-        let mut inj = FaultInjector::new(plan);
-        assert!(inj
-            .on_send(Cycles::new(50), Verb::Intend, 0, 1)
-            .cut_links
-            .is_empty());
-        let first = inj.on_send(Cycles::new(120), Verb::Intend, 0, 1);
-        assert_eq!(first.cut_links, vec![(0, 1)], "window opens once");
-        assert!(inj
-            .on_send(Cycles::new(130), Verb::Intend, 0, 1)
-            .cut_links
-            .is_empty());
-        let healed = inj.on_send(Cycles::new(250), Verb::Intend, 0, 1);
-        assert_eq!(healed.healed_links, vec![(0, 1)], "window heals once");
-        assert!(inj
-            .on_send(Cycles::new(260), Verb::Intend, 0, 1)
-            .healed_links
-            .is_empty());
-        assert_eq!(inj.link_window_counts(Cycles::new(260)), (1, 1));
-    }
-
-    #[test]
-    fn window_counts_heal_on_time_not_traffic() {
-        let plan = FaultPlan::none().cut_link(0, 1, Cycles::new(100), Cycles::new(200));
-        let mut inj = FaultInjector::new(plan);
-        inj.on_send(Cycles::new(120), Verb::Intend, 0, 1);
-        assert_eq!(
-            inj.link_window_counts(Cycles::new(150)),
-            (1, 0),
-            "mid-window: cut, not healed"
-        );
-        assert_eq!(
-            inj.link_window_counts(Cycles::new(300)),
-            (1, 1),
-            "past the end the window is healed even with no further sends"
-        );
     }
 }

@@ -321,26 +321,6 @@ impl Fabric {
             }
         }
         let path = self.params.serialize(bytes) + self.params.one_way() + self.params.nic_proc;
-        // Gray links/nodes stretch the path without dropping anything: a
-        // slow factor of k makes every copy pay k times the fault-free
-        // path latency (DESIGN.md §16).
-        let slow = self.injector.link_slow_factor(now, src.0, dst.0);
-        let slow_extra = if slow > 1 {
-            self.injector.faults.slowdowns += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    now,
-                    src.0,
-                    NO_SLOT,
-                    EventKind::FaultInjected {
-                        fault: InjectedFault::LinkSlow { verb },
-                    },
-                );
-            }
-            Cycles::new(path.get() * (slow - 1))
-        } else {
-            Cycles::ZERO
-        };
         let base = now + path;
         let mut arrivals = Arrivals::default();
         for &extra in &faults.copies {
@@ -357,7 +337,6 @@ impl Fabric {
             } else {
                 base + extra
             };
-            arrival += slow_extra;
             if let Some(release) = self.injector.stall_release(dst.0, arrival) {
                 arrival = arrival.max(release);
                 if self.tracer.is_enabled() {
@@ -823,49 +802,6 @@ mod tests {
             [until + p.serialize(64) + p.one_way() + p.nic_proc],
             "retransmit-class verbs wait out the cut"
         );
-    }
-
-    #[test]
-    fn slow_link_multiplies_path_latency() {
-        use hades_fault::{FaultInjector, FaultPlan};
-        let mut a = fabric();
-        let mut b = fabric();
-        b.install_injector(FaultInjector::new(FaultPlan::none().slow_link(
-            0,
-            1,
-            Cycles::ZERO,
-            Cycles::new(1_000_000),
-            3,
-        )));
-        let plain = a.send_verb(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Intend,
-            Doorbell::Share,
-        );
-        let slowed = b.send_verb_faulty(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Intend,
-            Doorbell::Share,
-        );
-        assert_eq!(slowed[..], [Cycles::new(plain.get() * 3)]);
-        assert_eq!(b.injector().faults.slowdowns, 1);
-        // Off-window sends are untouched.
-        let later = Cycles::new(2_000_000);
-        let normal = b.send_verb_faulty(
-            later,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Intend,
-            Doorbell::Share,
-        );
-        assert_eq!(normal[..], [later + plain]);
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl FilterSite {
 }
 
 /// A fault injected by the `hades-fault` plane into the simulated
-/// cluster (messages, nodes, NICs, or replica storage).
+/// cluster (messages, nodes, NICs, or links).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
     /// A message was dropped (or, on the reliable transport, charged a
@@ -238,18 +238,10 @@ pub enum InjectedFault {
     NodeRestart,
     /// An arrival was held by a NIC stall window.
     NicStall,
-    /// A replica persist failed.
-    PersistFail,
     /// A message hit a cut or flapped-down link (lost on the lossy class,
     /// held until the heal on the reliable class).
     LinkCut {
         /// The blocked message's verb.
-        verb: Verb,
-    },
-    /// A message crossed a gray (slow-but-alive) node or link and was
-    /// charged a latency multiple.
-    LinkSlow {
-        /// The slowed message's verb.
         verb: Verb,
     },
 }
@@ -265,9 +257,7 @@ impl InjectedFault {
             InjectedFault::NodeCrash => "node_crash",
             InjectedFault::NodeRestart => "node_restart",
             InjectedFault::NicStall => "nic_stall",
-            InjectedFault::PersistFail => "persist_fail",
             InjectedFault::LinkCut { .. } => "link_cut",
-            InjectedFault::LinkSlow { .. } => "link_slow",
         }
     }
 
@@ -278,8 +268,7 @@ impl InjectedFault {
             | InjectedFault::Duplicate { verb }
             | InjectedFault::Delay { verb }
             | InjectedFault::Reorder { verb }
-            | InjectedFault::LinkCut { verb }
-            | InjectedFault::LinkSlow { verb } => Some(verb),
+            | InjectedFault::LinkCut { verb } => Some(verb),
             _ => None,
         }
     }

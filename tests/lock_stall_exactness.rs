@@ -125,6 +125,11 @@ const fn row(
     }
 }
 
+/// The stats digests of the ten fault rows (Loss, CrashRestart,
+/// CrashForever and BriefCrash) were re-recorded when the always-zero
+/// `persist_fails` and `slowdowns` members left the `faults` block. Each
+/// equals the digest of the earlier rendering with those two members cut
+/// out; no other byte moved.
 #[rustfmt::skip]
 const EXPECTED: [Expected; 23] = [
     // Recorded at commit e04b8b0.
@@ -132,15 +137,15 @@ const EXPECTED: [Expected; 23] = [
     row(Hades, Plain, 55_638, 0x6e3a_b9c8_15cf_e900, 0xd461_4b43_f9c7_d025),
     // Recorded at commit dadde3c.
     row(Baseline, Plain, 0, 0x24e5_0b8f_593c_b5dc, 0x71c0_b7da_c41d_23cf),
-    row(Baseline, Loss, 0, 0x24c3_14ba_0455_1d36, 0xe3a3_d806_cc25_6327),
-    row(HadesH, Loss, 104_780, 0xe0aa_8892_0da8_b6be, 0xf733_4995_dfbd_990f),
-    row(Hades, Loss, 133_175, 0x3e60_f0da_e373_613b, 0x35e1_8e8c_e2e3_9d84),
-    row(Baseline, CrashRestart, 0, 0xbd28_76f7_637d_74e8, 0xa75a_4c92_70cb_9269),
-    row(HadesH, CrashRestart, 23_863, 0xb8cb_5bd1_ad47_6e10, 0x35f6_a4ac_ee00_b4a2),
-    row(Hades, CrashRestart, 25_019, 0xb8f1_e6e8_5911_c851, 0x7e3c_bb08_9caa_9132),
-    row(Baseline, CrashForever, 0, 0x093b_3ac6_a138_1735, 0x33f1_0245_41ec_c605),
-    row(HadesH, CrashForever, 26_257, 0x9a13_f2e7_aa84_47d0, 0xa6e6_1a90_4b81_f0b4),
-    row(Hades, CrashForever, 27_314, 0xcbc5_f214_03ec_d2fe, 0xb68a_1d2d_7819_6d89),
+    row(Baseline, Loss, 0, 0x24c3_14ba_0455_1d36, 0xe387_feeb_81ee_7583),
+    row(HadesH, Loss, 104_780, 0xe0aa_8892_0da8_b6be, 0xf7b1_2786_5cbb_1f1f),
+    row(Hades, Loss, 133_175, 0x3e60_f0da_e373_613b, 0x6ce3_71d1_e085_71d4),
+    row(Baseline, CrashRestart, 0, 0xbd28_76f7_637d_74e8, 0x4320_5328_6d85_77f5),
+    row(HadesH, CrashRestart, 23_863, 0xb8cb_5bd1_ad47_6e10, 0xd0e3_feaf_84a2_5c32),
+    row(Hades, CrashRestart, 25_019, 0xb8f1_e6e8_5911_c851, 0x6a9d_0464_0301_7356),
+    row(Baseline, CrashForever, 0, 0x093b_3ac6_a138_1735, 0x5caf_efb4_3c1c_6c71),
+    row(HadesH, CrashForever, 26_257, 0x9a13_f2e7_aa84_47d0, 0x0640_6963_2e41_bc80),
+    row(Hades, CrashForever, 27_314, 0xcbc5_f214_03ec_d2fe, 0x1b9a_4cb3_8f0c_f2a1),
     row(Baseline, Migration, 0, 0xaebe_5f32_24b5_8e21, 0x38cc_dc1e_33b4_9606),
     row(HadesH, Migration, 79_250, 0x6162_a596_4213_d133, 0xa14d_ab96_4650_844b),
     row(Hades, Migration, 6_483, 0xa4b9_a4c9_2c2c_d6ab, 0x2fed_efb6_431f_f5c5),
@@ -150,7 +155,7 @@ const EXPECTED: [Expected; 23] = [
     // Recorded at commit 3210fa2.
     row(HadesH, Fallback, 76_776, 0x1885_9917_8fdd_0cd9, 0xd67d_be74_e286_d731),
     row(Hades, Fallback, 125_041, 0x30a7_6f23_c3ba_8639, 0xdb70_1b9c_a3f3_86b4),
-    row(Hades, BriefCrash, 8_009, 0x4bd5_c3e9_b9a3_640c, 0x0f77_3ca7_4927_5f40),
+    row(Hades, BriefCrash, 8_009, 0x4bd5_c3e9_b9a3_640c, 0xb38f_130c_1656_f370),
     // Recorded at commit 149b3e3, where every Baseline fallback poll
     // cloned its lock list and rebuilt its per-home batches.
     row(Baseline, Fallback, 0, 0x269e_d49a_4dc3_26e8, 0xdb74_1623_0053_1102),
