@@ -3,10 +3,12 @@
 //! Records are statically distributed across the nodes in a uniform manner
 //! (Section VII) via a hash partition; each node owns a disjoint slab of
 //! the global cache-line address space. A node's record values live in one
-//! line arena that mirrors its slab: a record's bytes start at its slab
-//! offset times [`LINE_BYTES`], so a record's simulated address is also
-//! where its bytes are. All simulated protocols share one `Database` — it
-//! *is* the cluster's storage.
+//! line arena, but only once they hold a non-zero byte: a record loaded
+//! with an all-zero value owns no bytes and reads from one shared zero
+//! buffer until it is first mutated. A record's simulated address (its
+//! slab line) and where its bytes sit in the arena are therefore separate.
+//! All simulated protocols share one `Database` — it *is* the cluster's
+//! storage.
 
 use crate::index::{new_index, IndexKind, KvIndex, Lookup};
 use crate::record::{lines_for_len, Record, RecordId, RecordMut, RecordRef, LINE_BYTES};
@@ -21,11 +23,32 @@ pub struct TableId(pub u16);
 /// at `n << NODE_SLAB_SHIFT`.
 const NODE_SLAB_SHIFT: u32 = 40;
 
-/// The byte range of `rec`'s value within its home node's line arena.
-fn value_range(rec: &Record) -> std::ops::Range<usize> {
-    let slab_line = rec.base_line() & ((1 << NODE_SLAB_SHIFT) - 1);
-    let start = slab_line as usize * LINE_BYTES;
-    start..start + rec.value_len()
+/// The `value_lines` entry of a record whose value is still all zero: it
+/// owns no arena bytes and reads from the shared zero buffer.
+const ZERO_VALUE: u32 = u32::MAX;
+
+/// The byte range of a `len`-byte value that starts at arena line `line`.
+fn value_range(line: u32, len: usize) -> std::ops::Range<usize> {
+    let start = line as usize * LINE_BYTES;
+    start..start + len
+}
+
+/// Whether every byte of `value` is zero. The fold has no early exit, so
+/// it vectorises; `iter().all(..)` does not, and made loading slower.
+fn is_zero(value: &[u8]) -> bool {
+    value.iter().fold(0, |acc, &b| acc | b) == 0
+}
+
+/// Appends `value` to `arena`, zero-padded to the next line boundary, and
+/// returns the arena line it starts at.
+fn push_value(arena: &mut Vec<u8>, value: &[u8]) -> u32 {
+    let line = u32::try_from(arena.len() / LINE_BYTES)
+        .ok()
+        .filter(|&line| line != ZERO_VALUE)
+        .expect("arena under 2^32 - 1 lines");
+    arena.extend_from_slice(value);
+    arena.resize(arena.len().next_multiple_of(LINE_BYTES), 0);
+    line
 }
 
 /// Uniform static partition: the home node of `key` among `nodes` nodes.
@@ -71,11 +94,19 @@ pub struct Database {
     nodes: usize,
     tables: Vec<Table>,
     records: Vec<Record>,
-    /// Each node's value bytes, indexed like its line slab: a record's
-    /// value starts at its slab offset times `LINE_BYTES` and is followed
-    /// by zero padding to the next line boundary. The arena's length is
-    /// the node's next free slab offset.
+    /// Per record, the line of its home arena where its value starts, or
+    /// [`ZERO_VALUE`] while the value is all zero and owns no bytes.
+    value_lines: Vec<u32>,
+    /// Each node's value bytes: every value that owns bytes, followed by
+    /// zero padding to the next line boundary, in the order the values
+    /// got their bytes (at insert, or at a zero record's first mutation).
     arenas: Vec<Vec<u8>>,
+    /// Each node's next free slab line: the simulated address the node's
+    /// next new record gets.
+    next_lines: Vec<u64>,
+    /// The bytes every all-zero value reads: zeros, as long as the
+    /// longest value inserted.
+    zeros: Vec<u8>,
     /// Freed records available for reuse, keyed by (home, line count).
     free_records: std::collections::HashMap<(NodeId, u32), Vec<RecordId>>,
     /// Whether committed writes are appended to the history log.
@@ -112,7 +143,10 @@ impl Database {
             nodes,
             tables: Vec::new(),
             records: Vec::new(),
+            value_lines: Vec::new(),
             arenas: vec![Vec::new(); nodes],
+            next_lines: vec![0; nodes],
+            zeros: Vec::new(),
             free_records: std::collections::HashMap::new(),
             history_enabled: false,
             commit_seq: std::collections::HashMap::new(),
@@ -200,7 +234,8 @@ impl Database {
 
     /// Inserts a record homed at an explicit node (used by workloads that
     /// co-locate related records, e.g. TPC-C districts with their
-    /// warehouse).
+    /// warehouse). An all-zero value gets no bytes until the record is
+    /// first mutated.
     ///
     /// # Panics
     ///
@@ -221,24 +256,36 @@ impl Database {
                 .get_mut(&(home, num_lines))
                 .and_then(Vec::pop)
         };
+        let zero = is_zero(value);
+        if zero && self.zeros.len() < value.len() {
+            self.zeros.resize(value.len(), 0);
+        }
         let arena = &mut self.arenas[home.0 as usize];
         let rid = if let Some(rid) = reused {
-            let rec = &mut self.records[rid.0 as usize];
-            rec.reset_value(value.len());
-            let start = value_range(rec).start;
-            let span = &mut arena[start..start + num_lines as usize * LINE_BYTES];
-            let (bytes, padding) = span.split_at_mut(value.len());
-            bytes.copy_from_slice(value);
-            padding.fill(0);
+            self.records[rid.0 as usize].reset_value(value.len());
+            let line = &mut self.value_lines[rid.0 as usize];
+            if *line != ZERO_VALUE {
+                // The record owns bytes: overwrite them, zeros included.
+                let span = value_range(*line, num_lines as usize * LINE_BYTES);
+                let (bytes, padding) = arena[span].split_at_mut(value.len());
+                bytes.copy_from_slice(value);
+                padding.fill(0);
+            } else if !zero {
+                *line = push_value(arena, value);
+            }
             rid
         } else {
-            let slab_line = (arena.len() / LINE_BYTES) as u64;
-            let base_line = ((home.0 as u64) << NODE_SLAB_SHIFT) + slab_line;
+            let next = &mut self.next_lines[home.0 as usize];
+            let base_line = ((home.0 as u64) << NODE_SLAB_SHIFT) + *next;
+            *next += num_lines as u64;
             let rec = Record::new(base_line, value.len());
-            arena.extend_from_slice(value);
-            arena.resize(arena.len().next_multiple_of(LINE_BYTES), 0);
             let rid = RecordId(self.records.len() as u32);
             self.records.push(rec);
+            self.value_lines.push(if zero {
+                ZERO_VALUE
+            } else {
+                push_value(arena, value)
+            });
             rid
         };
         let t = &mut self.tables[table.0 as usize];
@@ -279,14 +326,24 @@ impl Database {
     /// Immutable access to a record: its metadata and value bytes.
     pub fn record(&self, rid: RecordId) -> RecordRef<'_> {
         let rec = &self.records[rid.0 as usize];
-        let value = &self.arenas[rec.home().0 as usize][value_range(rec)];
+        let value = match self.value_lines[rid.0 as usize] {
+            ZERO_VALUE => &self.zeros[..rec.value_len()],
+            line => &self.arenas[rec.home().0 as usize][value_range(line, rec.value_len())],
+        };
         RecordRef::new(rec, value)
     }
 
-    /// Mutable access to a record: its metadata and value bytes.
+    /// Mutable access to a record: its metadata and value bytes. A record
+    /// whose value is still all zero first gets its bytes, appended to
+    /// the end of its home node's arena.
     pub fn record_mut(&mut self, rid: RecordId) -> RecordMut<'_> {
         let rec = &mut self.records[rid.0 as usize];
-        let value = &mut self.arenas[rec.home().0 as usize][value_range(rec)];
+        let arena = &mut self.arenas[rec.home().0 as usize];
+        let line = &mut self.value_lines[rid.0 as usize];
+        if *line == ZERO_VALUE {
+            *line = push_value(arena, &self.zeros[..rec.value_len()]);
+        }
+        let value = &mut arena[value_range(*line, rec.value_len())];
         RecordMut::new(rec, value)
     }
 

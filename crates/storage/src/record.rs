@@ -4,7 +4,8 @@
 //! (and the HADES-H local path) keeps a version, a lock word and an
 //! incarnation next to the data, and reads/writes whole records. A
 //! [`Record`] holds that metadata; its value bytes sit in the home node's
-//! line arena and are reached through [`RecordRef`] and [`RecordMut`]. HADES
+//! line arena (or, while all zero, in one shared zero buffer) and are
+//! reached through [`RecordRef`] and [`RecordMut`]. HADES
 //! itself ignores all of this metadata — it tracks raw cache lines — which
 //! is exactly the point of the paper (Table I, row 2: "No record
 //! versions").
@@ -24,9 +25,11 @@ pub struct RecordId(pub u32);
 /// One database record's placement and Fig 1 software metadata.
 ///
 /// The value bytes are not stored here: they live in the home node's line
-/// arena inside [`Database`], at the record's own simulated address, and
+/// arena inside [`Database`] once the value holds a non-zero byte, and
 /// are reached through the [`RecordRef`] and [`RecordMut`] views that
-/// [`Database::record`] and [`Database::record_mut`] return.
+/// [`Database::record`] and [`Database::record_mut`] return. Where the
+/// bytes sit in the arena is independent of the record's simulated
+/// address.
 ///
 /// [`Database`]: crate::db::Database
 /// [`Database::record`]: crate::db::Database::record
@@ -77,11 +80,6 @@ impl Record {
     /// The node this record is homed at: the owner of its line slab.
     pub fn home(&self) -> NodeId {
         home_of_line(self.base_line)
-    }
-
-    /// The first cache line of the record.
-    pub(crate) fn base_line(&self) -> u64 {
-        self.base_line
     }
 
     /// Number of cache lines the record spans.
@@ -213,7 +211,8 @@ fn read_u64_at(value: &[u8], off: usize) -> u64 {
 }
 
 /// A read-only view of one record: its metadata (through `Deref`) and its
-/// value bytes in the home node's line arena.
+/// value bytes, in the home node's line arena or, for a value that is
+/// still all zero, in the database's shared zero buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordRef<'a> {
     meta: &'a Record,
