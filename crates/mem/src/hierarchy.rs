@@ -242,118 +242,3 @@ impl NodeMemory {
         self.llc.hit_stats()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small_params() -> MemParams {
-        MemParams {
-            l1_bytes: 256,
-            l1_ways: 4,
-            l2_bytes: 512,
-            l2_ways: 8,
-            llc_bytes_per_core: 1024,
-            ..MemParams::default()
-        }
-    }
-
-    #[test]
-    fn walk_down_the_hierarchy() {
-        let mut m = NodeMemory::new(&MemParams::default(), 2);
-        let a = m.access(CoreId(1), 100);
-        assert_eq!(a.level, HitLevel::Dram);
-        assert_eq!(a.latency, Cycles::from_nanos(100));
-        let b = m.access(CoreId(1), 100);
-        assert_eq!(b.level, HitLevel::L1);
-        assert_eq!(b.latency, Cycles::new(2));
-        // A different core misses its private caches but hits the LLC.
-        let c = m.access(CoreId(0), 100);
-        assert_eq!(c.level, HitLevel::Llc);
-        assert_eq!(c.latency, Cycles::new(40));
-    }
-
-    #[test]
-    fn nic_access_skips_private_caches() {
-        let mut m = NodeMemory::new(&MemParams::default(), 1);
-        m.access(CoreId(0), 7);
-        let a = m.access_from_nic(7);
-        assert_eq!(a.level, HitLevel::Llc);
-        let b = m.access_from_nic(9999);
-        assert_eq!(b.level, HitLevel::Dram);
-    }
-
-    #[test]
-    fn tag_commit_clears_tags_keeps_lines() {
-        let mut m = NodeMemory::new(&MemParams::default(), 1);
-        m.access(CoreId(0), 5);
-        m.tag_write(5, SlotId(2));
-        assert_eq!(m.write_owner(5), Some(SlotId(2)));
-        assert_eq!(m.lines_tagged(SlotId(2)), vec![5]);
-        assert_eq!(m.commit_slot(SlotId(2)), 1);
-        assert_eq!(m.write_owner(5), None);
-        // Line stays cached after commit.
-        assert_eq!(m.access_from_nic(5).level, HitLevel::Llc);
-    }
-
-    #[test]
-    fn squash_invalidates_lines() {
-        let mut m = NodeMemory::new(&MemParams::default(), 1);
-        m.tag_write(5, SlotId(1));
-        m.tag_write(6, SlotId(1));
-        assert_eq!(m.squash_slot(SlotId(1)), 2);
-        assert_eq!(m.speculative_lines(), 0);
-        // Data was discarded: next access is a DRAM miss.
-        assert_eq!(m.access_from_nic(5).level, HitLevel::Dram);
-    }
-
-    #[test]
-    fn eviction_of_speculative_line_squashes_owner() {
-        // Tiny LLC: 1024 B = 16 lines, 16-way => a single set.
-        let p = small_params();
-        let mut m = NodeMemory::new(&p, 1);
-        // Fill the whole LLC set with speculative lines of slot 0.
-        for line in 0..16u64 {
-            m.tag_write(line, SlotId(0));
-        }
-        // One more distinct line must displace a speculative line.
-        let out = m.access_from_nic(1000);
-        assert_eq!(out.evicted_owners, vec![SlotId(0)]);
-        assert_eq!(m.eviction_squashes(), 1);
-    }
-
-    #[test]
-    fn replacement_protects_speculative_lines_under_mixed_pressure() {
-        let p = small_params();
-        let mut m = NodeMemory::new(&p, 1);
-        // 8 speculative + 8 non-speculative lines fill the set.
-        for line in 0..8u64 {
-            m.tag_write(line, SlotId(3));
-        }
-        for line in 8..16u64 {
-            m.access_from_nic(line);
-        }
-        // Heavy non-speculative traffic: victims must be the plain lines.
-        for line in 100..124u64 {
-            let out = m.access_from_nic(line);
-            assert!(out.evicted_owners.is_empty());
-        }
-        assert_eq!(m.lines_tagged(SlotId(3)).len(), 8);
-    }
-
-    #[test]
-    fn lines_tagged_is_sorted_and_deduplicated() {
-        let mut m = NodeMemory::new(&MemParams::default(), 1);
-        m.tag_write(9, SlotId(0));
-        m.tag_write(3, SlotId(0));
-        m.tag_write(9, SlotId(0));
-        assert_eq!(m.lines_tagged(SlotId(0)), vec![3, 9]);
-    }
-
-    #[test]
-    fn commit_of_unknown_slot_is_noop() {
-        let mut m = NodeMemory::new(&MemParams::default(), 1);
-        assert_eq!(m.commit_slot(SlotId(7)), 0);
-        assert_eq!(m.squash_slot(SlotId(7)), 0);
-    }
-}
