@@ -2,7 +2,8 @@
 //!
 //! Cache and directory models for the HADES (ISCA 2024) reproduction:
 //! set-associative L1/L2/LLC arrays with LRU replacement
-//! ([`cache::SetAssocCache`]) and a per-node hierarchy
+//! ([`cache::SetAssocCache`], whose sets keep their lines in recency
+//! order, so no per-line timestamp is stored) and a per-node hierarchy
 //! ([`hierarchy::NodeMemory`]) that additionally carries the HADES
 //! directory state — `WrTX_ID` tags on LLC lines (Module 2 of Fig 5), the
 //! per-transaction tagged-line index that the Fig 8 write-filter hardware

@@ -8,15 +8,18 @@
 //!   for mapping byte ranges to cache lines (HADES operates at line
 //!   granularity). The value bytes live in per-node line arenas and are
 //!   reached through the [`record::RecordRef`] and [`record::RecordMut`]
-//!   views.
+//!   views; a value loaded all zero owns no bytes until its first
+//!   mutation.
 //! * [`index`] — the four store shapes of the paper's evaluation, built
 //!   from scratch: open-addressing [`index::HashTable`] (HT), a
 //!   [`index::SkipList`] (Map), an in-memory [`index::BTree`], and a
 //!   [`index::BPlusTree`] with linked leaves. Lookups report traversal
 //!   depth for index-walk timing.
 //! * [`db::Database`] — tables over a uniform static hash partition
-//!   (Section VII), per-node cache-line slabs with one line arena per node
-//!   holding every record's value at its own line address, and
+//!   (Section VII), per-node cache-line slabs that give every record its
+//!   simulated address, one line arena per node holding the values that
+//!   own bytes (a per-record side array says where each starts), one
+//!   shared zero buffer for the values that are still all zero, and
 //!   locality-aware key sampling for the Fig 12b experiment.
 //!
 //! # Examples
