@@ -23,12 +23,19 @@
 //! to fall back, nearly every retry pre-locks its directories and polls
 //! the Locking Buffers until granted. The third crashes a home node
 //! briefly, so remote accesses stalled at its bank must wait for the
-//! restart rather than keep polling. The last two rows were recorded at
+//! restart rather than keep polling. Two more rows were recorded at
 //! commit 149b3e3, where each Baseline fallback poll cloned its lock list
 //! and rebuilt its per-home batches. They pin the Baseline's fallback
 //! path, which re-sends a denied lock batch every `lock_retry`: once on
 //! the fault-free run and once under a live migration, which reroutes
 //! the batches between polls.
+//!
+//! Every row above runs on the hash table. The last nine replay `trace
+//! --app` on the other three YCSB-A stores (Map-wA, BTree-wA, B+Tree-wA)
+//! for every engine, fault-free at the quick window: each index walk is
+//! charged `index_per_level` per level of lookup depth, so a change to
+//! any store that moves one key's depth moves these digests. They were
+//! recorded at commit 47bcc22, while the stores still supported removal.
 //!
 //! If a change to the simulation moves these numbers on purpose, re-record
 //! them and say so; a host-only change must leave them alone.
@@ -100,6 +107,9 @@ enum Scenario {
 
 /// What one traced run must reproduce.
 struct Expected {
+    /// The YCSB-A store the run loads: `HT-wA` unless [`Expected::on`]
+    /// names another.
+    app: &'static str,
     protocol: Protocol,
     scenario: Scenario,
     lock_stalls: usize,
@@ -117,11 +127,19 @@ const fn row(
     stats: u64,
 ) -> Expected {
     Expected {
+        app: "HT-wA",
         protocol,
         scenario,
         lock_stalls,
         jsonl,
         stats,
+    }
+}
+
+impl Expected {
+    /// The same row on another app.
+    const fn on(self, app: &'static str) -> Expected {
+        Expected { app, ..self }
     }
 }
 
@@ -131,7 +149,7 @@ const fn row(
 /// equals the digest of the earlier rendering with those two members cut
 /// out; no other byte moved.
 #[rustfmt::skip]
-const EXPECTED: [Expected; 23] = [
+const EXPECTED: [Expected; 32] = [
     // Recorded at commit e04b8b0.
     row(HadesH, Plain, 116_821, 0x11e0_2520_8a8f_8a00, 0x643a_1328_898f_9445),
     row(Hades, Plain, 55_638, 0x6e3a_b9c8_15cf_e900, 0xd461_4b43_f9c7_d025),
@@ -160,12 +178,22 @@ const EXPECTED: [Expected; 23] = [
     // cloned its lock list and rebuilt its per-home batches.
     row(Baseline, Fallback, 0, 0x269e_d49a_4dc3_26e8, 0xdb74_1623_0053_1102),
     row(Baseline, FallbackMigration, 0, 0x66e4_8e82_a0e8_9260, 0x2c88_876d_c617_c9a5),
+    // Recorded at commit 47bcc22, before the stores became insert-only.
+    row(Baseline, Plain, 0, 0x09d4_601e_1108_de83, 0xa996_75a0_0538_a6d9).on("Map-wA"),
+    row(HadesH, Plain, 129_042, 0x982a_70da_67ec_520f, 0x0e45_1739_8b82_81d8).on("Map-wA"),
+    row(Hades, Plain, 114_216, 0x1152_3495_e772_a949, 0x31b7_39aa_d240_8fd4).on("Map-wA"),
+    row(Baseline, Plain, 0, 0x013a_4950_554a_c9b0, 0xd835_42d0_dacd_3c24).on("BTree-wA"),
+    row(HadesH, Plain, 123_186, 0x11d7_9886_c03d_ff29, 0xa040_994c_295a_adac).on("BTree-wA"),
+    row(Hades, Plain, 111_523, 0x5a78_2b64_1f49_538a, 0xfc80_6d78_19ce_f16c).on("BTree-wA"),
+    row(Baseline, Plain, 0, 0x1939_4b12_b92a_02f5, 0x4baa_b93d_74fa_1ac0).on("B+Tree-wA"),
+    row(HadesH, Plain, 123_223, 0xb522_5aaa_ac5f_8fd4, 0xe3b6_0162_52e0_592d).on("B+Tree-wA"),
+    row(Hades, Plain, 82_626, 0x51bd_21f7_0992_c616, 0x892c_ce70_b767_6d73).on("B+Tree-wA"),
 ];
 
-/// Runs one row's configuration on HT-wA with a memory trace sink and
+/// Runs one row's configuration on `app` with a memory trace sink and
 /// returns the `lock_stall` count and the two digests.
-fn digests(protocol: Protocol, scenario: Scenario) -> (usize, u64, u64) {
-    let app = AppId::parse("HT-wA").unwrap();
+fn digests(app: &str, protocol: Protocol, scenario: Scenario) -> (usize, u64, u64) {
+    let app = AppId::parse(app).unwrap();
     let mut ex = Experiment::quick();
     let mut plan = FaultPlan::none();
     if !quick_window(protocol, scenario) {
@@ -220,13 +248,19 @@ fn digests(protocol: Protocol, scenario: Scenario) -> (usize, u64, u64) {
 #[test]
 fn stall_path_reproduces_the_reference_trace_and_stats() {
     for want in &EXPECTED {
-        let (p, s) = (want.protocol, want.scenario);
-        let (lock_stalls, jsonl, stats) = digests(p, s);
-        assert_eq!(lock_stalls, want.lock_stalls, "{p} {s:?}: lock_stall count");
-        assert_eq!(jsonl, want.jsonl, "{p} {s:?}: JSONL digest {jsonl:#018x}");
+        let (a, p, s) = (want.app, want.protocol, want.scenario);
+        let (lock_stalls, jsonl, stats) = digests(a, p, s);
+        assert_eq!(
+            lock_stalls, want.lock_stalls,
+            "{a} {p} {s:?}: lock_stall count"
+        );
+        assert_eq!(
+            jsonl, want.jsonl,
+            "{a} {p} {s:?}: JSONL digest {jsonl:#018x}"
+        );
         assert_eq!(
             stats, want.stats,
-            "{p} {s:?}: RunStats digest {stats:#018x}"
+            "{a} {p} {s:?}: RunStats digest {stats:#018x}"
         );
     }
 }
