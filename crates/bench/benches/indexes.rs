@@ -57,33 +57,5 @@ fn bench_insert(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_remove_insert_churn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("index_churn_remove_insert");
-    group.sample_size(20);
-    for kind in [
-        IndexKind::HashTable,
-        IndexKind::Map,
-        IndexKind::BTree,
-        IndexKind::BPlusTree,
-    ] {
-        group.bench_function(BenchmarkId::from_parameter(kind.label()), |b| {
-            let mut idx = loaded_index(kind);
-            let mut k = 0u64;
-            b.iter(|| {
-                k = (k + 1) % LOADED;
-                let key = k.wrapping_mul(0x9E37_79B9);
-                let rid = idx.remove(black_box(key)).expect("present");
-                idx.insert(key, rid);
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_lookup,
-    bench_insert,
-    bench_remove_insert_churn
-);
+criterion_group!(benches, bench_lookup, bench_insert);
 criterion_main!(benches);

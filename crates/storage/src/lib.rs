@@ -3,13 +3,14 @@
 //! The storage substrate of the HADES (ISCA 2024) reproduction:
 //!
 //! * [`record::Record`] — the Fig 1 augmented record's metadata: placement
-//!   plus the software metadata (version, lock, incarnation) that the
-//!   FaRM-style baseline and the HADES-H local path rely on, with helpers
-//!   for mapping byte ranges to cache lines (HADES operates at line
-//!   granularity). The value bytes live in per-node line arenas and are
-//!   reached through the [`record::RecordRef`] and [`record::RecordMut`]
-//!   views; a value loaded all zero owns no bytes until its first
-//!   mutation.
+//!   plus the software metadata (version, lock) that the FaRM-style
+//!   baseline and the HADES-H local path rely on, with helpers for
+//!   mapping byte ranges to cache lines (HADES operates at line
+//!   granularity). Fig 1's incarnation is not modelled: it detects a
+//!   record that was freed and reused, and no record is ever freed. The
+//!   value bytes live in per-node line arenas and are reached through the
+//!   [`record::RecordRef`] and [`record::RecordMut`] views; a value
+//!   loaded all zero owns no bytes until its first mutation.
 //! * [`index`] — the four store shapes of the paper's evaluation, built
 //!   from scratch: open-addressing [`index::HashTable`] (HT), a
 //!   [`index::SkipList`] (Map), an in-memory [`index::BTree`], and a
@@ -21,6 +22,11 @@
 //!   own bytes (a per-record side array says where each starts), one
 //!   shared zero buffer for the values that are still all zero, and
 //!   locality-aware key sampling for the Fig 12b experiment.
+//!
+//! Storage is insert-only. No workload the paper evaluates deletes a key,
+//! so neither the stores nor the database remove anything: every arena
+//! only grows, and a record keeps its id and its simulated address for
+//! the whole run.
 //!
 //! # Examples
 //!

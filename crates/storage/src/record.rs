@@ -1,8 +1,10 @@
 //! Database records and the augmented metadata layout of Fig 1.
 //!
 //! A record is the unit the *software* protocols operate on: the baseline
-//! (and the HADES-H local path) keeps a version, a lock word and an
-//! incarnation next to the data, and reads/writes whole records. A
+//! (and the HADES-H local path) keeps a version and a lock word next to
+//! the data, and reads/writes whole records. Fig 1's third field, the
+//! incarnation, is not modelled: it lets a reader detect a record that
+//! was freed and reused, and no record here is ever freed. A
 //! [`Record`] holds that metadata; its value bytes sit in the home node's
 //! line arena (or, while all zero, in one shared zero buffer) and are
 //! reached through [`RecordRef`] and [`RecordMut`]. HADES
@@ -44,8 +46,6 @@ pub struct Record {
     /// [`Record::UNLOCKED`].
     lock: u64,
     value_len: u32,
-    /// Fig 1 `Incarnation` — bumped when the record is freed/reused.
-    incarnation: u32,
 }
 
 /// Cache lines needed to hold a `value_len`-byte value.
@@ -73,7 +73,6 @@ impl Record {
             version: 0,
             lock: Self::UNLOCKED,
             value_len: u32::try_from(value_len).expect("record value under 4 GiB"),
-            incarnation: 0,
         }
     }
 
@@ -136,39 +135,9 @@ impl Record {
         self.version
     }
 
-    /// Current incarnation.
-    pub fn incarnation(&self) -> u32 {
-        self.incarnation
-    }
-
     /// Bumps the version (software write path).
     pub fn bump_version(&mut self) {
         self.version += 1;
-    }
-
-    /// Bumps the incarnation (record freed and reused).
-    pub fn bump_incarnation(&mut self) {
-        self.incarnation += 1;
-    }
-
-    /// Resets the metadata on record reuse for a `value_len`-byte value:
-    /// the version resets (a fresh logical record) but the incarnation
-    /// persists so stale readers can detect the reuse. The caller rewrites
-    /// the value bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new value needs a different number of cache lines.
-    pub(crate) fn reset_value(&mut self, value_len: usize) {
-        assert!(value_len > 0, "record value must be nonempty");
-        assert_eq!(
-            lines_for_len(value_len),
-            self.num_lines(),
-            "reuse requires matching geometry"
-        );
-        self.value_len = value_len as u32;
-        self.version = 0;
-        self.lock = Self::UNLOCKED;
     }
 
     /// Attempts to take the record lock for `owner` (the CAS of the

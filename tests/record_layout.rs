@@ -3,8 +3,8 @@
 //! lock word reserves one "unlocked" value that no owner token can take.
 //!
 //! The value store: a record loaded with an all-zero value owns no bytes
-//! until its first mutation, yet reads, writes, reuse and simulated
-//! addresses behave exactly as for a record that owns its bytes.
+//! until its first mutation, yet reads, writes and simulated addresses
+//! behave exactly as for a record that owns its bytes.
 
 use hades::core::runtime::owner_token;
 use hades::sim::ids::{NodeId, SlotId};
@@ -40,23 +40,6 @@ fn home_and_line_count_round_trip_on_every_node() {
             key += 1;
         }
     }
-    // Free every record, then reuse each with a value of another length
-    // that needs the same number of lines.
-    for k in 0..key {
-        db.remove(t, k).expect("key present");
-    }
-    let records = db.record_count();
-    for n in 0..nodes {
-        for &len in &lens {
-            let shorter = (len.div_ceil(LINE_BYTES) - 1) * LINE_BYTES + 1;
-            let home = NodeId(n as u16);
-            let rid = db.insert_at(t, key, &vec![7; shorter], home);
-            assert_eq!(db.record(rid).incarnation(), 1, "key {key} reuses");
-            check(&db, key, home, shorter);
-            key += 1;
-        }
-    }
-    assert_eq!(db.record_count(), records, "every insert reused a record");
 }
 
 #[test]
@@ -143,42 +126,6 @@ fn a_zero_records_first_write_round_trips_and_leaves_its_neighbours_alone() {
         .map(|&r| db.record(r).lines().collect())
         .collect();
     assert_eq!(after, lines, "mutation moves no simulated address");
-}
-
-#[test]
-fn a_freed_record_that_owns_bytes_reused_with_zeros_reads_zeros() {
-    let mut db = Database::new(1);
-    let t = db.create_table("t", IndexKind::HashTable);
-    let rid = db.insert(t, 1, &[7u8; 128]);
-    let neighbour = db.insert(t, 2, &[8u8; 64]);
-    let lines: Vec<u64> = db.record(rid).lines().collect();
-    db.remove(t, 1);
-    assert_eq!(db.insert(t, 3, &[0u8; 120]), rid, "the record is reused");
-    assert_eq!(value(&db, rid), vec![0u8; 120]);
-    assert_eq!(db.record(rid).lines().collect::<Vec<_>>(), lines);
-    assert_eq!(value(&db, neighbour), vec![8u8; 64]);
-    // It stays writable at full length.
-    db.record_mut(rid).write(119, &[3]);
-    assert_eq!(db.record(rid).read(118, 2), &[0, 3]);
-}
-
-#[test]
-fn a_freed_zero_record_reused_with_a_non_zero_value_reads_it_back() {
-    let mut db = Database::new(1);
-    let t = db.create_table("t", IndexKind::HashTable);
-    let rid = db.insert(t, 1, &[0u8; 128]);
-    let neighbour = db.insert(t, 2, &[0u8; 64]);
-    let lines: Vec<u64> = db.record(rid).lines().collect();
-    db.remove(t, 1);
-    let v: Vec<u8> = (0..100u8).map(|b| b.wrapping_mul(3) | 1).collect();
-    assert_eq!(db.insert(t, 3, &v), rid, "the record is reused");
-    assert_eq!(value(&db, rid), v);
-    assert_eq!(db.record(rid).lines().collect::<Vec<_>>(), lines);
-    assert_eq!(value(&db, neighbour), vec![0u8; 64]);
-    // Freed again and reused with zeros: it reads zeros.
-    db.remove(t, 3);
-    assert_eq!(db.insert(t, 4, &[0u8; 128]), rid);
-    assert_eq!(value(&db, rid), vec![0u8; 128]);
 }
 
 #[test]
