@@ -492,7 +492,7 @@ impl Batcher {
             // in the leader's poll, skipping `nic_proc`.
             let qp = &mut self.qps[qi];
             qp.squashes += squash as u32;
-            let role = if self.params.coalesce_squashes && squash && qp.squashes > 1 {
+            let role = if squash && qp.squashes > 1 {
                 // The batch already carries a squash to this destination:
                 // this notification rides the same WQE.
                 qp.piggybacked += 1;
@@ -864,17 +864,6 @@ mod tests {
         let stats = b.finish();
         assert_eq!(stats.flushes, 1);
         assert_eq!(stats.max_occupancy, 3);
-    }
-
-    #[test]
-    fn squash_coalescing_can_be_disabled() {
-        let mut b = batcher(BatchingParams {
-            coalesce_squashes: false,
-            ..BatchingParams::fixed(8)
-        });
-        send(&mut b, Verb::Squash);
-        assert_eq!(send(&mut b, Verb::Squash).role, BatchRole::Joined);
-        assert_eq!(b.stats().coalesced_squashes, 0);
     }
 
     #[test]

@@ -124,8 +124,6 @@ pub struct NetParams {
     pub rt: Cycles,
     /// Link bandwidth in gigabits per second (200 Gb/s).
     pub bandwidth_gbps: u64,
-    /// Queue pairs available for scheduling messages (up to 400).
-    pub queue_pairs: usize,
     /// NIC processing overhead charged per message at each endpoint.
     pub nic_proc: Cycles,
 }
@@ -150,7 +148,6 @@ impl Default for NetParams {
         NetParams {
             rt: Cycles::from_micros(2),
             bandwidth_gbps: 200,
-            queue_pairs: 400,
             nic_proc: Cycles::new(60),
         }
     }
@@ -457,16 +454,12 @@ pub struct BatchingParams {
     pub high_watermark: u32,
     /// Verbs in flight at or below this drains the target to 1.
     pub low_watermark: u32,
-    /// Coalesced squash propagation: a Squash verb targeting a queue pair
-    /// whose open batch already carries a squash piggybacks on it (one
-    /// batched verb carries several notifications).
-    pub coalesce_squashes: bool,
 }
 
 impl BatchingParams {
     /// The standard adaptive profile used by the `batching` sweep and the
     /// batched bench cells: up to 16 verbs per doorbell, growth at 6
-    /// verbs in flight, a 1 µs coalesce window, squash coalescing on.
+    /// verbs in flight and a 1 µs coalesce window.
     pub fn standard() -> Self {
         BatchingParams {
             enabled: true,
@@ -501,7 +494,6 @@ impl Default for BatchingParams {
             coalesce_window: Cycles::new(2_000),
             high_watermark: 6,
             low_watermark: 1,
-            coalesce_squashes: true,
         }
     }
 }
