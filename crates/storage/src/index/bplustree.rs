@@ -246,6 +246,18 @@ impl KvIndex for BPlusTree {
         }
     }
 
+    /// Walks the leaves in arena order, every one of which is in the
+    /// tree: the store never frees one.
+    fn for_each(&self, f: &mut dyn FnMut(u64, RecordId)) {
+        for node in &self.nodes {
+            if let Node::Leaf { keys, rids, .. } = node {
+                for (&key, &rid) in keys.iter().zip(rids) {
+                    f(key, rid);
+                }
+            }
+        }
+    }
+
     fn len(&self) -> usize {
         self.len
     }

@@ -227,6 +227,16 @@ impl KvIndex for BTree {
         }
     }
 
+    /// Walks the node arena, every node of which is in the tree: the
+    /// store never frees one.
+    fn for_each(&self, f: &mut dyn FnMut(u64, RecordId)) {
+        for node in &self.nodes {
+            for (&key, &rid) in node.keys().iter().zip(&node.rids) {
+                f(key, rid);
+            }
+        }
+    }
+
     fn len(&self) -> usize {
         self.len
     }

@@ -138,6 +138,12 @@ impl KvIndex for HashTable {
         }
     }
 
+    fn for_each(&self, f: &mut dyn FnMut(u64, RecordId)) {
+        for slot in self.slots.iter().filter(|slot| !slot.is_empty()) {
+            f(slot.key, RecordId(slot.rid));
+        }
+    }
+
     fn len(&self) -> usize {
         self.len
     }

@@ -65,6 +65,10 @@ pub trait KvIndex: std::fmt::Debug {
     /// Looks up `key`, reporting traversal depth.
     fn get(&self, key: u64) -> Option<Lookup>;
 
+    /// Calls `f` once with every stored `(key, rid)` pair, in an order of
+    /// the store's own choosing.
+    fn for_each(&self, f: &mut dyn FnMut(u64, RecordId));
+
     /// Number of keys stored.
     fn len(&self) -> usize;
 

@@ -154,6 +154,12 @@ impl KvIndex for SkipList {
         }
     }
 
+    fn for_each(&self, f: &mut dyn FnMut(u64, RecordId)) {
+        for node in &self.nodes {
+            f(node.key, node.rid);
+        }
+    }
+
     fn len(&self) -> usize {
         self.nodes.len()
     }

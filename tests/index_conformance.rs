@@ -1,6 +1,7 @@
 //! Behavioural conformance of the four key-value stores, through the
 //! public `KvIndex` API: round trip, overwrite, adversarial keys, and a
-//! differential insert/overwrite fuzz against `std::collections::HashMap`.
+//! differential insert/overwrite fuzz against `std::collections::HashMap`
+//! that also checks the `(key, rid)` enumeration.
 //! Every store runs the same suite, and `new_index` builds each shape
 //! under its paper label.
 
@@ -66,6 +67,12 @@ fn differential_fuzz(idx: &mut dyn KvIndex, seed: u64) {
         assert_eq!(idx.get(*k).map(|l| l.rid), Some(*v), "final check {k}");
     }
     assert_eq!(idx.len(), reference.len());
+    // The enumeration visits every stored pair exactly once.
+    let mut seen: HashMap<u64, RecordId> = HashMap::new();
+    idx.for_each(&mut |key, rid| {
+        assert_eq!(seen.insert(key, rid), None, "key {key} visited twice");
+    });
+    assert_eq!(seen, reference, "enumeration differs from the reference");
 }
 
 /// Runs the whole suite on fresh stores of `kind`; `seed` drives the fuzz.

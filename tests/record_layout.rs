@@ -1,12 +1,14 @@
 //! The compact record layout: a `Record` derives its home node from its
 //! first line's slab and its line count from its value length, and its
-//! lock word reserves one "unlocked" value that no owner token can take.
+//! 32-bit lock word holds any owner token of a real cluster, packed, and
+//! reserves one "unlocked" value that no owner token can take.
 //!
 //! The value store: a record loaded with an all-zero value owns no bytes
 //! until its first mutation, yet reads, writes and simulated addresses
 //! behave exactly as for a record that owns its bytes.
 
 use hades::core::runtime::owner_token;
+use hades::sim::config::SimConfig;
 use hades::sim::ids::{NodeId, SlotId};
 use hades::storage::db::{home_of_line, Database};
 use hades::storage::index::IndexKind;
@@ -49,6 +51,44 @@ fn owner_tokens_never_equal_the_unlocked_word() {
             assert_ne!(owner_token(NodeId(node), SlotId(slot)), Record::UNLOCKED);
         }
     }
+}
+
+#[test]
+fn every_owner_token_round_trips_through_the_lock_word() {
+    let mut db = Database::new(1);
+    let t = db.create_table("t", IndexKind::HashTable);
+    let rid = db.insert(t, 1, &[0u8; 64]);
+    let shape = SimConfig::isca_default().shape;
+    let slots = (shape.cores_per_node * shape.slots_per_core) as u16;
+    let default_shape =
+        (0..shape.nodes as u16).flat_map(|node| (0..slots).map(move |slot| (node, slot)));
+    // The largest ids the 32-bit word takes: all but (0xFFFF, 0xFFFF).
+    let largest = [(u16::MAX, u16::MAX - 1), (u16::MAX - 1, u16::MAX)];
+    for (node, slot) in default_shape.chain(largest) {
+        let token = owner_token(NodeId(node), SlotId(slot));
+        let mut r = db.record_mut(rid);
+        assert!(r.try_lock(token), "({node}, {slot})");
+        assert_eq!(r.owner(), Some(token), "({node}, {slot})");
+        assert!(r.locked_by(token));
+        assert!(
+            !r.locked_by(token ^ 1),
+            "({node}, {slot}) is not its neighbour"
+        );
+        r.unlock(token);
+        assert_eq!(r.owner(), None);
+        assert!(!r.is_locked());
+    }
+}
+
+#[test]
+#[should_panic(expected = "does not pack into a 32-bit lock word")]
+fn a_token_the_lock_word_cannot_hold_is_refused() {
+    let mut db = Database::new(1);
+    let t = db.create_table("t", IndexKind::HashTable);
+    let rid = db.insert(t, 1, &[0u8; 64]);
+    // Node 0xFFFF, slot 0xFFFF packs to the unlocked word itself.
+    db.record_mut(rid)
+        .try_lock(owner_token(NodeId(u16::MAX), SlotId(u16::MAX)));
 }
 
 #[test]

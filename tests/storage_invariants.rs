@@ -66,6 +66,88 @@ mod db {
         }
     }
 
+    /// Loads three tables of `kind` over four nodes, mixing default and
+    /// explicit homes, and returns each table with the keys it put on
+    /// each node, in insertion order.
+    fn mixed_load(db: &mut Database, kind: IndexKind) -> Vec<(TableId, Vec<Vec<u64>>)> {
+        let nodes = db.nodes();
+        let mut tables: Vec<(TableId, Vec<Vec<u64>>)> = (0..3)
+            .map(|t| {
+                (
+                    db.create_table(&format!("t{t}"), kind),
+                    vec![Vec::new(); nodes],
+                )
+            })
+            .collect();
+        let mut state = 0x9E37_79B9_u64;
+        for i in 1..=3_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let (table, expect) = &mut tables[(state >> 33) as usize % 3];
+            // Distinct, non-zero and scattered, so no store sees them in
+            // key order.
+            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let rid = if i % 3 == 0 {
+                let home = NodeId((state >> 50) as u16 % nodes as u16);
+                db.insert_at(*table, key, &[0u8; 64], home)
+            } else {
+                db.insert(*table, key, &[0u8; 64])
+            };
+            expect[db.record(rid).home().0 as usize].push(key);
+        }
+        tables
+    }
+
+    #[test]
+    fn per_home_key_lists_match_insertion_order_on_every_store() {
+        for kind in [
+            IndexKind::HashTable,
+            IndexKind::Map,
+            IndexKind::BTree,
+            IndexKind::BPlusTree,
+        ] {
+            let mut db = Database::new(4);
+            for (table, expect) in mixed_load(&mut db, kind) {
+                for (node, keys) in expect.iter().enumerate() {
+                    let got = db.keys_at(table, NodeId(node as u16));
+                    assert_eq!(got, &keys[..], "{kind:?} {table:?} node {node}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_inserted_after_sampling_joins_the_end_of_its_homes_list() {
+        for kind in [
+            IndexKind::HashTable,
+            IndexKind::Map,
+            IndexKind::BTree,
+            IndexKind::BPlusTree,
+        ] {
+            let mut db = Database::new(4);
+            let tables = mixed_load(&mut db, kind);
+            let (table, mut expect) = tables[1].clone();
+            let mut rng = SimRng::seed_from(3);
+            assert!(db.random_key_at(table, NodeId(2), &mut rng).is_some());
+            // A key below every other, so an ordered store sees it first.
+            db.insert_at(table, 0, &[0u8; 64], NodeId(2));
+            db.insert(table, u64::MAX, &[0u8; 64]);
+            expect[2].push(0);
+            expect[uniform_home(u64::MAX, 4).0 as usize].push(u64::MAX);
+            for (node, keys) in expect.iter().enumerate() {
+                let got = db.keys_at(table, NodeId(node as u16));
+                assert_eq!(got, &keys[..], "{kind:?} node {node}");
+            }
+            // The other tables' lists are untouched.
+            for (table, expect) in [&tables[0], &tables[2]] {
+                for (node, keys) in expect.iter().enumerate() {
+                    assert_eq!(db.keys_at(*table, NodeId(node as u16)), &keys[..]);
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_node_sampling_returns_none() {
         let mut db = Database::new(2);

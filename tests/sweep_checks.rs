@@ -4,7 +4,9 @@
 //! each violation named.
 
 use hades::core::runner::Protocol;
+use hades::core::runtime::owner_token;
 use hades::sim::config::SimConfig;
+use hades::sim::ids::{NodeId, SlotId};
 use hades::workloads::smallbank::OFF_BALANCE;
 use hades_bench::sweep::{Load, Scenario};
 
@@ -19,7 +21,9 @@ fn shared_checks_name_a_leaked_lock_and_a_moved_balance() {
         // A record the run wrote, so its history has a last value.
         let db = &mut trial.out.cluster.db;
         let rid = db.commit_history().last().expect("a committed write").rid;
-        assert!(db.record_mut(rid).try_lock(u64::MAX), "{p}: lock is free");
+        // No node of the run is numbered 0xFFFF, so no slot holds it.
+        let stranger = owner_token(NodeId(u16::MAX), SlotId(0));
+        assert!(db.record_mut(rid).try_lock(stranger), "{p}: lock is free");
         let locked = format!("1 record lock(s) leaked past drain, first {rid:?}");
         assert_eq!(trial.violations(), [locked.as_str()], "{p}: left locked");
 
