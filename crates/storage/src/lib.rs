@@ -2,8 +2,9 @@
 //!
 //! The storage substrate of the HADES (ISCA 2024) reproduction:
 //!
-//! * [`record::Record`] — the Fig 1 augmented record's metadata: placement
-//!   plus the software metadata (version, lock) that the FaRM-style
+//! * [`record::Record`] — the Fig 1 augmented record's metadata, 24
+//!   bytes: placement, the value's arena line and the 32-bit software
+//!   metadata (version, lock) that the FaRM-style
 //!   baseline and the HADES-H local path rely on, with helpers for
 //!   mapping byte ranges to cache lines (HADES operates at line
 //!   granularity). Fig 1's incarnation is not modelled: it detects a
@@ -19,9 +20,10 @@
 //! * [`db::Database`] — tables over a uniform static hash partition
 //!   (Section VII), per-node cache-line slabs that give every record its
 //!   simulated address, one line arena per node holding the values that
-//!   own bytes (a per-record side array says where each starts), one
-//!   shared zero buffer for the values that are still all zero, and
-//!   locality-aware key sampling for the Fig 12b experiment.
+//!   own bytes (each record says where its value starts), one shared
+//!   zero buffer for the values that are still all zero, and
+//!   locality-aware key sampling for the Fig 12b experiment over
+//!   per-home key lists built on first use.
 //!
 //! Storage is insert-only. No workload the paper evaluates deletes a key,
 //! so neither the stores nor the database remove anything: every arena
