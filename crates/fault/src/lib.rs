@@ -725,6 +725,9 @@ pub struct SendFaults {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    /// `!plan.is_inert()`, computed once: the plan never changes after
+    /// [`FaultInjector::new`], and every send asks.
+    active: bool,
     rng: SimRng,
     /// Injected-fault counters.
     pub faults: FaultCounts,
@@ -743,6 +746,7 @@ impl FaultInjector {
         plan.validate();
         let rng = SimRng::seed_from(plan.seed);
         FaultInjector {
+            active: !plan.is_inert(),
             plan,
             rng,
             faults: FaultCounts::default(),
@@ -759,7 +763,7 @@ impl FaultInjector {
     /// must bypass it entirely (the fast path that preserves byte
     /// identity with un-injected builds).
     pub fn active(&self) -> bool {
-        !self.plan.is_inert()
+        self.active
     }
 
     /// The plan being executed.

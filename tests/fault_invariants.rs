@@ -185,6 +185,38 @@ fn link_faults_make_the_plan_non_inert() {
 }
 
 #[test]
+fn injector_activity_matches_its_plan() {
+    let cases = [
+        ("empty", FaultPlan::none()),
+        ("loss-only", FaultPlan::from_loss(0.05, 7)),
+        (
+            "crash-only",
+            FaultPlan::none().crash_forever(1, Cycles::new(1_000)),
+        ),
+        (
+            "nic-stall",
+            FaultPlan::none().nic_stall(2, Cycles::new(100), Cycles::new(300)),
+        ),
+        (
+            "link-flap",
+            FaultPlan::none().flap_link(
+                0,
+                1,
+                Cycles::new(0),
+                Cycles::new(1_000),
+                Cycles::new(100),
+                Cycles::new(50),
+            ),
+        ),
+    ];
+    for (name, plan) in cases {
+        let inj = FaultInjector::new(plan);
+        assert_eq!(inj.active(), !inj.plan().is_inert(), "{name}");
+        assert_eq!(inj.active(), name != "empty", "{name}");
+    }
+}
+
+#[test]
 #[should_panic(expected = "self-link")]
 fn self_link_cut_panics() {
     let _ = FaultPlan::none().cut_link(3, 3, Cycles::new(0), Cycles::new(10));
