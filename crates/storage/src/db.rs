@@ -14,6 +14,13 @@
 //! are built from the index on a table's first sampling call, so a run
 //! that never samples by home never holds them.
 //!
+//! Every insert goes through one batched path, [`Database::insert_rows`]:
+//! it allocates a chunk of records in row order, then hands each table
+//! its chunk's index entries in one [`KvIndex::insert_batch`] call, so a
+//! store can overlap the cache misses of consecutive inserts. Each index
+//! receives exactly the `(key, rid)` sequence a per-row load would give
+//! it, so every slot, node and lookup depth comes out the same.
+//!
 //! All simulated protocols share one `Database` — it *is* the cluster's
 //! storage.
 
@@ -30,6 +37,12 @@ pub struct TableId(pub u16);
 /// Bits reserved for the per-node line-address slab; node `n`'s lines start
 /// at `n << NODE_SLAB_SHIFT`.
 const NODE_SLAB_SHIFT: u32 = 40;
+
+/// Rows [`Database::insert_rows`] allocates before it applies their
+/// index entries: enough that each table's share of a chunk keeps a
+/// store's prefetches ahead of its inserts, few enough that the staged
+/// entries stay in the L1/L2 caches.
+const LOAD_CHUNK: usize = 4096;
 
 /// The byte range of a `len`-byte value that starts at arena line `line`.
 fn value_range(line: u32, len: usize) -> std::ops::Range<usize> {
@@ -70,10 +83,47 @@ pub fn home_of_line(line: u64) -> NodeId {
     NodeId((line >> NODE_SLAB_SHIFT) as u16)
 }
 
+/// One record to load: its table, key, value and home node.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'v> {
+    /// The table the key goes into.
+    pub table: TableId,
+    /// The record's key, unique within its table.
+    pub key: u64,
+    /// The record's initial value.
+    pub value: &'v [u8],
+    /// The home node, or `None` for the default [`uniform_home`].
+    pub home: Option<NodeId>,
+}
+
+impl<'v> Row<'v> {
+    /// A row with the default (uniform hash) placement.
+    pub fn new(table: TableId, key: u64, value: &'v [u8]) -> Self {
+        Row {
+            table,
+            key,
+            value,
+            home: None,
+        }
+    }
+
+    /// A row homed at an explicit node.
+    pub fn at(table: TableId, key: u64, value: &'v [u8], home: NodeId) -> Self {
+        Row {
+            home: Some(home),
+            ..Row::new(table, key, value)
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Table {
     name: String,
     index: Box<dyn KvIndex + Send>,
+    /// The current load chunk's `(key, rid)` entries for this table, in
+    /// row order; empty between [`Database::insert_rows`] chunks, and
+    /// kept so its buffer is reused.
+    staged: Vec<(u64, RecordId)>,
     /// Keys grouped by home node, each list in insertion order, for
     /// locality-aware sampling (Fig 12b). Built from the index on the
     /// first sampling call, so a run that never samples by home holds
@@ -210,6 +260,7 @@ impl Database {
         self.tables.push(Table {
             name: name.to_string(),
             index: new_index(kind),
+            staged: Vec::new(),
             keys_by_home: OnceCell::new(),
         });
         id
@@ -230,23 +281,69 @@ impl Database {
         self.records.len()
     }
 
-    /// Inserts a record with the default (uniform hash) placement.
+    /// Inserts a record with the default (uniform hash) placement: a
+    /// one-row [`Database::insert_rows`].
     pub fn insert(&mut self, table: TableId, key: u64, value: &[u8]) -> RecordId {
-        let home = uniform_home(key, self.nodes);
-        self.insert_at(table, key, value, home)
+        self.insert_rows([Row::new(table, key, value)]);
+        self.last_rid()
     }
 
     /// Inserts a record homed at an explicit node (used by workloads that
     /// co-locate related records, e.g. TPC-C districts with their
-    /// warehouse). An all-zero value gets no bytes until the record is
-    /// first mutated.
+    /// warehouse): a one-row [`Database::insert_rows`].
     ///
     /// # Panics
     ///
-    /// Panics if the key already exists in the table, if `home` is out of
-    /// range, if `value` is empty, or if the database already holds
-    /// 2^32 - 1 records.
+    /// As [`Database::insert_rows`].
     pub fn insert_at(&mut self, table: TableId, key: u64, value: &[u8], home: NodeId) -> RecordId {
+        self.insert_rows([Row::at(table, key, value, home)]);
+        self.last_rid()
+    }
+
+    /// The id of the newest record.
+    fn last_rid(&self) -> RecordId {
+        RecordId(self.records.len() as u32 - 1)
+    }
+
+    /// Loads `rows`, giving them consecutive record ids in row order.
+    /// An all-zero value gets no bytes until the record is first
+    /// mutated.
+    ///
+    /// Rows are taken `LOAD_CHUNK` at a time: the chunk's records are
+    /// allocated in row order, each table's index entries are staged in
+    /// row order, and then each table applies its entries with one
+    /// [`KvIndex::insert_batch`]. Every index thus receives the same
+    /// `(key, rid)` sequence as from one insert per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key already exists in its table, if a home is out of
+    /// range, if a value is empty, or if the database would hold
+    /// 2^32 - 1 records or more.
+    pub fn insert_rows<'v>(&mut self, rows: impl IntoIterator<Item = Row<'v>>) {
+        let mut rows = rows.into_iter();
+        loop {
+            let mut staged = 0;
+            for row in rows.by_ref().take(LOAD_CHUNK) {
+                let home = row
+                    .home
+                    .unwrap_or_else(|| uniform_home(row.key, self.nodes));
+                let rid = self.push_record(row.value, home);
+                self.tables[row.table.0 as usize]
+                    .staged
+                    .push((row.key, rid));
+                staged += 1;
+            }
+            self.apply_staged();
+            if staged < LOAD_CHUNK {
+                return;
+            }
+        }
+    }
+
+    /// Allocates the next record: its slab lines on `home` and, unless
+    /// `value` is all zero, its bytes in `home`'s arena.
+    fn push_record(&mut self, value: &[u8], home: NodeId) -> RecordId {
         assert!((home.0 as usize) < self.nodes, "home {home} out of range");
         // `u32::MAX` is the hash table's empty-slot marker, no rid.
         let rid = u32::try_from(self.records.len())
@@ -268,11 +365,28 @@ impl Database {
         };
         self.records
             .push(Record::new(base_line, value.len(), value_line));
-        let t = &mut self.tables[table.0 as usize];
-        let prev = t.index.insert(key, rid);
-        assert!(prev.is_none(), "duplicate key {key} in table {table:?}");
-        t.keys_by_home.take();
         rid
+    }
+
+    /// Applies every table's staged index entries and empties the
+    /// stages.
+    fn apply_staged(&mut self) {
+        for (i, t) in self.tables.iter_mut().enumerate() {
+            if t.staged.is_empty() {
+                continue;
+            }
+            t.index.insert_batch(&t.staged, &mut |key, _| {
+                panic!("duplicate key {key} in table {:?}", TableId(i as u16))
+            });
+            t.staged.clear();
+            t.keys_by_home.take();
+        }
+    }
+
+    /// The index of `table`, for inspecting its stored `(key, rid)`
+    /// pairs.
+    pub fn table_index(&self, table: TableId) -> &dyn KvIndex {
+        self.tables[table.0 as usize].index.as_ref()
     }
 
     /// Looks up a key, reporting index traversal depth for timing.

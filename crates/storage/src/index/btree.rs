@@ -147,7 +147,15 @@ impl BTree {
     /// the way down (CLRS preemptive splitting).
     fn insert_nonfull(&mut self, mut n: usize, key: u64, rid: RecordId) -> Option<RecordId> {
         loop {
-            match self.nodes[n].keys().binary_search(&key) {
+            // A key past the node's last one goes right of it: the
+            // binary search's answer, without its probes. An ascending
+            // load takes this path at every level of the right spine.
+            let keys = self.nodes[n].keys();
+            let found = match keys.last() {
+                Some(&last) if key > last => Err(keys.len()),
+                _ => keys.binary_search(&key),
+            };
+            match found {
                 Ok(i) => {
                     let old = self.nodes[n].rids[i];
                     self.nodes[n].rids[i] = rid;

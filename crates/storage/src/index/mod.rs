@@ -62,6 +62,23 @@ pub trait KvIndex: std::fmt::Debug {
     /// Inserts `key -> rid`; returns the previous mapping if any.
     fn insert(&mut self, key: u64, rid: RecordId) -> Option<RecordId>;
 
+    /// Inserts every `(key, rid)` of `entries` in order, leaving the
+    /// store exactly as one [`KvIndex::insert`] per entry would, and
+    /// calls `replaced(key, old)` for each entry whose key was already
+    /// mapped. A store may override it to overlap the entries' cache
+    /// misses.
+    fn insert_batch(
+        &mut self,
+        entries: &[(u64, RecordId)],
+        replaced: &mut dyn FnMut(u64, RecordId),
+    ) {
+        for &(key, rid) in entries {
+            if let Some(old) = self.insert(key, rid) {
+                replaced(key, old);
+            }
+        }
+    }
+
     /// Looks up `key`, reporting traversal depth.
     fn get(&self, key: u64) -> Option<Lookup>;
 

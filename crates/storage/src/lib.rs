@@ -21,9 +21,10 @@
 //!   (Section VII), per-node cache-line slabs that give every record its
 //!   simulated address, one line arena per node holding the values that
 //!   own bytes (each record says where its value starts), one shared
-//!   zero buffer for the values that are still all zero, and
-//!   locality-aware key sampling for the Fig 12b experiment over
-//!   per-home key lists built on first use.
+//!   zero buffer for the values that are still all zero, one batched
+//!   load path ([`db::Database::insert_rows`]), and locality-aware key
+//!   sampling for the Fig 12b experiment over per-home key lists built
+//!   on first use.
 //!
 //! Storage is insert-only. No workload the paper evaluates deletes a key,
 //! so neither the stores nor the database remove anything: every arena
@@ -49,6 +50,6 @@ pub mod db;
 pub mod index;
 pub mod record;
 
-pub use db::{uniform_home, Database, TableId};
+pub use db::{uniform_home, Database, Row, TableId};
 pub use index::{IndexKind, KvIndex, Lookup};
 pub use record::{Record, RecordId, RecordMut, RecordRef, LINE_BYTES};

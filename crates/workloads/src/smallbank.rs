@@ -11,7 +11,7 @@
 use crate::spec::{dedup_within_stages, OpKind, OpSpec, TxnSpec, Workload};
 use hades_sim::ids::NodeId;
 use hades_sim::rng::SimRng;
-use hades_storage::db::{Database, TableId};
+use hades_storage::db::{Database, Row, TableId};
 use hades_storage::index::IndexKind;
 
 /// Byte offset of the balance field in account records.
@@ -64,11 +64,9 @@ impl Smallbank {
         let savings = db.create_table("smallbank-savings", IndexKind::HashTable);
         let mut v = [0u8; 64];
         v[..8].copy_from_slice(&INITIAL_BALANCE.to_le_bytes());
-        for a in 0..cfg.accounts {
-            let rid = db.insert(checking, a, &v);
-            debug_assert_eq!(db.record(rid).read_u64(0), INITIAL_BALANCE);
-            db.insert(savings, a, &v);
-        }
+        db.insert_rows(
+            (0..cfg.accounts).flat_map(|a| [Row::new(checking, a, &v), Row::new(savings, a, &v)]),
+        );
         Smallbank {
             cfg,
             checking,

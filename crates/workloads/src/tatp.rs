@@ -10,7 +10,7 @@
 use crate::spec::{dedup_within_stages, OpKind, OpSpec, TxnSpec, Workload};
 use hades_sim::ids::NodeId;
 use hades_sim::rng::SimRng;
-use hades_storage::db::{Database, TableId};
+use hades_storage::db::{Database, Row, TableId};
 use hades_storage::index::IndexKind;
 
 /// TATP sizing.
@@ -52,12 +52,14 @@ impl Tatp {
         let access_info = db.create_table("tatp-access-info", IndexKind::HashTable);
         let special_facility = db.create_table("tatp-special-facility", IndexKind::HashTable);
         let call_forwarding = db.create_table("tatp-call-forwarding", IndexKind::BTree);
-        for s in 0..cfg.subscribers {
-            db.insert(subscriber, s, &[0u8; 128]);
-            db.insert(access_info, s, &[0u8; 64]);
-            db.insert(special_facility, s, &[0u8; 64]);
-            db.insert(call_forwarding, s, &[0u8; 64]);
-        }
+        db.insert_rows((0..cfg.subscribers).flat_map(|s| {
+            [
+                Row::new(subscriber, s, &[0u8; 128]),
+                Row::new(access_info, s, &[0u8; 64]),
+                Row::new(special_facility, s, &[0u8; 64]),
+                Row::new(call_forwarding, s, &[0u8; 64]),
+            ]
+        }));
         Tatp {
             cfg,
             subscriber,

@@ -15,7 +15,7 @@
 use crate::spec::{dedup_within_stages, OpKind, OpSpec, TxnSpec, Workload};
 use hades_sim::ids::NodeId;
 use hades_sim::rng::SimRng;
-use hades_storage::db::{Database, TableId};
+use hades_storage::db::{Database, Row, TableId};
 use hades_storage::index::IndexKind;
 
 /// TPC-C sizing knobs.
@@ -88,35 +88,22 @@ impl Tpcc {
         let stock = db.create_table("tpcc-stock", IndexKind::HashTable);
         let orders = db.create_table("tpcc-orders", IndexKind::BPlusTree);
 
-        for w in 0..cfg.warehouses {
-            db.insert(warehouse, w, &[0u8; 96]);
-        }
-        for d in 0..cfg.districts() {
-            db.insert(district, d, &[0u8; 96]);
-        }
-        for d in 0..cfg.districts() {
-            for c in 0..cfg.customers_per_district {
-                db.insert(customer, d * cfg.customers_per_district + c, &[0u8; 192]);
-            }
-        }
-        for i in 0..cfg.items {
-            db.insert(item, i, &[0u8; 64]);
-        }
         // Stock is per (warehouse, item-bucket): the standard layout is one
         // stock row per item per warehouse, which at 10 M items would
         // explode; we keep a 100k-bucket stock shard per warehouse, the
         // standard spec size.
         let stock_per_w = cfg.items.min(100_000);
-        for w in 0..cfg.warehouses {
-            for s in 0..stock_per_w {
-                db.insert(stock, w * stock_per_w + s, &[0u8; 192]);
-            }
-        }
-        for d in 0..cfg.districts() {
-            for o in 0..cfg.order_slots_per_district {
-                db.insert(orders, d * cfg.order_slots_per_district + o, &[0u8; 256]);
-            }
-        }
+        let customers = cfg.districts() * cfg.customers_per_district;
+        let order_slots = cfg.districts() * cfg.order_slots_per_district;
+        db.insert_rows(
+            (0..cfg.warehouses)
+                .map(|w| Row::new(warehouse, w, &[0u8; 96]))
+                .chain((0..cfg.districts()).map(|d| Row::new(district, d, &[0u8; 96])))
+                .chain((0..customers).map(|c| Row::new(customer, c, &[0u8; 192])))
+                .chain((0..cfg.items).map(|i| Row::new(item, i, &[0u8; 64])))
+                .chain((0..cfg.warehouses * stock_per_w).map(|s| Row::new(stock, s, &[0u8; 192])))
+                .chain((0..order_slots).map(|o| Row::new(orders, o, &[0u8; 256]))),
+        );
         let districts = cfg.districts() as usize;
         Tpcc {
             cfg,

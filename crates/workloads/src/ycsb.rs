@@ -8,7 +8,7 @@ use crate::spec::{dedup_within_stages, OpKind, OpSpec, TxnSpec, Workload};
 use crate::zipf::ScrambledZipf;
 use hades_sim::ids::NodeId;
 use hades_sim::rng::SimRng;
-use hades_storage::db::{Database, TableId};
+use hades_storage::db::{Database, Row, TableId};
 use hades_storage::index::IndexKind;
 
 /// YCSB variant. The paper evaluates A and B; C and E are provided as
@@ -115,9 +115,7 @@ impl Ycsb {
         assert!(cfg.requests_per_txn > 0, "need at least one request");
         let table = db.create_table(&format!("ycsb-{}", cfg.store.label()), cfg.store);
         let value = vec![0u8; cfg.value_bytes];
-        for key in 0..cfg.keys {
-            db.insert(table, key, &value);
-        }
+        db.insert_rows((0..cfg.keys).map(|key| Row::new(table, key, &value)));
         let zipf = ScrambledZipf::new(cfg.keys, cfg.theta);
         Ycsb { cfg, table, zipf }
     }

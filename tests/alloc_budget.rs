@@ -14,11 +14,13 @@
 //! Each engine is measured plain and with one squash enough to fall back
 //! to pessimistic locking.
 //!
-//! A second budget holds set-up: loading a database stores record values
-//! in per-node line arenas and B-tree nodes with their keys inline, and
-//! building a cluster lays each cache's tags out in flat arrays
-//! (DESIGN.md §12, "Memory layout"), so neither makes an allocation per
-//! record, per index node or per cache set.
+//! A second budget holds set-up, for TATP, Smallbank and YCSB loads:
+//! loading a database stores record values in per-node line arenas and
+//! B-tree nodes with their keys inline, and stages each load chunk's
+//! index entries in one reused buffer per table, and building a cluster
+//! lays each cache's tags out in flat arrays (DESIGN.md §12, "Memory
+//! layout" and "Loading"), so neither makes an allocation per record,
+//! per load chunk, per index node or per cache set.
 //!
 //! The counter is thread-local, so allocations made by the test harness
 //! on other threads are not counted.
@@ -121,24 +123,49 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
+/// Allocations made loading `app` at `scale`, and the records loaded.
+fn load_allocations(app: AppId, scale: f64) -> (u64, usize) {
+    let mut db = Database::new(SimConfig::isca_default().shape.nodes);
+    let (load, _workload) = counted(|| app.build(&mut db, scale));
+    (load, db.record_count())
+}
+
 #[test]
 fn set_up_stays_within_its_allocation_budget() {
     let cfg = SimConfig::isca_default();
-    let mut db = Database::new(cfg.shape.nodes);
-    let (load, _workload) = counted(|| AppId::Tatp.build(&mut db, 0.01));
-    let per_record = load as f64 / db.record_count() as f64;
-    println!(
-        "TATP load: {load} allocations for {} records ({per_record:.4} per record)",
-        db.record_count()
-    );
-    let (build, _cluster) = counted(|| Cluster::new(cfg, db));
-    println!("Cluster::new: {build} allocations");
-    assert!(
-        per_record <= 0.01,
-        "loading TATP made {per_record:.4} allocations per record > 0.01"
-    );
-    assert!(
-        build <= 1_000,
-        "Cluster::new made {build} allocations > 1000"
-    );
+    let mut over = Vec::new();
+    for label in ["TATP", "Smallbank", "HT-wA"] {
+        let app = AppId::parse(label).unwrap();
+        let (load, records) = load_allocations(app, 0.01);
+        let per_record = load as f64 / records as f64;
+        println!(
+            "{label} load: {load} allocations for {records} records ({per_record:.4} per record)"
+        );
+        if per_record > 0.01 {
+            over.push(format!(
+                "loading {label} made {per_record:.4} allocations per record > 0.01"
+            ));
+        }
+        // A load twice as large adds about one allocation per growing
+        // array (a doubling each); one per load chunk and table would
+        // add about 0.001 per record.
+        let (load2, records2) = load_allocations(app, 0.02);
+        let marginal = (load2 - load) as f64 / (records2 - records) as f64;
+        println!("{label} load: {marginal:.5} allocations per extra record");
+        if marginal > 0.0005 {
+            over.push(format!(
+                "loading {label} made {marginal:.5} allocations per extra record > 0.0005"
+            ));
+        }
+        let mut db = Database::new(cfg.shape.nodes);
+        let _workload = app.build(&mut db, 0.01);
+        let (build, _cluster) = counted(|| Cluster::new(cfg.clone(), db));
+        println!("{label} Cluster::new: {build} allocations");
+        if build > 1_000 {
+            over.push(format!(
+                "{label}: Cluster::new made {build} allocations > 1000"
+            ));
+        }
+    }
+    assert!(over.is_empty(), "over budget: {over:?}");
 }

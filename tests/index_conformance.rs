@@ -1,10 +1,13 @@
 //! Behavioural conformance of the four key-value stores, through the
 //! public `KvIndex` API: round trip, overwrite, adversarial keys, and a
 //! differential insert/overwrite fuzz against `std::collections::HashMap`
-//! that also checks the `(key, rid)` enumeration.
+//! that also checks the `(key, rid)` enumeration. `insert_batch` must
+//! behave as one `insert` per entry, duplicate keys included, and the
+//! database's batched load must still refuse a duplicate key.
 //! Every store runs the same suite, and `new_index` builds each shape
 //! under its paper label.
 
+use hades::storage::db::{Database, Row};
 use hades::storage::index::{new_index, IndexKind, KvIndex};
 use hades::storage::record::RecordId;
 use std::collections::HashMap;
@@ -75,6 +78,49 @@ fn differential_fuzz(idx: &mut dyn KvIndex, seed: u64) {
     assert_eq!(seen, reference, "enumeration differs from the reference");
 }
 
+/// The stored `(key, rid)` pairs in the store's own order.
+fn pairs(idx: &dyn KvIndex) -> Vec<(u64, RecordId)> {
+    let mut out = Vec::new();
+    idx.for_each(&mut |key, rid| out.push((key, rid)));
+    out
+}
+
+/// Random entries over a small key domain, so a batch repeats keys, both
+/// within itself and against earlier batches: `insert_batch` must report
+/// each replaced rid, and leave the store, exactly as `insert` would.
+fn batch_matches_per_key_insert(kind: IndexKind, seed: u64) {
+    let mut state = seed | 1;
+    let entries: Vec<(u64, RecordId)> = (0..3_000u32)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 700, RecordId(i))
+        })
+        .collect();
+    let mut reference = new_index(kind);
+    let mut want = Vec::new();
+    for &(key, rid) in &entries {
+        if let Some(old) = reference.insert(key, rid) {
+            want.push((key, old));
+        }
+    }
+    let mut batched = new_index(kind);
+    let mut got = Vec::new();
+    for batch in entries.chunks(97) {
+        batched.insert_batch(batch, &mut |key, old| got.push((key, old)));
+    }
+    assert!(!want.is_empty(), "the entries repeat keys");
+    assert_eq!(got, want, "{kind:?}: replaced rids differ from insert's");
+    assert_eq!(batched.len(), reference.len());
+    assert_eq!(
+        pairs(batched.as_ref()),
+        pairs(reference.as_ref()),
+        "{kind:?}"
+    );
+    assert_eq!(batched.get(entries[0].0), reference.get(entries[0].0));
+}
+
 /// Runs the whole suite on fresh stores of `kind`; `seed` drives the fuzz.
 fn conforms(kind: IndexKind, seed: u64) {
     assert_eq!(new_index(kind).kind(), kind);
@@ -82,6 +128,7 @@ fn conforms(kind: IndexKind, seed: u64) {
     overwrite_returns_old(new_index(kind).as_mut());
     handles_adversarial_keys(new_index(kind).as_mut());
     differential_fuzz(new_index(kind).as_mut(), seed);
+    batch_matches_per_key_insert(kind, seed);
 }
 
 #[test]
@@ -102,6 +149,15 @@ fn skip_list_conforms() {
 #[test]
 fn bplus_tree_conforms() {
     conforms(IndexKind::BPlusTree, 0xB9);
+}
+
+#[test]
+#[should_panic(expected = "duplicate key 5")]
+fn a_duplicate_key_inside_a_load_batch_panics() {
+    let mut db = Database::new(2);
+    let t = db.create_table("t", IndexKind::HashTable);
+    let value = [0u8; 64];
+    db.insert_rows((0..10).chain([5]).map(|key| Row::new(t, key, &value)));
 }
 
 #[test]

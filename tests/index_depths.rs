@@ -6,11 +6,20 @@
 //! was. Each case fills a store with one kind of key — sequential,
 //! strided or xorshift — and digests every key's lookup, plus the final
 //! `len`, against constants recorded before the stores were compacted.
+//!
+//! Each store is filled twice: one `insert` per key, and in
+//! `insert_batch` calls of uneven sizes, the way the database loads.
+//! Both must reach the same digests; the batch boundaries fall inside
+//! hash-table grows and B-tree root splits, which a test checks.
 
 use hades::storage::index::{BTree, HashTable, KvIndex};
 use hades::storage::record::RecordId;
 
 const KEYS: u64 = 20_000;
+
+/// Batch sizes a bulk fill cycles through: uneven, so the boundaries
+/// fall at every phase of the stores' grows and splits.
+const BATCHES: [usize; 4] = [1, 13, 250, 4_096];
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -52,12 +61,55 @@ fn key_sets() -> Vec<(&'static str, Vec<u64>)> {
     ]
 }
 
+/// How a store is filled: one `insert` per key, or `insert_batch`
+/// over [`BATCHES`].
+#[derive(Debug, Clone, Copy)]
+enum Fill {
+    PerKey,
+    Batched,
+}
+
+/// `keys` with their rids (insertion positions), cut into batches of
+/// the [`BATCHES`] sizes in turn.
+fn batches(keys: &[u64]) -> Vec<Vec<(u64, RecordId)>> {
+    let entries: Vec<(u64, RecordId)> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| (k, RecordId(i as u32)))
+        .collect();
+    let mut out = Vec::new();
+    let mut rest = &entries[..];
+    for &size in BATCHES.iter().cycle() {
+        if rest.is_empty() {
+            return out;
+        }
+        let (batch, tail) = rest.split_at(size.min(rest.len()));
+        out.push(batch.to_vec());
+        rest = tail;
+    }
+    unreachable!("the cycle ends when the entries do")
+}
+
+/// Fills `idx` with `keys`, the key at position `i` mapping to rid `i`.
+fn fill(idx: &mut dyn KvIndex, keys: &[u64], how: Fill) {
+    match how {
+        Fill::PerKey => {
+            for (i, &k) in keys.iter().enumerate() {
+                idx.insert(k, RecordId(i as u32));
+            }
+        }
+        Fill::Batched => {
+            for batch in batches(keys) {
+                idx.insert_batch(&batch, &mut |key, _| panic!("key {key} repeats"));
+            }
+        }
+    }
+}
+
 /// Fills `idx` with one key set and digests every key's lookup in
 /// insertion order plus the final length.
-fn digest(idx: &mut dyn KvIndex, keys: &[u64]) -> (u64, usize) {
-    for (i, &k) in keys.iter().enumerate() {
-        idx.insert(k, RecordId(i as u32));
-    }
+fn digest(idx: &mut dyn KvIndex, keys: &[u64], how: Fill) -> (u64, usize) {
+    fill(idx, keys, how);
     let mut h = Fnv::new();
     for &k in keys {
         match idx.get(k) {
@@ -75,13 +127,15 @@ fn digest(idx: &mut dyn KvIndex, keys: &[u64]) -> (u64, usize) {
 fn check(make: fn() -> Box<dyn KvIndex>, pinned: [(u64, usize); 3]) {
     let mut drift = Vec::new();
     for ((name, keys), want) in key_sets().into_iter().zip(pinned) {
-        let got = digest(make().as_mut(), &keys);
-        println!("{name}: (0x{:016x}, {})", got.0, got.1);
-        if got != want {
-            drift.push(format!(
-                "{name}: got (0x{:016x}, {}), want (0x{:016x}, {})",
-                got.0, got.1, want.0, want.1
-            ));
+        for how in [Fill::PerKey, Fill::Batched] {
+            let got = digest(make().as_mut(), &keys, how);
+            println!("{name} {how:?}: (0x{:016x}, {})", got.0, got.1);
+            if got != want {
+                drift.push(format!(
+                    "{name} {how:?}: got (0x{:016x}, {}), want (0x{:016x}, {})",
+                    got.0, got.1, want.0, want.1
+                ));
+            }
         }
     }
     assert!(drift.is_empty(), "lookup depths moved: {drift:?}");
@@ -109,4 +163,25 @@ fn btree_depths_are_pinned() {
             (0x2ef3_a3aa_a778_e61d, 20_000),
         ],
     );
+}
+
+/// The bulk fills above exercise what they claim: for every key set, some
+/// batch spans a hash-table grow and some batch spans a B-tree root
+/// split (the tree gains a level mid-batch).
+#[test]
+fn batches_straddle_grows_and_root_splits() {
+    for (name, keys) in key_sets() {
+        let (mut ht, mut bt) = (HashTable::new(), BTree::new());
+        let (mut grows, mut root_splits) = (0, 0);
+        for batch in batches(&keys).iter().filter(|b| b.len() > 1) {
+            let (capacity, height) = (ht.capacity(), bt.height());
+            ht.insert_batch(batch, &mut |key, _| panic!("key {key} repeats"));
+            bt.insert_batch(batch, &mut |key, _| panic!("key {key} repeats"));
+            grows += usize::from(ht.capacity() != capacity);
+            root_splits += usize::from(bt.height() != height);
+        }
+        println!("{name}: {grows} batches grew the table, {root_splits} split the root");
+        assert!(grows > 0, "{name}: no batch spans a grow");
+        assert!(root_splits > 0, "{name}: no batch spans a root split");
+    }
 }

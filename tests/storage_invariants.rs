@@ -1,6 +1,7 @@
 //! Invariants of the storage layer, through its public API: the
 //! database's placement, line geometry, value arena, key sampling, table
-//! and record ids and commit history, and the structural properties of
+//! and record ids and commit history, the batched load of every workload
+//! against a per-row reference, and the structural properties of
 //! each of the four stores (depth, ordering, splits, determinism). The
 //! behaviour all four stores share is in `index_conformance.rs`; the
 //! record layout and the zero-value store are in `record_layout.rs`.
@@ -297,6 +298,206 @@ mod db {
         }
         assert_eq!(last, Some(TableId(u16::MAX)));
         db.create_table("t", IndexKind::HashTable);
+    }
+}
+
+mod bulk_load {
+    //! Every workload loads through `Database::insert_rows`, which
+    //! allocates records a chunk at a time and hands each index its
+    //! chunk's entries in one `insert_batch`. The reference below is the
+    //! per-row load those set-ups replaced: one `Database::insert` per
+    //! row, and each row's index entry, separately, through one
+    //! `KvIndex::insert` on a fresh store of the table's shape. Each
+    //! workload is loaded at a scale of several chunks and must give the
+    //! same records (rids, homes, base lines, value lines, bytes) and the
+    //! same per-table `for_each` sequences, which are the stores' slot
+    //! and node layouts.
+
+    use hades::storage::db::{Database, TableId};
+    use hades::storage::index::{new_index, IndexKind, KvIndex};
+    use hades::storage::record::RecordId;
+    use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE};
+    use hades::workloads::tatp::{Tatp, TatpConfig};
+    use hades::workloads::tpcc::{Tpcc, TpccConfig};
+    use hades::workloads::ycsb::{Ycsb, YcsbConfig, YcsbVariant};
+
+    const NODES: usize = 5;
+
+    /// The per-row load.
+    struct Reference {
+        db: Database,
+        stores: Vec<Box<dyn KvIndex + Send>>,
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference {
+                db: Database::new(NODES),
+                stores: Vec::new(),
+            }
+        }
+
+        fn table(&mut self, name: &str, kind: IndexKind) -> TableId {
+            self.stores.push(new_index(kind));
+            self.db.create_table(name, kind)
+        }
+
+        fn insert(&mut self, table: TableId, key: u64, value: &[u8]) {
+            let rid = self.db.insert(table, key, value);
+            let prev = self.stores[table.0 as usize].insert(key, rid);
+            assert!(prev.is_none(), "reference: duplicate key {key}");
+        }
+    }
+
+    /// A store's `(key, rid)` pairs in its own order.
+    fn pairs(idx: &dyn KvIndex) -> Vec<(u64, RecordId)> {
+        let mut out = Vec::new();
+        idx.for_each(&mut |key, rid| out.push((key, rid)));
+        out
+    }
+
+    fn assert_same_load(name: &str, loaded: &Database, reference: &Reference) {
+        let want = &reference.db;
+        assert_eq!(loaded.record_count(), want.record_count(), "{name}");
+        for rid in (0..want.record_count() as u32).map(RecordId) {
+            let (got, exp) = (loaded.record(rid), want.record(rid));
+            assert_eq!(got.home(), exp.home(), "{name} rid {rid:?}");
+            assert!(got.lines().eq(exp.lines()), "{name} rid {rid:?}: base line");
+            assert_eq!(
+                got.read(0, got.value_len()),
+                exp.read(0, exp.value_len()),
+                "{name} rid {rid:?}: value"
+            );
+            // The value line is crate-private; the record's `Debug`
+            // prints every field, so equal text means an equal line.
+            assert_eq!(
+                format!("{:?}", *got),
+                format!("{:?}", *exp),
+                "{name} rid {rid:?}"
+            );
+        }
+        for (t, store) in reference.stores.iter().enumerate() {
+            let table = TableId(t as u16);
+            assert_eq!(loaded.table_name(table), want.table_name(table), "{name}");
+            assert_eq!(loaded.table_index(table).kind(), store.kind(), "{name}");
+            let got = pairs(loaded.table_index(table));
+            assert_eq!(
+                got,
+                pairs(store.as_ref()),
+                "{name} {}",
+                want.table_name(table)
+            );
+            assert_eq!(
+                got,
+                pairs(want.table_index(table)),
+                "{name} {}",
+                want.table_name(table)
+            );
+        }
+    }
+
+    #[test]
+    fn tatp_load_matches_the_per_row_reference() {
+        let cfg = TatpConfig { subscribers: 5_000 };
+        let mut db = Database::new(NODES);
+        Tatp::setup(&mut db, cfg);
+        let mut r = Reference::new();
+        let subscriber = r.table("tatp-subscriber", IndexKind::HashTable);
+        let access_info = r.table("tatp-access-info", IndexKind::HashTable);
+        let special_facility = r.table("tatp-special-facility", IndexKind::HashTable);
+        let call_forwarding = r.table("tatp-call-forwarding", IndexKind::BTree);
+        for s in 0..cfg.subscribers {
+            r.insert(subscriber, s, &[0u8; 128]);
+            r.insert(access_info, s, &[0u8; 64]);
+            r.insert(special_facility, s, &[0u8; 64]);
+            r.insert(call_forwarding, s, &[0u8; 64]);
+        }
+        assert_same_load("TATP", &db, &r);
+    }
+
+    #[test]
+    fn smallbank_load_matches_the_per_row_reference() {
+        let cfg = SmallbankConfig {
+            accounts: 9_000,
+            hotspot: None,
+        };
+        let mut db = Database::new(NODES);
+        Smallbank::setup(&mut db, cfg);
+        let mut r = Reference::new();
+        let checking = r.table("smallbank-checking", IndexKind::HashTable);
+        let savings = r.table("smallbank-savings", IndexKind::HashTable);
+        let mut v = [0u8; 64];
+        v[..8].copy_from_slice(&INITIAL_BALANCE.to_le_bytes());
+        for a in 0..cfg.accounts {
+            r.insert(checking, a, &v);
+            r.insert(savings, a, &v);
+        }
+        assert_same_load("Smallbank", &db, &r);
+    }
+
+    #[test]
+    fn ycsb_load_matches_the_per_row_reference() {
+        for store in [IndexKind::HashTable, IndexKind::BTree] {
+            let cfg = YcsbConfig {
+                keys: 10_000,
+                ..YcsbConfig::paper(store, YcsbVariant::A)
+            };
+            let mut db = Database::new(NODES);
+            Ycsb::setup(&mut db, cfg);
+            let mut r = Reference::new();
+            let table = r.table(&format!("ycsb-{}", store.label()), store);
+            for key in 0..cfg.keys {
+                r.insert(table, key, &vec![0u8; cfg.value_bytes]);
+            }
+            assert_same_load(&format!("YCSB {}", store.label()), &db, &r);
+        }
+    }
+
+    #[test]
+    fn tpcc_load_matches_the_per_row_reference() {
+        let cfg = TpccConfig {
+            warehouses: 2,
+            districts_per_warehouse: 10,
+            customers_per_district: 30,
+            items: 10_000,
+            order_slots_per_district: 50,
+        };
+        let mut db = Database::new(NODES);
+        Tpcc::setup(&mut db, cfg);
+        let mut r = Reference::new();
+        let warehouse = r.table("tpcc-warehouse", IndexKind::HashTable);
+        let district = r.table("tpcc-district", IndexKind::HashTable);
+        let customer = r.table("tpcc-customer", IndexKind::BTree);
+        let item = r.table("tpcc-item", IndexKind::HashTable);
+        let stock = r.table("tpcc-stock", IndexKind::HashTable);
+        let orders = r.table("tpcc-orders", IndexKind::BPlusTree);
+        let districts = cfg.warehouses * cfg.districts_per_warehouse;
+        for w in 0..cfg.warehouses {
+            r.insert(warehouse, w, &[0u8; 96]);
+        }
+        for d in 0..districts {
+            r.insert(district, d, &[0u8; 96]);
+        }
+        for d in 0..districts {
+            for c in 0..cfg.customers_per_district {
+                r.insert(customer, d * cfg.customers_per_district + c, &[0u8; 192]);
+            }
+        }
+        for i in 0..cfg.items {
+            r.insert(item, i, &[0u8; 64]);
+        }
+        let stock_per_w = cfg.items.min(100_000);
+        for w in 0..cfg.warehouses {
+            for s in 0..stock_per_w {
+                r.insert(stock, w * stock_per_w + s, &[0u8; 192]);
+            }
+        }
+        for d in 0..districts {
+            for o in 0..cfg.order_slots_per_district {
+                r.insert(orders, d * cfg.order_slots_per_district + o, &[0u8; 256]);
+            }
+        }
+        assert_same_load("TPC-C", &db, &r);
     }
 }
 
