@@ -19,8 +19,8 @@
 //! Long cells additionally require the full death-and-rejoin arc: the
 //! stranded node is suspected, quorum-declared dead, and readmitted
 //! under a fresh epoch once its renewals land again. A plan with no
-//! link faults and the quorum/self-fence knobs off must be
-//! byte-identical to a run with no injector installed at all.
+//! link faults and partition-safe mode off must be byte-identical to a
+//! run with no injector installed at all.
 //!
 //! Run: `cargo run --release -p hades-bench --bin nemesis` (`--quick`
 //! for the CI smoke subset, `--json <path>` for a machine-readable
@@ -174,7 +174,7 @@ fn main() {
     ];
 
     // 1. Off-mode identity: a plan with no link faults, under a config
-    // with quorum and self-fencing off, must be byte-identical to a run
+    // with partition-safe mode off, must be byte-identical to a run
     // with no injector at all.
     let off_cfg = SimConfig::isca_default()
         .with_shape(SHAPE)

@@ -42,14 +42,12 @@ const DST: u16 = 0;
 /// catch-up phases of the standard plan into several windows.
 const TS_WINDOW_US: u64 = 10;
 
-/// Sim time of the cutover under `plan`: announce at `start_at`, one
+/// Sim time of the cutover under `plan`: announce at `START_AT`, one
 /// chunk round per `chunk_interval`, then the dual-routing window.
 fn cutover_at(plan: &MigrationParams) -> Cycles {
-    Cycles::new(
-        plan.start_at.get()
-            + plan.chunks_per_move() * plan.chunk_interval.get()
-            + plan.dual_window.get(),
-    )
+    MigrationParams::START_AT
+        + plan.chunk_interval * MigrationParams::CHUNKS_PER_MOVE
+        + MigrationParams::DUAL_WINDOW
 }
 
 fn main() {
@@ -81,10 +79,10 @@ fn main() {
                 if mig.partitions_moved != moves {
                     bad.push("cutover never repointed the partition".to_string());
                 }
-                if mig.chunks_moved != plan.chunks_per_move() * moves {
+                if mig.chunks_moved != MigrationParams::CHUNKS_PER_MOVE * moves {
                     bad.push("copy phase did not stream every chunk".to_string());
                 }
-                if mig.records_moved != plan.partition_records * moves {
+                if mig.records_moved != MigrationParams::PARTITION_RECORDS * moves {
                     bad.push("copy phase did not stream every record".to_string());
                 }
                 if s.membership.epoch_changes < 2 {

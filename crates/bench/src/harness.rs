@@ -87,7 +87,7 @@ pub struct BenchConfig {
     /// the top-10 slowest committed transactions (DESIGN.md §13).
     pub tail: bool,
     /// Enable windowed time-series; each cell gains a `timeseries`
-    /// block ([`TS_WINDOW`] sim-time windows).
+    /// block ([`TS_WINDOW_US`] µs sim-time windows).
     pub timeseries: bool,
     /// Add batched duplicates of every matrix cell, running under
     /// adaptive doorbell coalescing capped at this batch size

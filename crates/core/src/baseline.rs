@@ -20,6 +20,7 @@ use crate::driver::{Engine, Ev, Sim, SlotCore};
 use crate::runtime::{apply_write, next_node, Cluster, CoreVerb, OpRef, ResolvedOp, ResolvedTxn};
 use crate::stats::{Overhead, Phase, RunStats, SquashReason};
 use hades_net::fabric::wire_size;
+use hades_sim::config::{MembershipParams, ReplicationParams, RetryParams};
 use hades_sim::ids::NodeId;
 use hades_sim::time::Cycles;
 use hades_storage::record::RecordId;
@@ -516,7 +517,7 @@ impl Sim<Baseline> {
                     // would hang the slot forever; the watchdog converts
                     // the silence into a retry.
                     self.q.push_at(
-                        cursor + self.cl.membership.params().fetch_timeout,
+                        cursor + MembershipParams::FETCH_TIMEOUT,
                         Ev::FetchTimeout {
                             si,
                             att,
@@ -739,7 +740,7 @@ impl Sim<Baseline> {
         self.slots[si].outstanding = outstanding;
         self.cl.obs_round_begin(si, Verb::Lock, outstanding, now);
         if self.cl.injector_active() && outstanding > 0 {
-            let deadline = cursor + self.cl.cfg.repl.ack_timeout;
+            let deadline = cursor + ReplicationParams::ACK_TIMEOUT;
             let ev = BaselineEv::RpcTimeout { si, att, epoch };
             self.q.push_at(deadline, ev.into());
         }
@@ -939,7 +940,7 @@ impl Sim<Baseline> {
         self.cl
             .obs_round_begin(si, Verb::Validate, outstanding, now);
         if self.cl.injector_active() && outstanding > 0 {
-            let deadline = cursor + self.cl.cfg.repl.ack_timeout;
+            let deadline = cursor + ReplicationParams::ACK_TIMEOUT;
             let ev = BaselineEv::RpcTimeout { si, att, epoch };
             self.q.push_at(deadline, ev.into());
         }
@@ -1217,8 +1218,8 @@ impl Sim<Baseline> {
         if self.crashed[home.0 as usize] {
             // The batch's (routed) host is down: retry after the usual
             // lock backoff — reconfiguration will reroute the batch.
-            let retry = self.cl.cfg.retry.lock_retry;
-            self.q.push_at(now + retry, Ev::FallbackLock { si, att });
+            self.q
+                .push_at(now + RetryParams::LOCK_RETRY, Ev::FallbackLock { si, att });
             return;
         }
         let mut batch = std::mem::take(&mut self.ext[si].fallback_batch);
@@ -1264,8 +1265,8 @@ impl Sim<Baseline> {
             for &rid in &batch[..acquired] {
                 self.cl.db.record_mut(rid).unlock(token);
             }
-            let retry = self.cl.cfg.retry.lock_retry;
-            self.q.push_at(when + retry, Ev::FallbackLock { si, att });
+            self.q
+                .push_at(when + RetryParams::LOCK_RETRY, Ev::FallbackLock { si, att });
         }
         self.ext[si].fallback_batch = batch;
     }

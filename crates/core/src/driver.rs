@@ -22,6 +22,7 @@ use crate::runtime::{
 use crate::stats::{Phase, RunStats, SquashReason};
 use hades_fault::InjectedFault;
 use hades_net::nic::RemoteTxKey;
+use hades_sim::config::{MembershipParams, MigrationParams, OverloadParams, RetryParams};
 use hades_sim::engine::EventQueue;
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::rng::SimRng;
@@ -272,7 +273,7 @@ impl<P: Engine> Sim<P> {
             }
         }
         let q = if P::RETRY_LANE {
-            EventQueue::with_retry_delay(cl.cfg.retry.lock_retry)
+            EventQueue::with_retry_delay(RetryParams::LOCK_RETRY)
         } else {
             EventQueue::new()
         };
@@ -319,7 +320,7 @@ impl<P: Engine> Sim<P> {
             }
         }
         if self.cl.membership.enabled() {
-            let interval = self.cl.membership.renew_interval();
+            let interval = MembershipParams::RENEW_INTERVAL;
             for n in 0..self.cl.cfg.shape.nodes {
                 let node = NodeId(n as u16);
                 self.q.push_at(interval, Ev::LeaseRenew { node });
@@ -330,8 +331,7 @@ impl<P: Engine> Sim<P> {
                 .push_at(interval + Cycles::new(1), Ev::MembershipTick);
         }
         if self.cl.cfg.migration.enabled() {
-            self.q
-                .push_at(self.cl.cfg.migration.start_at, Ev::MigrationTick);
+            self.q.push_at(MigrationParams::START_AT, Ev::MigrationTick);
         }
         loop {
             let view = RearmView {
@@ -545,12 +545,11 @@ impl<P: Engine> Sim<P> {
             return;
         }
         let now = self.q.now();
-        let retry_limit = self.cl.fallback_threshold();
+        let retry_limit = self.cl.cfg.retry.fallback_after_squashes;
         // Admission control gates *new* transactions only — a slot
         // retrying an in-flight transaction is never deferred. Baseline
         // has no Locking Buffers, so its occupancy signal is the bank's
-        // (always-zero) occupancy; the in-flight and abort-rate signals
-        // do the work.
+        // (always-zero) occupancy; the abort-rate signal does the work.
         if self.slots[si].txn.is_none() && self.cl.admission.active() {
             let node = self.slots[si].node;
             let inflight = self.inflight_at(node);
@@ -563,7 +562,7 @@ impl<P: Engine> Sim<P> {
                     self.meas.stats.overload.admission_throttled += 1;
                 }
                 self.q
-                    .push_at(now + self.cl.cfg.overload.admit_retry, Ev::Start { si });
+                    .push_at(now + OverloadParams::ADMIT_RETRY, Ev::Start { si });
                 return;
             }
         }
@@ -800,8 +799,10 @@ impl<P: Engine> Sim<P> {
         if !self.crashed[node.0 as usize] && self.cl.renewal_lands(now, node) {
             self.cl.membership.note_renewal(node, now);
         }
-        let interval = self.cl.membership.renew_interval();
-        self.q.push_at(now + interval, Ev::LeaseRenew { node });
+        self.q.push_at(
+            now + MembershipParams::RENEW_INTERVAL,
+            Ev::LeaseRenew { node },
+        );
     }
 
     /// Failure-detector sweep (membership layer): nodes whose renewals
@@ -822,9 +823,7 @@ impl<P: Engine> Sim<P> {
                 P::on_death(self, dead);
             }
         }
-        self.q.push_at(
-            now + self.cl.membership.renew_interval(),
-            Ev::MembershipTick,
-        );
+        self.q
+            .push_at(now + MembershipParams::RENEW_INTERVAL, Ev::MembershipTick);
     }
 }

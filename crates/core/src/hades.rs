@@ -32,7 +32,7 @@ use crate::stats::{RunStats, SquashReason};
 use hades_bloom::{BloomFilter, DualWriteFilter, LineHash, LockFailure, LockingBuffers, Signature};
 use hades_net::fabric::wire_size;
 use hades_net::nic::{RemoteTxKey, TxRemoteTable};
-use hades_sim::config::BloomParams;
+use hades_sim::config::{BloomParams, MembershipParams, ReplicationParams, RetryParams};
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::time::Cycles;
 use hades_telemetry::event::{EventKind, Phase as TracePhase, RecoveryKind, Verb, NO_SLOT};
@@ -816,7 +816,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             // A home that dies forever mid-fetch would hang this slot;
             // the membership layer bounds the wait.
             if self.cl.membership.enabled() {
-                let deadline = cursor + self.cl.membership.params().fetch_timeout;
+                let deadline = cursor + MembershipParams::FETCH_TIMEOUT;
                 let stage = stage_idx;
                 self.q
                     .push_at(deadline, Ev::FetchTimeout { si, att, stage });
@@ -1010,7 +1010,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             self.p.replica_persists += local_persists;
             cursor = self
                 .cl
-                .run_on_core(node, core, cursor, self.cl.cfg.repl.persist_latency);
+                .run_on_core(node, core, cursor, ReplicationParams::PERSIST_LATENCY);
         }
         let repl_count = repl_remote.len();
         self.ext[si].replica_targets = repl_remote;
@@ -1079,7 +1079,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
         // Messages (or their Acks) may be lost or delayed: arm the commit
         // timeout whenever a fault plan is live.
         if self.cl.injector_active() {
-            let deadline = cursor + self.cl.cfg.repl.ack_timeout;
+            let deadline = cursor + ReplicationParams::ACK_TIMEOUT;
             self.q
                 .push_at(deadline, HadesEv::CommitTimeout { si, att }.into());
         }
@@ -1095,7 +1095,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
         let key = self.key_of(si);
         self.p.replica_pending[node.0 as usize].insert(key);
         self.p.replica_persists += 1;
-        let ready = now + self.cl.cfg.repl.persist_latency;
+        let ready = now + ReplicationParams::PERSIST_LATENCY;
         let (origin, verb) = (key.origin, Verb::ReplicaAck);
         self.send_ack(ready, node, origin, (si, att), true, ack_id, verb);
     }
@@ -1433,8 +1433,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
         if let Some(stall) = self.poll_fallback_lock(si, target, phys, now) {
             // The bank traces a denial as `try_lock_at` does.
             trace_stall(&self.cl, now, stall, None);
-            let retry = self.cl.cfg.retry.lock_retry;
-            self.q.push_at(when + retry, Ev::FallbackLock { si, att });
+            self.q
+                .push_at(when + RetryParams::LOCK_RETRY, Ev::FallbackLock { si, att });
             return;
         }
         if phys == node {

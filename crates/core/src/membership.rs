@@ -125,11 +125,6 @@ impl Membership {
         self.epoch
     }
 
-    /// The layer's tuning knobs.
-    pub fn params(&self) -> &MembershipParams {
-        &self.params
-    }
-
     /// Current configuration epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -157,20 +152,10 @@ impl Membership {
         self.last_renewal[node.0 as usize] = now;
     }
 
-    /// Lease renewal period.
-    pub fn renew_interval(&self) -> Cycles {
-        self.params.renew_interval
-    }
-
     /// How stale a node's last renewal must be before it is suspected:
-    /// `renew_interval * suspect_after`.
+    /// `RENEW_INTERVAL * SUSPECT_AFTER`.
     pub fn suspect_deadline(&self) -> Cycles {
-        Cycles::new(
-            self.params
-                .renew_interval
-                .get()
-                .saturating_mul(self.params.suspect_after as u64),
-        )
+        MembershipParams::RENEW_INTERVAL * MembershipParams::SUSPECT_AFTER
     }
 
     /// Alive nodes whose last renewal is older than the suspect
@@ -186,14 +171,11 @@ impl Membership {
             .collect()
     }
 
-    /// Whether death declarations are quorum-gated (DESIGN.md §16).
-    pub fn quorum_enabled(&self) -> bool {
-        self.enabled() && self.params.quorum
-    }
-
-    /// Whether expired-lease coordinators refuse commit handshakes.
-    pub fn self_fence_enabled(&self) -> bool {
-        self.enabled() && self.params.self_fence
+    /// Whether partition-safe mode is on (DESIGN.md §16): death
+    /// declarations are quorum-gated and expired-lease coordinators
+    /// refuse commit handshakes.
+    pub fn partition_safe(&self) -> bool {
+        self.enabled() && self.params.partition_safe
     }
 
     /// Smallest strict majority of the full cluster (dead nodes still
@@ -225,15 +207,17 @@ impl Membership {
     }
 
     /// Staleness a suspect must reach before a quorum-mode death is
-    /// declared: `suspect_deadline * grace_factor`. The gap between the
-    /// two deadlines is where gray nodes degrade service (suspicion,
-    /// self-fencing) without reconfiguring the cluster.
+    /// declared: `suspect_deadline * GRACE_FACTOR` in partition-safe
+    /// mode. The gap between the two deadlines is where gray nodes
+    /// degrade service (suspicion, self-fencing) without reconfiguring
+    /// the cluster.
     pub fn death_deadline(&self) -> Cycles {
-        Cycles::new(
-            self.suspect_deadline()
-                .get()
-                .saturating_mul(self.params.grace_factor.max(1) as u64),
-        )
+        let grace = if self.params.partition_safe {
+            MembershipParams::GRACE_FACTOR
+        } else {
+            1
+        };
+        self.suspect_deadline() * grace
     }
 
     /// One quorum-mode detector scan at `now` (DESIGN.md §16):
@@ -253,7 +237,7 @@ impl Membership {
     /// actual reconfiguration for each returned death.
     pub fn scan(&mut self, now: Cycles) -> ScanOutcome {
         let mut out = ScanOutcome::default();
-        if !self.quorum_enabled() {
+        if !self.partition_safe() {
             out.deaths = self.suspects(now);
             return out;
         }
@@ -391,7 +375,7 @@ mod tests {
     #[test]
     fn suspicion_needs_missed_renewals() {
         let mut m = Membership::new(params_on(), 2);
-        let step = m.renew_interval();
+        let step = MembershipParams::RENEW_INTERVAL;
         m.note_renewal(NodeId(0), step);
         m.note_renewal(NodeId(1), step);
         // Just past one interval: nobody suspected yet.
@@ -539,15 +523,14 @@ mod tests {
     #[test]
     fn lease_expiry_is_the_self_fence_trigger() {
         let mut m = Membership::new(params_quorum(), 2);
-        assert!(m.self_fence_enabled());
+        assert!(m.partition_safe());
         let sd = m.suspect_deadline();
         m.note_renewal(NodeId(0), Cycles::new(100));
         assert!(!m.lease_expired(NodeId(0), Cycles::new(100 + sd.get())));
         assert!(m.lease_expired(NodeId(0), Cycles::new(101 + sd.get())));
         // Legacy profile: self-fencing stays off.
         let legacy = Membership::new(MembershipParams::standard(), 2);
-        assert!(!legacy.self_fence_enabled());
-        assert!(!legacy.quorum_enabled());
+        assert!(!legacy.partition_safe());
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! cycles on work it will squash: every admitted transaction increases
 //! the conflict probability of every other. The controller bounds that
 //! feedback loop per node, deferring *new* transaction starts (never
-//! in-flight ones) while the node is past any of three signals:
+//! in-flight ones) while the node is past either of two signals:
 //!
-//! * an explicit in-flight bound (`max_inflight_per_node`),
 //! * the recent abort rate, tracked over a sliding window of the last 64
 //!   transaction outcomes, or
 //! * the Locking Buffer occupancy of the node's directory bank.
@@ -85,15 +84,11 @@ impl AdmissionController {
         if inflight == 0 {
             return true;
         }
-        let max = self.params.max_inflight_per_node;
-        if max > 0 && inflight >= max {
-            return false;
-        }
-        if lock_occupancy >= self.params.lock_occupancy_threshold {
+        if lock_occupancy >= OverloadParams::LOCK_OCCUPANCY_THRESHOLD {
             return false;
         }
         if let Some(rate) = self.windows[node.0 as usize].abort_rate() {
-            if rate > self.params.abort_rate_threshold {
+            if rate > OverloadParams::ABORT_RATE_THRESHOLD {
                 return false;
             }
         }
@@ -122,9 +117,7 @@ mod tests {
     use super::*;
 
     fn params_on() -> OverloadParams {
-        let mut p = OverloadParams::aggressive();
-        p.max_inflight_per_node = 4;
-        p
+        OverloadParams::aggressive()
     }
 
     #[test]
@@ -136,11 +129,12 @@ mod tests {
 
     #[test]
     fn idle_node_always_admits() {
-        let mut p = params_on();
-        p.max_inflight_per_node = 1;
-        let ac = AdmissionController::new(p, 1);
+        let ac = AdmissionController::new(params_on(), 1);
         assert!(ac.admit(NodeId(0), 0, 1.0), "idle node must admit");
-        assert!(!ac.admit(NodeId(0), 1, 0.0), "at the in-flight bound");
+        assert!(
+            !ac.admit(NodeId(0), 1, 1.0),
+            "busy node past the occupancy threshold"
+        );
     }
 
     #[test]

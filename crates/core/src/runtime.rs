@@ -11,7 +11,7 @@ use hades_net::batch::{Batcher, Doorbell};
 use hades_net::fabric::{wire_size, Arrivals, Fabric};
 use hades_net::nic::{Nic, RemoteTxKey};
 use hades_sim::backoff::BackoffPolicy;
-use hades_sim::config::{RetryParams, SimConfig};
+use hades_sim::config::{BatchingParams, MigrationParams, RetryParams, SimConfig};
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
@@ -340,13 +340,13 @@ impl Cluster {
     /// Issues a verb from a core: the one place the RDMA issue cost is
     /// charged (DESIGN.md §14). The core starts issuing once it is free
     /// at or after `now`. A verb that will ride its queue pair's open
-    /// batch pays `BatchingParams::per_verb_cycles` per work request;
+    /// batch pays [`BatchingParams::PER_VERB_CYCLES`] per work request;
     /// every other verb (batching off, or a batch leader) pays
     /// `SwCosts::rdma_issue` per work request and rings its own doorbell.
     /// The verb departs when the core finishes.
     pub fn issue(&mut self, now: Cycles, v: CoreVerb) -> Issued {
         let ready = now.max(self.core_free[v.node.0 as usize][v.core.0 as usize]);
-        let append = self.cfg.batching.per_verb_cycles * v.wrs;
+        let append = BatchingParams::PER_VERB_CYCLES * v.wrs;
         let joins = self
             .fabric
             .batcher()
@@ -741,7 +741,7 @@ impl Cluster {
 
     /// Exponential-ish backoff with jitter for attempt `attempt`.
     pub fn backoff(&mut self, attempt: u32) -> Cycles {
-        backoff_for(&self.cfg.retry, attempt, &mut self.rng)
+        backoff_for(attempt, &mut self.rng)
     }
 
     /// Contention-manager backoff: the shared linear policy, plus the
@@ -753,22 +753,9 @@ impl Cluster {
     pub fn contended_backoff(&mut self, attempt: u32) -> (Cycles, bool) {
         let boost_after = self.cfg.overload.age_boost_after;
         if boost_after > 0 && attempt >= boost_after {
-            (self.cfg.retry.backoff_base, true)
+            (RetryParams::BACKOFF_BASE, true)
         } else {
-            (backoff_for(&self.cfg.retry, attempt, &mut self.rng), false)
-        }
-    }
-
-    /// Consecutive squashes after which a transaction switches to the
-    /// pessimistic-fallback path. The overload layer's per-transaction
-    /// retry budget can only tighten the configured threshold.
-    pub fn fallback_threshold(&self) -> u32 {
-        let limit = self.cfg.retry.fallback_after_squashes;
-        let budget = self.cfg.overload.retry_budget;
-        if budget > 0 {
-            limit.min(budget)
-        } else {
-            limit
+            (backoff_for(attempt, &mut self.rng), false)
         }
     }
 
@@ -905,10 +892,10 @@ impl Cluster {
     /// Returns `true` when the engine must squash. Counts the fence and
     /// emits `SelfFenced` so traces and stats agree exactly.
     pub fn self_fence_check(&mut self, now: Cycles, node: NodeId) -> bool {
-        if !self.membership.self_fence_enabled() {
+        if !self.membership.partition_safe() {
             return false;
         }
-        let excommunicated = self.membership.quorum_enabled() && !self.membership.is_alive(node);
+        let excommunicated = !self.membership.is_alive(node);
         if !excommunicated && !self.membership.lease_expired(node, now) {
             return false;
         }
@@ -921,7 +908,7 @@ impl Cluster {
     /// has declared dead must never finalize a commit. The nemesis sweep
     /// asserts this counter stays zero (no dual-primary commits).
     pub fn note_commit_guard(&mut self, node: NodeId) {
-        if self.membership.quorum_enabled() && !self.membership.is_alive(node) {
+        if self.membership.partition_safe() && !self.membership.is_alive(node) {
             self.membership.nstats.commits_while_dead += 1;
         }
     }
@@ -996,9 +983,7 @@ impl Cluster {
                 // injector may delay but never drop state transfer).
                 let moves = m.moves.clone();
                 let round = m.rounds_sent;
-                let chunk = self.cfg.migration.chunk_records.max(1);
-                let total = self.cfg.migration.partition_records;
-                let recs = total.saturating_sub(round * chunk).min(chunk);
+                let recs = MigrationParams::CHUNK_RECORDS;
                 for &(src, dst) in &moves {
                     self.send_faulty_one(now, src, dst, wire_size(recs as usize, 64), Verb::Other);
                     let chunk = EventKind::ChunkMigrated {
@@ -1007,14 +992,13 @@ impl Cluster {
                     };
                     self.note(now, src.0, NO_SLOT, chunk);
                 }
-                let rounds = self.cfg.migration.chunks_per_move();
                 let m = self.migration.as_mut().expect("checked above");
                 m.rounds_sent += 1;
                 m.stats.chunks_moved += moves.len() as u64;
                 m.stats.records_moved += recs * moves.len() as u64;
-                if m.rounds_sent >= rounds {
+                if m.rounds_sent >= MigrationParams::CHUNKS_PER_MOVE {
                     m.phase = MigPhase::CatchUp;
-                    MigrationAction::Rearm(now + self.cfg.migration.dual_window)
+                    MigrationAction::Rearm(now + MigrationParams::DUAL_WINDOW)
                 } else {
                     MigrationAction::Rearm(now + self.cfg.migration.chunk_interval)
                 }
@@ -1107,8 +1091,9 @@ impl Cluster {
 /// attempt count, capped, with uniform jitter. The jittered sum is
 /// clamped to the cap (it used to overshoot by up to one base step);
 /// exactly one RNG draw is consumed either way.
-pub fn backoff_for(retry: &RetryParams, attempt: u32, rng: &mut SimRng) -> Cycles {
-    BackoffPolicy::linear(retry.backoff_base, retry.backoff_cap).step_jittered(attempt, rng)
+pub fn backoff_for(attempt: u32, rng: &mut SimRng) -> Cycles {
+    BackoffPolicy::linear(RetryParams::BACKOFF_BASE, RetryParams::BACKOFF_CAP)
+        .step_jittered(attempt, rng)
 }
 
 /// The smallest of `nodes` above `after` (any, when `None`) other than
@@ -1493,7 +1478,6 @@ impl Measurement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hades_sim::config::BatchingParams;
     use hades_storage::index::IndexKind;
     use hades_workloads::spec::OpSpec;
     use hades_workloads::ycsb::{Ycsb, YcsbConfig, YcsbVariant};
@@ -1543,12 +1527,12 @@ mod tests {
     #[test]
     fn batched_joiners_pay_the_append_cost_and_leaders_rdma_issue() {
         let cfg = SimConfig::isca_default().with_batching(BatchingParams::fixed(4));
-        let (rdma, append) = (cfg.sw.rdma_issue, cfg.batching.per_verb_cycles);
+        let (rdma, append) = (cfg.sw.rdma_issue, BatchingParams::PER_VERB_CYCLES);
         let mut cl = cluster_with(cfg);
         let lead = cl.issue(Cycles::ZERO, read_from(0, 1));
         assert_eq!(lead.cost, rdma, "the first verb rings the doorbell");
         // A second core posts on the same queue pair while the batch is
-        // open: it appends, paying per_verb_cycles per work request.
+        // open: it appends, paying PER_VERB_CYCLES per work request.
         let join = cl.issue(lead.depart, read_from(1, 2));
         assert_eq!(join.cost, append * 2);
         assert_eq!(join.depart, lead.depart + append * 2);
@@ -1681,20 +1665,16 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let retry = RetryParams::default();
         let mut rng = SimRng::seed_from(1);
-        let b1 = backoff_for(&retry, 1, &mut rng);
-        let b8 = backoff_for(&retry, 8, &mut rng);
-        let b100 = backoff_for(&retry, 100, &mut rng);
+        let b1 = backoff_for(1, &mut rng);
+        let b8 = backoff_for(8, &mut rng);
+        let b100 = backoff_for(100, &mut rng);
         assert!(b1 < b8);
         // Jitter included, the cap is a hard ceiling.
-        assert!(b100 <= Cycles::new(retry.backoff_cap.get()));
+        assert!(b100 <= RetryParams::BACKOFF_CAP);
         for attempt in 0..200 {
-            let b = backoff_for(&retry, attempt, &mut rng);
-            assert!(
-                b <= Cycles::new(retry.backoff_cap.get()),
-                "attempt {attempt}"
-            );
+            let b = backoff_for(attempt, &mut rng);
+            assert!(b <= RetryParams::BACKOFF_CAP, "attempt {attempt}");
         }
     }
 
@@ -1722,27 +1702,10 @@ mod tests {
         let mut cl = Cluster::new(cfg, db);
         let (young, boosted) = cl.contended_backoff(2);
         assert!(!boosted);
-        assert!(young >= cl.cfg.retry.backoff_base);
+        assert!(young >= RetryParams::BACKOFF_BASE);
         let (old, boosted) = cl.contended_backoff(9);
         assert!(boosted, "attempt past the boost threshold");
-        assert_eq!(old, cl.cfg.retry.backoff_base, "boosted to the base step");
-    }
-
-    #[test]
-    fn fallback_threshold_honors_retry_budget() {
-        let mut cl = small_cluster();
-        assert_eq!(
-            cl.fallback_threshold(),
-            cl.cfg.retry.fallback_after_squashes
-        );
-        cl.cfg.overload.retry_budget = 3;
-        assert_eq!(cl.fallback_threshold(), 3);
-        cl.cfg.overload.retry_budget = 1_000;
-        assert_eq!(
-            cl.fallback_threshold(),
-            cl.cfg.retry.fallback_after_squashes,
-            "budget can only tighten the threshold"
-        );
+        assert_eq!(old, RetryParams::BACKOFF_BASE, "boosted to the base step");
     }
 
     #[test]
@@ -1772,13 +1735,13 @@ mod tests {
     fn migration_step_walks_announce_copy_cutover() {
         let mut cl = migration_cluster(vec![(1, 2)]);
         let epoch0 = cl.membership.epoch();
-        let mut now = cl.cfg.migration.start_at;
+        let mut now = MigrationParams::START_AT;
         // Announce bumps the epoch once and enters the copy phase.
         let a = cl.migration_step(now);
         assert!(matches!(a, MigrationAction::Rearm(_)));
         assert_eq!(cl.membership.epoch(), epoch0 + 1);
-        // Exactly chunks_per_move copy rounds, then the catch-up window.
-        let rounds = cl.cfg.migration.chunks_per_move();
+        // Exactly CHUNKS_PER_MOVE copy rounds, then the catch-up window.
+        let rounds = MigrationParams::CHUNKS_PER_MOVE;
         for _ in 0..rounds {
             match cl.migration_step(now) {
                 MigrationAction::Rearm(at) => now = at,
@@ -1787,7 +1750,7 @@ mod tests {
         }
         let stats = cl.migration_stats();
         assert_eq!(stats.chunks_moved, rounds);
-        assert_eq!(stats.records_moved, cl.cfg.migration.partition_records);
+        assert_eq!(stats.records_moved, MigrationParams::PARTITION_RECORDS);
         // The next tick (after the dual-routing window) demands cutover.
         let MigrationAction::Cutover(moves) = cl.migration_step(now) else {
             panic!("expected Cutover after the catch-up window");
@@ -1803,7 +1766,7 @@ mod tests {
     #[test]
     fn migration_forwards_writes_only_during_copy() {
         let mut cl = migration_cluster(vec![(0, 3)]);
-        let now = cl.cfg.migration.start_at;
+        let now = MigrationParams::START_AT;
         // Before the announce: no forwarding.
         cl.migration_note_write(now, NodeId(0));
         assert_eq!(cl.migration_stats().forwarded_writes, 0);
@@ -1841,7 +1804,7 @@ mod tests {
         cl.nics[1].record_remote_read(Cycles::new(1), keep, &[10, 11]);
         cl.nics[1].record_remote_write(Cycles::new(1), keep, &[12]);
         cl.nics[1].record_remote_read(Cycles::new(2), fenced, &[20]);
-        let now = cl.cfg.migration.start_at;
+        let now = MigrationParams::START_AT;
         cl.migration_step(now); // announce so the cutover is legal
         cl.finish_cutover(now, &[fenced], 1);
         let stats = cl.migration_stats();

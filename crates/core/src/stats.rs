@@ -292,7 +292,7 @@ impl MembershipStats {
 /// Counters from the partition-tolerance layer (DESIGN.md §16): link
 /// faults observed, quorum-gated death freezes, self-fencing, and
 /// rejoins. All-zero — and absent from JSON — unless link faults or the
-/// quorum/self-fence membership knobs are active.
+/// partition-safe membership mode are active.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NemesisStats {
     /// Link-fault windows (cuts and flaps) that became active.
@@ -433,7 +433,7 @@ pub struct RunStats {
     /// Planned-migration activity (all-zero when no plan is installed).
     pub migration: MigrationStats,
     /// Partition-tolerance activity (all-zero when link faults and the
-    /// quorum/self-fence knobs are off).
+    /// partition-safe membership mode are off).
     pub nemesis: NemesisStats,
     /// Net sum of committed RMW deltas (conservation checking).
     pub committed_sum_delta: i64,
@@ -691,7 +691,7 @@ impl RunStats {
             b = b.field("migration", self.migration.to_json());
         }
         // Nemesis counters appear only on runs where a link fault fired
-        // or the quorum/self-fence machinery acted (DESIGN.md §16).
+        // or the partition-safe membership machinery acted (DESIGN.md §16).
         if !self.nemesis.is_zero() {
             b = b.field("nemesis", self.nemesis.to_json());
         }

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 use hades_sim::backoff::BackoffPolicy;
+use hades_sim::config::RetryParams;
 use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
 use hades_telemetry::event::Verb;
@@ -265,10 +266,9 @@ impl RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        // Mirrors RetryParams { backoff_base: 500, backoff_cap: 16_000 }.
         RetryPolicy {
-            base: Cycles::new(500),
-            cap: Cycles::new(16_000),
+            base: RetryParams::BACKOFF_BASE,
+            cap: RetryParams::BACKOFF_CAP,
         }
     }
 }

@@ -7,20 +7,20 @@
 //!
 //! * Per-(src, dst) queue-pair coalescing buffers ([`QpBuffer`]). The
 //!   first verb of a batch (the *leader*) rings the doorbell and opens
-//!   the batch for `coalesce_window` cycles; a verb sent on the same
+//!   the batch for `COALESCE_WINDOW` cycles; a verb sent on the same
 //!   queue pair inside that window (a *joiner*) appends to the open WQE
 //!   chain. The issue cost itself is not charged here: the issuing core
 //!   pays it once, in `Cluster::issue` (`SwCosts::rdma_issue` for a
-//!   leader, `per_verb_cycles` for a joiner). A leader therefore departs
+//!   leader, `PER_VERB_CYCLES` for a joiner). A leader therefore departs
 //!   the moment it is sent and arrives when an unbatched verb would, so
 //!   an idle fabric sees unbatched latency by construction.
 //! * Receiver-side completion coalescing ([`RecvBatch`]): the leader
 //!   pays the per-message NIC processing for its batch; joiners skip it
 //!   (their completions are reaped in the leader's poll).
 //! * The adaptive policy: each new leader counts its sender's verbs in
-//!   flight (sent, not yet arrived). At or above `high_watermark` the
+//!   flight (sent, not yet arrived). At or above `HIGH_WATERMARK` the
 //!   queue pair's batch target doubles (up to `max_batch`); at or below
-//!   `low_watermark` it drains back to 1, so batching switches itself
+//!   `LOW_WATERMARK` it drains back to 1, so batching switches itself
 //!   off under light load.
 //! * Coalesced squash propagation: a Squash verb whose queue pair's open
 //!   batch already carries a squash piggybacks on that WQE — one batched
@@ -524,12 +524,12 @@ impl Batcher {
         let flushed_prev = (self.qps[qi].count > 0).then(|| self.close_qp(qi));
         if self.params.adaptive {
             // Counted up to the high watermark: all the policy asks.
-            let high = self.params.high_watermark;
+            let high = BatchingParams::HIGH_WATERMARK;
             let in_flight = self.logs[src.0 as usize].in_flight(now, high as usize) as u32;
             let qp = &mut self.qps[qi];
             if in_flight >= high {
                 qp.target = qp.target.saturating_mul(2).min(self.params.max_batch);
-            } else if in_flight <= self.params.low_watermark {
+            } else if in_flight <= BatchingParams::LOW_WATERMARK {
                 qp.target = 1;
             }
         }
@@ -537,7 +537,7 @@ impl Batcher {
         qp.count = 1;
         qp.squashes = squash as u32;
         qp.opened_at = now;
-        qp.open_until = now + self.params.coalesce_window;
+        qp.open_until = now + BatchingParams::COALESCE_WINDOW;
         self.stats.leaders += 1;
         if qp.count >= qp.target {
             // A drained target closes the batch immediately: idle
@@ -688,7 +688,7 @@ mod tests {
         let p = BatchingParams::fixed(8);
         let mut b = batcher(p);
         sched(&mut b, 0, 0, 1);
-        let late = p.coalesce_window.get() + 1;
+        let late = BatchingParams::COALESCE_WINDOW.get() + 1;
         let s = sched(&mut b, late, 0, 1);
         assert_eq!(s.role, BatchRole::Led, "window lapsed");
         assert_eq!(s.flushed, Some(1), "stale batch closed at size 1");

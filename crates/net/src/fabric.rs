@@ -147,8 +147,8 @@ impl Fabric {
         self.batch.as_deref_mut().map(Batcher::finish)
     }
 
-    /// Installs a fault injector; subsequent [`send_verb_faulty`]
-    /// (Self::send_verb_faulty) calls sample it.
+    /// Installs a fault injector; subsequent
+    /// [`send_verb_faulty`](Self::send_verb_faulty) calls sample it.
     pub fn install_injector(&mut self, injector: FaultInjector) {
         self.injector = injector;
     }
@@ -279,9 +279,10 @@ impl Fabric {
     /// jittered, or held by a NIC stall window. Returns the arrival time
     /// of every delivered copy (empty = message lost), held inline.
     ///
-    /// With an inert injector this is exactly one [`send_verb`]
-    /// (Self::send_verb) call — same counters, same timing, no extra
-    /// randomness — preserving byte identity with un-injected runs.
+    /// With an inert injector this is exactly one
+    /// [`send_verb`](Self::send_verb) call — same counters, same timing,
+    /// no extra randomness — preserving byte identity with un-injected
+    /// runs.
     ///
     /// # Panics
     ///

@@ -271,25 +271,25 @@ pub struct RetryParams {
     /// After this many squashes, a transaction falls back to pessimistic
     /// locking (acquire every lock up front, then execute).
     pub fallback_after_squashes: u32,
+}
+
+impl RetryParams {
     /// Base backoff before re-executing a squashed transaction.
-    pub backoff_base: Cycles,
+    pub const BACKOFF_BASE: Cycles = Cycles::new(500);
     /// Backoff grows linearly with attempt count up to this cap.
-    pub backoff_cap: Cycles,
+    pub const BACKOFF_CAP: Cycles = Cycles::new(16_000);
     /// Delay before retrying an access stalled by a directory Locking
     /// Buffer. It is one delay for the whole run: that is what lets the
     /// engines keep stall re-arms on the event queue's FIFO retry lane
     /// ([`EventQueue::with_retry_delay`](crate::engine::EventQueue::with_retry_delay))
     /// in exact single-heap order.
-    pub lock_retry: Cycles,
+    pub const LOCK_RETRY: Cycles = Cycles::new(60);
 }
 
 impl Default for RetryParams {
     fn default() -> Self {
         RetryParams {
             fallback_after_squashes: 8,
-            backoff_base: Cycles::new(500),
-            backoff_cap: Cycles::new(16_000),
-            lock_retry: Cycles::new(60),
         }
     }
 }
@@ -308,21 +308,22 @@ impl Default for RetryParams {
 pub struct ReplicationParams {
     /// Replicas per record beyond the home node (0 disables replication).
     pub degree: usize,
-    /// Latency of persisting an update to temporary durable storage
-    /// (NVM-class by default: 1 µs).
-    pub persist_latency: Cycles,
-    /// Coordinator abandons a commit if Acks are missing after this long.
-    pub ack_timeout: Cycles,
     /// Probability that a loss-eligible commit message is dropped.
     pub loss_probability: f64,
+}
+
+impl ReplicationParams {
+    /// Latency of persisting an update to temporary durable storage
+    /// (NVM-class: 1 µs).
+    pub const PERSIST_LATENCY: Cycles = Cycles::from_micros(1);
+    /// Coordinator abandons a commit if Acks are missing after this long.
+    pub const ACK_TIMEOUT: Cycles = Cycles::from_micros(40);
 }
 
 impl Default for ReplicationParams {
     fn default() -> Self {
         ReplicationParams {
             degree: 0,
-            persist_latency: Cycles::from_micros(1),
-            ack_timeout: Cycles::from_micros(40),
             loss_probability: 0.0,
         }
     }
@@ -338,25 +339,9 @@ impl Default for ReplicationParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadParams {
     /// Enables the per-node admission controller: new transaction starts
-    /// are deferred while the node is over its in-flight bound, its recent
-    /// abort rate, or its Locking Buffer occupancy threshold.
+    /// are deferred while the node's recent abort rate or its Locking
+    /// Buffer occupancy is past its threshold.
     pub admission: bool,
-    /// Maximum concurrently running transactions per node (0 = bound only
-    /// by the slot count). At least one transaction per node is always
-    /// admitted, so admission can never deadlock a node.
-    pub max_inflight_per_node: usize,
-    /// Shed new starts while the node's recent abort rate (sliding window
-    /// of the last 64 transaction outcomes) exceeds this fraction.
-    pub abort_rate_threshold: f64,
-    /// Shed new starts while the node's Locking Buffer occupancy exceeds
-    /// this fraction of its capacity.
-    pub lock_occupancy_threshold: f64,
-    /// How long a throttled start waits before re-applying for admission.
-    pub admit_retry: Cycles,
-    /// Per-transaction retry budget: after this many consecutive squashes
-    /// the transaction is forced onto the pessimistic-fallback path even
-    /// if `retry.fallback_after_squashes` is larger (0 = no extra cap).
-    pub retry_budget: u32,
     /// Age-based priority boost: once a transaction has been squashed this
     /// many times, its backoff collapses to the base step so old
     /// transactions retry first and eventually win (0 = no boost).
@@ -371,15 +356,20 @@ pub struct OverloadParams {
 }
 
 impl OverloadParams {
+    /// Admission sheds new starts while the node's recent abort rate
+    /// (sliding window of the last 64 transaction outcomes) exceeds this
+    /// fraction.
+    pub const ABORT_RATE_THRESHOLD: f64 = 0.7;
+    /// Admission sheds new starts while the node's Locking Buffer
+    /// occupancy reaches this fraction of its capacity.
+    pub const LOCK_OCCUPANCY_THRESHOLD: f64 = 0.75;
+    /// How long a throttled start waits before re-applying for admission.
+    pub const ADMIT_RETRY: Cycles = Cycles::new(2_000);
+
     /// A reasonable everything-on profile for overload experiments.
     pub fn aggressive() -> Self {
         OverloadParams {
             admission: true,
-            max_inflight_per_node: 0,
-            abort_rate_threshold: 0.7,
-            lock_occupancy_threshold: 0.75,
-            admit_retry: Cycles::new(2_000),
-            retry_budget: 16,
             // Below `retry.fallback_after_squashes` (8), so aged
             // transactions get the boosted retry before being forced onto
             // the pessimistic fallback path.
@@ -391,10 +381,7 @@ impl OverloadParams {
 
     /// Whether any part of the overload layer is active.
     pub fn enabled(&self) -> bool {
-        self.admission
-            || self.degrade_on_saturation
-            || self.retry_budget > 0
-            || self.age_boost_after > 0
+        self.admission || self.degrade_on_saturation || self.age_boost_after > 0
     }
 }
 
@@ -402,11 +389,6 @@ impl Default for OverloadParams {
     fn default() -> Self {
         OverloadParams {
             admission: false,
-            max_inflight_per_node: 0,
-            abort_rate_threshold: 1.0,
-            lock_occupancy_threshold: 1.0,
-            admit_retry: Cycles::new(2_000),
-            retry_budget: 0,
             age_boost_after: 0,
             degrade_on_saturation: false,
             bf_occupancy_threshold: 1.0,
@@ -422,7 +404,7 @@ impl Default for OverloadParams {
 /// append to the open WQE chain and skip the receiver-side per-message
 /// NIC processing. The issue cost is charged once, on the issuing core
 /// (`Cluster::issue` in `hades-core`): a leader pays
-/// [`SwCosts::rdma_issue`], a joiner pays [`Self::per_verb_cycles`].
+/// [`SwCosts::rdma_issue`], a joiner pays [`Self::PER_VERB_CYCLES`].
 /// The fabric adds no doorbell charge of its own, so a leader arrives
 /// exactly when an unbatched verb would and an idle fabric sees
 /// unbatched latency. Coalescing follows simulated-time order, not the
@@ -441,22 +423,24 @@ pub struct BatchingParams {
     /// Upper bound on verbs per batch (the adaptive target's ceiling).
     pub max_batch: u32,
     /// Adaptive doorbell policy: grow the per-QP target ×2 (up to
-    /// `max_batch`) while the sender has at least `high_watermark` verbs
-    /// in flight; drain it back to 1 at or below `low_watermark`. When
-    /// false the target is pinned at `max_batch`.
+    /// `max_batch`) while the sender has at least
+    /// [`Self::HIGH_WATERMARK`] verbs in flight; drain it back to 1 at or
+    /// below [`Self::LOW_WATERMARK`]. When false the target is pinned at
+    /// `max_batch`.
     pub adaptive: bool,
-    /// Core cycles a joiner pays to append its work request to an open
-    /// WQE chain, instead of the full [`SwCosts::rdma_issue`].
-    pub per_verb_cycles: Cycles,
-    /// A batch accepts joiners for this long after its leader was sent.
-    pub coalesce_window: Cycles,
-    /// Verbs in flight at or above this grows the batch target.
-    pub high_watermark: u32,
-    /// Verbs in flight at or below this drains the target to 1.
-    pub low_watermark: u32,
 }
 
 impl BatchingParams {
+    /// Core cycles a joiner pays to append its work request to an open
+    /// WQE chain, instead of the full [`SwCosts::rdma_issue`].
+    pub const PER_VERB_CYCLES: Cycles = Cycles::new(40);
+    /// A batch accepts joiners for this long after its leader was sent.
+    pub const COALESCE_WINDOW: Cycles = Cycles::new(2_000);
+    /// Verbs in flight at or above this grows the batch target.
+    pub const HIGH_WATERMARK: u32 = 6;
+    /// Verbs in flight at or below this drains the target to 1.
+    pub const LOW_WATERMARK: u32 = 1;
+
     /// The standard adaptive profile used by the `batching` sweep and the
     /// batched bench cells: up to 16 verbs per doorbell, growth at 6
     /// verbs in flight and a 1 µs coalesce window.
@@ -479,7 +463,6 @@ impl BatchingParams {
             enabled: true,
             adaptive: false,
             max_batch: n,
-            ..Default::default()
         }
     }
 }
@@ -490,10 +473,6 @@ impl Default for BatchingParams {
             enabled: false,
             max_batch: 16,
             adaptive: true,
-            per_verb_cycles: Cycles::new(40),
-            coalesce_window: Cycles::new(2_000),
-            high_watermark: 6,
-            low_watermark: 1,
         }
     }
 }
@@ -506,66 +485,65 @@ impl Default for BatchingParams {
 /// only when [`MembershipParams::enabled`] is true, so a default run is
 /// byte-identical (events, RNG stream, stats JSON) to a build without the
 /// layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MembershipParams {
     /// Enables the failure detector and the whole failover path: nodes
-    /// renew a membership lease every `renew_interval`; a node that misses
-    /// `suspect_after` consecutive renewals is declared dead and a
-    /// reconfiguration (epoch bump, backup promotion, hardware rebuild,
-    /// in-flight commit resolution) runs on the survivors.
+    /// renew a membership lease every [`Self::RENEW_INTERVAL`]; a node
+    /// that misses [`Self::SUSPECT_AFTER`] consecutive renewals is
+    /// declared dead and a reconfiguration (epoch bump, backup promotion,
+    /// hardware rebuild, in-flight commit resolution) runs on the
+    /// survivors.
     pub failure_detection: bool,
-    /// How often each live node renews its membership lease.
-    pub renew_interval: Cycles,
-    /// Number of missed renewal intervals before a node is suspected dead.
-    pub suspect_after: u32,
-    /// Deadline for an execution-phase remote read. With a permanently
-    /// dead home node the request simply vanishes; this timeout converts
-    /// the hung fetch into a clean squash-and-retry (which re-routes to
-    /// the promoted backup once the reconfiguration has run).
-    pub fetch_timeout: Cycles,
-    /// Gates death declarations on an observed liveness quorum: a node is
-    /// only declared dead while a strict majority of the cluster is still
-    /// renewing on time. A minority side freezes new epochs instead of
-    /// promoting a dueling primary (DESIGN.md §16). Off by default —
-    /// legacy unilateral `mark_dead` behavior is preserved bit-for-bit.
-    pub quorum: bool,
-    /// Makes a node whose own lease has expired refuse new commit
-    /// handshakes (squash-and-retry) until a renewal lands again, so an
-    /// isolated-but-alive primary cannot commit while a promoted backup
-    /// serves its partitions (FaRMv2-style self-fencing). Off by default.
-    pub self_fence: bool,
-    /// Multiplier on the suspicion deadline before a quorum-mode death is
-    /// declared: suspicion (service degradation, gray-node handling)
-    /// starts at `suspect_after * renew_interval`, death only at
-    /// `grace_factor` times that. 1 = declare at the suspicion deadline.
-    pub grace_factor: u32,
+    /// Partition-safe mode (DESIGN.md §16), three mechanisms that move
+    /// together:
+    /// - death declarations wait for an observed liveness quorum: a node
+    ///   is only declared dead while a strict majority of the cluster is
+    ///   still renewing on time, so a minority side freezes new epochs
+    ///   instead of promoting a dueling primary;
+    /// - a node whose own lease has expired refuses new commit handshakes
+    ///   (squash-and-retry) until a renewal lands again, so an
+    ///   isolated-but-alive primary cannot commit while a promoted backup
+    ///   serves its partitions (FaRMv2-style self-fencing);
+    /// - death comes only at [`Self::GRACE_FACTOR`] times the suspicion
+    ///   deadline, so gray nodes degrade service before the cluster
+    ///   reconfigures around them.
+    ///
+    /// Off by default: unilateral `mark_dead` at the suspicion deadline,
+    /// bit-for-bit the behaviour from before partition tolerance.
+    pub partition_safe: bool,
 }
 
 impl MembershipParams {
+    /// How often each live node renews its membership lease.
+    pub const RENEW_INTERVAL: Cycles = Cycles::from_micros(20);
+    /// Number of missed renewal intervals before a node is suspected dead.
+    pub const SUSPECT_AFTER: u64 = 3;
+    /// Deadline for an execution-phase remote read, matching the commit
+    /// Ack timeout. With a permanently dead home node the request simply
+    /// vanishes; this timeout converts the hung fetch into a clean
+    /// squash-and-retry (which re-routes to the promoted backup once the
+    /// reconfiguration has run).
+    pub const FETCH_TIMEOUT: Cycles = Cycles::from_micros(40);
+    /// Multiplier on the suspicion deadline before a partition-safe death
+    /// is declared: suspicion (service degradation, gray-node handling)
+    /// starts at `SUSPECT_AFTER * RENEW_INTERVAL`, death only at this
+    /// many times that. Without [`Self::partition_safe`] the factor is 1.
+    pub const GRACE_FACTOR: u64 = 2;
+
     /// The standard failover profile used by the failover bench and tests:
-    /// 20 µs renewals, suspicion after 3 missed renewals, 40 µs fetch
-    /// deadline (matching the commit Ack timeout).
+    /// the failure detector on, partition-safe mode off.
     pub fn standard() -> Self {
         MembershipParams {
             failure_detection: true,
-            renew_interval: Cycles::from_micros(20),
-            suspect_after: 3,
-            fetch_timeout: Cycles::from_micros(40),
-            quorum: false,
-            self_fence: false,
-            grace_factor: 1,
+            partition_safe: false,
         }
     }
 
     /// The partition-safe profile (DESIGN.md §16): the standard detector
-    /// plus quorum-gated death declarations, self-fencing on lease
-    /// expiry, and a 2x suspicion-to-death grace window so gray nodes
-    /// degrade service before the cluster reconfigures around them.
+    /// plus [`Self::partition_safe`] mode.
     pub fn partition_safe() -> Self {
         MembershipParams {
-            quorum: true,
-            self_fence: true,
-            grace_factor: 2,
+            partition_safe: true,
             ..MembershipParams::standard()
         }
     }
@@ -573,20 +551,6 @@ impl MembershipParams {
     /// Whether the membership layer is active.
     pub fn enabled(&self) -> bool {
         self.failure_detection
-    }
-}
-
-impl Default for MembershipParams {
-    fn default() -> Self {
-        MembershipParams {
-            failure_detection: false,
-            renew_interval: Cycles::from_micros(20),
-            suspect_after: 3,
-            fetch_timeout: Cycles::from_micros(40),
-            quorum: false,
-            self_fence: false,
-            grace_factor: 1,
-        }
     }
 }
 
@@ -609,41 +573,37 @@ impl Default for MembershipParams {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationParams {
     /// The plan: `(partition, destination node)` pairs. All moves start
-    /// at `start_at` and copy concurrently. An empty plan disables the
-    /// subsystem entirely.
+    /// at [`Self::START_AT`] and copy concurrently. An empty plan
+    /// disables the subsystem entirely.
     pub moves: Vec<(u16, u16)>,
-    /// Sim time at which the announce phase runs (epoch bump + first
-    /// copy chunk scheduled).
-    pub start_at: Cycles,
-    /// Records transferred per copy chunk (bounds the per-chunk fabric
-    /// transfer so foreground traffic interleaves with the copy).
-    pub chunk_records: u64,
-    /// Total records per partition assumed by the copy-phase model; the
-    /// number of chunks is `partition_records / chunk_records` (at least
-    /// one). The simulator stores records in one global `Database`, so
-    /// the copy is modeled as timed chunk transfers over the fabric.
-    pub partition_records: u64,
     /// Pacing between consecutive chunk sends of one move.
     pub chunk_interval: Cycles,
-    /// Dual-routing window: after the last chunk lands, the source keeps
-    /// forwarding writes to the destination for this long before the
-    /// cutover flips the partition map.
-    pub dual_window: Cycles,
 }
 
 impl MigrationParams {
+    /// Sim time at which the announce phase runs (epoch bump + first
+    /// copy chunk scheduled).
+    pub const START_AT: Cycles = Cycles::from_micros(40);
+    /// Records transferred per copy chunk (bounds the per-chunk fabric
+    /// transfer so foreground traffic interleaves with the copy).
+    pub const CHUNK_RECORDS: u64 = 64;
+    /// Total records per partition assumed by the copy-phase model. The
+    /// simulator stores records in one global `Database`, so the copy is
+    /// modeled as timed chunk transfers over the fabric.
+    pub const PARTITION_RECORDS: u64 = 512;
+    /// Copy chunks per move: the partition splits into whole chunks.
+    pub const CHUNKS_PER_MOVE: u64 = Self::PARTITION_RECORDS / Self::CHUNK_RECORDS;
+    /// Dual-routing window: after the last chunk lands, the source keeps
+    /// forwarding writes to the destination for this long before the
+    /// cutover flips the partition map.
+    pub const DUAL_WINDOW: Cycles = Cycles::from_micros(10);
+
     /// The standard rebalance profile used by the `rebalance` sweep and
-    /// tests: copy starts at 40 µs, 64-record chunks out of a modeled
-    /// 512-record partition, 2 µs chunk pacing, 10 µs dual-routing
-    /// window before the cutover.
+    /// tests: `moves` with 2 µs chunk pacing.
     pub fn standard(moves: Vec<(u16, u16)>) -> Self {
         MigrationParams {
             moves,
-            start_at: Cycles::from_micros(40),
-            chunk_records: 64,
-            partition_records: 512,
-            chunk_interval: Cycles::from_micros(2),
-            dual_window: Cycles::from_micros(10),
+            ..Default::default()
         }
     }
 
@@ -651,24 +611,15 @@ impl MigrationParams {
     pub fn enabled(&self) -> bool {
         !self.moves.is_empty()
     }
-
-    /// Copy chunks per move (at least one when enabled).
-    pub fn chunks_per_move(&self) -> u64 {
-        self.partition_records
-            .div_ceil(self.chunk_records.max(1))
-            .max(1)
-    }
 }
+
+const _: () = assert!(MigrationParams::PARTITION_RECORDS % MigrationParams::CHUNK_RECORDS == 0);
 
 impl Default for MigrationParams {
     fn default() -> Self {
         MigrationParams {
             moves: Vec::new(),
-            start_at: Cycles::from_micros(40),
-            chunk_records: 64,
-            partition_records: 512,
             chunk_interval: Cycles::from_micros(2),
-            dual_window: Cycles::from_micros(10),
         }
     }
 }
@@ -914,200 +865,3 @@ impl Default for SimConfig {
 
 /// Default RNG seed ("HADES!" in ASCII-flavored hex).
 pub const DEFAULT_SEED: u64 = 0x4841_4445_5321_0001;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_matches_table_iii() {
-        let c = SimConfig::isca_default();
-        assert_eq!(c.shape.nodes, 5);
-        assert_eq!(c.shape.cores_per_node, 5);
-        assert_eq!(c.shape.slots_per_core, 2);
-        assert_eq!(c.mem.l1_rt, Cycles::new(2));
-        assert_eq!(c.mem.l2_rt, Cycles::new(12));
-        assert_eq!(c.mem.llc_rt, Cycles::new(40));
-        assert_eq!(c.mem.dram_rt, Cycles::from_nanos(100));
-        assert_eq!(c.net.rt, Cycles::from_micros(2));
-        assert_eq!(c.net.bandwidth_gbps, 200);
-        assert_eq!(c.bloom.core_read_bits, 1024);
-        assert_eq!(c.bloom.core_write_bf1_bits, 512);
-        assert_eq!(c.bloom.core_write_bf2_bits, 4096);
-        assert_eq!(c.bloom.nic_read_bits, 1024);
-        assert_eq!(c.bloom.nic_write_bits, 1024);
-    }
-
-    #[test]
-    fn llc_scales_with_cores() {
-        let c = SimConfig::isca_default();
-        assert_eq!(c.llc_bytes(), 20 << 20); // 4 MB x 5 cores
-        let big = c.with_shape(ClusterShape::N8_C25);
-        assert_eq!(big.llc_bytes(), 100 << 20);
-    }
-
-    #[test]
-    fn shapes_match_section_vii() {
-        assert_eq!(ClusterShape::DEFAULT.total_cores(), 25);
-        assert_eq!(ClusterShape::N10_C5.total_cores(), 50);
-        assert_eq!(ClusterShape::N5_C10.total_cores(), 50);
-        assert_eq!(ClusterShape::N8_C25.total_cores(), 200);
-        assert_eq!(ClusterShape::DEFAULT.total_slots(), 50);
-    }
-
-    #[test]
-    fn serialization_delay() {
-        let n = NetParams::default();
-        // 64-byte line at 200 Gb/s: 64*8/200e9 s = 2.56 ns -> ~6 cycles.
-        assert_eq!(n.serialize(64), Cycles::new(6));
-        assert_eq!(n.one_way(), Cycles::from_micros(1));
-    }
-
-    #[test]
-    fn local_fraction_default_is_one_over_n() {
-        let c = SimConfig::isca_default();
-        assert!((c.effective_local_fraction() - 0.2).abs() < 1e-12);
-        let c = c.with_local_fraction(0.8);
-        assert_eq!(c.effective_local_fraction(), 0.8);
-    }
-
-    #[test]
-    fn replication_defaults_off() {
-        let c = SimConfig::isca_default();
-        assert_eq!(c.repl.degree, 0);
-        assert_eq!(c.repl.loss_probability, 0.0);
-        let c = c.with_replication(2).with_message_loss(0.05);
-        assert_eq!(c.repl.degree, 2);
-        assert!((c.repl.loss_probability - 0.05).abs() < 1e-12);
-        assert_eq!(c.repl.persist_latency, Cycles::from_micros(1));
-    }
-
-    #[test]
-    fn overload_defaults_off() {
-        let c = SimConfig::isca_default();
-        assert!(!c.overload.enabled());
-        assert_eq!(c.lock_buffer_slots, None);
-        let c = c
-            .with_overload(OverloadParams::aggressive())
-            .with_lock_buffer_slots(1);
-        assert!(c.overload.enabled());
-        assert_eq!(c.lock_buffer_slots, Some(1));
-    }
-
-    #[test]
-    fn overload_enabled_by_any_knob() {
-        assert!(!OverloadParams::default().enabled());
-        let boosted = OverloadParams {
-            age_boost_after: 4,
-            ..Default::default()
-        };
-        assert!(boosted.enabled());
-        let degrading = OverloadParams {
-            degrade_on_saturation: true,
-            ..Default::default()
-        };
-        assert!(degrading.enabled());
-    }
-
-    #[test]
-    fn membership_defaults_off() {
-        let c = SimConfig::isca_default();
-        assert!(!c.membership.enabled());
-        assert!(!MembershipParams::default().enabled());
-        let c = c.with_membership(MembershipParams::standard());
-        assert!(c.membership.enabled());
-        assert_eq!(c.membership.suspect_after, 3);
-        assert_eq!(c.membership.renew_interval, Cycles::from_micros(20));
-    }
-
-    #[test]
-    fn migration_defaults_off() {
-        let c = SimConfig::isca_default();
-        assert!(!c.migration.enabled());
-        assert!(!MigrationParams::default().enabled());
-        let c = c.with_migration(MigrationParams::standard(vec![(2, 0)]));
-        assert!(c.migration.enabled());
-        assert_eq!(c.migration.moves, vec![(2, 0)]);
-        assert_eq!(c.migration.chunks_per_move(), 8);
-    }
-
-    #[test]
-    fn migration_chunk_count_rounds_up() {
-        let mut m = MigrationParams::standard(vec![(1, 3)]);
-        m.partition_records = 100;
-        m.chunk_records = 64;
-        assert_eq!(m.chunks_per_move(), 2);
-        m.chunk_records = 0; // degenerate: clamped to one record per chunk
-        assert_eq!(m.chunks_per_move(), 100);
-        m.partition_records = 0;
-        assert_eq!(m.chunks_per_move(), 1);
-    }
-
-    #[test]
-    fn batching_defaults_off() {
-        let c = SimConfig::isca_default();
-        assert!(!c.batching.enabled);
-        assert!(!BatchingParams::default().enabled);
-        let c = c.with_batching(BatchingParams::standard());
-        assert!(c.batching.enabled);
-        assert!(c.batching.adaptive);
-        assert_eq!(c.batching.max_batch, 16);
-        assert!(c.batching.high_watermark > c.batching.low_watermark);
-    }
-
-    #[test]
-    fn fixed_batching_pins_the_target() {
-        let p = BatchingParams::fixed(1);
-        assert!(p.enabled);
-        assert!(!p.adaptive);
-        assert_eq!(p.max_batch, 1);
-        assert_eq!(BatchingParams::fixed(8).max_batch, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one verb")]
-    fn rejects_zero_batch_size() {
-        let _ = BatchingParams::fixed(0);
-    }
-
-    #[test]
-    fn profiling_defaults_off() {
-        let c = SimConfig::isca_default();
-        assert!(!c.profile);
-        assert!(c.with_profiling().profile);
-    }
-
-    #[test]
-    fn observability_defaults_off() {
-        let c = SimConfig::isca_default();
-        assert!(!c.spans);
-        assert!(c.timeseries_window.is_none());
-        let c = c.with_spans().with_timeseries(Cycles::from_micros(50));
-        assert!(c.spans);
-        assert_eq!(c.timeseries_window, Some(Cycles::from_micros(50)));
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be nonzero")]
-    fn rejects_zero_timeseries_window() {
-        let _ = SimConfig::isca_default().with_timeseries(Cycles::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn rejects_zero_lock_buffer_slots() {
-        let _ = SimConfig::isca_default().with_lock_buffer_slots(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_bad_message_loss() {
-        let _ = SimConfig::isca_default().with_message_loss(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_bad_local_fraction() {
-        let _ = SimConfig::isca_default().with_local_fraction(1.5);
-    }
-}

@@ -14,7 +14,7 @@
 //! `recovery`, `overload`, `membership`, `migration`.
 //!
 //! Traces containing phase events additionally carry a synthetic
-//! "cluster phases" process (pid [`PHASE_PID`]) with one counter track
+//! "cluster phases" process (pid `PHASE_PID`) with one counter track
 //! per phase (`open.exec`, `open.lock`, …) plotting how many slots
 //! cluster-wide have that phase open over time — the Perfetto view of
 //! the phase profiler's attribution (DESIGN.md §12).

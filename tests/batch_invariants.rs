@@ -146,7 +146,10 @@ fn batched_arrivals_stay_fifo_per_queue_pair() {
 #[test]
 fn adaptive_target_tracks_the_senders_backlog() {
     let params = BatchingParams::standard();
-    let (high, window) = (params.high_watermark, params.coalesce_window);
+    let (high, window) = (
+        BatchingParams::HIGH_WATERMARK,
+        BatchingParams::COALESCE_WINDOW,
+    );
     let mut b = Batcher::new(params, NetParams::default(), 3);
     // Put enough verbs from node 0 on the wire at once that its in-flight
     // count crosses the high watermark, alternating destinations so every

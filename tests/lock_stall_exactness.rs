@@ -26,7 +26,7 @@
 //! restart rather than keep polling. Two more rows were recorded at
 //! commit 149b3e3, where each Baseline fallback poll cloned its lock list
 //! and rebuilt its per-home batches. They pin the Baseline's fallback
-//! path, which re-sends a denied lock batch every `lock_retry`: once on
+//! path, which re-sends a denied lock batch every `LOCK_RETRY`: once on
 //! the fault-free run and once under a live migration, which reroutes
 //! the batches between polls.
 //!

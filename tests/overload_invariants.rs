@@ -115,11 +115,11 @@ proptest! {
 
     /// Under any skew, seed, and Locking Buffer budget, the full overload
     /// layer commits every measured transaction (no livelock, no
-    /// starvation), leaks nothing, and the retry budget keeps every
-    /// transaction's consecutive-squash count finite: `max_attempts` is
-    /// the winning attempt's ordinal, bounded well below the abort-rate
-    /// window (64) because the pessimistic fallback engages at
-    /// `min(fallback_after_squashes, retry_budget)` squashes.
+    /// starvation), leaks nothing, and keeps every transaction's
+    /// consecutive-squash count finite: `max_attempts` is the winning
+    /// attempt's ordinal, bounded well below the abort-rate window (64)
+    /// because the pessimistic fallback engages at
+    /// `fallback_after_squashes` squashes.
     #[test]
     fn overload_layer_never_livelocks(
         seed in 0u64..4,
@@ -141,7 +141,7 @@ proptest! {
         prop_assert!(s.overload.max_attempts >= 1);
         prop_assert!(
             s.overload.max_attempts <= 64,
-            "retry budget failed to bound per-transaction attempts: {}",
+            "fallback failed to bound per-transaction attempts: {}",
             s.overload.max_attempts
         );
         prop_assert_eq!(out.leaks(), Vec::<String>::new());

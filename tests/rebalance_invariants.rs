@@ -89,7 +89,7 @@ fn cluster_commits_through_a_live_migration() {
         assert_eq!(mig.partitions_moved, 1, "{p:?}: cutover never happened");
         assert_eq!(
             mig.chunks_moved,
-            plan().chunks_per_move(),
+            MigrationParams::CHUNKS_PER_MOVE,
             "{p:?}: copy phase did not stream every chunk"
         );
         assert_eq!(
