@@ -139,6 +139,7 @@ impl Trial {
             ));
         }
         bad.extend(self.out.leaks());
+        bad.extend(self.out.parked.iter().map(|r| r.to_string()));
         let nem = &s.nemesis;
         if nem.commits_while_dead != 0 {
             bad.push(format!(

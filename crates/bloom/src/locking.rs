@@ -19,7 +19,9 @@ use crate::write_filter::DualWriteFilter;
 use hades_sim::time::Cycles;
 use hades_telemetry::event::{EventKind, NO_SLOT};
 use hades_telemetry::sink::Tracer;
+use std::cell::Cell;
 use std::fmt;
+use std::rc::Rc;
 
 /// A read- or write-set signature held in a Locking Buffer.
 ///
@@ -71,6 +73,8 @@ struct LockEntry {
     owner: u64,
     read: Signature,
     write: Signature,
+    /// The bank's generation right after the buffer was granted.
+    granted: u64,
 }
 
 /// Why [`LockingBuffers::try_lock`] failed.
@@ -134,6 +138,9 @@ pub struct LockingBuffers {
     /// Bumped on every change to the held set; see
     /// [`generation`](Self::generation).
     generation: u64,
+    /// Moves with `generation`, and with the generation of every bank
+    /// that shares it; see [`count_changes_on`](Self::count_changes_on).
+    changes: Rc<Cell<u64>>,
     tracer: Tracer,
     node: u16,
 }
@@ -150,6 +157,7 @@ impl LockingBuffers {
             entries: Vec::with_capacity(capacity),
             capacity,
             generation: 0,
+            changes: Rc::default(),
             tracer: Tracer::disabled(),
             node: 0,
         }
@@ -160,6 +168,25 @@ impl LockingBuffers {
     pub fn set_tracer(&mut self, tracer: Tracer, node: u16) {
         self.tracer = tracer;
         self.node = node;
+    }
+
+    /// Makes the bank also count its held-set changes on `counter`. A
+    /// cluster's banks share one, so that one read tells whether any of
+    /// their generations moved.
+    pub fn count_changes_on(&mut self, counter: Rc<Cell<u64>>) {
+        self.changes = counter;
+    }
+
+    /// The counter the bank counts its held-set changes on (its own, or
+    /// the one installed by [`count_changes_on`](Self::count_changes_on)).
+    pub fn change_counter(&self) -> Rc<Cell<u64>> {
+        Rc::clone(&self.changes)
+    }
+
+    /// The held set changed.
+    fn bump(&mut self) {
+        self.generation += 1;
+        self.changes.set(self.changes.get() + 1);
     }
 
     /// Number of occupied buffers.
@@ -186,6 +213,17 @@ impl LockingBuffers {
     /// re-probe.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// When `owner`'s buffer was granted, as the bank's generation right
+    /// after the grant, or `None` if it holds none. A buffer never
+    /// changes while held, so while this answer stays put every access
+    /// the buffer denied is still denied.
+    pub fn granted_at(&self, owner: u64) -> Option<u64> {
+        self.entries
+            .iter()
+            .find(|e| e.owner == owner)
+            .map(|e| e.granted)
     }
 
     /// Whether `owner` currently holds a buffer.
@@ -220,8 +258,14 @@ impl LockingBuffers {
         if let Some(failure) = self.denial(write_lines, read_lines) {
             return Err(failure);
         }
-        self.entries.push(LockEntry { owner, read, write });
-        self.generation += 1;
+        self.bump();
+        let granted = self.generation;
+        self.entries.push(LockEntry {
+            owner,
+            read,
+            write,
+            granted,
+        });
         Ok(())
     }
 
@@ -305,7 +349,7 @@ impl LockingBuffers {
         let before = self.entries.len();
         self.entries.retain(|e| e.owner != owner);
         if self.entries.len() != before {
-            self.generation += 1;
+            self.bump();
         }
     }
 
@@ -361,7 +405,7 @@ impl LockingBuffers {
     /// Clears every buffer (e.g. on simulator reset).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.generation += 1;
+        self.bump();
     }
 
     /// Exports `owner`'s buffered signatures for a planned shard
@@ -386,8 +430,14 @@ impl LockingBuffers {
             !self.holds(owner),
             "owner {owner:#x} already holds a buffer"
         );
-        self.entries.push(LockEntry { owner, read, write });
-        self.generation += 1;
+        self.bump();
+        let granted = self.generation;
+        self.entries.push(LockEntry {
+            owner,
+            read,
+            write,
+            granted,
+        });
     }
 }
 

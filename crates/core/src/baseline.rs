@@ -56,6 +56,9 @@ pub struct BaselineSlot {
     /// The fallback lock batch being polled, rebuilt in place at every
     /// poll.
     fallback_batch: Vec<RecordId>,
+    /// The lock list's distinct routed homes in node order, rebuilt in
+    /// place at every poll.
+    fallback_homes: Vec<NodeId>,
     /// The transaction's write set, `(record, logical home)`, sorted and
     /// deduplicated; refreshed by [`Sim::fill_write_set`] when the lock
     /// round begins, and read by the rounds that follow it.
@@ -157,7 +160,6 @@ impl Engine for Baseline {
     type Ev = BaselineEv;
     const START_STAGGER: u64 = 37;
     const CRASHES_NEED_MEMBERSHIP: bool = true;
-    const RETRY_LANE: bool = false;
     const FENCE_VERB: Verb = Verb::LockResp;
 
     fn new(cl: &Cluster) -> Self {
@@ -407,7 +409,7 @@ impl Sim<Baseline> {
 
     /// The physical node serving `rid`'s partition.
     fn routed_home(&self, rid: RecordId) -> NodeId {
-        self.cl.route(self.cl.db.record(rid).home())
+        self.cl.route(self.cl.db.home(rid))
     }
 
     /// Refreshes the slot's write set from its transaction.
@@ -1202,15 +1204,18 @@ impl Sim<Baseline> {
         let now = self.q.now();
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let token = self.token(si);
-        let next_home = |sim: &Self, after| {
-            let locks = &sim.ext[si].fallback_locks;
-            next_node(locks.iter().map(|&rid| sim.routed_home(rid)), after, None)
-        };
-        let mut home = next_home(self, None);
-        for _ in 0..self.slots[si].fallback_cursor {
-            let Some(prev) = home else { break };
-            home = next_home(self, Some(prev));
-        }
+        let mut homes = std::mem::take(&mut self.ext[si].fallback_homes);
+        homes.clear();
+        homes.extend(
+            self.ext[si]
+                .fallback_locks
+                .iter()
+                .map(|&rid| self.routed_home(rid)),
+        );
+        homes.sort_unstable();
+        homes.dedup();
+        let home = homes.get(self.slots[si].fallback_cursor).copied();
+        self.ext[si].fallback_homes = homes;
         let Some(home) = home else {
             self.q.push_at(now, Ev::ExecStage { si, att });
             return;

@@ -14,20 +14,41 @@
 //! events, in the same order, as the engines did when each carried its
 //! own copy (the queue breaks time ties by insertion order, so the order
 //! is part of the simulation).
+//!
+//! # Parked stalls
+//!
+//! A Locking-Buffer retry whose poll would only re-arm it parks outside
+//! the queue, on the bank and behind the buffer that denied it
+//! ([`Engine::parks_on`]): at once when its access is denied
+//! ([`Sim::retry_stalled`]), or at a poll whose denial still holds
+//! ([`Engine::rearm`], [`EventQueue::pop_parking`]). An access check is
+//! a pure function of the bank's held buffers, and a buffer never
+//! changes while held, so the access stays denied while that buffer is
+//! held. Its poll's answer can otherwise change only with its slot's
+//! attempt, the routing table or the crash table. After each handled
+//! event the driver wakes the retries whose buffer was released or
+//! whose other inputs moved, and each comes back at its next poll, at
+//! its place ([`EventQueue::unpark`]). Every poll in between would
+//! have re-armed it, so this dispatches the same events in the same
+//! order as polling every `LOCK_RETRY`. With a tracer installed every
+//! poll must emit its `LockStall`, so retries stay on the queue and
+//! are put back at every poll.
 
 use crate::runtime::{
-    owner_token, resolve, Cluster, Measurement, MigrationAction, ResolvedTxn, RunOutcome,
-    WorkloadSet,
+    owner_token, resolve, Cluster, Measurement, MigrationAction, ParkedRetry, ResolvedTxn,
+    RunOutcome, Stall, WorkloadSet,
 };
 use crate::stats::{Phase, RunStats, SquashReason};
+use hades_bloom::LockingBuffers;
 use hades_fault::InjectedFault;
 use hades_net::nic::RemoteTxKey;
 use hades_sim::config::{MembershipParams, MigrationParams, OverloadParams, RetryParams};
-use hades_sim::engine::EventQueue;
+use hades_sim::engine::{EventQueue, Parked, Popped};
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
 use hades_telemetry::event::{EventKind, RecoveryKind, Verb, NO_SLOT};
+use std::cell::Cell;
 use std::fmt::Debug;
 use std::rc::Rc;
 
@@ -47,11 +68,6 @@ pub trait Engine: Sized + Debug {
     /// failover is its only recovery path; gating keeps membership-off
     /// Baseline runs byte-identical to runs without the plan's crashes.
     const CRASHES_NEED_MEMBERSHIP: bool;
-    /// Every Locking-Buffer stall re-arms after the same delay, so the
-    /// engines with Locking Buffers run their re-arms on the queue's FIFO
-    /// retry lane, and the lane's polls that cannot succeed re-arm inside
-    /// the queue ([`Engine::rearm`]).
-    const RETRY_LANE: bool;
     /// The verb a migration cutover counts as fenced per straddler: the
     /// round it aborts (Baseline's lock round, the HADES engines' Intend).
     const FENCE_VERB: Verb;
@@ -82,13 +98,18 @@ pub trait Engine: Sized + Debug {
     fn fallback_lock(sim: &mut Sim<Self>, si: usize, att: u32);
     /// Handles one of the engine's own events.
     fn handle(sim: &mut Sim<Self>, ev: Self::Ev);
-    /// Whether `ev`, a retry-lane event due at `now`, would only re-arm
-    /// itself: its handler would push the same event back on the lane and
-    /// do nothing else but trace. If so, this emits that trace and the
-    /// queue re-arms the event in place instead of dispatching it
-    /// ([`EventQueue::pop_rearming`]).
+    /// Whether `ev`, a retry polled at `now`, would only re-arm itself:
+    /// its handler would push the same event back one `LOCK_RETRY` later
+    /// and do nothing else but trace. If so, this emits that trace and
+    /// the retry parks instead of being dispatched (module docs).
     fn rearm(_sim: RearmView<'_>, _now: Cycles, _ev: &Self::Ev) -> bool {
         false
+    }
+    /// The slot index and the denial of `ev`, a stalled access: it parks
+    /// on the denying bank until the denying buffer is released or the
+    /// slot's attempt changes.
+    fn parks_on(_ev: &Self::Ev) -> Option<(usize, Stall)> {
+        None
     }
     /// Aborts the slot's attempt, releases what it holds and schedules
     /// the retry.
@@ -236,6 +257,137 @@ pub struct Sim<P: Engine> {
     total_sum_delta: i64,
     /// Total commits since the start of the run.
     total_commits: u64,
+    /// Retries parked outside the queue (module docs).
+    parked: ParkLot<Ev<P::Ev>>,
+}
+
+/// Retries parked outside the queue, by the bank that denied them.
+#[derive(Debug)]
+struct ParkLot<E> {
+    /// Indexed by node.
+    banks: Vec<ParkedAt<E>>,
+    /// Parked retries per slot.
+    per_slot: Vec<u32>,
+    /// Number of parked retries.
+    len: usize,
+    /// Counts the held-set changes of every bank
+    /// ([`LockingBuffers::count_changes_on`]).
+    bank_changes: Rc<Cell<u64>>,
+    /// `bank_changes` at the last wake.
+    bank_changes_seen: u64,
+    /// Slots with parked retries whose attempt changed since the last
+    /// wake.
+    touched: Vec<usize>,
+    /// The routing or crash table changed since the last wake.
+    tables_moved: bool,
+}
+
+/// The retries parked on one bank.
+#[derive(Debug)]
+struct ParkedAt<E> {
+    /// The bank's generation at the last wake.
+    seen: u64,
+    retries: Vec<Waiting<E>>,
+}
+
+/// A parked retry and what it waits for.
+#[derive(Debug)]
+struct Waiting<E> {
+    si: usize,
+    /// The owner of the buffer that denied it, and when that buffer was
+    /// granted ([`LockingBuffers::granted_at`]).
+    holder: u64,
+    granted: u64,
+    retry: Parked<E>,
+}
+
+impl<E> ParkLot<E> {
+    fn new(cl: &Cluster, slots: usize) -> Self {
+        let bank = |_| ParkedAt {
+            seen: 0,
+            retries: Vec::new(),
+        };
+        ParkLot {
+            banks: cl.lock_bufs.iter().map(bank).collect(),
+            per_slot: vec![0; slots],
+            len: 0,
+            bank_changes: cl.lock_bufs[0].change_counter(),
+            bank_changes_seen: 0,
+            touched: Vec::new(),
+            tables_moved: false,
+        }
+    }
+
+    /// Slot `si`'s attempt changed: its parked retries must wake.
+    fn touch(&mut self, si: usize) {
+        if self.per_slot[si] > 0 {
+            self.touched.push(si);
+        }
+    }
+
+    /// The routing or crash table changed: every parked retry must wake.
+    fn tables_moved(&mut self) {
+        self.tables_moved = self.len > 0;
+    }
+
+    /// Whether anything a parked retry's poll reads may have changed
+    /// since the last wake.
+    fn inputs_moved(&self) -> bool {
+        self.tables_moved
+            || !self.touched.is_empty()
+            || self.bank_changes.get() != self.bank_changes_seen
+    }
+
+    /// Parks `retry` of slot `si`, denied by `stall` at `bufs`, whose
+    /// denying buffer is still held.
+    fn park(&mut self, si: usize, stall: Stall, bufs: &LockingBuffers, retry: Parked<E>) {
+        if self.len == 0 {
+            self.bank_changes_seen = self.bank_changes.get();
+        }
+        let granted = bufs
+            .granted_at(stall.holder)
+            .expect("the denying buffer is held");
+        self.banks[stall.node.0 as usize].retries.push(Waiting {
+            si,
+            holder: stall.holder,
+            granted,
+            retry,
+        });
+        self.per_slot[si] += 1;
+        self.len += 1;
+    }
+
+    /// Puts back every parked retry whose poll might now go otherwise:
+    /// those whose denying buffer was released, those of a slot whose
+    /// attempt changed, and all of them if the routing or crash table
+    /// changed.
+    fn wake(&mut self, q: &mut EventQueue<E>, lock_bufs: &[LockingBuffers]) {
+        let all = std::mem::take(&mut self.tables_moved);
+        self.bank_changes_seen = self.bank_changes.get();
+        let touched = std::mem::take(&mut self.touched);
+        for (bank, bufs) in self.banks.iter_mut().zip(lock_bufs) {
+            let moved = bank.seen != bufs.generation();
+            bank.seen = bufs.generation();
+            if !all && !moved && touched.is_empty() {
+                continue;
+            }
+            let mut i = 0;
+            while i < bank.retries.len() {
+                let w = &bank.retries[i];
+                let released = moved && bufs.granted_at(w.holder) != Some(w.granted);
+                if !(all || released || touched.contains(&w.si)) {
+                    i += 1;
+                    continue;
+                }
+                let w = bank.retries.swap_remove(i);
+                self.per_slot[w.si] -= 1;
+                self.len -= 1;
+                q.unpark(w.retry);
+            }
+        }
+        self.touched = touched;
+        self.touched.clear();
+    }
 }
 
 impl<P: Engine> Sim<P> {
@@ -272,13 +424,9 @@ impl<P: Engine> Sim<P> {
                 slot_rngs.push(cl.rng.fork());
             }
         }
-        let q = if P::RETRY_LANE {
-            EventQueue::with_retry_delay(RetryParams::LOCK_RETRY)
-        } else {
-            EventQueue::new()
-        };
         Sim {
-            q,
+            q: EventQueue::with_retry_delay(RetryParams::LOCK_RETRY),
+            parked: ParkLot::new(&cl, total),
             meas: Measurement::new(warmup, measure, ws.len()),
             ws,
             slots,
@@ -341,12 +489,20 @@ impl<P: Engine> Sim<P> {
             };
             let next = self
                 .q
-                .pop_rearming(|now, ev| matches!(ev, Ev::Engine(ev) if P::rearm(view, now, ev)));
-            let Some((_, ev)) = next else {
-                break;
-            };
-            self.handle(ev);
+                .pop_parking(|now, ev| matches!(ev, Ev::Engine(ev) if P::rearm(view, now, ev)));
+            match next {
+                None => break,
+                Some(Popped::Event(_, ev)) => {
+                    self.handle(ev);
+                    if self.parked.len > 0 && self.parked.inputs_moved() {
+                        self.parked.wake(&mut self.q, &self.cl.lock_bufs);
+                    }
+                }
+                Some(Popped::Parked(retry)) if self.cl.tracer.is_enabled() => self.q.unpark(retry),
+                Some(Popped::Parked(retry)) => self.park(retry),
+            }
         }
+        let parked = self.still_parked();
         let mut stats = self.meas.stats;
         (stats.profile, stats.spans, stats.timeseries) = self.cl.finish_observability();
         stats.node_verbs = self.cl.verbs_by_node.clone();
@@ -368,7 +524,47 @@ impl<P: Engine> Sim<P> {
             total_sum_delta: self.total_sum_delta,
             total_commits: self.total_commits,
             replica_pending_leaked,
+            parked,
         }
+    }
+
+    /// Schedules `ev`, an access its bank just denied, as a retry. It
+    /// parks at once, before its first poll, unless a tracer needs that
+    /// poll's `LockStall`.
+    pub(crate) fn retry_stalled(&mut self, ev: P::Ev) {
+        if self.cl.tracer.is_enabled() {
+            self.q.push_retry(ev.into());
+        } else {
+            let retry = self.q.park_retry(ev.into());
+            self.park(retry);
+        }
+    }
+
+    /// Parks `retry` on the bank that denied it.
+    fn park(&mut self, retry: Parked<Ev<P::Ev>>) {
+        let Ev::Engine(ev) = retry.payload() else {
+            unreachable!("only engine retries re-arm");
+        };
+        let (si, stall) = P::parks_on(ev).expect("a retry that re-arms names its bank");
+        let bufs = &self.cl.lock_bufs[stall.node.0 as usize];
+        self.parked.park(si, stall, bufs, retry);
+    }
+
+    /// The retries of live attempts still parked once the queue ran dry:
+    /// each is a transaction waiting on a Locking Buffer nothing will
+    /// release.
+    fn still_parked(&self) -> Vec<ParkedRetry> {
+        let banks = self.parked.banks.iter().enumerate();
+        let waiting = banks.flat_map(|(b, bank)| bank.retries.iter().map(move |w| (b, w)));
+        waiting
+            .filter(|(_, w)| self.slots[w.si].txn.is_some())
+            .map(|(b, w)| ParkedRetry {
+                node: self.slots[w.si].node,
+                slot: self.slots[w.si].slot,
+                bank: NodeId(b as u16),
+                holder: w.holder,
+            })
+            .collect()
     }
 
     fn handle(&mut self, ev: Ev<P::Ev>) {
@@ -490,6 +686,7 @@ impl<P: Engine> Sim<P> {
         timeout: bool,
     ) {
         let now = self.q.now();
+        self.parked.touch(si);
         let s = &mut self.slots[si];
         s.attempt += 1;
         s.consec_squashes += 1;
@@ -526,6 +723,7 @@ impl<P: Engine> Sim<P> {
     fn on_start(&mut self, si: usize) {
         if self.draining {
             if self.slots[si].txn.take().is_some() {
+                self.parked.touch(si);
                 self.cl.obs_drop(si, self.q.now());
             }
             return;
@@ -634,6 +832,7 @@ impl<P: Engine> Sim<P> {
         let latency = now.saturating_sub(self.slots[si].first_start);
         let record = self.recording();
         self.cl.obs_commit(si, now, latency, record);
+        self.parked.touch(si);
         let s = &mut self.slots[si];
         let txn = s.txn.take().expect("txn active");
         let txn_attempts = s.consec_squashes as u64 + 1;
@@ -708,6 +907,7 @@ impl<P: Engine> Sim<P> {
                 let n = fenced.len() as u64;
                 exclude.extend(fenced);
                 self.cl.finish_cutover(now, &exclude, n);
+                self.parked.tables_moved();
             }
             MigrationAction::Done => {}
         }
@@ -733,6 +933,7 @@ impl<P: Engine> Sim<P> {
             .filter(|&r| r > now)
             .max();
         self.crashed[nb] = true;
+        self.parked.tables_moved();
         self.restart_at[nb] = restart;
         self.cl.fabric.injector_mut().faults.crashes += 1;
         // Noted before the wipe below: the time-series drops the node's
@@ -752,6 +953,7 @@ impl<P: Engine> Sim<P> {
                 self.total_commits += 1;
             }
             P::on_crash(self, si);
+            self.parked.touch(si);
             let s = &mut self.slots[si];
             s.txn = None;
             s.attempt += 1;
@@ -778,6 +980,7 @@ impl<P: Engine> Sim<P> {
             return;
         }
         self.crashed[nb] = false;
+        self.parked.tables_moved();
         self.restart_at[nb] = None;
         self.cl.fabric.injector_mut().faults.restarts += 1;
         if self.cl.tracer.is_enabled() {
@@ -820,10 +1023,84 @@ impl<P: Engine> Sim<P> {
         let now = self.q.now();
         for dead in self.cl.membership_scan(now) {
             if self.cl.reconfigure_after_death(dead, now) {
+                self.parked.tables_moved();
                 P::on_death(self, dead);
             }
         }
         self.q
             .push_at(now + MembershipParams::RENEW_INTERVAL, Ev::MembershipTick);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hades_bloom::{BloomFilter, Signature};
+    use hades_sim::config::SimConfig;
+    use hades_storage::db::Database;
+
+    /// A read-only buffer for `owner` whose write signature holds `line`.
+    fn lock(bufs: &mut LockingBuffers, owner: u64, line: u64) {
+        let mut write = BloomFilter::new(1024, 2);
+        write.insert(line);
+        let read = Signature::Conventional(BloomFilter::new(1024, 2));
+        let write = Signature::Conventional(write);
+        bufs.try_lock(owner, read, write, &[line], &[])
+            .expect("free");
+    }
+
+    #[test]
+    fn a_parked_retry_wakes_when_its_grant_goes_or_its_inputs_move() {
+        let cfg = SimConfig::isca_default();
+        let db = Database::new(cfg.shape.nodes);
+        let mut cl = Cluster::new(cfg, db);
+        let mut q: EventQueue<u32> = EventQueue::with_retry_delay(RetryParams::LOCK_RETRY);
+        let mut lot = ParkLot::new(&cl, 4);
+        let (holder, other) = (
+            owner_token(NodeId(1), SlotId(3)),
+            owner_token(NodeId(2), SlotId(0)),
+        );
+        lock(&mut cl.lock_bufs[0], holder, 7);
+        let park = |lot: &mut ParkLot<u32>, q: &mut EventQueue<u32>, cl: &Cluster| {
+            let stall = cl
+                .lock_stall(NodeId(0), |b| b.blocks_read(7u64))
+                .expect("denied");
+            assert_eq!(stall.holder, holder);
+            lot.park(2, stall, &cl.lock_bufs[0], q.park_retry(0));
+        };
+        // Woken: the retry leaves the lot for the queue.
+        let wake = |lot: &mut ParkLot<u32>, q: &mut EventQueue<u32>, cl: &Cluster| {
+            lot.wake(q, &cl.lock_bufs);
+            let woken = q.pop().is_some();
+            assert_eq!(
+                (lot.len, lot.per_slot[2]),
+                (usize::from(!woken), u32::from(!woken))
+            );
+            woken
+        };
+
+        park(&mut lot, &mut q, &cl);
+        assert!(!lot.inputs_moved());
+        lock(&mut cl.lock_bufs[0], other, 99);
+        assert!(lot.inputs_moved(), "the bank moved");
+        assert!(!wake(&mut lot, &mut q, &cl), "its buffer is still held");
+        cl.lock_bufs[0].unlock(holder);
+        lock(&mut cl.lock_bufs[0], holder, 7);
+        assert!(wake(&mut lot, &mut q, &cl), "a new grant to the same owner");
+
+        park(&mut lot, &mut q, &cl);
+        lot.touch(2);
+        assert!(wake(&mut lot, &mut q, &cl), "its slot's attempt changed");
+
+        park(&mut lot, &mut q, &cl);
+        lot.tables_moved();
+        assert!(
+            wake(&mut lot, &mut q, &cl),
+            "the routing or crash table moved"
+        );
+
+        park(&mut lot, &mut q, &cl);
+        cl.lock_bufs[0].unlock(holder);
+        assert!(wake(&mut lot, &mut q, &cl), "its buffer was released");
     }
 }

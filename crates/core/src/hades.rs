@@ -357,7 +357,6 @@ impl<L: LocalPath> Engine for Hades<L> {
     type Ev = HadesEv;
     const START_STAGGER: u64 = L::START_STAGGER;
     const CRASHES_NEED_MEMBERSHIP: bool = false;
-    const RETRY_LANE: bool = true;
     const FENCE_VERB: Verb = Verb::Intend;
 
     fn new(cl: &Cluster) -> Self {
@@ -549,6 +548,22 @@ impl<L: LocalPath> Engine for Hades<L> {
         holds
     }
 
+    fn parks_on(ev: &HadesEv) -> Option<(usize, Stall)> {
+        match ev {
+            HadesEv::LocalOp {
+                si,
+                stall: Some(stall),
+                ..
+            }
+            | HadesEv::RemoteReq {
+                si,
+                stall: Some(stall),
+                ..
+            } => Some((*si, *stall)),
+            _ => None,
+        }
+    }
+
     fn squash(sim: &mut Sim<Self>, si: usize, reason: SquashReason) {
         sim.squash(si, reason)
     }
@@ -736,8 +751,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
         if let Some(stall) = stall {
             trace_stall(&self.cl, self.q.now(), stall, Some(&self.slots[si]));
             let stall = Some(stall);
-            self.q
-                .push_retry(HadesEv::LocalOp { si, att, op, stall }.into());
+            self.retry_stalled(HadesEv::LocalOp { si, att, op, stall });
             return;
         }
         L::on_local_op(self, si, att, &op)
@@ -866,8 +880,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
         if let Some(stall) = stall {
             trace_stall(&self.cl, now, stall, None);
             let stall = Some(stall);
-            self.q
-                .push_retry(HadesEv::RemoteReq { si, att, op, stall }.into());
+            self.retry_stalled(HadesEv::RemoteReq { si, att, op, stall });
             return;
         }
         let bloom = self.cl.cfg.bloom;

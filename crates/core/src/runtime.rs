@@ -187,7 +187,14 @@ impl Cluster {
         let bank_slots = cfg
             .lock_buffer_slots
             .unwrap_or_else(|| cfg.shape.total_slots().max(4));
-        let lock_bufs = (0..n).map(|_| LockingBuffers::new(bank_slots)).collect();
+        let bank_changes = Rc::default();
+        let lock_bufs = (0..n)
+            .map(|_| {
+                let mut bufs = LockingBuffers::new(bank_slots);
+                bufs.count_changes_on(Rc::clone(&bank_changes));
+                bufs
+            })
+            .collect();
         let mut fabric = Fabric::new(cfg.net, n);
         // Legacy loss knob: a non-zero `repl.loss_probability` becomes a
         // commit-handshake-loss FaultPlan so all engines share one path.
@@ -1388,6 +1395,35 @@ pub struct RunOutcome {
     /// Engines without replica machinery report 0; a nonzero value from
     /// an engine that has it means the drain logic leaked state.
     pub replica_pending_leaked: u64,
+    /// Locking-Buffer retries of live attempts still parked when the
+    /// event queue ran dry: the wait-for edges of a run that could not
+    /// finish. Empty for a run that finishes.
+    pub parked: Vec<ParkedRetry>,
+}
+
+/// A transaction's access stalled on a Locking Buffer that nothing left
+/// in the queue will release.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParkedRetry {
+    /// The waiting transaction's node.
+    pub node: NodeId,
+    /// The waiting transaction's slot.
+    pub slot: SlotId,
+    /// Node whose directory bank denied the access.
+    pub bank: NodeId,
+    /// Owner token of the blocking holder (see [`owner_token`]).
+    pub holder: u64,
+}
+
+impl std::fmt::Display for ParkedRetry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (node, slot) = (self.holder >> 32, self.holder & 0xffff_ffff);
+        write!(
+            f,
+            "{}/{} parked on {}'s Locking Buffers behind n{node}/s{slot}",
+            self.node, self.slot, self.bank
+        )
+    }
 }
 
 impl RunOutcome {

@@ -279,10 +279,10 @@ impl RetryParams {
     /// Backoff grows linearly with attempt count up to this cap.
     pub const BACKOFF_CAP: Cycles = Cycles::new(16_000);
     /// Delay before retrying an access stalled by a directory Locking
-    /// Buffer. It is one delay for the whole run: that is what lets the
-    /// engines keep stall re-arms on the event queue's FIFO retry lane
-    /// ([`EventQueue::with_retry_delay`](crate::engine::EventQueue::with_retry_delay))
-    /// in exact single-heap order.
+    /// Buffer. It is one delay for the whole run: that is what gives
+    /// every retry a place in the event queue's lane
+    /// ([`EventQueue::with_retry_delay`](crate::engine::EventQueue::with_retry_delay)),
+    /// which it keeps, in exact single-heap order, while it is parked.
     pub const LOCK_RETRY: Cycles = Cycles::new(60);
 }
 

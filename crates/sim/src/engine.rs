@@ -6,50 +6,120 @@
 //! configuration and RNG seed. This stands in for the SST/DRAMSim2
 //! simulation stack the paper used (see DESIGN.md §2).
 //!
-//! # The retry lane
+//! # Three bands per cycle
 //!
-//! Most events live in a binary heap keyed by `(time, sequence number)`.
-//! Events re-armed a fixed delay after *now* — the Locking-Buffer stall
-//! retries, the bulk of a contended run's events — skip the heap and go
-//! to a FIFO lane instead ([`EventQueue::push_retry`]). The delay is fixed
-//! when the queue is built, and *now* never decreases, so each lane entry
-//! is due no earlier than the one before it and carries a larger
-//! sequence number: the lane is sorted by `(time, sequence number)` by
-//! construction. [`EventQueue::pop`] takes the smaller of the heap top
-//! and the lane front under that key, and both draw sequence numbers
-//! from one counter, so the pop order is exactly that of a single heap
-//! holding every event.
+//! A queue built with a retry delay `D` ([`EventQueue::with_retry_delay`])
+//! orders the events due in one cycle in three bands, by how far ahead
+//! of *now* each was pushed:
 //!
-//! # Re-arming in place
+//! 1. more than `D` ahead: first, in push order;
+//! 2. exactly `D` ahead, a *retry*, whether from
+//!    [`push_retry`](EventQueue::push_retry) or from
+//!    [`push_at`](EventQueue::push_at): next, in lane order;
+//! 3. less than `D` ahead: last, in push order.
 //!
-//! Most retries are polls that cannot succeed yet: the Locking Buffer
-//! that denied the access has not changed, so the handler would only
-//! push the same event back one retry delay later. Dispatching such a
-//! poll is pure overhead. [`EventQueue::pop_rearming`] takes the
-//! caller's re-arm predicate and, while the lane front is next and the
-//! predicate says it would only re-arm itself, does that re-arm inside
-//! the queue: time and the dispatch count advance, and the event goes to
-//! the lane's back with a fresh sequence number, exactly as a
-//! [`pop`](EventQueue::pop) followed by
-//! [`push_retry`](EventQueue::push_retry) would leave the queue, but the
-//! event is never handed to the caller.
+//! A retry's place in the lane is fixed by the event being dispatched
+//! when it is pushed. One pushed by a band-1 event goes before every
+//! retry already in the lane, one pushed by a band-3 event after them,
+//! in push order either way. One pushed by a band-2 event takes that
+//! event's place; a second one goes right behind the first.
+//!
+//! This is exactly the order of a single heap keyed by time and push
+//! sequence number. *Now* never decreases, so sequence numbers order
+//! pushes by the cycle they were made in. Of the events due at cycle
+//! `t`, those more than `D` ahead were pushed before cycle `t − D`, the
+//! retries during it and the rest after it, which is the band order.
+//! The retries were pushed in the order cycle `t − D`'s own events ran:
+//! band 1, then band 2 in lane order, then band 3. So by induction on
+//! `t`, lane order is push order.
+//!
+//! What the lane buys is that a retry keeps its place across polls
+//! without taking a new sequence number. A Locking-Buffer retry whose
+//! poll would only push itself back one delay later need not stay in
+//! the queue: [`pop_parking`](EventQueue::pop_parking) hands it to the
+//! caller as a [`Parked`] retry, and [`unpark`](EventQueue::unpark)
+//! puts it back at its next poll cycle, at the place it would have
+//! held had every poll in between pushed it back. Which parked retries
+//! to wake is the caller's business: waking too many costs a poll,
+//! waking too few changes the simulation.
+//!
+//! With `D = 0` ([`EventQueue::new`]) there is no band 2: every event
+//! is in push order and the queue is a plain heap.
 
 use crate::time::Cycles;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// An event scheduled for a point in simulated time.
+/// The place of a band-1 event.
+const BAND_1: i64 = i64::MIN;
+/// The place of a band-3 event.
+const BAND_3: i64 = i64::MAX;
+
+/// The `(-(c + 1), seq)` steps of a [`Place::behind`]. Almost always
+/// `None`; boxed so that it costs one word.
+#[allow(clippy::box_collection)]
+type Behind = Option<Box<Vec<(i64, u64)>>>;
+
+/// Where an event sits among the events due in its cycle.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Place {
+    /// [`BAND_1`] or [`BAND_3`], or for a retry pushed at cycle `c`
+    /// by a band-1 event `-(c + 1)`, by a band-3 event `c + 1`. Later
+    /// band-1 pushes thus go in front of the lane, later band-3 pushes
+    /// behind it.
+    band: i64,
+    /// The sequence number of the push that opened the place.
+    seq: u64,
+    /// Places opened right behind this one by the further retries one
+    /// band-2 dispatch pushed, each `(-(c + 1), seq)` like a band-1 push:
+    /// a later dispatch's extras go in front of an earlier one's.
+    behind: Behind,
+}
+
+impl Place {
+    fn pushed(band: i64, seq: u64) -> Self {
+        Place {
+            band,
+            seq,
+            behind: None,
+        }
+    }
+
+    fn is_retry(&self) -> bool {
+        self.band != BAND_1 && self.band != BAND_3
+    }
+}
+
+/// Bits of [`Entry::seq_ext`] that hold the [`Place::behind`] index.
+const EXT_BITS: u32 = 24;
+
+/// An event scheduled for a point in simulated time, keyed by its time
+/// and its place. A place's rare `behind` waits in the queue's side
+/// table, and the entry holds its index below the sequence number, so
+/// that the heap key stays three words. Only places opened behind the
+/// same one can tie on the time, band and sequence number; see
+/// [`EventQueue::first_of_tie`].
 #[derive(Debug)]
 struct Entry<E> {
     at: Cycles,
-    seq: u64,
+    band: i64,
+    /// `seq << EXT_BITS`, plus the `behind` index (0 for none).
+    seq_ext: u64,
     payload: E,
 }
 
 impl<E> Entry<E> {
-    /// The total dispatch order: earliest time first, then insertion order.
-    fn key(&self) -> (Cycles, u64) {
-        (self.at, self.seq)
+    fn key(&self) -> (Cycles, i64, u64) {
+        (self.at, self.band, self.seq_ext)
+    }
+
+    /// The key less the `behind` index.
+    fn tie_key(&self) -> (Cycles, i64, u64) {
+        (self.at, self.band, self.seq_ext >> EXT_BITS)
+    }
+
+    fn ext(&self) -> usize {
+        (self.seq_ext & ((1 << EXT_BITS) - 1)) as usize
     }
 }
 
@@ -73,12 +143,41 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A retry waiting outside the queue, taken off it by
+/// [`EventQueue::pop_parking`] or never put on it
+/// ([`EventQueue::park_retry`]). It keeps its place in the lane until
+/// [`EventQueue::unpark`] puts it back.
+#[derive(Debug)]
+pub struct Parked<E> {
+    /// A cycle its polls fall on: the one that parked it, or the one it
+    /// was pushed at.
+    at: Cycles,
+    place: Place,
+    payload: E,
+}
+
+impl<E> Parked<E> {
+    /// The parked event.
+    pub fn payload(&self) -> &E {
+        &self.payload
+    }
+}
+
+/// What [`EventQueue::pop_parking`] took off the queue.
+#[derive(Debug)]
+pub enum Popped<E> {
+    /// An event to dispatch, with its time.
+    Event(Cycles, E),
+    /// A retry the caller's predicate parked.
+    Parked(Parked<E>),
+}
+
 /// A time-ordered queue of simulation events with deterministic tie-breaking.
 ///
 /// `E` is the protocol-specific event payload; each protocol simulator
-/// defines its own event enum and drives its own queue. Events re-armed
-/// a fixed delay after now can bypass the heap through the retry lane
-/// (see the [module docs](self) and [`push_retry`](Self::push_retry)).
+/// defines its own event enum and drives its own queue. Retries, events
+/// pushed exactly the retry delay ahead, can leave the queue while they
+/// wait and come back at their place (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -97,12 +196,20 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Fixed-delay retries, in `(at, seq)` order by construction.
-    retries: VecDeque<Entry<E>>,
+    /// The `behind` of pending places that have one, by index; index 0
+    /// stands for none and is never used.
+    behinds: Vec<Behind>,
+    /// Indices of `behinds` free for reuse.
+    free: Vec<usize>,
     retry_delay: Cycles,
     seq: u64,
     now: Cycles,
     popped: u64,
+    /// The place of the event popped last; retries its dispatch pushes
+    /// are placed from it.
+    last: Place,
+    /// Retries pushed since the last pop.
+    retries_pushed: u32,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -112,22 +219,25 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero whose retry lane re-arms
-    /// events at now (no delay).
+    /// Creates an empty queue at time zero with no retry delay: a plain
+    /// heap, in which [`push_retry`](Self::push_retry) schedules at now.
     pub fn new() -> Self {
         Self::with_retry_delay(Cycles::ZERO)
     }
 
-    /// Creates an empty queue at time zero whose
-    /// [`push_retry`](Self::push_retry) schedules events `delay` after now.
+    /// Creates an empty queue at time zero whose retries are the events
+    /// pushed `delay` after now.
     pub fn with_retry_delay(delay: Cycles) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            retries: VecDeque::new(),
+            behinds: vec![None],
+            free: Vec::new(),
             retry_delay: delay,
             seq: 0,
             now: Cycles::ZERO,
             popped: 0,
+            last: Place::pushed(BAND_1, 0),
+            retries_pushed: 0,
         }
     }
 
@@ -136,7 +246,9 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events dispatched so far (a cheap progress/fuel measure).
+    /// Number of events popped so far (a cheap progress/fuel measure),
+    /// polls that parked included. The polls a parked retry skips while
+    /// it waits outside the queue are not counted.
     pub fn events_dispatched(&self) -> u64 {
         self.popped
     }
@@ -153,12 +265,98 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: {at} < now {now}",
             now = self.now
         );
+        let ahead = at - self.now;
+        let place = if self.retry_delay == Cycles::ZERO || ahead > self.retry_delay {
+            Place::pushed(BAND_1, self.seq)
+        } else if ahead < self.retry_delay {
+            Place::pushed(BAND_3, self.seq)
+        } else {
+            self.retry_place()
+        };
+        self.seq += 1;
+        self.enqueue(at, place, payload);
+    }
+
+    fn enqueue(&mut self, at: Cycles, place: Place, payload: E) {
+        let Place { band, seq, behind } = place;
+        assert!(seq < 1 << (64 - EXT_BITS), "sequence numbers exhausted");
+        let ext = match behind {
+            None => 0,
+            Some(behind) => {
+                let ext = self.free.pop().unwrap_or_else(|| {
+                    self.behinds.push(None);
+                    self.behinds.len() - 1
+                });
+                assert!(ext < 1 << EXT_BITS, "too many places behind others");
+                self.behinds[ext] = Some(behind);
+                ext
+            }
+        };
         self.heap.push(Entry {
             at,
-            seq: self.seq,
+            band,
+            seq_ext: seq << EXT_BITS | ext as u64,
             payload,
         });
-        self.seq += 1;
+    }
+
+    /// Removes the earliest event: its time, place and payload.
+    fn take_next(&mut self) -> Option<(Cycles, Place, E)> {
+        let mut e = self.heap.pop()?;
+        let behind = match e.ext() {
+            0 => None,
+            _ => {
+                e = self.first_of_tie(e);
+                self.free.push(e.ext());
+                self.behinds[e.ext()].take()
+            }
+        };
+        let place = Place {
+            band: e.band,
+            seq: e.seq_ext >> EXT_BITS,
+            behind,
+        };
+        Some((e.at, place, e.payload))
+    }
+
+    /// The first, by whole place, of `e` and the entries that tie with
+    /// it on time, band and sequence number: places opened behind one
+    /// another's ([`Place::behind`]), a rare case. The others go back on
+    /// the heap. Of those, the one with no `behind` has the smallest key
+    /// and comes first, so `e` has one.
+    fn first_of_tie(&mut self, e: Entry<E>) -> Entry<E> {
+        let key = e.tie_key();
+        let mut tied = vec![e];
+        while self.heap.peek().is_some_and(|n| n.tie_key() == key) {
+            tied.push(self.heap.pop().expect("peeked"));
+        }
+        let behind = |e: &Entry<E>| &self.behinds[e.ext()];
+        let first = (0..tied.len())
+            .min_by(|&i, &j| behind(&tied[i]).cmp(behind(&tied[j])))
+            .expect("tied holds e");
+        let e = tied.swap_remove(first);
+        self.heap.extend(tied);
+        e
+    }
+
+    /// The lane place of a retry pushed now (module docs).
+    fn retry_place(&mut self) -> Place {
+        let (cycle, seq) = (self.now.get() as i64 + 1, self.seq);
+        match self.last.band {
+            BAND_1 => Place::pushed(-cycle, seq),
+            BAND_3 => Place::pushed(cycle, seq),
+            _ => {
+                self.retries_pushed += 1;
+                let mut place = self.last.clone();
+                if self.retries_pushed > 1 {
+                    place
+                        .behind
+                        .get_or_insert_with(Box::default)
+                        .push((-cycle, seq));
+                }
+                place
+            }
+        }
     }
 
     /// Schedules `payload` at `delay` after the current simulated time.
@@ -166,107 +364,109 @@ impl<E> EventQueue<E> {
         self.push_at(self.now + delay, payload);
     }
 
-    /// Schedules `payload` at the queue's fixed retry delay after the
-    /// current simulated time, on the FIFO retry lane. Dispatch order is
-    /// the same as `push_after(delay, payload)`; only the host cost
-    /// differs (an O(1) append instead of a heap sift).
+    /// Schedules `payload` as a retry: the queue's fixed retry delay
+    /// after the current simulated time. Exactly
+    /// `push_after(delay, payload)`.
     pub fn push_retry(&mut self, payload: E) {
-        let at = self.now + self.retry_delay;
-        debug_assert!(self.retries.back().map_or(true, |e| e.at <= at));
-        self.retries.push_back(Entry {
-            at,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
+        self.push_after(self.retry_delay, payload);
     }
 
-    /// Whether the next event to dispatch is the retry lane's front.
-    fn lane_first(&self) -> bool {
-        match (self.retries.front(), self.heap.peek()) {
-            (Some(r), Some(h)) => r.key() < h.key(),
-            (r, _) => r.is_some(),
+    /// Takes `payload` as a retry pushed now and parks it before its
+    /// first poll: the queue is left as [`push_retry`](Self::push_retry)
+    /// and then a [`pop_parking`](Self::pop_parking) that parks it would
+    /// leave it, but no poll happens.
+    pub fn park_retry(&mut self, payload: E) -> Parked<E> {
+        debug_assert!(
+            self.retry_delay > Cycles::ZERO,
+            "no retries without a delay"
+        );
+        let place = self.retry_place();
+        self.seq += 1;
+        Parked {
+            at: self.now,
+            place,
+            payload,
         }
     }
 
     /// Removes and returns the earliest event, advancing simulated time to
     /// its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        let e = if self.lane_first() {
-            self.retries.pop_front()
-        } else {
-            self.heap.pop()
-        }?;
-        debug_assert!(e.at >= self.now);
-        self.now = e.at;
-        self.popped += 1;
-        Some((e.at, e.payload))
+        match self.pop_parking(|_, _| false)? {
+            Popped::Event(at, payload) => Some((at, payload)),
+            Popped::Parked(_) => unreachable!("nothing parks"),
+        }
     }
 
-    /// Like [`pop`](Self::pop), but first re-arms in place every
-    /// retry-lane event that `rearm` says would only re-arm itself.
-    ///
-    /// While the lane front is the next event, `rearm` is asked about it
-    /// with its due time. On `true` the queue does what a `pop` and then
-    /// a [`push_retry`](Self::push_retry) of the same payload would:
-    /// simulated time advances to the event, it counts as dispatched,
-    /// and it goes to the back of the lane one retry delay later with a
-    /// fresh sequence number. On `false`, or once the heap's top is next,
-    /// this pops as `pop` does.
+    /// Like [`pop`](Self::pop), but a retry for which `park` holds comes
+    /// back as [`Popped::Parked`]: its poll happened (time advanced to
+    /// it and it counts as dispatched), and it waits outside the queue,
+    /// at its place, until [`unpark`](Self::unpark). `park` is asked
+    /// about retries only, with their due time.
     ///
     /// # Examples
     ///
     /// ```
-    /// use hades_sim::engine::EventQueue;
+    /// use hades_sim::engine::{EventQueue, Popped};
     /// use hades_sim::time::Cycles;
     ///
     /// let mut q: EventQueue<u32> = EventQueue::with_retry_delay(Cycles::new(60));
     /// q.push_retry(0); // a poll that keeps failing
     /// q.push_at(Cycles::new(100), 1);
-    /// // The poll re-arms at 60 (to 120), then the event at 100 pops.
-    /// assert_eq!(q.pop_rearming(|_, &e| e == 0), Some((Cycles::new(100), 1)));
-    /// assert_eq!(q.events_dispatched(), 2);
+    /// let Some(Popped::Parked(poll)) = q.pop_parking(|_, &e| e == 0) else {
+    ///     panic!("the retry is first, at 60");
+    /// };
+    /// assert_eq!(q.pop(), Some((Cycles::new(100), 1)));
+    /// // Woken at 100, the retry polls next at 120.
+    /// q.unpark(poll);
     /// assert_eq!(q.peek_time(), Some(Cycles::new(120)));
     /// ```
-    pub fn pop_rearming(
-        &mut self,
-        mut rearm: impl FnMut(Cycles, &E) -> bool,
-    ) -> Option<(Cycles, E)> {
-        // Re-arming leaves the heap alone, so its top is read once.
-        let heap_next = self.heap.peek().map(Entry::key);
-        while let Some(front) = self.retries.front() {
-            if heap_next.is_some_and(|h| h < front.key()) || !rearm(front.at, &front.payload) {
-                break;
-            }
-            let mut e = self.retries.pop_front().expect("lane front is next");
-            debug_assert!(e.at >= self.now);
-            self.now = e.at;
-            self.popped += 1;
-            e.at = self.now + self.retry_delay;
-            e.seq = self.seq;
-            self.seq += 1;
-            self.retries.push_back(e);
+    pub fn pop_parking(&mut self, park: impl FnOnce(Cycles, &E) -> bool) -> Option<Popped<E>> {
+        let (at, place, payload) = self.take_next()?;
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.popped += 1;
+        self.retries_pushed = 0;
+        if place.is_retry() && park(at, &payload) {
+            self.last = place.clone();
+            return Some(Popped::Parked(Parked { at, place, payload }));
         }
-        self.pop()
+        self.last = place;
+        Some(Popped::Event(at, payload))
+    }
+
+    /// Puts a parked retry back at its next poll cycle: the first one
+    /// from now on at which its place is still ahead, which is this
+    /// cycle if the event popped last comes before it.
+    pub fn unpark(&mut self, retry: Parked<E>) {
+        let Parked { at, place, payload } = retry;
+        let delay = self.retry_delay.get();
+        let polls = self
+            .now
+            .get()
+            .saturating_sub(at.get())
+            .div_ceil(delay)
+            .max(1);
+        let mut at = at + self.retry_delay * polls;
+        if at == self.now && place <= self.last {
+            at += self.retry_delay;
+        }
+        self.enqueue(at, place, payload);
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Cycles> {
-        if self.lane_first() {
-            self.retries.front().map(|e| e.at)
-        } else {
-            self.heap.peek().map(|e| e.at)
-        }
+        self.heap.peek().map(|e| e.at)
     }
 
-    /// Number of pending events, retry lane included.
+    /// Number of pending events; parked retries are not pending.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.retries.len()
+        self.heap.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.retries.is_empty()
+        self.heap.is_empty()
     }
 }
 
@@ -322,5 +522,28 @@ mod tests {
         q.pop();
         assert_eq!(q.events_dispatched(), 1);
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn a_retry_keeps_its_place_while_parked() {
+        let d = Cycles::new(10);
+        let mut q = EventQueue::with_retry_delay(d);
+        q.push_at(d, "a");
+        q.push_at(d, "b");
+        let Some(Popped::Parked(a)) = q.pop_parking(|_, &e| e == "a") else {
+            panic!("a polls first");
+        };
+        // b's dispatch pushes a retry, which takes b's place behind a.
+        assert_eq!(q.pop(), Some((d, "b")));
+        q.push_retry("b2");
+        q.push_at(Cycles::new(35), "late");
+        assert_eq!(q.pop(), Some((d * 2, "b2")));
+        // Woken at 20, after b2: a's next poll is at 30, where it goes
+        // first again.
+        q.unpark(a);
+        q.push_at(Cycles::new(30), "c");
+        assert_eq!(q.pop(), Some((d * 3, "a")));
+        assert_eq!(q.pop(), Some((d * 3, "c")));
+        assert_eq!(q.pop(), Some((Cycles::new(35), "late")));
     }
 }

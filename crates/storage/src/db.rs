@@ -394,6 +394,11 @@ impl Database {
         self.tables[table.0 as usize].index.get(key)
     }
 
+    /// The node `rid` is homed at, read from its metadata alone.
+    pub fn home(&self, rid: RecordId) -> NodeId {
+        self.records[rid.0 as usize].home()
+    }
+
     /// Immutable access to a record: its metadata and value bytes.
     pub fn record(&self, rid: RecordId) -> RecordRef<'_> {
         let rec = &self.records[rid.0 as usize];

@@ -1,149 +1,235 @@
-//! The event queue's retry lane must not change dispatch order.
+//! The event queue's three bands and parked retries must not change
+//! dispatch order.
 //!
-//! `EventQueue` keeps fixed-delay retries on a FIFO lane beside its
-//! binary heap (`hades_sim::engine` module docs). The claim is that the
-//! two together pop events in exactly the order one heap would: earliest
-//! time first, ties in insertion order. This test drives a seeded random
-//! interleaving of `push_at` (random delays, including zero and
-//! same-time ties), `push_retry` and `pop` against a reference that
+//! `EventQueue` orders each cycle's events in three bands: pushed more
+//! than the retry delay `D` ahead, exactly `D` ahead (retries, in lane
+//! order) and less than `D` ahead (`hades_sim::engine` module docs). The
+//! claim is that this pops events in exactly the order one heap would:
+//! earliest time first, ties in insertion order. The first test drives a
+//! seeded random interleaving of `push_at` (delays 0, D − 1, D, D + 1,
+//! 2D and random ones), `push_retry` and `pop` against a reference that
 //! keeps every pending event in a plain list and takes the minimum of
-//! `(at, insertion index)`, and checks `len`, `is_empty` and `peek_time`
-//! against it after every step.
+//! `(at, insertion index)`, and checks `now`, `len`, `is_empty` and
+//! `peek_time` against it after every step. Retries are pushed while
+//! band-1, band-2 and band-3 events are being dispatched.
 //!
-//! `pop_rearming` re-arms lane events in place while a predicate says
-//! they would only re-arm themselves. The second test mixes it in with
-//! seeded random predicates and checks it against a reference that pops
-//! and, when the predicate holds for a popped lane event, pushes it back
-//! as a retry: the pops, the predicate's questions, `now`, `len`,
-//! `peek_time` and `events_dispatched` must all agree.
+//! A retry can also park: `pop_parking` hands it out while a predicate
+//! says its poll would only push it back, `park_retry` parks a blocked
+//! retry before its first poll, and `unpark` puts it back at its next
+//! poll. The second test parks retries under a seeded,
+//! versioned predicate (a retry is blocked while its group is) and wakes
+//! a group's parked retries whenever the group's version moves. Its
+//! reference never parks: it re-pushes a blocked retry `D` later under
+//! a new insertion index at every poll. Pops and `now` must agree; the
+//! queue's `len` and `peek_time` must match the reference's pending
+//! events less those the queue holds parked.
 
-use hades::sim::engine::EventQueue;
+use hades::sim::engine::{EventQueue, Parked, Popped};
 use hades::sim::rng::SimRng;
 use hades::sim::time::Cycles;
 
+/// Retries are blocked and woken by group.
+const GROUPS: u32 = 4;
+
+fn group(payload: u32) -> usize {
+    (payload % GROUPS) as usize
+}
+
+/// One pending event of the reference.
+struct Pending {
+    at: Cycles,
+    index: u64,
+    payload: u32,
+    /// How far ahead of now it was pushed.
+    ahead: Cycles,
+    /// Re-pushed by a blocked poll since its group last moved: the queue
+    /// holds it parked.
+    parked: bool,
+}
+
 /// The obvious implementation: every pending event with its insertion
-/// index and whether it is on the retry lane, popped by linear scan for
-/// the minimum `(at, index)`.
-#[derive(Default)]
+/// index, popped by linear scan for the minimum `(at, index)`.
 struct Reference {
-    pending: Vec<(Cycles, u64, u32, bool)>,
+    delay: Cycles,
+    pending: Vec<Pending>,
     next_index: u64,
     now: Cycles,
-    dispatched: u64,
+    /// Whether the event popped last was pushed more than, exactly or
+    /// less than `D` ahead.
+    last_band: usize,
 }
 
 impl Reference {
-    fn push(&mut self, at: Cycles, payload: u32, lane: bool) {
-        self.pending.push((at, self.next_index, payload, lane));
+    fn new(delay: Cycles) -> Self {
+        Reference {
+            delay,
+            pending: Vec::new(),
+            next_index: 0,
+            now: Cycles::ZERO,
+            last_band: 1,
+        }
+    }
+
+    fn push(&mut self, at: Cycles, payload: u32) {
+        self.pending.push(Pending {
+            at,
+            index: self.next_index,
+            payload,
+            ahead: at - self.now,
+            parked: false,
+        });
         self.next_index += 1;
     }
 
-    fn earliest(&self) -> Option<usize> {
-        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    /// Band 2: pushed exactly `D` ahead.
+    fn is_retry(&self, p: &Pending) -> bool {
+        self.delay > Cycles::ZERO && p.ahead == self.delay
     }
 
-    /// Pops the earliest event and whether it came off the retry lane.
-    fn pop_lane(&mut self) -> Option<(Cycles, u32, bool)> {
-        let (at, _, payload, lane) = self.pending.swap_remove(self.earliest()?);
-        self.now = at;
-        self.dispatched += 1;
-        Some((at, payload, lane))
+    fn earliest(&self, among: impl Fn(&Pending) -> bool) -> Option<usize> {
+        (0..self.pending.len())
+            .filter(|&i| among(&self.pending[i]))
+            .min_by_key(|&i| (self.pending[i].at, self.pending[i].index))
     }
 
-    fn pop(&mut self) -> Option<(Cycles, u32)> {
-        self.pop_lane().map(|(at, payload, _)| (at, payload))
-    }
-
-    /// Pops, and pushes a popped lane event straight back as a retry
-    /// while `rearm` says so.
-    fn pop_rearming(
-        &mut self,
-        delay: Cycles,
-        mut rearm: impl FnMut(Cycles, &u32) -> bool,
-    ) -> Option<(Cycles, u32)> {
+    /// Pops the earliest event; a blocked retry is re-pushed `D` later
+    /// instead, and the scan goes on.
+    fn pop(&mut self, blocked: &[bool]) -> Option<(Cycles, u32)> {
         loop {
-            let (at, payload, lane) = self.pop_lane()?;
-            if !(lane && rearm(at, &payload)) {
-                return Some((at, payload));
+            let p = self.pending.swap_remove(self.earliest(|_| true)?);
+            self.now = p.at;
+            let retry = self.is_retry(&p);
+            if retry && blocked[group(p.payload)] {
+                self.push(p.at + self.delay, p.payload);
+                self.pending.last_mut().expect("just pushed").parked = true;
+                continue;
             }
-            self.push(self.now + delay, payload, true);
+            self.last_band = match retry {
+                true => 2,
+                false if p.ahead > self.delay => 1,
+                false => 3,
+            };
+            return Some((p.at, p.payload));
         }
     }
 
-    fn peek_time(&self) -> Option<Cycles> {
-        self.earliest().map(|i| self.pending[i].0)
+    /// Whether every pending event is a blocked retry, so a pop would
+    /// poll forever.
+    fn stuck(&self, blocked: &[bool]) -> bool {
+        self.pending
+            .iter()
+            .all(|p| self.is_retry(p) && blocked[group(p.payload)])
     }
-}
 
-/// A seeded re-arm predicate that records every question it is asked.
-/// It says yes three times in four, so even with no delay a lane event
-/// stops re-arming soon.
-struct Predicate {
-    rng: SimRng,
-    asked: Vec<(Cycles, u32)>,
-}
-
-impl Predicate {
-    fn new(seed: u64) -> Self {
-        Predicate {
-            rng: SimRng::seed_from(seed),
-            asked: Vec::new(),
+    /// The group's version moved: its parked retries are woken.
+    fn wake(&mut self, g: usize) {
+        for p in &mut self.pending {
+            if group(p.payload) == g {
+                p.parked = false;
+            }
         }
     }
-
-    fn ask(&mut self, at: Cycles, payload: &u32) -> bool {
-        self.asked.push((at, *payload));
-        self.rng.below(4) != 0
-    }
 }
 
-fn check_interleaving(seed: u64, retry_delay: u64, steps: usize, rearming: bool) {
+fn check_interleaving(seed: u64, retry_delay: u64, steps: usize, parking: bool) {
     let mut rng = SimRng::seed_from(seed);
     let delay = Cycles::new(retry_delay);
     let mut q: EventQueue<u32> = EventQueue::with_retry_delay(delay);
-    let mut reference = Reference::default();
-    let (mut asked_q, mut asked_ref) = (Predicate::new(seed), Predicate::new(seed));
+    let mut reference = Reference::new(delay);
+    let mut blocked = [false; GROUPS as usize];
+    if parking {
+        for b in &mut blocked {
+            *b = rng.below(2) == 0;
+        }
+    }
+    let mut parked: Vec<Parked<u32>> = Vec::new();
+    // Retries pushed while a band-1, band-2 and band-3 event ran.
+    let mut retries_by_band = [0u32; 4];
     let mut next_payload = 0u32;
     for step in 0..steps {
         let ctx = format!("seed {seed} delay {retry_delay} step {step}");
         match rng.below(10) {
-            // Heap pushes: a small delay range makes same-time ties with
-            // each other and with the retry lane common.
             0..=3 => {
-                let at = q.now() + Cycles::new(rng.below(2 * retry_delay + 2));
+                let ahead = match rng.below(6) {
+                    0 => 0,
+                    1 => retry_delay.saturating_sub(1),
+                    2 => retry_delay,
+                    3 => retry_delay + 1,
+                    4 => 2 * retry_delay,
+                    _ => rng.below(2 * retry_delay + 2),
+                };
+                let at = q.now() + Cycles::new(ahead);
                 q.push_at(at, next_payload);
-                reference.push(at, next_payload, false);
+                reference.push(at, next_payload);
+                if ahead == retry_delay && retry_delay > 0 {
+                    retries_by_band[reference.last_band] += 1;
+                }
                 next_payload += 1;
             }
-            4..=6 => {
-                q.push_retry(next_payload);
-                reference.push(reference.now + delay, next_payload, true);
+            4 | 5 => {
+                reference.push(reference.now + delay, next_payload);
+                if parking && blocked[group(next_payload)] && rng.below(2) == 0 {
+                    // Parked before its first poll, as a retry whose bank
+                    // just denied it is.
+                    parked.push(q.park_retry(next_payload));
+                    reference.pending.last_mut().expect("just pushed").parked = true;
+                } else {
+                    q.push_retry(next_payload);
+                }
+                retries_by_band[reference.last_band] += 1;
                 next_payload += 1;
             }
-            7 if rearming => {
-                let got = q.pop_rearming(|at, p| asked_q.ask(at, p));
-                let want = reference.pop_rearming(delay, |at, p| asked_ref.ask(at, p));
-                assert_eq!(got, want, "{ctx}: pop_rearming diverged");
-                assert_eq!(asked_q.asked, asked_ref.asked, "{ctx}: questions");
+            8 if parking => {
+                // A version bump; half of them leave the group's answer
+                // unchanged, which must be harmless.
+                let g = rng.below(u64::from(GROUPS)) as usize;
+                if rng.below(2) == 0 {
+                    blocked[g] = !blocked[g];
+                }
+                reference.wake(g);
+                let (woken, still): (Vec<_>, Vec<_>) =
+                    parked.drain(..).partition(|p| group(*p.payload()) == g);
+                parked = still;
+                for p in woken {
+                    q.unpark(p);
+                }
             }
-            _ => assert_eq!(q.pop(), reference.pop(), "{ctx}: pop diverged"),
+            _ if reference.stuck(&blocked) => {}
+            _ => {
+                let want = reference.pop(&blocked);
+                let got = loop {
+                    match q.pop_parking(|_, &p| blocked[group(p)]) {
+                        Some(Popped::Parked(p)) => parked.push(p),
+                        Some(Popped::Event(at, p)) => break Some((at, p)),
+                        None => break None,
+                    }
+                };
+                assert_eq!(got, want, "{ctx}: pop diverged");
+            }
         }
-        assert_eq!(q.len(), reference.pending.len(), "{ctx}: len");
-        assert_eq!(
-            q.is_empty(),
-            reference.pending.is_empty(),
-            "{ctx}: is_empty"
-        );
-        assert_eq!(q.peek_time(), reference.peek_time(), "{ctx}: peek");
+        let queued = reference.pending.iter().filter(|p| !p.parked).count();
+        assert_eq!(q.len(), queued, "{ctx}: len");
+        assert_eq!(q.is_empty(), queued == 0, "{ctx}: is_empty");
+        let held = reference.pending.iter().filter(|p| p.parked).count();
+        assert_eq!(parked.len(), held, "{ctx}: parked");
+        let peek = reference
+            .earliest(|p| !p.parked)
+            .map(|i| reference.pending[i].at);
+        assert_eq!(q.peek_time(), peek, "{ctx}: peek");
         assert_eq!(q.now(), reference.now, "{ctx}: now");
-        assert_eq!(
-            q.events_dispatched(),
-            reference.dispatched,
-            "{ctx}: events_dispatched"
+    }
+    if retry_delay > 0 {
+        assert!(
+            retries_by_band[1..].iter().all(|&n| n > 0),
+            "seed {seed}: retries pushed per band {retries_by_band:?}"
         );
     }
-    // Drain: the tails must agree too.
-    while let Some(expected) = reference.pop() {
+    // Drain, every group unblocked: the tails must agree too.
+    blocked = [false; GROUPS as usize];
+    for p in parked.drain(..) {
+        q.unpark(p);
+    }
+    while let Some(expected) = reference.pop(&blocked) {
         assert_eq!(q.pop(), Some(expected), "seed {seed}: drain diverged");
     }
     assert_eq!(q.pop(), None);
@@ -153,16 +239,16 @@ fn check_interleaving(seed: u64, retry_delay: u64, steps: usize, rearming: bool)
 #[test]
 fn retry_lane_pops_in_single_heap_order() {
     for seed in 1..=8 {
-        for retry_delay in [0, 1, 60] {
+        for retry_delay in [0, 1, 2, 60] {
             check_interleaving(seed, retry_delay, 3_000, false);
         }
     }
 }
 
 #[test]
-fn rearming_pop_matches_pop_then_push_retry() {
+fn parked_retries_pop_as_if_polled_every_delay() {
     for seed in 1..=8 {
-        for retry_delay in [0, 1, 60] {
+        for retry_delay in [1, 2, 60] {
             check_interleaving(seed, retry_delay, 3_000, true);
         }
     }

@@ -1,8 +1,8 @@
 //! Exactness guard for the engines' simulated behaviour.
 //!
-//! A stalled access re-arms on the event queue's retry lane, and while the
-//! bank's generation is unchanged it re-arms inside the queue without a
-//! Bloom re-probe or a handler; a fallback pre-lock poll likewise reuses
+//! A stalled access waits outside the event queue, parked at its place
+//! in the queue's lane, while the bank's generation is unchanged: no
+//! poll, no Bloom re-probe, no handler; a fallback pre-lock poll reuses
 //! its last denial and its once-built footprint. These are host
 //! shortcuts: they must not move a single simulated event. This test
 //! replays the run the `trace` bin makes for `--app HT-wA` (the quick
@@ -37,10 +37,18 @@
 //! any store that moves one key's depth moves these digests. They were
 //! recorded at commit 47bcc22, while the stores still supported removal.
 //!
+//! Every row also runs untraced. A traced run puts each stalled retry
+//! back on the queue at every poll, so that each poll emits its
+//! `lock_stall`; an untraced run parks it outside the queue until its
+//! bank, its slot's attempt, the routing or the crash table changes.
+//! The untraced stats digest must equal the traced row's, so parking
+//! moves no simulated event either, on every row.
+//!
 //! If a change to the simulation moves these numbers on purpose, re-record
 //! them and say so; a host-only change must leave them alone.
 
 use hades::core::runner::{Experiment, Protocol, Run};
+use hades::core::runtime::RunOutcome;
 use hades::fault::FaultPlan;
 use hades::sim::config::{MembershipParams, MigrationParams, OverloadParams};
 use hades::sim::time::Cycles;
@@ -190,10 +198,8 @@ const EXPECTED: [Expected; 32] = [
     row(Hades, Plain, 82_626, 0x51bd_21f7_0992_c616, 0x892c_ce70_b767_6d73).on("B+Tree-wA"),
 ];
 
-/// Runs one row's configuration on `app` with a memory trace sink and
-/// returns the `lock_stall` count and the two digests.
-fn digests(app: &str, protocol: Protocol, scenario: Scenario) -> (usize, u64, u64) {
-    let app = AppId::parse(app).unwrap();
+/// The row's experiment and fault plan (`None` on [`Plain`] rows).
+fn configure(protocol: Protocol, scenario: Scenario) -> (Experiment, Option<FaultPlan>) {
     let mut ex = Experiment::quick();
     let mut plan = FaultPlan::none();
     if !quick_window(protocol, scenario) {
@@ -227,9 +233,22 @@ fn digests(app: &str, protocol: Protocol, scenario: Scenario) -> (usize, u64, u6
                 .with_migration(MigrationParams::standard(vec![(0, 1)]))
         }
     }
+    (ex, (scenario != Plain).then_some(plan))
+}
+
+/// FNV-1a of the run's rendered `RunStats::to_json`.
+fn stats_digest(outcome: &RunOutcome) -> u64 {
+    fnv1a(FNV_OFFSET, outcome.stats.to_json().render().as_bytes())
+}
+
+/// Runs one row's configuration on `app` with a memory trace sink and
+/// returns the `lock_stall` count and the two digests.
+fn digests(app: &str, protocol: Protocol, scenario: Scenario) -> (usize, u64, u64) {
+    let app = AppId::parse(app).unwrap();
+    let (ex, plan) = configure(protocol, scenario);
     let (tracer, sink) = Tracer::memory();
     let outcome = Run::apps(protocol, &ex, &[app])
-        .plan((scenario != Plain).then_some(plan))
+        .plan(plan)
         .tracer(tracer)
         .run();
     let events = sink.borrow_mut().take_events();
@@ -241,8 +260,15 @@ fn digests(app: &str, protocol: Protocol, scenario: Scenario) -> (usize, u64, u6
     let jsonl = events.iter().fold(FNV_OFFSET, |h, ev| {
         fnv1a(fnv1a(h, event_json(ev).render().as_bytes()), b"\n")
     });
-    let stats = fnv1a(FNV_OFFSET, outcome.stats.to_json().render().as_bytes());
-    (lock_stalls, jsonl, stats)
+    (lock_stalls, jsonl, stats_digest(&outcome))
+}
+
+/// Runs one row's configuration on `app` without a tracer and returns
+/// its stats digest.
+fn untraced_digest(app: &str, protocol: Protocol, scenario: Scenario) -> u64 {
+    let app = AppId::parse(app).unwrap();
+    let (ex, plan) = configure(protocol, scenario);
+    stats_digest(&Run::apps(protocol, &ex, &[app]).plan(plan).run())
 }
 
 #[test]
@@ -261,6 +287,11 @@ fn stall_path_reproduces_the_reference_trace_and_stats() {
         assert_eq!(
             stats, want.stats,
             "{a} {p} {s:?}: RunStats digest {stats:#018x}"
+        );
+        let untraced = untraced_digest(a, p, s);
+        assert_eq!(
+            untraced, want.stats,
+            "{a} {p} {s:?}: untraced RunStats digest {untraced:#018x}"
         );
     }
 }

@@ -5,7 +5,7 @@
 
 use hades::core::runner::Protocol;
 use hades::core::runtime::owner_token;
-use hades::sim::config::SimConfig;
+use hades::sim::config::{MigrationParams, SimConfig};
 use hades::sim::ids::{NodeId, SlotId};
 use hades::workloads::smallbank::OFF_BALANCE;
 use hades_bench::sweep::{Load, Scenario};
@@ -35,5 +35,32 @@ fn shared_checks_name_a_leaked_lock_and_a_moved_balance() {
         assert!(bad[1].starts_with("money not conserved"), "{p}: {bad:?}");
         let diverged = format!("{rid:?} final value diverges from the history log");
         assert_eq!(bad[2], diverged, "{p}");
+    }
+}
+
+/// A run whose queue ran dry while accesses still waited on a Locking
+/// Buffer lists each such wait-for edge in its outcome, and the shared
+/// checks name it. HADES after the standard move of partition 0 to node
+/// 1 is such a run (ROADMAP item 6): a token of node 1's slot 3 stays in
+/// node 0's bank, whose release now routes to node 1.
+#[test]
+fn shared_checks_name_retries_parked_on_a_bank_nothing_releases() {
+    let cfg = SimConfig::isca_default().with_migration(MigrationParams::standard(vec![(0, 1)]));
+    let mut sc = Scenario::new("stuck move", cfg, Load::ht_wa(0.99, 0.005), 500);
+    sc.warmup = 100;
+    let trial = sc.run(Protocol::Hades);
+    let parked = &trial.out.parked;
+    assert!(!parked.is_empty(), "the run leaves retries parked");
+    let holder = owner_token(NodeId(1), SlotId(3));
+    for r in parked {
+        assert_eq!(
+            (r.node, r.bank, r.holder),
+            (NodeId(0), NodeId(0), holder),
+            "{r}"
+        );
+    }
+    let bad = trial.violations();
+    for r in parked {
+        assert!(bad.contains(&r.to_string()), "{r} missing from {bad:?}");
     }
 }
