@@ -508,7 +508,7 @@ impl Sim<Baseline> {
                         bytes: wire_size(0, 64),
                         verb: Verb::Read,
                         wrs: 1,
-                        reliable: true,
+                        fault_exempt: false,
                     },
                 );
                 self.charge(si, Overhead::Other, sent.cost);
@@ -533,9 +533,10 @@ impl Sim<Baseline> {
                 }
                 let (svc, _evicted) = self.cl.access_lines_nic(target, &op.record_lines);
                 let resp_sz = wire_size(op.record_lines.len(), 64);
-                let back =
-                    self.cl
-                        .send_faulty_one(arrive + svc, target, node, resp_sz, Verb::ReadResp);
+                let back = self
+                    .cl
+                    .send(arrive + svc, target, node, resp_sz, Verb::ReadResp)
+                    .only();
                 self.record_versions(si, op, fallback);
                 let lines = op.record_lines.len();
                 let is_write = op.is_write();
@@ -685,7 +686,7 @@ impl Sim<Baseline> {
                     bytes: wire_size(0, 64) + batch * 16,
                     verb: Verb::Lock,
                     wrs: batch as u64,
-                    reliable: false,
+                    fault_exempt: true,
                 },
             );
             self.charge(si, Overhead::ConflictDetection, sent.cost);
@@ -716,9 +717,9 @@ impl Sim<Baseline> {
                 }
             }
             let rsp_id = self.next_rsp_id(si);
-            let backs =
-                self.cl
-                    .send_faulty(arrive + svc, dst, node, wire_size(0, 64), Verb::LockResp);
+            let backs = self
+                .cl
+                .send(arrive + svc, dst, node, wire_size(0, 64), Verb::LockResp);
             // Every delivered copy reports the acquisitions; the last one
             // takes the list itself.
             for (k, back) in backs.into_iter().enumerate() {
@@ -888,7 +889,7 @@ impl Sim<Baseline> {
                     bytes: wire_size(0, 64),
                     verb: Verb::Validate,
                     wrs: 1,
-                    reliable: false,
+                    fault_exempt: true,
                 },
             );
             self.charge(si, Overhead::ConflictDetection, sent.cost);
@@ -920,7 +921,7 @@ impl Sim<Baseline> {
                 }
             }
             let rsp_id = self.next_rsp_id(si);
-            for back in self.cl.send_faulty(
+            for back in self.cl.send(
                 arrive + svc,
                 dst,
                 node,
@@ -1082,7 +1083,7 @@ impl Sim<Baseline> {
                     bytes: wire_size(0, 64) + bytes,
                     verb: Verb::Write,
                     wrs: 1,
-                    reliable: true,
+                    fault_exempt: false,
                 },
             );
             self.charge(si, Overhead::ManageSets, stage + sent.cost);
@@ -1171,7 +1172,7 @@ impl Sim<Baseline> {
                     bytes: wire_size(0, 64),
                     verb: Verb::Unlock,
                     wrs: 1,
-                    reliable: true,
+                    fault_exempt: false,
                 },
             );
             cursor = sent.depart;
@@ -1241,7 +1242,7 @@ impl Sim<Baseline> {
         let mut when = self.cl.run_on_core(node, core, now, lock_cost);
         if home != node {
             // One round trip carries the whole batch of CAS operations.
-            let arrive = self.cl.send_verb(
+            let arrive = self.cl.send_fault_exempt(
                 when,
                 node,
                 home,
@@ -1254,9 +1255,13 @@ impl Sim<Baseline> {
                 let (lat, _) = self.cl.access_lines_nic(home, &first_line);
                 svc += lat;
             }
-            when = self
-                .cl
-                .send_verb(arrive + svc, home, node, wire_size(0, 64), Verb::LockResp);
+            when = self.cl.send_fault_exempt(
+                arrive + svc,
+                home,
+                node,
+                wire_size(0, 64),
+                Verb::LockResp,
+            );
         }
         let acquired = batch
             .iter()

@@ -622,7 +622,8 @@ impl<L: LocalPath> Engine for Hades<L> {
                 let dst = NodeId(m as u16);
                 let arrive = sim
                     .cl
-                    .send_faulty_one(now, node, dst, wire_size(0, 64), Verb::Clear);
+                    .send(now, node, dst, wire_size(0, 64), Verb::Clear)
+                    .only();
                 sim.q
                     .push_at(arrive, HadesEv::ClearRemote { node: dst, key }.into());
             }
@@ -726,7 +727,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
         verb: Verb,
     ) {
         let ep = self.cl.membership.epoch();
-        for back in self.cl.send_faulty(at, src, dst, wire_size(0, 64), verb) {
+        for back in self.cl.send(at, src, dst, wire_size(0, 64), verb) {
             let ev = HadesEv::AckArrive {
                 si,
                 att,
@@ -815,7 +816,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
                     bytes: wire_size(0, 64),
                     verb: Verb::Read,
                     wrs: 1,
-                    reliable: true,
+                    fault_exempt: false,
                 },
             );
             cursor = sent.depart;
@@ -910,13 +911,15 @@ impl<L: LocalPath> Sim<Hades<L>> {
             // needs no fabric hop.
             now + svc
         } else {
-            self.cl.send_faulty_one(
-                now + svc,
-                home,
-                origin,
-                wire_size(fetch_lines.len(), 64),
-                Verb::ReadResp,
-            )
+            self.cl
+                .send(
+                    now + svc,
+                    home,
+                    origin,
+                    wire_size(fetch_lines.len(), 64),
+                    Verb::ReadResp,
+                )
+                .only()
         };
         self.p.fetch_lines = fetch_lines;
         self.q
@@ -1053,7 +1056,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             let (dst, ref writes) = self.ext[si].intends.as_slice()[k];
             let bytes = wire_size(0, 64) + writes.len() * 8;
             cursor = self.cl.run_on_core(node, core, cursor, Cycles::new(20));
-            for arrive in self.cl.send_faulty(cursor, node, dst, bytes, Verb::Intend) {
+            for arrive in self.cl.send(cursor, node, dst, bytes, Verb::Intend) {
                 let ev = HadesEv::IntendArrive {
                     si,
                     att,
@@ -1075,10 +1078,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 .sum();
             let bytes = wire_size(lines, 64);
             cursor = self.cl.run_on_core(node, core, cursor, Cycles::new(20));
-            for arrive in self
-                .cl
-                .send_faulty(cursor, node, dst, bytes, Verb::ReplicaPrepare)
-            {
+            for arrive in self.cl.send(cursor, node, dst, bytes, Verb::ReplicaPrepare) {
                 let ev = HadesEv::ReplicaPrepare {
                     si,
                     att,
@@ -1131,7 +1131,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
         }
         let arrive = self
             .cl
-            .send_faulty_one(now, node, key.origin, wire_size(0, 64), Verb::Squash);
+            .send(now, node, key.origin, wire_size(0, 64), Verb::Squash)
+            .only();
         self.q.push_at(arrive, ev);
     }
 
@@ -1311,9 +1312,10 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 .map(|(stage, i, _)| OpRef::new(&txn, stage, i))
                 .collect();
             let lines: usize = ops.iter().map(|o| o.write_lines.len()).sum();
-            let arrive =
-                self.cl
-                    .send_faulty_one(cursor, node, dst, wire_size(lines, 64), Verb::Validation);
+            let arrive = self
+                .cl
+                .send(cursor, node, dst, wire_size(lines, 64), Verb::Validation)
+                .only();
             last_arrival = last_arrival.max(arrive);
             let ev = HadesEv::ValidationArrive {
                 node: dst,
@@ -1328,7 +1330,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
             let dst = self.ext[si].replica_targets[k];
             let arrive = self
                 .cl
-                .send_faulty_one(cursor, node, dst, wire_size(0, 64), Verb::Clear);
+                .send(cursor, node, dst, wire_size(0, 64), Verb::Clear)
+                .only();
             last_arrival = last_arrival.max(arrive);
             self.q
                 .push_at(arrive, HadesEv::ReplicaCommit { node: dst, key }.into());
@@ -1407,7 +1410,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
             }
             let arrive = self
                 .cl
-                .send_faulty_one(now, node, dst, wire_size(0, 64), Verb::Clear);
+                .send(now, node, dst, wire_size(0, 64), Verb::Clear)
+                .only();
             clears_done = clears_done.max(arrive);
             self.q
                 .push_at(arrive, HadesEv::ClearRemote { node: dst, key }.into());

@@ -8,7 +8,7 @@ use hades_bloom::LockingBuffers;
 use hades_fault::{FaultInjector, FaultPlan};
 use hades_mem::hierarchy::NodeMemory;
 use hades_net::batch::{Batcher, Doorbell};
-use hades_net::fabric::{wire_size, Arrivals, Fabric};
+use hades_net::fabric::{wire_size, Arrivals, Fabric, SendReport};
 use hades_net::nic::{Nic, RemoteTxKey};
 use hades_sim::backoff::BackoffPolicy;
 use hades_sim::config::{BatchingParams, MigrationParams, RetryParams, SimConfig};
@@ -87,9 +87,11 @@ pub struct CoreVerb {
     /// Work requests the verb posts; each pays the issue cost (Baseline's
     /// Lock posts one CAS per record).
     pub wrs: u64,
-    /// Send on the fault-injected reliable transport (Retransmit class)
-    /// rather than the fault-free path.
-    pub reliable: bool,
+    /// Send past the fault injector ([`Cluster::send_fault_exempt`])
+    /// rather than through the fault plane ([`Cluster::send`]). A verb
+    /// sent through the fault plane must be Retransmit-class: `issue`
+    /// returns its one arrival.
+    pub fault_exempt: bool,
 }
 
 /// What [`Cluster::issue`] did.
@@ -205,11 +207,7 @@ impl Cluster {
             )));
         }
         if cfg.batching.enabled {
-            let mut batcher = Batcher::new(cfg.batching, cfg.net, n);
-            if cfg.timeseries_window.is_some() {
-                batcher.track_flushes();
-            }
-            fabric.install_batcher(batcher);
+            fabric.install_batcher(Batcher::new(cfg.batching, cfg.net, n));
         }
         let core_free = vec![vec![Cycles::ZERO; cfg.shape.cores_per_node]; n];
         let rng = SimRng::seed_from(cfg.seed);
@@ -305,43 +303,43 @@ impl Cluster {
         done
     }
 
-    /// Sends a message; returns arrival time at `dst`'s NIC.
-    pub fn send(&mut self, now: Cycles, src: NodeId, dst: NodeId, bytes: usize) -> Cycles {
-        let arrival = self.fabric.send(now, src, dst, bytes);
-        self.obs_batch(now, src, dst);
-        arrival
-    }
-
-    /// Sends a message tagged with its protocol verb; returns arrival time
-    /// at `dst`'s NIC. For verbs a core marshals itself, use
+    /// Sends a message through the fault plane; returns the arrival of
+    /// every delivered copy. What the installed fault plan may do to it
+    /// follows the verb's class (`hades_fault::class_of`): a Lossy-class
+    /// message may be lost (no arrival) or duplicated (two), while a
+    /// Retransmit-class one arrives exactly once ([`Arrivals::only`]),
+    /// possibly after injected retransmission, delay or link-cut
+    /// latency. For verbs a core marshals itself, use
     /// [`issue`](Self::issue), which also charges the issue cost.
-    pub fn send_verb(
+    pub fn send(
         &mut self,
         now: Cycles,
         src: NodeId,
         dst: NodeId,
         bytes: usize,
         verb: Verb,
-    ) -> Cycles {
-        self.deliver(now, src, dst, bytes, verb, Doorbell::Share)
+    ) -> Arrivals {
+        let sent = self
+            .fabric
+            .send_verb(now, src, dst, bytes, verb, Doorbell::Share);
+        self.delivered(now, src, dst, verb, sent)
     }
 
-    fn deliver(
+    /// Sends a message past the fault injector: no injected fault,
+    /// link cut or NIC stall touches it. Baseline's fallback Lock/LockResp
+    /// round trip is the one caller; returns the arrival.
+    pub fn send_fault_exempt(
         &mut self,
         now: Cycles,
         src: NodeId,
         dst: NodeId,
         bytes: usize,
         verb: Verb,
-        doorbell: Doorbell,
     ) -> Cycles {
-        let arrival = self.fabric.send_verb(now, src, dst, bytes, verb, doorbell);
-        self.verbs_by_node[src.0 as usize].bump(verb);
-        if let Some(o) = self.observer.as_deref_mut() {
-            o.record_verb(verb, arrival.saturating_sub(now));
-        }
-        self.obs_batch(now, src, dst);
-        arrival
+        let sent = self
+            .fabric
+            .send_fault_exempt(now, src, dst, bytes, verb, Doorbell::Share);
+        self.delivered(now, src, dst, verb, sent).only()
     }
 
     /// Issues a verb from a core: the one place the RDMA issue cost is
@@ -364,11 +362,14 @@ impl Cluster {
             (self.cfg.sw.rdma_issue * v.wrs, Doorbell::Ring)
         };
         let depart = self.run_on_core(v.node, v.core, ready, cost);
-        let arrival = if v.reliable {
-            self.deliver_one(depart, v.node, v.dst, v.bytes, v.verb, doorbell)
+        let sent = if v.fault_exempt {
+            self.fabric
+                .send_fault_exempt(depart, v.node, v.dst, v.bytes, v.verb, doorbell)
         } else {
-            self.deliver(depart, v.node, v.dst, v.bytes, v.verb, doorbell)
+            self.fabric
+                .send_verb(depart, v.node, v.dst, v.bytes, v.verb, doorbell)
         };
+        let arrival = self.delivered(depart, v.node, v.dst, v.verb, sent).only();
         Issued {
             depart,
             arrival,
@@ -377,7 +378,7 @@ impl Cluster {
     }
 
     /// Installs a fault plan on the fabric; subsequent
-    /// [`send_faulty`](Self::send_faulty) calls sample it.
+    /// [`send`](Self::send) and [`issue`](Self::issue) calls sample it.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.fabric.install_injector(FaultInjector::new(plan));
     }
@@ -388,86 +389,33 @@ impl Cluster {
         self.fabric.injector().active()
     }
 
-    /// Sends a fault-prone message (Lossy class): every delivered copy's
-    /// arrival time is returned; the list may be empty (lost) or hold two
-    /// entries (duplicated).
-    pub fn send_faulty(
+    /// Accounts one send of `verb` from `src` to `dst` at `now` from the
+    /// fabric's report, which the fabric has traced: bumps the per-node
+    /// verb counters and the observer's per-verb fabric time for each
+    /// delivered copy, then feeds the time-series the send's link-cut
+    /// hit and its batch flushes, in that order. Returns the arrivals.
+    fn delivered(
         &mut self,
         now: Cycles,
         src: NodeId,
         dst: NodeId,
-        bytes: usize,
         verb: Verb,
+        sent: SendReport,
     ) -> Arrivals {
-        self.deliver_faulty(now, src, dst, bytes, verb, Doorbell::Share)
-    }
-
-    fn deliver_faulty(
-        &mut self,
-        now: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        verb: Verb,
-        doorbell: Doorbell,
-    ) -> Arrivals {
-        let cuts_before = self.fabric.injector().faults.link_cuts;
-        let arrivals = self
-            .fabric
-            .send_verb_faulty(now, src, dst, bytes, verb, doorbell);
-        for _ in arrivals {
+        for arrival in sent.arrivals {
             self.verbs_by_node[src.0 as usize].bump(verb);
-        }
-        if let Some(o) = self.observer.as_deref_mut() {
-            for arrival in arrivals {
+            if let Some(o) = self.observer.as_deref_mut() {
                 o.record_verb(verb, arrival.saturating_sub(now));
             }
         }
-        self.obs_link_cuts(now, src, verb, cuts_before);
-        self.obs_batch(now, src, dst);
-        arrivals
-    }
-
-    /// Sends a message on the reliable transport (Retransmit class):
-    /// exactly one copy is delivered, possibly after injected
-    /// retransmission/delay latency.
-    pub fn send_faulty_one(
-        &mut self,
-        now: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        verb: Verb,
-    ) -> Cycles {
-        self.deliver_one(now, src, dst, bytes, verb, Doorbell::Share)
-    }
-
-    fn deliver_one(
-        &mut self,
-        now: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        verb: Verb,
-        doorbell: Doorbell,
-    ) -> Cycles {
-        let arrivals = self.deliver_faulty(now, src, dst, bytes, verb, doorbell);
-        debug_assert_eq!(arrivals.len(), 1, "{verb:?} is not a Retransmit-class verb");
-        arrivals[0]
-    }
-
-    /// Feeds link-cut hits from the just-completed send of `verb` into
-    /// the time-series. `before` is the injector's cut counter sampled
-    /// before the send; without link faults the counter never moves and
-    /// this is a single compare.
-    fn obs_link_cuts(&mut self, now: Cycles, src: NodeId, verb: Verb, before: u64) {
-        let after = self.fabric.injector().faults.link_cuts;
-        let cut = EventKind::FaultInjected {
-            fault: InjectedFault::LinkCut { verb },
-        };
-        for _ in before..after {
-            self.observe(now, src.0, &cut);
+        if sent.link_cut {
+            let fault = InjectedFault::LinkCut { verb };
+            self.observe(now, src.0, &EventKind::FaultInjected { fault });
         }
+        for size in sent.flushes {
+            self.observe(now, src.0, &EventKind::BatchFlushed { dst: dst.0, size });
+        }
+        sent.arrivals
     }
 
     // ---- Observability wrappers (DESIGN.md §13) --------------------------
@@ -528,26 +476,6 @@ impl Cluster {
     pub(crate) fn note(&mut self, now: Cycles, node: u16, slot: u32, kind: EventKind) {
         self.observe(now, node, &kind);
         self.tracer.emit(now, node, slot, kind);
-    }
-
-    /// Feeds batch-flush notifications from the fabric's batcher, for a
-    /// send from `src` to `dst`, into the time-series (the fabric traced
-    /// them). Flush tracking is only armed when both layers are on (see
-    /// [`Cluster::new`]), so the pending list stays empty — and this a
-    /// single branch — in every other configuration.
-    fn obs_batch(&mut self, now: Cycles, src: NodeId, dst: NodeId) {
-        let Some(sizes) = self
-            .fabric
-            .batcher_mut()
-            .filter(|b| b.has_pending_flushes())
-            .map(Batcher::take_pending_flushes)
-        else {
-            return;
-        };
-        for size in sizes {
-            let flushed = EventKind::BatchFlushed { dst: dst.0, size };
-            self.observe(now, src.0, &flushed);
-        }
     }
 
     /// The node and slot numbers of cluster-global slot index `si`.
@@ -992,7 +920,7 @@ impl Cluster {
                 let round = m.rounds_sent;
                 let recs = MigrationParams::CHUNK_RECORDS;
                 for &(src, dst) in &moves {
-                    self.send_faulty_one(now, src, dst, wire_size(recs as usize, 64), Verb::Other);
+                    self.send(now, src, dst, wire_size(recs as usize, 64), Verb::Other);
                     let chunk = EventKind::ChunkMigrated {
                         partition: src.0,
                         chunk: round as u32,
@@ -1082,7 +1010,7 @@ impl Cluster {
         if !self.membership.is_alive(src) || !self.membership.is_alive(dst) {
             return;
         }
-        self.send_faulty_one(now, src, dst, wire_size(1, 64), Verb::Write);
+        self.send(now, src, dst, wire_size(1, 64), Verb::Write);
         let m = self.migration.as_mut().expect("checked above");
         m.stats.forwarded_writes += 1;
     }
@@ -1539,7 +1467,7 @@ mod tests {
             bytes: 64,
             verb: Verb::Read,
             wrs,
-            reliable: true,
+            fault_exempt: false,
         }
     }
 
@@ -1555,7 +1483,9 @@ mod tests {
         let mut plain = small_cluster();
         assert_eq!(
             sent.arrival,
-            plain.send_faulty_one(sent.depart, NodeId(0), NodeId(1), 64, Verb::Read),
+            plain
+                .send(sent.depart, NodeId(0), NodeId(1), 64, Verb::Read)
+                .only(),
             "the issue wrapper sends on the ordinary path"
         );
     }

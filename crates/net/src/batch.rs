@@ -14,9 +14,10 @@
 //!   leader, `PER_VERB_CYCLES` for a joiner). A leader therefore departs
 //!   the moment it is sent and arrives when an unbatched verb would, so
 //!   an idle fabric sees unbatched latency by construction.
-//! * Receiver-side completion coalescing ([`RecvBatch`]): the leader
-//!   pays the per-message NIC processing for its batch; joiners skip it
-//!   (their completions are reaped in the leader's poll).
+//! * Receiver-side completion coalescing: the leader pays the
+//!   per-message NIC processing for its batch; joiners skip it (their
+//!   completions are reaped in the leader's poll), and
+//!   [`BatchStats`] counts the receiver work saved.
 //! * The adaptive policy: each new leader counts its sender's verbs in
 //!   flight (sent, not yet arrived). At or above `HIGH_WATERMARK` the
 //!   queue pair's batch target doubles (up to `max_batch`); at or below
@@ -42,6 +43,7 @@
 //! Everything here is integer arithmetic over [`Cycles`]; the batcher
 //! draws no randomness, so same-seed runs stay byte-identical.
 
+use crate::fabric::Inline;
 use hades_sim::config::{BatchingParams, NetParams};
 use hades_sim::ids::NodeId;
 use hades_sim::time::Cycles;
@@ -204,41 +206,6 @@ impl SendLog {
     }
 }
 
-/// Receive-side state: completion-coalescing counters per destination
-/// node (the model's receive work is the per-message `nic_proc` charge,
-/// which joiners skip because the leader's poll reaps their completions).
-#[derive(Debug, Clone)]
-pub struct RecvBatch {
-    /// Joiner verbs per destination whose `nic_proc` was amortized away.
-    amortized: Vec<u64>,
-    /// Receiver cycles saved by amortization, summed over all nodes.
-    saved_cycles: u64,
-}
-
-impl RecvBatch {
-    fn new(nodes: usize) -> Self {
-        RecvBatch {
-            amortized: vec![0; nodes],
-            saved_cycles: 0,
-        }
-    }
-
-    fn on_joiner(&mut self, dst: usize, nic_proc: Cycles) {
-        self.amortized[dst] += 1;
-        self.saved_cycles += nic_proc.get();
-    }
-
-    /// Verbs delivered to `dst` without a per-message processing charge.
-    pub fn amortized(&self, dst: usize) -> u64 {
-        self.amortized.get(dst).copied().unwrap_or(0)
-    }
-
-    /// Receiver cycles saved by completion coalescing, cluster-wide.
-    pub fn saved_cycles(&self) -> u64 {
-        self.saved_cycles
-    }
-}
-
 /// Whole-run batching counters, surfaced as the `batching` block in the
 /// run stats (absent when the subsystem is off).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -336,18 +303,23 @@ pub enum BatchRole {
     CoalescedSquash,
 }
 
+/// The sizes of the batches one scheduling call closed, older first:
+/// none, one (full, superseded by a new leader, or a size-1 batch under
+/// a drained target), or two (a new leader superseded an open batch and
+/// a drained target closed the leader at once).
+pub type Flushes = Inline<u32, 2>;
+
 /// One scheduling decision: the verb's arrival time at the destination
-/// NIC, its role, and the size of any batch this call closed.
+/// NIC, its role, and the sizes of the batches this call closed.
 #[derive(Debug, Clone, Copy)]
 pub struct Scheduled {
     /// Arrival time at the destination NIC.
     pub arrival: Cycles,
     /// How the verb was placed.
     pub role: BatchRole,
-    /// `Some(size)` when this call closed a batch (full, superseded by a
-    /// new leader, or a size-1 batch under a drained target); the flush
-    /// is stamped at the scheduling instant.
-    pub flushed: Option<u32>,
+    /// Every batch this call closed, each flush stamped at the
+    /// scheduling instant.
+    pub flushed: Flushes,
 }
 
 /// The batching subsystem: per-queue-pair buffers, per-sender send logs,
@@ -379,12 +351,7 @@ pub struct Batcher {
     qps: Vec<QpBuffer>,
     /// Each sender's recent verbs.
     logs: Vec<SendLog>,
-    recv: RecvBatch,
     stats: BatchStats,
-    /// Flush sizes not yet drained by the observability layer (filled
-    /// only when `track_flushes` is on, so plain runs never allocate).
-    pending_flushes: Vec<u32>,
-    track_flushes: bool,
 }
 
 impl Batcher {
@@ -404,22 +371,8 @@ impl Batcher {
             nodes,
             qps: vec![QpBuffer::new(initial_target); nodes * nodes],
             logs: vec![SendLog::default(); nodes],
-            recv: RecvBatch::new(nodes),
             stats: BatchStats::new(),
-            pending_flushes: Vec::new(),
-            track_flushes: false,
         }
-    }
-
-    /// Enables flush-size notifications for the time-series layer
-    /// (drained with [`Self::take_pending_flushes`]).
-    pub fn track_flushes(&mut self) {
-        self.track_flushes = true;
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &BatchingParams {
-        &self.params
     }
 
     fn qi(&self, src: NodeId, dst: NodeId) -> usize {
@@ -438,23 +391,10 @@ impl Batcher {
         self.qp(src, dst).accepts(now)
     }
 
-    /// Receive-side coalescing counters.
-    pub fn recv(&self) -> &RecvBatch {
-        &self.recv
-    }
-
     /// Whole-run counters accumulated so far (open batches not yet
     /// flushed; see [`Self::finish`]).
     pub fn stats(&self) -> &BatchStats {
         &self.stats
-    }
-
-    /// Credits one amortized receiver completion to `dst` and mirrors it
-    /// into the whole-run counters.
-    fn on_recv_joiner(&mut self, dst: usize) {
-        self.recv.on_joiner(dst, self.net.nic_proc);
-        self.stats.recv_amortized += 1;
-        self.stats.recv_saved_cycles += self.net.nic_proc.get();
     }
 
     fn close_qp(&mut self, qi: usize) -> u32 {
@@ -467,14 +407,11 @@ impl Batcher {
         self.stats.carried += size as u64;
         self.stats.occupancy[(size as usize).clamp(1, OCC_BUCKETS) - 1] += 1;
         self.stats.max_occupancy = self.stats.max_occupancy.max(size);
-        if self.track_flushes {
-            self.pending_flushes.push(size);
-        }
         size
     }
 
     /// Schedules one verb from `src` to `dst` sent at `now`; returns its
-    /// arrival time, role, and any batch closed by this call.
+    /// arrival time, role, and the batches closed by this call.
     pub fn schedule(
         &mut self,
         now: Cycles,
@@ -487,7 +424,8 @@ impl Batcher {
         let qi = self.qi(src, dst);
         let wire = self.net.serialize(bytes) + self.net.one_way();
         let squash = verb == Verb::Squash;
-        let (natural, role, flushed) = if doorbell == Doorbell::Share && self.qps[qi].accepts(now) {
+        let mut flushed = Flushes::default();
+        let (natural, role) = if doorbell == Doorbell::Share && self.qps[qi].accepts(now) {
             // Ride the open WQE chain: the receiver reaps the completion
             // in the leader's poll, skipping `nic_proc`.
             let qp = &mut self.qps[qi];
@@ -503,12 +441,15 @@ impl Batcher {
                 self.stats.joined += 1;
                 BatchRole::Joined
             };
-            let full = qp.count >= qp.target;
-            self.on_recv_joiner(dst.0 as usize);
-            (now + wire, role, full.then(|| self.close_qp(qi)))
+            if qp.count >= qp.target {
+                flushed.push(self.close_qp(qi));
+            }
+            self.stats.recv_amortized += 1;
+            self.stats.recv_saved_cycles += self.net.nic_proc.get();
+            (now + wire, role)
         } else {
-            let flushed = self.lead(now, src, qi, squash);
-            (now + wire + self.net.nic_proc, BatchRole::Led, flushed)
+            self.lead(now, src, qi, squash, &mut flushed);
+            (now + wire + self.net.nic_proc, BatchRole::Led)
         };
         Scheduled {
             arrival: self.logs[src.0 as usize].place(now, dst.0, natural),
@@ -519,9 +460,11 @@ impl Batcher {
 
     /// Opens a new batch on queue pair `qi` with a leader sent at `now`:
     /// closes the previous batch and adapts the target to the sender's
-    /// verbs in flight. Returns the size of any batch this closed.
-    fn lead(&mut self, now: Cycles, src: NodeId, qi: usize, squash: bool) -> Option<u32> {
-        let flushed_prev = (self.qps[qi].count > 0).then(|| self.close_qp(qi));
+    /// verbs in flight. Appends every batch this closed to `flushed`.
+    fn lead(&mut self, now: Cycles, src: NodeId, qi: usize, squash: bool, flushed: &mut Flushes) {
+        if self.qps[qi].count > 0 {
+            flushed.push(self.close_qp(qi));
+        }
         if self.params.adaptive {
             // Counted up to the high watermark: all the policy asks.
             let high = BatchingParams::HIGH_WATERMARK;
@@ -542,22 +485,8 @@ impl Batcher {
         if qp.count >= qp.target {
             // A drained target closes the batch immediately: idle
             // traffic flows one doorbell per verb, unbatched.
-            Some(self.close_qp(qi))
-        } else {
-            flushed_prev
+            flushed.push(self.close_qp(qi));
         }
-    }
-
-    /// Drains flush-size notifications recorded since the last call
-    /// (empty unless [`Self::track_flushes`] was enabled).
-    pub fn take_pending_flushes(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.pending_flushes)
-    }
-
-    /// Whether flush notifications are waiting (cheap pre-check so the
-    /// common path avoids the drain).
-    pub fn has_pending_flushes(&self) -> bool {
-        !self.pending_flushes.is_empty()
     }
 
     /// Closes every still-open batch into the occupancy histogram and
@@ -606,7 +535,7 @@ mod tests {
         let s = sched(&mut b, 100, 0, 1);
         assert_eq!(s.role, BatchRole::Led);
         // Adaptive target starts drained (1), so the batch closes at once.
-        assert_eq!(s.flushed, Some(1));
+        assert_eq!(s.flushed[..], [1]);
         assert_eq!(
             s.arrival,
             unbatched(100, 64),
@@ -620,10 +549,10 @@ mod tests {
         assert_eq!(sched(&mut b, 0, 0, 1).role, BatchRole::Led);
         let s = sched(&mut b, 0, 0, 1);
         assert_eq!(s.role, BatchRole::Joined);
-        assert_eq!(s.flushed, None);
+        assert!(s.flushed.is_empty());
         let s = sched(&mut b, 0, 0, 1);
         assert_eq!(s.role, BatchRole::Joined);
-        assert_eq!(s.flushed, Some(3), "third verb fills the batch");
+        assert_eq!(s.flushed[..], [3], "third verb fills the batch");
         // The next verb leads a fresh batch.
         assert_eq!(sched(&mut b, 0, 0, 1).role, BatchRole::Led);
         assert_eq!(b.stats().leaders, 2);
@@ -657,7 +586,7 @@ mod tests {
             BatchRole::Led,
             "a verb sent earlier leads its own batch"
         );
-        assert_eq!(s.flushed, Some(1), "and supersedes the later-opened batch");
+        assert_eq!(s.flushed[..], [1], "and supersedes the later-opened batch");
         assert_eq!(
             s.arrival,
             unbatched(500, 64),
@@ -679,7 +608,7 @@ mod tests {
             Doorbell::Ring,
         );
         assert_eq!(s.role, BatchRole::Led);
-        assert_eq!(s.flushed, Some(1));
+        assert_eq!(s.flushed[..], [1]);
         assert_eq!(s.arrival, unbatched(10, 64));
     }
 
@@ -691,7 +620,7 @@ mod tests {
         let late = BatchingParams::COALESCE_WINDOW.get() + 1;
         let s = sched(&mut b, late, 0, 1);
         assert_eq!(s.role, BatchRole::Led, "window lapsed");
-        assert_eq!(s.flushed, Some(1), "stale batch closed at size 1");
+        assert_eq!(s.flushed[..], [1], "stale batch closed at size 1");
     }
 
     #[test]
@@ -711,11 +640,18 @@ mod tests {
         assert!(b.stats().joined > 0, "grown batches must accept joiners");
         assert!(b.stats().max_occupancy > 1);
         // Once every verb has landed the next leader sees nothing in
-        // flight and the target collapses back to 1.
+        // flight and the target collapses back to 1: the leader closes
+        // the batch still open, then itself.
+        let open = b.qp(NodeId(0), NodeId(1)).occupancy();
+        assert!(open > 0, "the last batch is still open");
         let idle = 10_000_000;
         let s = sched(&mut b, idle, 0, 1);
         assert_eq!(s.role, BatchRole::Led);
-        assert_eq!(s.flushed, Some(1), "idle traffic flushes immediately");
+        assert_eq!(
+            s.flushed[..],
+            [open, 1],
+            "both flushes reported, older first; idle traffic flushes immediately"
+        );
         assert_eq!(b.qp(NodeId(0), NodeId(1)).target(), 1, "drained on idle");
     }
 
@@ -886,23 +822,11 @@ mod tests {
         sched(&mut b, 0, 0, 1);
         sched(&mut b, 0, 0, 1);
         sched(&mut b, 0, 0, 1);
-        assert_eq!(b.recv().amortized(1), 2);
+        assert_eq!(b.stats().recv_amortized, 2);
         assert_eq!(
-            b.recv().saved_cycles(),
+            b.stats().recv_saved_cycles,
             2 * NetParams::default().nic_proc.get()
         );
-    }
-
-    #[test]
-    fn pending_flushes_only_accumulate_when_tracked() {
-        let mut b = batcher(BatchingParams::fixed(1));
-        sched(&mut b, 0, 0, 1);
-        assert!(!b.has_pending_flushes(), "untracked by default");
-        b.track_flushes();
-        sched(&mut b, 0, 0, 1);
-        assert!(b.has_pending_flushes());
-        assert_eq!(b.take_pending_flushes(), vec![1]);
-        assert!(!b.has_pending_flushes());
     }
 
     #[test]

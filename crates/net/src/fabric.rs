@@ -16,7 +16,7 @@
 //! Total bytes are still accounted so runs can verify the utilization
 //! claim.
 
-use crate::batch::{BatchRole, BatchStats, Batcher, Doorbell};
+use crate::batch::{BatchRole, BatchStats, Batcher, Doorbell, Flushes};
 use hades_fault::FaultInjector;
 use hades_sim::config::NetParams;
 use hades_sim::ids::NodeId;
@@ -30,57 +30,93 @@ pub fn wire_size(lines: usize, line_bytes: usize) -> usize {
     64 + lines * line_bytes
 }
 
-/// The arrival times of one fault-prone send's delivered copies: none
-/// (lost), one, or two (duplicated). Held inline, so a send allocates
-/// nothing; it reads as a slice and iterates by value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Arrivals {
+/// Up to `N` values held inline, in the order they were pushed, so a
+/// send allocates nothing; it reads as a slice and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Inline<T, const N: usize> {
     len: u8,
-    at: [Cycles; Arrivals::MAX],
+    items: [T; N],
 }
 
-impl Arrivals {
-    /// The most copies a send delivers (an original and its duplicate).
-    pub(crate) const MAX: usize = 2;
-
-    /// A single delivered copy.
-    pub(crate) fn one(at: Cycles) -> Self {
-        let mut a = Arrivals::default();
-        a.push(at);
-        a
+impl<T: Copy + Default, const N: usize> Default for Inline<T, N> {
+    fn default() -> Self {
+        Inline {
+            len: 0,
+            items: [T::default(); N],
+        }
     }
+}
 
-    /// Appends a delivered copy.
+impl<T, const N: usize> Inline<T, N> {
+    /// Appends a value.
     ///
     /// # Panics
     ///
-    /// Panics if [`Arrivals::MAX`] copies are already held.
-    pub(crate) fn push(&mut self, at: Cycles) {
-        assert!(
-            (self.len as usize) < Self::MAX,
-            "a send delivers at most {} copies",
-            Self::MAX
-        );
-        self.at[self.len as usize] = at;
+    /// Panics if `N` values are already held.
+    pub(crate) fn push(&mut self, v: T) {
+        assert!((self.len as usize) < N, "at most {N} values fit");
+        self.items[self.len as usize] = v;
         self.len += 1;
     }
 }
 
-impl std::ops::Deref for Arrivals {
-    type Target = [Cycles];
+impl<T, const N: usize> std::ops::Deref for Inline<T, N> {
+    type Target = [T];
 
-    fn deref(&self) -> &[Cycles] {
-        &self.at[..self.len as usize]
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len as usize]
     }
 }
 
-impl IntoIterator for Arrivals {
-    type Item = Cycles;
-    type IntoIter = std::iter::Take<std::array::IntoIter<Cycles, { Arrivals::MAX }>>;
+impl<T, const N: usize> IntoIterator for Inline<T, N> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.at.into_iter().take(self.len as usize)
+        self.items.into_iter().take(self.len as usize)
     }
+}
+
+/// The arrival times of one send's delivered copies: none (lost), one,
+/// or two (an original and its duplicate).
+pub type Arrivals = Inline<Cycles, 2>;
+
+impl Arrivals {
+    /// The arrival of a send that delivers exactly one copy: any
+    /// fault-exempt send, and any Retransmit-class send
+    /// (`hades_fault::class_of`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one copy was delivered.
+    pub fn only(self) -> Cycles {
+        assert_eq!(self.len, 1, "a send that delivers exactly once");
+        self.items[0]
+    }
+}
+
+/// What one send did: the arrival of every delivered copy, the sizes of
+/// the batches it closed (older first), and whether a cut or
+/// flapped-down link blocked it. The fabric has traced all of it; the
+/// cluster feeds its observers from this one value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SendReport {
+    /// Arrival time of each delivered copy (empty = lost).
+    pub arrivals: Arrivals,
+    /// Batches the send closed, each flush stamped at the send instant.
+    pub flushes: Flushes,
+    /// Whether the send hit a cut or flapped-down link.
+    pub link_cut: bool,
+}
+
+/// One message's wire fields.
+#[derive(Debug, Clone, Copy)]
+struct Msg {
+    src: NodeId,
+    dst: NodeId,
+    bytes: usize,
+    verb: Verb,
+    doorbell: Doorbell,
 }
 
 /// The cluster's network fabric.
@@ -135,12 +171,6 @@ impl Fabric {
         self.batch.as_deref()
     }
 
-    /// Mutable access to the installed batcher (flush-notification
-    /// draining by the observability layer).
-    pub fn batcher_mut(&mut self) -> Option<&mut Batcher> {
-        self.batch.as_deref_mut()
-    }
-
     /// Closes all open batches and returns the run's batching counters
     /// (`None` when the subsystem is off).
     pub fn take_batch_stats(&mut self) -> Option<BatchStats> {
@@ -148,7 +178,7 @@ impl Fabric {
     }
 
     /// Installs a fault injector; subsequent
-    /// [`send_verb_faulty`](Self::send_verb_faulty) calls sample it.
+    /// [`send_verb`](Self::send_verb) calls sample it.
     pub fn install_injector(&mut self, injector: FaultInjector) {
         self.injector = injector;
     }
@@ -169,30 +199,68 @@ impl Fabric {
         self.tracer = tracer;
     }
 
-    /// The configured network parameters.
-    pub fn params(&self) -> &NetParams {
-        &self.params
-    }
-
-    /// Schedules a message of `bytes` from `src` to `dst` at time `now`;
-    /// returns its arrival time at the destination NIC.
+    /// Schedules an untagged, fault-exempt message of `bytes` from `src`
+    /// to `dst` at time `now`; returns its arrival time at the
+    /// destination NIC.
     ///
     /// # Panics
     ///
     /// Panics if `src == dst` (local operations never touch the fabric) or
     /// if either node is out of range.
     pub fn send(&mut self, now: Cycles, src: NodeId, dst: NodeId, bytes: usize) -> Cycles {
-        self.send_verb(now, src, dst, bytes, Verb::Other, Doorbell::Share)
+        let m = Msg {
+            src,
+            dst,
+            bytes,
+            verb: Verb::Other,
+            doorbell: Doorbell::Share,
+        };
+        self.deliver(now, &m, None, &mut Flushes::default())
     }
 
-    /// Like [`send`](Self::send), but tags the message with its protocol
-    /// meaning for the per-verb traffic breakdown and trace events, and
-    /// says whether it may share a doorbell when batching is on (ignored
-    /// otherwise).
+    /// Sends one copy of a message past the fault injector: no injected
+    /// fault touches it. `verb` tags the message for the per-verb traffic
+    /// breakdown and trace events; `doorbell` says whether it may share
+    /// a doorbell when batching is on (ignored otherwise).
     ///
     /// # Panics
     ///
     /// Same conditions as [`send`](Self::send).
+    pub fn send_fault_exempt(
+        &mut self,
+        now: Cycles,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+        verb: Verb,
+        doorbell: Doorbell,
+    ) -> SendReport {
+        let mut sent = SendReport::default();
+        let m = Msg {
+            src,
+            dst,
+            bytes,
+            verb,
+            doorbell,
+        };
+        let arrival = self.deliver(now, &m, None, &mut sent.flushes);
+        sent.arrivals.push(arrival);
+        sent
+    }
+
+    /// Sends a message through the fault plane: like
+    /// [`send_fault_exempt`](Self::send_fault_exempt), but the installed
+    /// injector may drop, duplicate, delay or jitter it, hold it at a cut
+    /// link, or hold it at a NIC stall window, as the verb's fault class
+    /// allows.
+    ///
+    /// With an inert injector this is exactly one fault-exempt send —
+    /// same counters, same timing, no extra randomness — preserving byte
+    /// identity with un-injected runs.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`send`](Self::send), for each delivered copy.
     pub fn send_verb(
         &mut self,
         now: Cycles,
@@ -201,107 +269,10 @@ impl Fabric {
         bytes: usize,
         verb: Verb,
         doorbell: Doorbell,
-    ) -> Cycles {
-        assert_ne!(src, dst, "loopback messages are not modeled");
-        assert!((dst.0 as usize) < self.nodes, "bad dst {dst}");
-        assert!((src.0 as usize) < self.nodes, "bad src {src}");
-        self.messages += 1;
-        self.bytes += bytes as u64;
-        self.verbs.bump(verb);
-        let arrival = self.route(now, src, dst, bytes, verb, doorbell);
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                now,
-                src.0,
-                NO_SLOT,
-                EventKind::VerbSend {
-                    verb,
-                    dst: dst.0,
-                    bytes: bytes as u32,
-                },
-            );
-            self.tracer.emit(
-                arrival,
-                dst.0,
-                NO_SLOT,
-                EventKind::VerbRecv {
-                    verb,
-                    src: src.0,
-                    bytes: bytes as u32,
-                },
-            );
-        }
-        arrival
-    }
-
-    /// Computes a verb's arrival time: the classic additive path when no
-    /// batcher is installed, or the batcher's leader/joiner schedule
-    /// (emitting `BatchFlushed`/`BatchCoalesced` events) when one is.
-    fn route(
-        &mut self,
-        now: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        verb: Verb,
-        doorbell: Doorbell,
-    ) -> Cycles {
-        let Some(b) = self.batch.as_deref_mut() else {
-            return now
-                + self.params.serialize(bytes)
-                + self.params.one_way()
-                + self.params.nic_proc;
-        };
-        let s = b.schedule(now, src, dst, bytes, verb, doorbell);
-        if self.tracer.is_enabled() {
-            if s.role == BatchRole::CoalescedSquash {
-                self.tracer.emit(
-                    now,
-                    src.0,
-                    NO_SLOT,
-                    EventKind::BatchCoalesced { dst: dst.0 },
-                );
-            }
-            if let Some(size) = s.flushed {
-                self.tracer.emit(
-                    now,
-                    src.0,
-                    NO_SLOT,
-                    EventKind::BatchFlushed { dst: dst.0, size },
-                );
-            }
-        }
-        s.arrival
-    }
-
-    /// Like [`send_verb`](Self::send_verb) but subject to the installed
-    /// fault injector: the message may be dropped, duplicated, delayed,
-    /// jittered, or held by a NIC stall window. Returns the arrival time
-    /// of every delivered copy (empty = message lost), held inline.
-    ///
-    /// With an inert injector this is exactly one
-    /// [`send_verb`](Self::send_verb) call — same counters, same timing,
-    /// no extra randomness — preserving byte identity with un-injected
-    /// runs.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`send`](Self::send).
-    pub fn send_verb_faulty(
-        &mut self,
-        now: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        verb: Verb,
-        doorbell: Doorbell,
-    ) -> Arrivals {
+    ) -> SendReport {
         if !self.injector.active() {
-            return Arrivals::one(self.send_verb(now, src, dst, bytes, verb, doorbell));
+            return self.send_fault_exempt(now, src, dst, bytes, verb, doorbell);
         }
-        assert_ne!(src, dst, "loopback messages are not modeled");
-        assert!((dst.0 as usize) < self.nodes, "bad dst {dst}");
-        assert!((src.0 as usize) < self.nodes, "bad src {src}");
         let faults = self.injector.on_send(now, verb, src.0, dst.0);
         if self.tracer.is_enabled() {
             for &(s, d) in &faults.cut_links {
@@ -321,61 +292,112 @@ impl Fabric {
                     .emit(now, src.0, NO_SLOT, EventKind::Recovery { action: *r });
             }
         }
-        let path = self.params.serialize(bytes) + self.params.one_way() + self.params.nic_proc;
-        let base = now + path;
-        let mut arrivals = Arrivals::default();
+        let mut sent = SendReport {
+            link_cut: faults
+                .injected
+                .iter()
+                .any(|f| matches!(f, InjectedFault::LinkCut { .. })),
+            ..SendReport::default()
+        };
+        let m = Msg {
+            src,
+            dst,
+            bytes,
+            verb,
+            doorbell,
+        };
         for &extra in &faults.copies {
-            self.messages += 1;
-            self.bytes += bytes as u64;
-            self.verbs.bump(verb);
-            // Faults act on individual verbs, not batch envelopes: an
-            // on-time copy coalesces normally, while a delayed or
-            // reordered copy models a verb that missed its batch — it
-            // flies solo on the unbatched path and is exempt from the
-            // per-queue-pair FIFO fence (reordering must stay possible).
-            let mut arrival = if extra == Cycles::ZERO {
-                self.route(now, src, dst, bytes, verb, doorbell)
-            } else {
-                base + extra
-            };
+            let arrival = self.deliver(now, &m, Some(extra), &mut sent.flushes);
+            sent.arrivals.push(arrival);
+        }
+        sent
+    }
+
+    /// Delivers one copy of `m` sent at `now` and returns its arrival:
+    /// checks its endpoints, counts it, routes it and traces it. `fault`
+    /// is `None` on the fault-exempt path; on the injector's path it is
+    /// the copy's injected delay, and the destination's NIC stall windows
+    /// may hold the arrival. An on-time copy routes through the batcher
+    /// when one is installed, which traces the batches it closes (and any
+    /// coalesced squash) and stores their sizes in `flushes`; any other
+    /// copy takes the classic additive path. A send has at most one
+    /// on-time copy.
+    // Forced inline: called out of line, with the report built around
+    // the call, it slowed every cluster send.
+    #[inline(always)]
+    fn deliver(
+        &mut self,
+        now: Cycles,
+        m: &Msg,
+        fault: Option<Cycles>,
+        flushes: &mut Flushes,
+    ) -> Cycles {
+        let Msg {
+            src,
+            dst,
+            bytes,
+            verb,
+            doorbell,
+        } = *m;
+        assert_ne!(src, dst, "loopback messages are not modeled");
+        assert!((dst.0 as usize) < self.nodes, "bad dst {dst}");
+        assert!((src.0 as usize) < self.nodes, "bad src {src}");
+        self.messages += 1;
+        self.bytes += bytes as u64;
+        self.verbs.bump(verb);
+        let p = &self.params;
+        let unbatched = now + p.serialize(bytes) + p.one_way() + p.nic_proc;
+        let mut arrival = match (fault, self.batch.as_deref_mut()) {
+            // Faults act on individual verbs, not batch envelopes: a
+            // delayed or reordered copy models a verb that missed its
+            // batch — it flies solo on the unbatched path and is exempt
+            // from the per-queue-pair FIFO fence (reordering must stay
+            // possible).
+            (Some(extra), _) if extra > Cycles::ZERO => unbatched + extra,
+            (_, None) => unbatched,
+            (_, Some(b)) => {
+                let s = b.schedule(now, src, dst, bytes, verb, doorbell);
+                if self.tracer.is_enabled() {
+                    if s.role == BatchRole::CoalescedSquash {
+                        let coalesced = EventKind::BatchCoalesced { dst: dst.0 };
+                        self.tracer.emit(now, src.0, NO_SLOT, coalesced);
+                    }
+                    for size in s.flushed {
+                        let flushed = EventKind::BatchFlushed { dst: dst.0, size };
+                        self.tracer.emit(now, src.0, NO_SLOT, flushed);
+                    }
+                }
+                *flushes = s.flushed;
+                s.arrival
+            }
+        };
+        if fault.is_some() {
             if let Some(release) = self.injector.stall_release(dst.0, arrival) {
                 arrival = arrival.max(release);
                 if self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        arrival,
-                        dst.0,
-                        NO_SLOT,
-                        EventKind::FaultInjected {
-                            fault: InjectedFault::NicStall,
-                        },
-                    );
+                    let stall = EventKind::FaultInjected {
+                        fault: InjectedFault::NicStall,
+                    };
+                    self.tracer.emit(arrival, dst.0, NO_SLOT, stall);
                 }
             }
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    now,
-                    src.0,
-                    NO_SLOT,
-                    EventKind::VerbSend {
-                        verb,
-                        dst: dst.0,
-                        bytes: bytes as u32,
-                    },
-                );
-                self.tracer.emit(
-                    arrival,
-                    dst.0,
-                    NO_SLOT,
-                    EventKind::VerbRecv {
-                        verb,
-                        src: src.0,
-                        bytes: bytes as u32,
-                    },
-                );
-            }
-            arrivals.push(arrival);
         }
-        arrivals
+        if self.tracer.is_enabled() {
+            let bytes = bytes as u32;
+            let send = EventKind::VerbSend {
+                verb,
+                dst: dst.0,
+                bytes,
+            };
+            self.tracer.emit(now, src.0, NO_SLOT, send);
+            let recv = EventKind::VerbRecv {
+                verb,
+                src: src.0,
+                bytes,
+            };
+            self.tracer.emit(arrival, dst.0, NO_SLOT, recv);
+        }
+        arrival
     }
 
     /// Total messages sent.
@@ -456,14 +478,17 @@ mod tests {
         let mut f = fabric();
         let (tracer, sink) = Tracer::memory();
         f.set_tracer(tracer);
-        let arrive = f.send_verb(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            96,
-            Verb::Intend,
-            Doorbell::Share,
-        );
+        let arrive = f
+            .send_fault_exempt(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                96,
+                Verb::Intend,
+                Doorbell::Share,
+            )
+            .arrivals
+            .only();
         f.send(Cycles::ZERO, NodeId(1), NodeId(2), 64); // untagged -> Other
         assert_eq!(f.verb_counts().get(Verb::Intend), 1);
         assert_eq!(f.verb_counts().get(Verb::Other), 1);
@@ -486,22 +511,27 @@ mod tests {
     fn faulty_send_with_inert_injector_matches_plain_send() {
         let mut a = fabric();
         let mut b = fabric();
-        let t1 = a.send_verb(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            96,
-            Verb::Intend,
-            Doorbell::Share,
-        );
-        let t2 = b.send_verb_faulty(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            96,
-            Verb::Intend,
-            Doorbell::Share,
-        );
+        let t1 = a
+            .send_fault_exempt(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                96,
+                Verb::Intend,
+                Doorbell::Share,
+            )
+            .arrivals
+            .only();
+        let t2 = b
+            .send_verb(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                96,
+                Verb::Intend,
+                Doorbell::Share,
+            )
+            .arrivals;
         assert_eq!(t2[..], [t1]);
         assert_eq!(a.messages_sent(), b.messages_sent());
         assert_eq!(a.bytes_sent(), b.bytes_sent());
@@ -514,14 +544,16 @@ mod tests {
         f.install_injector(FaultInjector::new(
             FaultPlan::none().drop_verb(Verb::Ack, 1.0),
         ));
-        let arrivals = f.send_verb_faulty(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Ack,
-            Doorbell::Share,
-        );
+        let arrivals = f
+            .send_verb(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Ack,
+                Doorbell::Share,
+            )
+            .arrivals;
         assert!(arrivals.is_empty());
         assert_eq!(f.messages_sent(), 0, "dropped copies are not traffic");
         assert_eq!(f.injector().faults.drops, 1);
@@ -537,14 +569,16 @@ mod tests {
             Cycles::ZERO,
             release,
         )));
-        let arrivals = f.send_verb_faulty(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Read,
-            Doorbell::Share,
-        );
+        let arrivals = f
+            .send_verb(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Read,
+                Doorbell::Share,
+            )
+            .arrivals;
         assert_eq!(arrivals[..], [release]);
         assert_eq!(f.injector().faults.nic_stalls, 1);
     }
@@ -560,24 +594,30 @@ mod tests {
         ));
         let p = NetParams::default();
         let plain = p.serialize(64) + p.one_way() + p.nic_proc;
-        let t = f.send_verb(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Intend,
-            Doorbell::Share,
-        );
+        let t = f
+            .send_fault_exempt(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Intend,
+                Doorbell::Share,
+            )
+            .arrivals
+            .only();
         assert_eq!(t, plain, "the fabric charges no doorbell of its own");
         // A second simultaneous verb does not queue behind the first.
-        let t2 = f.send_verb(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Intend,
-            Doorbell::Share,
-        );
+        let t2 = f
+            .send_fault_exempt(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Intend,
+                Doorbell::Share,
+            )
+            .arrivals
+            .only();
         assert_eq!(t2, plain);
     }
 
@@ -590,7 +630,7 @@ mod tests {
             NetParams::default(),
             4,
         ));
-        f.send_verb(
+        f.send_fault_exempt(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -598,7 +638,7 @@ mod tests {
             Verb::Read,
             Doorbell::Share,
         );
-        f.send_verb(
+        f.send_fault_exempt(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -620,22 +660,28 @@ mod tests {
             NetParams::default(),
             4,
         ));
-        let lead = f.send_verb(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Intend,
-            Doorbell::Share,
-        );
-        let join = f.send_verb(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Intend,
-            Doorbell::Share,
-        );
+        let lead = f
+            .send_fault_exempt(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Intend,
+                Doorbell::Share,
+            )
+            .arrivals
+            .only();
+        let join = f
+            .send_fault_exempt(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Intend,
+                Doorbell::Share,
+            )
+            .arrivals
+            .only();
         assert_eq!(join, lead, "first joiner lands with its leader");
         assert_eq!(f.messages_sent(), 2, "batched verbs still count as traffic");
     }
@@ -651,7 +697,7 @@ mod tests {
         ));
         let (tracer, sink) = Tracer::memory();
         f.set_tracer(tracer);
-        f.send_verb(
+        f.send_fault_exempt(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -659,7 +705,7 @@ mod tests {
             Verb::Intend,
             Doorbell::Share,
         );
-        f.send_verb(
+        let sent = f.send_fault_exempt(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -667,6 +713,7 @@ mod tests {
             Verb::Intend,
             Doorbell::Share,
         );
+        assert_eq!(sent.flushes[..], [2], "the report carries the flush");
         let events = sink.borrow().events().to_vec();
         assert!(
             events
@@ -693,14 +740,16 @@ mod tests {
             1.0,
             delay,
         )));
-        let arrivals = f.send_verb_faulty(
-            Cycles::ZERO,
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Ack,
-            Doorbell::Share,
-        );
+        let arrivals = f
+            .send_verb(
+                Cycles::ZERO,
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Ack,
+                Doorbell::Share,
+            )
+            .arrivals;
         assert_eq!(
             arrivals[..],
             [p.serialize(64) + p.one_way() + p.nic_proc + delay],
@@ -723,7 +772,7 @@ mod tests {
             NetParams::default(),
             4,
         ));
-        f.send_verb(
+        f.send_fault_exempt(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -748,7 +797,7 @@ mod tests {
         )));
         let (tracer, sink) = Tracer::memory();
         f.set_tracer(tracer);
-        let lost = f.send_verb_faulty(
+        let lost = f.send_verb(
             Cycles::new(5),
             NodeId(0),
             NodeId(1),
@@ -756,11 +805,15 @@ mod tests {
             Verb::Ack,
             Doorbell::Share,
         );
-        assert!(lost.is_empty(), "lossy verb into a cut link is gone");
+        assert!(
+            lost.arrivals.is_empty(),
+            "lossy verb into a cut link is gone"
+        );
+        assert!(lost.link_cut, "the send reports the cut it hit");
         assert_eq!(f.messages_sent(), 0);
         assert_eq!(f.injector().faults.link_cuts, 1);
         // The reverse direction is untouched.
-        let back = f.send_verb_faulty(
+        let back = f.send_verb(
             Cycles::new(5),
             NodeId(1),
             NodeId(0),
@@ -768,7 +821,8 @@ mod tests {
             Verb::Ack,
             Doorbell::Share,
         );
-        assert_eq!(back.len(), 1);
+        assert_eq!(back.arrivals.len(), 1);
+        assert!(!back.link_cut);
         let events = sink.borrow().events().to_vec();
         assert!(
             events
@@ -790,14 +844,16 @@ mod tests {
             until,
         )));
         let p = NetParams::default();
-        let arrivals = f.send_verb_faulty(
-            Cycles::new(100),
-            NodeId(0),
-            NodeId(1),
-            64,
-            Verb::Read,
-            Doorbell::Share,
-        );
+        let arrivals = f
+            .send_verb(
+                Cycles::new(100),
+                NodeId(0),
+                NodeId(1),
+                64,
+                Verb::Read,
+                Doorbell::Share,
+            )
+            .arrivals;
         assert_eq!(
             arrivals[..],
             [until + p.serialize(64) + p.one_way() + p.nic_proc],

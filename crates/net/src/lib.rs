@@ -24,6 +24,6 @@ pub mod batch;
 pub mod fabric;
 pub mod nic;
 
-pub use batch::{BatchRole, BatchStats, Batcher, Doorbell, RecvBatch};
+pub use batch::{BatchRole, BatchStats, Batcher, Doorbell};
 pub use fabric::{wire_size, Fabric};
 pub use nic::{Nic, NicConflict, RemoteTxKey, TxRemoteTable};

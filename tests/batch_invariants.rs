@@ -16,9 +16,13 @@
 //!    the sender goes idle.
 //! 5. No stall: HADES under batching at high contention commits its whole
 //!    window and leaks no hardware state.
+//! 6. One report per send: every batch a scheduling call closes is
+//!    reported, older first, and reaches the trace, the time-series and
+//!    the metrics registry through that one value, so their flush and
+//!    carried-verb counts agree on every engine.
 
 use hades::core::runner::{Experiment, Protocol, Run};
-use hades::net::batch::{Batcher, Doorbell};
+use hades::net::batch::{BatchRole, Batcher, Doorbell};
 use hades::sim::config::{BatchingParams, NetParams, SimConfig};
 use hades::sim::ids::NodeId;
 use hades::sim::time::Cycles;
@@ -26,6 +30,7 @@ use hades::storage::db::Database;
 use hades::storage::index::IndexKind;
 use hades::telemetry::event::{EventKind, TraceEvent, Verb};
 use hades::telemetry::jsonl::events_to_jsonl;
+use hades::telemetry::registry::MetricsRegistry;
 use hades::telemetry::sink::Tracer;
 use hades::workloads::catalog::AppId;
 use hades::workloads::ycsb::{Ycsb, YcsbConfig, YcsbVariant};
@@ -209,4 +214,86 @@ fn hades_does_not_stall_under_batching_at_high_contention() {
     let bt = out.stats.batching.as_ref().expect("batching block");
     assert!(bt.joined > 0, "the run must actually coalesce");
     assert_eq!(out.leaks(), Vec::<String>::new());
+}
+
+#[test]
+fn a_leader_reports_every_batch_it_closes_older_first() {
+    let params = BatchingParams::standard();
+    let (high, window) = (
+        BatchingParams::HIGH_WATERMARK,
+        BatchingParams::COALESCE_WINDOW,
+    );
+    let mut b = Batcher::new(params, NetParams::default(), 3);
+    let (src, dst) = (NodeId(0), NodeId(1));
+    // A backlog from node 0 grows the target, so a batch stays open.
+    let mut now = Cycles::ZERO;
+    for i in 0..(high * 4) {
+        let to = NodeId(1 + (i % 2) as u16);
+        b.schedule(now, src, to, 64, Verb::Intend, Doorbell::Share);
+        now += Cycles::new(1);
+    }
+    let ring = b.schedule(now, src, dst, 64, Verb::Intend, Doorbell::Ring);
+    assert_eq!(ring.role, BatchRole::Led);
+    let join = b.schedule(now, src, dst, 64, Verb::Intend, Doorbell::Share);
+    assert_eq!(join.role, BatchRole::Joined);
+    assert!(join.flushed.is_empty(), "the batch is not full yet");
+    assert_eq!(b.qp(src, dst).occupancy(), 2);
+    // Long after, a Share leader supersedes the open batch and, seeing
+    // nothing in flight, drains the target and closes itself at once.
+    let idle = now + Cycles::new(window.get() * 1_000);
+    let s = b.schedule(idle, src, dst, 64, Verb::Intend, Doorbell::Share);
+    assert_eq!(s.role, BatchRole::Led);
+    assert_eq!(
+        s.flushed[..],
+        [2, 1],
+        "the superseded batch, then the leader's own"
+    );
+    assert_eq!(b.qp(src, dst).occupancy(), 0);
+}
+
+#[test]
+fn batch_flushes_agree_across_trace_timeseries_and_registry() {
+    let app = AppId::parse("HT-wA").unwrap();
+    for protocol in Protocol::ALL {
+        let cfg = SimConfig::isca_default()
+            .with_batching(BatchingParams::standard())
+            .with_timeseries(Cycles::from_micros(20));
+        let ex = Experiment {
+            cfg,
+            scale: 0.005,
+            warmup: 50,
+            measure: 600,
+        };
+        let (tracer, sink) = Tracer::memory();
+        let out = Run::apps(protocol, &ex, &[app]).tracer(tracer).run();
+        let events = sink.borrow_mut().take_events();
+        let (flushes, verbs) = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::BatchFlushed { size, .. } => Some(size as u64),
+                _ => None,
+            })
+            .fold((0, 0), |(n, v), size| (n + 1, v + size));
+        assert!(flushes > 0, "{protocol}: no batch flush traced");
+        let ts = out.stats.timeseries.as_ref().expect("time-series on");
+        let windows = ts
+            .windows()
+            .iter()
+            .fold((0, 0), |(n, v), w| (n + w.batch_flushes, v + w.batch_verbs));
+        assert_eq!(
+            windows,
+            (flushes, verbs),
+            "{protocol}: the time-series and the trace count different flushes"
+        );
+        let reg = MetricsRegistry::from_events(&events);
+        assert_eq!(
+            (reg.counter("batch.flushed"), reg.counter("batch.verbs")),
+            (flushes, verbs),
+            "{protocol}: the registry and the trace count different flushes"
+        );
+        // The run's closing flush of still-open batches is counted in the
+        // stats block only.
+        let bt = out.stats.batching.as_ref().expect("batching block");
+        assert!(bt.flushes >= flushes, "{protocol}: stats lost flushes");
+    }
 }
