@@ -175,9 +175,11 @@ impl Trial {
 
 /// Checks the commit history of a Smallbank run: each record's writes
 /// are versioned 1, 2, 3, ... (a gap is a committed write lost, a repeat
-/// one applied twice), and since every Smallbank write is an RMW on the
-/// balance word, each record's last logged value is its final balance.
-fn history_violation(db: &Database) -> Option<String> {
+/// one applied twice) and never past the record's own version counter,
+/// and since every Smallbank write is an RMW on the balance word, each
+/// record's last logged value is its final balance. `None` when the
+/// history holds.
+pub fn history_violation(db: &Database) -> Option<String> {
     let history = db.commit_history();
     if history.is_empty() {
         return Some("no committed writes recorded".to_string());
@@ -190,6 +192,12 @@ fn history_violation(db: &Database) -> Option<String> {
         if e.seq != prev.unwrap_or(0) + 1 {
             return Some(format!(
                 "{:?} version order broken (prev {prev:?}, got {})",
+                e.rid, e.seq
+            ));
+        }
+        if db.commit_seq_of(e.rid) < e.seq {
+            return Some(format!(
+                "{:?} history seq {} beyond the record's counter",
                 e.rid, e.seq
             ));
         }

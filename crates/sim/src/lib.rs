@@ -39,5 +39,5 @@ pub use config::{ClusterShape, SimConfig};
 pub use engine::EventQueue;
 pub use ids::{CoreId, NodeId, SlotId, TxId};
 pub use rng::SimRng;
-pub use stats::{Histogram, Summary};
+pub use stats::Histogram;
 pub use time::Cycles;

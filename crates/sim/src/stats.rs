@@ -1,4 +1,4 @@
-//! Measurement utilities: latency histograms and running summaries.
+//! Measurement utilities: latency histograms.
 //!
 //! The paper reports mean transaction latency (Fig 10), 95th-percentile tail
 //! latency (Fig 11) and throughput (Figs 9, 12–15). [`Histogram`] is an
@@ -219,68 +219,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Running mean/min/max over `f64` samples (used for rates like Bloom-filter
-/// false-positive fractions).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of samples, or zero if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample, or zero if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or zero if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,18 +338,6 @@ mod tests {
         h.record(Cycles::new(u64::MAX / 2));
         assert_eq!(h.count(), 2);
         assert!(h.percentile(99.0).get() > 0);
-    }
-
-    #[test]
-    fn summary_tracks_mean_min_max() {
-        let mut s = Summary::new();
-        for v in [0.5, 1.5, 1.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 3);
-        assert!((s.mean() - 1.0).abs() < 1e-12);
-        assert_eq!(s.min(), 0.5);
-        assert_eq!(s.max(), 1.5);
     }
 
     #[test]

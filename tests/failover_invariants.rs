@@ -20,7 +20,7 @@ use hades::sim::time::Cycles;
 use hades::storage::db::Database;
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE};
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
 
 const ACCOUNTS: u64 = 400;
 const MEASURE: u64 = 400;
@@ -32,12 +32,12 @@ const SHAPE: ClusterShape = ClusterShape {
 
 /// Runs `protocol` on a 4-node cluster, optionally with the membership
 /// layer on and a fault plan installed. Returns the outcome, the JSONL
-/// trace, and the final ledger total.
+/// trace, and the bank.
 fn run_traced(
     protocol: Protocol,
     membership: Option<MembershipParams>,
     plan: Option<&FaultPlan>,
-) -> (RunOutcome, String, u64) {
+) -> (RunOutcome, String, Smallbank) {
     let mut cfg = SimConfig::isca_default().with_shape(SHAPE);
     if let Some(m) = membership {
         cfg = cfg.with_membership(m);
@@ -56,8 +56,7 @@ fn run_traced(
         .tracer(tracer)
         .run();
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
-    let total = sb.total_money(&out.cluster.db);
-    (out, jsonl, total)
+    (out, jsonl, sb)
 }
 
 fn crash_plan(node: u16) -> FaultPlan {
@@ -73,15 +72,15 @@ fn crash_plan(node: u16) -> FaultPlan {
 fn survivors_commit_through_a_permanent_crash() {
     for p in Protocol::ALL {
         let plan = crash_plan(2);
-        let (out, _jsonl, total) = run_traced(p, Some(MembershipParams::standard()), Some(&plan));
+        let (out, _jsonl, bank) = run_traced(p, Some(MembershipParams::standard()), Some(&plan));
         assert_eq!(
             out.stats.committed, MEASURE,
             "{p:?}: survivors failed to fill the measurement window"
         );
-        let expected = (2 * ACCOUNTS * INITIAL_BALANCE).wrapping_add(out.total_sum_delta as u64);
         assert_eq!(
-            total, expected,
-            "{p:?}: money not conserved across failover"
+            bank.check_conservation(&out.cluster.db, out.total_sum_delta),
+            Ok(()),
+            "{p:?}: across failover"
         );
         assert!(
             out.stats.membership.epoch_changes >= 1,
@@ -123,15 +122,15 @@ fn fence_counter_matches_trace_events() {
 #[test]
 fn membership_off_is_byte_identical() {
     for p in Protocol::ALL {
-        let (base_out, base_jsonl, base_total) = run_traced(p, None, None);
-        let (off_out, off_jsonl, off_total) =
-            run_traced(p, Some(MembershipParams::default()), None);
+        let (base_out, base_jsonl, bank) = run_traced(p, None, None);
+        let (off_out, off_jsonl, _) = run_traced(p, Some(MembershipParams::default()), None);
         assert_eq!(
             base_jsonl, off_jsonl,
             "{p:?}: disabled membership left a trace"
         );
         assert_eq!(
-            base_total, off_total,
+            bank.total_money(&base_out.cluster.db),
+            bank.total_money(&off_out.cluster.db),
             "{p:?}: disabled membership moved money"
         );
         assert_eq!(

@@ -22,11 +22,10 @@ use hades::fault::FaultPlan;
 use hades::sim::config::{ClusterShape, MembershipParams, SimConfig};
 use hades::sim::time::Cycles;
 use hades::storage::db::Database;
-use hades::storage::RecordId;
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
-use std::collections::HashMap;
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
+use hades_bench::sweep::history_violation;
 
 const ACCOUNTS: u64 = 800;
 const SHAPE: ClusterShape = ClusterShape {
@@ -55,14 +54,14 @@ fn sym_plan() -> FaultPlan {
 
 /// Runs `protocol` on a 4-node cluster with the given membership profile
 /// and optional fault plan. Returns the outcome, the JSONL trace, and
-/// the final ledger total.
+/// the bank.
 fn run_traced(
     protocol: Protocol,
     membership: MembershipParams,
     plan: Option<&FaultPlan>,
     history: bool,
     measure: u64,
-) -> (RunOutcome, String, u64) {
+) -> (RunOutcome, String, Smallbank) {
     let cfg = SimConfig::isca_default()
         .with_shape(SHAPE)
         .with_membership(membership);
@@ -83,8 +82,7 @@ fn run_traced(
         .tracer(tracer)
         .run();
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
-    let total = sb.total_money(&out.cluster.db);
-    (out, jsonl, total)
+    (out, jsonl, sb)
 }
 
 /// A symmetric stranding must run the full suspicion → quorum death →
@@ -96,7 +94,7 @@ fn run_traced(
 fn no_write_lost_or_dual_committed_across_partition_and_heal() {
     let plan = sym_plan();
     for p in Protocol::ALL {
-        let (out, _jsonl, total) = run_traced(
+        let (out, _jsonl, bank) = run_traced(
             p,
             MembershipParams::partition_safe(),
             Some(&plan),
@@ -107,10 +105,10 @@ fn no_write_lost_or_dual_committed_across_partition_and_heal() {
             out.stats.committed, MEASURE,
             "{p:?}: cluster failed to fill the measurement window"
         );
-        let expected = (2 * ACCOUNTS * INITIAL_BALANCE).wrapping_add(out.total_sum_delta as u64);
         assert_eq!(
-            total, expected,
-            "{p:?}: money not conserved across the partition"
+            bank.check_conservation(&out.cluster.db, out.total_sum_delta),
+            Ok(()),
+            "{p:?}: across the partition"
         );
         let nem = &out.stats.nemesis;
         assert_eq!(
@@ -127,30 +125,11 @@ fn no_write_lost_or_dual_committed_across_partition_and_heal() {
             nem.links_cut, nem.links_healed,
             "{p:?}: cut link windows were not all healed"
         );
-        let db = &out.cluster.db;
-        let hist = db.commit_history();
-        assert!(!hist.is_empty(), "{p:?}: no committed writes recorded");
-        let mut seen: HashMap<RecordId, u64> = HashMap::new();
-        for e in hist {
-            let prev = seen.insert(e.rid, e.seq);
-            assert_eq!(
-                e.seq,
-                prev.unwrap_or(0) + 1,
-                "{p:?}: {:?} version order broken across the heal (prev {prev:?})",
-                e.rid,
-            );
-        }
-        let mut last_value: HashMap<RecordId, u64> = HashMap::new();
-        for e in hist {
-            last_value.insert(e.rid, e.value_after);
-        }
-        for (rid, v) in last_value {
-            assert_eq!(
-                out.cluster.db.record(rid).read_u64(OFF_BALANCE as usize),
-                v,
-                "{p:?}: {rid:?} final value diverges from the history log",
-            );
-        }
+        assert_eq!(
+            history_violation(&out.cluster.db),
+            None,
+            "{p:?}: across the heal"
+        );
     }
 }
 
@@ -164,7 +143,7 @@ fn minority_side_freezes_instead_of_reconfiguring() {
         .with_seed(17)
         .partition(&[0, 1], &[2, 3], T0, HEAL);
     for p in Protocol::ALL {
-        let (out, _jsonl, total) = run_traced(
+        let (out, _jsonl, bank) = run_traced(
             p,
             MembershipParams::partition_safe(),
             Some(&plan),
@@ -175,10 +154,10 @@ fn minority_side_freezes_instead_of_reconfiguring() {
             out.stats.committed, MEASURE,
             "{p:?}: cluster failed to fill the measurement window"
         );
-        let expected = (2 * ACCOUNTS * INITIAL_BALANCE).wrapping_add(out.total_sum_delta as u64);
         assert_eq!(
-            total, expected,
-            "{p:?}: money not conserved across the split"
+            bank.check_conservation(&out.cluster.db, out.total_sum_delta),
+            Ok(()),
+            "{p:?}: across the split"
         );
         let nem = &out.stats.nemesis;
         assert!(
@@ -241,9 +220,9 @@ fn self_fence_counter_matches_trace_events() {
 #[test]
 fn partition_layer_off_is_byte_identical() {
     for p in Protocol::ALL {
-        let (bare_out, bare_jsonl, bare_total) =
+        let (bare_out, bare_jsonl, bank) =
             run_traced(p, MembershipParams::standard(), None, false, MEASURE_SHORT);
-        let (off_out, off_jsonl, off_total) = run_traced(
+        let (off_out, off_jsonl, _) = run_traced(
             p,
             MembershipParams::standard(),
             Some(&FaultPlan::none()),
@@ -260,7 +239,8 @@ fn partition_layer_off_is_byte_identical() {
             "{p:?}: an empty fault plan changed the stats bytes"
         );
         assert_eq!(
-            bare_total, off_total,
+            bank.total_money(&bare_out.cluster.db),
+            bank.total_money(&off_out.cluster.db),
             "{p:?}: an empty fault plan moved money"
         );
         assert!(
@@ -276,14 +256,14 @@ fn partition_layer_off_is_byte_identical() {
 fn partitioned_rerun_is_deterministic() {
     let plan = sym_plan();
     for p in Protocol::ALL {
-        let (a_out, a_jsonl, a_total) = run_traced(
+        let (a_out, a_jsonl, bank) = run_traced(
             p,
             MembershipParams::partition_safe(),
             Some(&plan),
             false,
             MEASURE,
         );
-        let (b_out, b_jsonl, b_total) = run_traced(
+        let (b_out, b_jsonl, _) = run_traced(
             p,
             MembershipParams::partition_safe(),
             Some(&plan),
@@ -296,6 +276,10 @@ fn partitioned_rerun_is_deterministic() {
             b_out.stats.to_json().render(),
             "{p:?}: partitioned rerun stats diverged"
         );
-        assert_eq!(a_total, b_total, "{p:?}: partitioned rerun ledger diverged");
+        assert_eq!(
+            bank.total_money(&a_out.cluster.db),
+            bank.total_money(&b_out.cluster.db),
+            "{p:?}: partitioned rerun ledger diverged"
+        );
     }
 }

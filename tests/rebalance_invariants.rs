@@ -17,11 +17,10 @@ use hades::core::stats::MigrationStats;
 use hades::sim::config::{ClusterShape, MigrationParams, SimConfig};
 use hades::sim::ids::NodeId;
 use hades::storage::db::Database;
-use hades::storage::RecordId;
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, INITIAL_BALANCE, OFF_BALANCE};
-use std::collections::HashMap;
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
+use hades_bench::sweep::history_violation;
 
 const ACCOUNTS: u64 = 400;
 const MEASURE: u64 = 400;
@@ -35,12 +34,12 @@ const DST: u16 = 0;
 
 /// Runs `protocol` on a 4-node cluster, optionally with a migration plan
 /// installed and the per-record commit history on. Returns the outcome,
-/// the JSONL trace, and the final ledger total.
+/// the JSONL trace, and the bank.
 fn run_traced(
     protocol: Protocol,
     migration: Option<MigrationParams>,
     history: bool,
-) -> (RunOutcome, String, u64) {
+) -> (RunOutcome, String, Smallbank) {
     let mut cfg = SimConfig::isca_default().with_shape(SHAPE);
     if let Some(m) = migration {
         cfg = cfg.with_migration(m);
@@ -61,8 +60,7 @@ fn run_traced(
         .tracer(tracer)
         .run();
     let jsonl = events_to_jsonl(&sink.borrow_mut().take_events());
-    let total = sb.total_money(&out.cluster.db);
-    (out, jsonl, total)
+    (out, jsonl, sb)
 }
 
 fn plan() -> MigrationParams {
@@ -75,15 +73,15 @@ fn plan() -> MigrationParams {
 #[test]
 fn cluster_commits_through_a_live_migration() {
     for p in Protocol::ALL {
-        let (out, _jsonl, total) = run_traced(p, Some(plan()), false);
+        let (out, _jsonl, bank) = run_traced(p, Some(plan()), false);
         assert_eq!(
             out.stats.committed, MEASURE,
             "{p:?}: cluster failed to fill the measurement window"
         );
-        let expected = (2 * ACCOUNTS * INITIAL_BALANCE).wrapping_add(out.total_sum_delta as u64);
         assert_eq!(
-            total, expected,
-            "{p:?}: money not conserved across the move"
+            bank.check_conservation(&out.cluster.db, out.total_sum_delta),
+            Ok(()),
+            "{p:?}: across the move"
         );
         let mig = &out.stats.migration;
         assert_eq!(mig.partitions_moved, 1, "{p:?}: cutover never happened");
@@ -115,9 +113,8 @@ fn cluster_commits_through_a_live_migration() {
 #[test]
 fn migration_off_is_byte_identical() {
     for p in Protocol::ALL {
-        let (base_out, base_jsonl, base_total) = run_traced(p, None, false);
-        let (off_out, off_jsonl, off_total) =
-            run_traced(p, Some(MigrationParams::default()), false);
+        let (base_out, base_jsonl, bank) = run_traced(p, None, false);
+        let (off_out, off_jsonl, _) = run_traced(p, Some(MigrationParams::default()), false);
         assert_eq!(
             base_jsonl, off_jsonl,
             "{p:?}: disabled migration left a trace"
@@ -128,7 +125,8 @@ fn migration_off_is_byte_identical() {
             "{p:?}: disabled migration changed the stats bytes"
         );
         assert_eq!(
-            base_total, off_total,
+            bank.total_money(&base_out.cluster.db),
+            bank.total_money(&off_out.cluster.db),
             "{p:?}: disabled migration moved money"
         );
         assert_eq!(
@@ -144,15 +142,19 @@ fn migration_off_is_byte_identical() {
 #[test]
 fn migrated_rerun_is_deterministic() {
     for p in Protocol::ALL {
-        let (a_out, a_jsonl, a_total) = run_traced(p, Some(plan()), false);
-        let (b_out, b_jsonl, b_total) = run_traced(p, Some(plan()), false);
+        let (a_out, a_jsonl, bank) = run_traced(p, Some(plan()), false);
+        let (b_out, b_jsonl, _) = run_traced(p, Some(plan()), false);
         assert_eq!(a_jsonl, b_jsonl, "{p:?}: migrated rerun trace diverged");
         assert_eq!(
             a_out.stats.to_json().render(),
             b_out.stats.to_json().render(),
             "{p:?}: migrated rerun stats diverged"
         );
-        assert_eq!(a_total, b_total, "{p:?}: migrated rerun ledger diverged");
+        assert_eq!(
+            bank.total_money(&a_out.cluster.db),
+            bank.total_money(&b_out.cluster.db),
+            "{p:?}: migrated rerun ledger diverged"
+        );
     }
 }
 
@@ -183,41 +185,22 @@ fn fence_counter_matches_trace_events_across_cutover() {
 }
 
 /// The per-record commit history must witness a serial version order
-/// straight through the cutover: sequences 1, 2, 3, … per record with no
-/// gap (a committed write lost in the move) and no repeat (a write
-/// applied twice), and the last recorded post-RMW value must equal the
-/// record's final stored balance.
+/// straight through the cutover (`history_violation`): sequences 1, 2,
+/// 3, … per record with no gap (a committed write lost in the move) and
+/// no repeat (a write applied twice), and the last recorded post-RMW
+/// value must equal the record's final stored balance.
 #[test]
 fn no_record_lost_or_duplicated_across_migration() {
     for p in Protocol::ALL {
-        let (out, _jsonl, _total) = run_traced(p, Some(plan()), true);
+        let (out, _jsonl, _bank) = run_traced(p, Some(plan()), true);
         assert_eq!(
             out.stats.migration.partitions_moved, 1,
             "{p:?}: cutover never happened"
         );
-        let db = &out.cluster.db;
-        let hist = db.commit_history();
-        assert!(!hist.is_empty(), "{p:?}: no committed writes recorded");
-        let mut seen: HashMap<RecordId, u64> = HashMap::new();
-        for e in hist {
-            let prev = seen.insert(e.rid, e.seq);
-            assert_eq!(
-                e.seq,
-                prev.unwrap_or(0) + 1,
-                "{p:?}: {:?} version order broken across the cutover (prev {prev:?})",
-                e.rid,
-            );
-        }
-        let mut last_value: HashMap<RecordId, u64> = HashMap::new();
-        for e in hist {
-            last_value.insert(e.rid, e.value_after);
-        }
-        for (rid, v) in last_value {
-            assert_eq!(
-                db.record(rid).read_u64(OFF_BALANCE as usize),
-                v,
-                "{p:?}: {rid:?} final value diverges from the history log",
-            );
-        }
+        assert_eq!(
+            history_violation(&out.cluster.db),
+            None,
+            "{p:?}: across the cutover"
+        );
     }
 }

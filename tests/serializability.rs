@@ -7,9 +7,8 @@ use hades::core::runner::{Protocol, Run};
 use hades::core::runtime::RunOutcome;
 use hades::sim::config::SimConfig;
 use hades::storage::db::Database;
-use hades::storage::RecordId;
-use hades::workloads::smallbank::{Smallbank, SmallbankConfig, OFF_BALANCE};
-use std::collections::HashMap;
+use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
+use hades_bench::sweep::history_violation;
 
 const ACCOUNTS: u64 = 1_500;
 
@@ -95,47 +94,17 @@ fn hardware_state_fully_drains() {
     }
 }
 
-/// The recorded commit history must witness a serial per-record order:
-/// every record's committed writes are versioned 1, 2, 3, … with no gap
-/// or repeat (two commits that both applied against the same
-/// predecessor version would collide here), and the last recorded
-/// post-RMW value must equal the record's final stored balance (a
-/// committed write that the history missed — or vice versa — breaks the
-/// linkage).
+/// The recorded commit history must witness a serial per-record order
+/// (`history_violation`): every record's committed writes are versioned
+/// 1, 2, 3, … with no gap or repeat (two commits that both applied
+/// against the same predecessor version would collide here) and never
+/// past the record's own version counter, and the last recorded post-RMW
+/// value must equal the record's final stored balance (a committed write
+/// that the history missed — or vice versa — breaks the linkage).
 #[test]
 fn commit_history_witnesses_per_record_version_order() {
     for p in Protocol::ALL {
         let (out, _) = run_with(p, 13, Some((16, 0.7)), true);
-        let db = &out.cluster.db;
-        let hist = db.commit_history();
-        assert!(!hist.is_empty(), "{p:?}: no committed writes recorded");
-        let mut seen: HashMap<RecordId, u64> = HashMap::new();
-        for e in hist {
-            let prev = seen.insert(e.rid, e.seq);
-            assert_eq!(
-                e.seq,
-                prev.unwrap_or(0) + 1,
-                "{p:?}: {:?} version order broken (prev {prev:?})",
-                e.rid,
-            );
-            assert!(
-                db.commit_seq_of(e.rid) >= e.seq,
-                "{p:?}: {:?} history seq beyond the record's counter",
-                e.rid,
-            );
-        }
-        // Smallbank's writes are all RMWs on the balance word, so the
-        // last history entry per record must match the final state.
-        let mut last_value: HashMap<RecordId, u64> = HashMap::new();
-        for e in hist {
-            last_value.insert(e.rid, e.value_after);
-        }
-        for (rid, v) in last_value {
-            assert_eq!(
-                db.record(rid).read_u64(OFF_BALANCE as usize),
-                v,
-                "{p:?}: {rid:?} final value diverges from the history log",
-            );
-        }
+        assert_eq!(history_violation(&out.cluster.db), None, "{p:?}");
     }
 }
