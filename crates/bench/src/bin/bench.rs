@@ -1,7 +1,7 @@
 //! `bench` — the canonical perf-trajectory harness (DESIGN.md §12).
 //!
-//! Run mode (default): executes the fixed seed × workload × engine
-//! matrix and writes a schema-versioned `BENCH_<id>.json`:
+//! Runs the fixed seed × workload × engine matrix and writes a
+//! schema-versioned `BENCH_<id>.json`:
 //!
 //! ```text
 //! cargo run --release -p hades-bench --bin bench -- --bench-id 12 --batch 16 --out BENCH_12.json
@@ -16,68 +16,15 @@
 //! adaptive doorbell coalescing capped at N verbs — cells labeled
 //! `<workload>+batchN`), `--out PATH` (default stdout), `--bench-id ID`.
 //!
-//! Compare mode: diffs two bench documents cell-by-cell and exits
-//! non-zero if any cell's throughput dropped, or p99 latency rose, by
-//! more than the threshold (default 10%):
-//!
-//! ```text
-//! cargo run --release -p hades-bench --bin bench -- \
-//!     --compare BENCH_12.json BENCH_ci.json --threshold 0.10
-//! ```
+//! `BENCH_12.json` is the committed baseline. `tests/bench_determinism.rs`
+//! reruns the matrix in tier-1 and fails, listing the moved fields, if
+//! one byte of it moves.
 
-use hades_bench::harness::{
-    compare, matrix_json, run_matrix, BenchConfig, Comparison, DEFAULT_THRESHOLD,
-};
+use hades_bench::harness::{matrix_json, run_matrix, BenchConfig};
 use hades_bench::{flag_parsed, flag_value, has_flag};
 use hades_sim::config::DEFAULT_SEED;
-use hades_telemetry::json::Json;
-
-fn run_compare(old_path: &str, new_path: &str) -> ! {
-    let threshold: f64 = flag_parsed("--threshold").unwrap_or(DEFAULT_THRESHOLD);
-    let load = |path: &str| -> Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bench: cannot parse {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let old = load(old_path);
-    let new = load(new_path);
-    let Comparison { lines, regressions } = compare(&old, &new, threshold);
-    println!(
-        "## bench compare: {old_path} -> {new_path} (threshold {threshold:.0}%)",
-        threshold = threshold * 100.0
-    );
-    for line in &lines {
-        println!("  {line}");
-    }
-    if regressions.is_empty() {
-        println!("\nno regressions beyond {:.0}%.", threshold * 100.0);
-        std::process::exit(0);
-    }
-    eprintln!("\n{} regression(s):", regressions.len());
-    for r in &regressions {
-        eprintln!("  {r}");
-    }
-    std::process::exit(1);
-}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--compare") {
-        match (args.get(i + 1), args.get(i + 2)) {
-            (Some(old), Some(new)) => run_compare(old, new),
-            _ => {
-                eprintln!(
-                    "usage: bench --compare <baseline.json> <candidate.json> [--threshold F]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
     let bc = BenchConfig {
         seed: flag_parsed("--seed").unwrap_or(DEFAULT_SEED),
         smoke: has_flag("--smoke"),

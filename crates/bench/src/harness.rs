@@ -6,9 +6,9 @@
 //! `BENCH_<id>.json` document. Because the simulator is deterministic,
 //! re-running the same matrix at the same seed reproduces the document
 //! byte for byte, on any machine: it holds sim-time numbers only (host
-//! time is `benchmark/`'s job). [`compare`] diffs two such documents
-//! cell-by-cell and reports throughput/p99 regressions beyond a
-//! threshold — the CI perf gate.
+//! time is `benchmark/`'s job). `tests/bench_determinism.rs` checks the
+//! committed `BENCH_12.json` against a fresh run through
+//! [`crate::golden`], which lists the cells and fields that moved.
 
 use hades_core::runner::{Protocol, Run};
 use hades_core::stats::RunStats;
@@ -25,9 +25,6 @@ pub const SCHEMA: &str = "hades-bench/v1";
 
 /// Time-series window used by `--timeseries` cells (sim time).
 pub const TS_WINDOW_US: u64 = 100;
-
-/// Default regression threshold for [`compare`]: 10%.
-pub const DEFAULT_THRESHOLD: f64 = 0.10;
 
 /// One workload column of the matrix: a catalog application or a YCSB
 /// variant at an explicit Zipfian skew.
@@ -200,8 +197,8 @@ pub fn run_matrix(bc: &BenchConfig, mut progress: impl FnMut(&CellResult)) -> Ve
             cells.push(cell);
         }
     }
-    // Batched duplicates ride after the plain matrix so old baselines
-    // (without batched cells) still compare clean against new documents.
+    // Batched duplicates ride after the plain matrix, so the plain cells
+    // keep their places in the document.
     if let Some(n) = bc.batch {
         for wl in &WORKLOADS {
             for protocol in Protocol::ALL {
@@ -261,185 +258,4 @@ pub fn matrix_json(cells: &[CellResult], bc: &BenchConfig) -> Json {
         .field("config", config)
         .field("cells", Json::Arr(cells.iter().map(cell_json).collect()))
         .build()
-}
-
-/// The outcome of comparing two bench documents.
-#[derive(Debug, Default)]
-pub struct Comparison {
-    /// One human-readable line per compared cell.
-    pub lines: Vec<String>,
-    /// Regressions beyond the threshold (empty ⇒ gate passes).
-    pub regressions: Vec<String>,
-}
-
-fn cell_key(cell: &Json) -> Option<(String, String)> {
-    Some((
-        cell.get("workload")?.as_str()?.to_string(),
-        cell.get("protocol")?.as_str()?.to_string(),
-    ))
-}
-
-fn num(cell: &Json, field: &str) -> Option<f64> {
-    cell.get(field)?.as_f64()
-}
-
-/// Compares `new` against the `old` baseline. A regression is a cell
-/// whose throughput dropped, or whose p99 latency rose, by more than
-/// `threshold` (fraction, e.g. `0.10`). Structural mismatches (schema,
-/// mode, missing cells) are regressions too: they mean the documents are
-/// not measuring the same thing.
-pub fn compare(old: &Json, new: &Json, threshold: f64) -> Comparison {
-    let mut cmp = Comparison::default();
-    for (doc, label) in [(old, "baseline"), (new, "candidate")] {
-        if doc.get("schema").and_then(|s| s.as_str()) != Some(SCHEMA) {
-            cmp.regressions
-                .push(format!("{label} document schema is not {SCHEMA}"));
-        }
-    }
-    if !cmp.regressions.is_empty() {
-        return cmp;
-    }
-    let old_mode = old.get("mode").and_then(|m| m.as_str()).unwrap_or("?");
-    let new_mode = new.get("mode").and_then(|m| m.as_str()).unwrap_or("?");
-    if old_mode != new_mode {
-        cmp.regressions.push(format!(
-            "mode mismatch: baseline ran '{old_mode}', candidate ran '{new_mode}'"
-        ));
-        return cmp;
-    }
-    if old.get("seed").and_then(|s| s.as_u64()) != new.get("seed").and_then(|s| s.as_u64()) {
-        cmp.regressions
-            .push("seed mismatch: documents are not comparable".to_string());
-        return cmp;
-    }
-    let empty: Vec<Json> = Vec::new();
-    let old_cells = old.get("cells").and_then(|c| c.as_arr()).unwrap_or(&empty);
-    let new_cells = new.get("cells").and_then(|c| c.as_arr()).unwrap_or(&empty);
-    for old_cell in old_cells {
-        let Some(key) = cell_key(old_cell) else {
-            cmp.regressions
-                .push("baseline cell missing key".to_string());
-            continue;
-        };
-        let label = format!("{} / {}", key.0, key.1);
-        let Some(new_cell) = new_cells
-            .iter()
-            .find(|c| cell_key(c).as_ref() == Some(&key))
-        else {
-            cmp.regressions
-                .push(format!("{label}: cell missing from candidate"));
-            continue;
-        };
-        let (Some(t_old), Some(t_new)) = (
-            num(old_cell, "throughput_txn_s"),
-            num(new_cell, "throughput_txn_s"),
-        ) else {
-            cmp.regressions.push(format!("{label}: missing throughput"));
-            continue;
-        };
-        let (Some(p_old), Some(p_new)) = (num(old_cell, "p99_us"), num(new_cell, "p99_us")) else {
-            cmp.regressions.push(format!("{label}: missing p99"));
-            continue;
-        };
-        let t_delta = if t_old > 0.0 {
-            t_new / t_old - 1.0
-        } else {
-            0.0
-        };
-        let p_delta = if p_old > 0.0 {
-            p_new / p_old - 1.0
-        } else {
-            0.0
-        };
-        cmp.lines.push(format!(
-            "{label}: throughput {t_old:.0} -> {t_new:.0} txn/s ({:+.1}%), p99 {p_old:.1} -> {p_new:.1} us ({:+.1}%)",
-            t_delta * 100.0,
-            p_delta * 100.0,
-        ));
-        if t_new < t_old * (1.0 - threshold) {
-            cmp.regressions.push(format!(
-                "{label}: throughput regressed {:.1}% (limit {:.0}%)",
-                -t_delta * 100.0,
-                threshold * 100.0
-            ));
-        }
-        if p_new > p_old * (1.0 + threshold) {
-            cmp.regressions.push(format!(
-                "{label}: p99 latency regressed {:+.1}% (limit {:.0}%)",
-                p_delta * 100.0,
-                threshold * 100.0
-            ));
-        }
-    }
-    cmp
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn doc(throughput: f64, p99: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema":"hades-bench/v1","bench_id":"t","seed":1,"mode":"smoke",
-                "config":{{"scale":0.005,"warmup":50,"measure":300}},
-                "cells":[{{"workload":"TATP","protocol":"HADES",
-                "committed":300,"throughput_txn_s":{throughput},"p50_us":10.0,
-                "p99_us":{p99},"p999_us":40.0,"abort_rate":0.01,
-                "aborts":{{}},"verbs":{{}}}}]}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn self_compare_is_clean() {
-        let d = doc(100_000.0, 25.0);
-        let cmp = compare(&d, &d, DEFAULT_THRESHOLD);
-        assert!(cmp.regressions.is_empty(), "{:?}", cmp.regressions);
-        assert_eq!(cmp.lines.len(), 1);
-    }
-
-    #[test]
-    fn throughput_drop_beyond_threshold_regresses() {
-        let cmp = compare(&doc(100_000.0, 25.0), &doc(85_000.0, 25.0), 0.10);
-        assert_eq!(cmp.regressions.len(), 1);
-        assert!(cmp.regressions[0].contains("throughput regressed"));
-        // 8% stays within a 10% gate.
-        let ok = compare(&doc(100_000.0, 25.0), &doc(92_000.0, 25.0), 0.10);
-        assert!(ok.regressions.is_empty());
-    }
-
-    #[test]
-    fn p99_rise_beyond_threshold_regresses() {
-        let cmp = compare(&doc(100_000.0, 25.0), &doc(100_000.0, 30.0), 0.10);
-        assert_eq!(cmp.regressions.len(), 1);
-        assert!(cmp.regressions[0].contains("p99"));
-    }
-
-    #[test]
-    fn structural_mismatches_regress() {
-        let d = doc(100_000.0, 25.0);
-        let mut other = doc(100_000.0, 25.0);
-        if let Json::Obj(members) = &mut other {
-            for (k, v) in members.iter_mut() {
-                if k == "mode" {
-                    *v = Json::Str("full".to_string());
-                }
-            }
-        }
-        let cmp = compare(&d, &other, 0.10);
-        assert!(cmp.regressions.iter().any(|r| r.contains("mode mismatch")));
-        let missing = Json::parse(
-            r#"{"schema":"hades-bench/v1","bench_id":"t","seed":1,"mode":"smoke","cells":[]}"#,
-        )
-        .unwrap();
-        let cmp = compare(&d, &missing, 0.10);
-        assert!(cmp.regressions.iter().any(|r| r.contains("missing")));
-    }
-
-    #[test]
-    fn workload_labels_are_stable() {
-        assert_eq!(WORKLOADS[0].label(), "TATP");
-        assert_eq!(WORKLOADS[2].label(), "HT-wA@0.99");
-        assert_eq!(WORKLOADS[5].label(), "HT-wB@0.60");
-    }
 }

@@ -25,7 +25,7 @@
 //! | `failover` | permanent-crash sweep: epochs, promotion, fencing |
 //! | `rebalance` | planned live shard migration under traffic |
 //! | `replication` | §V-A replication degree and commit-message loss |
-//! | `bench` | canonical perf-trajectory matrix → `BENCH_*.json` + compare gate |
+//! | `bench` | canonical perf-trajectory matrix → `BENCH_*.json` |
 //!
 //! Every binary accepts `--quick` for a fast smoke run and prints both a
 //! Markdown table and the paper's expected shape for comparison. A
@@ -40,11 +40,16 @@
 //! `replication` take `--json <path>` to additionally write a
 //! `hades-report/v1` document, conventionally under `results/`.
 //!
+//! [`golden`] is the one check that pins simulated output: tests compare
+//! rendered stats, time-series, trace streams and `BENCH_12.json` with
+//! committed files byte for byte.
+//!
 //! The Criterion benches under `benches/` time representative kernels
 //! (Bloom filters, index structures, protocol end-to-end runs).
 
 #![warn(missing_docs)]
 
+pub mod golden;
 pub mod harness;
 pub mod sweep;
 
@@ -219,24 +224,4 @@ pub fn fmt_x(v: f64) -> String {
 /// Formats a rate as a percentage with three decimals.
 pub fn fmt_pct(v: f64) -> String {
     format!("{:.3}%", v * 100.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_x(2.7), "2.70x");
-        assert_eq!(fmt_pct(0.0004), "0.040%");
-    }
-
-    #[test]
-    fn table_printer_does_not_panic() {
-        print_table(
-            "smoke",
-            &["a", "bb"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
-    }
 }

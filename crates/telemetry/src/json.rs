@@ -6,7 +6,7 @@
 //! rendered output deterministic — a requirement for the byte-identical
 //! trace guarantees tested in `tests/trace_determinism.rs`. The
 //! matching [`Json::parse`] reads documents back (used by
-//! `bench --compare` to diff committed `BENCH_*.json` baselines).
+//! `hades_bench::golden` to name the fields that moved in a golden file).
 
 use std::fmt::Write as _;
 

@@ -9,7 +9,11 @@
 //! 3. With the profiler on, the per-phase sim-time totals telescope
 //!    exactly: they sum to the end-to-end committed latency, per cell,
 //!    for all three protocol engines.
+//! 4. `bench --bench-id 12 --batch 16` reproduces the committed
+//!    `BENCH_12.json` byte for byte, so any change that moves a simulated
+//!    number in the matrix fails here, naming the cells and fields.
 
+use hades_bench::golden::Golden;
 use hades_bench::harness::{matrix_json, run_cell, run_matrix, BenchConfig, WORKLOADS};
 use hades_core::runner::Protocol;
 
@@ -27,6 +31,19 @@ fn same_seed_matrix_is_byte_identical() {
     let a = matrix_json(&run_matrix(&bc, |_| {}), &bc).render();
     let b = matrix_json(&run_matrix(&bc, |_| {}), &bc).render();
     assert_eq!(a, b, "same-seed matrix reruns must render identically");
+}
+
+#[test]
+fn full_matrix_reproduces_the_committed_bench_12() {
+    let bc = BenchConfig {
+        batch: Some(16),
+        bench_id: "12".to_string(),
+        ..BenchConfig::default()
+    };
+    let doc = matrix_json(&run_matrix(&bc, |_| {}), &bc).render() + "\n";
+    let mut golden = Golden::new(env!("CARGO_MANIFEST_DIR"), env!("CARGO_TARGET_TMPDIR"));
+    golden.check("BENCH_12.json", &doc);
+    golden.finish();
 }
 
 #[test]

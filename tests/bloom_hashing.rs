@@ -26,15 +26,7 @@ use hades::sim::config::BloomParams;
 use hades::sim::ids::{NodeId, SlotId};
 use hades::sim::rng::SimRng;
 use hades::sim::time::Cycles;
-
-/// 64-bit FNV-1a, continued from `h`.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+use hades_bench::golden::{fnv1a, FNV_OFFSET};
 
 /// `filter_indices(k, 2, 1024)` then `filter_indices(k, 1, 512)` for keys
 /// 0..65,536, recorded at da21e5d.

@@ -14,28 +14,13 @@
 
 use hades::storage::index::{BTree, HashTable, KvIndex};
 use hades::storage::record::RecordId;
+use hades_bench::golden::{fnv1a, FNV_OFFSET};
 
 const KEYS: u64 = 20_000;
 
 /// Batch sizes a bulk fill cycles through: uneven, so the boundaries
 /// fall at every phase of the stores' grows and splits.
 const BATCHES: [usize; 4] = [1, 13, 250, 4_096];
-
-/// FNV-1a over 64-bit words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut s = seed | 1;
@@ -110,18 +95,15 @@ fn fill(idx: &mut dyn KvIndex, keys: &[u64], how: Fill) {
 /// insertion order plus the final length.
 fn digest(idx: &mut dyn KvIndex, keys: &[u64], how: Fill) -> (u64, usize) {
     fill(idx, keys, how);
-    let mut h = Fnv::new();
+    let word = |h: u64, w: u64| fnv1a(h, &w.to_le_bytes());
+    let mut h = FNV_OFFSET;
     for &k in keys {
-        match idx.get(k) {
-            Some(hit) => {
-                h.word(hit.rid.0 as u64);
-                h.word(hit.depth as u64);
-            }
-            None => h.word(u64::MAX),
-        }
+        h = match idx.get(k) {
+            Some(hit) => word(word(h, hit.rid.0 as u64), hit.depth as u64),
+            None => word(h, u64::MAX),
+        };
     }
-    h.word(idx.len() as u64);
-    (h.0, idx.len())
+    (word(h, idx.len() as u64), idx.len())
 }
 
 fn check(make: fn() -> Box<dyn KvIndex>, pinned: [(u64, usize); 3]) {

@@ -5,11 +5,12 @@
 //! `hades_bench::sweep`. This test takes one representative cell from
 //! each bin, rebuilt here as the same `Scenario` value the bin runs, and
 //! runs it under every engine through `Scenario::run`. Each trial must
-//! pass the sweep's shared checks (`Trial::violations`), and the FNV-1a
-//! digest of its rendered `RunStats::to_json` must equal the one
-//! recorded here, so a change that moves one simulated event in any of
-//! these fault compositions fails tier-1 rather than only a golden diff.
-//! The bins' own checks are not repeated.
+//! pass the sweep's shared checks (`Trial::violations`), and its
+//! rendered `RunStats::to_json` must equal the golden
+//! `results/exactness/sweep/<bin>-<engine>.json`, so a change that moves
+//! one simulated event in any of these fault compositions fails tier-1.
+//! Every cell runs before the test fails. The bins' own checks are not
+//! repeated.
 //!
 //! Six cells are `--quick` cells. The `overload` and `replication` bins
 //! run HADES alone; here all three engines run their cells. The overload
@@ -17,9 +18,9 @@
 //! aggressive admission profile at θ 0.99, its quick cells, a HADES-H
 //! run did not finish within 30 s at commit 2c7a430.
 //!
-//! All 21 digests were recorded at commit 2c7a430. If a change to the
-//! simulation moves them on purpose, re-record them and say so; a
-//! host-only change must leave them alone.
+//! If a change to the simulation moves these files on purpose, re-record
+//! them (`hades_bench::golden`) and say so; a host-only change must leave
+//! them alone.
 
 use hades::core::runner::{Experiment, Protocol};
 use hades::fault::FaultPlan;
@@ -27,15 +28,9 @@ use hades::sim::config::{
     BatchingParams, ClusterShape, MembershipParams, MigrationParams, OverloadParams, SimConfig,
 };
 use hades::sim::time::Cycles;
+use hades_bench::golden::Golden;
 use hades_bench::sweep::{Load, Scenario};
 use Protocol::{Baseline, Hades, HadesH};
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// The four-node shape of the `nemesis`, `failover` and `rebalance` bins.
 const SHAPE4: ClusterShape = ClusterShape {
@@ -120,31 +115,32 @@ fn replication() -> Scenario {
     Scenario::new("loss", cfg, Load::bank(2_000, None), measure).plan(plan)
 }
 
-/// A bin, its cell and the cell's stats digest per engine, in the order
-/// Baseline, HADES-H, HADES.
-type Cell = (&'static str, fn() -> Scenario, [u64; 3]);
+/// A bin and its cell.
+type Cell = (&'static str, fn() -> Scenario);
 
-#[rustfmt::skip]
-const EXPECTED: [Cell; 7] = [
-    ("chaos", chaos_crash, [0x90ad_143c_bb15_02d5, 0x8012_416a_d441_602e, 0x389e_eb77_61a8_4329]),
-    ("nemesis", nemesis_partition, [0xe8b4_4039_0b64_178c, 0x1afa_1440_edfe_6c2c, 0xc975_4798_7f08_bea4]),
-    ("overload", overload, [0x5a98_0423_c1b7_1aac, 0x75e7_8cf3_8480_95f7, 0x7a47_e387_b9b9_628c]),
-    ("batching", batching, [0x6e67_2a2f_8dc9_d006, 0x55ff_bc8e_cd29_aaa1, 0x7ddd_8092_c26b_e575]),
-    ("failover", failover, [0x6078_cdcb_f1ef_33e1, 0x4fa2_f865_9bd6_542e, 0x715d_08d0_a8a0_3a8f]),
-    ("rebalance", rebalance, [0x167e_b6f5_41fc_b7f8, 0x1315_6d5d_8600_0714, 0x8367_5f8b_0a0c_b02b]),
-    ("replication", replication, [0x8965_99cc_9db2_f218, 0x5cf6_0dd5_7dc5_4ef6, 0x2fe6_4b9c_119f_4b48]),
+const CELLS: [Cell; 7] = [
+    ("chaos", chaos_crash),
+    ("nemesis", nemesis_partition),
+    ("overload", overload),
+    ("batching", batching),
+    ("failover", failover),
+    ("rebalance", rebalance),
+    ("replication", replication),
 ];
 
 #[test]
 fn one_cell_per_stress_bin_is_clean_and_reproduces_its_stats() {
-    for (bin, scenario, digests) in EXPECTED {
+    let mut golden = Golden::new(env!("CARGO_MANIFEST_DIR"), env!("CARGO_TARGET_TMPDIR"));
+    for (bin, scenario) in CELLS {
         let sc = scenario();
-        for (p, want) in [Baseline, HadesH, Hades].into_iter().zip(digests) {
+        for p in [Baseline, HadesH, Hades] {
             let trial = sc.run(p);
-            let cell = format!("{bin} {:?} {p}", sc.name);
-            assert_eq!(trial.violations(), Vec::<String>::new(), "{cell}");
-            let got = fnv1a(trial.out.stats.to_json().render().as_bytes());
-            assert_eq!(got, want, "{cell}: stats digest {got:#018x}");
+            for violation in trial.violations() {
+                golden.fail(format!("{bin} {:?} {p}: {violation}", sc.name));
+            }
+            let stats = trial.out.stats.to_json().render();
+            golden.check(&format!("results/exactness/sweep/{bin}-{p}.json"), &stats);
         }
     }
+    golden.finish();
 }

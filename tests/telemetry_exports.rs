@@ -1,15 +1,17 @@
 //! Byte pins for the telemetry exports.
 //!
-//! Two kinds of output are pinned by 64-bit FNV-1a digests:
+//! Two kinds of output are pinned as golden files under
+//! `results/exactness/` (`hades_bench::golden`):
 //!
 //! 1. A synthetic event stream holding every [`EventKind`] variant and
 //!    every [`InjectedFault`], [`RecoveryKind`] and [`FilterSite`] label,
 //!    mixing node-scoped and slot-scoped events, with open phases closed
-//!    by an abort and by the end of the stream. It is rendered through
-//!    the three stream exporters: JSONL, the Chrome trace and the metrics
-//!    registry's JSON.
-//! 2. The `timeseries` JSON block of five quick runs, each built around
-//!    one input of the windowed series: the aggressive overload profile
+//!    by an abort and by the end of the stream. Its three stream exports,
+//!    the JSONL, the Chrome trace and the metrics registry's JSON, are
+//!    stored whole in `stream/`, so a diff shows which event moved.
+//! 2. The `timeseries` JSON block of five quick runs, one file per run in
+//!    `timeseries/<scenario>-<engine>.json`, each run built around one
+//!    input of the windowed series: the aggressive overload profile
 //!    (admission, degraded commits), verb batching (batch flushes), a
 //!    crash with restart under the membership layer (in-flight count),
 //!    a live shard migration (chunk moves), and a link cut under the
@@ -17,13 +19,9 @@
 //!    failover). Each run also asserts that its inputs are non-zero, so
 //!    the pin cannot pass on an empty series.
 //!
-//! The digests were first recorded at commit 8fc5da9. The crash rows
-//! were re-recorded when a node crash stopped leaving the transactions
-//! it wiped counted in flight, and 13 time-series rows when a retry
-//! dropped at the drain stopped being counted in flight. The three
-//! stream digests were re-recorded when the `persist_fail` and
-//! `link_slow` fault labels were removed. A change that moves an export
-//! on purpose re-records the affected rows and says so.
+//! `results/README.md` says where the files were recorded. A change
+//! that moves an export on purpose re-records the affected files and
+//! says so.
 
 use hades::core::runner::{Experiment, Protocol, Run};
 use hades::core::stats::RunStats;
@@ -42,14 +40,9 @@ use hades::telemetry::registry::MetricsRegistry;
 use hades::telemetry::timeseries::WindowStats;
 use hades::workloads::catalog::AppId;
 use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
+use hades_bench::golden::Golden;
 use Protocol::{Baseline, Hades, HadesH};
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
+use Scenario::{Batching, CrashRestart, LinkCut, Migration, Overload};
 
 // ---- The synthetic stream ------------------------------------------------
 
@@ -295,23 +288,19 @@ fn synthetic_stream_covers_the_taxonomy() {
 #[test]
 fn stream_exports_are_pinned() {
     let events = synthetic_stream();
-    let jsonl = fnv1a(events_to_jsonl(&events).as_bytes());
-    let chrome = fnv1a(chrome_trace(&events).as_bytes());
-    let metrics = fnv1a(
-        MetricsRegistry::from_events(&events)
-            .to_json()
-            .render()
-            .as_bytes(),
-    );
-    assert_eq!(
-        (jsonl, chrome, metrics),
+    let exports = [
+        ("events.jsonl", events_to_jsonl(&events)),
+        ("chrome.json", chrome_trace(&events)),
         (
-            0x8086_82e6_2abf_d83e,
-            0x99c7_e004_0981_1e1b,
-            0x719d_db17_343b_21ed
+            "metrics.json",
+            MetricsRegistry::from_events(&events).to_json().render(),
         ),
-        "digests (JSONL, Chrome, metrics): ({jsonl:#018x}, {chrome:#018x}, {metrics:#018x})"
-    );
+    ];
+    let mut golden = Golden::new(env!("CARGO_MANIFEST_DIR"), env!("CARGO_TARGET_TMPDIR"));
+    for (file, export) in exports {
+        golden.check(&format!("results/exactness/stream/{file}"), &export);
+    }
+    golden.finish();
 }
 
 // ---- The time-series runs ------------------------------------------------
@@ -348,18 +337,18 @@ fn run(protocol: Protocol, scenario: Scenario) -> RunStats {
         measure: 300,
     };
     match scenario {
-        Scenario::Overload => {
+        Overload => {
             let cfg = cfg
                 .with_lock_buffer_slots(1)
                 .with_overload(OverloadParams::aggressive());
             let ex = ex(cfg);
             Run::apps(protocol, &ex, &[htwa]).run().stats
         }
-        Scenario::Batching => {
+        Batching => {
             let ex = ex(cfg.with_batching(BatchingParams::standard()));
             Run::apps(protocol, &ex, &[htwa]).run().stats
         }
-        Scenario::CrashRestart => {
+        CrashRestart => {
             let cfg = cfg
                 .with_replication(1)
                 .with_membership(MembershipParams::standard());
@@ -381,11 +370,11 @@ fn run(protocol: Protocol, scenario: Scenario) -> RunStats {
                 .run()
                 .stats
         }
-        Scenario::Migration => {
+        Migration => {
             let ex = ex(cfg.with_migration(MigrationParams::standard(vec![(2, 0)])));
             Run::apps(protocol, &ex, &[htwa]).run().stats
         }
-        Scenario::LinkCut => {
+        LinkCut => {
             let shape = ClusterShape {
                 nodes: 4,
                 cores_per_node: 4,
@@ -435,23 +424,23 @@ fn assert_exercised(protocol: Protocol, scenario: Scenario, stats: &RunStats) {
     );
     let nonzero = |name: &str, n: u64| assert!(n > 0, "{protocol} {scenario:?}: no {name}");
     match scenario {
-        Scenario::Overload => {
+        Overload => {
             nonzero("admission", total(w, |w| w.admission));
             if protocol != Baseline {
                 nonzero("degraded commits", total(w, |w| w.degraded));
             }
         }
-        Scenario::Batching => {
+        Batching => {
             nonzero("batch flushes", total(w, |w| w.batch_flushes));
             nonzero("batched verbs", total(w, |w| w.batch_verbs));
         }
-        Scenario::CrashRestart => {
+        CrashRestart => {
             assert_eq!(stats.faults.crashes, 3, "{protocol}: crashes");
             assert_eq!(stats.faults.restarts, 3, "{protocol}: restarts");
             nonzero("in-flight transactions", total(w, |w| w.inflight));
         }
-        Scenario::Migration => nonzero("migration moves", total(w, |w| w.migration_moves)),
-        Scenario::LinkCut => {
+        Migration => nonzero("migration moves", total(w, |w| w.migration_moves)),
+        LinkCut => {
             nonzero("link cuts", total(w, |w| w.link_cuts));
             nonzero("self-fences", total(w, |w| w.self_fences));
             nonzero("failover events", total(w, |w| w.failover));
@@ -459,54 +448,22 @@ fn assert_exercised(protocol: Protocol, scenario: Scenario, stats: &RunStats) {
     }
 }
 
-/// FNV-1a digests of each run's rendered `timeseries` block.
-#[rustfmt::skip]
-const TIMESERIES: [(Scenario, Protocol, u64); 15] = [
-    // Every row but CrashRestart Baseline and HADES-H re-recorded once a
-    // retry dropped at the drain left the in-flight count (the values at
-    // db83461 are listed in CHANGES.md).
-    (Scenario::Overload, Baseline, 0xa207_6f5d_3cc8_7b09),
-    (Scenario::Overload, HadesH, 0x8edb_7685_010b_8faf),
-    (Scenario::Overload, Hades, 0x1001_b033_238e_8f51),
-    (Scenario::Batching, Baseline, 0x847a_c8d1_eaec_2d6d),
-    (Scenario::Batching, HadesH, 0x176f_1400_e7c5_8ed3),
-    (Scenario::Batching, Hades, 0x9a3a_4302_cbf9_4f07),
-    // Also re-recorded once a crash stopped leaving its wiped
-    // transactions in flight (recorded at 8fc5da9: 0x0434_fb4b_4b18_c058,
-    // 0x7e46_7882_05a1_a639, 0x33a7_3832_8e81_06a7).
-    (Scenario::CrashRestart, Baseline, 0xd193_ac0b_04d1_8eac),
-    (Scenario::CrashRestart, HadesH, 0x5c8c_5b77_3659_0115),
-    (Scenario::CrashRestart, Hades, 0xac54_dc16_cb31_a1d9),
-    (Scenario::Migration, Baseline, 0xe610_ad91_bff0_1054),
-    (Scenario::Migration, HadesH, 0xc588_bacf_cb71_38ee),
-    (Scenario::Migration, Hades, 0xd3d0_c4c0_bcd6_816c),
-    (Scenario::LinkCut, Baseline, 0x6466_1bf6_6384_9669),
-    (Scenario::LinkCut, HadesH, 0x1cad_0e24_ea4a_370e),
-    (Scenario::LinkCut, Hades, 0x6a1f_f78d_5154_1aed),
-];
-
 #[test]
 fn timeseries_blocks_are_pinned() {
-    let mut bad = Vec::new();
-    for &(scenario, protocol, want) in &TIMESERIES {
-        let stats = run(protocol, scenario);
-        assert_exercised(protocol, scenario, &stats);
-        let ts = stats.timeseries.as_ref().expect("time-series on");
-        // A run ends with every slot idle, so nothing is left in flight.
-        let left = ts.windows().last().expect("windows").inflight;
-        if left != 0 {
-            bad.push(format!(
-                "{scenario:?} {protocol}: {left} in flight at the end"
-            ));
-        }
-        let got = fnv1a(ts.to_json().render().as_bytes());
-        if got != want {
-            bad.push(format!("{scenario:?} {protocol}: {got:#018x}"));
+    let mut golden = Golden::new(env!("CARGO_MANIFEST_DIR"), env!("CARGO_TARGET_TMPDIR"));
+    for scenario in [Overload, Batching, CrashRestart, Migration, LinkCut] {
+        for protocol in [Baseline, HadesH, Hades] {
+            let stats = run(protocol, scenario);
+            assert_exercised(protocol, scenario, &stats);
+            let ts = stats.timeseries.as_ref().expect("time-series on");
+            // A run ends with every slot idle, so nothing is left in flight.
+            let left = ts.windows().last().expect("windows").inflight;
+            if left != 0 {
+                golden.fail(format!("{scenario:?} {protocol}: {left} left in flight"));
+            }
+            let path = format!("results/exactness/timeseries/{scenario:?}-{protocol}.json");
+            golden.check(&path, &ts.to_json().render());
         }
     }
-    assert!(
-        bad.is_empty(),
-        "time-series runs failed:\n{}",
-        bad.join("\n")
-    );
+    golden.finish();
 }
