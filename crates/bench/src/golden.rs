@@ -9,14 +9,18 @@
 //! leaves that changed in it. A missing golden is a failure; the check
 //! never creates one. A change that moves the simulation on purpose
 //! re-records every observed file, from the repository root, with
-//! [`RERECORD`], and `git diff` is the review.
+//! [`RERECORD`], and `git diff` is the review. `<tmp>/golden` is never
+//! cleared by the check, so the command clears it first: only the
+//! files this run observed are copied, not stale ones from an earlier
+//! run or a renamed row.
 
 use hades_telemetry::json::Json;
 use std::path::{Path, PathBuf};
 
-/// Re-records every golden the last test run observed, run from the
-/// repository root.
-pub const RERECORD: &str = "cp -r target/tmp/golden/. .";
+/// Re-records every golden a fresh test run observes, run from the
+/// repository root. The steps are joined by `;` because the test run
+/// fails while any golden differs.
+pub const RERECORD: &str = "rm -rf target/tmp/golden; cargo test -q; cp -r target/tmp/golden/. .";
 
 /// The 64-bit FNV-1a offset basis: the digest of no bytes.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
