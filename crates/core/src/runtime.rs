@@ -15,7 +15,7 @@ use hades_sim::config::{BatchingParams, MigrationParams, RetryParams, SimConfig}
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
-use hades_storage::db::Database;
+use hades_storage::db::{line_space, Database};
 use hades_storage::record::RecordId;
 use hades_telemetry::event::{
     EventKind, InjectedFault, Phase as TracePhase, Verb, VerbCounts, NO_SLOT,
@@ -170,7 +170,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the database was partitioned for a different node count.
+    /// Panics if the database was partitioned for a different node count,
+    /// or if the LLC's 32-bit tags cannot hold the cluster's line space
+    /// (at Table III sizes: more than 16 × `cores_per_node` nodes).
     pub fn new(cfg: SimConfig, db: Database) -> Self {
         assert_eq!(
             db.nodes(),
@@ -181,6 +183,13 @@ impl Cluster {
         let mems: Vec<NodeMemory> = (0..n)
             .map(|_| NodeMemory::new(&cfg.mem, cfg.shape.cores_per_node))
             .collect();
+        let last_line = line_space(n) - 1;
+        assert!(
+            mems.iter().all(|m| m.llc_holds_line(last_line)),
+            "LLC tags too narrow for the cluster's line space: {n} nodes of {} cores \
+             address lines up to {last_line:#x}",
+            cfg.shape.cores_per_node
+        );
         let nics = (0..n).map(|_| Nic::new(&cfg.bloom)).collect();
         // Capacity for every transaction slot in the cluster: the paper's
         // hardware has "multiple Locking Buffers"; sizing for the worst

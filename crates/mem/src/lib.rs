@@ -3,7 +3,9 @@
 //! Cache and directory models for the HADES (ISCA 2024) reproduction:
 //! set-associative L1/L2/LLC arrays with LRU replacement
 //! ([`cache::SetAssocCache`], whose sets keep their lines in recency
-//! order, so no per-line timestamp is stored) and a per-node hierarchy
+//! order, so no per-line timestamp is stored, and whose tags hold a
+//! line's set quotient: 64-bit in the private caches, 32-bit in the LLC,
+//! which makes an LLC way 6 bytes instead of 10) and a per-node hierarchy
 //! ([`hierarchy::NodeMemory`]) that additionally carries the HADES
 //! directory state — `WrTX_ID` tags on LLC lines (Module 2 of Fig 5), the
 //! per-transaction tagged-line index that the Fig 8 write-filter hardware
@@ -31,5 +33,5 @@
 pub mod cache;
 pub mod hierarchy;
 
-pub use cache::{Fill, SetAssocCache};
+pub use cache::{Fill, SetAssocCache, TagWord};
 pub use hierarchy::{AccessOutcome, HitLevel, NodeMemory};

@@ -78,6 +78,12 @@ pub fn uniform_home(key: u64, nodes: usize) -> NodeId {
     NodeId((h % nodes as u64) as u16)
 }
 
+/// The end of the line space of a `nodes`-node cluster: every record's
+/// lines sit below it, in node `n`'s slab `line_space(n)..line_space(n + 1)`.
+pub fn line_space(nodes: usize) -> u64 {
+    (nodes as u64) << NODE_SLAB_SHIFT
+}
+
 /// The node that owns a cache-line address.
 pub fn home_of_line(line: u64) -> NodeId {
     NodeId((line >> NODE_SLAB_SHIFT) as u16)

@@ -8,14 +8,19 @@
 //! VIII-C). The hierarchy walks L1 → L2 → LLC → DRAM with Table III's
 //! latencies, lets the NIC bypass the private caches, and keeps the
 //! per-slot `WrTX_ID` index in step with the LLC's tags through commit,
-//! squash and eviction.
+//! squash and eviction. The LLC's 32-bit tags decode every line of the
+//! cluster shapes the figures use, and a cluster whose line space they
+//! cannot hold is refused when it is built.
 
-use hades::mem::cache::{Fill, SetAssocCache};
+use hades::core::runtime::Cluster;
+use hades::mem::cache::{Fill, SetAssocCache, TagWord};
 use hades::mem::hierarchy::{HitLevel, NodeMemory};
-use hades::sim::config::MemParams;
+use hades::sim::config::{ClusterShape, MemParams, SimConfig};
 use hades::sim::ids::{CoreId, SlotId};
 use hades::sim::rng::SimRng;
 use hades::sim::time::Cycles;
+use hades::storage::db::{line_space, Database};
+use std::collections::BTreeMap;
 
 #[test]
 fn hit_after_fill() {
@@ -115,37 +120,44 @@ struct RefWay {
 }
 
 /// Reference model: each set its own `Vec` of ways with an LRU timestamp
-/// each, and the replacement rule spelled out — a hit, else the first
-/// invalid way, else the first LRU non-speculative way, else the LRU way
-/// overall. It shares no representation with `SetAssocCache`, which keeps
-/// recency by position instead of by stamp.
+/// each and the full line address as its tag, made when first used, and
+/// the replacement rule spelled out — a hit, else the first invalid way,
+/// else the first LRU non-speculative way, else the LRU way overall. It
+/// shares no representation with `SetAssocCache`, which keeps recency by
+/// position instead of by stamp and a set quotient instead of the line.
 struct RefCache {
-    sets: Vec<Vec<RefWay>>,
+    num_sets: u64,
+    ways: usize,
+    sets: BTreeMap<u64, Vec<RefWay>>,
     clock: u64,
 }
 
 impl RefCache {
     fn new(num_sets: usize, ways: usize) -> Self {
+        RefCache {
+            num_sets: num_sets as u64,
+            ways,
+            sets: BTreeMap::new(),
+            clock: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<RefWay> {
         let invalid = RefWay {
             line: 0,
             valid: false,
             stamp: 0,
             owner: None,
         };
-        RefCache {
-            sets: vec![vec![invalid; ways]; num_sets],
-            clock: 0,
-        }
-    }
-
-    fn set(&mut self, line: u64) -> &mut Vec<RefWay> {
-        let n = self.sets.len() as u64;
-        &mut self.sets[(line % n) as usize]
+        let ways = self.ways;
+        self.sets
+            .entry(line % self.num_sets)
+            .or_insert_with(|| vec![invalid; ways])
     }
 
     fn way(&self, line: u64) -> Option<&RefWay> {
-        let n = self.sets.len() as u64;
-        self.sets[(line % n) as usize]
+        self.sets
+            .get(&(line % self.num_sets))?
             .iter()
             .find(|w| w.valid && w.line == line)
     }
@@ -217,65 +229,172 @@ impl RefCache {
 
     fn speculative_lines(&self) -> usize {
         self.sets
-            .iter()
+            .values()
             .flatten()
             .filter(|w| w.valid && w.owner.is_some())
             .count()
     }
 }
 
-/// Drives the cache and the stamp-based reference model with the same
-/// seeded mix of operations and compares them after every step. Tagging
-/// is frequent, so sets fill with speculative lines and both kinds of
-/// eviction occur.
+/// Drives `cache` and a fresh stamp-based reference model with the same
+/// seeded mix of operations over `pool`'s lines and compares them after
+/// every step: every `Fill`, evicted line addresses included, and every
+/// pool line's residency and owner; the whole cache's speculative count
+/// every `count_every` steps. An operation is drawn from `0..kinds`:
+/// 0–4 touch, 8 clears a tag, 9 invalidates and the rest tag, so a larger
+/// `kinds` tags more often. Tagging is frequent, so sets fill with
+/// speculative lines and both kinds of eviction occur. Returns the
+/// (plain, speculative) eviction counts.
+fn match_reference_model<T: TagWord>(
+    cache: &mut SetAssocCache<T>,
+    pool: &[u64],
+    seed: u64,
+    (steps, kinds, count_every): (usize, u64, usize),
+) -> (usize, usize) {
+    let mut model = RefCache::new(cache.num_sets(), cache.ways());
+    let mut rng = SimRng::seed_from(seed);
+    let (mut evicted, mut squashed) = (0, 0);
+    for step in 0..steps {
+        let line = pool[rng.below(pool.len() as u64) as usize];
+        match rng.below(kinds) {
+            0..=4 => {
+                let fill = cache.touch(line);
+                assert_eq!(fill, model.touch(line), "step {step}: touch {line:#x}");
+                match fill {
+                    Fill::Evicted(_) => evicted += 1,
+                    Fill::EvictedSpeculative(..) => squashed += 1,
+                    Fill::Hit | Fill::Miss => {}
+                }
+            }
+            5..=7 | 10.. => {
+                if model.way(line).is_some() {
+                    let owner = SlotId(rng.below(5) as u16);
+                    cache.set_spec_owner(line, owner);
+                    model.set_spec_owner(line, owner);
+                }
+            }
+            8 => assert_eq!(
+                cache.clear_spec_owner(line),
+                model.clear_spec_owner(line),
+                "step {step}: clear {line:#x}"
+            ),
+            9 => {
+                cache.invalidate(line);
+                model.invalidate(line);
+            }
+        }
+        for &l in pool {
+            let w = model.way(l);
+            assert_eq!(cache.contains(l), w.is_some(), "step {step}: line {l:#x}");
+            assert_eq!(cache.spec_owner(l), w.and_then(|w| w.owner), "step {step}");
+        }
+        if step % count_every == 0 {
+            assert_eq!(cache.speculative_lines(), model.speculative_lines());
+        }
+    }
+    (evicted, squashed)
+}
+
 #[test]
 fn recency_ordered_sets_match_the_stamp_lru_reference_model() {
     for (num_sets, ways) in [(4usize, 2usize), (3, 4)] {
         for seed in 0..4u64 {
             let mut cache = SetAssocCache::new(num_sets * ways * 64, 64, ways);
-            let mut model = RefCache::new(num_sets, ways);
-            let mut rng = SimRng::seed_from(seed);
-            let lines = (num_sets * ways * 3) as u64;
-            let (mut evicted, mut squashed) = (0, 0);
-            for step in 0..5_000 {
-                let line = rng.below(lines);
-                match rng.below(10) {
-                    0..=4 => {
-                        let fill = cache.touch(line);
-                        assert_eq!(fill, model.touch(line), "step {step}: touch {line}");
-                        match fill {
-                            Fill::Evicted(_) => evicted += 1,
-                            Fill::EvictedSpeculative(..) => squashed += 1,
-                            Fill::Hit | Fill::Miss => {}
-                        }
-                    }
-                    5..=7 => {
-                        if model.way(line).is_some() {
-                            let owner = SlotId(rng.below(5) as u16);
-                            cache.set_spec_owner(line, owner);
-                            model.set_spec_owner(line, owner);
-                        }
-                    }
-                    8 => assert_eq!(
-                        cache.clear_spec_owner(line),
-                        model.clear_spec_owner(line),
-                        "step {step}: clear {line}"
-                    ),
-                    _ => {
-                        cache.invalidate(line);
-                        model.invalidate(line);
-                    }
-                }
-                for l in 0..lines {
-                    let w = model.way(l);
-                    assert_eq!(cache.contains(l), w.is_some(), "step {step}: line {l}");
-                    assert_eq!(cache.spec_owner(l), w.and_then(|w| w.owner), "step {step}");
-                }
-                assert_eq!(cache.speculative_lines(), model.speculative_lines());
-            }
+            let pool: Vec<u64> = (0..(num_sets * ways * 3) as u64).collect();
+            let (evicted, squashed) =
+                match_reference_model(&mut cache, &pool, seed, (5_000, 10, 1));
             assert!(evicted > 100 && squashed > 20, "{evicted} / {squashed}");
         }
     }
+}
+
+/// Lines of every node slab of a `nodes`-node cluster that fall in set
+/// `set` of `num_sets`: the lowest and the highest `per_end` of each
+/// slab.
+fn slab_lines_in_set(nodes: usize, num_sets: u64, set: u64, per_end: u64) -> Vec<u64> {
+    let mut lines = Vec::new();
+    for n in 0..nodes {
+        let (lo, hi) = (line_space(n), line_space(n + 1) - 1);
+        let first = lo + (set + num_sets - lo % num_sets) % num_sets;
+        let last = hi - (hi % num_sets + num_sets - set) % num_sets;
+        for j in 0..per_end {
+            lines.push(first + j * num_sets);
+            lines.push(last - j * num_sets);
+        }
+    }
+    lines
+}
+
+/// The LLC's 32-bit tags store a line's set quotient, so every `Fill`
+/// must decode the evicted line exactly. Drives full-size LLCs (Table
+/// III: 4 MB per core, 16-way) of the default 5×5, Fig 13's 10×5 and
+/// Fig 15's 8×25 shapes against the reference model, with lines from
+/// every node slab in set 0 and in the set of the line space's last line.
+#[test]
+fn llc_32_bit_tags_match_the_reference_model_on_every_node_slab() {
+    let p = MemParams::default();
+    for shape in [
+        ClusterShape::DEFAULT,
+        ClusterShape::N10_C5,
+        ClusterShape::N8_C25,
+    ] {
+        let cores = shape.cores_per_node;
+        let mut llc = SetAssocCache::<u32>::sized(cores * p.llc_bytes_per_core, 64, p.llc_ways);
+        let num_sets = llc.num_sets() as u64;
+        assert_eq!(num_sets, 4096 * cores as u64);
+        let last = line_space(shape.nodes) - 1;
+        let mut pool = slab_lines_in_set(shape.nodes, num_sets, 0, 3);
+        pool.extend(slab_lines_in_set(shape.nodes, num_sets, last % num_sets, 3));
+        assert!(pool.contains(&last));
+        let (evicted, squashed) = match_reference_model(&mut llc, &pool, 7, (20_000, 16, 1_000));
+        let nodes = shape.nodes;
+        assert!(
+            evicted > 1_000 && squashed > 10,
+            "{nodes}x{cores}: {evicted} / {squashed}"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "past the 32-bit tags of 1024 sets")]
+fn llc_tags_refuse_a_line_past_their_width() {
+    let mut llc = SetAssocCache::<u32>::sized(1 << 20, 64, 16);
+    llc.touch(1 << 42);
+}
+
+/// At Table III sizes a node's LLC has 4,096 sets per core, so its
+/// 32-bit tags hold `2^44 × cores` lines: 16 node slabs per core. Sec
+/// VIII-C's pressure LLC (32 KB per core, 2-way) holds exactly the 5×5
+/// cluster's line space.
+#[test]
+fn llc_tags_hold_16_slabs_per_core() {
+    for cores in [1, 5, 25] {
+        let m = NodeMemory::new(&MemParams::default(), cores);
+        assert!(m.llc_holds_line(line_space(16 * cores) - 1));
+        assert!(!m.llc_holds_line(line_space(16 * cores)));
+    }
+    let pressure = MemParams {
+        llc_bytes_per_core: 32 << 10,
+        llc_ways: 2,
+        ..MemParams::default()
+    };
+    let m = NodeMemory::new(&pressure, 5);
+    assert!(m.llc_holds_line(line_space(5) - 1));
+    assert!(!m.llc_holds_line(line_space(5)));
+}
+
+/// 17 one-core nodes address 17 slabs, one more than a one-core LLC's
+/// 32-bit tags hold: the cluster is refused by name when it is built.
+#[test]
+#[should_panic(expected = "LLC tags too narrow for the cluster's line space")]
+fn cluster_past_the_llc_tag_width_is_refused() {
+    let shape = ClusterShape {
+        nodes: 17,
+        cores_per_node: 1,
+        slots_per_core: 2,
+    };
+    let cfg = SimConfig::isca_default().with_shape(shape);
+    Cluster::new(cfg, Database::new(17));
 }
 
 fn small_params() -> MemParams {
