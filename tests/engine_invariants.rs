@@ -26,17 +26,17 @@ fn run_app(p: Protocol, app: &str, warmup: u64, measure: u64) -> RunOutcome {
     Run::apps(p, &ex, &[AppId::parse(app).unwrap()]).run()
 }
 
-/// Runs Smallbank over `accounts` accounts with a `hotspot`, under
-/// `plan` if given, and checks that money is conserved: the final total
-/// equals the initial total plus every committed RMW delta.
+/// Runs Smallbank on `cfg` over `accounts` accounts with a `hotspot`,
+/// under `plan` if given, and checks that money is conserved: the final
+/// total equals the initial total plus every committed RMW delta.
 fn run_smallbank(
     p: Protocol,
+    cfg: SimConfig,
     accounts: u64,
     hotspot: (u64, f64),
     measure: u64,
     plan: Option<FaultPlan>,
 ) -> RunOutcome {
-    let cfg = SimConfig::isca_default();
     let mut db = Database::new(cfg.shape.nodes);
     let sb = Smallbank::setup(
         &mut db,
@@ -78,7 +78,7 @@ fn every_engine_commits_and_measures() {
 #[test]
 fn every_engine_conserves_money_on_a_hotspot() {
     for p in Protocol::ALL {
-        let out = run_smallbank(p, 2_000, (20, 0.7), 600, None);
+        let out = run_smallbank(p, SimConfig::isca_default(), 2_000, (20, 0.7), 600, None);
         assert_eq!(out.stats.committed, 600, "{p}");
         assert_no_leaks(p, &out);
     }
@@ -86,9 +86,10 @@ fn every_engine_conserves_money_on_a_hotspot() {
 
 #[test]
 fn every_engine_survives_message_loss() {
-    for p in Protocol::ALL {
-        // Drop and duplicate the responses the engine's commit round
-        // waits on: the timeout/abort/retry path must absorb them.
+    // Drop and duplicate the messages the engine's commit rounds wait
+    // on: the timeout/abort/retry path must absorb them, and each round
+    // must count each reply once.
+    let engine_rounds = Protocol::ALL.map(|p| {
         let plan = match p {
             Protocol::Baseline => FaultPlan::none()
                 .with_seed(7)
@@ -102,9 +103,35 @@ fn every_engine_survives_message_loss() {
                 .dup_verb(Verb::Intend, 0.05)
                 .dup_verb(Verb::Ack, 0.05),
         };
-        let out = run_smallbank(p, 1_000, (16, 0.5), 400, Some(plan));
+        (p, 0, plan)
+    });
+    // The remaining reply verbs: Baseline's validation replies, and the
+    // replica prepares and acks that replication degree 1 adds to HADES's
+    // round (HADES-H does not replicate).
+    let fault = |seed, verbs: &[Verb]| {
+        verbs
+            .iter()
+            .fold(FaultPlan::none().with_seed(seed), |plan, &v| {
+                plan.drop_verb(v, 0.05).dup_verb(v, 0.05)
+            })
+    };
+    let other_replies = [
+        (Protocol::Baseline, 1, fault(7, &[Verb::ValidateResp])),
+        (
+            Protocol::Hades,
+            1,
+            fault(5, &[Verb::ReplicaPrepare, Verb::ReplicaAck]),
+        ),
+    ];
+    for (p, degree, plan) in engine_rounds.into_iter().chain(other_replies) {
+        let cfg = SimConfig::isca_default().with_replication(degree);
+        let out = run_smallbank(p, cfg, 1_000, (16, 0.5), 400, Some(plan));
         assert_eq!(out.stats.committed, 400, "{p}");
         assert!(out.stats.faults.drops > 0, "{p}: plan must actually drop");
+        assert!(
+            out.stats.faults.dups > 0,
+            "{p}: plan must actually duplicate"
+        );
         assert!(
             out.stats.recovery.timeout_retries > 0,
             "{p}: dropped responses must surface as timeout retries"

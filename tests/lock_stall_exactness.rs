@@ -13,8 +13,9 @@
 //! engines share: message loss, a crash with restart, a permanent crash,
 //! a live shard migration, the aggressive overload profile, fallback
 //! pre-locking (one squash is enough to fall back, so nearly every retry
-//! pre-locks and polls until granted) and a brief home-node crash
-//! ([`Scenario`] says what each does). The last nine replay `trace
+//! pre-locks and polls until granted), a brief home-node crash and
+//! dropped and duplicated commit-round replies ([`Scenario`] says what
+//! each does). The last nine replay `trace
 //! --app` on the other three YCSB-A stores (Map-wA, BTree-wA,
 //! B+Tree-wA): each index walk is charged `index_per_level` per level of
 //! lookup depth, so a store change that moves one key's depth moves them.
@@ -23,8 +24,9 @@
 //! `results/exactness/lock_stall/<app>-<engine>-<scenario>.json`. Its
 //! `lock_stall` count and the FNV-1a of its JSONL stream (the `trace
 //! --jsonl` bytes, megabytes per row) are its line of `traces.jsonl` in
-//! the same directory. `results/README.md` says where each row was
-//! recorded.
+//! the same directory; the [`Replies`] rows, added later, keep theirs in
+//! `traces-replies.jsonl` so that no recorded line moved. `results/README.md`
+//! says where each row was recorded.
 //!
 //! Every row also runs untraced. A traced run puts each stalled retry
 //! back on the queue at every poll, so that each poll emits its
@@ -41,12 +43,13 @@ use hades::core::runner::{Experiment, Protocol, Run};
 use hades::fault::FaultPlan;
 use hades::sim::config::{MembershipParams, MigrationParams, OverloadParams};
 use hades::sim::time::Cycles;
-use hades::telemetry::event::EventKind;
+use hades::telemetry::event::{EventKind, Verb};
 use hades::telemetry::json::Json;
 use hades::telemetry::jsonl::event_json;
 use hades::telemetry::sink::Tracer;
 use hades::workloads::catalog::AppId;
 use hades_bench::golden::{fnv1a, Golden, FNV_OFFSET};
+use std::collections::BTreeMap;
 use Protocol::{Baseline, Hades, HadesH};
 use Scenario::*;
 
@@ -93,7 +96,23 @@ enum Scenario {
     /// [`Fallback`] under the standard live move of partition 0 to node
     /// 1: fallback lock batches re-read the routing on every poll.
     FallbackMigration,
+    /// Every commit-round request and reply (the Lossy-class verbs) is
+    /// dropped with 5% probability and duplicated with 5%, replication
+    /// degree 1: each engine's rounds must count each reply once. Only
+    /// HADES ships replica prepares.
+    Replies,
 }
+
+/// The verbs whose loss a commit round absorbs (`hades_fault::class_of`
+/// puts them in the Lossy class): the [`Replies`] rows fault them all.
+const ROUND_VERBS: [Verb; 6] = [
+    Verb::Intend,
+    Verb::Ack,
+    Verb::LockResp,
+    Verb::ValidateResp,
+    Verb::ReplicaPrepare,
+    Verb::ReplicaAck,
+];
 
 /// Every row: the YCSB-A store it loads, its engine and its condition.
 fn rows() -> Vec<(&'static str, Protocol, Scenario)> {
@@ -106,6 +125,7 @@ fn rows() -> Vec<(&'static str, Protocol, Scenario)> {
         Migration,
         Overload,
         Fallback,
+        Replies,
     ] {
         rows.extend([Baseline, HadesH, Hades].map(|p| ("HT-wA", p, scenario)));
     }
@@ -153,12 +173,28 @@ fn configure(protocol: Protocol, scenario: Scenario) -> (Experiment, Option<Faul
                 .cfg
                 .with_migration(MigrationParams::standard(vec![(0, 1)]))
         }
+        Replies => {
+            plan = ROUND_VERBS
+                .into_iter()
+                .fold(plan.with_seed(9), |plan, verb| {
+                    plan.drop_verb(verb, 0.05).dup_verb(verb, 0.05)
+                });
+            ex.cfg = ex.cfg.with_replication(1);
+        }
     }
     (ex, (scenario != Plain).then_some(plan))
 }
 
 /// Where the rows' goldens live.
 const DIR: &str = "results/exactness/lock_stall";
+
+/// The file under [`DIR`] that holds the row's trace line.
+fn traces_file(scenario: Scenario) -> &'static str {
+    match scenario {
+        Replies => "traces-replies.jsonl",
+        _ => "traces.jsonl",
+    }
+}
 
 /// Runs one row's configuration on `app`, into `tracer` if one is
 /// given, and returns the rendered `RunStats::to_json`.
@@ -175,7 +211,7 @@ fn run(app: &str, protocol: Protocol, scenario: Scenario, tracer: Option<Tracer>
 #[test]
 fn stall_path_reproduces_the_reference_trace_and_stats() {
     let mut golden = Golden::new(env!("CARGO_MANIFEST_DIR"), env!("CARGO_TARGET_TMPDIR"));
-    let mut traces = String::new();
+    let mut traces: BTreeMap<&str, String> = BTreeMap::new();
     for (app, protocol, scenario) in rows() {
         let row = format!("{app}-{protocol}-{scenario:?}");
         let (tracer, sink) = Tracer::memory();
@@ -192,13 +228,16 @@ fn stall_path_reproduces_the_reference_trace_and_stats() {
         let line = Json::obj()
             .field("lock_stalls", stalls.count() as u64)
             .field("jsonl_fnv1a", format!("{jsonl:#018x}").as_str());
-        traces += &Json::obj().field(&row, line.build()).build().render();
-        traces.push('\n');
+        let lines = traces.entry(traces_file(scenario)).or_default();
+        *lines += &Json::obj().field(&row, line.build()).build().render();
+        lines.push('\n');
         drop(events); // The trace can be large: free it before the rerun.
         if run(app, protocol, scenario, None) != stats {
             golden.fail(format!("{row}: the untraced run renders other stats"));
         }
     }
-    golden.check(&format!("{DIR}/traces.jsonl"), &traces);
+    for (file, lines) in &traces {
+        golden.check(&format!("{DIR}/{file}"), lines);
+    }
     golden.finish();
 }
