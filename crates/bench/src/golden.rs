@@ -19,8 +19,10 @@ use std::path::{Path, PathBuf};
 
 /// Re-records every golden a fresh test run observes, run from the
 /// repository root. The steps are joined by `;` because the test run
-/// fails while any golden differs.
-pub const RERECORD: &str = "rm -rf target/tmp/golden; cargo test -q; cp -r target/tmp/golden/. .";
+/// fails while any golden differs, and `--no-fail-fast` runs every test
+/// binary past the first that fails, so each writes what it observed.
+pub const RERECORD: &str =
+    "rm -rf target/tmp/golden; cargo test -q --no-fail-fast; cp -r target/tmp/golden/. .";
 
 /// The 64-bit FNV-1a offset basis: the digest of no bytes.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -11,7 +11,7 @@
 //! With membership left off, the layer must be invisible: identical
 //! traces, stats, and ledgers to a run that never mentions it.
 
-use hades::core::runner::{Protocol, Run};
+use hades::core::runner::{Experiment, Protocol, Run};
 use hades::core::runtime::RunOutcome;
 use hades::core::stats::MembershipStats;
 use hades::fault::FaultPlan;
@@ -20,6 +20,7 @@ use hades::sim::time::Cycles;
 use hades::storage::db::Database;
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
+use hades::workloads::catalog::AppId;
 use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
 
 const ACCOUNTS: u64 = 400;
@@ -95,6 +96,26 @@ fn survivors_commit_through_a_permanent_crash() {
             "{p:?}: replica-prepare state leaked through failover"
         );
     }
+}
+
+/// A Baseline lock or validation round that waits on a dead participant
+/// is aborted by the round's own watchdog, which counts a timeout retry,
+/// and not by a fetch watchdog armed during execution. The run is the
+/// lock-stall exactness test's `CrashForever` row.
+#[test]
+fn a_dead_participant_times_out_baselines_commit_round() {
+    let mut ex = Experiment::quick();
+    (ex.warmup, ex.measure) = (50, 150);
+    ex.cfg = ex.cfg.with_membership(MembershipParams::standard());
+    let plan = FaultPlan::none().crash_forever(1, Cycles::from_micros(20));
+    let app = AppId::parse("HT-wA").unwrap();
+    let out = Run::apps(Protocol::Baseline, &ex, &[app])
+        .plan(Some(plan))
+        .run();
+    assert!(
+        out.stats.recovery.timeout_retries > 0,
+        "no commit round timed out on its own watchdog"
+    );
 }
 
 /// The `verbs_fenced` counter and the `verb_fenced` trace events are
