@@ -16,7 +16,7 @@
 //!
 //! [`SwCosts`]: hades_sim::config::SwCosts
 
-use crate::driver::{Engine, Ev, Sim, SlotCore};
+use crate::driver::{Engine, Ev, Reply, ReplyStep, Sim, SlotCore};
 use crate::runtime::{apply_write, next_node, Cluster, CoreVerb, OpRef, ResolvedOp, ResolvedTxn};
 use crate::stats::{Overhead, Phase, RunStats, SquashReason};
 use hades_net::fabric::wire_size;
@@ -50,8 +50,6 @@ pub struct BaselineSlot {
     read_versions: Vec<(RecordId, u64)>,
     write_versions: Vec<(RecordId, u64)>,
     locked: Vec<RecordId>,
-    lock_ok: bool,
-    validate_ok: bool,
     fallback_locks: Vec<RecordId>,
     /// The fallback lock batch being polled, rebuilt in place at every
     /// poll.
@@ -63,14 +61,6 @@ pub struct BaselineSlot {
     /// deduplicated; refreshed by [`Sim::fill_write_set`] when the lock
     /// round begins, and read by the rounds that follow it.
     wset: Vec<(RecordId, NodeId)>,
-    /// Response ids already processed this attempt (dedup for duplicated
-    /// LockResp/ValidateResp copies under fault injection).
-    resp_seen: Vec<u32>,
-    /// Next response id to assign this attempt.
-    rsp_next: u32,
-    /// Bumped at every validation round so a stale `RpcTimeout` armed for
-    /// an earlier round cannot abort a later one.
-    rpc_epoch: u32,
     /// Past the point of no return: local writes applied and remote
     /// applies shipped. A crash after this point finalizes the ledger.
     durable: bool,
@@ -93,29 +83,19 @@ mod ev {
             lines: usize,
             is_write: bool,
         },
-        /// A lock round's response (one per participant node).
+        /// A lock round's response (one per participant node), with the
+        /// locks it took.
         LockResp {
-            si: usize,
-            att: u32,
+            reply: Reply,
             acquired: Vec<RecordId>,
-            ok: bool,
-            rsp_id: u32,
-            from: NodeId,
-            ep: u64,
         },
         /// A read-validation round's response.
-        ValidateResp {
-            si: usize,
-            att: u32,
-            ok: bool,
-            rsp_id: u32,
-            from: NodeId,
-            ep: u64,
-        },
-        /// Validation-round watchdog (armed only when a fault injector is
-        /// active): if responses are still outstanding when it fires, the
-        /// attempt aborts and retries instead of hanging forever.
-        RpcTimeout { si: usize, att: u32, epoch: u32 },
+        ValidateResp(Reply),
+        /// Lock- or validation-round watchdog (armed only when a fault
+        /// injector is active): if round `round` still misses responses
+        /// when it fires, the attempt aborts and retries instead of
+        /// hanging forever.
+        RpcTimeout { si: usize, att: u32, round: u32 },
         /// Commit-time write application at a remote home node (one-way).
         RemoteApply { ops: Vec<OpRef>, owner: u64 },
         /// Abort-time record unlocks at a remote home node (one-way).
@@ -169,11 +149,7 @@ impl Engine for Baseline {
     }
 
     fn new_slot(_cl: &Cluster, _node: usize) -> BaselineSlot {
-        BaselineSlot {
-            lock_ok: true,
-            validate_ok: true,
-            ..BaselineSlot::default()
-        }
+        BaselineSlot::default()
     }
 
     fn reset_attempt(x: &mut BaselineSlot) {
@@ -181,12 +157,7 @@ impl Engine for Baseline {
         x.read_versions.clear();
         x.write_versions.clear();
         x.locked.clear();
-        x.lock_ok = true;
-        x.validate_ok = true;
         x.fallback_locks.clear();
-        x.resp_seen.clear();
-        x.rsp_next = 0;
-        x.rpc_epoch = 0;
         x.durable = false;
     }
 
@@ -232,40 +203,10 @@ impl Engine for Baseline {
                 lines,
                 is_write,
             } if sim.alive(si, att) => sim.on_remote_fetch(si, att, lines, is_write),
-            BaselineEv::LockResp {
-                si,
-                att,
-                acquired,
-                ok,
-                rsp_id,
-                from,
-                ep,
-            } => {
-                if sim.cl.membership.should_fence(ep, from) {
-                    // A stale lock grant from a node declared dead: the
-                    // coordinator's abort sweep reclaims any lock it
-                    // carried, so dropping it is safe.
-                    sim.fence_verb(sim.slots[si].node, Verb::LockResp);
-                } else {
-                    sim.on_lock_resp(si, att, acquired, ok, rsp_id);
-                }
-            }
-            BaselineEv::ValidateResp {
-                si,
-                att,
-                ok,
-                rsp_id,
-                from,
-                ep,
-            } => {
-                if sim.cl.membership.should_fence(ep, from) {
-                    sim.fence_verb(sim.slots[si].node, Verb::ValidateResp);
-                } else if sim.alive(si, att) {
-                    sim.on_validate_resp(si, att, ok, rsp_id);
-                }
-            }
-            BaselineEv::RpcTimeout { si, att, epoch } if sim.alive(si, att) => {
-                sim.on_rpc_timeout(si, att, epoch)
+            BaselineEv::LockResp { reply, acquired } => sim.on_lock_resp(reply, acquired),
+            BaselineEv::ValidateResp(reply) => sim.on_validate_resp(reply),
+            BaselineEv::RpcTimeout { si, att, round } if sim.alive(si, att) => {
+                sim.on_rpc_timeout(si, round)
             }
             BaselineEv::RemoteApply { ops, owner } => sim.on_remote_apply(ops, owner),
             BaselineEv::RemoteUnlock { rids, owner } => {
@@ -289,8 +230,9 @@ impl Engine for Baseline {
         // The software protocol keeps its locks on the records
         // themselves, so only in-flight rounds — whose unlock routing
         // was decided under the old map — need fencing; there is no NIC
-        // filter state to hand over.
-        c.outstanding > 0 && !c.awaiting_start
+        // filter state to hand over. The count also holds execution's
+        // outstanding fetches, so those slots are fenced too.
+        c.round.outstanding > 0
     }
 
     fn commit_phases(
@@ -456,11 +398,11 @@ impl Sim<Baseline> {
         let txn = Rc::clone(self.slots[si].txn.as_ref().expect("txn active"));
         let ops = &txn.stages[stage_idx];
         if ops.is_empty() {
-            self.slots[si].outstanding = 1;
+            self.slots[si].round.outstanding = 1;
             self.q.push_at(now, Ev::OpDone { si, att });
             return;
         }
-        self.slots[si].outstanding = ops.len() as u32;
+        self.slots[si].round.outstanding = ops.len() as u32;
         let fallback = self.slots[si].fallback;
         let mut cursor = now;
         for op in ops {
@@ -625,10 +567,7 @@ impl Sim<Baseline> {
         if self.cl.tracer.is_enabled() {
             self.trace(now, si, EventKind::PhaseBegin(TracePhase::Lock));
         }
-        self.ext[si].rpc_epoch += 1;
-        let epoch = self.ext[si].rpc_epoch;
-        let mem_ep = self.cl.membership.epoch();
-        let mut outstanding = 0u32;
+        self.open_round(si);
         let mut cursor = now;
         // Placement is routed through the membership layer: a partition
         // whose primary died may now be homed here or at a promoted
@@ -652,26 +591,18 @@ impl Sim<Baseline> {
                 ok = false;
             }
         }
+        let lock_resp = |reply, acquired| BaselineEv::LockResp { reply, acquired };
         if any_local {
-            outstanding += 1;
+            let id = self.expect_reply(si);
             self.charge(si, Overhead::ConflictDetection, cost);
             cursor = self.cl.run_on_core(node, core, cursor, cost);
-            let rsp_id = self.next_rsp_id(si);
-            let ev = BaselineEv::LockResp {
-                si,
-                att,
-                acquired: Vec::new(),
-                ok,
-                rsp_id,
-                from: node,
-                ep: mem_ep,
-            };
-            self.q.push_at(cursor, ev.into());
+            let reply = self.reply((si, att), node, id, ok);
+            self.send_reply(cursor, reply, Verb::LockResp, Vec::new(), lock_resp);
         }
         let mut next = self.next_wset_node(si, None, node);
         while let Some(dst) = next {
             next = self.next_wset_node(si, Some(dst), node);
-            outstanding += 1;
+            let id = self.expect_reply(si);
             let batch = self.ext[si]
                 .wset
                 .iter()
@@ -716,46 +647,25 @@ impl Sim<Baseline> {
                     ok = false;
                 }
             }
-            let rsp_id = self.next_rsp_id(si);
-            let backs = self
-                .cl
-                .send(arrive + svc, dst, node, wire_size(0, 64), Verb::LockResp);
-            // Every delivered copy reports the acquisitions; the last one
-            // takes the list itself.
-            for (k, back) in backs.into_iter().enumerate() {
-                let acquired = if k + 1 == backs.len() {
-                    std::mem::take(&mut acquired)
-                } else {
-                    acquired.clone()
-                };
-                let ev = BaselineEv::LockResp {
-                    si,
-                    att,
-                    acquired,
-                    ok,
-                    rsp_id,
-                    from: dst,
-                    ep: mem_ep,
-                };
-                self.q.push_at(back, ev.into());
-            }
+            // Every delivered copy reports the acquisitions.
+            let reply = self.reply((si, att), dst, id, ok);
+            self.send_reply(arrive + svc, reply, Verb::LockResp, acquired, lock_resp);
         }
-        self.slots[si].outstanding = outstanding;
-        self.cl.obs_round_begin(si, Verb::Lock, outstanding, now);
-        if self.cl.injector_active() && outstanding > 0 {
-            let deadline = cursor + ReplicationParams::ACK_TIMEOUT;
-            let ev = BaselineEv::RpcTimeout { si, att, epoch };
-            self.q.push_at(deadline, ev.into());
-        }
+        self.arm_round(si, Verb::Lock, now, cursor);
     }
 
-    /// Assigns the next per-attempt response id for `si` (LockResp /
-    /// ValidateResp deduplication under fault injection).
-    fn next_rsp_id(&mut self, si: usize) -> u32 {
-        let x = &mut self.ext[si];
-        let id = x.rsp_next;
-        x.rsp_next += 1;
-        id
+    /// The open round's `verb` requests went out from `opened` to
+    /// `cursor`: opens its span and, under fault injection, arms its
+    /// watchdog.
+    fn arm_round(&mut self, si: usize, verb: Verb, opened: Cycles, cursor: Cycles) {
+        let s = &self.slots[si];
+        let (att, round, peers) = (s.attempt, s.round.number, s.round.outstanding);
+        self.cl.obs_round_begin(si, verb, peers, opened);
+        if self.cl.injector_active() && peers > 0 {
+            let deadline = cursor + ReplicationParams::ACK_TIMEOUT;
+            let ev = BaselineEv::RpcTimeout { si, att, round };
+            self.q.push_at(deadline, ev.into());
+        }
     }
 
     fn expected_write_version(&self, si: usize, rid: RecordId) -> u64 {
@@ -767,15 +677,12 @@ impl Sim<Baseline> {
             .unwrap_or(0)
     }
 
-    fn on_lock_resp(
-        &mut self,
-        si: usize,
-        att: u32,
-        acquired: Vec<RecordId>,
-        ok: bool,
-        rsp_id: u32,
-    ) {
-        if !self.alive(si, att) {
+    /// A lock round's response. A fenced one is dropped: the
+    /// coordinator's abort sweep reclaims any lock it carried.
+    fn on_lock_resp(&mut self, reply: Reply, acquired: Vec<RecordId>) {
+        let (si, att) = (reply.si, reply.att);
+        let step = self.on_reply(&reply, Verb::LockResp);
+        if step == ReplyStep::Stale {
             // Stale response for an aborted attempt: release its orphaned
             // acquisitions — but never a record the slot's *current*
             // attempt has re-locked (owner tokens are per-slot, so a late
@@ -789,27 +696,19 @@ impl Sim<Baseline> {
             }
             return;
         }
-        if self.ext[si].resp_seen.contains(&rsp_id) {
-            return; // duplicated copy of an already-processed response
-        }
-        self.ext[si].resp_seen.push(rsp_id);
-        self.ext[si].locked.extend(acquired);
-        if !ok {
-            self.ext[si].lock_ok = false;
-        }
-        self.charge(si, Overhead::ConflictDetection, self.cl.cfg.sw.rdma_poll);
-        let s = &mut self.slots[si];
-        debug_assert!(s.outstanding > 0);
-        s.outstanding -= 1;
-        if s.outstanding > 0 {
+        if !step.counted() {
             return;
         }
-        if !self.ext[si].lock_ok {
+        self.ext[si].locked.extend(acquired);
+        self.charge(si, Overhead::ConflictDetection, self.cl.cfg.sw.rdma_poll);
+        let ReplyStep::Closed { all_ok } = step else {
+            return;
+        };
+        if !all_ok {
             self.abort(si, SquashReason::RecordLockBusy);
             return;
         }
         let now = self.q.now();
-        self.cl.obs_round_end(si, now);
         if self.cl.tracer.is_enabled() {
             self.trace(now, si, EventKind::PhaseEnd(TracePhase::Lock));
         }
@@ -831,14 +730,12 @@ impl Sim<Baseline> {
             self.begin_commit(si, att, now);
             return;
         }
-        self.ext[si].rpc_epoch += 1;
-        let epoch = self.ext[si].rpc_epoch;
-        let mem_ep = self.cl.membership.epoch();
-        let mut outstanding = 0u32;
+        self.open_round(si);
         let mut cursor = now;
         let reads = self.ext[si].read_versions.len();
+        let validate_resp = |reply, ()| BaselineEv::ValidateResp(reply);
         if self.rset(si).any(|(rid, _)| self.routed_home(rid) == node) {
-            outstanding += 1;
+            let id = self.expect_reply(si);
             let mut cost = Cycles::ZERO;
             let mut ok = true;
             for i in 0..reads {
@@ -857,16 +754,8 @@ impl Sim<Baseline> {
             }
             self.charge(si, Overhead::ConflictDetection, cost);
             cursor = self.cl.run_on_core(node, core, cursor, cost);
-            let rsp_id = self.next_rsp_id(si);
-            let ev = BaselineEv::ValidateResp {
-                si,
-                att,
-                ok,
-                rsp_id,
-                from: node,
-                ep: mem_ep,
-            };
-            self.q.push_at(cursor, ev.into());
+            let reply = self.reply((si, att), node, id, ok);
+            self.send_reply(cursor, reply, Verb::ValidateResp, (), validate_resp);
         }
         let next_dst = |sim: &Self, after| {
             let homes = sim.rset(si).map(|(rid, _)| sim.routed_home(rid));
@@ -875,7 +764,7 @@ impl Sim<Baseline> {
         let mut next = next_dst(self, None);
         while let Some(dst) = next {
             next = next_dst(self, Some(dst));
-            outstanding += 1;
+            let id = self.expect_reply(si);
             let entries = self
                 .rset(si)
                 .filter(|&(rid, _)| self.routed_home(rid) == dst)
@@ -920,70 +809,40 @@ impl Sim<Baseline> {
                     ok = false;
                 }
             }
-            let rsp_id = self.next_rsp_id(si);
-            for back in self.cl.send(
-                arrive + svc,
-                dst,
-                node,
-                wire_size(0, 64),
-                Verb::ValidateResp,
-            ) {
-                let ev = BaselineEv::ValidateResp {
-                    si,
-                    att,
-                    ok,
-                    rsp_id,
-                    from: dst,
-                    ep: mem_ep,
-                };
-                self.q.push_at(back, ev.into());
-            }
+            let reply = self.reply((si, att), dst, id, ok);
+            self.send_reply(arrive + svc, reply, Verb::ValidateResp, (), validate_resp);
         }
-        self.slots[si].outstanding = outstanding;
-        self.cl
-            .obs_round_begin(si, Verb::Validate, outstanding, now);
-        if self.cl.injector_active() && outstanding > 0 {
-            let deadline = cursor + ReplicationParams::ACK_TIMEOUT;
-            let ev = BaselineEv::RpcTimeout { si, att, epoch };
-            self.q.push_at(deadline, ev.into());
-        }
+        self.arm_round(si, Verb::Validate, now, cursor);
     }
 
-    fn on_validate_resp(&mut self, si: usize, att: u32, ok: bool, rsp_id: u32) {
-        if self.ext[si].resp_seen.contains(&rsp_id) {
-            return; // duplicated copy of an already-processed response
-        }
-        self.ext[si].resp_seen.push(rsp_id);
-        if !ok {
-            self.ext[si].validate_ok = false;
-        }
-        self.charge(si, Overhead::ConflictDetection, self.cl.cfg.sw.rdma_poll);
-        let s = &mut self.slots[si];
-        debug_assert!(s.outstanding > 0);
-        s.outstanding -= 1;
-        if s.outstanding > 0 {
+    fn on_validate_resp(&mut self, reply: Reply) {
+        let (si, att) = (reply.si, reply.att);
+        let step = self.on_reply(&reply, Verb::ValidateResp);
+        if !step.counted() {
             return;
         }
-        if !self.ext[si].validate_ok {
+        self.charge(si, Overhead::ConflictDetection, self.cl.cfg.sw.rdma_poll);
+        let ReplyStep::Closed { all_ok } = step else {
+            return;
+        };
+        if !all_ok {
             self.abort(si, SquashReason::ValidationFailed);
             return;
         }
         let now = self.q.now();
-        self.cl.obs_round_end(si, now);
         if self.cl.tracer.is_enabled() {
             self.trace(now, si, EventKind::PhaseEnd(TracePhase::Validate));
         }
         self.begin_commit(si, att, now);
     }
 
-    /// A validation-round response never arrived (dropped LockResp /
-    /// ValidateResp under fault injection): give up on the round and
-    /// retry the attempt from scratch.
-    fn on_rpc_timeout(&mut self, si: usize, att: u32, epoch: u32) {
-        if self.ext[si].rpc_epoch != epoch || self.slots[si].outstanding == 0 {
+    /// A lock- or validation-round response never arrived (dropped
+    /// LockResp / ValidateResp under fault injection): give up on the
+    /// round and retry the attempt from scratch.
+    fn on_rpc_timeout(&mut self, si: usize, round: u32) {
+        if !self.slots[si].round.times_out(round) {
             return; // the round completed; watchdog is stale
         }
-        debug_assert!(self.alive(si, att));
         let now = self.q.now();
         self.cl.fabric.injector_mut().recovery.timeout_retries += 1;
         self.trace(
@@ -993,7 +852,6 @@ impl Sim<Baseline> {
                 action: RecoveryKind::TimeoutRetry,
             },
         );
-        self.slots[si].outstanding = 0;
         self.abort(si, SquashReason::CommitTimeout);
     }
 

@@ -24,7 +24,7 @@
 //! written once over a [`LocalPath`]: [`HwLocal`] here, and
 //! [`SwLocal`](crate::hades_h::SwLocal) for HADES-H.
 
-use crate::driver::{Engine, Ev, RearmView, Sim, SlotCore};
+use crate::driver::{Engine, Ev, RearmView, Reply, ReplyStep, Sim, SlotCore};
 use crate::runtime::{
     apply_write, next_node, owner_token, Cluster, CoreVerb, OpRef, ResolvedOp, ResolvedTxn, Stall,
 };
@@ -61,7 +61,7 @@ pub trait LocalPath: Sized + Debug {
     fn reset(x: &mut Self::Slot);
     /// Mid commit handshake: a migration cutover of a partition the
     /// transaction touches must fence it.
-    fn in_handshake(x: &HadesSlot<Self::Slot>) -> bool;
+    fn in_handshake(c: &SlotCore, x: &HadesSlot<Self::Slot>) -> bool;
     /// Seeds the engine's own periodic events, after the slots' `Start`s
     /// and before the fault plan's crashes.
     fn seed(_sim: &mut Sim<Hades<Self>>) {}
@@ -137,17 +137,12 @@ pub struct HadesSlot<S> {
     pub(crate) remote: TxRemoteTable,
     /// In the commit handshake (set at commit entry).
     pub(crate) committing: bool,
-    pub(crate) acks_outstanding: u32,
-    /// Ack sequence ids already counted for this commit (duplicate
-    /// deliveries under fault injection are ignored).
-    pub(crate) acks_seen: Vec<u32>,
     /// The write lines of each Intend-to-commit this commit sent, by Ack
     /// id: the participant reads its Intend's lines from here.
     pub(crate) intends: LineGroups,
     /// When this commit's handshake started (lease-margin check under a
     /// crash plan).
     pub(crate) commit_start: Cycles,
-    pub(crate) commit_failed: bool,
     pub(crate) holds_local_lock: bool,
     /// Point of no return: all Acks received.
     pub(crate) unsquashable: bool,
@@ -305,20 +300,13 @@ mod ev {
             ack_id: u32,
             ep: u64,
         },
-        /// An Ack (or ReplicaAck) arrives at the coordinator. `from` is the
-        /// participant (epoch-fence identity), `ep` its epoch at send time.
-        AckArrive {
-            si: usize,
-            att: u32,
-            ok: bool,
-            ack_id: u32,
-            from: NodeId,
-            ep: u64,
-        },
+        /// An Ack (or ReplicaAck) arrives at the coordinator.
+        AckArrive(Reply),
         /// Commit watchdog (armed only when a fault injector is active): if
-        /// Acks are still outstanding when it fires, the commit handshake lost
-        /// a message and the transaction squashes and retries.
-        CommitTimeout { si: usize, att: u32 },
+        /// round `round` still misses Acks when it fires, the commit
+        /// handshake lost a message and the transaction squashes and
+        /// retries.
+        CommitTimeout { si: usize, att: u32, round: u32 },
         /// Validation + updates arrive at a remote node (one-way), naming
         /// the written ops to apply there.
         ValidationArrive {
@@ -378,11 +366,8 @@ impl<L: LocalPath> Engine for Hades<L> {
             fetched: HashSet::new(),
             remote: TxRemoteTable::new(),
             committing: false,
-            acks_outstanding: 0,
-            acks_seen: Vec::new(),
             intends: LineGroups::default(),
             commit_start: Cycles::ZERO,
-            commit_failed: false,
             holds_local_lock: false,
             unsquashable: false,
             fallback_nodes: Vec::new(),
@@ -400,10 +385,7 @@ impl<L: LocalPath> Engine for Hades<L> {
         x.fetched.clear();
         x.remote.clear();
         x.committing = false;
-        x.acks_outstanding = 0;
-        x.acks_seen.clear();
         x.intends.clear();
-        x.commit_failed = false;
         x.holds_local_lock = false;
         x.unsquashable = false;
         x.fallback_nodes.clear();
@@ -464,25 +446,11 @@ impl<L: LocalPath> Engine for Hades<L> {
                     sim.on_intend_arrive(si, att, node, ack_id);
                 }
             }
-            HadesEv::AckArrive {
-                si,
-                att,
-                ok,
-                ack_id,
-                from,
-                ep,
-            } => {
-                if sim.cl.membership.should_fence(ep, from) {
-                    sim.fence_verb(sim.slots[si].node, Verb::Ack);
-                } else if sim.alive(si, att) {
-                    sim.on_ack(si, att, ok, ack_id);
-                }
-            }
-            HadesEv::CommitTimeout { si, att } if sim.alive(si, att) => {
-                let x = &sim.ext[si];
-                if x.acks_outstanding > 0 && !x.unsquashable {
-                    sim.squash(si, SquashReason::CommitTimeout);
-                }
+            HadesEv::AckArrive(reply) => sim.on_ack(reply),
+            HadesEv::CommitTimeout { si, att, round }
+                if sim.alive(si, att) && sim.slots[si].round.times_out(round) =>
+            {
+                sim.squash(si, SquashReason::CommitTimeout)
             }
             HadesEv::ValidationArrive { node, key, ops } => {
                 sim.on_validation_arrive(node, key, ops)
@@ -572,8 +540,8 @@ impl<L: LocalPath> Engine for Hades<L> {
         x.unsquashable
     }
 
-    fn in_handshake(_c: &SlotCore, x: &Self::Slot) -> bool {
-        L::in_handshake(x)
+    fn in_handshake(c: &SlotCore, x: &Self::Slot) -> bool {
+        L::in_handshake(c, x)
     }
 
     /// Wipes the slot's speculative state at the crashed node. Its
@@ -712,34 +680,6 @@ impl<L: LocalPath> Sim<Hades<L>> {
         self.p.replica_pending[nb].remove(&key);
     }
 
-    /// Sends an Ack-class `verb` (loss-eligible) from `src` back to the
-    /// coordinator; every delivered copy carries `ack_id` so duplicates
-    /// are ignored.
-    #[allow(clippy::too_many_arguments)] // one arg per wire field
-    fn send_ack(
-        &mut self,
-        at: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        (si, att): (usize, u32),
-        ok: bool,
-        ack_id: u32,
-        verb: Verb,
-    ) {
-        let ep = self.cl.membership.epoch();
-        for back in self.cl.send(at, src, dst, wire_size(0, 64), verb) {
-            let ev = HadesEv::AckArrive {
-                si,
-                att,
-                ok,
-                ack_id,
-                from: src,
-                ep,
-            };
-            self.q.push_at(back, ev.into());
-        }
-    }
-
     /// A local access checks the directory's Locking Buffers first: a
     /// committing transaction may block it, and it retries until that
     /// transaction unlocks (Fig 7).
@@ -766,11 +706,11 @@ impl<L: LocalPath> Sim<Hades<L>> {
         let txn = Rc::clone(self.slots[si].txn.as_ref().expect("txn active"));
         let ops = &txn.stages[stage_idx];
         if ops.is_empty() {
-            self.slots[si].outstanding = 1;
+            self.slots[si].round.outstanding = 1;
             self.q.push_at(now, Ev::OpDone { si, att });
             return;
         }
-        self.slots[si].outstanding = ops.len() as u32;
+        self.slots[si].round.outstanding = ops.len() as u32;
         let mut cursor = now;
         for (i, op) in ops.iter().enumerate() {
             // Index walk + application compute: fundamental, same as
@@ -1034,10 +974,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             L::after_acks(self, si, att, cursor);
             return;
         }
-        let x = &mut self.ext[si];
-        x.acks_outstanding = (intend_count + repl_count) as u32;
-        x.acks_seen.clear();
-        x.commit_start = cursor;
+        self.ext[si].commit_start = cursor;
         // Attribute the ack-wait window to Replication when replica
         // prepares are in flight (they dominate the fan-out), else Commit.
         let ph = if repl_count == 0 {
@@ -1046,13 +983,17 @@ impl<L: LocalPath> Sim<Hades<L>> {
             ProfPhase::Replication
         };
         self.cl.obs_enter(si, ph, cursor);
+        // The attempt's only round: its reply ids count from 0, so an
+        // Intend's id is also its `intends` group.
+        let round = self.open_round(si);
         self.cl
             .obs_round_begin(si, Verb::Intend, intend_count as u32, cursor);
         self.cl
             .obs_round_begin(si, Verb::ReplicaPrepare, repl_count as u32, cursor);
         let ep = self.cl.membership.epoch();
-        let mut ack_id: u32 = 0;
         for k in 0..intend_count {
+            let ack_id = self.expect_reply(si);
+            debug_assert_eq!(ack_id as usize, k);
             let (dst, ref writes) = self.ext[si].intends.as_slice()[k];
             let bytes = wire_size(0, 64) + writes.len() * 8;
             cursor = self.cl.run_on_core(node, core, cursor, Cycles::new(20));
@@ -1066,9 +1007,9 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 };
                 self.q.push_at(arrive, ev.into());
             }
-            ack_id += 1;
         }
         for k in 0..repl_count {
+            let ack_id = self.expect_reply(si);
             let dst = self.ext[si].replica_targets[k];
             let txn = self.slots[si].txn.as_ref().expect("txn active");
             let lines: usize = txn
@@ -1087,14 +1028,13 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 };
                 self.q.push_at(arrive, ev.into());
             }
-            ack_id += 1;
         }
         // Messages (or their Acks) may be lost or delayed: arm the commit
         // timeout whenever a fault plan is live.
         if self.cl.injector_active() {
             let deadline = cursor + ReplicationParams::ACK_TIMEOUT;
-            self.q
-                .push_at(deadline, HadesEv::CommitTimeout { si, att }.into());
+            let ev = HadesEv::CommitTimeout { si, att, round };
+            self.q.push_at(deadline, ev.into());
         }
     }
 
@@ -1109,8 +1049,10 @@ impl<L: LocalPath> Sim<Hades<L>> {
         self.p.replica_pending[node.0 as usize].insert(key);
         self.p.replica_persists += 1;
         let ready = now + ReplicationParams::PERSIST_LATENCY;
-        let (origin, verb) = (key.origin, Verb::ReplicaAck);
-        self.send_ack(ready, node, origin, (si, att), true, ack_id, verb);
+        let reply = self.reply((si, att), node, ack_id, true);
+        self.send_reply(ready, reply, Verb::ReplicaAck, (), |reply, ()| {
+            HadesEv::AckArrive(reply)
+        });
     }
 
     /// Poison a remote transaction's state at `node` and notify its origin.
@@ -1149,37 +1091,39 @@ impl<L: LocalPath> Sim<Hades<L>> {
         // the duration of the step.
         let group = &mut self.ext[si].intends.groups[ack_id as usize].1;
         let write_lines = std::mem::take(group);
-        self.intend_step((si, att), node, ack_id, &write_lines, now);
+        let (ok, at) = self.intend_step(si, node, &write_lines, now);
         self.ext[si].intends.groups[ack_id as usize].1 = write_lines;
+        // Step 3: Ack or NACK (loss-eligible: a dropped Ack aborts via
+        // timeout).
+        let reply = self.reply((si, att), node, ack_id, ok);
+        self.send_reply(at, reply, Verb::Ack, (), |reply, ()| {
+            HadesEv::AckArrive(reply)
+        });
     }
 
-    /// Steps 1–3 at participant `node` of the live attempt `ack`, for an
-    /// Intend carrying `write_lines`.
+    /// Steps 1–2 at participant `node` for slot `si`'s live attempt, whose
+    /// Intend carries `write_lines`: whether to Ack, and when.
     fn intend_step(
         &mut self,
-        ack: (usize, u32),
+        si: usize,
         node: NodeId,
-        ack_id: u32,
         write_lines: &[u64],
         now: Cycles,
-    ) {
-        let si = ack.0;
+    ) -> (bool, Cycles) {
         let nb = node.0 as usize;
         let key = self.key_of(si);
         let origin = key.origin;
         let bloom = self.cl.cfg.bloom;
         // A committer already poisoned us here: NACK.
         if self.p.poisoned[nb].contains(&key) {
-            self.send_ack(now, node, origin, ack, false, ack_id, Verb::Ack);
-            return;
+            return (false, now);
         }
         let token = owner_token(key.origin, key.slot);
         // Duplicate delivery: the first copy already locked this
-        // directory, so just re-Ack (the coordinator deduplicates by
-        // `ack_id`).
+        // directory, so just re-Ack (the coordinator's round counts each
+        // reply id once).
         if self.cl.injector_active() && self.cl.lock_bufs[nb].holds(token) {
-            self.send_ack(now, node, origin, ack, true, ack_id, Verb::Ack);
-            return;
+            return (true, now);
         }
         // Step 1: partially lock y's directory with our NIC filters.
         let (rd, wr) = self.cl.nics[nb].filters_for_locking(key);
@@ -1201,8 +1145,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
                 && self.cl.nics[nb].exact_validate(write_lines, &read_lines, Some(key))
                 && L::local_exact_ok(self, nb, write_lines, &read_lines);
             if !degraded_ok {
-                self.send_ack(now, node, origin, ack, false, ack_id, Verb::Ack);
-                return;
+                return (false, now);
             }
             self.degraded_commit(now, node, None);
         }
@@ -1221,27 +1164,15 @@ impl<L: LocalPath> Sim<Hades<L>> {
             self.poison_and_squash_remote(node, c.with, now);
         }
         svc += L::squash_local_conflicts(self, nb, origin, write_lines);
-        // Step 3: Ack (loss-eligible: a dropped Ack aborts via timeout).
-        self.send_ack(now + svc, node, origin, ack, true, ack_id, Verb::Ack);
+        (true, now + svc)
     }
 
-    fn on_ack(&mut self, si: usize, att: u32, ok: bool, ack_id: u32) {
-        let x = &mut self.ext[si];
-        if x.acks_seen.contains(&ack_id) {
-            return; // duplicate delivery of an already-counted Ack
-        }
-        x.acks_seen.push(ack_id);
-        if !ok {
-            x.commit_failed = true;
-        }
-        debug_assert!(x.acks_outstanding > 0);
-        x.acks_outstanding -= 1;
-        if x.acks_outstanding > 0 {
+    fn on_ack(&mut self, reply: Reply) {
+        let ReplyStep::Closed { all_ok } = self.on_reply(&reply, Verb::Ack) else {
             return;
-        }
-        let now = self.q.now();
-        self.cl.obs_round_end(si, now);
-        if self.ext[si].commit_failed {
+        };
+        let (si, att, now) = (reply.si, reply.att, self.q.now());
+        if !all_ok {
             self.squash(si, SquashReason::LockFailed);
             return;
         }
@@ -1602,7 +1533,7 @@ impl LocalPath for HwLocal {
         x.recorded.clear();
     }
 
-    fn in_handshake(x: &HadesSlot<HwSlot>) -> bool {
+    fn in_handshake(_c: &SlotCore, x: &HadesSlot<HwSlot>) -> bool {
         x.committing
     }
 

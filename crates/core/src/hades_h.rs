@@ -20,7 +20,7 @@
 //! The remote path is HADES's own ([`Hades`]); this module supplies the
 //! software local path, [`SwLocal`].
 
-use crate::driver::{Ev, Sim};
+use crate::driver::{Ev, Sim, SlotCore};
 use crate::hades::{Hades, HadesSlot, LocalPath};
 use crate::runtime::{apply_write, Cluster, ResolvedOp};
 use crate::stats::SquashReason;
@@ -80,8 +80,8 @@ impl LocalPath for SwLocal {
         x.local_writes.clear();
     }
 
-    fn in_handshake(x: &HadesSlot<SwSlot>) -> bool {
-        x.acks_outstanding > 0
+    fn in_handshake(c: &SlotCore, _x: &HadesSlot<SwSlot>) -> bool {
+        c.round.waiting()
     }
 
     /// Record granularity for the software path.
