@@ -39,11 +39,13 @@ impl TagWord for u64 {}
 /// A set-associative, LRU cache array over 64-bit line addresses, with
 /// tags of width `T` (64-bit by default).
 ///
-/// The entries are two flat, set-major arrays (set `s` owns the entries
-/// `s * ways..(s + 1) * ways`), each allocated zeroed, so a set the
-/// simulation never touches costs no resident memory. An entry holds its
-/// line's set quotient (see [`TagWord`]) and its `WrTX_ID` owner: 10
-/// bytes with `u64` tags, 6 with `u32` tags. A set keeps its
+/// The entries are one flat, set-major array (set `s` owns the entries
+/// `s * ways..(s + 1) * ways`), allocated zeroed, so a set the
+/// simulation never touches costs no resident memory. An entry holds
+/// only its line's set quotient (see [`TagWord`]): 8 bytes with `u64`
+/// tags, 4 with `u32` tags. Few lines are tagged at once, so their
+/// `WrTX_ID` owners sit in one sparse table, and a full set with no
+/// tagged line evicts its last line without a lookup. A set keeps its
 /// `lens[s]` valid lines at the front of its entries in recency order,
 /// most recent first, so replacement needs no timestamps: a hit moves to
 /// the front, a fill goes to the front and a victim is found from the
@@ -69,12 +71,13 @@ pub struct SetAssocCache<T = u64> {
     /// Set quotient of the line held by each entry (meaningful only while
     /// valid).
     tags: Vec<T>,
-    /// `WrTX_ID` tag of each entry: the local transaction slot that
-    /// speculatively wrote the line, as slot + 1; 0 = none (private
-    /// caches never set it). Invalid entries hold 0.
-    owners: Vec<u16>,
     /// Number of valid lines in each set.
     lens: Vec<u8>,
+    /// Number of tagged lines (`owners` entries) in each set.
+    tagged: Vec<u8>,
+    /// `WrTX_ID` tags: each resident, speculatively written line with the
+    /// local slot that wrote it, sorted by line (private caches have none).
+    owners: Vec<(u64, SlotId)>,
     num_sets: usize,
     ways: usize,
     hits: u64,
@@ -108,11 +111,11 @@ impl<T: TagWord> SetAssocCache<T> {
         let lines = bytes / line_bytes;
         assert!(lines >= ways, "cache smaller than one set");
         let num_sets = lines / ways;
-        let n = num_sets * ways;
         SetAssocCache {
-            tags: vec![T::default(); n],
-            owners: vec![0; n],
+            tags: vec![T::default(); num_sets * ways],
             lens: vec![0; num_sets],
+            tagged: vec![0; num_sets],
+            owners: Vec::new(),
             num_sets,
             ways,
             hits: 0,
@@ -175,13 +178,33 @@ impl<T: TagWord> SetAssocCache<T> {
     }
 
     /// Moves the entry at `i` to `base`, the front of its set, shifting
-    /// the entries before it back by one, and stores `tag` and `owner`
-    /// there.
-    fn put_front(&mut self, base: usize, i: usize, tag: T, owner: u16) {
+    /// the entries before it back by one, and stores `tag` there.
+    fn put_front(&mut self, base: usize, i: usize, tag: T) {
         self.tags.copy_within(base..i, base + 1);
-        self.owners.copy_within(base..i, base + 1);
         self.tags[base] = tag;
-        self.owners[base] = owner;
+    }
+
+    /// The index of `line` in `owners`, or where it would go.
+    fn owner_index(&self, line: u64) -> Result<usize, usize> {
+        self.owners.binary_search_by_key(&line, |&(l, _)| l)
+    }
+
+    /// Tags `line`, resident in `set`, with `owner`.
+    fn tag(&mut self, line: u64, set: usize, owner: SlotId) {
+        match self.owner_index(line) {
+            Ok(k) => self.owners[k].1 = owner,
+            Err(k) => {
+                self.owners.insert(k, (line, owner));
+                self.tagged[set] += 1;
+            }
+        }
+    }
+
+    /// Untags `line`, of `set`, if it is tagged, returning its owner.
+    fn untag(&mut self, line: u64, set: usize) -> Option<SlotId> {
+        let k = self.owner_index(line).ok()?;
+        self.tagged[set] -= 1;
+        Some(self.owners.remove(k).1)
     }
 
     /// Whether `line` is resident.
@@ -192,7 +215,7 @@ impl<T: TagWord> SetAssocCache<T> {
     /// The speculative owner (`WrTX_ID` tag) of `line`, if resident and
     /// tagged.
     pub fn spec_owner(&self, line: u64) -> Option<SlotId> {
-        self.find(line).and_then(|i| owner_slot(self.owners[i]))
+        self.owner_index(line).ok().map(|k| self.owners[k].1)
     }
 
     /// Accesses `line`, filling it on a miss. The victim choice prefers
@@ -204,25 +227,22 @@ impl<T: TagWord> SetAssocCache<T> {
     }
 
     /// Accesses `line` as [`touch`](Self::touch) does, then sets its
-    /// `WrTX_ID` tag to `owner`: one lookup for a speculative write.
+    /// `WrTX_ID` tag to `owner`: one set search for a speculative write.
     pub fn touch_owned(&mut self, line: u64, owner: SlotId) -> Fill {
-        let (fill, i) = self.fill(line);
-        self.owners[i] = owner_tag(owner);
+        let (fill, set) = self.fill(line);
+        self.tag(line, set, owner);
         fill
     }
 
-    /// [`touch`](Self::touch), also returning the entry `line` now sits
-    /// in: the front of its set.
+    /// [`touch`](Self::touch), also returning `line`'s set.
     fn fill(&mut self, line: u64) -> (Fill, usize) {
         let (set, tag) = self.split(line);
         let base = set * self.ways;
         let len = self.lens[set] as usize;
-        let valid = base..base + len;
-        if let Some(w) = self.tags[valid.clone()].iter().position(|&t| t == tag) {
-            let owner = self.owners[base + w];
-            self.put_front(base, base + w, tag, owner);
+        if let Some(w) = self.tags[base..base + len].iter().position(|&t| t == tag) {
+            self.put_front(base, base + w, tag);
             self.hits += 1;
-            return (Fill::Hit, base);
+            return (Fill::Hit, set);
         }
         self.misses += 1;
 
@@ -230,24 +250,23 @@ impl<T: TagWord> SetAssocCache<T> {
             self.lens[set] += 1;
             (base + len, Fill::Miss)
         } else {
-            // The last non-speculative line is the LRU one; a fully
-            // speculative set evicts its last line and reports the owner
-            // for squashing.
-            match self.owners[valid].iter().rposition(|&o| o == 0) {
-                Some(w) => (
-                    base + w,
-                    Fill::Evicted(self.line_at(set, self.tags[base + w])),
-                ),
+            // The last untagged line is the LRU non-speculative one; a
+            // fully speculative set evicts its last line and reports the
+            // owner for squashing.
+            let plain = self.tagged[set] == 0;
+            let line_of = |w: usize| self.line_at(set, self.tags[base + w]);
+            let untagged = |&w: &usize| plain || self.owner_index(line_of(w)).is_err();
+            match (0..len).rev().find(untagged) {
+                Some(w) => (base + w, Fill::Evicted(line_of(w))),
                 None => {
-                    let i = base + len - 1;
-                    let owner = owner_slot(self.owners[i]).expect("all ways speculative");
-                    let victim = self.line_at(set, self.tags[i]);
-                    (i, Fill::EvictedSpeculative(victim, owner))
+                    let victim = line_of(len - 1);
+                    let owner = self.untag(victim, set).expect("all ways speculative");
+                    (base + len - 1, Fill::EvictedSpeculative(victim, owner))
                 }
             }
         };
-        self.put_front(base, i, tag, 0);
-        (fill, base)
+        self.put_front(base, i, tag);
+        (fill, set)
     }
 
     /// Sets the `WrTX_ID` tag of a resident line.
@@ -257,19 +276,7 @@ impl<T: TagWord> SetAssocCache<T> {
     /// Panics if the line is not resident (callers must `touch` first).
     pub fn set_spec_owner(&mut self, line: u64, owner: SlotId) {
         let i = self.find(line).expect("tagging a non-resident line");
-        self.owners[i] = owner_tag(owner);
-    }
-
-    /// Clears the `WrTX_ID` tag of `line` if resident; returns whether a tag
-    /// was cleared.
-    pub fn clear_spec_owner(&mut self, line: u64) -> bool {
-        match self.find(line) {
-            Some(i) if self.owners[i] != 0 => {
-                self.owners[i] = 0;
-                true
-            }
-            _ => false,
-        }
+        self.tag(line, i / self.ways, owner);
     }
 
     /// Invalidates `line` if resident (used when squashing: speculative
@@ -278,26 +285,44 @@ impl<T: TagWord> SetAssocCache<T> {
     pub fn invalidate(&mut self, line: u64) {
         if let Some(i) = self.find(line) {
             let set = i / self.ways;
+            self.untag(line, set);
             let end = set * self.ways + self.lens[set] as usize;
             self.tags.copy_within(i + 1..end, i);
-            self.owners.copy_within(i + 1..end, i);
-            self.owners[end - 1] = 0;
             self.lens[set] -= 1;
         }
     }
 
+    /// Untags every line `owner` tagged, invalidating them too on a squash
+    /// (`invalidate`); returns how many there were. Removing distinct lines
+    /// from a recency-ordered set leaves the same order whichever goes
+    /// first. The table keeps its allocation.
+    pub fn release(&mut self, owner: SlotId, invalidate: bool) -> usize {
+        let mut owners = std::mem::take(&mut self.owners);
+        let n = owners.len();
+        owners.retain(|&(line, o)| {
+            if o == owner {
+                let set = self.split(line).0;
+                self.tagged[set] -= 1;
+                if invalidate {
+                    self.invalidate(line); // no tag to find: the table is out
+                }
+            }
+            o != owner
+        });
+        self.owners = owners;
+        n - self.owners.len()
+    }
+
+    /// The lines `owner` tagged, in line order.
+    pub fn lines_of(&self, owner: SlotId) -> impl Iterator<Item = u64> + '_ {
+        self.owners
+            .iter()
+            .filter(move |e| e.1 == owner)
+            .map(|e| e.0)
+    }
+
     /// Number of resident lines currently tagged speculative.
     pub fn speculative_lines(&self) -> usize {
-        self.owners.iter().filter(|&&o| o != 0).count()
+        self.owners.len()
     }
-}
-
-/// Encodes `owner` as an `owners` entry.
-fn owner_tag(owner: SlotId) -> u16 {
-    owner.0.checked_add(1).expect("slot id below u16::MAX")
-}
-
-/// Decodes an `owners` entry (slot + 1, or 0 for none).
-fn owner_slot(tag: u16) -> Option<SlotId> {
-    tag.checked_sub(1).map(SlotId)
 }

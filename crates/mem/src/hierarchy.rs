@@ -3,9 +3,9 @@
 //!
 //! The hierarchy provides both *timing* (which level serviced an access,
 //! Table III round-trip latencies) and the *speculative state* HADES keeps
-//! in the LLC: which in-flight local transaction wrote each line, an index
-//! for retrieving all lines of a transaction (the Fig 8 assist), and
-//! squashes caused by evicting speculatively written lines.
+//! in the LLC: which in-flight local transaction wrote each line, all the
+//! lines of one transaction in line order (the Fig 8 assist), and squashes
+//! caused by evicting speculatively written lines.
 
 use crate::cache::{Fill, SetAssocCache};
 use hades_sim::config::MemParams;
@@ -57,13 +57,10 @@ pub struct NodeMemory {
     params: MemParams,
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
-    /// 32-bit tags, 6 bytes a way; the private caches' quotients need
-    /// more than 32 bits (see [`llc_holds_line`](Self::llc_holds_line)).
+    /// 32-bit tags, 4 bytes a way, and the node's one `WrTX_ID` table;
+    /// the private caches' quotients need more than 32 bits (see
+    /// [`llc_holds_line`](Self::llc_holds_line)).
     llc: SetAssocCache<u32>,
-    /// Index of LLC lines tagged per slot, indexed by slot, each without
-    /// duplicates and in no particular order — the software mirror of
-    /// what the WrBF2-enabled parallel tag comparison of Fig 8 computes.
-    tagged: Vec<Vec<u64>>,
     eviction_squashes: u64,
 }
 
@@ -92,7 +89,6 @@ impl NodeMemory {
             l1,
             l2,
             llc,
-            tagged: Vec::new(),
             eviction_squashes: 0,
         }
     }
@@ -118,12 +114,7 @@ impl NodeMemory {
     }
 
     fn note_llc_fill(&mut self, fill: Fill, evicted_owners: &mut Vec<SlotId>) {
-        if let Fill::EvictedSpeculative(line, owner) = fill {
-            if let Some(lines) = self.tagged.get_mut(owner.0 as usize) {
-                if let Some(i) = lines.iter().position(|&l| l == line) {
-                    lines.swap_remove(i);
-                }
-            }
+        if let Fill::EvictedSpeculative(_, owner) = fill {
             self.eviction_squashes += 1;
             evicted_owners.push(owner);
         }
@@ -194,60 +185,38 @@ impl NodeMemory {
     /// Marks `line` as speculatively written by `slot`, making it resident
     /// in the LLC first if needed. Returns any transactions squashed by the
     /// fill's eviction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another slot tagged `line`; the engine squashes such a
+    /// writer first.
     pub fn tag_write(&mut self, line: u64, slot: SlotId) -> Vec<SlotId> {
+        if let Some(owner) = self.llc.spec_owner(line) {
+            assert!(owner == slot, "{slot} tags line {line:#x} of {owner}");
+        }
         let mut evicted_owners = Vec::new();
         let fill = self.llc.touch_owned(line, slot);
         self.note_llc_fill(fill, &mut evicted_owners);
-        let s = slot.0 as usize;
-        if self.tagged.len() <= s {
-            self.tagged.resize_with(s + 1, Vec::new);
-        }
-        if !self.tagged[s].contains(&line) {
-            self.tagged[s].push(line);
-        }
         evicted_owners
     }
 
     /// All LLC lines currently tagged by `slot`, in sorted order (the
     /// operation the Fig 8 hardware performs in 80–120 cycles).
     pub fn lines_tagged(&self, slot: SlotId) -> Vec<u64> {
-        let mut v = self
-            .tagged
-            .get(slot.0 as usize)
-            .cloned()
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
+        self.llc.lines_of(slot).collect()
     }
 
     /// Commit: clears `slot`'s `WrTX_ID` tags, making its lines
-    /// non-speculative. Returns how many lines were untagged. Clearing
-    /// one line's tag leaves every other line alone, so the index's order
-    /// does not matter. The slot's index keeps its allocation.
+    /// non-speculative. Returns how many lines were untagged.
     pub fn commit_slot(&mut self, slot: SlotId) -> usize {
-        let Some(lines) = self.tagged.get_mut(slot.0 as usize) else {
-            return 0;
-        };
-        lines
-            .drain(..)
-            .filter(|&line| self.llc.clear_spec_owner(line))
-            .count()
+        self.llc.release(slot, false)
     }
 
     /// Squash: invalidates `slot`'s speculatively written lines (their data
     /// is discarded) and clears the tags. Returns how many lines were
-    /// invalidated. Removing distinct lines from a recency-ordered set
-    /// leaves the same order whichever goes first, so the index's order
-    /// does not matter. The slot's index keeps its allocation.
+    /// invalidated.
     pub fn squash_slot(&mut self, slot: SlotId) -> usize {
-        let Some(lines) = self.tagged.get_mut(slot.0 as usize) else {
-            return 0;
-        };
-        let n = lines.len();
-        for line in lines.drain(..) {
-            self.llc.invalidate(line);
-        }
-        n
+        self.llc.release(slot, true)
     }
 
     /// Total speculative lines in the LLC (diagnostics).

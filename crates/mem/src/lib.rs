@@ -5,11 +5,11 @@
 //! ([`cache::SetAssocCache`], whose sets keep their lines in recency
 //! order, so no per-line timestamp is stored, and whose tags hold a
 //! line's set quotient: 64-bit in the private caches, 32-bit in the LLC,
-//! which makes an LLC way 6 bytes instead of 10) and a per-node hierarchy
+//! which makes an LLC way 4 bytes) and a per-node hierarchy
 //! ([`hierarchy::NodeMemory`]) that additionally carries the HADES
-//! directory state — `WrTX_ID` tags on LLC lines (Module 2 of Fig 5), the
-//! per-transaction tagged-line index that the Fig 8 write-filter hardware
-//! accelerates, and the squash-on-speculative-eviction rule with the
+//! directory state — `WrTX_ID` tags on LLC lines (Module 2 of Fig 5) in
+//! one sparse table, which lists a transaction's lines as the Fig 8
+//! hardware does, and the squash-on-speculative-eviction rule with the
 //! Section VIII-C replacement policy (prefer non-speculative victims).
 //!
 //! Timing follows Table III: L1 2 cycles, L2 12, LLC 40, DRAM 100 ns.

@@ -22,12 +22,18 @@
 //! layout" and "Loading"), so neither makes an allocation per record,
 //! per load chunk, per index node or per cache set.
 //!
+//! A third holds the LLC's `WrTX_ID` table, which keeps its allocation:
+//! once warm, tagging, owner lookups, commits and squashes allocate
+//! nothing.
+//!
 //! The counter is thread-local, so allocations made by the test harness
 //! on other threads are not counted.
 
 use hades::core::runner::{Experiment, Protocol, Run};
 use hades::core::runtime::Cluster;
-use hades::sim::config::SimConfig;
+use hades::mem::hierarchy::NodeMemory;
+use hades::sim::config::{MemParams, SimConfig};
+use hades::sim::ids::SlotId;
 use hades::storage::db::Database;
 use hades::workloads::catalog::AppId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -168,4 +174,32 @@ fn set_up_stays_within_its_allocation_budget() {
         }
     }
     assert!(over.is_empty(), "over budget: {over:?}");
+}
+
+/// Four slots tag 16 lines each, fresh ones every `round` and each line
+/// twice, then two commit and two squash.
+fn tag_commit_squash(m: &mut NodeMemory, round: u64) {
+    for slot in 0..4u16 {
+        for j in 0..16 {
+            let line = 7 * (64 * round + 16 * u64::from(slot) + j);
+            for _ in 0..2 {
+                assert!(m.tag_write(line, SlotId(slot)).is_empty());
+                assert_eq!(m.write_owner(line), Some(SlotId(slot)));
+            }
+        }
+    }
+    assert_eq!(m.commit_slot(SlotId(0)) + m.commit_slot(SlotId(1)), 32);
+    assert_eq!(m.squash_slot(SlotId(2)) + m.squash_slot(SlotId(3)), 32);
+}
+
+#[test]
+fn wrtx_id_table_keeps_its_allocation() {
+    let mut m = NodeMemory::new(&MemParams::default(), 5);
+    tag_commit_squash(&mut m, 0);
+    let (allocs, ()) = counted(|| (1..50).for_each(|round| tag_commit_squash(&mut m, round)));
+    assert_eq!(
+        allocs, 0,
+        "tag, commit and squash cycles made {allocs} allocations"
+    );
+    assert_eq!(m.speculative_lines(), 0);
 }

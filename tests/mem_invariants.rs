@@ -6,11 +6,12 @@
 //! speculatively written one while a plain line is left, and reports the
 //! owner when a fully speculative set must evict (Sections V-A and
 //! VIII-C). The hierarchy walks L1 → L2 → LLC → DRAM with Table III's
-//! latencies, lets the NIC bypass the private caches, and keeps the
-//! per-slot `WrTX_ID` index in step with the LLC's tags through commit,
-//! squash and eviction. The LLC's 32-bit tags decode every line of the
-//! cluster shapes the figures use, and a cluster whose line space they
-//! cannot hold is refused when it is built.
+//! latencies, lets the NIC bypass the private caches, and answers each
+//! slot's tagged lines from the LLC's one `WrTX_ID` table through commit,
+//! squash and eviction; a slot never tags a line another slot wrote. The
+//! LLC's 32-bit tags decode every line of the cluster shapes the figures
+//! use, and a cluster whose line space they cannot hold is refused when
+//! it is built.
 
 use hades::core::runtime::Cluster;
 use hades::mem::cache::{Fill, SetAssocCache, TagWord};
@@ -78,9 +79,11 @@ fn spec_tag_lifecycle() {
     c.set_spec_owner(9, SlotId(3));
     assert_eq!(c.spec_owner(9), Some(SlotId(3)));
     assert_eq!(c.speculative_lines(), 1);
-    assert!(c.clear_spec_owner(9));
-    assert!(!c.clear_spec_owner(9));
+    // A commit clears the tag and keeps the line.
+    assert_eq!(c.release(SlotId(3), false), 1);
+    assert_eq!(c.release(SlotId(3), false), 0);
     assert_eq!(c.spec_owner(9), None);
+    assert!(c.contains(9));
 }
 
 #[test]
@@ -205,18 +208,18 @@ impl RefCache {
         w.owner = Some(owner);
     }
 
-    fn clear_spec_owner(&mut self, line: u64) -> bool {
-        let set = self.set(line);
-        match set
-            .iter_mut()
-            .find(|w| w.valid && w.line == line && w.owner.is_some())
-        {
-            Some(w) => {
+    /// Clears every tag of `owner`, also invalidating the lines if
+    /// `invalidate`; returns how many there were.
+    fn release(&mut self, owner: SlotId, invalidate: bool) -> usize {
+        let mut n = 0;
+        for w in self.sets.values_mut().flatten() {
+            if w.valid && w.owner == Some(owner) {
                 w.owner = None;
-                true
+                w.valid = !invalidate;
+                n += 1;
             }
-            None => false,
         }
+        n
     }
 
     fn invalidate(&mut self, line: u64) {
@@ -238,46 +241,57 @@ impl RefCache {
 
 /// Drives `cache` and a fresh stamp-based reference model with the same
 /// seeded mix of operations over `pool`'s lines and compares them after
-/// every step: every `Fill`, evicted line addresses included, and every
-/// pool line's residency and owner; the whole cache's speculative count
-/// every `count_every` steps. An operation is drawn from `0..kinds`:
-/// 0–4 touch, 8 clears a tag, 9 invalidates and the rest tag, so a larger
-/// `kinds` tags more often. Tagging is frequent, so sets fill with
-/// speculative lines and both kinds of eviction occur. Returns the
-/// (plain, speculative) eviction counts.
+/// every step: every `Fill`, evicted line addresses included, every pool
+/// line's residency and owner, and the whole cache's speculative count.
+/// An operation is drawn from `0..kinds`: 0–4 touch, 8 commits or
+/// squashes one owner's lines, 9 invalidates a line and the rest tag, so
+/// a larger `kinds` tags more often. A tag is either `touch_owned`, which
+/// fills the line first, or `set_spec_owner` on a resident line. Tagging
+/// is frequent, so sets fill with speculative lines and both kinds of
+/// eviction occur. Returns the (plain, speculative) eviction counts.
 fn match_reference_model<T: TagWord>(
     cache: &mut SetAssocCache<T>,
     pool: &[u64],
     seed: u64,
-    (steps, kinds, count_every): (usize, u64, usize),
+    (steps, kinds): (usize, u64),
 ) -> (usize, usize) {
     let mut model = RefCache::new(cache.num_sets(), cache.ways());
     let mut rng = SimRng::seed_from(seed);
     let (mut evicted, mut squashed) = (0, 0);
     for step in 0..steps {
         let line = pool[rng.below(pool.len() as u64) as usize];
+        let mut count = |fill: Fill| match fill {
+            Fill::Evicted(_) => evicted += 1,
+            Fill::EvictedSpeculative(..) => squashed += 1,
+            Fill::Hit | Fill::Miss => {}
+        };
         match rng.below(kinds) {
             0..=4 => {
                 let fill = cache.touch(line);
                 assert_eq!(fill, model.touch(line), "step {step}: touch {line:#x}");
-                match fill {
-                    Fill::Evicted(_) => evicted += 1,
-                    Fill::EvictedSpeculative(..) => squashed += 1,
-                    Fill::Hit | Fill::Miss => {}
-                }
+                count(fill);
             }
             5..=7 | 10.. => {
-                if model.way(line).is_some() {
-                    let owner = SlotId(rng.below(5) as u16);
+                let owner = SlotId(rng.below(5) as u16);
+                if rng.below(2) == 0 {
+                    let fill = cache.touch_owned(line, owner);
+                    assert_eq!(fill, model.touch(line), "step {step}: owned {line:#x}");
+                    model.set_spec_owner(line, owner);
+                    count(fill);
+                } else if model.way(line).is_some() {
                     cache.set_spec_owner(line, owner);
                     model.set_spec_owner(line, owner);
                 }
             }
-            8 => assert_eq!(
-                cache.clear_spec_owner(line),
-                model.clear_spec_owner(line),
-                "step {step}: clear {line:#x}"
-            ),
+            8 => {
+                let owner = SlotId(rng.below(5) as u16);
+                let squash = rng.below(2) == 0;
+                assert_eq!(
+                    cache.release(owner, squash),
+                    model.release(owner, squash),
+                    "step {step}: release {owner}"
+                );
+            }
             9 => {
                 cache.invalidate(line);
                 model.invalidate(line);
@@ -288,9 +302,11 @@ fn match_reference_model<T: TagWord>(
             assert_eq!(cache.contains(l), w.is_some(), "step {step}: line {l:#x}");
             assert_eq!(cache.spec_owner(l), w.and_then(|w| w.owner), "step {step}");
         }
-        if step % count_every == 0 {
-            assert_eq!(cache.speculative_lines(), model.speculative_lines());
-        }
+        assert_eq!(
+            cache.speculative_lines(),
+            model.speculative_lines(),
+            "step {step}"
+        );
     }
     (evicted, squashed)
 }
@@ -301,8 +317,7 @@ fn recency_ordered_sets_match_the_stamp_lru_reference_model() {
         for seed in 0..4u64 {
             let mut cache = SetAssocCache::new(num_sets * ways * 64, 64, ways);
             let pool: Vec<u64> = (0..(num_sets * ways * 3) as u64).collect();
-            let (evicted, squashed) =
-                match_reference_model(&mut cache, &pool, seed, (5_000, 10, 1));
+            let (evicted, squashed) = match_reference_model(&mut cache, &pool, seed, (5_000, 10));
             assert!(evicted > 100 && squashed > 20, "{evicted} / {squashed}");
         }
     }
@@ -346,7 +361,7 @@ fn llc_32_bit_tags_match_the_reference_model_on_every_node_slab() {
         let mut pool = slab_lines_in_set(shape.nodes, num_sets, 0, 3);
         pool.extend(slab_lines_in_set(shape.nodes, num_sets, last % num_sets, 3));
         assert!(pool.contains(&last));
-        let (evicted, squashed) = match_reference_model(&mut llc, &pool, 7, (20_000, 16, 1_000));
+        let (evicted, squashed) = match_reference_model(&mut llc, &pool, 7, (20_000, 16));
         let nodes = shape.nodes;
         assert!(
             evicted > 1_000 && squashed > 10,
@@ -470,6 +485,9 @@ fn eviction_of_speculative_line_squashes_owner() {
     let out = m.access_from_nic(1000);
     assert_eq!(out.evicted_owners, vec![SlotId(0)]);
     assert_eq!(m.eviction_squashes(), 1);
+    // Line 0, the LRU one, left; the other 15 stay tagged, in line order.
+    assert_eq!(m.lines_tagged(SlotId(0)), (1..16).collect::<Vec<u64>>());
+    assert_eq!(m.speculative_lines(), 15);
 }
 
 #[test]
@@ -498,6 +516,17 @@ fn lines_tagged_is_sorted_and_deduplicated() {
     m.tag_write(3, SlotId(0));
     m.tag_write(9, SlotId(0));
     assert_eq!(m.lines_tagged(SlotId(0)), vec![3, 9]);
+}
+
+/// A local writer squashes itself on a line another local transaction
+/// tagged, so it never re-tags one: the LLC's one table records a single
+/// owner per line.
+#[test]
+#[should_panic(expected = "s1 tags line 0x5 of s0")]
+fn tagging_another_slots_line_panics() {
+    let mut m = NodeMemory::new(&MemParams::default(), 1);
+    m.tag_write(5, SlotId(0));
+    m.tag_write(5, SlotId(1));
 }
 
 #[test]
