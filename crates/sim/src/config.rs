@@ -284,6 +284,13 @@ impl RetryParams {
     /// ([`EventQueue::with_retry_delay`](crate::engine::EventQueue::with_retry_delay)),
     /// which it keeps, in exact single-heap order, while it is parked.
     pub const LOCK_RETRY: Cycles = Cycles::new(60);
+    /// How long a coordinator waits on a commit round's missing reply
+    /// (under a live fault plan) or on an execution fetch (under the
+    /// membership layer) before it squashes the attempt and retries. A
+    /// fetch from a permanently dead home simply vanishes; the retry
+    /// re-routes to the promoted backup once the reconfiguration has
+    /// run.
+    pub const WATCHDOG: Cycles = Cycles::from_micros(40);
 }
 
 impl Default for RetryParams {
@@ -316,8 +323,6 @@ impl ReplicationParams {
     /// Latency of persisting an update to temporary durable storage
     /// (NVM-class: 1 µs).
     pub const PERSIST_LATENCY: Cycles = Cycles::from_micros(1);
-    /// Coordinator abandons a commit if Acks are missing after this long.
-    pub const ACK_TIMEOUT: Cycles = Cycles::from_micros(40);
 }
 
 impl Default for ReplicationParams {
@@ -518,12 +523,6 @@ impl MembershipParams {
     pub const RENEW_INTERVAL: Cycles = Cycles::from_micros(20);
     /// Number of missed renewal intervals before a node is suspected dead.
     pub const SUSPECT_AFTER: u64 = 3;
-    /// Deadline for an execution-phase remote read, matching the commit
-    /// Ack timeout. With a permanently dead home node the request simply
-    /// vanishes; this timeout converts the hung fetch into a clean
-    /// squash-and-retry (which re-routes to the promoted backup once the
-    /// reconfiguration has run).
-    pub const FETCH_TIMEOUT: Cycles = Cycles::from_micros(40);
     /// Multiplier on the suspicion deadline before a partition-safe death
     /// is declared: suspicion (service degradation, gray-node handling)
     /// starts at `SUSPECT_AFTER * RENEW_INTERVAL`, death only at this

@@ -12,7 +12,8 @@ use hades::fault::FaultPlan;
 use hades::sim::config::SimConfig;
 use hades::sim::time::Cycles;
 use hades::storage::db::Database;
-use hades::telemetry::event::Verb;
+use hades::telemetry::event::{EventKind, RecoveryKind, TraceEvent, Verb, NO_SLOT};
+use hades::telemetry::sink::Tracer;
 use hades::workloads::catalog::AppId;
 use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
 
@@ -27,7 +28,8 @@ fn run_app(p: Protocol, app: &str, warmup: u64, measure: u64) -> RunOutcome {
 }
 
 /// Runs Smallbank on `cfg` over `accounts` accounts with a `hotspot`,
-/// under `plan` if given, and checks that money is conserved: the final
+/// under `plan` if given and with `tracer` installed, and checks that
+/// money is conserved: the final
 /// total equals the initial total plus every committed RMW delta.
 fn run_smallbank(
     p: Protocol,
@@ -36,6 +38,7 @@ fn run_smallbank(
     hotspot: (u64, f64),
     measure: u64,
     plan: Option<FaultPlan>,
+    tracer: Tracer,
 ) -> RunOutcome {
     let mut db = Database::new(cfg.shape.nodes);
     let sb = Smallbank::setup(
@@ -47,6 +50,7 @@ fn run_smallbank(
     );
     let out = Run::loaded(p, cfg, db, Box::new(sb.clone()), 0, measure)
         .plan(plan)
+        .tracer(tracer)
         .run();
     assert_eq!(
         sb.check_conservation(&out.cluster.db, out.total_sum_delta),
@@ -78,7 +82,15 @@ fn every_engine_commits_and_measures() {
 #[test]
 fn every_engine_conserves_money_on_a_hotspot() {
     for p in Protocol::ALL {
-        let out = run_smallbank(p, SimConfig::isca_default(), 2_000, (20, 0.7), 600, None);
+        let out = run_smallbank(
+            p,
+            SimConfig::isca_default(),
+            2_000,
+            (20, 0.7),
+            600,
+            None,
+            Tracer::disabled(),
+        );
         assert_eq!(out.stats.committed, 600, "{p}");
         assert_no_leaks(p, &out);
     }
@@ -125,7 +137,8 @@ fn every_engine_survives_message_loss() {
     ];
     for (p, degree, plan) in engine_rounds.into_iter().chain(other_replies) {
         let cfg = SimConfig::isca_default().with_replication(degree);
-        let out = run_smallbank(p, cfg, 1_000, (16, 0.5), 400, Some(plan));
+        let (tracer, sink) = Tracer::memory();
+        let out = run_smallbank(p, cfg, 1_000, (16, 0.5), 400, Some(plan), tracer);
         assert_eq!(out.stats.committed, 400, "{p}");
         assert!(out.stats.faults.drops > 0, "{p}: plan must actually drop");
         assert!(
@@ -136,8 +149,49 @@ fn every_engine_survives_message_loss() {
             out.stats.recovery.timeout_retries > 0,
             "{p}: dropped responses must surface as timeout retries"
         );
+        // The plans drop no verb the transport retransmits, so every
+        // timeout retry is the engine's: one per commit-timeout squash.
+        let events = sink.borrow_mut().take_events();
+        assert_eq!(
+            timeout_retries_after_their_abort(p, &events),
+            out.stats.recovery.timeout_retries,
+            "{p}: traced timeout retries"
+        );
         assert_no_leaks(p, &out);
     }
+}
+
+/// Checks that every slot-scoped timeout retry in `events` comes straight
+/// after its slot's `commit-timeout` abort, at the same cycle, and
+/// returns how many there are.
+fn timeout_retries_after_their_abort(p: Protocol, events: &[TraceEvent]) -> u64 {
+    let retry = EventKind::Recovery {
+        action: RecoveryKind::TimeoutRetry,
+    };
+    let abort = EventKind::TxnAbort {
+        reason: "commit-timeout",
+    };
+    let mut retries = 0;
+    for (i, ev) in events.iter().enumerate() {
+        if ev.kind != retry || ev.slot == NO_SLOT {
+            continue;
+        }
+        retries += 1;
+        let before = events[..i]
+            .iter()
+            .rev()
+            .find(|e| (e.node, e.slot) == (ev.node, ev.slot))
+            .map(|e| (e.at, e.kind));
+        assert_eq!(
+            before,
+            Some((ev.at, abort)),
+            "{p}: the timeout retry of slot {}/{} at {} does not follow its abort",
+            ev.node,
+            ev.slot,
+            ev.at.get()
+        );
+    }
+    retries
 }
 
 #[test]

@@ -15,9 +15,10 @@ use hades::core::runner::{Experiment, Protocol, Run};
 use hades::core::runtime::RunOutcome;
 use hades::core::stats::MembershipStats;
 use hades::fault::FaultPlan;
-use hades::sim::config::{ClusterShape, MembershipParams, SimConfig};
+use hades::sim::config::{ClusterShape, MembershipParams, RetryParams, SimConfig};
 use hades::sim::time::Cycles;
 use hades::storage::db::Database;
+use hades::telemetry::event::{EventKind, Phase};
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
 use hades::workloads::catalog::AppId;
@@ -100,8 +101,10 @@ fn survivors_commit_through_a_permanent_crash() {
 
 /// A Baseline lock or validation round that waits on a dead participant
 /// is aborted by the round's own watchdog, which counts a timeout retry,
-/// and not by a fetch watchdog armed during execution. The run is the
-/// lock-stall exactness test's `CrashForever` row.
+/// and not by a fetch watchdog armed during execution: every
+/// `commit-timeout` abort inside an open lock or validation phase comes
+/// a full deadline after the phase began. The run is the lock-stall
+/// exactness test's `CrashForever` row.
 #[test]
 fn a_dead_participant_times_out_baselines_commit_round() {
     let mut ex = Experiment::quick();
@@ -109,13 +112,45 @@ fn a_dead_participant_times_out_baselines_commit_round() {
     ex.cfg = ex.cfg.with_membership(MembershipParams::standard());
     let plan = FaultPlan::none().crash_forever(1, Cycles::from_micros(20));
     let app = AppId::parse("HT-wA").unwrap();
+    let (tracer, sink) = Tracer::memory();
     let out = Run::apps(Protocol::Baseline, &ex, &[app])
         .plan(Some(plan))
+        .tracer(tracer)
         .run();
     assert!(
         out.stats.recovery.timeout_retries > 0,
         "no commit round timed out on its own watchdog"
     );
+    // The open lock or validation phase of each slot, by when it began.
+    let mut open = std::collections::HashMap::new();
+    let mut round_timeouts = 0;
+    for ev in sink.borrow_mut().take_events() {
+        let slot = (ev.node, ev.slot);
+        match ev.kind {
+            EventKind::PhaseBegin(Phase::Lock | Phase::Validate) => {
+                open.insert(slot, ev.at);
+            }
+            EventKind::PhaseEnd(_) | EventKind::TxnBegin { .. } => {
+                open.remove(&slot);
+            }
+            EventKind::TxnAbort { reason } => {
+                let began = open.remove(&slot);
+                if let (Some(began), "commit-timeout") = (began, reason) {
+                    round_timeouts += 1;
+                    assert!(
+                        ev.at >= began + RetryParams::WATCHDOG,
+                        "slot {}/{}: a commit round opened at {} timed out at {}",
+                        ev.node,
+                        ev.slot,
+                        began.get(),
+                        ev.at.get()
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(round_timeouts > 0, "no commit round timed out");
 }
 
 /// The `verbs_fenced` counter and the `verb_fenced` trace events are
