@@ -12,9 +12,10 @@
 use hades::core::runner::{Experiment, Protocol, Run};
 use hades::sim::config::SimConfig;
 use hades::sim::time::Cycles;
-use hades::telemetry::event::Verb;
+use hades::telemetry::event::{EventKind, Verb};
 use hades::telemetry::observer::TxnObserver;
 use hades::telemetry::profile::{PhaseProfile, ProfPhase};
+use hades::telemetry::sink::Tracer;
 use hades::telemetry::span::{SpanLog, TxnSpan, SPAN_RETAIN_CAP};
 use hades::workloads::catalog::AppId;
 
@@ -45,7 +46,8 @@ fn profile_and_spans_agree_for_every_engine() {
                 cfg: SimConfig::isca_default().with_profiling().with_spans(),
                 ..Experiment::quick()
             };
-            let stats = Run::apps(protocol, &ex, &[app]).run().stats;
+            let (tracer, sink) = Tracer::memory();
+            let stats = Run::apps(protocol, &ex, &[app]).tracer(tracer).run().stats;
             let profile = stats.profile.as_ref().expect("profile block");
             let spans = stats.spans.as_ref().expect("span log");
             assert_eq!(spans.dropped(), 0, "{protocol}: spans dropped");
@@ -70,6 +72,23 @@ fn profile_and_spans_agree_for_every_engine() {
                 "{protocol}: phases must telescope to the committed latency"
             );
             assert!(profile.phase_cycles(ProfPhase::Exec) > 0, "{protocol}");
+            // The squashes counted are those traced inside the window:
+            // after the commit that ends the warmup, up to the last
+            // measured commit.
+            let events = sink.borrow_mut().take_events();
+            let mut commits = 0;
+            let mut aborts = 0;
+            for ev in &events {
+                match ev.kind {
+                    EventKind::TxnCommit => commits += 1,
+                    EventKind::TxnAbort { .. } if commits >= ex.warmup => aborts += 1,
+                    _ => {}
+                }
+                if commits == ex.warmup + ex.measure {
+                    break;
+                }
+            }
+            assert_eq!(stats.squashes, aborts, "{protocol}: squashes in the window");
             if protocol != Protocol::Baseline {
                 assert!(
                     profile.verb_msgs(Verb::Intend) > 0,
