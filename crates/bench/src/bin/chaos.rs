@@ -90,7 +90,9 @@ fn run_cells(
 }
 
 /// Dup/delay/reorder pressure on the commit verbs plus a NIC stall window:
-/// nothing is lost outright, everything arrives strangely.
+/// little is lost outright, everything arrives strangely. Only
+/// Lossy-class verbs reorder, so the plan jitters the HADES engines' Ack
+/// and Baseline's ValidateResp: every engine meets reordering.
 fn mixed_chaos_plan(seed: u64) -> FaultPlan {
     FaultPlan::none()
         .with_seed(seed)
@@ -100,7 +102,8 @@ fn mixed_chaos_plan(seed: u64) -> FaultPlan {
         .dup_verb(Verb::LockResp, 0.05)
         .dup_verb(Verb::ValidateResp, 0.05)
         .delay_verb(Verb::Validation, 0.10, Cycles::new(2_000))
-        .reorder_verb(Verb::Read, 0.10, Cycles::new(1_000))
+        .reorder_verb(Verb::Ack, 0.10, Cycles::new(1_000))
+        .reorder_verb(Verb::ValidateResp, 0.10, Cycles::new(1_000))
         .nic_stall(1, Cycles::new(100_000), Cycles::new(140_000))
 }
 
@@ -188,8 +191,9 @@ fn main() {
         });
     }
 
-    // 4. Node crash + restart with §V-A replication (HADES engine; the
-    // software engines have no crash model).
+    // 4. Node crash + restart with §V-A replication, on HADES only
+    // (HADES-H arms plan crashes too; Baseline only with the membership
+    // layer on, as the migration-crash cells below run it).
     let crash_plan = FaultPlan::none()
         .with_seed(11)
         .with_lease(Cycles::new(30_000))

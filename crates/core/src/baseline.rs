@@ -442,7 +442,6 @@ impl Sim<Baseline> {
                         bytes: wire_size(0, 64),
                         verb: Verb::Read,
                         wrs: 1,
-                        fault_exempt: false,
                     },
                 );
                 self.charge(si, Overhead::Other, sent.cost);
@@ -602,7 +601,6 @@ impl Sim<Baseline> {
                     bytes: wire_size(0, 64) + batch * 16,
                     verb: Verb::Lock,
                     wrs: batch as u64,
-                    fault_exempt: true,
                 },
             );
             self.charge(si, Overhead::ConflictDetection, sent.cost);
@@ -760,7 +758,6 @@ impl Sim<Baseline> {
                     bytes: wire_size(0, 64),
                     verb: Verb::Validate,
                     wrs: 1,
-                    fault_exempt: true,
                 },
             );
             self.charge(si, Overhead::ConflictDetection, sent.cost);
@@ -904,7 +901,6 @@ impl Sim<Baseline> {
                     bytes: wire_size(0, 64) + bytes,
                     verb: Verb::Write,
                     wrs: 1,
-                    fault_exempt: false,
                 },
             );
             self.charge(si, Overhead::ManageSets, stage + sent.cost);
@@ -993,7 +989,6 @@ impl Sim<Baseline> {
                     bytes: wire_size(0, 64),
                     verb: Verb::Unlock,
                     wrs: 1,
-                    fault_exempt: false,
                 },
             );
             cursor = sent.depart;
@@ -1056,45 +1051,47 @@ impl Sim<Baseline> {
         );
         let lock_cost = self.cl.cfg.sw.lock_local * batch.len() as u64;
         self.charge(si, Overhead::ConflictDetection, lock_cost);
-        let mut when = self.cl.run_on_core(node, core, now, lock_cost);
-        if home != node {
+        let depart = self.cl.run_on_core(node, core, now, lock_cost);
+        // The reply's first copy; `None` when the reply was lost.
+        let reply = if home == node {
+            Some(depart)
+        } else {
             // One round trip carries the whole batch of CAS operations.
-            let arrive = self.cl.send_fault_exempt(
-                when,
-                node,
-                home,
-                wire_size(0, 64) + batch.len() * 16,
-                Verb::Lock,
-            );
+            let bytes = wire_size(0, 64) + batch.len() * 16;
+            let arrive = self.cl.send(depart, node, home, bytes, Verb::Lock).only();
             let mut svc = Cycles::ZERO;
             for &rid in &batch {
                 let first_line = [self.cl.db.record(rid).lines().next().expect("record")];
                 let (lat, _) = self.cl.access_lines_nic(home, &first_line);
                 svc += lat;
             }
-            when = self.cl.send_fault_exempt(
-                arrive + svc,
-                home,
-                node,
-                wire_size(0, 64),
-                Verb::LockResp,
-            );
-        }
+            let bytes = wire_size(0, 64);
+            let copies = self
+                .cl
+                .send(arrive + svc, home, node, bytes, Verb::LockResp);
+            copies.first().copied()
+        };
         let acquired = batch
             .iter()
             .take_while(|&&rid| self.cl.db.record_mut(rid).try_lock(token))
             .count();
-        if acquired == batch.len() {
-            self.slots[si].fallback_cursor += 1;
-            self.q.push_at(when, Ev::FallbackLock { si, att });
-        } else {
-            // Release this batch's acquired prefix and retry it.
+        // Release a partly locked batch's acquired prefix; it is retried.
+        if acquired < batch.len() {
             for &rid in &batch[..acquired] {
                 self.cl.db.record_mut(rid).unlock(token);
             }
-            self.q
-                .push_at(when + RetryParams::LOCK_RETRY, Ev::FallbackLock { si, att });
         }
+        let next = match reply {
+            // A lost reply: poll the same batch again. A batch locked in
+            // full stays locked, and `try_lock` is re-entrant for its owner.
+            None => depart + RetryParams::WATCHDOG,
+            Some(when) if acquired == batch.len() => {
+                self.slots[si].fallback_cursor += 1;
+                when
+            }
+            Some(when) => when + RetryParams::LOCK_RETRY,
+        };
+        self.q.push_at(next, Ev::FallbackLock { si, att });
         self.ext[si].fallback_batch = batch;
     }
 }

@@ -746,7 +746,6 @@ impl<L: LocalPath> Sim<Hades<L>> {
                     bytes: wire_size(0, 64),
                     verb: Verb::Read,
                     wrs: 1,
-                    fault_exempt: false,
                 },
             );
             cursor = sent.depart;

@@ -87,11 +87,6 @@ pub struct CoreVerb {
     /// Work requests the verb posts; each pays the issue cost (Baseline's
     /// Lock posts one CAS per record).
     pub wrs: u64,
-    /// Send past the fault injector ([`Cluster::send_fault_exempt`])
-    /// rather than through the fault plane ([`Cluster::send`]). A verb
-    /// sent through the fault plane must be Retransmit-class: `issue`
-    /// returns its one arrival.
-    pub fault_exempt: bool,
 }
 
 /// What [`Cluster::issue`] did.
@@ -334,30 +329,15 @@ impl Cluster {
         self.delivered(now, src, dst, verb, sent)
     }
 
-    /// Sends a message past the fault injector: no injected fault,
-    /// link cut or NIC stall touches it. Baseline's fallback Lock/LockResp
-    /// round trip is the one caller; returns the arrival.
-    pub fn send_fault_exempt(
-        &mut self,
-        now: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        verb: Verb,
-    ) -> Cycles {
-        let sent = self
-            .fabric
-            .send_fault_exempt(now, src, dst, bytes, verb, Doorbell::Share);
-        self.delivered(now, src, dst, verb, sent).only()
-    }
-
     /// Issues a verb from a core: the one place the RDMA issue cost is
     /// charged (DESIGN.md §14). The core starts issuing once it is free
     /// at or after `now`. A verb that will ride its queue pair's open
     /// batch pays [`BatchingParams::PER_VERB_CYCLES`] per work request;
     /// every other verb (batching off, or a batch leader) pays
     /// `SwCosts::rdma_issue` per work request and rings its own doorbell.
-    /// The verb departs when the core finishes.
+    /// The verb departs when the core finishes and goes through the fault
+    /// plane like any [`send`](Self::send); it must be Retransmit-class,
+    /// so it arrives exactly once.
     pub fn issue(&mut self, now: Cycles, v: CoreVerb) -> Issued {
         let ready = now.max(self.core_free[v.node.0 as usize][v.core.0 as usize]);
         let append = BatchingParams::PER_VERB_CYCLES * v.wrs;
@@ -371,13 +351,9 @@ impl Cluster {
             (self.cfg.sw.rdma_issue * v.wrs, Doorbell::Ring)
         };
         let depart = self.run_on_core(v.node, v.core, ready, cost);
-        let sent = if v.fault_exempt {
-            self.fabric
-                .send_fault_exempt(depart, v.node, v.dst, v.bytes, v.verb, doorbell)
-        } else {
-            self.fabric
-                .send_verb(depart, v.node, v.dst, v.bytes, v.verb, doorbell)
-        };
+        let sent = self
+            .fabric
+            .send_verb(depart, v.node, v.dst, v.bytes, v.verb, doorbell);
         let arrival = self.delivered(depart, v.node, v.dst, v.verb, sent).only();
         Issued {
             depart,
@@ -1476,7 +1452,6 @@ mod tests {
             bytes: 64,
             verb: Verb::Read,
             wrs,
-            fault_exempt: false,
         }
     }
 

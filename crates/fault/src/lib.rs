@@ -372,7 +372,9 @@ impl FaultPlan {
     }
 
     /// Jitters `verb` messages by up to `window` with probability `p`,
-    /// allowing reordering against later sends.
+    /// allowing reordering against later sends (Lossy class only: a
+    /// Retransmit-class verb rides a reliable queue pair, which never
+    /// reorders; [`validate`](Self::validate) rejects it).
     pub fn reorder_verb(mut self, verb: Verb, p: f64, window: Cycles) -> Self {
         let vf = &mut self.verbs[verb.index()];
         vf.reorder_p = p;
@@ -570,10 +572,17 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics on a restart scheduled at or before its crash, an
-    /// empty/inverted stall or link window, a self-link, or a
-    /// zero-period or always-up flap.
+    /// Panics on a reorder probability on a Retransmit-class verb, a
+    /// restart scheduled at or before its crash, an empty/inverted stall
+    /// or link window, a self-link, or a zero-period or always-up flap.
     pub fn validate(&self) {
+        for verb in Verb::ALL {
+            assert!(
+                self.verbs[verb.index()].reorder_p == 0.0 || class_of(verb) == FaultClass::Lossy,
+                "reorder on {verb:?}: a Retransmit-class verb rides a reliable queue pair, \
+                 which never reorders"
+            );
+        }
         for c in &self.crashes {
             if let Some(r) = c.restart_at {
                 assert!(

@@ -82,8 +82,8 @@ impl<T, const N: usize> IntoIterator for Inline<T, N> {
 pub type Arrivals = Inline<Cycles, 2>;
 
 impl Arrivals {
-    /// The arrival of a send that delivers exactly one copy: any
-    /// fault-exempt send, and any Retransmit-class send
+    /// The arrival of a send that delivers exactly one copy: any send on
+    /// a fabric with an inert injector, and any Retransmit-class send
     /// (`hades_fault::class_of`).
     ///
     /// # Panics
@@ -199,9 +199,10 @@ impl Fabric {
         self.tracer = tracer;
     }
 
-    /// Schedules an untagged, fault-exempt message of `bytes` from `src`
-    /// to `dst` at time `now`; returns its arrival time at the
-    /// destination NIC.
+    /// Schedules an untagged message of `bytes` from `src` to `dst` at
+    /// time `now`, past the fault injector; returns its arrival time at
+    /// the destination NIC. Engines send through
+    /// [`send_verb`](Self::send_verb) instead.
     ///
     /// # Panics
     ///
@@ -218,44 +219,15 @@ impl Fabric {
         self.deliver(now, &m, None, &mut Flushes::default())
     }
 
-    /// Sends one copy of a message past the fault injector: no injected
-    /// fault touches it. `verb` tags the message for the per-verb traffic
-    /// breakdown and trace events; `doorbell` says whether it may share
-    /// a doorbell when batching is on (ignored otherwise).
+    /// Sends a message through the fault plane: the installed injector
+    /// may drop, duplicate, delay or jitter it, hold it at a cut link, or
+    /// hold it at a NIC stall window, as the verb's fault class allows.
+    /// `verb` tags the message for the per-verb traffic breakdown and
+    /// trace events; `doorbell` says whether it may share a doorbell when
+    /// batching is on (ignored otherwise).
     ///
-    /// # Panics
-    ///
-    /// Same conditions as [`send`](Self::send).
-    pub fn send_fault_exempt(
-        &mut self,
-        now: Cycles,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        verb: Verb,
-        doorbell: Doorbell,
-    ) -> SendReport {
-        let mut sent = SendReport::default();
-        let m = Msg {
-            src,
-            dst,
-            bytes,
-            verb,
-            doorbell,
-        };
-        let arrival = self.deliver(now, &m, None, &mut sent.flushes);
-        sent.arrivals.push(arrival);
-        sent
-    }
-
-    /// Sends a message through the fault plane: like
-    /// [`send_fault_exempt`](Self::send_fault_exempt), but the installed
-    /// injector may drop, duplicate, delay or jitter it, hold it at a cut
-    /// link, or hold it at a NIC stall window, as the verb's fault class
-    /// allows.
-    ///
-    /// With an inert injector this is exactly one fault-exempt send —
-    /// same counters, same timing, no extra randomness — preserving byte
+    /// With an inert injector this delivers exactly one copy — same
+    /// counters, same timing, no extra randomness — preserving byte
     /// identity with un-injected runs.
     ///
     /// # Panics
@@ -270,8 +242,18 @@ impl Fabric {
         verb: Verb,
         doorbell: Doorbell,
     ) -> SendReport {
+        let m = Msg {
+            src,
+            dst,
+            bytes,
+            verb,
+            doorbell,
+        };
+        let mut sent = SendReport::default();
         if !self.injector.active() {
-            return self.send_fault_exempt(now, src, dst, bytes, verb, doorbell);
+            let arrival = self.deliver(now, &m, None, &mut sent.flushes);
+            sent.arrivals.push(arrival);
+            return sent;
         }
         let faults = self.injector.on_send(now, verb, src.0, dst.0);
         if self.tracer.is_enabled() {
@@ -292,20 +274,10 @@ impl Fabric {
                     .emit(now, src.0, NO_SLOT, EventKind::Recovery { action: *r });
             }
         }
-        let mut sent = SendReport {
-            link_cut: faults
-                .injected
-                .iter()
-                .any(|f| matches!(f, InjectedFault::LinkCut { .. })),
-            ..SendReport::default()
-        };
-        let m = Msg {
-            src,
-            dst,
-            bytes,
-            verb,
-            doorbell,
-        };
+        sent.link_cut = faults
+            .injected
+            .iter()
+            .any(|f| matches!(f, InjectedFault::LinkCut { .. }));
         for &extra in &faults.copies {
             let arrival = self.deliver(now, &m, Some(extra), &mut sent.flushes);
             sent.arrivals.push(arrival);
@@ -315,13 +287,13 @@ impl Fabric {
 
     /// Delivers one copy of `m` sent at `now` and returns its arrival:
     /// checks its endpoints, counts it, routes it and traces it. `fault`
-    /// is `None` on the fault-exempt path; on the injector's path it is
-    /// the copy's injected delay, and the destination's NIC stall windows
-    /// may hold the arrival. An on-time copy routes through the batcher
-    /// when one is installed, which traces the batches it closes (and any
-    /// coalesced squash) and stores their sizes in `flushes`; any other
-    /// copy takes the classic additive path. A send has at most one
-    /// on-time copy.
+    /// is `None` for an untagged send or an inert injector; on the
+    /// injector's path it is the copy's injected delay, and the
+    /// destination's NIC stall windows may hold the arrival. An on-time
+    /// copy routes through the batcher when one is installed, which
+    /// traces the batches it closes (and any coalesced squash) and stores
+    /// their sizes in `flushes`; any other copy takes the classic
+    /// additive path. A send has at most one on-time copy.
     // Forced inline: called out of line, with the report built around
     // the call, it slowed every cluster send.
     #[inline(always)]
@@ -479,7 +451,7 @@ mod tests {
         let (tracer, sink) = Tracer::memory();
         f.set_tracer(tracer);
         let arrive = f
-            .send_fault_exempt(
+            .send_verb(
                 Cycles::ZERO,
                 NodeId(0),
                 NodeId(1),
@@ -512,7 +484,7 @@ mod tests {
         let mut a = fabric();
         let mut b = fabric();
         let t1 = a
-            .send_fault_exempt(
+            .send_verb(
                 Cycles::ZERO,
                 NodeId(0),
                 NodeId(1),
@@ -595,7 +567,7 @@ mod tests {
         let p = NetParams::default();
         let plain = p.serialize(64) + p.one_way() + p.nic_proc;
         let t = f
-            .send_fault_exempt(
+            .send_verb(
                 Cycles::ZERO,
                 NodeId(0),
                 NodeId(1),
@@ -608,7 +580,7 @@ mod tests {
         assert_eq!(t, plain, "the fabric charges no doorbell of its own");
         // A second simultaneous verb does not queue behind the first.
         let t2 = f
-            .send_fault_exempt(
+            .send_verb(
                 Cycles::ZERO,
                 NodeId(0),
                 NodeId(1),
@@ -630,7 +602,7 @@ mod tests {
             NetParams::default(),
             4,
         ));
-        f.send_fault_exempt(
+        f.send_verb(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -638,7 +610,7 @@ mod tests {
             Verb::Read,
             Doorbell::Share,
         );
-        f.send_fault_exempt(
+        f.send_verb(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -661,7 +633,7 @@ mod tests {
             4,
         ));
         let lead = f
-            .send_fault_exempt(
+            .send_verb(
                 Cycles::ZERO,
                 NodeId(0),
                 NodeId(1),
@@ -672,7 +644,7 @@ mod tests {
             .arrivals
             .only();
         let join = f
-            .send_fault_exempt(
+            .send_verb(
                 Cycles::ZERO,
                 NodeId(0),
                 NodeId(1),
@@ -697,7 +669,7 @@ mod tests {
         ));
         let (tracer, sink) = Tracer::memory();
         f.set_tracer(tracer);
-        f.send_fault_exempt(
+        f.send_verb(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -705,7 +677,7 @@ mod tests {
             Verb::Intend,
             Doorbell::Share,
         );
-        let sent = f.send_fault_exempt(
+        let sent = f.send_verb(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),
@@ -772,7 +744,7 @@ mod tests {
             NetParams::default(),
             4,
         ));
-        f.send_fault_exempt(
+        f.send_verb(
             Cycles::ZERO,
             NodeId(0),
             NodeId(1),

@@ -8,7 +8,10 @@
 //! once), and leak no record locks, Locking Buffers, or NIC remote-tx
 //! filters. Rerunning the identical config + seed + plan must reproduce
 //! byte-identical JSONL traces and stats JSON, and a zero-fault plan must
-//! be byte-identical to a run with no injector installed at all.
+//! be byte-identical to a run with no injector installed at all. Every
+//! message an engine sends crosses the fault plane: a NIC stall or a link
+//! cut holds each engine's requests, Baseline's lock and validation
+//! requests included.
 
 use hades::core::runner::{Protocol, Run};
 use hades::core::runtime::RunOutcome;
@@ -17,6 +20,7 @@ use hades::sim::config::SimConfig;
 use hades::sim::time::Cycles;
 use hades::storage::db::Database;
 use hades::telemetry::event::Verb;
+use hades::telemetry::json::Json;
 use hades::telemetry::jsonl::events_to_jsonl;
 use hades::telemetry::sink::Tracer;
 use hades::workloads::smallbank::{Smallbank, SmallbankConfig};
@@ -30,7 +34,15 @@ const MEASURE: u64 = 200;
 /// conserved. Returns the outcome and the JSONL rendering of the full
 /// event stream.
 fn run_traced(protocol: Protocol, plan: Option<&FaultPlan>) -> (RunOutcome, String) {
-    let cfg = SimConfig::isca_default();
+    run_traced_with(SimConfig::isca_default(), protocol, plan)
+}
+
+/// [`run_traced`] under `cfg`.
+fn run_traced_with(
+    cfg: SimConfig,
+    protocol: Protocol,
+    plan: Option<&FaultPlan>,
+) -> (RunOutcome, String) {
     let mut db = Database::new(cfg.shape.nodes);
     let sb = Smallbank::setup(
         &mut db,
@@ -73,6 +85,7 @@ proptest! {
         drop_p in 0.0f64..0.06,
         dup_p in 0.0f64..0.06,
         delay_p in 0.0f64..0.15,
+        request_delay_p in 0.0f64..0.15,
     ) {
         let plan = FaultPlan::none()
             .with_seed(seed)
@@ -84,7 +97,10 @@ proptest! {
             .drop_verb(Verb::ValidateResp, drop_p)
             .dup_verb(Verb::Ack, dup_p)
             .dup_verb(Verb::LockResp, dup_p)
-            .delay_verb(Verb::Validation, delay_p, Cycles::new(1_500));
+            .delay_verb(Verb::Validation, delay_p, Cycles::new(1_500))
+            // Baseline's lock and validation requests.
+            .delay_verb(Verb::Lock, request_delay_p, Cycles::new(1_500))
+            .delay_verb(Verb::Validate, request_delay_p, Cycles::new(1_500));
         for protocol in Protocol::ALL {
             let (out, jsonl) = run_traced(protocol, Some(&plan));
             check_invariants(protocol, &out);
@@ -135,4 +151,72 @@ fn fault_and_recovery_counts_surface_in_stats() {
             "{protocol}: drops never triggered timeout recovery"
         );
     }
+}
+
+/// The traced arrivals at `node` (from `src` only, if given) that land
+/// inside `[from, until)`, as `verb@cycle`.
+fn arrivals_inside(jsonl: &str, node: u64, src: Option<u64>, from: u64, until: u64) -> Vec<String> {
+    let field = |ev: &Json, key| ev.get(key).and_then(Json::as_u64);
+    jsonl
+        .lines()
+        .map(|line| Json::parse(line).expect("a JSONL trace line"))
+        .filter(|ev| ev.get("ev").and_then(Json::as_str) == Some("verb_recv"))
+        .filter(|ev| field(ev, "node") == Some(node))
+        .filter(|ev| src.is_none() || field(ev, "src") == src)
+        .filter_map(|ev| {
+            let at = field(&ev, "cy")?;
+            let verb = ev.get("verb").and_then(Json::as_str)?;
+            (from..until).contains(&at).then(|| format!("{verb}@{at}"))
+        })
+        .collect()
+}
+
+/// No engine has a send path past the fault plane: a NIC stall on node 1
+/// holds every arrival there until the stall ends, and a directed cut of
+/// the link 0 -> 1 holds or drops every message sent on it, so nothing
+/// from node 0 lands at node 1 while the link is down. The cut window
+/// starts one round trip late: a message already in flight when the link
+/// goes down still lands.
+#[test]
+fn nic_stalls_and_link_cuts_hold_every_engine_message() {
+    let (from, until) = (40_000, 120_000);
+    let stall = FaultPlan::none().nic_stall(1, Cycles::new(from), Cycles::new(until));
+    let cut = FaultPlan::none().cut_link(0, 1, Cycles::new(from), Cycles::new(until));
+    let in_flight = SimConfig::isca_default().net.rt.get();
+    for protocol in Protocol::ALL {
+        let (out, jsonl) = run_traced(protocol, Some(&stall));
+        check_invariants(protocol, &out);
+        assert!(out.stats.faults.nic_stalls > 0, "{protocol}: no stall hit");
+        assert_eq!(
+            arrivals_inside(&jsonl, 1, None, from, until),
+            Vec::<String>::new(),
+            "{protocol}: arrivals at node 1 inside its NIC stall"
+        );
+        let (out, jsonl) = run_traced(protocol, Some(&cut));
+        check_invariants(protocol, &out);
+        assert!(out.stats.faults.link_cuts > 0, "{protocol}: no cut hit");
+        assert_eq!(
+            arrivals_inside(&jsonl, 1, Some(0), from + in_flight, until),
+            Vec::<String>::new(),
+            "{protocol}: arrivals over the cut link 0 -> 1"
+        );
+    }
+}
+
+/// Baseline's fallback pre-locking polls one lock batch per home with a
+/// Lock/LockResp round trip through the fault plane. A lost reply polls
+/// the same batch again; a duplicated one counts once. Either way every
+/// transaction commits, no lock leaks and money is conserved.
+#[test]
+fn baseline_fallback_survives_lost_and_duplicated_lock_replies() {
+    let mut cfg = SimConfig::isca_default();
+    cfg.retry.fallback_after_squashes = 1;
+    let plan = FaultPlan::none()
+        .with_seed(5)
+        .drop_verb(Verb::LockResp, 0.3)
+        .dup_verb(Verb::LockResp, 0.2);
+    let (out, _) = run_traced_with(cfg, Protocol::Baseline, Some(&plan));
+    check_invariants(Protocol::Baseline, &out);
+    assert!(out.stats.fallbacks > 0, "no transaction fell back");
+    assert!(out.stats.faults.drops > 0, "no lock reply was lost");
 }

@@ -265,6 +265,15 @@ fn hand_built_inverted_stall_fails_at_install() {
     let _ = FaultInjector::new(plan);
 }
 
+/// The injector jitters only Lossy-class verbs, so a reorder on a
+/// Retransmit-class verb would silently inject nothing.
+#[test]
+#[should_panic(expected = "reorder on Read")]
+fn reorder_on_a_retransmit_verb_fails_at_install() {
+    let plan = FaultPlan::none().reorder_verb(Verb::Read, 0.1, Cycles::new(1_000));
+    let _ = FaultInjector::new(plan);
+}
+
 #[test]
 fn cut_link_is_directed_and_windowed() {
     let plan = FaultPlan::none().cut_link(0, 1, Cycles::new(100), Cycles::new(200));
