@@ -17,22 +17,23 @@
 //!
 //! # Parked stalls
 //!
-//! A Locking-Buffer retry whose poll would only re-arm it parks outside
-//! the queue, on the bank and behind the buffer that denied it
-//! ([`Engine::parks_on`]): at once when its access is denied
-//! ([`Sim::retry_stalled`]), or at a poll whose denial still holds
-//! ([`Engine::rearm`], [`EventQueue::pop_parking`]). An access check is
-//! a pure function of the bank's held buffers, and a buffer never
-//! changes while held, so the access stays denied while that buffer is
-//! held. Its poll's answer can otherwise change only with its slot's
-//! attempt, the routing table or the crash table. After each handled
-//! event the driver wakes the retries whose buffer was released or
-//! whose other inputs moved, and each comes back at its next poll, at
-//! its place ([`EventQueue::unpark`]). Every poll in between would
-//! have re-armed it, so this dispatches the same events in the same
-//! order as polling every `LOCK_RETRY`. With a tracer installed every
-//! poll must emit its `LockStall`, so retries stay on the queue and
-//! are put back at every poll.
+//! A Locking-Buffer retry whose poll cannot succeed yet waits outside
+//! the queue, on the bank and behind the buffer that denied it. The
+//! access's handler decides: it re-checks the denial the retry carries
+//! and, still denied, hands the retry to [`Sim::retry_stalled`], which
+//! parks it ([`EventQueue::park_retry`]). An access check is a pure
+//! function of the bank's held buffers, and a buffer never changes while
+//! held, so the access stays denied while that buffer is held. Its
+//! poll's answer can otherwise change only with its slot's attempt, the
+//! routing table or the crash table. After each handled event the
+//! driver wakes the retries whose buffer was released or whose other
+//! inputs moved, and each comes back at its next poll, at its place
+//! ([`EventQueue::unpark`]). The handler parks before pushing any other
+//! retry, so a retry parked again at its poll keeps its place, and every
+//! poll in between would have pushed it back: this dispatches the same
+//! events in the same order as polling every `LOCK_RETRY`. With a
+//! tracer installed every poll must emit its `LockStall`, so retries
+//! stay on the queue and poll every `LOCK_RETRY`.
 
 use crate::runtime::{
     owner_token, resolve, Cluster, Measurement, MigrationAction, ParkedRetry, ResolvedTxn,
@@ -44,7 +45,7 @@ use hades_fault::InjectedFault;
 use hades_net::fabric::wire_size;
 use hades_net::nic::RemoteTxKey;
 use hades_sim::config::{MembershipParams, MigrationParams, OverloadParams, RetryParams};
-use hades_sim::engine::{EventQueue, Parked, Popped};
+use hades_sim::engine::{EventQueue, Parked};
 use hades_sim::ids::{CoreId, NodeId, SlotId};
 use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
@@ -99,19 +100,6 @@ pub trait Engine: Sized + Debug {
     fn fallback_lock(sim: &mut Sim<Self>, si: usize, att: u32);
     /// Handles one of the engine's own events.
     fn handle(sim: &mut Sim<Self>, ev: Self::Ev);
-    /// Whether `ev`, a retry polled at `now`, would only re-arm itself:
-    /// its handler would push the same event back one `LOCK_RETRY` later
-    /// and do nothing else but trace. If so, this emits that trace and
-    /// the retry parks instead of being dispatched (module docs).
-    fn rearm(_sim: RearmView<'_>, _now: Cycles, _ev: &Self::Ev) -> bool {
-        false
-    }
-    /// The slot index and the denial of `ev`, a stalled access: it parks
-    /// on the denying bank until the denying buffer is released or the
-    /// slot's attempt changes.
-    fn parks_on(_ev: &Self::Ev) -> Option<(usize, Stall)> {
-        None
-    }
     /// Aborts the slot's attempt, releases what it holds and schedules
     /// the retry.
     fn squash(sim: &mut Sim<Self>, si: usize, reason: SquashReason);
@@ -257,16 +245,6 @@ impl ReplyStep {
     pub(crate) fn counted(self) -> bool {
         matches!(self, ReplyStep::Counted | ReplyStep::Closed { .. })
     }
-}
-
-/// What [`Engine::rearm`] may read: the cluster, the slots and the crash
-/// table. The queue is left out, since the predicate runs in the middle
-/// of its pop.
-#[derive(Debug, Clone, Copy)]
-pub struct RearmView<'a> {
-    pub(crate) cl: &'a Cluster,
-    pub(crate) slots: &'a [SlotCore],
-    pub(crate) crashed: &'a [bool],
 }
 
 /// A simulator event: the lifecycle and control-plane events every engine
@@ -565,25 +543,10 @@ impl<P: Engine> Sim<P> {
         if self.cl.cfg.migration.enabled() {
             self.q.push_at(MigrationParams::START_AT, Ev::MigrationTick);
         }
-        loop {
-            let view = RearmView {
-                cl: &self.cl,
-                slots: &self.slots,
-                crashed: &self.crashed,
-            };
-            let next = self
-                .q
-                .pop_parking(|now, ev| matches!(ev, Ev::Engine(ev) if P::rearm(view, now, ev)));
-            match next {
-                None => break,
-                Some(Popped::Event(_, ev)) => {
-                    self.handle(ev);
-                    if self.parked.len > 0 && self.parked.inputs_moved() {
-                        self.parked.wake(&mut self.q, &self.cl.lock_bufs);
-                    }
-                }
-                Some(Popped::Parked(retry)) if self.cl.tracer.is_enabled() => self.q.unpark(retry),
-                Some(Popped::Parked(retry)) => self.park(retry),
+        while let Some((_, ev)) = self.q.pop() {
+            self.handle(ev);
+            if self.parked.len > 0 && self.parked.inputs_moved() {
+                self.parked.wake(&mut self.q, &self.cl.lock_bufs);
             }
         }
         let parked = self.still_parked();
@@ -612,26 +575,18 @@ impl<P: Engine> Sim<P> {
         }
     }
 
-    /// Schedules `ev`, an access its bank just denied, as a retry. It
-    /// parks at once, before its first poll, unless a tracer needs that
-    /// poll's `LockStall`.
-    pub(crate) fn retry_stalled(&mut self, ev: P::Ev) {
+    /// Schedules `ev`, slot `si`'s access that `stall` denied, as a
+    /// retry. It parks at once on the denying bank, unless a tracer needs
+    /// its next poll's `LockStall`. A handler calls this before pushing
+    /// any other retry, so that a retry denied again keeps its place.
+    pub(crate) fn retry_stalled(&mut self, si: usize, stall: Stall, ev: P::Ev) {
         if self.cl.tracer.is_enabled() {
             self.q.push_retry(ev.into());
         } else {
             let retry = self.q.park_retry(ev.into());
-            self.park(retry);
+            let bufs = &self.cl.lock_bufs[stall.node.0 as usize];
+            self.parked.park(si, stall, bufs, retry);
         }
-    }
-
-    /// Parks `retry` on the bank that denied it.
-    fn park(&mut self, retry: Parked<Ev<P::Ev>>) {
-        let Ev::Engine(ev) = retry.payload() else {
-            unreachable!("only engine retries re-arm");
-        };
-        let (si, stall) = P::parks_on(ev).expect("a retry that re-arms names its bank");
-        let bufs = &self.cl.lock_bufs[stall.node.0 as usize];
-        self.parked.park(si, stall, bufs, retry);
     }
 
     /// The retries of live attempts still parked once the queue ran dry:
@@ -1265,7 +1220,7 @@ mod tests {
         lock(&mut cl.lock_bufs[0], holder, 7);
         let park = |lot: &mut ParkLot<u32>, q: &mut EventQueue<u32>, cl: &Cluster| {
             let stall = cl
-                .lock_stall(NodeId(0), |b| b.blocks_read(7u64))
+                .lock_stall(None, NodeId(0), |b| b.blocks_read(7u64))
                 .expect("denied");
             assert_eq!(stall.holder, holder);
             lot.park(2, stall, &cl.lock_bufs[0], q.park_retry(0));

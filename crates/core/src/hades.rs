@@ -24,7 +24,7 @@
 //! written once over a [`LocalPath`]: [`HwLocal`] here, and
 //! [`SwLocal`](crate::hades_h::SwLocal) for HADES-H.
 
-use crate::driver::{Engine, Ev, RearmView, Reply, ReplyStep, Sim, SlotCore};
+use crate::driver::{Engine, Ev, Reply, ReplyStep, Sim, SlotCore};
 use crate::runtime::{
     apply_write, next_node, owner_token, Cluster, CoreVerb, OpRef, ResolvedOp, ResolvedTxn, Stall,
 };
@@ -413,10 +413,10 @@ impl<L: LocalPath> Engine for Hades<L> {
 
     fn handle(sim: &mut Sim<Self>, ev: HadesEv) {
         match ev {
-            HadesEv::LocalOp { si, att, op, .. } if sim.alive(si, att) => {
-                sim.on_local_req(si, att, op)
+            HadesEv::LocalOp { si, att, op, stall } if sim.alive(si, att) => {
+                sim.on_local_req(si, att, op, stall)
             }
-            HadesEv::RemoteReq { si, att, op, .. } => sim.on_remote_req(si, att, op),
+            HadesEv::RemoteReq { si, att, op, stall } => sim.on_remote_req(si, att, op, stall),
             HadesEv::RemoteResp { si, att, op } if sim.alive(si, att) => {
                 let fetched = &mut sim.ext[si].fetched;
                 fetched.extend(&op.read_lines);
@@ -463,62 +463,6 @@ impl<L: LocalPath> Engine for Hades<L> {
             HadesEv::ContextSwitch { node, core } => L::context_switch(sim, node, core),
             HadesEv::LeaseExpire { node, key } => sim.on_lease_expire(node, key),
             _ => {} // stale event for a squashed attempt
-        }
-    }
-
-    /// A stalled access whose denial still holds re-arms: a local one if
-    /// its attempt is alive, a remote one if, in addition, its home is up
-    /// and still routes to the bank that denied it.
-    fn rearm(sim: RearmView<'_>, now: Cycles, ev: &HadesEv) -> bool {
-        let (si, att, op, stall, remote) = match ev {
-            HadesEv::LocalOp {
-                si,
-                att,
-                op,
-                stall: Some(stall),
-            } => (*si, *att, op, *stall, false),
-            HadesEv::RemoteReq {
-                si,
-                att,
-                op,
-                stall: Some(stall),
-            } => (*si, *att, op, *stall, true),
-            _ => return false,
-        };
-        let s = &sim.slots[si];
-        if !s.alive(att) {
-            return false;
-        }
-        let token = owner_token(s.node, s.slot);
-        let holds = if remote {
-            let home = sim.cl.route(op.home);
-            !sim.crashed[home.0 as usize]
-                && sim
-                    .cl
-                    .stall_holds(stall, home, |bufs| op.lock_blocker(bufs, token))
-        } else {
-            sim.cl
-                .stall_holds(stall, s.node, |bufs| L::local_blocker(op, bufs, token))
-        };
-        if holds {
-            trace_stall(sim.cl, now, stall, (!remote).then_some(s));
-        }
-        holds
-    }
-
-    fn parks_on(ev: &HadesEv) -> Option<(usize, Stall)> {
-        match ev {
-            HadesEv::LocalOp {
-                si,
-                stall: Some(stall),
-                ..
-            }
-            | HadesEv::RemoteReq {
-                si,
-                stall: Some(stall),
-                ..
-            } => Some((*si, *stall)),
-            _ => None,
         }
     }
 
@@ -672,17 +616,23 @@ impl<L: LocalPath> Sim<Hades<L>> {
 
     /// A local access checks the directory's Locking Buffers first: a
     /// committing transaction may block it, and it retries until that
-    /// transaction unlocks (Fig 7).
-    fn on_local_req(&mut self, si: usize, att: u32, op: OpRef) {
+    /// transaction unlocks (Fig 7). `last` is the denial its previous
+    /// poll met.
+    fn on_local_req(&mut self, si: usize, att: u32, op: OpRef, last: Option<Stall>) {
         let node = self.slots[si].node;
         let token = self.token(si);
         let stall = self
             .cl
-            .lock_stall(node, |bufs| L::local_blocker(&op, bufs, token));
+            .lock_stall(last, node, |bufs| L::local_blocker(&op, bufs, token));
         if let Some(stall) = stall {
             trace_stall(&self.cl, self.q.now(), stall, Some(&self.slots[si]));
-            let stall = Some(stall);
-            self.retry_stalled(HadesEv::LocalOp { si, att, op, stall });
+            let ev = HadesEv::LocalOp {
+                si,
+                att,
+                op,
+                stall: Some(stall),
+            };
+            self.retry_stalled(si, stall, ev);
             return;
         }
         L::on_local_op(self, si, att, &op)
@@ -776,8 +726,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
     }
 
     /// A remote access serviced at the home node's NIC (Table II, Remote
-    /// Read/Write).
-    fn on_remote_req(&mut self, si: usize, att: u32, op: OpRef) {
+    /// Read/Write). `last` is the denial its previous poll met.
+    fn on_remote_req(&mut self, si: usize, att: u32, op: OpRef, last: Option<Stall>) {
         let now = self.q.now();
         if !self.alive(si, att) {
             return;
@@ -803,11 +753,16 @@ impl<L: LocalPath> Sim<Hades<L>> {
         // Committing transactions' Locking Buffers stall this access.
         let stall = self
             .cl
-            .lock_stall(home, |bufs| op.lock_blocker(bufs, token));
+            .lock_stall(last, home, |bufs| op.lock_blocker(bufs, token));
         if let Some(stall) = stall {
             trace_stall(&self.cl, now, stall, None);
-            let stall = Some(stall);
-            self.retry_stalled(HadesEv::RemoteReq { si, att, op, stall });
+            let ev = HadesEv::RemoteReq {
+                si,
+                att,
+                op,
+                stall: Some(stall),
+            };
+            self.retry_stalled(si, stall, ev);
             return;
         }
         let bloom = self.cl.cfg.bloom;
@@ -1390,13 +1345,6 @@ impl<L: LocalPath> Sim<Hades<L>> {
         let token = self.token(si);
         let tb = phys.0 as usize;
         let x = &mut self.ext[si];
-        if let Some(f) = &x.fallback_lock {
-            if let Some(stall) = f.denial {
-                if self.cl.stall_holds(stall, phys, |bufs| f.blocker(bufs)) {
-                    return Some(stall);
-                }
-            }
-        }
         if self.cl.lock_bufs[tb].holds(token) {
             // Another logical target routed to the same node: one buffer
             // covers both.
@@ -1407,7 +1355,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             let txn = self.slots[si].txn.as_ref().expect("txn active");
             FallbackTarget::build::<L>(txn, target, self.cl.cfg.bloom)
         });
-        f.denial = self.cl.lock_stall(phys, |bufs| f.blocker(bufs));
+        f.denial = self.cl.lock_stall(f.denial, phys, |bufs| f.blocker(bufs));
         if f.denial.is_some() {
             return f.denial;
         }

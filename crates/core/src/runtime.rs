@@ -103,7 +103,7 @@ pub struct Issued {
 /// An access denied by a Locking Buffer, remembered across its retries:
 /// the bank that denied it, that bank's
 /// [`generation`](LockingBuffers::generation) at the probe, and the
-/// blocking holder. See `Cluster::lock_stall` and `Cluster::stall_holds`.
+/// blocking holder. See `Cluster::lock_stall`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stall {
     /// Node whose directory bank denied the access.
@@ -596,43 +596,37 @@ impl Cluster {
         (total, evicted)
     }
 
-    /// Checks an access against `node`'s Locking Buffers (Fig 7).
-    /// `probe` is the engine's line × buffer check, returning the blocking
-    /// holder; a denial is stamped with the bank's current generation, so
-    /// its retries can ask [`stall_holds`](Self::stall_holds) instead of
-    /// probing again.
+    /// Checks an access against `node`'s Locking Buffers (Fig 7) and
+    /// returns its denial, if any. `probe` is the engine's line × buffer
+    /// check, returning the blocking holder; a denial is stamped with the
+    /// bank's current generation. `last` is the access's previous
+    /// denial: while it names this bank at an unchanged generation, it is
+    /// returned without probing. An access check is a pure function of
+    /// the held set, and the generation moves whenever the held set does,
+    /// so the same holder still blocks the access. This is the one place
+    /// the engines decide to skip a probe; debug builds probe anyway and
+    /// compare.
     pub(crate) fn lock_stall(
         &self,
+        last: Option<Stall>,
         node: NodeId,
-        probe: impl FnOnce(&LockingBuffers) -> Option<u64>,
+        probe: impl Fn(&LockingBuffers) -> Option<u64>,
     ) -> Option<Stall> {
         let bufs = &self.lock_bufs[node.0 as usize];
+        let generation = bufs.generation();
+        if let Some(stall) = last.filter(|s| s.node == node && s.generation == generation) {
+            debug_assert_eq!(
+                probe(bufs),
+                Some(stall.holder),
+                "{node}: unchanged Locking Buffers gave a different answer"
+            );
+            return Some(stall);
+        }
         probe(bufs).map(|holder| Stall {
             node,
-            generation: bufs.generation(),
+            generation,
             holder,
         })
-    }
-
-    /// Whether `stall`, an earlier denial, still holds for an access that
-    /// now checks `node`'s bank: it is the same bank and its generation is
-    /// unchanged. An access check is a pure function of the held set, and
-    /// the generation moves whenever the held set does, so the same holder
-    /// still blocks the access. This is the one place the engines decide
-    /// to skip a re-probe; debug builds run `probe` anyway and compare.
-    pub(crate) fn stall_holds(
-        &self,
-        stall: Stall,
-        node: NodeId,
-        probe: impl FnOnce(&LockingBuffers) -> Option<u64>,
-    ) -> bool {
-        let bufs = &self.lock_bufs[node.0 as usize];
-        let holds = stall.node == node && stall.generation == bufs.generation();
-        debug_assert!(
-            !holds || probe(bufs) == Some(stall.holder),
-            "{node}: unchanged Locking Buffers gave a different answer"
-        );
-        holds
     }
 
     /// NIC-side access to local lines (one-sided RDMA service at the home

@@ -34,14 +34,17 @@
 //! `t`, lane order is push order.
 //!
 //! What the lane buys is that a retry keeps its place across polls
-//! without taking a new sequence number. A Locking-Buffer retry whose
-//! poll would only push itself back one delay later need not stay in
-//! the queue: [`pop_parking`](EventQueue::pop_parking) hands it to the
-//! caller as a [`Parked`] retry, and [`unpark`](EventQueue::unpark)
-//! puts it back at its next poll cycle, at the place it would have
-//! held had every poll in between pushed it back. Which parked retries
-//! to wake is the caller's business: waking too many costs a poll,
-//! waking too few changes the simulation.
+//! without taking a new sequence number, so it need not stay in the
+//! queue while its polls cannot succeed.
+//! [`park_retry`](EventQueue::park_retry) takes a retry pushed now as a
+//! [`Parked`] one, at the place [`push_retry`](EventQueue::push_retry)
+//! would give it, and [`unpark`](EventQueue::unpark) puts it back at its
+//! next poll cycle, at the place it would have held had every poll in
+//! between pushed it back. A retry whose dispatch parks it again before
+//! pushing any other retry gets back its own place (the band-2 rule), so
+//! a retry parked at each of its polls keeps its place.
+//! Which parked retries to wake is the caller's business: waking too
+//! many costs a poll, waking too few changes the simulation.
 //!
 //! With `D = 0` ([`EventQueue::new`]) there is no band 2: every event
 //! is in push order and the queue is a plain heap.
@@ -83,10 +86,6 @@ impl Place {
             seq,
             behind: None,
         }
-    }
-
-    fn is_retry(&self) -> bool {
-        self.band != BAND_1 && self.band != BAND_3
     }
 }
 
@@ -143,33 +142,16 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A retry waiting outside the queue, taken off it by
-/// [`EventQueue::pop_parking`] or never put on it
-/// ([`EventQueue::park_retry`]). It keeps its place in the lane until
+/// A retry waiting outside the queue, parked by
+/// [`EventQueue::park_retry`]. It keeps its place in the lane until
 /// [`EventQueue::unpark`] puts it back.
 #[derive(Debug)]
 pub struct Parked<E> {
-    /// A cycle its polls fall on: the one that parked it, or the one it
-    /// was pushed at.
+    /// The cycle that parked it: its polls fall on this cycle plus
+    /// multiples of the retry delay.
     at: Cycles,
     place: Place,
     payload: E,
-}
-
-impl<E> Parked<E> {
-    /// The parked event.
-    pub fn payload(&self) -> &E {
-        &self.payload
-    }
-}
-
-/// What [`EventQueue::pop_parking`] took off the queue.
-#[derive(Debug)]
-pub enum Popped<E> {
-    /// An event to dispatch, with its time.
-    Event(Cycles, E),
-    /// A retry the caller's predicate parked.
-    Parked(Parked<E>),
 }
 
 /// A time-ordered queue of simulation events with deterministic tie-breaking.
@@ -246,9 +228,9 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events popped so far (a cheap progress/fuel measure),
-    /// polls that parked included. The polls a parked retry skips while
-    /// it waits outside the queue are not counted.
+    /// Number of events popped so far (a cheap progress/fuel measure).
+    /// The polls a parked retry skips while it waits outside the queue
+    /// are not counted.
     pub fn events_dispatched(&self) -> u64 {
         self.popped
     }
@@ -372,9 +354,23 @@ impl<E> EventQueue<E> {
     }
 
     /// Takes `payload` as a retry pushed now and parks it before its
-    /// first poll: the queue is left as [`push_retry`](Self::push_retry)
-    /// and then a [`pop_parking`](Self::pop_parking) that parks it would
-    /// leave it, but no poll happens.
+    /// first poll: it holds the place [`push_retry`](Self::push_retry)
+    /// would give it, outside the queue, until [`unpark`](Self::unpark).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hades_sim::engine::EventQueue;
+    /// use hades_sim::time::Cycles;
+    ///
+    /// let mut q: EventQueue<u32> = EventQueue::with_retry_delay(Cycles::new(60));
+    /// q.push_at(Cycles::new(100), 1);
+    /// let poll = q.park_retry(0); // it would poll at 60, 120, ...
+    /// assert_eq!(q.pop(), Some((Cycles::new(100), 1)));
+    /// // Woken at 100, the retry polls next at 120.
+    /// q.unpark(poll);
+    /// assert_eq!(q.pop(), Some((Cycles::new(120), 0)));
+    /// ```
     pub fn park_retry(&mut self, payload: E) -> Parked<E> {
         debug_assert!(
             self.retry_delay > Cycles::ZERO,
@@ -392,47 +388,13 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing simulated time to
     /// its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        match self.pop_parking(|_, _| false)? {
-            Popped::Event(at, payload) => Some((at, payload)),
-            Popped::Parked(_) => unreachable!("nothing parks"),
-        }
-    }
-
-    /// Like [`pop`](Self::pop), but a retry for which `park` holds comes
-    /// back as [`Popped::Parked`]: its poll happened (time advanced to
-    /// it and it counts as dispatched), and it waits outside the queue,
-    /// at its place, until [`unpark`](Self::unpark). `park` is asked
-    /// about retries only, with their due time.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hades_sim::engine::{EventQueue, Popped};
-    /// use hades_sim::time::Cycles;
-    ///
-    /// let mut q: EventQueue<u32> = EventQueue::with_retry_delay(Cycles::new(60));
-    /// q.push_retry(0); // a poll that keeps failing
-    /// q.push_at(Cycles::new(100), 1);
-    /// let Some(Popped::Parked(poll)) = q.pop_parking(|_, &e| e == 0) else {
-    ///     panic!("the retry is first, at 60");
-    /// };
-    /// assert_eq!(q.pop(), Some((Cycles::new(100), 1)));
-    /// // Woken at 100, the retry polls next at 120.
-    /// q.unpark(poll);
-    /// assert_eq!(q.peek_time(), Some(Cycles::new(120)));
-    /// ```
-    pub fn pop_parking(&mut self, park: impl FnOnce(Cycles, &E) -> bool) -> Option<Popped<E>> {
         let (at, place, payload) = self.take_next()?;
         debug_assert!(at >= self.now);
         self.now = at;
         self.popped += 1;
         self.retries_pushed = 0;
-        if place.is_retry() && park(at, &payload) {
-            self.last = place.clone();
-            return Some(Popped::Parked(Parked { at, place, payload }));
-        }
         self.last = place;
-        Some(Popped::Event(at, payload))
+        Some((at, payload))
     }
 
     /// Puts a parked retry back at its next poll cycle: the first one
@@ -467,83 +429,5 @@ impl<E> EventQueue<E> {
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn orders_by_time() {
-        let mut q = EventQueue::new();
-        q.push_at(Cycles::new(30), 3);
-        q.push_at(Cycles::new(10), 1);
-        q.push_at(Cycles::new(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn fifo_within_same_timestamp() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.push_at(Cycles::new(7), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn push_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.push_at(Cycles::new(100), "first");
-        q.pop();
-        q.push_after(Cycles::new(5), "second");
-        assert_eq!(q.pop(), Some((Cycles::new(105), "second")));
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    fn rejects_past_events() {
-        let mut q = EventQueue::new();
-        q.push_at(Cycles::new(50), ());
-        q.pop();
-        q.push_at(Cycles::new(49), ());
-    }
-
-    #[test]
-    fn dispatch_count_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push_at(Cycles::new(1), ());
-        q.push_at(Cycles::new(2), ());
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.events_dispatched(), 1);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn a_retry_keeps_its_place_while_parked() {
-        let d = Cycles::new(10);
-        let mut q = EventQueue::with_retry_delay(d);
-        q.push_at(d, "a");
-        q.push_at(d, "b");
-        let Some(Popped::Parked(a)) = q.pop_parking(|_, &e| e == "a") else {
-            panic!("a polls first");
-        };
-        // b's dispatch pushes a retry, which takes b's place behind a.
-        assert_eq!(q.pop(), Some((d, "b")));
-        q.push_retry("b2");
-        q.push_at(Cycles::new(35), "late");
-        assert_eq!(q.pop(), Some((d * 2, "b2")));
-        // Woken at 20, after b2: a's next poll is at 30, where it goes
-        // first again.
-        q.unpark(a);
-        q.push_at(Cycles::new(30), "c");
-        assert_eq!(q.pop(), Some((d * 3, "a")));
-        assert_eq!(q.pop(), Some((d * 3, "c")));
-        assert_eq!(q.pop(), Some((Cycles::new(35), "late")));
     }
 }

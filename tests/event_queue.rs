@@ -13,18 +13,21 @@
 //! `peek_time` against it after every step. Retries are pushed while
 //! band-1, band-2 and band-3 events are being dispatched.
 //!
-//! A retry can also park: `pop_parking` hands it out while a predicate
-//! says its poll would only push it back, `park_retry` parks a blocked
-//! retry before its first poll, and `unpark` puts it back at its next
-//! poll. The second test parks retries under a seeded,
-//! versioned predicate (a retry is blocked while its group is) and wakes
-//! a group's parked retries whenever the group's version moves. Its
-//! reference never parks: it re-pushes a blocked retry `D` later under
-//! a new insertion index at every poll. Pops and `now` must agree; the
-//! queue's `len` and `peek_time` must match the reference's pending
-//! events less those the queue holds parked.
+//! A retry can also park, as the driver parks a stalled access: the
+//! handler that pops a blocked retry parks it at once (`park_retry`),
+//! before pushing anything else, and `unpark` puts it back at its next
+//! poll when it is woken. The second test parks retries under a
+//! seeded, versioned predicate (a retry is blocked while its group is)
+//! and wakes a group's parked retries whenever the group's version
+//! moves. Its reference never parks: it re-pushes a blocked retry `D`
+//! later under a new insertion index at every poll. Pops and `now` must
+//! agree; the queue's `len` and `peek_time` must match the reference's
+//! pending events less those the queue holds parked.
+//!
+//! The directed tests below pin the plain heap's basics and the edge
+//! cases a handler that parks its own retry relies on.
 
-use hades::sim::engine::{EventQueue, Parked, Popped};
+use hades::sim::engine::{EventQueue, Parked};
 use hades::sim::rng::SimRng;
 use hades::sim::time::Cycles;
 
@@ -142,7 +145,10 @@ fn check_interleaving(seed: u64, retry_delay: u64, steps: usize, parking: bool) 
             *b = rng.below(2) == 0;
         }
     }
-    let mut parked: Vec<Parked<u32>> = Vec::new();
+    // Each parked retry with its payload.
+    let mut parked: Vec<(u32, Parked<u32>)> = Vec::new();
+    // Whether each payload was pushed exactly `D` ahead: a retry.
+    let mut is_retry: Vec<bool> = Vec::new();
     // Retries pushed while a band-1, band-2 and band-3 event ran.
     let mut retries_by_band = [0u32; 4];
     let mut next_payload = 0u32;
@@ -161,6 +167,7 @@ fn check_interleaving(seed: u64, retry_delay: u64, steps: usize, parking: bool) 
                 let at = q.now() + Cycles::new(ahead);
                 q.push_at(at, next_payload);
                 reference.push(at, next_payload);
+                is_retry.push(ahead == retry_delay && retry_delay > 0);
                 if ahead == retry_delay && retry_delay > 0 {
                     retries_by_band[reference.last_band] += 1;
                 }
@@ -171,11 +178,12 @@ fn check_interleaving(seed: u64, retry_delay: u64, steps: usize, parking: bool) 
                 if parking && blocked[group(next_payload)] && rng.below(2) == 0 {
                     // Parked before its first poll, as a retry whose bank
                     // just denied it is.
-                    parked.push(q.park_retry(next_payload));
+                    parked.push((next_payload, q.park_retry(next_payload)));
                     reference.pending.last_mut().expect("just pushed").parked = true;
                 } else {
                     q.push_retry(next_payload);
                 }
+                is_retry.push(retry_delay > 0);
                 retries_by_band[reference.last_band] += 1;
                 next_payload += 1;
             }
@@ -188,20 +196,22 @@ fn check_interleaving(seed: u64, retry_delay: u64, steps: usize, parking: bool) 
                 }
                 reference.wake(g);
                 let (woken, still): (Vec<_>, Vec<_>) =
-                    parked.drain(..).partition(|p| group(*p.payload()) == g);
+                    parked.drain(..).partition(|&(p, _)| group(p) == g);
                 parked = still;
-                for p in woken {
+                for (_, p) in woken {
                     q.unpark(p);
                 }
             }
             _ if reference.stuck(&blocked) => {}
             _ => {
                 let want = reference.pop(&blocked);
+                // The handler of a blocked retry parks it again at once.
                 let got = loop {
-                    match q.pop_parking(|_, &p| blocked[group(p)]) {
-                        Some(Popped::Parked(p)) => parked.push(p),
-                        Some(Popped::Event(at, p)) => break Some((at, p)),
-                        None => break None,
+                    match q.pop() {
+                        Some((_, p)) if is_retry[p as usize] && blocked[group(p)] => {
+                            parked.push((p, q.park_retry(p)));
+                        }
+                        popped => break popped,
                     }
                 };
                 assert_eq!(got, want, "{ctx}: pop diverged");
@@ -226,7 +236,7 @@ fn check_interleaving(seed: u64, retry_delay: u64, steps: usize, parking: bool) 
     }
     // Drain, every group unblocked: the tails must agree too.
     blocked = [false; GROUPS as usize];
-    for p in parked.drain(..) {
+    for (_, p) in parked.drain(..) {
         q.unpark(p);
     }
     while let Some(expected) = reference.pop(&blocked) {
@@ -251,5 +261,153 @@ fn parked_retries_pop_as_if_polled_every_delay() {
         for retry_delay in [1, 2, 60] {
             check_interleaving(seed, retry_delay, 3_000, true);
         }
+    }
+}
+
+#[test]
+fn orders_by_time() {
+    let mut q = EventQueue::new();
+    q.push_at(Cycles::new(30), 3);
+    q.push_at(Cycles::new(10), 1);
+    q.push_at(Cycles::new(20), 2);
+    let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+    assert_eq!(order, vec![1, 2, 3]);
+}
+
+#[test]
+fn fifo_within_same_timestamp() {
+    let mut q = EventQueue::new();
+    for i in 0..100 {
+        q.push_at(Cycles::new(7), i);
+    }
+    let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+    assert_eq!(order, (0..100).collect::<Vec<_>>());
+}
+
+#[test]
+fn push_after_uses_current_time() {
+    let mut q = EventQueue::new();
+    q.push_at(Cycles::new(100), "first");
+    q.pop();
+    q.push_after(Cycles::new(5), "second");
+    assert_eq!(q.pop(), Some((Cycles::new(105), "second")));
+}
+
+#[test]
+#[should_panic(expected = "scheduled in the past")]
+fn rejects_past_events() {
+    let mut q = EventQueue::new();
+    q.push_at(Cycles::new(50), ());
+    q.pop();
+    q.push_at(Cycles::new(49), ());
+}
+
+#[test]
+fn dispatch_count_and_len() {
+    let mut q = EventQueue::new();
+    assert!(q.is_empty());
+    q.push_at(Cycles::new(1), ());
+    q.push_at(Cycles::new(2), ());
+    assert_eq!(q.len(), 2);
+    q.pop();
+    assert_eq!(q.events_dispatched(), 1);
+    assert_eq!(q.len(), 1);
+}
+
+#[test]
+fn a_retry_keeps_its_place_while_parked() {
+    let d = Cycles::new(10);
+    let mut q = EventQueue::with_retry_delay(d);
+    q.push_at(d, "a");
+    q.push_at(d, "b");
+    // a polls first, and its dispatch parks it again.
+    assert_eq!(q.pop(), Some((d, "a")));
+    let a = q.park_retry("a");
+    // b's dispatch pushes a retry, which takes b's place behind a.
+    assert_eq!(q.pop(), Some((d, "b")));
+    q.push_retry("b2");
+    q.push_at(Cycles::new(35), "late");
+    assert_eq!(q.pop(), Some((d * 2, "b2")));
+    // Woken at 20, after b2: a's next poll is at 30, where it goes
+    // first again.
+    q.unpark(a);
+    q.push_at(Cycles::new(30), "c");
+    assert_eq!(q.pop(), Some((d * 3, "a")));
+    assert_eq!(q.pop(), Some((d * 3, "c")));
+    assert_eq!(q.pop(), Some((Cycles::new(35), "late")));
+}
+
+/// Retries `v`, `x`, `y` and `z` poll every `D = 10` from cycle 10,
+/// in that lane order; `v`, `y` and `z` until cycle 40. `x`'s access is
+/// denied at its first poll. Its dispatch pushes three non-retry
+/// events, `soon` (band 3), `mark` and `late` (band 1), then its own
+/// retry, then a second retry `x2`. `x` stays denied until the event
+/// `waker` names, at the cycle it names, is dispatched. With `park`,
+/// `x`'s retry is parked at its denial and unparked by the waker;
+/// without, `x` pushes itself back at every denied poll. Returns the
+/// dispatches as `cycle:event,event,...` per cycle, `x`'s denied polls
+/// left out.
+fn stalled_x(park: bool, waker: (u64, &str)) -> String {
+    let d = Cycles::new(10);
+    let mut q = EventQueue::with_retry_delay(d);
+    for e in ["v", "x", "y", "z"] {
+        q.push_at(d, e);
+    }
+    q.push_at(Cycles::new(40), "w");
+    let (mut parked, mut denied) = (None, true);
+    let (mut seen, mut cycle) = (String::new(), 0);
+    while let Some((at, e)) = q.pop() {
+        let now = at.get();
+        if (now, e) == waker {
+            denied = false;
+            if let Some(x) = parked.take() {
+                q.unpark(x);
+            }
+        }
+        match e {
+            "x" if now == 10 => {
+                q.push_at(at + Cycles::new(3), "soon");
+                q.push_at(Cycles::new(30), "mark");
+                q.push_at(Cycles::new(35), "late");
+                if park {
+                    parked = Some(q.park_retry("x"));
+                } else {
+                    q.push_retry("x");
+                }
+                q.push_retry("x2");
+            }
+            "x" if denied => {
+                q.push_retry("x");
+                continue;
+            }
+            "v" | "y" | "z" if now < 40 => q.push_retry(e),
+            _ => {}
+        }
+        if now == cycle {
+            seen += &format!(",{e}");
+        } else {
+            seen += &format!(" {now}:{e}");
+            cycle = now;
+        }
+    }
+    seen.trim_start().to_string()
+}
+
+#[test]
+fn a_retry_parked_at_dispatch_comes_back_at_its_polled_place() {
+    // At 20, `x2` polls right behind `x`'s place, between `v` and `y`.
+    // The non-retry pushes before the park leave `x` its place, so it
+    // comes back after `v` and before `y`: at 30 when woken before the
+    // lane, at 40 when woken after its place (by `z`) or at 35.
+    let head = "10:v,x,y,z 13:soon 20:v,x2,y,z";
+    let before_lane = format!("{head} 30:mark,v,x,y,z 35:late 40:w,v,y,z");
+    let after_lane = format!("{head} 30:mark,v,y,z 35:late 40:w,v,x,y,z");
+    for (waker, expected) in [
+        ((30, "mark"), &before_lane),
+        ((30, "z"), &after_lane),
+        ((35, "late"), &after_lane),
+    ] {
+        assert_eq!(&stalled_x(false, waker), expected, "polled, {waker:?}");
+        assert_eq!(&stalled_x(true, waker), expected, "parked, {waker:?}");
     }
 }

@@ -1,10 +1,13 @@
 //! Exactness guard for the engines' simulated behaviour.
 //!
-//! A stalled access waits outside the event queue, parked at its place
-//! in the queue's lane, while the bank's generation is unchanged: no
-//! poll, no Bloom re-probe, no handler; a fallback pre-lock poll reuses
-//! its last denial and its once-built footprint. These are host
-//! shortcuts: they must not move a single simulated event. This test
+//! A stalled access's handler parks it outside the event queue, at its
+//! place in the queue's lane, until the buffer that denied it is
+//! released, its attempt changes or the routing or crash table moves:
+//! no poll meanwhile. A handler whose access meets the bank at the
+//! generation of its last denial reuses that denial without a Bloom
+//! re-probe, and a fallback pre-lock poll reuses its last denial and its
+//! once-built footprint. These are host shortcuts: they must not move a
+//! single simulated event. This test
 //! replays the run the `trace` bin makes for `--app HT-wA` (the quick
 //! experiment on YCSB-A over the hash table, θ 0.99, where stalls dominate)
 //! and compares it with files recorded from reference implementations.
@@ -28,12 +31,12 @@
 //! `traces-replies.jsonl` so that no recorded line moved. `results/README.md`
 //! says where each row was recorded.
 //!
-//! Every row also runs untraced. A traced run puts each stalled retry
-//! back on the queue at every poll, so that each poll emits its
-//! `lock_stall`; an untraced run parks it outside the queue until its
-//! bank, its slot's attempt, the routing or the crash table changes.
-//! The untraced run must render the traced row's stats, so parking
-//! moves no simulated event either, on every row.
+//! Every row also runs untraced. A traced run pushes each stalled retry
+//! back on the queue at every poll, so that each poll's handler emits
+//! its `lock_stall`; this polling is the reference. An untraced run
+//! parks the retry instead. The untraced run must render the traced
+//! row's stats, so parking moves no simulated event either, on every
+//! row.
 //!
 //! If a change to the simulation moves these files on purpose, re-record
 //! them (`hades_bench::golden`) and say so; a host-only change must leave
