@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p hades-bench --bin ablation [--quick]`
 
-use hades_bench::{experiment_from_args, fmt_pct, print_table};
+use hades_bench::{compare, experiment_from_args, fmt_pct, print_table};
 use hades_core::runner::{Protocol, Run};
 use hades_workloads::catalog::AppId;
 
@@ -23,10 +23,7 @@ fn main() {
         let mut ex = base_ex.clone();
         ex.cfg.shape.slots_per_core = m;
         let mut row = vec![format!("m={m}")];
-        for p in Protocol::ALL {
-            let s = Run::apps(p, &ex, &[app]).run().stats;
-            row.push(format!("{:.0}", s.throughput()));
-        }
+        row.extend(compare(&ex, &[app]).map(|s| format!("{:.0}", s.throughput())));
         rows.push(row);
         eprintln!("  done: m={m}");
     }

@@ -11,8 +11,8 @@
 //!
 //! Run: `cargo run --release -p hades-bench --bin fig12 [--quick]`
 
-use hades_bench::{experiment_from_args, fmt_x, print_table};
-use hades_core::runner::{geomean, Protocol, Run};
+use hades_bench::{compare, experiment_from_args, fmt_x, print_table};
+use hades_core::runner::{geomean, Experiment};
 use hades_sim::time::Cycles;
 use hades_workloads::catalog::AppId;
 
@@ -20,17 +20,10 @@ use hades_workloads::catalog::AppId;
 /// paper averages over all applications.
 const APPS: [&str; 5] = ["TPC-C", "TATP", "Smallbank", "HT-wA", "BTree-wB"];
 
-fn mean_tput(p: Protocol, ex: &hades_core::runner::Experiment) -> f64 {
-    let v: Vec<f64> = APPS
-        .iter()
-        .map(|a| {
-            Run::apps(p, ex, &[AppId::parse(a).unwrap()])
-                .run()
-                .stats
-                .throughput()
-        })
-        .collect();
-    geomean(&v)
+/// Each engine's geomean throughput over `APPS`, `Protocol::ALL` order.
+fn mean_tputs(ex: &Experiment) -> [f64; 3] {
+    let tputs = APPS.map(|a| compare(ex, &[AppId::parse(a).unwrap()]).map(|s| s.throughput()));
+    [0, 1, 2].map(|i| geomean(&tputs.map(|t| t[i])))
 }
 
 fn main() {
@@ -42,10 +35,7 @@ fn main() {
     for rt_us in [1u64, 2, 3] {
         let mut ex = base_ex.clone();
         ex.cfg = ex.cfg.with_net_rt(Cycles::from_micros(rt_us));
-        let tputs: Vec<f64> = Protocol::ALL
-            .into_iter()
-            .map(|p| mean_tput(p, &ex))
-            .collect();
+        let tputs = mean_tputs(&ex);
         if rt_us == 2 {
             base_2us = tputs[0];
         }
@@ -77,10 +67,7 @@ fn main() {
     for local_pct in [80u32, 50, 20] {
         let mut ex = base_ex.clone();
         ex.cfg = ex.cfg.with_local_fraction(local_pct as f64 / 100.0);
-        let tputs: Vec<f64> = Protocol::ALL
-            .into_iter()
-            .map(|p| mean_tput(p, &ex))
-            .collect();
+        let tputs = mean_tputs(&ex);
         if local_pct == 20 {
             base_20 = tputs[0];
         }

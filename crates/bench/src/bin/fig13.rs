@@ -6,51 +6,26 @@
 //!
 //! Run: `cargo run --release -p hades-bench --bin fig13 [--quick]`
 
-use hades_bench::{experiment_from_args, fmt_x, print_table};
-use hades_core::runner::{compare_protocols, geomean};
+use hades_bench::{compare, experiment_from_args, print_speedups};
 use hades_sim::config::ClusterShape;
 use hades_workloads::catalog::AppId;
 
 fn main() {
     let mut ex = experiment_from_args();
     ex.cfg = ex.cfg.with_shape(ClusterShape::N10_C5);
-    let mut rows = Vec::new();
-    let mut sp_hh = Vec::new();
-    let mut sp_h = Vec::new();
-    for app in AppId::FIG9 {
-        let row = compare_protocols(app, &ex);
-        let s = row.speedups();
-        sp_hh.push(s[1]);
-        sp_h.push(s[2]);
-        rows.push(vec![
-            row.app.clone(),
-            format!("{:.0}", row.throughput[0]),
-            format!("{:.0}", row.throughput[1]),
-            format!("{:.0}", row.throughput[2]),
-            fmt_x(s[1]),
-            fmt_x(s[2]),
-        ]);
-        eprintln!("  done: {}", row.app);
-    }
-    rows.push(vec![
-        "geomean".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        fmt_x(geomean(&sp_hh)),
-        fmt_x(geomean(&sp_h)),
-    ]);
-    print_table(
+    let rows: Vec<_> = AppId::FIG9
+        .into_iter()
+        .map(|app| {
+            let tput = compare(&ex, &[app]).map(|s| s.throughput());
+            eprintln!("  done: {}", app.label());
+            (vec![app.label()], tput)
+        })
+        .collect();
+    print_speedups(
         "Fig 13 — throughput at N=10, C=5 (txn/s; speedup over Baseline)",
-        &[
-            "app",
-            "Baseline",
-            "HADES-H",
-            "HADES",
-            "HADES-H x",
-            "HADES x",
-        ],
+        &["app"],
         &rows,
+        true,
     );
     println!("\nPaper: speedups at N=10 are similar to Fig 9's N=5 speedups.");
 }

@@ -8,8 +8,7 @@
 //!
 //! Run: `cargo run --release -p hades-bench --bin fig15 [--quick]`
 
-use hades_bench::{experiment_from_args, fmt_x, print_table};
-use hades_core::runner::{geomean, Protocol, Run};
+use hades_bench::{compare, experiment_from_args, print_speedups};
 use hades_sim::config::ClusterShape;
 use hades_workloads::catalog::{parse_mix, TABLE_V_MIXES};
 
@@ -18,50 +17,20 @@ fn main() {
     ex.cfg = ex.cfg.with_shape(ClusterShape::N8_C25);
     // 200 cores commit fast; keep the measurement window proportional.
     ex.measure = (ex.measure * 4).max(2_000);
-    let mut rows = Vec::new();
-    let mut sp_hh = Vec::new();
-    let mut sp_h = Vec::new();
-    for (i, mix) in TABLE_V_MIXES.iter().enumerate() {
-        let apps = parse_mix(mix);
-        let mut tput = Vec::new();
-        for p in Protocol::ALL {
-            tput.push(Run::apps(p, &ex, &apps).run().stats.throughput());
-        }
-        let base = tput[0].max(f64::MIN_POSITIVE);
-        sp_hh.push(tput[1] / base);
-        sp_h.push(tput[2] / base);
-        rows.push(vec![
-            format!("mix{}", i + 1),
-            mix.join(","),
-            format!("{:.0}", tput[0]),
-            format!("{:.0}", tput[1]),
-            format!("{:.0}", tput[2]),
-            fmt_x(tput[1] / base),
-            fmt_x(tput[2] / base),
-        ]);
-        eprintln!("  done: mix{}", i + 1);
-    }
-    rows.push(vec![
-        "geomean".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        fmt_x(geomean(&sp_hh)),
-        fmt_x(geomean(&sp_h)),
-    ]);
-    print_table(
+    let rows: Vec<_> = TABLE_V_MIXES
+        .iter()
+        .enumerate()
+        .map(|(i, mix)| {
+            let tput = compare(&ex, &parse_mix(mix)).map(|s| s.throughput());
+            eprintln!("  done: mix{}", i + 1);
+            (vec![format!("mix{}", i + 1), mix.join(",")], tput)
+        })
+        .collect();
+    print_speedups(
         "Fig 15 — Table V four-workload mixes at N=8, C=25 (200 cores)",
-        &[
-            "mix",
-            "apps",
-            "Baseline",
-            "HADES-H",
-            "HADES",
-            "HADES-H x",
-            "HADES x",
-        ],
+        &["mix", "apps"],
         &rows,
+        true,
     );
     println!("\nPaper: average speedups across mixes are HADES 2.9x, HADES-H 2.1x.");
 }

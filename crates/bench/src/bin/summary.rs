@@ -12,13 +12,17 @@
 //! on stdout, with the gated claims in a `claims` array. In either mode
 //! the process exits non-zero if any experiment fails or any gated paper
 //! claim drifts, listing the failures on stderr (and in the document's
-//! `failures` array). The claim gates apply to fault-free runs only: under
-//! `--loss` the claims are still reported but not enforced.
+//! `failures` array). `--loss <p>` runs every experiment under a seeded
+//! commit-message-loss [`FaultPlan`]. The claim gates apply to fault-free
+//! runs only: under a fault plan the claims are still reported but not
+//! enforced.
 
-use hades_bench::{experiment_from_args, has_flag, print_table};
+use hades_bench::{compare_each, experiment_from_args, flag_parsed, has_flag, print_table};
 use hades_bloom::{BloomFilter, DualWriteFilter};
 use hades_core::hwcost::{core_pair_bytes, nic_pair_bytes};
-use hades_core::runner::{compare_protocols, geomean, Protocol, Run};
+use hades_core::runner::{geomean, Experiment, Protocol, Run};
+use hades_core::stats::RunStats;
+use hades_fault::FaultPlan;
 use hades_sim::config::BloomParams;
 use hades_sim::time::Cycles;
 use hades_telemetry::json::Json;
@@ -176,42 +180,60 @@ fn gate(claims: &[Claim], faulty: bool, failures: &mut Vec<String>) {
     }
 }
 
-fn json_main() {
+/// Each app's three runs, `Protocol::ALL` order; a failed run is `None`.
+type Runs = Vec<(&'static str, [Option<RunStats>; 3])>;
+
+/// The three runs of an app whose every run completed.
+fn complete(cells: &[Option<RunStats>; 3]) -> Option<[&RunStats; 3]> {
+    Some([cells[0].as_ref()?, cells[1].as_ref()?, cells[2].as_ref()?])
+}
+
+fn main() {
     let ex = experiment_from_args();
+    let plan = flag_parsed("--loss")
+        .map(|p| FaultPlan::from_loss(p, ex.cfg.seed))
+        .filter(|plan| !plan.is_inert());
     let mut failures: Vec<String> = Vec::new();
-    let mut apps = Vec::new();
-    let mut throughputs = Vec::new();
+    let mut runs: Runs = Vec::new();
     for app in APPS {
         let id = AppId::parse(app).unwrap();
-        let mut protos = Json::obj();
-        let mut tput = [0.0; 3];
-        let mut complete = true;
-        for (i, p) in Protocol::ALL.into_iter().enumerate() {
-            match try_run(&format!("{app}/{p}"), || {
-                Run::apps(p, &ex, &[id]).run().stats
-            }) {
-                Ok(stats) => {
-                    tput[i] = stats.throughput();
-                    protos = protos.field(p.label(), stats.to_json());
-                }
-                Err(e) => {
-                    failures.push(e);
-                    complete = false;
-                }
-            }
+        let cells = compare_each(&ex, &[id], |p, run| {
+            let cell = try_run(&format!("{app}/{p}"), || run.plan(plan.clone()).run().stats);
             eprintln!("  done: {app}/{p}");
-        }
-        if complete {
-            throughputs.push((app, tput));
-        }
-        apps.push(Json::Obj(vec![
-            ("app".to_string(), Json::from(app)),
-            ("protocols".to_string(), protos.build()),
-        ]));
+            cell.map_err(|e| failures.push(e)).ok()
+        });
+        runs.push((app, cells));
     }
+    let throughputs: Vec<(&str, [f64; 3])> = runs
+        .iter()
+        .filter_map(|(app, cells)| Some((*app, complete(cells)?.map(RunStats::throughput))))
+        .collect();
     let claims = claims(&throughputs);
-    gate(&claims, ex.cfg.repl.loss_probability > 0.0, &mut failures);
-    let doc = Json::obj()
+    gate(&claims, plan.is_some(), &mut failures);
+    if has_flag("--json") {
+        println!("{}", json_doc(&ex, &runs, &claims, &failures).render());
+    } else {
+        print_report(&ex, plan.as_ref(), &runs, &claims, &mut failures);
+    }
+    exit_on_failures(&failures);
+}
+
+/// The `--json` document: the experiment, every completed run's stats,
+/// the claims and the failures.
+fn json_doc(ex: &Experiment, runs: &Runs, claims: &[Claim], failures: &[String]) -> Json {
+    let apps = runs.iter().map(|(app, cells)| {
+        let mut protos = Json::obj();
+        for (p, stats) in Protocol::ALL.into_iter().zip(cells) {
+            if let Some(stats) = stats {
+                protos = protos.field(p.label(), stats.to_json());
+            }
+        }
+        Json::Obj(vec![
+            ("app".to_string(), Json::from(*app)),
+            ("protocols".to_string(), protos.build()),
+        ])
+    });
+    Json::obj()
         .field(
             "experiment",
             Json::obj()
@@ -221,7 +243,7 @@ fn json_main() {
                 .field("seed", Json::UInt(ex.cfg.seed))
                 .build(),
         )
-        .field("apps", Json::Arr(apps))
+        .field("apps", Json::Arr(apps.collect()))
         .field(
             "claims",
             Json::Arr(claims.iter().map(Claim::to_json).collect()),
@@ -230,37 +252,27 @@ fn json_main() {
             "failures",
             Json::Arr(failures.iter().map(|f| Json::from(f.as_str())).collect()),
         )
-        .build();
-    println!("{}", doc.render());
-    exit_on_failures(&failures);
+        .build()
 }
 
-fn main() {
-    if has_flag("--json") {
-        json_main();
-        return;
-    }
-    let ex = experiment_from_args();
-    let mut failures: Vec<String> = Vec::new();
-
+/// The paper-vs-measured table: the claims, the mean-latency reductions,
+/// the Fig 12a network spot check (run here, under `plan`), and the
+/// hardware storage arithmetic.
+fn print_report(
+    ex: &Experiment,
+    plan: Option<&FaultPlan>,
+    runs: &Runs,
+    claims: &[Claim],
+    failures: &mut Vec<String>,
+) {
     // 1. Throughput & latency headline over a representative app subset.
-    let mut throughputs = Vec::new();
     let mut lat_h = Vec::new();
     let mut lat_hh = Vec::new();
-    for app in APPS {
-        match try_run(app, || compare_protocols(AppId::parse(app).unwrap(), &ex)) {
-            Ok(row) => {
-                throughputs.push((app, row.throughput));
-                let l = row.latency_ratios();
-                lat_hh.push(l[1]);
-                lat_h.push(l[2]);
-            }
-            Err(e) => failures.push(e),
-        }
-        eprintln!("  done: {app}");
+    for s in runs.iter().filter_map(|(_, cells)| complete(cells)) {
+        let base = (s[0].mean_latency().get() as f64).max(f64::MIN_POSITIVE);
+        lat_hh.push(s[1].mean_latency().get() as f64 / base);
+        lat_h.push(s[2].mean_latency().get() as f64 / base);
     }
-    let claims = claims(&throughputs);
-    gate(&claims, ex.cfg.repl.loss_probability > 0.0, &mut failures);
     let (headline, bloom) = claims.split_at(claims.len() - 2);
     let mut rows: Vec<Vec<String>> = headline.iter().map(Claim::row).collect();
     if !lat_h.is_empty() {
@@ -281,7 +293,13 @@ fn main() {
     let speedup_at = |rt: u64| -> Result<f64, String> {
         let mut e = ex.clone();
         e.cfg = e.cfg.with_net_rt(Cycles::from_micros(rt));
-        let tput = |p| Run::apps(p, &e, &[app]).run().stats.throughput();
+        let tput = |p| {
+            Run::apps(p, &e, &[app])
+                .plan(plan.cloned())
+                .run()
+                .stats
+                .throughput()
+        };
         try_run(&format!("HT-wA@{rt}us"), || {
             tput(Protocol::Hades) / tput(Protocol::Baseline)
         })
@@ -316,5 +334,4 @@ fn main() {
     );
     println!("\nDetails: per-figure drivers (fig3..fig15, table4, sec8c, hwcost,");
     println!("ablation, replication) and EXPERIMENTS.md.");
-    exit_on_failures(&failures);
 }

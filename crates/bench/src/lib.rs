@@ -5,9 +5,7 @@
 //! | binary | artifact |
 //! |---|---|
 //! | `fig3` | Fig 3 — SW-Impl overhead breakdown |
-//! | `fig9` | Fig 9 — throughput normalized to Baseline |
-//! | `fig10` | Fig 10 — mean latency with phase breakdown |
-//! | `fig11` | Fig 11 — p95 tail latency |
+//! | `fig9` | Figs 9–11 — throughput, mean latency with phase breakdown, p95 latency |
 //! | `fig12` | Fig 12a/b — network-latency and locality sensitivity |
 //! | `fig13` | Fig 13 — N=10, C=5 scalability |
 //! | `fig14` | Fig 14 — two-workload mixes, N=5, C=10 |
@@ -28,10 +26,12 @@
 //! | `bench` | canonical perf-trajectory matrix → `BENCH_*.json` |
 //!
 //! Every binary accepts `--quick` for a fast smoke run and prints both a
-//! Markdown table and the paper's expected shape for comparison. A
-//! `--loss <p>` flag injects commit-message loss at probability `p` via a
-//! seeded [`hades_fault::FaultPlan`], so e.g. `summary --json --loss 0.05`
-//! reports the fault/recovery breakdown alongside every metric.
+//! Markdown table and the paper's expected shape for comparison. Every
+//! figure row runs the three engines through one function, [`compare`].
+//! `summary --loss <p>` injects commit-message loss at probability `p`
+//! via a seeded [`hades_fault::FaultPlan`], so e.g.
+//! `summary --json --loss 0.05` reports the fault/recovery breakdown
+//! alongside every metric.
 //!
 //! The seven stress bins (`chaos`, `nemesis`, `batching`, `overload`,
 //! `failover`, `rebalance`, `replication`) run through one sweep driver,
@@ -53,22 +53,21 @@ pub mod golden;
 pub mod harness;
 pub mod sweep;
 
-use hades_core::runner::Experiment;
+use hades_core::runner::{geomean, Experiment, Protocol, Run};
 use hades_core::stats::RunStats;
 use hades_sim::config::SimConfig;
 use hades_sim::time::Cycles;
 use hades_telemetry::json::Json;
+use hades_workloads::catalog::AppId;
 use std::str::FromStr;
 
 /// Parses the standard driver flags. `--quick` shrinks dataset scale and
 /// measurement length so every figure runs in seconds; `--seed N` varies
-/// the RNG seed; `--loss P` injects commit-message loss at probability `P`
-/// through the cluster-wide fault plane (a seeded `FaultPlan`). A missing
-/// or malformed value exits with status 2 (see [`flag_parsed`]).
+/// the RNG seed. A missing or malformed value exits with status 2 (see
+/// [`flag_parsed`]).
 pub fn experiment_from_args() -> Experiment {
     let quick = has_flag("--quick");
     let seed = flag_parsed("--seed");
-    let loss = flag_parsed("--loss");
     let mut ex = if quick {
         Experiment {
             cfg: SimConfig::isca_default(),
@@ -87,10 +86,69 @@ pub fn experiment_from_args() -> Experiment {
     if let Some(seed) = seed {
         ex.cfg = ex.cfg.with_seed(seed);
     }
-    if let Some(loss) = loss {
-        ex.cfg = ex.cfg.with_message_loss(loss);
-    }
     ex
+}
+
+/// Runs every engine over `apps` (one app, or a core-partitioned mix as
+/// in Figs 14 and 15) at `ex`'s scale and window: one figure row's three
+/// cells, in `Protocol::ALL` order.
+pub fn compare(ex: &Experiment, apps: &[AppId]) -> [RunStats; 3] {
+    compare_each(ex, apps, |_, run| run.run().stats)
+}
+
+/// [`compare`], handing each engine's [`Run`] to `cell` to finish, e.g.
+/// to install a fault plan or to catch a failed run.
+pub fn compare_each<T>(
+    ex: &Experiment,
+    apps: &[AppId],
+    mut cell: impl FnMut(Protocol, Run) -> T,
+) -> [T; 3] {
+    Protocol::ALL.map(|p| cell(p, Run::apps(p, ex, apps)))
+}
+
+/// The rows of a throughput table (Figs 9, 13, 14 and 15): each row's
+/// label cells, its three throughputs (txn/s, `Protocol::ALL` order) and
+/// HADES-H's and HADES's speedups over Baseline. With `geomean_row`, a
+/// last row holds the geomean speedups, with `-` under every other
+/// column.
+pub fn speedup_rows(rows: &[(Vec<String>, [f64; 3])], geomean_row: bool) -> Vec<Vec<String>> {
+    let mut speedups = [Vec::new(), Vec::new()];
+    let mut out: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(labels, t)| {
+            let base = t[0].max(f64::MIN_POSITIVE);
+            speedups[0].push(t[1] / base);
+            speedups[1].push(t[2] / base);
+            let mut row = labels.clone();
+            row.extend(t.map(|v| format!("{v:.0}")));
+            row.extend([fmt_x(t[1] / base), fmt_x(t[2] / base)]);
+            row
+        })
+        .collect();
+    if geomean_row {
+        let labels = rows.first().map_or(1, |(l, _)| l.len());
+        let mut row = vec!["geomean".to_string()];
+        row.resize(labels + 3, "-".to_string());
+        row.extend(speedups.map(|s| fmt_x(geomean(&s))));
+        out.push(row);
+    }
+    out
+}
+
+/// Prints [`speedup_rows`] as a table headed by `labels`, then the three
+/// engines and their speedups.
+pub fn print_speedups(
+    title: &str,
+    labels: &[&str],
+    rows: &[(Vec<String>, [f64; 3])],
+    geomean_row: bool,
+) {
+    let header = [
+        labels,
+        &["Baseline", "HADES-H", "HADES", "HADES-H x", "HADES x"],
+    ]
+    .concat();
+    print_table(title, &header, &speedup_rows(rows, geomean_row));
 }
 
 /// True if `name` was passed on the command line (e.g. `--json`).

@@ -743,7 +743,7 @@ impl<P: Engine> Sim<P> {
         let backoff = if reason == SquashReason::CommitTimeout && self.cl.injector_active() {
             let inj = self.cl.fabric.injector_mut();
             inj.recovery.timeout_retries += 1;
-            let step = inj.retry().step(attempts.saturating_sub(1));
+            let step = RetryParams::TIMEOUT_BACKOFF.step(attempts.saturating_sub(1));
             if self.cl.tracer.is_enabled() {
                 let action = RecoveryKind::TimeoutRetry;
                 self.trace(now, si, EventKind::Recovery { action });

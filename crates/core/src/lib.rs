@@ -36,6 +36,6 @@ pub mod stats;
 
 pub use membership::Membership;
 pub use overload::AdmissionController;
-pub use runner::{compare_protocols, Experiment, Protocol, Run};
+pub use runner::{Experiment, Protocol, Run};
 pub use runtime::{Cluster, RunOutcome, WorkloadSet};
 pub use stats::{MembershipStats, Overhead, OverloadStats, Phase, RunStats, SquashReason};

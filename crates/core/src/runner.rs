@@ -176,57 +176,6 @@ impl Run {
     }
 }
 
-/// One row of a Fig 9-style comparison: all three protocols on one app,
-/// with throughputs normalized to Baseline.
-#[derive(Debug, Clone)]
-pub struct ComparisonRow {
-    /// Application label.
-    pub app: String,
-    /// Absolute throughput (txn/s) per protocol, `Protocol::ALL` order.
-    pub throughput: [f64; 3],
-    /// Mean latency (cycles) per protocol.
-    pub mean_latency: [f64; 3],
-    /// p95 latency (cycles) per protocol.
-    pub p95_latency: [f64; 3],
-}
-
-impl ComparisonRow {
-    /// Throughput normalized to Baseline, `Protocol::ALL` order.
-    pub fn speedups(&self) -> [f64; 3] {
-        let base = self.throughput[0].max(f64::MIN_POSITIVE);
-        [1.0, self.throughput[1] / base, self.throughput[2] / base]
-    }
-
-    /// Mean latency normalized to Baseline.
-    pub fn latency_ratios(&self) -> [f64; 3] {
-        let base = self.mean_latency[0].max(f64::MIN_POSITIVE);
-        [
-            1.0,
-            self.mean_latency[1] / base,
-            self.mean_latency[2] / base,
-        ]
-    }
-}
-
-/// Runs all three protocols over `app` and collects a comparison row.
-pub fn compare_protocols(app: AppId, ex: &Experiment) -> ComparisonRow {
-    let mut throughput = [0.0; 3];
-    let mut mean_latency = [0.0; 3];
-    let mut p95_latency = [0.0; 3];
-    for (i, p) in Protocol::ALL.into_iter().enumerate() {
-        let stats = Run::apps(p, ex, &[app]).run().stats;
-        throughput[i] = stats.throughput();
-        mean_latency[i] = stats.mean_latency().get() as f64;
-        p95_latency[i] = stats.p95_latency().get() as f64;
-    }
-    ComparisonRow {
-        app: app.label(),
-        throughput,
-        mean_latency,
-        p95_latency,
-    }
-}
-
 /// Geometric mean of positive values (used for "average speedup" rows).
 pub fn geomean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "geomean of nothing");

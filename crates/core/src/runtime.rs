@@ -202,14 +202,6 @@ impl Cluster {
             })
             .collect();
         let mut fabric = Fabric::new(cfg.net, n);
-        // Legacy loss knob: a non-zero `repl.loss_probability` becomes a
-        // commit-handshake-loss FaultPlan so all engines share one path.
-        if cfg.repl.loss_probability > 0.0 {
-            fabric.install_injector(FaultInjector::new(FaultPlan::from_loss(
-                cfg.repl.loss_probability,
-                cfg.seed,
-            )));
-        }
         if cfg.batching.enabled {
             fabric.install_batcher(Batcher::new(cfg.batching, cfg.net, n));
         }
@@ -653,17 +645,12 @@ impl Cluster {
         Cycles::new(self.rng.range_inclusive(lo, hi))
     }
 
-    /// Exponential-ish backoff with jitter for attempt `attempt`.
-    pub fn backoff(&mut self, attempt: u32) -> Cycles {
-        backoff_for(attempt, &mut self.rng)
-    }
-
     /// Contention-manager backoff: the shared linear policy, plus the
     /// age-based priority boost when the overload layer is on. Returns
     /// `(backoff, boosted)`; a boosted (old) transaction retries after
     /// just the base step — ahead of younger contenders — so it
     /// eventually wins (starvation freedom). With the overload layer off
-    /// this is exactly [`Cluster::backoff`].
+    /// this is exactly [`backoff_for`].
     pub fn contended_backoff(&mut self, attempt: u32) -> (Cycles, bool) {
         let boost_after = self.cfg.overload.age_boost_after;
         if boost_after > 0 && attempt >= boost_after {
@@ -1624,11 +1611,11 @@ mod tests {
 
     #[test]
     fn contended_backoff_matches_plain_backoff_when_disabled() {
-        let mut a = small_cluster();
-        let mut b = small_cluster();
+        let mut cl = small_cluster();
+        let mut rng = SimRng::seed_from(cl.cfg.seed);
         for attempt in 1..40 {
-            let plain = a.backoff(attempt);
-            let (managed, boosted) = b.contended_backoff(attempt);
+            let plain = backoff_for(attempt, &mut rng);
+            let (managed, boosted) = cl.contended_backoff(attempt);
             assert_eq!(plain, managed, "attempt {attempt}");
             assert!(!boosted);
         }

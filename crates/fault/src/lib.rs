@@ -29,13 +29,12 @@
 //! * **Retransmit** verbs (everything else: reads, validations, clears,
 //!   squashes, writes, unlocks) ride the reliable transport — RDMA RC
 //!   retransmits them in hardware. A "drop" therefore surfaces as extra
-//!   latency: the injector charges one [`RetryPolicy`] backoff step per
-//!   lost attempt and always delivers exactly one copy, which keeps
-//!   non-idempotent messages (e.g. RMW write-backs) exactly-once.
+//!   latency: the injector charges one [`RetryParams::TIMEOUT_BACKOFF`]
+//!   step per lost attempt and always delivers exactly one copy, which
+//!   keeps non-idempotent messages (e.g. RMW write-backs) exactly-once.
 
 #![warn(missing_docs)]
 
-use hades_sim::backoff::BackoffPolicy;
 use hades_sim::config::RetryParams;
 use hades_sim::rng::SimRng;
 use hades_sim::time::Cycles;
@@ -238,41 +237,6 @@ fn check_link_window(src: u16, dst: u16, from: Cycles, until: Cycles) {
     );
 }
 
-/// Exponential backoff schedule for timeout-driven retries: attempt `k`
-/// waits `min(base << k, cap)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// First-retry backoff.
-    pub base: Cycles,
-    /// Backoff ceiling.
-    pub cap: Cycles,
-}
-
-impl RetryPolicy {
-    /// The saturating [`BackoffPolicy`] equivalent of this schedule.
-    pub fn policy(&self) -> BackoffPolicy {
-        BackoffPolicy::exponential(self.base, self.cap)
-    }
-
-    /// The backoff before retry `attempt` (0-based). Delegates to the
-    /// shared [`BackoffPolicy`], which saturates on value overflow
-    /// (`checked_shl` only guards the shift amount, so the old inline
-    /// arithmetic silently truncated large bases and could shrink the
-    /// backoff between attempts).
-    pub fn step(&self, attempt: u32) -> Cycles {
-        self.policy().step(attempt)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base: RetryParams::BACKOFF_BASE,
-            cap: RetryParams::BACKOFF_CAP,
-        }
-    }
-}
-
 /// A complete, seed-reproducible fault schedule shared by all three
 /// protocol engines.
 ///
@@ -307,8 +271,6 @@ pub struct FaultPlan {
     pub link_flaps: Vec<LinkFlap>,
     /// Lease duration for crash suspicion (see [`DEFAULT_LEASE`]).
     pub lease: Cycles,
-    /// Backoff schedule for timeout-driven retries.
-    pub retry: RetryPolicy,
 }
 
 impl FaultPlan {
@@ -322,7 +284,6 @@ impl FaultPlan {
             link_cuts: Vec::new(),
             link_flaps: Vec::new(),
             lease: DEFAULT_LEASE,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -790,11 +751,6 @@ impl FaultInjector {
         self.plan.lease
     }
 
-    /// The configured retry/backoff schedule.
-    pub fn retry(&self) -> RetryPolicy {
-        self.plan.retry
-    }
-
     /// If a send from `src` to `dst` at `now` hits a cut or flapped-down
     /// link, returns when the blocking window (or down span) ends.
     /// Consumes no randomness.
@@ -948,7 +904,7 @@ impl FaultInjector {
                 let mut extra = link_hold;
                 let mut attempt = 0u32;
                 while vf.drop_p > 0.0 && attempt < MAX_RETRANSMIT && self.rng.chance(vf.drop_p) {
-                    extra += self.plan.retry.step(attempt);
+                    extra += RetryParams::TIMEOUT_BACKOFF.step(attempt);
                     attempt += 1;
                     self.faults.drops += 1;
                     self.recovery.timeout_retries += 1;

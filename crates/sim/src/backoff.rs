@@ -44,7 +44,7 @@ impl BackoffPolicy {
     }
 
     /// Exponential policy (`base << attempt`, capped).
-    pub fn exponential(base: Cycles, cap: Cycles) -> Self {
+    pub const fn exponential(base: Cycles, cap: Cycles) -> Self {
         BackoffPolicy {
             base,
             cap,

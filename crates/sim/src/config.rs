@@ -6,6 +6,7 @@
 //! N=5 nodes, C=5 cores/node, m=2 multiplexed transactions per core, 2 GHz
 //! out-of-order cores, 2 µs NIC-to-NIC round trip and 200 Gb/s NICs.
 
+use crate::backoff::BackoffPolicy;
 use crate::time::Cycles;
 
 /// Cluster shape: N nodes, C cores per node, m transaction slots per core.
@@ -276,8 +277,15 @@ pub struct RetryParams {
 impl RetryParams {
     /// Base backoff before re-executing a squashed transaction.
     pub const BACKOFF_BASE: Cycles = Cycles::new(500);
-    /// Backoff grows linearly with attempt count up to this cap.
+    /// The contention backoff grows linearly with the attempt count, and
+    /// [`Self::TIMEOUT_BACKOFF`] exponentially, up to this cap.
     pub const BACKOFF_CAP: Cycles = Cycles::new(16_000);
+    /// Backoff before a timeout-driven retry: a retransmit of a lost
+    /// reliable-transport message, or a re-execution after a commit
+    /// timeout. Exponential from [`Self::BACKOFF_BASE`], capped at
+    /// [`Self::BACKOFF_CAP`].
+    pub const TIMEOUT_BACKOFF: BackoffPolicy =
+        BackoffPolicy::exponential(Self::BACKOFF_BASE, Self::BACKOFF_CAP);
     /// Delay before retrying an access stalled by a directory Locking
     /// Buffer. It is one delay for the whole run: that is what gives
     /// every retry a place in the event queue's lane
@@ -308,30 +316,19 @@ impl Default for RetryParams {
 /// `degree` nodes after the record's home. Replicas persist updates to
 /// temporary durable storage before Ack-ing the Intend-to-commit, and move
 /// them to permanent storage on Validation — HADES' two-phase commit. A
-/// lost Intend-to-commit, Ack or replica-prepare message (probability
-/// `loss_probability`) makes the coordinator time out and abort; abort and
-/// Validation messages ride the reliable transport.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// lost Intend-to-commit, Ack or replica-prepare message (dropped by a
+/// fault plan, e.g. `FaultPlan::from_loss`) makes the coordinator time out
+/// and abort; abort and Validation messages ride the reliable transport.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicationParams {
     /// Replicas per record beyond the home node (0 disables replication).
     pub degree: usize,
-    /// Probability that a loss-eligible commit message is dropped.
-    pub loss_probability: f64,
 }
 
 impl ReplicationParams {
     /// Latency of persisting an update to temporary durable storage
     /// (NVM-class: 1 µs).
     pub const PERSIST_LATENCY: Cycles = Cycles::from_micros(1);
-}
-
-impl Default for ReplicationParams {
-    fn default() -> Self {
-        ReplicationParams {
-            degree: 0,
-            loss_probability: 0.0,
-        }
-    }
 }
 
 /// Overload-robustness layer: admission control, starvation-free
@@ -748,20 +745,6 @@ impl SimConfig {
     /// Same configuration with `degree` replicas per record (Section V-A).
     pub fn with_replication(mut self, degree: usize) -> Self {
         self.repl.degree = degree;
-        self
-    }
-
-    /// Same configuration with commit-message loss probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_message_loss(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability {p} out of range"
-        );
-        self.repl.loss_probability = p;
         self
     }
 

@@ -7,6 +7,7 @@
 //! tests that read them check the constants (DESIGN.md, "Configuration
 //! surface").
 
+use hades::fault::FaultPlan;
 use hades::sim::config::{
     BatchingParams, ClusterShape, MembershipParams, MigrationParams, NetParams, OverloadParams,
     ReplicationParams, SimConfig,
@@ -69,10 +70,8 @@ fn local_fraction_default_is_one_over_n() {
 fn replication_defaults_off() {
     let c = SimConfig::isca_default();
     assert_eq!(c.repl.degree, 0);
-    assert_eq!(c.repl.loss_probability, 0.0);
-    let c = c.with_replication(2).with_message_loss(0.05);
+    let c = c.with_replication(2);
     assert_eq!(c.repl.degree, 2);
-    assert!((c.repl.loss_probability - 0.05).abs() < 1e-12);
     assert_eq!(ReplicationParams::PERSIST_LATENCY, Cycles::from_micros(1));
 }
 
@@ -184,7 +183,7 @@ fn rejects_zero_lock_buffer_slots() {
 #[test]
 #[should_panic(expected = "out of range")]
 fn rejects_bad_message_loss() {
-    let _ = SimConfig::isca_default().with_message_loss(1.5);
+    let _ = FaultPlan::from_loss(1.5, 0);
 }
 
 #[test]

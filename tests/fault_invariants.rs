@@ -12,8 +12,10 @@
 
 use hades::fault::{
     class_of, CrashEvent, FaultClass, FaultCounts, FaultInjector, FaultPlan, NicStall,
-    RecoveryCounts, RetryPolicy,
+    RecoveryCounts,
 };
+use hades::sim::backoff::BackoffPolicy;
+use hades::sim::config::RetryParams;
 use hades::sim::time::Cycles;
 use hades::telemetry::event::Verb;
 
@@ -80,7 +82,7 @@ fn retransmit_class_always_delivers_exactly_once() {
 
 #[test]
 fn retry_policy_grows_exponentially_and_caps() {
-    let r = RetryPolicy::default();
+    let r = RetryParams::TIMEOUT_BACKOFF;
     assert_eq!(r.step(0), Cycles::new(500));
     assert_eq!(r.step(1), Cycles::new(1_000));
     assert_eq!(r.step(3), Cycles::new(4_000));
@@ -92,10 +94,7 @@ fn retry_policy_grows_exponentially_and_caps() {
 fn retry_policy_monotone_for_huge_bases() {
     // base = 1<<40 shifted by 32 used to truncate high bits and come
     // back *smaller* than earlier attempts; it must saturate instead.
-    let r = RetryPolicy {
-        base: Cycles::new(1 << 40),
-        cap: Cycles::new(u64::MAX),
-    };
+    let r = BackoffPolicy::exponential(Cycles::new(1 << 40), Cycles::new(u64::MAX));
     let mut last = Cycles::ZERO;
     for attempt in 0..64 {
         let b = r.step(attempt);

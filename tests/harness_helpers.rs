@@ -1,14 +1,15 @@
-//! The experiment harness's own helpers: Fig 9 comparison rows, the
-//! geometric mean behind every "average speedup" row, the driver flag
+//! The experiment harness's own helpers: the one comparison behind every
+//! figure row, the speedup table and the geometric mean behind its
+//! "average speedup" row, the driver flag
 //! parser that must reject a value it cannot use instead of silently
 //! falling back to a default, the table and number formatting, and the
 //! golden check that pins every simulated export.
 
-use hades::core::runner::{compare_protocols, geomean, Experiment};
+use hades::core::runner::{geomean, Experiment, Protocol, Run};
 use hades::workloads::catalog::AppId;
 use hades_bench::golden::{Golden, RERECORD};
 use hades_bench::harness::WORKLOADS;
-use hades_bench::{fmt_pct, fmt_x, parse_flag, print_table};
+use hades_bench::{compare, compare_each, fmt_pct, fmt_x, parse_flag, print_table, speedup_rows};
 use std::path::{Path, PathBuf};
 
 fn args(list: &[&str]) -> Vec<String> {
@@ -16,16 +17,59 @@ fn args(list: &[&str]) -> Vec<String> {
 }
 
 #[test]
-fn comparison_row_normalizes_to_baseline() {
+fn compare_runs_each_engine_once_in_figure_order() {
     let ex = Experiment {
         warmup: 20,
         measure: 200,
         ..Experiment::quick()
     };
-    let row = compare_protocols(AppId::parse("Smallbank").unwrap(), &ex);
-    let sp = row.speedups();
-    assert_eq!(sp[0], 1.0);
-    assert!(sp[1] > 0.0 && sp[2] > 0.0);
+    let app = AppId::parse("Smallbank").unwrap();
+    let mut visited = Vec::new();
+    compare_each(&ex, &[app], |p, _| visited.push(p));
+    assert_eq!(visited, Protocol::ALL);
+    let cells = compare(&ex, &[app]);
+    for (p, cell) in Protocol::ALL.into_iter().zip(&cells) {
+        let lone = Run::apps(p, &ex, &[app]).run().stats;
+        assert_eq!(cell.to_json().render(), lone.to_json().render(), "{p}");
+    }
+}
+
+#[test]
+fn speedup_rows_pad_labels_and_normalize_to_baseline() {
+    let apps = [
+        (vec!["A".to_string()], [100.0, 200.0, 400.0]),
+        (vec!["B".to_string()], [50.0, 50.0, 100.0]),
+    ];
+    let plain = [
+        ["A", "100", "200", "400", "2.00x", "4.00x"],
+        ["B", "50", "50", "100", "1.00x", "2.00x"],
+    ];
+    assert_eq!(speedup_rows(&apps, false), plain);
+    let with_geomean = speedup_rows(&apps, true);
+    assert_eq!(with_geomean[..2], plain);
+    assert_eq!(
+        with_geomean[2],
+        ["geomean", "-", "-", "-", "1.41x", "2.83x"]
+    );
+
+    let mixes = [(
+        vec!["mix1".to_string(), "TPC-C,TATP".to_string()],
+        [1000.0, 1500.0, 3000.0],
+    )];
+    let mix_row = [
+        "mix1",
+        "TPC-C,TATP",
+        "1000",
+        "1500",
+        "3000",
+        "1.50x",
+        "3.00x",
+    ];
+    assert_eq!(speedup_rows(&mixes, false), [mix_row]);
+    assert_eq!(
+        speedup_rows(&mixes, true),
+        [mix_row, ["geomean", "-", "-", "-", "-", "1.50x", "3.00x"]]
+    );
 }
 
 #[test]
