@@ -61,9 +61,6 @@ pub struct BaselineSlot {
     /// deduplicated; refreshed by [`Sim::fill_write_set`] when the lock
     /// round begins, and read by the rounds that follow it.
     wset: Vec<(RecordId, NodeId)>,
-    /// Past the point of no return: local writes applied and remote
-    /// applies shipped. A crash after this point finalizes the ledger.
-    durable: bool,
 }
 
 use ev::BaselineEv;
@@ -135,7 +132,6 @@ impl Engine for Baseline {
     type Ev = BaselineEv;
     const START_STAGGER: u64 = 37;
     const CRASHES_NEED_MEMBERSHIP: bool = true;
-    const FENCE_VERB: Verb = Verb::LockResp;
 
     fn new(cl: &Cluster) -> Self {
         Baseline {
@@ -153,7 +149,6 @@ impl Engine for Baseline {
         x.write_versions.clear();
         x.locked.clear();
         x.fallback_locks.clear();
-        x.durable = false;
     }
 
     fn begin_attempt(x: &mut BaselineSlot, now: Cycles, app_cost: Cycles) {
@@ -212,19 +207,6 @@ impl Engine for Baseline {
 
     fn squash(sim: &mut Sim<Self>, si: usize, reason: SquashReason) {
         sim.abort(si, reason)
-    }
-
-    fn past_no_return(x: &BaselineSlot) -> bool {
-        x.durable
-    }
-
-    fn in_handshake(c: &SlotCore, _x: &BaselineSlot) -> bool {
-        // The software protocol keeps its locks on the records
-        // themselves, so only in-flight rounds — whose unlock routing
-        // was decided under the old map — need fencing; there is no NIC
-        // filter state to hand over. The count also holds execution's
-        // outstanding fetches, so those slots are fenced too.
-        c.round.outstanding > 0
     }
 
     fn commit_phases(
@@ -527,16 +509,7 @@ impl Sim<Baseline> {
         if self.cl.tracer.is_enabled() {
             self.trace(now, si, EventKind::PhaseEnd(TracePhase::Exec));
         }
-        // Rather than lock across an epoch boundary a node died in,
-        // abort and retry in the new epoch.
-        if self.straddles(si) {
-            self.abort(si, SquashReason::CommitTimeout);
-            return;
-        }
-        // Self-fence (DESIGN.md §16): a coordinator that could not renew
-        // its own lease refuses to open the 2PC handshake.
-        if self.cl.self_fence_check(now, self.slots[si].node) {
-            self.abort(si, SquashReason::SelfFenced);
+        if self.commit_blocked(si, now) {
             return;
         }
         self.cl.obs_enter(si, ProfPhase::Lock, now);
@@ -551,7 +524,7 @@ impl Sim<Baseline> {
         if self.cl.tracer.is_enabled() {
             self.trace(now, si, EventKind::PhaseBegin(TracePhase::Lock));
         }
-        self.open_round(si);
+        self.open_round(si, Verb::Lock);
         let mut cursor = now;
         // Placement is routed through the membership layer: a partition
         // whose primary died may now be homed here or at a promoted
@@ -634,14 +607,14 @@ impl Sim<Baseline> {
             let reply = self.reply((si, att), dst, id, ok);
             self.send_reply(arrive + svc, reply, Verb::LockResp, acquired, lock_resp);
         }
-        self.arm_round(si, Verb::Lock, now, cursor);
+        self.arm_round(si, now, cursor);
     }
 
-    /// The open round's `verb` requests went out from `opened` to
-    /// `cursor`: opens its span and, under fault injection, arms its
-    /// watchdog.
-    fn arm_round(&mut self, si: usize, verb: Verb, opened: Cycles, cursor: Cycles) {
-        let peers = self.slots[si].round.outstanding;
+    /// The open round's requests went out from `opened` to `cursor`:
+    /// opens its span and, under fault injection, arms its watchdog.
+    fn arm_round(&mut self, si: usize, opened: Cycles, cursor: Cycles) {
+        let round = &self.slots[si].round;
+        let (verb, peers) = (round.verb.expect("a round is open"), round.outstanding);
         self.cl.obs_round_begin(si, verb, peers, opened);
         if self.cl.injector_active() && peers > 0 {
             self.arm_watchdog(si, cursor);
@@ -710,7 +683,7 @@ impl Sim<Baseline> {
             self.begin_commit(si, att, now);
             return;
         }
-        self.open_round(si);
+        self.open_round(si, Verb::Validate);
         let mut cursor = now;
         let reads = self.ext[si].read_versions.len();
         let validate_resp = |reply, ()| BaselineEv::ValidateResp(reply);
@@ -791,7 +764,7 @@ impl Sim<Baseline> {
             let reply = self.reply((si, att), dst, id, ok);
             self.send_reply(arrive + svc, reply, Verb::ValidateResp, (), validate_resp);
         }
-        self.arm_round(si, Verb::Validate, now, cursor);
+        self.arm_round(si, now, cursor);
     }
 
     fn on_validate_resp(&mut self, reply: Reply) {
@@ -824,22 +797,18 @@ impl Sim<Baseline> {
             self.abort(si, SquashReason::CommitTimeout);
             return;
         }
-        // Self-fence at the decide point too: the fallback path reaches
-        // here without passing begin_validation, and a handshake whose
-        // coordinator was excommunicated mid-validation must not apply
-        // writes (the promoted backup is already serving its partitions).
-        if self.cl.self_fence_check(now, self.slots[si].node) {
-            self.abort(si, SquashReason::SelfFenced);
+        // The decide step re-checks the self-fence: the fallback path
+        // reaches here without passing begin_validation, and a handshake
+        // whose coordinator was excommunicated mid-validation must not
+        // apply writes (the promoted backup is already serving its
+        // partitions).
+        if !self.decide(si, now) {
             return;
         }
-        self.cl.note_commit_guard(self.slots[si].node);
         self.cl.obs_enter(si, ProfPhase::Commit, now);
         if self.cl.tracer.is_enabled() {
             self.trace(now, si, EventKind::PhaseBegin(TracePhase::Commit));
         }
-        // Point of no return: from here the commit's effects land even if
-        // the coordinator crashes (the ledger finalizes at crash time).
-        self.ext[si].durable = true;
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let sw = self.cl.cfg.sw;
         let token = self.token(si);

@@ -56,6 +56,11 @@ use std::rc::Rc;
 
 /// The protocol half of a simulator: what Baseline, HADES-H and HADES do
 /// differently. Each method runs inside the shared [`Sim`] driver.
+///
+/// Twenty items: two types, two constants and sixteen methods. The
+/// commit's point of no return ([`Sim::decide`]) and the migration
+/// cutover's fence (an open reply round, [`Round::waiting`]) are the
+/// driver's, the same for every engine.
 pub trait Engine: Sized + Debug {
     /// Per-slot protocol state, kept next to the driver's [`SlotCore`].
     type Slot: Debug;
@@ -70,9 +75,6 @@ pub trait Engine: Sized + Debug {
     /// failover is its only recovery path; gating keeps membership-off
     /// Baseline runs byte-identical to runs without the plan's crashes.
     const CRASHES_NEED_MEMBERSHIP: bool;
-    /// The verb a migration cutover counts as fenced per straddler: the
-    /// round it aborts (Baseline's lock round, the HADES engines' Intend).
-    const FENCE_VERB: Verb;
 
     /// Engine-wide state for a run on `cl`.
     fn new(cl: &Cluster) -> Self;
@@ -103,14 +105,6 @@ pub trait Engine: Sized + Debug {
     /// Aborts the slot's attempt, releases what it holds and schedules
     /// the retry.
     fn squash(sim: &mut Sim<Self>, si: usize, reason: SquashReason);
-    /// Past the point of no return: the commit's effects land even if
-    /// its coordinator crashes now.
-    fn past_no_return(x: &Self::Slot) -> bool;
-    /// Mid commit handshake, so a migration cutover of a partition the
-    /// transaction touches must fence it: for Baseline anything
-    /// outstanding in [`SlotCore::round`] (replies or execution fetches),
-    /// for HADES-H an open reply round, for HADES its `committing` flag.
-    fn in_handshake(c: &SlotCore, x: &Self::Slot) -> bool;
     /// Adds a measured commit's phase split (beyond execution) to
     /// `stats`.
     fn commit_phases(
@@ -162,6 +156,10 @@ pub struct SlotCore {
     pub(crate) awaiting_start: bool,
     /// Configuration epoch this attempt started in (straddle detection).
     pub(crate) epoch: u64,
+    /// The attempt passed its decide step ([`Sim::decide`]), the point
+    /// of no return: its commit's effects land even if its coordinator
+    /// crashes now, and nothing squashes it any more.
+    pub(crate) decided: bool,
 }
 
 impl SlotCore {
@@ -175,11 +173,15 @@ impl SlotCore {
 /// reply per participant (Baseline's lock and validation rounds, the
 /// HADES engines' Intend and replica-prepare round). Execution stages
 /// count their ops in `outstanding` too, before any round opens.
+/// An open round is a handshake in flight, which a migration cutover
+/// fences ([`Sim::on_migration_tick`]).
 #[derive(Debug, Default)]
 pub struct Round {
     /// The attempt's rounds so far, so the open round's number (0 before
     /// the first): a watchdog names the round it was armed for.
     pub(crate) number: u32,
+    /// The open round's request verb: `Lock`, `Validate` or `Intend`.
+    pub(crate) verb: Option<Verb>,
     /// Replies (or the current stage's ops) still outstanding.
     pub(crate) outstanding: u32,
     /// Reply ids handed out this attempt.
@@ -481,6 +483,7 @@ impl<P: Engine> Sim<P> {
                     fallback_cursor: 0,
                     awaiting_start: false,
                     epoch: 0,
+                    decided: false,
                 });
                 ext.push(P::new_slot(&cl, n));
                 slot_rngs.push(cl.rng.fork());
@@ -714,6 +717,38 @@ impl<P: Engine> Sim<P> {
         m.epoch_aware() && self.slots[si].epoch != m.epoch() && m.death_since(self.slots[si].epoch)
     }
 
+    /// The commit-entry fence: an attempt that straddles a declared death
+    /// squashes with `CommitTimeout`; otherwise a coordinator that must
+    /// self-fence (DESIGN.md §16) squashes it with `SelfFenced`. Returns
+    /// whether the attempt squashed.
+    pub(crate) fn commit_blocked(&mut self, si: usize, now: Cycles) -> bool {
+        let reason = if self.straddles(si) {
+            SquashReason::CommitTimeout
+        } else if self.cl.self_fence_check(now, self.slots[si].node) {
+            SquashReason::SelfFenced
+        } else {
+            return false;
+        };
+        P::squash(self, si, reason);
+        true
+    }
+
+    /// The decide step, the commit's point of no return (HADES: all Acks
+    /// received; Baseline: before write-back). A membership tick can
+    /// excommunicate the node after commit entry, so a node that must
+    /// self-fence squashes the attempt with `SelfFenced` and returns
+    /// `false`; otherwise the slot is [decided](SlotCore::decided).
+    pub(crate) fn decide(&mut self, si: usize, now: Cycles) -> bool {
+        let node = self.slots[si].node;
+        if self.cl.self_fence_check(now, node) {
+            P::squash(self, si, SquashReason::SelfFenced);
+            return false;
+        }
+        self.cl.note_commit_guard(node);
+        self.slots[si].decided = true;
+        true
+    }
+
     /// The tail of every squash: counts the squash for `reason` inside
     /// the measurement window and schedules the attempt's retry from
     /// `from`. A commit timeout under fault injection backs off
@@ -831,6 +866,7 @@ impl<P: Engine> Sim<P> {
         s.stage = 0;
         s.round.reset();
         s.awaiting_start = false;
+        s.decided = false;
         s.epoch = self.cl.membership.epoch();
         P::reset_attempt(&mut self.ext[si]);
         let att = self.slots[si].attempt;
@@ -876,10 +912,11 @@ impl<P: Engine> Sim<P> {
         }
     }
 
-    /// Opens slot `si`'s next reply round.
-    pub(crate) fn open_round(&mut self, si: usize) {
+    /// Opens slot `si`'s next reply round, of `verb` requests.
+    pub(crate) fn open_round(&mut self, si: usize, verb: Verb) {
         let r = &mut self.slots[si].round;
         r.number += 1;
+        r.verb = Some(verb);
         r.outstanding = 0;
         r.all_ok = true;
     }
@@ -1021,16 +1058,17 @@ impl<P: Engine> Sim<P> {
     }
 
     /// Planned-reconfiguration tick: drives the cluster's migration state
-    /// machine. At cutover, fence-then-flip: only slots mid commit
-    /// handshake ([`Engine::in_handshake`]) touching a moving partition
-    /// squash and retry — their lock rounds or Intends reached the old
-    /// primary, and the squash's unlocks/Clears route via the pre-cutover
-    /// map, releasing what they took at the source. Exec-phase slots
-    /// survive; they route at commit time, and their NIC filter entries
-    /// travel with the cutover. Slots past the point of no return
-    /// (Validations already in flight to the pre-cutover primaries) leave
-    /// their filter entries behind too: those Validations clear them at
-    /// the source (DESIGN.md §15).
+    /// machine. At cutover, fence-then-flip: only undecided slots with an
+    /// open reply round ([`Round::waiting`]) touching a moving partition
+    /// squash and retry, each counted and traced as one fenced verb, the
+    /// round's request verb. Their lock, validation or Intend requests
+    /// reached the old primary, and the squash's unlocks/Clears route via
+    /// the pre-cutover map, releasing what they took at the source.
+    /// Execution-phase slots survive in every engine; they route at
+    /// commit time, and their NIC filter entries travel with the cutover.
+    /// [Decided](SlotCore::decided) slots (Validations already in flight
+    /// to the pre-cutover primaries) leave their filter entries behind
+    /// too: those Validations clear them at the source (DESIGN.md §15).
     fn on_migration_tick(&mut self) {
         if self.draining {
             return; // like the detector, the plan freezes once the run drains
@@ -1042,22 +1080,19 @@ impl<P: Engine> Sim<P> {
                 let mut fenced: Vec<RemoteTxKey> = Vec::new();
                 let mut exclude: Vec<RemoteTxKey> = Vec::new();
                 for si in 0..self.slots.len() {
-                    let (s, x) = (&self.slots[si], &self.ext[si]);
+                    let s = &self.slots[si];
                     let Some(txn) = s.txn.as_ref() else {
                         continue;
                     };
-                    if P::past_no_return(x) {
+                    if s.decided {
                         exclude.push(self.key_of(si));
                         continue;
                     }
-                    let straddles = P::in_handshake(s, x)
-                        && txn
-                            .ops()
-                            .any(|o| moves.iter().any(|&(src, _)| o.home == src));
-                    if !straddles {
+                    let moving = txn.ops().any(|o| moves.iter().any(|m| o.home == m.0));
+                    let Some(verb) = s.round.verb.filter(|_| moving && s.round.waiting()) else {
                         continue;
-                    }
-                    self.fence_verb(s.node, P::FENCE_VERB);
+                    };
+                    self.fence_verb(s.node, verb);
                     fenced.push(self.key_of(si));
                     P::squash(self, si, SquashReason::CommitTimeout);
                 }
@@ -1071,7 +1106,7 @@ impl<P: Engine> Sim<P> {
     }
 
     /// Node crash: every in-flight transaction originating at the node is
-    /// wiped. Transactions past the point of no return have already
+    /// wiped. [Decided](SlotCore::decided) transactions have already
     /// applied their writes and shipped their remote effects on the
     /// reliable transport, so the ledger records them as committed;
     /// everything else simply vanishes, and the engine reclaims its
@@ -1103,7 +1138,7 @@ impl<P: Engine> Sim<P> {
             let Some(txn) = self.slots[si].txn.as_ref() else {
                 continue;
             };
-            if P::past_no_return(&self.ext[si]) {
+            if self.slots[si].decided {
                 // Effects are already durable/in flight: finalize the
                 // ledger before discarding the slot.
                 self.total_sum_delta += txn.sum_delta;
@@ -1120,6 +1155,7 @@ impl<P: Engine> Sim<P> {
             s.round.reset();
             s.fallback_cursor = 0;
             s.awaiting_start = false;
+            s.decided = false;
             P::reset_attempt(&mut self.ext[si]);
             if let Some(r) = restart {
                 self.q.push_at(r, Ev::Start { si });

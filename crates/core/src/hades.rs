@@ -59,9 +59,6 @@ pub trait LocalPath: Sized + Debug {
     fn new_slot(cl: &Cluster, node: usize) -> Self::Slot;
     /// Clears per-attempt state.
     fn reset(x: &mut Self::Slot);
-    /// Mid commit handshake: a migration cutover of a partition the
-    /// transaction touches must fence it.
-    fn in_handshake(c: &SlotCore, x: &HadesSlot<Self::Slot>) -> bool;
     /// Seeds the engine's own periodic events, after the slots' `Start`s
     /// and before the fault plan's crashes.
     fn seed(_sim: &mut Sim<Hades<Self>>) {}
@@ -135,8 +132,6 @@ pub struct HadesSlot<S> {
     pub(crate) fetched: HashSet<u64>,
     /// Module 4b: remote writes grouped by home node + involved nodes.
     pub(crate) remote: TxRemoteTable,
-    /// In the commit handshake (set at commit entry).
-    pub(crate) committing: bool,
     /// The write lines of each Intend-to-commit this commit sent, by Ack
     /// id: the participant reads its Intend's lines from here.
     pub(crate) intends: LineGroups,
@@ -144,8 +139,6 @@ pub struct HadesSlot<S> {
     /// crash plan).
     pub(crate) commit_start: Cycles,
     pub(crate) holds_local_lock: bool,
-    /// Point of no return: all Acks received.
-    pub(crate) unsquashable: bool,
     pub(crate) fallback_nodes: Vec<NodeId>,
     /// The fallback lock batch being acquired, kept across its polls.
     pub(crate) fallback_lock: Option<FallbackTarget>,
@@ -340,7 +333,6 @@ impl<L: LocalPath> Engine for Hades<L> {
     type Ev = HadesEv;
     const START_STAGGER: u64 = L::START_STAGGER;
     const CRASHES_NEED_MEMBERSHIP: bool = false;
-    const FENCE_VERB: Verb = Verb::Intend;
 
     fn new(cl: &Cluster) -> Self {
         let nodes = cl.cfg.shape.nodes;
@@ -360,11 +352,9 @@ impl<L: LocalPath> Engine for Hades<L> {
         HadesSlot {
             fetched: HashSet::new(),
             remote: TxRemoteTable::new(),
-            committing: false,
             intends: LineGroups::default(),
             commit_start: Cycles::ZERO,
             holds_local_lock: false,
-            unsquashable: false,
             fallback_nodes: Vec::new(),
             fallback_lock: None,
             replica_targets: Vec::new(),
@@ -379,10 +369,8 @@ impl<L: LocalPath> Engine for Hades<L> {
     fn reset_attempt(x: &mut Self::Slot) {
         x.fetched.clear();
         x.remote.clear();
-        x.committing = false;
         x.intends.clear();
         x.holds_local_lock = false;
-        x.unsquashable = false;
         x.fallback_nodes.clear();
         x.fallback_lock = None;
         x.replica_targets.clear();
@@ -445,9 +433,7 @@ impl<L: LocalPath> Engine for Hades<L> {
             HadesEv::ValidationArrive { node, key, ops } => {
                 sim.on_validation_arrive(node, key, ops)
             }
-            HadesEv::SquashArrive { si, att }
-                if sim.alive(si, att) && !sim.ext[si].unsquashable =>
-            {
+            HadesEv::SquashArrive { si, att } if sim.alive(si, att) && !sim.slots[si].decided => {
                 sim.squash(si, SquashReason::LazyConflict)
             }
             HadesEv::ClearRemote { node, key } => sim.clear_remote(node.0 as usize, key),
@@ -470,19 +456,11 @@ impl<L: LocalPath> Engine for Hades<L> {
         sim.squash(si, reason)
     }
 
-    fn past_no_return(x: &Self::Slot) -> bool {
-        x.unsquashable
-    }
-
-    fn in_handshake(c: &SlotCore, x: &Self::Slot) -> bool {
-        L::in_handshake(c, x)
-    }
-
     /// Wipes the slot's speculative state at the crashed node. Its
     /// footprint at other nodes is reclaimed by participant leases and
     /// the restart broadcast.
     fn on_crash(sim: &mut Sim<Self>, si: usize) {
-        if sim.cl.membership.enabled() && sim.ext[si].unsquashable {
+        if sim.cl.membership.enabled() && sim.slots[si].decided {
             // Failover resolves straddling replica prepares of this
             // commit as committed (provably durable).
             let key = sim.key_of(si);
@@ -813,7 +791,8 @@ impl<L: LocalPath> Sim<Hades<L>> {
     fn squash_evicted(&mut self, node: NodeId, victims: Vec<SlotId>, except: Option<usize>) {
         for v in victims {
             let vsi = self.si_of(node, v);
-            if Some(vsi) != except && self.slots[vsi].txn.is_some() && !self.ext[vsi].unsquashable {
+            let s = &self.slots[vsi];
+            if Some(vsi) != except && s.txn.is_some() && !s.decided {
                 self.squash(vsi, SquashReason::LlcEviction);
             }
         }
@@ -823,20 +802,10 @@ impl<L: LocalPath> Sim<Hades<L>> {
     /// Node x", steps 1–3).
     fn on_begin_commit(&mut self, si: usize, att: u32) {
         let now = self.q.now();
-        if self.straddles(si) {
-            self.squash(si, SquashReason::CommitTimeout);
-            return;
-        }
-        // Self-fence (DESIGN.md §16): a coordinator that could not renew
-        // its own lease must assume it has been partitioned away and
-        // refuse the handshake — the cluster may already have promoted
-        // its backups.
-        if self.cl.self_fence_check(now, self.slots[si].node) {
-            self.squash(si, SquashReason::SelfFenced);
+        if self.commit_blocked(si, now) {
             return;
         }
         self.slots[si].exec_end = now;
-        self.ext[si].committing = true;
         self.cl.obs_enter(si, ProfPhase::Lock, now);
         if self.cl.tracer.is_enabled() {
             self.trace(now, si, EventKind::PhaseEnd(TracePhase::Exec));
@@ -926,7 +895,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
         self.cl.obs_enter(si, ph, cursor);
         // The attempt's only round: its reply ids count from 0, so an
         // Intend's id is also its `intends` group.
-        self.open_round(si);
+        self.open_round(si, Verb::Intend);
         self.cl
             .obs_round_begin(si, Verb::Intend, intend_count as u32, cursor);
         self.cl
@@ -1132,18 +1101,12 @@ impl<L: LocalPath> Sim<Hades<L>> {
     /// push Validation + updates, unlock.
     pub(crate) fn finish_commit(&mut self, si: usize, att: u32, now: Cycles) {
         self.cl.obs_enter(si, ProfPhase::Commit, now);
-        let (node, core) = (self.slots[si].node, self.slots[si].core);
-        // Re-check the fence at the decide point: the membership tick can
-        // excommunicate this node between commit entry and here (the slot
-        // is still squashable — `unsquashable` is only set below).
-        if self.cl.self_fence_check(now, node) {
-            self.squash(si, SquashReason::SelfFenced);
+        if !self.decide(si, now) {
             return;
         }
-        self.cl.note_commit_guard(node);
+        let (node, core) = (self.slots[si].node, self.slots[si].core);
         let nb = node.0 as usize;
         let token = self.token(si);
-        self.ext[si].unsquashable = true;
         // Step 4: apply local writes. Partitions promoted onto this node
         // count as local under the routed placement. Conversely, an op
         // that was local at execute time stays local even if a planned
@@ -1252,7 +1215,7 @@ impl<L: LocalPath> Sim<Hades<L>> {
             return; // already squashed in this window
         }
         let now = self.q.now();
-        debug_assert!(!self.ext[si].unsquashable, "squash past point of no return");
+        debug_assert!(!self.slots[si].decided, "squash past point of no return");
         self.cl.obs_abort(si, reason.label(), now);
         let node = self.slots[si].node;
         let nb = node.0 as usize;
@@ -1460,10 +1423,6 @@ impl LocalPath for HwLocal {
         x.recorded.clear();
     }
 
-    fn in_handshake(_c: &SlotCore, x: &HadesSlot<HwSlot>) -> bool {
-        x.committing
-    }
-
     fn seed(sim: &mut HadesSim) {
         if let Some(interval) = sim.cl.cfg.context_switch_interval {
             let shape = sim.cl.cfg.shape;
@@ -1534,7 +1493,7 @@ impl LocalPath for HwLocal {
         let mut local_victims: Vec<usize> = Vec::new();
         let write_hashes: Vec<LineHash> = writes.iter().map(|&l| l.into()).collect();
         for osi in nb * spn..(nb + 1) * spn {
-            if sim.slots[osi].txn.is_none() || sim.ext[osi].unsquashable {
+            if sim.slots[osi].txn.is_none() || sim.slots[osi].decided {
                 continue;
             }
             sim.p.local_probes += 1;

@@ -20,8 +20,8 @@
 //! The remote path is HADES's own ([`Hades`]); this module supplies the
 //! software local path, [`SwLocal`].
 
-use crate::driver::{Ev, Sim, SlotCore};
-use crate::hades::{Hades, HadesSlot, LocalPath};
+use crate::driver::{Ev, Sim};
+use crate::hades::{Hades, LocalPath};
 use crate::runtime::{apply_write, Cluster, ResolvedOp};
 use crate::stats::SquashReason;
 use hades_bloom::{BloomFilter, LockFailure, LockingBuffers, Signature};
@@ -78,10 +78,6 @@ impl LocalPath for SwLocal {
     fn reset(x: &mut SwSlot) {
         x.local_reads.clear();
         x.local_writes.clear();
-    }
-
-    fn in_handshake(c: &SlotCore, _x: &HadesSlot<SwSlot>) -> bool {
-        c.round.waiting()
     }
 
     /// Record granularity for the software path.

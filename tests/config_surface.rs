@@ -13,6 +13,7 @@ use hades::sim::config::{
     ReplicationParams, SimConfig,
 };
 use hades::sim::time::Cycles;
+use std::path::Path;
 
 #[test]
 fn default_matches_table_iii() {
@@ -190,4 +191,34 @@ fn rejects_bad_message_loss() {
 #[should_panic(expected = "out of range")]
 fn rejects_bad_local_fraction() {
     let _ = SimConfig::isca_default().with_local_fraction(1.5);
+}
+
+/// Whether `line` declares a field the way DESIGN.md's census counts
+/// one: `grep -cE '^\s+pub [a-z_0-9]+:'`.
+fn is_settable_field(line: &str) -> bool {
+    let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+        return false;
+    };
+    let ident = rest
+        .bytes()
+        .take_while(|&b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+        .count();
+    line.starts_with(char::is_whitespace) && ident > 0 && rest.as_bytes().get(ident) == Some(&b':')
+}
+
+/// DESIGN.md's "Configuration surface" census states the count its own
+/// command finds in `crates/sim/src/config.rs`.
+#[test]
+fn design_census_counts_the_settable_fields() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &str| std::fs::read_to_string(root.join(path)).unwrap();
+    let n = read("crates/sim/src/config.rs")
+        .lines()
+        .filter(|l| is_settable_field(l))
+        .count();
+    let claim = format!("`SimConfig` has {n} settable fields");
+    assert!(
+        read("DESIGN.md").contains(&claim),
+        "DESIGN.md must say: {claim}"
+    );
 }

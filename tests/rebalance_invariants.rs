@@ -160,7 +160,11 @@ fn migrated_rerun_is_deterministic() {
 
 /// The `verbs_fenced` counter and the `verb_fenced` trace events are
 /// bumped at the same single point; a cutover that fences straddling
-/// handshakes must never report one without the other.
+/// handshakes must never report one without the other. The cutover
+/// fences exactly the slots with an open reply round, so each event
+/// names that round's request verb: Baseline's lock or validation
+/// round, the HADES engines' Intend. A slot that is only fetching is
+/// never fenced.
 #[test]
 fn fence_counter_matches_trace_events_across_cutover() {
     for p in Protocol::ALL {
@@ -169,10 +173,28 @@ fn fence_counter_matches_trace_events_across_cutover() {
             out.stats.migration.partitions_moved, 1,
             "{p:?}: cutover never happened"
         );
-        let traced = jsonl
+        let fences: Vec<&str> = jsonl
             .lines()
             .filter(|l| l.contains("\"verb_fenced\""))
-            .count() as u64;
+            .collect();
+        let round_verbs: &[&str] = match p {
+            Protocol::Baseline => &["lock", "validate"],
+            Protocol::HadesH | Protocol::Hades => &["intend"],
+        };
+        for line in &fences {
+            assert!(
+                round_verbs
+                    .iter()
+                    .any(|v| line.contains(&format!("\"verb\":\"{v}\""))),
+                "{p:?}: a fence names no open round's request verb: {line}"
+            );
+        }
+        // Not vacuous: this configuration catches a straddler mid
+        // handshake on both ends of the engine range.
+        if matches!(p, Protocol::Baseline | Protocol::Hades) {
+            assert!(!fences.is_empty(), "{p:?}: the cutover fenced nothing");
+        }
+        let traced = fences.len() as u64;
         assert_eq!(
             out.stats.membership.verbs_fenced, traced,
             "{p:?}: fence counter diverges from the trace"
