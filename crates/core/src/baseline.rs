@@ -51,11 +51,14 @@ pub struct BaselineSlot {
     write_versions: Vec<(RecordId, u64)>,
     locked: Vec<RecordId>,
     fallback_locks: Vec<RecordId>,
-    /// The fallback lock batch being polled, rebuilt in place at every
-    /// poll.
+    /// The fallback lock batch being polled, and its routed home (`None`
+    /// once the cursor is past every home).
     fallback_batch: Vec<RecordId>,
-    /// The lock list's distinct routed homes in node order, rebuilt in
-    /// place at every poll.
+    fallback_home: Option<NodeId>,
+    /// The `(fallback_cursor, routing version)` the batch was built for;
+    /// `None` after a new plan. The batch is rebuilt when either moves.
+    fallback_for: Option<(usize, u64)>,
+    /// Reused buffer: the lock list's distinct routed homes in node order.
     fallback_homes: Vec<NodeId>,
     /// The transaction's write set, `(record, logical home)`, sorted and
     /// deduplicated; refreshed by [`Sim::fill_write_set`] when the lock
@@ -162,6 +165,7 @@ impl Engine for Baseline {
         rids.extend(txn.ops().map(|op| op.rid));
         rids.sort_unstable();
         rids.dedup();
+        x.fallback_for = None;
     }
 
     fn exec_stage(sim: &mut Sim<Self>, si: usize, att: u32) {
@@ -979,26 +983,26 @@ impl Sim<Baseline> {
     /// and the batch retried. Node-ordered acquisition makes waits point
     /// only "forward", so fallback transactions cannot deadlock.
     ///
-    /// Each poll re-reads the routing: the cursor names the cursor-th
-    /// distinct routed home of the (sorted) lock list in node order, and
-    /// the batch is the locks homed there, in list order.
+    /// The cursor names the cursor-th distinct routed home of the
+    /// (sorted) lock list in node order, and the batch is the locks homed
+    /// there, in list order. The batch is built once per cursor and
+    /// routing version ([`Membership::routing_version`]); the host and
+    /// reply checks run at every poll.
+    ///
+    /// [`Membership::routing_version`]: crate::membership::Membership::routing_version
     fn on_fallback_lock(&mut self, si: usize, att: u32) {
         let now = self.q.now();
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let token = self.token(si);
-        let mut homes = std::mem::take(&mut self.ext[si].fallback_homes);
-        homes.clear();
-        homes.extend(
-            self.ext[si]
-                .fallback_locks
-                .iter()
-                .map(|&rid| self.routed_home(rid)),
+        let key = (
+            self.slots[si].fallback_cursor,
+            self.cl.membership.routing_version(),
         );
-        homes.sort_unstable();
-        homes.dedup();
-        let home = homes.get(self.slots[si].fallback_cursor).copied();
-        self.ext[si].fallback_homes = homes;
-        let Some(home) = home else {
+        if self.ext[si].fallback_for != Some(key) {
+            self.build_fallback_batch(si, key.0);
+            self.ext[si].fallback_for = Some(key);
+        }
+        let Some(home) = self.ext[si].fallback_home else {
             self.q.push_at(now, Ev::ExecStage { si, att });
             return;
         };
@@ -1009,15 +1013,7 @@ impl Sim<Baseline> {
                 .push_at(now + RetryParams::LOCK_RETRY, Ev::FallbackLock { si, att });
             return;
         }
-        let mut batch = std::mem::take(&mut self.ext[si].fallback_batch);
-        batch.clear();
-        batch.extend(
-            self.ext[si]
-                .fallback_locks
-                .iter()
-                .copied()
-                .filter(|&rid| self.routed_home(rid) == home),
-        );
+        let batch = std::mem::take(&mut self.ext[si].fallback_batch);
         let lock_cost = self.cl.cfg.sw.lock_local * batch.len() as u64;
         self.charge(si, Overhead::ConflictDetection, lock_cost);
         let depart = self.cl.run_on_core(node, core, now, lock_cost);
@@ -1062,6 +1058,26 @@ impl Sim<Baseline> {
         };
         self.q.push_at(next, Ev::FallbackLock { si, att });
         self.ext[si].fallback_batch = batch;
+    }
+
+    /// Builds the fallback batch of the `cursor`-th routed home.
+    fn build_fallback_batch(&mut self, si: usize, cursor: usize) {
+        let x = &mut self.ext[si];
+        let route = |rid| self.cl.route(self.cl.db.home(rid));
+        x.fallback_homes.clear();
+        x.fallback_homes
+            .extend(x.fallback_locks.iter().map(|&rid| route(rid)));
+        x.fallback_homes.sort_unstable();
+        x.fallback_homes.dedup();
+        let home = x.fallback_homes.get(cursor).copied();
+        x.fallback_home = home;
+        x.fallback_batch.clear();
+        x.fallback_batch.extend(
+            x.fallback_locks
+                .iter()
+                .copied()
+                .filter(|&rid| Some(route(rid)) == home),
+        );
     }
 }
 

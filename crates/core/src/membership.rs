@@ -312,6 +312,13 @@ impl Membership {
         self.stats.promotions += 1;
     }
 
+    /// The primary map's version: the number of [`repoint`](Self::repoint)
+    /// calls so far, its only writer. A plan built from the routing holds
+    /// while this is unchanged.
+    pub fn routing_version(&self) -> u64 {
+        self.stats.promotions
+    }
+
     /// Logical partitions currently served by physical node `phys`,
     /// in partition order.
     pub fn partitions_of(&self, phys: NodeId) -> Vec<NodeId> {
@@ -551,10 +558,17 @@ mod tests {
     #[test]
     fn repoint_moves_partition_and_counts() {
         let mut m = Membership::new(params_on(), 4);
+        assert_eq!(m.routing_version(), 0);
         m.mark_dead(NodeId(1));
+        assert_eq!(m.routing_version(), 0, "a death alone moves no route");
         m.repoint(NodeId(1), NodeId(2));
         assert_eq!(m.primary_of(NodeId(1)), NodeId(2));
         assert_eq!(m.partitions_of(NodeId(2)), vec![NodeId(1), NodeId(2)]);
         assert_eq!(m.stats.promotions, 1);
+        assert_eq!(m.routing_version(), 1);
+        m.repoint(NodeId(1), NodeId(3));
+        assert_eq!(m.routing_version(), 2, "each repoint counts");
+        assert!(m.mark_dead(NodeId(3)));
+        assert_eq!(m.routing_version(), 2);
     }
 }

@@ -92,22 +92,26 @@ impl Place {
 /// Bits of [`Entry::seq_ext`] that hold the [`Place::behind`] index.
 const EXT_BITS: u32 = 24;
 
-/// An event scheduled for a point in simulated time, keyed by its time
-/// and its place. A place's rare `behind` waits in the queue's side
-/// table, and the entry holds its index below the sequence number, so
-/// that the heap key stays three words. Only places opened behind the
-/// same one can tie on the time, band and sequence number; see
-/// [`EventQueue::first_of_tie`].
+/// A heap entry: an event's time and place, and the slab slot its
+/// payload waits in, so that the heap moves only keys. A place's rare
+/// `behind` waits in the queue's side table, and the entry holds its
+/// index below the sequence number, so that the key stays three words.
+/// Only places opened behind the same one can tie on the time, band and
+/// sequence number; see [`EventQueue::first_of_tie`].
 #[derive(Debug)]
-struct Entry<E> {
+struct Entry {
     at: Cycles,
     band: i64,
     /// `seq << EXT_BITS`, plus the `behind` index (0 for none).
     seq_ext: u64,
-    payload: E,
+    /// The payload's index in [`EventQueue::slab`].
+    slot: u32,
 }
 
-impl<E> Entry<E> {
+// `Entry` is not generic: without `#[inline]`, the heap code each
+// engine's crate instantiates calls into this crate at every sift step.
+impl Entry {
+    #[inline]
     fn key(&self) -> (Cycles, i64, u64) {
         (self.at, self.band, self.seq_ext)
     }
@@ -117,26 +121,30 @@ impl<E> Entry<E> {
         (self.at, self.band, self.seq_ext >> EXT_BITS)
     }
 
+    #[inline]
     fn ext(&self) -> usize {
         (self.seq_ext & ((1 << EXT_BITS) - 1)) as usize
     }
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Entry {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl<E> Eq for Entry<E> {}
+impl Eq for Entry {}
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Entry {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         other.key().cmp(&self.key())
     }
@@ -161,6 +169,10 @@ pub struct Parked<E> {
 /// pushed exactly the retry delay ahead, can leave the queue while they
 /// wait and come back at their place (see the [module docs](self)).
 ///
+/// The heap holds only keys: each pending payload waits in a slab slot,
+/// taken at push and freed for reuse at pop, so a payload moves once in
+/// and once out however deep the heap is.
+///
 /// # Examples
 ///
 /// ```
@@ -177,7 +189,11 @@ pub struct Parked<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Entry>,
+    /// The pending payloads, by [`Entry::slot`]; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Indices of `slab` free for reuse.
+    free_slots: Vec<u32>,
     /// The `behind` of pending places that have one, by index; index 0
     /// stands for none and is never used.
     behinds: Vec<Behind>,
@@ -212,6 +228,8 @@ impl<E> EventQueue<E> {
     pub fn with_retry_delay(delay: Cycles) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free_slots: Vec::new(),
             behinds: vec![None],
             free: Vec::new(),
             retry_delay: delay,
@@ -274,11 +292,16 @@ impl<E> EventQueue<E> {
                 ext
             }
         };
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("too many pending events")
+        });
+        self.slab[slot as usize] = Some(payload);
         self.heap.push(Entry {
             at,
             band,
             seq_ext: seq << EXT_BITS | ext as u64,
-            payload,
+            slot,
         });
     }
 
@@ -298,7 +321,9 @@ impl<E> EventQueue<E> {
             seq: e.seq_ext >> EXT_BITS,
             behind,
         };
-        Some((e.at, place, e.payload))
+        let payload = self.slab[e.slot as usize].take().expect("pending");
+        self.free_slots.push(e.slot);
+        Some((e.at, place, payload))
     }
 
     /// The first, by whole place, of `e` and the entries that tie with
@@ -306,13 +331,13 @@ impl<E> EventQueue<E> {
     /// another's ([`Place::behind`]), a rare case. The others go back on
     /// the heap. Of those, the one with no `behind` has the smallest key
     /// and comes first, so `e` has one.
-    fn first_of_tie(&mut self, e: Entry<E>) -> Entry<E> {
+    fn first_of_tie(&mut self, e: Entry) -> Entry {
         let key = e.tie_key();
         let mut tied = vec![e];
         while self.heap.peek().is_some_and(|n| n.tie_key() == key) {
             tied.push(self.heap.pop().expect("peeked"));
         }
-        let behind = |e: &Entry<E>| &self.behinds[e.ext()];
+        let behind = |e: &Entry| &self.behinds[e.ext()];
         let first = (0..tied.len())
             .min_by(|&i, &j| behind(&tied[i]).cmp(behind(&tied[j])))
             .expect("tied holds e");

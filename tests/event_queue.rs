@@ -411,3 +411,49 @@ fn a_retry_parked_at_dispatch_comes_back_at_its_polled_place() {
         assert_eq!(&stalled_x(true, waker), expected, "parked, {waker:?}");
     }
 }
+
+/// The queue holds each pending payload alone and moves it out at
+/// `pop`: it keeps no copy of a popped payload, and dropping the queue
+/// drops every payload still pending. `Rc` strong counts show it, with
+/// events in all three bands, a band-2 dispatch's own retry and a
+/// parked retry that is woken.
+#[test]
+fn the_queue_moves_payloads_and_drops_the_pending_ones() {
+    use std::rc::Rc;
+    let d = Cycles::new(10);
+    let mut q = EventQueue::with_retry_delay(d);
+    let [far, retry, soon, parked, again, late] =
+        ["far", "retry", "soon", "parked", "again", "late"].map(Rc::new);
+    let count = |rc: &Rc<&str>| Rc::strong_count(rc);
+    q.push_at(Cycles::new(25), Rc::clone(&far)); // band 1
+    q.push_retry(Rc::clone(&retry)); // band 2, at 10
+    q.push_at(Cycles::new(5), Rc::clone(&soon)); // band 3
+    let parked_retry = q.park_retry(Rc::clone(&parked)); // polls at 10, 20, ...
+    assert!([&far, &retry, &soon, &parked]
+        .iter()
+        .all(|rc| count(rc) == 2));
+
+    let popped = |q: &mut EventQueue<Rc<&str>>, at: u64, rc: &Rc<&str>| {
+        let (when, e) = q.pop().expect("pending");
+        assert_eq!((when, *e), (Cycles::new(at), **rc));
+        assert!(Rc::ptr_eq(&e, rc), "{}: the pushed payload itself", **rc);
+        assert_eq!(count(rc), 2, "{}: held by the caller alone", **rc);
+        drop(e);
+        assert_eq!(count(rc), 1, "{}: released with the caller's", **rc);
+    };
+    popped(&mut q, 5, &soon);
+    popped(&mut q, 10, &retry);
+    // The band-2 dispatch pushes its own retry and a band-1 event, which
+    // reuse freed slots, and wakes the parked retry: its place in the
+    // lane is behind `retry`'s, so it still polls at 10.
+    q.push_retry(Rc::clone(&again));
+    q.push_at(Cycles::new(40), Rc::clone(&late));
+    q.unpark(parked_retry);
+    assert_eq!(count(&parked), 2, "unparking moves, not copies");
+    popped(&mut q, 10, &parked);
+    assert_eq!(q.len(), 3);
+    drop(q);
+    for rc in [&far, &retry, &soon, &parked, &again, &late] {
+        assert_eq!(count(rc), 1, "{}: released by the queue", **rc);
+    }
+}

@@ -6,8 +6,9 @@
 //! no poll meanwhile. A handler whose access meets the bank at the
 //! generation of its last denial reuses that denial without a Bloom
 //! re-probe, and a fallback pre-lock poll reuses its last denial and its
-//! once-built footprint. These are host shortcuts: they must not move a
-//! single simulated event. This test
+//! once-built footprint. A Baseline fallback lock poll reuses its batch
+//! until its cursor or the routing version moves. These are host
+//! shortcuts: they must not move a single simulated event. This test
 //! replays the run the `trace` bin makes for `--app HT-wA` (the quick
 //! experiment on YCSB-A over the hash table, θ 0.99, where stalls dominate)
 //! and compares it with files recorded from reference implementations.
@@ -97,7 +98,8 @@ enum Scenario {
     /// One squash sends a transaction to the pessimistic fallback path.
     Fallback,
     /// [`Fallback`] under the standard live move of partition 0 to node
-    /// 1: fallback lock batches re-read the routing on every poll.
+    /// 1: a fallback lock batch is rebuilt when the cutover moves the
+    /// routing version, so its Locks follow the partition.
     FallbackMigration,
     /// Every commit-round request and reply (the Lossy-class verbs) is
     /// dropped with 5% probability and duplicated with 5%, replication
