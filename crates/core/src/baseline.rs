@@ -50,16 +50,13 @@ pub struct BaselineSlot {
     read_versions: Vec<(RecordId, u64)>,
     write_versions: Vec<(RecordId, u64)>,
     locked: Vec<RecordId>,
-    fallback_locks: Vec<RecordId>,
-    /// The fallback lock batch being polled, and its routed home (`None`
-    /// once the cursor is past every home).
+    /// The fallback lock batch being polled: the records of the ops its
+    /// bank serves, sorted.
     fallback_batch: Vec<RecordId>,
-    fallback_home: Option<NodeId>,
-    /// The `(fallback_cursor, routing version)` the batch was built for;
-    /// `None` after a new plan. The batch is rebuilt when either moves.
+    /// The fallback step ([`Sim::fallback_step`]) the batch was built
+    /// for; `None` after a new attempt. The batch is rebuilt when the
+    /// step moves.
     fallback_for: Option<(usize, u64)>,
-    /// Reused buffer: the lock list's distinct routed homes in node order.
-    fallback_homes: Vec<NodeId>,
     /// The transaction's write set, `(record, logical home)`, sorted and
     /// deduplicated; refreshed by [`Sim::fill_write_set`] when the lock
     /// round begins, and read by the rounds that follow it.
@@ -151,21 +148,12 @@ impl Engine for Baseline {
         x.read_versions.clear();
         x.write_versions.clear();
         x.locked.clear();
-        x.fallback_locks.clear();
+        x.fallback_for = None;
     }
 
     fn begin_attempt(x: &mut BaselineSlot, now: Cycles, app_cost: Cycles) {
         x.attempt_start = now;
         x.cat[cat_index(Overhead::Other)] += app_cost.get();
-    }
-
-    fn plan_fallback(txn: &ResolvedTxn, x: &mut BaselineSlot) {
-        let rids = &mut x.fallback_locks;
-        rids.clear();
-        rids.extend(txn.ops().map(|op| op.rid));
-        rids.sort_unstable();
-        rids.dedup();
-        x.fallback_for = None;
     }
 
     fn exec_stage(sim: &mut Sim<Self>, si: usize, att: u32) {
@@ -837,10 +825,7 @@ impl Sim<Baseline> {
             }
         }
         if self.slots[si].fallback {
-            for i in 0..self.ext[si].fallback_locks.len() {
-                let rid = self.ext[si].fallback_locks[i];
-                self.cl.db.record_mut(rid).unlock(token);
-            }
+            self.release_fallback_locks(si);
         }
         let mut cursor = self.cl.run_on_core(node, core, now, local_cost);
         // One Write per remote home, in the order the homes first appear
@@ -909,12 +894,7 @@ impl Sim<Baseline> {
             // Fallback aborts only happen on membership-epoch straddles
             // or fetch timeouts; release whatever node-ordered batches
             // the attempt had already acquired.
-            for i in 0..self.ext[si].fallback_locks.len() {
-                let rid = self.ext[si].fallback_locks[i];
-                if self.cl.db.record(rid).locked_by(token) {
-                    self.cl.db.record_mut(rid).unlock(token);
-                }
-            }
+            self.release_fallback_locks(si);
         }
         if self.cl.injector_active() {
             // A dropped LockResp can leave a remotely acquired lock the
@@ -977,35 +957,46 @@ impl Sim<Baseline> {
         self.schedule_retry(si, reason, cursor, unlocks_done);
     }
 
-    /// Fallback: acquire record locks one *node* at a time (batched CAS
-    /// message per node, in node order). All-or-nothing per batch: if any
-    /// record in the batch is busy, the batch's acquisitions are released
-    /// and the batch retried. Node-ordered acquisition makes waits point
-    /// only "forward", so fallback transactions cannot deadlock.
+    /// Releases the fallback walk's record locks: every record of the
+    /// transaction that the slot's token holds.
+    fn release_fallback_locks(&mut self, si: usize) {
+        let token = self.token(si);
+        let txn = self.slots[si].txn.as_deref().expect("txn active");
+        for op in txn.ops() {
+            if self.cl.db.record(op.rid).locked_by(token) {
+                self.cl.db.record_mut(op.rid).unlock(token);
+            }
+        }
+    }
+
+    /// Fallback: acquire record locks one bank at a time, in the
+    /// driver's walk ([`Sim::fallback_bank`]), with one batched CAS
+    /// message per bank. All-or-nothing per batch: if any record in the
+    /// batch is busy, the batch's acquisitions are released and the
+    /// batch retried.
     ///
-    /// The cursor names the cursor-th distinct routed home of the
-    /// (sorted) lock list in node order, and the batch is the locks homed
-    /// there, in list order. The batch is built once per cursor and
-    /// routing version ([`Membership::routing_version`]); the host and
-    /// reply checks run at every poll.
-    ///
-    /// [`Membership::routing_version`]: crate::membership::Membership::routing_version
+    /// The batch is the records of the ops the bank serves, sorted,
+    /// built once per fallback step ([`Sim::fallback_step`]); the host
+    /// and reply checks run at every poll.
     fn on_fallback_lock(&mut self, si: usize, att: u32) {
         let now = self.q.now();
         let (node, core) = (self.slots[si].node, self.slots[si].core);
         let token = self.token(si);
-        let key = (
-            self.slots[si].fallback_cursor,
-            self.cl.membership.routing_version(),
-        );
-        if self.ext[si].fallback_for != Some(key) {
-            self.build_fallback_batch(si, key.0);
-            self.ext[si].fallback_for = Some(key);
-        }
-        let Some(home) = self.ext[si].fallback_home else {
+        let Some(home) = self.fallback_bank(si) else {
             self.q.push_at(now, Ev::ExecStage { si, att });
             return;
         };
+        let step = self.fallback_step(si);
+        if self.ext[si].fallback_for != Some(step) {
+            let txn = self.slots[si].txn.as_deref().expect("txn active");
+            let batch = &mut self.ext[si].fallback_batch;
+            batch.clear();
+            let served = txn.ops().filter(|op| self.cl.route(op.home) == home);
+            batch.extend(served.map(|op| op.rid));
+            batch.sort_unstable();
+            batch.dedup();
+            self.ext[si].fallback_for = Some(step);
+        }
         if self.crashed[home.0 as usize] {
             // The batch's (routed) host is down: retry after the usual
             // lock backoff — reconfiguration will reroute the batch.
@@ -1058,26 +1049,6 @@ impl Sim<Baseline> {
         };
         self.q.push_at(next, Ev::FallbackLock { si, att });
         self.ext[si].fallback_batch = batch;
-    }
-
-    /// Builds the fallback batch of the `cursor`-th routed home.
-    fn build_fallback_batch(&mut self, si: usize, cursor: usize) {
-        let x = &mut self.ext[si];
-        let route = |rid| self.cl.route(self.cl.db.home(rid));
-        x.fallback_homes.clear();
-        x.fallback_homes
-            .extend(x.fallback_locks.iter().map(|&rid| route(rid)));
-        x.fallback_homes.sort_unstable();
-        x.fallback_homes.dedup();
-        let home = x.fallback_homes.get(cursor).copied();
-        x.fallback_home = home;
-        x.fallback_batch.clear();
-        x.fallback_batch.extend(
-            x.fallback_locks
-                .iter()
-                .copied()
-                .filter(|&rid| Some(route(rid)) == home),
-        );
     }
 }
 

@@ -57,7 +57,7 @@ use std::rc::Rc;
 /// The protocol half of a simulator: what Baseline, HADES-H and HADES do
 /// differently. Each method runs inside the shared [`Sim`] driver.
 ///
-/// Twenty items: two types, two constants and sixteen methods. The
+/// Nineteen items: two types, two constants and fifteen methods. The
 /// commit's point of no return ([`Sim::decide`]) and the migration
 /// cutover's fence (an open reply round, [`Round::waiting`]) are the
 /// driver's, the same for every engine.
@@ -90,15 +90,13 @@ pub trait Engine: Sized + Debug {
     /// compute (Baseline stamps the attempt and charges the compute to
     /// its Fig 3 "Other" category).
     fn begin_attempt(_x: &mut Self::Slot, _now: Cycles, _app_cost: Cycles) {}
-    /// Records what the pessimistic fallback path locks for `txn`: the
-    /// records for Baseline, the involved nodes' directories for the
-    /// HADES engines.
-    fn plan_fallback(txn: &ResolvedTxn, x: &mut Self::Slot);
     /// Issues execution stage `sim.slots[si].stage`.
     fn exec_stage(sim: &mut Sim<Self>, si: usize, att: u32);
     /// The last execution stage completed: validate and commit.
     fn exec_done(sim: &mut Sim<Self>, si: usize, att: u32);
-    /// Acquires the next fallback lock batch.
+    /// Polls the fallback walk's lock at its current bank
+    /// ([`Sim::fallback_bank`]): the records the bank serves for
+    /// Baseline, its directory for the HADES engines.
     fn fallback_lock(sim: &mut Sim<Self>, si: usize, att: u32);
     /// Handles one of the engine's own events.
     fn handle(sim: &mut Sim<Self>, ev: Self::Ev);
@@ -147,8 +145,13 @@ pub struct SlotCore {
     /// The current stage's ops, or the current reply round, still
     /// outstanding.
     pub(crate) round: Round,
-    /// Next fallback lock batch.
+    /// The fallback walk's next bank, an index into `fallback_banks`.
     pub(crate) fallback_cursor: usize,
+    /// The fallback walk's banks ([`Sim::fallback_bank`]), and the
+    /// routing version they were listed for (`None` before the walk's
+    /// first poll).
+    fallback_banks: Vec<NodeId>,
+    banks_for: Option<u64>,
     /// A retry/restart `Start` is legitimately pending for this slot even
     /// though `txn` is still set (disambiguates stale duplicate Starts
     /// deferred across a crash window, and guards against a second squash
@@ -481,6 +484,8 @@ impl<P: Engine> Sim<P> {
                     stage: 0,
                     round: Round::default(),
                     fallback_cursor: 0,
+                    fallback_banks: Vec::new(),
+                    banks_for: None,
                     awaiting_start: false,
                     epoch: 0,
                     decided: false,
@@ -878,9 +883,9 @@ impl<P: Engine> Sim<P> {
         if self.slots[si].fallback {
             // Pessimistic mode: lock the whole footprint before executing
             // (Section VI livelock avoidance).
-            let txn = self.slots[si].txn.as_ref().expect("txn set");
-            P::plan_fallback(txn, &mut self.ext[si]);
-            self.slots[si].fallback_cursor = 0;
+            let s = &mut self.slots[si];
+            s.fallback_cursor = 0;
+            s.banks_for = None;
             if self.recording() {
                 self.meas.stats.fallbacks += 1;
             }
@@ -888,6 +893,38 @@ impl<P: Engine> Sim<P> {
         } else {
             self.q.push_at(done, Ev::ExecStage { si, att });
         }
+    }
+
+    /// Slot `si`'s fallback walk at its cursor: the `fallback_cursor`-th
+    /// distinct node, in node order, that serves one of the transaction's
+    /// ops, or `None` once every bank is locked. The walk lists its banks
+    /// at its first poll and again whenever the routing table moves
+    /// ([`Membership::routing_version`]), so it locks where each
+    /// partition is served now, even across a promotion or a cutover.
+    /// Banks are taken in node order, so while the routing holds, waits
+    /// point only forward and fallback transactions cannot deadlock.
+    ///
+    /// [`Membership::routing_version`]: crate::membership::Membership::routing_version
+    pub(crate) fn fallback_bank(&mut self, si: usize) -> Option<NodeId> {
+        let version = self.cl.membership.routing_version();
+        let s = &mut self.slots[si];
+        if s.banks_for != Some(version) {
+            let txn = s.txn.as_deref().expect("txn active");
+            let banks = &mut s.fallback_banks;
+            banks.clear();
+            banks.extend(txn.ops().map(|op| self.cl.route(op.home)));
+            banks.sort_unstable();
+            banks.dedup();
+            s.banks_for = Some(version);
+        }
+        s.fallback_banks.get(s.fallback_cursor).copied()
+    }
+
+    /// The fallback walk's step: its cursor and the routing version. An
+    /// engine builds the lock it takes at a bank once per step.
+    pub(crate) fn fallback_step(&self, si: usize) -> (usize, u64) {
+        let version = self.cl.membership.routing_version();
+        (self.slots[si].fallback_cursor, version)
     }
 
     /// One op of the current stage finished: advance to the next stage,

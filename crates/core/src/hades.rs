@@ -26,7 +26,7 @@
 
 use crate::driver::{Engine, Ev, Reply, ReplyStep, Sim, SlotCore};
 use crate::runtime::{
-    apply_write, next_node, owner_token, Cluster, CoreVerb, OpRef, ResolvedOp, ResolvedTxn, Stall,
+    apply_write, next_node, owner_token, Cluster, CoreVerb, OpRef, ResolvedOp, Stall,
 };
 use crate::stats::{RunStats, SquashReason};
 use hades_bloom::{BloomFilter, DualWriteFilter, LineHash, LockFailure, LockingBuffers, Signature};
@@ -62,8 +62,9 @@ pub trait LocalPath: Sized + Debug {
     /// Seeds the engine's own periodic events, after the slots' `Start`s
     /// and before the fault plan's crashes.
     fn seed(_sim: &mut Sim<Hades<Self>>) {}
-    /// Records how `op` at a fallback target node enters the directory
-    /// lock's read and write footprints.
+    /// Records how `op` enters a directory lock's read and write
+    /// footprints: a fallback walk's lock at a bank, and HADES-H's
+    /// local lock at commit.
     fn fallback_footprint(op: &ResolvedOp, reads: &mut Vec<u64>, writes: &mut Vec<u64>);
     /// The holder of `bufs` that denies the local access `op` by the
     /// slot owning `token`, if any: the Locking-Buffer check (Fig 7) at
@@ -139,34 +140,41 @@ pub struct HadesSlot<S> {
     /// crash plan).
     pub(crate) commit_start: Cycles,
     pub(crate) holds_local_lock: bool,
-    pub(crate) fallback_nodes: Vec<NodeId>,
-    /// The fallback lock batch being acquired, kept across its polls.
-    pub(crate) fallback_lock: Option<FallbackTarget>,
+    /// The fallback walk's lock at its current bank, kept across its
+    /// polls with the fallback step ([`Sim::fallback_step`]) it was
+    /// built for.
+    pub(crate) fallback_lock: Option<((usize, u64), FallbackTarget)>,
     /// Remote replica nodes this commit shipped prepares to (Section V-A).
     pub(crate) replica_targets: Vec<NodeId>,
     /// The local path's state.
     pub(crate) local: S,
 }
 
-/// Fallback pre-locking's current target, built once per (attempt,
-/// target) and reused by every poll until the lock is granted: the
-/// target's footprint, sorted and hashed, the two signatures built from
-/// it, and the last poll's denial.
+/// A directory lock built from the ops one bank serves: their
+/// footprint as the local path tracks it, sorted and hashed, the two
+/// NIC-sized signatures built from it, and the last poll's denial. A
+/// fallback walk builds one per bank ([`Sim::fallback_bank`]), once per
+/// fallback step, and every poll reuses it until the grant; HADES-H's
+/// commit builds its local directory lock the same way, over the ops
+/// its own node serves.
 #[derive(Debug)]
 pub(crate) struct FallbackTarget {
-    reads: Vec<LineHash>,
-    writes: Vec<LineHash>,
+    pub(crate) reads: Vec<LineHash>,
+    pub(crate) writes: Vec<LineHash>,
     read_sig: BloomFilter,
     write_sig: BloomFilter,
     denial: Option<Stall>,
 }
 
 impl FallbackTarget {
-    /// The footprint of `txn`'s ops homed at `target`, as local path `L`
-    /// tracks it, and its NIC-sized signatures.
-    fn build<L: LocalPath>(txn: &ResolvedTxn, target: NodeId, bloom: BloomParams) -> Self {
+    /// The footprint of `ops` as local path `L` tracks it, and its
+    /// NIC-sized signatures.
+    pub(crate) fn build<'a, L: LocalPath>(
+        ops: impl Iterator<Item = &'a ResolvedOp>,
+        bloom: BloomParams,
+    ) -> Self {
         let (mut reads, mut writes) = (Vec::new(), Vec::new());
-        for op in txn.ops().filter(|o| o.home == target) {
+        for op in ops {
             L::fallback_footprint(op, &mut reads, &mut writes);
         }
         let hashed = |mut lines: Vec<u64>| -> Vec<LineHash> {
@@ -193,6 +201,18 @@ impl FallbackTarget {
     fn blocker(&self, bufs: &LockingBuffers) -> Option<u64> {
         bufs.denial(&self.writes, &self.reads)
             .map(LockFailure::holder)
+    }
+
+    /// Locks `bufs` for `owner` with this footprint and its signatures.
+    pub(crate) fn try_lock_at(
+        self,
+        bufs: &mut LockingBuffers,
+        now: Cycles,
+        owner: u64,
+    ) -> Result<(), LockFailure> {
+        let read = Signature::Conventional(self.read_sig);
+        let write = Signature::Conventional(self.write_sig);
+        bufs.try_lock_at(now, owner, read, write, &self.writes, &self.reads)
     }
 }
 
@@ -355,7 +375,6 @@ impl<L: LocalPath> Engine for Hades<L> {
             intends: LineGroups::default(),
             commit_start: Cycles::ZERO,
             holds_local_lock: false,
-            fallback_nodes: Vec::new(),
             fallback_lock: None,
             replica_targets: Vec::new(),
             local: L::new_slot(cl, node),
@@ -371,19 +390,9 @@ impl<L: LocalPath> Engine for Hades<L> {
         x.remote.clear();
         x.intends.clear();
         x.holds_local_lock = false;
-        x.fallback_nodes.clear();
         x.fallback_lock = None;
         x.replica_targets.clear();
         L::reset(&mut x.local);
-    }
-
-    /// Pessimistic mode partially locks every involved directory.
-    fn plan_fallback(txn: &ResolvedTxn, x: &mut Self::Slot) {
-        let nodes = &mut x.fallback_nodes;
-        nodes.clear();
-        nodes.extend(txn.ops().map(|op| op.home));
-        nodes.sort_unstable();
-        nodes.dedup();
     }
 
     fn exec_stage(sim: &mut Sim<Self>, si: usize, att: u32) {
@@ -1255,83 +1264,76 @@ impl<L: LocalPath> Sim<Hades<L>> {
     }
 
     /// Fallback pre-locking: acquire the partial directory lock at each
-    /// involved node (node-id order, retry on conflict — deadlock-free by
-    /// resource ordering, livelock-free because holders finish).
+    /// bank of the driver's walk ([`Sim::fallback_bank`]), in node order,
+    /// retrying on conflict: deadlock-free by resource ordering,
+    /// livelock-free because holders finish. A remote bank costs a round
+    /// trip.
     fn on_fallback_lock(&mut self, si: usize, att: u32) {
         let now = self.q.now();
-        let cursor = self.slots[si].fallback_cursor;
-        let Some(&target) = self.ext[si].fallback_nodes.get(cursor) else {
+        let Some(bank) = self.fallback_bank(si) else {
             self.q.push_at(now, Ev::ExecStage { si, att });
             return;
         };
         let node = self.slots[si].node;
-        // Lock attempt happens at the target's current primary (identity
-        // when the membership layer is off); remote targets pay a round
-        // trip.
-        let phys = self.cl.route(target);
-        let rt_overhead = if phys == node {
+        let rt_overhead = if bank == node {
             Cycles::ZERO
         } else {
             self.cl.cfg.net.rt
         };
         let when = now + rt_overhead + self.cl.cfg.bloom.lock_buffer_load;
-        if let Some(stall) = self.poll_fallback_lock(si, target, phys, now) {
+        if let Some(stall) = self.poll_fallback_lock(si, bank, now) {
             // The bank traces a denial as `try_lock_at` does.
             trace_stall(&self.cl, now, stall, None);
             self.q
                 .push_at(when + RetryParams::LOCK_RETRY, Ev::FallbackLock { si, att });
             return;
         }
-        if phys == node {
+        if bank == node {
             self.ext[si].holds_local_lock = true;
         } else {
-            // Remember the remote lock (by logical home) so a squash
-            // or commit clears it.
-            self.ext[si].remote.note_read(target);
+            // Remember the remote lock by every logical home the bank
+            // serves, so that a squash's Clears and a commit's
+            // Validations reach it.
+            let txn = self.slots[si].txn.as_deref().expect("txn active");
+            for op in txn.ops().filter(|o| self.cl.route(o.home) == bank) {
+                self.ext[si].remote.note_read(op.home);
+            }
         }
         self.slots[si].fallback_cursor += 1;
         self.q.push_at(when, Ev::FallbackLock { si, att });
     }
 
-    /// One poll of fallback target `target`, whose lock is taken at bank
-    /// `phys`: returns the denial, or `None` once the slot holds the
-    /// lock there. A denial that still holds is returned as is, without
-    /// building or probing anything; otherwise the target's footprint and
-    /// signatures are built at its first poll and reused until the grant.
-    fn poll_fallback_lock(
-        &mut self,
-        si: usize,
-        target: NodeId,
-        phys: NodeId,
-        now: Cycles,
-    ) -> Option<Stall> {
+    /// One poll of the fallback walk's lock at `bank`: returns the
+    /// denial, or `None` once the slot holds the lock there. A denial
+    /// that still holds is returned as is, without building or probing
+    /// anything; otherwise the bank's footprint and signatures are built
+    /// once per fallback step ([`Sim::fallback_step`]) and reused until
+    /// the grant.
+    ///
+    /// Each bank appears once in the walk, so a bank whose buffer the
+    /// slot's token already holds holds a grant of an earlier attempt,
+    /// whose release has not landed yet (ROADMAP item 18); the poll takes
+    /// no second buffer there.
+    fn poll_fallback_lock(&mut self, si: usize, bank: NodeId, now: Cycles) -> Option<Stall> {
         let token = self.token(si);
-        let tb = phys.0 as usize;
-        let x = &mut self.ext[si];
-        if self.cl.lock_bufs[tb].holds(token) {
-            // Another logical target routed to the same node: one buffer
-            // covers both.
-            x.fallback_lock = None;
+        let step = self.fallback_step(si);
+        if self.cl.lock_bufs[bank.0 as usize].holds(token) {
             return None;
         }
-        let f = x.fallback_lock.get_or_insert_with(|| {
-            let txn = self.slots[si].txn.as_ref().expect("txn active");
-            FallbackTarget::build::<L>(txn, target, self.cl.cfg.bloom)
-        });
-        f.denial = self.cl.lock_stall(f.denial, phys, |bufs| f.blocker(bufs));
+        let x = &mut self.ext[si];
+        if x.fallback_lock.as_ref().map(|&(built, _)| built) != Some(step) {
+            let txn = self.slots[si].txn.as_deref().expect("txn active");
+            let served = txn.ops().filter(|o| self.cl.route(o.home) == bank);
+            let f = FallbackTarget::build::<L>(served, self.cl.cfg.bloom);
+            x.fallback_lock = Some((step, f));
+        }
+        let (_, f) = x.fallback_lock.as_mut().expect("built above");
+        f.denial = self.cl.lock_stall(f.denial, bank, |bufs| f.blocker(bufs));
         if f.denial.is_some() {
             return f.denial;
         }
-        let f = x.fallback_lock.take().expect("built above");
-        self.cl.lock_bufs[tb]
-            .try_lock_at(
-                now,
-                token,
-                Signature::Conventional(f.read_sig),
-                Signature::Conventional(f.write_sig),
-                &f.writes,
-                &f.reads,
-            )
+        let (_, f) = x.fallback_lock.take().expect("built above");
+        f.try_lock_at(&mut self.cl.lock_bufs[bank.0 as usize], now, token)
             .expect("a bank with no denial grants the lock");
         None
     }

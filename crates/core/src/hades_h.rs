@@ -21,10 +21,10 @@
 //! software local path, [`SwLocal`].
 
 use crate::driver::{Ev, Sim};
-use crate::hades::{Hades, LocalPath};
+use crate::hades::{FallbackTarget, Hades, LocalPath};
 use crate::runtime::{apply_write, Cluster, ResolvedOp};
 use crate::stats::SquashReason;
-use hades_bloom::{BloomFilter, LockFailure, LockingBuffers, Signature};
+use hades_bloom::{LockFailure, LockingBuffers};
 use hades_sim::ids::NodeId;
 use hades_sim::time::Cycles;
 use hades_storage::record::RecordId;
@@ -132,43 +132,23 @@ impl LocalPath for SwLocal {
     }
 
     /// Software passes its local record addresses to the NIC (per-record
-    /// cost); the NIC builds the equivalent LocalRead/WriteBFs and locks
-    /// the directory with them.
+    /// cost); the NIC builds the equivalent LocalRead/WriteBFs over the
+    /// records of every op this node serves, promoted partitions
+    /// included, and locks the directory with them.
     fn lock_local(sim: &mut HadesHSim, si: usize, now: Cycles) -> Option<(Vec<u64>, Cycles)> {
         let node = sim.slots[si].node;
         let token = sim.token(si);
         let bloom = sim.cl.cfg.bloom;
-        // The local record lines of this transaction, split (reads,
-        // writes) at record granularity.
-        let (mut read_lines, mut write_lines) = (Vec::new(), Vec::new());
-        let txn = sim.slots[si].txn.as_ref().expect("txn active");
-        for op in txn.ops().filter(|o| o.home == node) {
-            Self::fallback_footprint(op, &mut read_lines, &mut write_lines);
-        }
-        read_lines.sort_unstable();
-        read_lines.dedup();
-        write_lines.sort_unstable();
-        write_lines.dedup();
+        let txn = sim.slots[si].txn.as_deref().expect("txn active");
+        let served = txn.ops().filter(|o| sim.cl.route(o.home) == node);
+        let footprint = FallbackTarget::build::<Self>(served, bloom);
+        let write_lines = footprint.writes.iter().map(|h| h.line()).collect();
         let x = &sim.ext[si].local;
         let n_local = x.local_reads.len() + x.local_writes.len();
         let pass_cost = sim.cl.cfg.sw.rdma_issue + Cycles::new(10) * n_local as u64;
-        let build_cost = bloom.bf_op * (read_lines.len() + write_lines.len()).max(1) as u64;
-        let mut rd = BloomFilter::new(bloom.nic_read_bits, bloom.hashes);
-        let mut wr = BloomFilter::new(bloom.nic_write_bits, bloom.hashes);
-        for &l in &read_lines {
-            rd.insert(l);
-        }
-        for &l in &write_lines {
-            wr.insert(l);
-        }
-        let lock = sim.cl.lock_bufs[node.0 as usize].try_lock_at(
-            now,
-            token,
-            Signature::Conventional(rd),
-            Signature::Conventional(wr),
-            &write_lines,
-            &read_lines,
-        );
+        let lines = footprint.reads.len() + footprint.writes.len();
+        let build_cost = bloom.bf_op * lines.max(1) as u64;
+        let lock = footprint.try_lock_at(&mut sim.cl.lock_bufs[node.0 as usize], now, token);
         match lock {
             Ok(()) => sim.ext[si].holds_local_lock = true,
             Err(LockFailure::NoFreeBuffer) if sim.cl.cfg.overload.degrade_on_saturation => {

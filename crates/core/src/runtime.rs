@@ -6,7 +6,7 @@ use crate::overload::AdmissionController;
 use crate::stats::{MigrationStats, NemesisStats, RunStats};
 use hades_bloom::LockingBuffers;
 use hades_fault::{FaultInjector, FaultPlan};
-use hades_mem::hierarchy::NodeMemory;
+use hades_mem::hierarchy::{AccessOutcome, NodeMemory};
 use hades_net::batch::{Batcher, Doorbell};
 use hades_net::fabric::{wire_size, Arrivals, Fabric, SendReport};
 use hades_net::nic::{Nic, RemoteTxKey};
@@ -565,27 +565,16 @@ impl Cluster {
     }
 
     /// Core-side serial access to a set of local lines: the first line pays
-    /// its hierarchy latency, subsequent lines pipeline behind it.
-    /// Returns (latency, slots squashed by speculative evictions).
+    /// its hierarchy latency, later lines pipeline behind it for a quarter
+    /// of theirs. Returns (latency, slots squashed by speculative evictions).
     pub fn access_lines(
         &mut self,
         node: NodeId,
         core: CoreId,
         lines: &[u64],
     ) -> (Cycles, Vec<SlotId>) {
-        let mut total = Cycles::ZERO;
-        let mut evicted = Vec::new();
-        for (i, &line) in lines.iter().enumerate() {
-            let out = self.mems[node.0 as usize].access(core, line);
-            if i == 0 {
-                total += out.latency;
-            } else {
-                // Pipelined: charge a fraction of the service latency.
-                total += out.latency / 4;
-            }
-            evicted.extend(out.evicted_owners);
-        }
-        (total, evicted)
+        let mem = &mut self.mems[node.0 as usize];
+        pipelined(lines, |line| mem.access(core, line))
     }
 
     /// Checks an access against `node`'s Locking Buffers (Fig 7) and
@@ -622,20 +611,10 @@ impl Cluster {
     }
 
     /// NIC-side access to local lines (one-sided RDMA service at the home
-    /// node). Same pipelining model as [`access_lines`](Self::access_lines).
+    /// node), pipelined as [`access_lines`](Self::access_lines) is.
     pub fn access_lines_nic(&mut self, node: NodeId, lines: &[u64]) -> (Cycles, Vec<SlotId>) {
-        let mut total = Cycles::ZERO;
-        let mut evicted = Vec::new();
-        for (i, &line) in lines.iter().enumerate() {
-            let out = self.mems[node.0 as usize].access_from_nic(line);
-            if i == 0 {
-                total += out.latency;
-            } else {
-                total += out.latency / 4;
-            }
-            evicted.extend(out.evicted_owners);
-        }
-        (total, evicted)
+        let mem = &mut self.mems[node.0 as usize];
+        pipelined(lines, |line| mem.access_from_nic(line))
     }
 
     /// The Find-LLC-Tags latency (80–120 cycles, Table III).
@@ -1355,6 +1334,20 @@ impl RunOutcome {
         }
         leaks
     }
+}
+
+/// Serial access to `lines` through `access`: the first line pays its
+/// full latency, and each later line pipelines behind it for a quarter
+/// of its own. Returns (latency, slots squashed by speculative evictions).
+fn pipelined(lines: &[u64], mut access: impl FnMut(u64) -> AccessOutcome) -> (Cycles, Vec<SlotId>) {
+    let mut total = Cycles::ZERO;
+    let mut evicted = Vec::new();
+    for (i, &line) in lines.iter().enumerate() {
+        let out = access(line);
+        total += if i == 0 { out.latency } else { out.latency / 4 };
+        evicted.extend(out.evicted_owners);
+    }
+    (total, evicted)
 }
 
 /// Measurement window controller: warm up, then measure a fixed number of

@@ -5,9 +5,10 @@
 //! released, its attempt changes or the routing or crash table moves:
 //! no poll meanwhile. A handler whose access meets the bank at the
 //! generation of its last denial reuses that denial without a Bloom
-//! re-probe, and a fallback pre-lock poll reuses its last denial and its
-//! once-built footprint. A Baseline fallback lock poll reuses its batch
-//! until its cursor or the routing version moves. These are host
+//! re-probe, and a fallback pre-lock poll reuses its last denial. Every
+//! engine's fallback poll reuses the lock it built for its bank (a
+//! Baseline batch, a HADES footprint) until its cursor or the routing
+//! version moves. These are host
 //! shortcuts: they must not move a single simulated event. This test
 //! replays the run the `trace` bin makes for `--app HT-wA` (the quick
 //! experiment on YCSB-A over the hash table, θ 0.99, where stalls dominate)
@@ -17,10 +18,10 @@
 //! engines share: message loss, a crash with restart, a permanent crash,
 //! a live shard migration, the aggressive overload profile, fallback
 //! pre-locking (one squash is enough to fall back, so nearly every retry
-//! pre-locks and polls until granted), a brief home-node crash and
-//! dropped and duplicated commit-round replies ([`Scenario`] says what
-//! each does). The last nine replay `trace
-//! --app` on the other three YCSB-A stores (Map-wA, BTree-wA,
+//! pre-locks and polls until granted), fallback pre-locking under a
+//! live migration, a brief home-node crash and dropped and duplicated
+//! commit-round replies ([`Scenario`] says what each does). Nine rows
+//! replay `trace --app` on the other three YCSB-A stores (Map-wA, BTree-wA,
 //! B+Tree-wA): each index walk is charged `index_per_level` per level of
 //! lookup depth, so a store change that moves one key's depth moves them.
 //!
@@ -63,14 +64,18 @@ const SHORT_MEASURE: u64 = 150;
 /// Whether a row keeps the quick window (100 + 500 commits). The plain
 /// rows replay `trace`, and the fallback rows run the same window; the
 /// migration rows need the longer run to reach the cutover. HADES's
-/// migration row does not: at dadde3c a HADES run that reaches this
-/// cutover livelocks (a Locking-Buffer token stays in the source bank
-/// while its release routes to the new primary), so it pins the
-/// announce, copy and dual-routing phases only.
+/// migration rows do not: a HADES run past this cutover leaves retries
+/// parked behind a Locking Buffer that nothing releases (ROADMAP item
+/// 6, bug A: the token stays in the source bank while its release
+/// routes to the new primary). Untraced, such a run ends when its queue
+/// runs dry; traced, those retries poll every `LOCK_RETRY` and the run
+/// never ends. So HADES's rows pin the announce, copy and dual-routing
+/// phases only, and `tests/sweep_checks.rs` pins its runs past the
+/// cutover.
 fn quick_window(protocol: Protocol, scenario: Scenario) -> bool {
     match scenario {
-        Plain | Fallback | FallbackMigration => true,
-        Migration => protocol != Hades,
+        Plain | Fallback => true,
+        Migration | FallbackMigration => protocol != Hades,
         _ => false,
     }
 }
@@ -98,8 +103,9 @@ enum Scenario {
     /// One squash sends a transaction to the pessimistic fallback path.
     Fallback,
     /// [`Fallback`] under the standard live move of partition 0 to node
-    /// 1: a fallback lock batch is rebuilt when the cutover moves the
-    /// routing version, so its Locks follow the partition.
+    /// 1: a fallback walk lists its banks again when the cutover moves
+    /// the routing version, so its locks follow the partition, and after
+    /// the cutover one lock at node 1 covers both partitions it serves.
     FallbackMigration,
     /// Every commit-round request and reply (the Lossy-class verbs) is
     /// dropped with 5% probability and duplicated with 5%, replication
@@ -141,6 +147,8 @@ fn rows() -> Vec<(&'static str, Protocol, Scenario)> {
     for app in ["Map-wA", "BTree-wA", "B+Tree-wA"] {
         rows.extend([Baseline, HadesH, Hades].map(|p| (app, p, Plain)));
     }
+    // Added last, so that no recorded line of `traces.jsonl` moves.
+    rows.extend([HadesH, Hades].map(|p| ("HT-wA", p, FallbackMigration)));
     rows
 }
 

@@ -64,3 +64,33 @@ fn shared_checks_name_retries_parked_on_a_bank_nothing_releases() {
         assert!(bad.contains(&r.to_string()), "{r} missing from {bad:?}");
     }
 }
+
+/// Item 6's move with the pessimistic fallback path on (one squash is
+/// enough): each fallback walk lists the banks that serve its ops, so
+/// after the cutover one lock at node 1 covers both partitions it
+/// serves, and HADES-H and HADES commit their whole window. What is left
+/// is bug A (ROADMAP item 6): Locking Buffers taken at node 0's bank
+/// before the cutover, whose release now routes to node 1.
+#[test]
+fn a_fallback_move_commits_and_leaks_buffers_only_in_the_source_bank() {
+    let cfg = SimConfig::isca_default().with_migration(MigrationParams::standard(vec![(0, 1)]));
+    let mut sc = Scenario::new("fallback move", cfg, Load::ht_wa(0.99, 0.005), 500);
+    sc.warmup = 100;
+    sc.cfg.retry.fallback_after_squashes = 1;
+    for p in [Protocol::HadesH, Protocol::Hades] {
+        let trial = sc.run(p);
+        assert_eq!(trial.out.stats.committed, 500, "{p}");
+        let bad = trial.violations();
+        let buffers: Vec<&String> = bad
+            .iter()
+            .filter(|v| v.ends_with("Locking Buffers held"))
+            .collect();
+        assert!(!buffers.is_empty(), "{p}: bug A leaks no buffer: {bad:?}");
+        for v in buffers {
+            assert!(v.starts_with("node 0 left "), "{p}: {v}");
+        }
+        if p == Protocol::HadesH {
+            assert_eq!(bad, ["node 0 left 2 Locking Buffers held"]);
+        }
+    }
+}
